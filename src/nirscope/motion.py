@@ -127,84 +127,143 @@ def detect_artifacts(
 
 def spline_correct(
     series,
-    segments: list[ArtifactSegment],
+    segments: list[ArtifactSegment] | list[list[ArtifactSegment]],
     fs: float = 1.0,
     lam: float = 1e-3,
     baseline_s: float = 2.0,
 ) -> np.ndarray:
     """Subtract a cubic smoothing-spline artifact trend inside each segment.
 
-    Each corrected segment is re-anchored to the mean of the ``baseline_s``
-    seconds before it (after it when the segment starts the series), so no
-    step discontinuity remains at segment boundaries. Samples outside
-    segments are never modified.
+    ``series`` is one series with a list of segments, or a (k, n) array with
+    one segment list per row. Each corrected segment is re-anchored to the
+    mean of the ``baseline_s`` seconds before it (after it when the segment
+    starts the series), so no step discontinuity remains at segment
+    boundaries. Samples outside segments are never modified. Segments of a
+    row must not overlap.
+
+    The spline abscissa is the sample index, so all segments of one length
+    share it and are fitted in one call; every row comes out exactly as it
+    would on its own.
     """
-    x = np.asarray(series, dtype=float).copy()
-    n = x.size
+    x = np.array(series, dtype=float)
+    if x.ndim == 1:
+        return spline_correct(x[None], [segments], fs, lam, baseline_s)[0]
+    if x.ndim != 2 or len(segments) != x.shape[0]:
+        raise ValueError(
+            f"need a (k, n) array with k segment lists, got shape {x.shape} "
+            f"and {len(segments)} lists"
+        )
+    n = x.shape[1]
     n_base = max(1, int(round(baseline_s * fs)))
-    for seg in segments:
-        if seg.end > n:
-            raise ValueError(f"segment [{seg.start}, {seg.end}) outside series of length {n}")
-        a, b = seg.start, seg.end
-        y = x[a:b]
-        if y.size < 5:
-            trend = np.full(y.size, y.mean())
-        else:
-            t = np.arange(y.size, dtype=float)
-            trend = make_smoothing_spline(t, y, lam=lam)(t)
-        resid = y - trend
-        if a > 0:
-            anchor = x[max(0, a - n_base) : a].mean()
-        elif b < n:
-            anchor = x[b : min(n, b + n_base)].mean()
-        else:
-            anchor = 0.0  # segment covers the whole series: leave demeaned
-        x[a:b] = resid - resid.mean() + anchor
+    # (row, start) of the segments of each length.
+    by_length: dict[int, list[tuple[int, int]]] = {}
+    for r, segs in enumerate(segments):
+        prev_end = 0
+        for seg in sorted(segs, key=lambda s: s.start):
+            if seg.end > n:
+                raise ValueError(
+                    f"segment [{seg.start}, {seg.end}) outside series of length {n}"
+                )
+            if seg.start < prev_end:
+                raise ValueError(f"segments overlap at sample {seg.start}")
+            prev_end = seg.end
+            by_length.setdefault(seg.end - seg.start, []).append((r, seg.start))
+
+    # Trends read only the uncorrected samples of their own segment, which no
+    # other segment of the row touches, so they can all be fitted up front.
+    trends: dict[tuple[int, int], np.ndarray] = {}
+    for length, starts in by_length.items():
+        if length < 5:
+            for r, a in starts:
+                y = x[r, a : a + length]
+                trends[r, a] = np.full(length, y.mean())
+            continue
+        t = np.arange(length, dtype=float)
+        y = np.stack([x[r, a : a + length] for r, a in starts], axis=1)
+        fitted = make_smoothing_spline(t, y, lam=lam)(t)
+        for j, key in enumerate(starts):
+            trends[key] = fitted[:, j]
+
+    # Anchors can read a segment corrected just before, so this stays in order.
+    for r, segs in enumerate(segments):
+        row = x[r]
+        for seg in segs:
+            a, b = seg.start, seg.end
+            resid = row[a:b] - trends[r, a]
+            if a > 0:
+                anchor = row[max(0, a - n_base) : a].mean()
+            elif b < n:
+                anchor = row[b : min(n, b + n_base)].mean()
+            else:
+                anchor = 0.0  # segment covers the whole series: leave demeaned
+            row[a:b] = resid - resid.mean() + anchor
     return x
 
 
 def _dwt_analysis(x: np.ndarray):
-    """Full-depth periodized DWT. Returns final approximation + level records."""
+    """Full-depth periodized DWT of each row of ``x`` (k, N).
+
+    Returns the final (k, 1) approximation and one (detail, idx, N) record
+    per level, detail being (k, N/2).
+    """
     levels = []
     c = x
-    while c.size >= 2:
-        N = c.size
+    while c.shape[1] >= 2:
+        N = c.shape[1]
         idx = (2 * np.arange(N // 2)[:, None] + np.arange(_DB4_LO.size)[None, :]) % N
-        win = c[idx]
-        detail = win @ _DB4_HI
+        # A contiguous gather keeps numpy on the same matvec kernel as a
+        # single row; the two smallest levels are only bit-stable row by row.
+        win = np.ascontiguousarray(c[:, idx])
+        if N >= 8:
+            flat = win.reshape(-1, _DB4_LO.size)
+            detail = (flat @ _DB4_HI).reshape(c.shape[0], -1)
+            c = (flat @ _DB4_LO).reshape(c.shape[0], -1)
+        else:
+            detail = np.stack([w @ _DB4_HI for w in win])
+            c = np.stack([w @ _DB4_LO for w in win])
         levels.append((detail, idx, N))
-        c = win @ _DB4_LO
     return c, levels
 
 
 def _dwt_synthesis(approx: np.ndarray, levels) -> np.ndarray:
     c = approx
+    k = c.shape[0]
     for detail, idx, N in reversed(levels):
-        out = np.zeros(N)
-        np.add.at(out, idx, c[:, None] * _DB4_LO[None, :] + detail[:, None] * _DB4_HI[None, :])
-        c = out
+        out = np.zeros(k * N)
+        rows = (np.arange(k) * N)[:, None, None]
+        np.add.at(
+            out,
+            idx[None] + rows,
+            c[:, :, None] * _DB4_LO + detail[:, :, None] * _DB4_HI,
+        )
+        c = out.reshape(k, N)
     return c
 
 
 def wavelet_correct(series, iqr_multiplier: float = 1.5) -> np.ndarray:
     """Zero outlying wavelet detail coefficients and reconstruct.
 
-    The series is demeaned, padded to the next power of two by reflection,
-    and decomposed to full depth. Per level, detail coefficients outside
-    [q1 - m*IQR, q3 + m*IQR] are set to zero; coefficients whose support
-    touches the synthetic padding are exempt so boundary effects are never
-    mistaken for artifacts. With an infinite multiplier the round trip is
-    the identity.
+    ``series`` is one series or a (k, n) array of them, each corrected on
+    its own. A series is demeaned, padded to the next power of two by
+    reflection, and decomposed to full depth. Per level, detail coefficients
+    outside [q1 - m*IQR, q3 + m*IQR] of that row are set to zero;
+    coefficients whose support touches the synthetic padding are exempt so
+    boundary effects are never mistaken for artifacts. With an infinite
+    multiplier the round trip is the identity.
     """
     x = np.asarray(series, dtype=float)
-    if x.size < 16:
-        raise ValueError(f"series too short for wavelet correction: {x.size} < 16")
+    if x.ndim == 1:
+        return wavelet_correct(x[None], iqr_multiplier)[0]
+    if x.ndim != 2:
+        raise ValueError(f"series must be 1-D or 2-D, got shape {x.shape}")
+    n = x.shape[1]
+    if n < 16:
+        raise ValueError(f"series too short for wavelet correction: {n} < 16")
     if iqr_multiplier < 0:
         raise ValueError(f"iqr_multiplier must be >= 0, got {iqr_multiplier}")
-    n = x.size
     padded_len = 1 << n.bit_length()  # strictly larger so the wrap sits in padding
-    mean = x.mean()
-    xp = np.pad(x - mean, (0, padded_len - n), mode="symmetric")
+    mean = x.mean(axis=1, keepdims=True)
+    xp = np.pad(x - mean, ((0, 0), (0, padded_len - n)), mode="symmetric")
     in_pad = np.arange(padded_len) >= n
 
     approx, levels = _dwt_analysis(xp)
@@ -215,11 +274,11 @@ def wavelet_correct(series, iqr_multiplier: float = 1.5) -> np.ndarray:
         pad_flags = touches_pad
         interior = ~touches_pad
         if np.isfinite(iqr_multiplier) and interior.sum() >= 2:
-            q1, q3 = np.percentile(detail, [25, 75])
+            q1, q3 = np.percentile(detail, [25, 75], axis=1, keepdims=True)
             iqr = q3 - q1
             outlier = (detail < q1 - iqr_multiplier * iqr) | (
                 detail > q3 + iqr_multiplier * iqr
             )
             detail = np.where(outlier & interior, 0.0, detail)
         thresholded.append((detail, idx, N))
-    return _dwt_synthesis(approx, thresholded)[:n] + mean
+    return _dwt_synthesis(approx, thresholded)[:, :n] + mean

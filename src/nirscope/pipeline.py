@@ -10,8 +10,7 @@ log). Failures name the stage and remove partial outputs.
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +38,7 @@ REPORT_FILES = (
     "block_average_curves.svg",
     "time_to_peak.svg",
     "provenance.txt",
+    "stats_tests.txt",
 )
 
 _MICROMOLAR = 1e6  # report curves in umol/L
@@ -86,7 +86,6 @@ class PipelineConfig:
     top_channels: int = 4
     # statistics
     pool: str = "sample"  # "sample" | "trial"
-    threads: int = field(default_factory=lambda: _threads_from_env())
 
     def bandpass_spec(self) -> BandpassSpec:
         return BandpassSpec(
@@ -120,14 +119,6 @@ class PipelineConfig:
             peak_delay_s=self.peak_delay_s,
             chromophore_weights=weights,
         )
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("NIRSCOPE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def preprocess_recording(
@@ -192,19 +183,23 @@ def preprocess_recording(
     )
 
     if motion_correction:
-        # Channels with no detected artifacts are left untouched; the wavelet
-        # pass only runs where something was flagged, so clean recordings
+        # Channels with no detected artifacts are left untouched; the spline
+        # and wavelet passes only run on the flagged rows, so clean recordings
         # survive motion correction bit-for-bit.
         for arr in (hbo, hbr):
-            for li in range(arr.shape[0]):
-                segs = detect_artifacts(
+            segments = [
+                detect_artifacts(
                     arr[li], fs, amp_threshold=motion_amp_sigma,
                     channel_id=longs[li].id,
                 )
-                if not segs:
-                    continue
-                arr[li] = spline_correct(arr[li], segs, fs=fs)
-                arr[li] = wavelet_correct(arr[li], iqr_multiplier=motion_iqr)
+                for li in range(arr.shape[0])
+            ]
+            flagged = [li for li, segs in enumerate(segments) if segs]
+            if flagged:
+                rows = spline_correct(
+                    arr[flagged], [segments[li] for li in flagged], fs=fs
+                )
+                arr[flagged] = wavelet_correct(rows, iqr_multiplier=motion_iqr)
         provenance.append(
             ProvenanceStep.make(
                 "motion_correction",
@@ -214,9 +209,8 @@ def preprocess_recording(
             )
         )
 
-    for arr in (hbo, hbr):
-        for li in range(arr.shape[0]):
-            arr[li] = bandpass(arr[li], spec, fs)
+    hbo = bandpass(hbo, spec, fs)
+    hbr = bandpass(hbr, spec, fs)
     provenance.append(
         ProvenanceStep.make(
             "bandpass",

@@ -8,6 +8,7 @@ response and cancels group delay.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,26 +87,38 @@ def _settle_len(sos: np.ndarray, fs: float, spec: BandpassSpec) -> int:
     return int(above[-1]) + 1 if above.size else 1
 
 
-def bandpass(series, spec: BandpassSpec, fs: float) -> np.ndarray:
-    """Apply the Butterworth band-pass to one series.
+@functools.lru_cache(maxsize=None)
+def _design(spec: BandpassSpec, fs: float) -> tuple[np.ndarray, int]:
+    # The SOS sections and the settle length depend only on (spec, fs), so a
+    # recording designs its filter once instead of once per channel.
+    sos = bandpass_sos(spec, fs)
+    return sos, _settle_len(sos, fs, spec)
 
-    Zero-phase mode filters forward and backward with reflection padding of
-    one filter-settling length; output length equals input length.
+
+def bandpass(series, spec: BandpassSpec, fs: float) -> np.ndarray:
+    """Apply the Butterworth band-pass along the last axis.
+
+    ``series`` is one series or an (..., n_samples) stack of them; every row
+    is filtered exactly as it would be on its own. Zero-phase mode filters
+    forward and backward with reflection padding of one filter-settling
+    length; output shape equals input shape.
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"series must be 1-D, got shape {x.shape}")
-    if x.size < 3 * spec.order:
+    if x.ndim == 0:
+        raise ValueError("series must have at least one dimension, got a scalar")
+    n = x.shape[-1]
+    if n < 3 * spec.order:
         raise ValueError(
-            f"series too short: {x.size} samples < 3x filter order ({3 * spec.order})"
+            f"series too short: {n} samples < 3x filter order ({3 * spec.order})"
         )
-    sos = bandpass_sos(spec, fs)
+    sos, settle = _design(spec, fs)
     if not spec.zero_phase:
-        zi = sps.sosfilt_zi(sos) * x[0]
-        y, _ = sps.sosfilt(sos, x, zi=zi)
+        # sosfilt wants zi as (n_sections, ..., 2): one initial state per row.
+        zi0 = sps.sosfilt_zi(sos).reshape(sos.shape[0], *(1,) * (x.ndim - 1), 2)
+        y, _ = sps.sosfilt(sos, x, axis=-1, zi=zi0 * x[..., :1])
         return y
-    pad = min(_settle_len(sos, fs, spec), x.size - 1)
-    return sps.sosfiltfilt(sos, x, padtype="even", padlen=pad)
+    y = sps.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=min(settle, n - 1))
+    return np.ascontiguousarray(y)
 
 
 def short_channel_regress(long, short) -> np.ndarray:

@@ -37,6 +37,16 @@ def make_recording(montage, n=200, fs=3.9, seed=0, annotations=()):
     )
 
 
+def spiky_walks(k, n, seed):
+    """(k, n) Gaussian random walks, each with four large spikes."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.normal(size=(k, n)), axis=1)
+    for row in x:
+        at = rng.choice(n, size=4, replace=False)
+        row[at] += rng.choice([-1.0, 1.0], size=4) * 20 * row.std()
+    return x
+
+
 def make_epoch_set(
     n_participants=4,
     trials=3,

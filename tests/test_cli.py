@@ -156,6 +156,24 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_config_rejects_removed_threads_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    code = main(["run", "--out", str(tmp_path / "r"), "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
+
+
+def test_provenance_ignores_nirscope_threads(tmp_path, monkeypatch):
+    monkeypatch.delenv("NIRSCOPE_THREADS", raising=False)
+    assert main(["run", "--out", str(tmp_path / "a")] + SMALL_RUN) == EXIT_OK
+    monkeypatch.setenv("NIRSCOPE_THREADS", "3")
+    assert main(["run", "--out", str(tmp_path / "b")] + SMALL_RUN) == EXIT_OK
+    a = (tmp_path / "a" / "provenance.txt").read_bytes()
+    assert a == (tmp_path / "b" / "provenance.txt").read_bytes()
+    assert b"threads" not in a
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

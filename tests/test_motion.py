@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import spiky_walks
 from nirscope.motion import (
     ArtifactSegment,
     detect_artifacts,
@@ -180,3 +181,42 @@ def test_output_length_preserved():
     rng = np.random.default_rng(4)
     for n in (16, 57, 400):
         assert wavelet_correct(rng.normal(size=n)).shape == (n,)
+
+
+# --- batched correction ---
+
+
+@pytest.mark.parametrize("k", [1, 7, 28])
+def test_spline_rows_match_single_series(k):
+    x = spiky_walks(k, 800, seed=k)
+    segments = [detect_artifacts(row, FS) for row in x]
+    # Edge cases the detector rarely produces: a segment at the start, one
+    # shorter than a spline fit, and rows with no segments.
+    segments[0] = [ArtifactSegment(0, 30), ArtifactSegment(100, 103)] + [
+        s for s in segments[0] if s.start >= 103
+    ]
+    if k > 1:
+        segments[1] = []
+    out = spline_correct(x, segments, fs=FS)
+    assert out.shape == x.shape
+    for i in range(k):
+        assert np.array_equal(out[i], spline_correct(x[i], segments[i], fs=FS))
+
+
+def test_spline_batch_validation():
+    x = np.zeros((2, 50))
+    with pytest.raises(ValueError, match="segment lists"):
+        spline_correct(x, [[]], fs=FS)
+    with pytest.raises(ValueError, match="overlap"):
+        spline_correct(x[0], [ArtifactSegment(5, 20), ArtifactSegment(10, 30)], fs=FS)
+
+
+@pytest.mark.parametrize("k", [1, 7, 28])
+@pytest.mark.parametrize("n", [16, 333, 1638])
+def test_wavelet_rows_match_single_series(k, n):
+    x = spiky_walks(k, n, seed=k + n)
+    out = wavelet_correct(x)
+    assert out.shape == x.shape
+    assert not np.array_equal(out, x)  # outliers were zeroed
+    for i in range(k):
+        assert np.array_equal(out[i], wavelet_correct(x[i]))

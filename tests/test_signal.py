@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import spiky_walks
 from nirscope.signal import (
     BandpassSpec,
     bandpass,
@@ -216,3 +217,25 @@ def test_match_requires_a_short_channel():
     )
     with pytest.raises(ValueError, match="no short channels"):
         match_short_channel(montage, "S1-D1")
+
+
+# --- batched filtering ---
+
+
+@pytest.mark.parametrize("k", [1, 7, 28])
+@pytest.mark.parametrize("zero_phase", [True, False])
+def test_bandpass_rows_match_single_series(k, zero_phase):
+    spec = BandpassSpec(zero_phase=zero_phase)
+    x = spiky_walks(k, 600, seed=k)
+    out = bandpass(x, spec, FS)
+    assert out.shape == x.shape
+    for i in range(k):
+        assert np.array_equal(out[i], bandpass(x[i], spec, FS))
+
+
+def test_bandpass_filters_the_last_axis_of_any_stack():
+    x = spiky_walks(6, 300, seed=5).reshape(2, 3, 300)
+    out = bandpass(x, BandpassSpec(), FS)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(out[i, j], bandpass(x[i, j], BandpassSpec(), FS))

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: synth, preprocess, epoch, train, explain, stats, report, run.
-Flags can be overridden wholesale by --config FILE (JSON with pipeline
-config keys). Exit codes: 0 success, 2 config error, 3 data error,
+The flags of `run` can be overridden wholesale by --config FILE (JSON with
+pipeline config keys). Exit codes: 0 success, 2 config error, 3 data error,
 4 numerical failure.
 """
 
@@ -21,9 +21,12 @@ from .model import DatasetFormatError, load_dataset, save_dataset
 from .pipeline import (
     PipelineConfig,
     PipelineError,
+    descriptive_report,
     epochs_from_dataset,
+    metrics_text,
     preprocess_dataset,
     run_pipeline,
+    synthesize,
 )
 
 EXIT_OK = 0
@@ -33,35 +36,47 @@ EXIT_NUMERIC = 4
 
 
 def _add_preprocess_flags(p: argparse.ArgumentParser):
-    p.add_argument("--low-cut", type=float, default=0.05, help="band-pass low cutoff (Hz)")
-    p.add_argument("--high-cut", type=float, default=0.7, help="band-pass high cutoff (Hz)")
-    p.add_argument("--filter-order", type=int, default=4, help="band-pass order (even)")
-    p.add_argument("--no-short-channel", action="store_true", help="skip short-channel regression")
-    p.add_argument("--no-motion", action="store_true", help="skip motion correction")
-    p.add_argument("--motion-amp-sigma", type=float, default=5.0)
-    p.add_argument("--motion-iqr", type=float, default=1.5)
+    p.add_argument("--low-cut", dest="low_cut_hz", type=float, help="band-pass low cutoff (Hz)")
+    p.add_argument("--high-cut", dest="high_cut_hz", type=float, help="band-pass high cutoff (Hz)")
+    p.add_argument("--filter-order", type=int, help="band-pass order (even)")
+    p.add_argument("--no-short-channel", dest="short_channel", action="store_false",
+                   help="skip short-channel regression")
+    p.add_argument("--no-motion", dest="motion_correction", action="store_false",
+                   help="skip motion correction")
+    p.add_argument("--motion-amp-sigma", type=float)
+    p.add_argument("--motion-iqr", type=float)
+
+
+def _add_epoch_flags(p: argparse.ArgumentParser):
+    p.add_argument("--task", help="task label to analyze")
+    p.add_argument("--window", dest="window_s", type=float, help="epoch window (s)")
 
 
 def _add_learn_flags(p: argparse.ArgumentParser):
-    p.add_argument("--task", default="single", help="task label to analyze")
-    p.add_argument("--model", default="knn", choices=["knn", "rf", "svm", "gbdt"])
-    p.add_argument("--folds", type=int, default=6)
-    p.add_argument("--feature-mode", default="raw", choices=["raw", "summary"])
-    p.add_argument("--select-k", type=int, default=None)
-    p.add_argument("--window", type=float, default=20.0, help="epoch window (s)")
+    _add_epoch_flags(p)
+    p.add_argument("--model", choices=["knn", "rf", "svm", "gbdt"])
+    p.add_argument("--folds", type=int)
+    p.add_argument("--feature-mode", choices=["raw", "summary"])
+    p.add_argument("--select-k", type=int)
 
 
 def _add_synth_flags(p: argparse.ArgumentParser):
-    p.add_argument("--patients", type=int, default=12)
-    p.add_argument("--controls", type=int, default=12)
-    p.add_argument("--trials", type=int, default=5, help="trials per task")
-    p.add_argument("--effect-channels", nargs="*", default=[])
-    p.add_argument("--amplitude-ratio", type=float, default=1.0)
-    p.add_argument("--peak-delay", type=float, default=0.0)
-    p.add_argument("--effect-chromophore", default="hbr", choices=["hbo", "hbr"])
+    p.add_argument("--patients", type=int)
+    p.add_argument("--controls", type=int)
+    p.add_argument("--trials", dest="trials_per_task", type=int, help="trials per task")
+    p.add_argument("--effect-channels", nargs="*")
+    p.add_argument("--amplitude-ratio", type=float)
+    p.add_argument("--peak-delay", dest="peak_delay_s", type=float)
+    p.add_argument("--effect-chromophore", choices=["hbo", "hbr"])
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser.
+
+    Each config flag stores into the PipelineConfig field named by its dest
+    and is left out of the namespace when not given, so every default comes
+    from PipelineConfig.
+    """
     parser = argparse.ArgumentParser(
         prog="nirscope",
         description="fNIRS preprocessing, classification, attribution, and statistics",
@@ -69,38 +84,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nirscope {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset with ground truth")
-    _add_synth_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output dataset directory")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("preprocess", help="raw intensities to hemoglobin series")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
+    p = command("synth", "generate a synthetic dataset with ground truth")
+    _add_synth_flags(p)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", dest="out_dir", required=True, help="output dataset directory")
+
+    p = command("preprocess", "raw intensities to hemoglobin series")
+    p.add_argument("--dataset", dest="dataset_path", required=True)
+    p.add_argument("--out", dest="out_dir", required=True)
     _add_preprocess_flags(p)
 
-    p = sub.add_parser("epoch", help="segment a preprocessed dataset and summarize")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--task", default="single")
-    p.add_argument("--window", type=float, default=20.0)
+    p = command("epoch", "segment a preprocessed dataset and summarize")
+    p.add_argument("--dataset", dest="dataset_path", required=True)
+    _add_epoch_flags(p)
 
-    p = sub.add_parser("train", help="cross-participant validation metrics")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("train", "cross-participant validation metrics")
+    p.add_argument("--dataset", dest="dataset_path", required=True)
+    p.add_argument("--seed", type=int)
     _add_preprocess_flags(p)
     _add_learn_flags(p)
 
-    p = sub.add_parser("explain", help="train, then rank channels by attribution")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True, help="output directory for reports")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=256, help="attribution sample budget")
+    p = command("explain", "train, then rank channels by attribution")
+    p.add_argument("--dataset", dest="dataset_path", required=True)
+    p.add_argument("--out", dest="out_dir", required=True, help="output directory for reports")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", dest="shap_samples", type=int, help="attribution sample budget")
     _add_preprocess_flags(p)
     _add_learn_flags(p)
 
     p = sub.add_parser("stats", help="t-test / ANOVA / Levene on samples or summaries")
     p.add_argument("test", choices=["ttest", "anova", "levene"])
-    p.add_argument("--csv", nargs="*", default=[], help="one-column sample CSVs, one per group")
+    p.add_argument(
+        "--csv",
+        action="extend",
+        nargs="+",
+        default=[],
+        help="one-column sample CSVs, one per group; repeat or list several",
+    )
     p.add_argument(
         "--summary",
         action="append",
@@ -111,20 +134,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--welch", action="store_true", help="unequal-variance t-test")
     p.add_argument("--center", default="mean", choices=["mean", "median"])
 
-    p = sub.add_parser("report", help="descriptive figures without training")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--task", default="single")
-    p.add_argument("--window", type=float, default=20.0)
+    p = command("report", "descriptive figures without training")
+    p.add_argument("--dataset", dest="dataset_path", required=True)
+    p.add_argument("--out", dest="out_dir", required=True)
+    _add_epoch_flags(p)
     _add_preprocess_flags(p)
 
-    p = sub.add_parser("run", help="full pipeline (synthetic unless --dataset)")
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--pool", default="sample", choices=["sample", "trial"])
-    p.add_argument("--config", default=None, help="JSON config overriding flags")
+    p = command("run", "full pipeline (synthetic unless --dataset)")
+    p.add_argument("--dataset", dest="dataset_path")
+    p.add_argument("--out", dest="out_dir", required=True)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", dest="shap_samples", type=int)
+    p.add_argument("--pool", choices=["sample", "trial"])
+    p.add_argument("--config", help="JSON config overriding flags")
     _add_synth_flags(p)
     _add_preprocess_flags(p)
     _add_learn_flags(p)
@@ -132,43 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig(
-        out_dir=args.out,
-        dataset_path=args.dataset,
-        seed=getattr(args, "seed", 0),
-        patients=getattr(args, "patients", 12),
-        controls=getattr(args, "controls", 12),
-        trials_per_task=getattr(args, "trials", 5),
-        effect_channels=tuple(getattr(args, "effect_channels", ())),
-        amplitude_ratio=getattr(args, "amplitude_ratio", 1.0),
-        peak_delay_s=getattr(args, "peak_delay", 0.0),
-        effect_chromophore=getattr(args, "effect_chromophore", "hbr"),
-        low_cut_hz=args.low_cut,
-        high_cut_hz=args.high_cut,
-        filter_order=args.filter_order,
-        short_channel=not args.no_short_channel,
-        motion_correction=not args.no_motion,
-        motion_amp_sigma=args.motion_amp_sigma,
-        motion_iqr=args.motion_iqr,
-        window_s=args.window,
-        task=args.task,
-        model=args.model,
-        folds=args.folds,
-        feature_mode=args.feature_mode,
-        select_k=args.select_k,
-        shap_samples=getattr(args, "samples", 256),
-        pool=getattr(args, "pool", "sample"),
-    )
+    """PipelineConfig defaults, overridden by the given flags, then by --config."""
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    values = {k: v for k, v in vars(args).items() if k in fields}
     if getattr(args, "config", None):
         overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        known = {f.name for f in dataclasses.fields(PipelineConfig)}
-        unknown = set(overrides) - known
+        unknown = set(overrides) - fields
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "effect_channels" in overrides:
-            overrides["effect_channels"] = tuple(overrides["effect_channels"])
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+        values.update(overrides)
+    if "effect_channels" in values:
+        values["effect_channels"] = tuple(values["effect_channels"])
+    return PipelineConfig(**values)
 
 
 def _parse_summaries(raw: list[str]) -> list[stats.GroupSummary]:
@@ -237,25 +234,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    effect = None
-    if args.effect_channels:
-        weights = {"hbo": 0.0, "hbr": 0.0}
-        weights[args.effect_chromophore] = 1.0
-        effect = synth.EffectSpec(
-            target_channels=tuple(args.effect_channels),
-            amplitude_ratio=args.amplitude_ratio,
-            peak_delay_s=args.peak_delay,
-            chromophore_weights=weights,
-        )
-    dataset, gt = synth.generate_dataset(
-        n_patients=args.patients,
-        n_controls=args.controls,
-        trials_per_task=args.trials,
-        effect=effect,
-        seed=args.seed,
-    )
-    save_dataset(dataset, args.out)
-    out = Path(args.out)
+    cfg = _config_from_args(args)
+    dataset, gt = synthesize(cfg)
+    save_dataset(dataset, cfg.out_dir)
+    out = Path(cfg.out_dir)
     (out / "ground_truth.json").write_text(
         synth.ground_truth_report(gt), encoding="utf-8", newline="\n"
     )
@@ -264,37 +246,25 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    cfg = PipelineConfig(
-        out_dir=args.out,
-        dataset_path=args.dataset,
-        low_cut_hz=args.low_cut,
-        high_cut_hz=args.high_cut,
-        filter_order=args.filter_order,
-        short_channel=not args.no_short_channel,
-        motion_correction=not args.no_motion,
-        motion_amp_sigma=args.motion_amp_sigma,
-        motion_iqr=args.motion_iqr,
-    )
-    dataset = load_dataset(args.dataset)
-    hemo = preprocess_dataset(dataset, cfg)
-    save_dataset(hemo, args.out)
-    print(f"wrote preprocessed dataset ({len(hemo.hemo)} participants) to {args.out}")
+    cfg = _config_from_args(args)
+    hemo = preprocess_dataset(load_dataset(cfg.dataset_path), cfg)
+    save_dataset(hemo, cfg.out_dir)
+    print(f"wrote preprocessed dataset ({len(hemo.hemo)} participants) to {cfg.out_dir}")
     return EXIT_OK
 
 
 def _cmd_epoch(args) -> int:
-    dataset = load_dataset(args.dataset)
-    cfg = PipelineConfig(dataset_path=args.dataset, task=args.task, window_s=args.window)
-    epoch_set = epochs_from_dataset(dataset, cfg)
-    task_set = epoch_set.filter(task=args.task)
+    cfg = _config_from_args(args)
+    epoch_set = epochs_from_dataset(load_dataset(cfg.dataset_path), cfg)
+    task_set = epoch_set.filter(task=cfg.task)
     print(
         f"{len(epoch_set.epochs)} epochs total, {len(task_set.epochs)} for task "
-        f"{args.task!r}, window {epoch_set.window_samples} samples "
+        f"{cfg.task!r}, window {epoch_set.window_samples} samples "
         f"@ {epoch_set.sample_rate_hz} Hz"
     )
     for group in ("control", "patient"):
         try:
-            avg = epochs_mod.block_average(epoch_set, args.task, group=group)
+            avg = epochs_mod.block_average(epoch_set, cfg.task, group=group)
         except ValueError:
             continue
         peak = float(np.max(np.abs(avg.hbo_mean)))
@@ -302,35 +272,12 @@ def _cmd_epoch(args) -> int:
     return EXIT_OK
 
 
-def _preprocess_config(args, out_dir: str = "nirscope-run") -> PipelineConfig:
-    return PipelineConfig(
-        out_dir=out_dir,
-        dataset_path=args.dataset,
-        seed=getattr(args, "seed", 0),
-        low_cut_hz=args.low_cut,
-        high_cut_hz=args.high_cut,
-        filter_order=args.filter_order,
-        short_channel=not args.no_short_channel,
-        motion_correction=not args.no_motion,
-        motion_amp_sigma=args.motion_amp_sigma,
-        motion_iqr=args.motion_iqr,
-        window_s=getattr(args, "window", 20.0),
-        task=getattr(args, "task", "single"),
-        model=getattr(args, "model", "knn"),
-        folds=getattr(args, "folds", 6),
-        feature_mode=getattr(args, "feature_mode", "raw"),
-        select_k=getattr(args, "select_k", None),
-        shap_samples=getattr(args, "samples", 256),
-    )
-
-
 def _cmd_train(args) -> int:
     from . import learn
     from .features import FeatureMode
-    from .report import metrics_table
 
-    cfg = _preprocess_config(args)
-    dataset = preprocess_dataset(load_dataset(args.dataset), cfg)
+    cfg = _config_from_args(args)
+    dataset = preprocess_dataset(load_dataset(cfg.dataset_path), cfg)
     epoch_set = epochs_from_dataset(dataset, cfg)
     plan = learn.make_fold_plan(dataset.participants, n_folds=cfg.folds, seed=cfg.seed)
     cv = learn.cross_validate(
@@ -341,63 +288,48 @@ def _cmd_train(args) -> int:
         mode=FeatureMode(cfg.feature_mode),
         select_k=cfg.select_k,
     )
-    rows = [(f"fold {fr.fold_index}", fr.metrics) for fr in cv.folds]
-    rows.append(("pooled", cv.pooled))
-    print(
-        f"model = {cfg.model}, task = {cfg.task}, mode = {cfg.feature_mode}, "
-        f"k = {cv.select_k}, folds = {cfg.folds}, seed = {cfg.seed}\n"
-    )
-    print(metrics_table(rows, ("fold", "accuracy", "precision", "recall", "f1")))
+    print(metrics_text(cfg, cv))
     return EXIT_OK
 
 
-def _cmd_run(args, with_reports: bool = True) -> int:
-    cfg = _config_from_args(args)
-    result = run_pipeline(cfg)
+def _cmd_run(args) -> int:
+    result = run_pipeline(_config_from_args(args))
     pooled = result["cv"].pooled
     print(
         f"pooled accuracy = {pooled.accuracy:.4f} (precision {pooled.precision:.4f}, "
         f"recall {pooled.recall:.4f}, f1 {pooled.f1:.4f})"
     )
-    if with_reports:
-        for path in result["files"]:
-            print(f"wrote {path}")
+    for path in result["files"]:
+        print(f"wrote {path}")
     top = result["importance"].top(4)
     print("top channels: " + ", ".join(f"{c} {h}" for c, h, _ in top))
     return EXIT_OK
 
 
-def _cmd_explain(args) -> int:
-    return _cmd_run(args, with_reports=True)
+def _cmd_report(args) -> int:
+    for path in descriptive_report(_config_from_args(args)):
+        print(f"wrote {path}")
+    return EXIT_OK
+
+
+# `explain` is `run` on an existing dataset: it trains, attributes and
+# writes the same report files.
+_COMMANDS = {
+    "synth": _cmd_synth,
+    "preprocess": _cmd_preprocess,
+    "epoch": _cmd_epoch,
+    "train": _cmd_train,
+    "explain": _cmd_run,
+    "stats": _cmd_stats,
+    "report": _cmd_report,
+    "run": _cmd_run,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "preprocess":
-            return _cmd_preprocess(args)
-        if args.command == "epoch":
-            return _cmd_epoch(args)
-        if args.command == "report":
-            from .pipeline import descriptive_report
-
-            cfg = _preprocess_config(args, out_dir=args.out)
-            for path in descriptive_report(cfg):
-                print(f"wrote {path}")
-            return EXIT_OK
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "explain":
-            return _cmd_explain(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        parser.error(f"unknown command {args.command}")
-        return EXIT_CONFIG
+        return _COMMANDS[args.command](args)
     except DatasetFormatError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

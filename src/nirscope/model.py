@@ -274,19 +274,6 @@ class HemoSeries:
     def n_samples(self) -> int:
         return self.hbo.shape[1]
 
-    def with_step(self, hbo, hbr, step: ProvenanceStep) -> "HemoSeries":
-        """New series with replaced data and the step appended to provenance."""
-        return HemoSeries(
-            participant_id=self.participant_id,
-            group=self.group,
-            sample_rate_hz=self.sample_rate_hz,
-            channel_ids=self.channel_ids,
-            hbo=hbo,
-            hbr=hbr,
-            annotations=self.annotations,
-            provenance=self.provenance + (step,),
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HemoSeries):
             return NotImplemented

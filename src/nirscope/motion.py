@@ -89,40 +89,34 @@ def detect_artifacts(
     window = max(2, int(round(std_window_s * fs)))
     if x.size <= window:
         raise ValueError(f"series length {x.size} must exceed the std window {window}")
-    flags = np.zeros(x.size, dtype=bool)
-    triggers = np.empty(x.size, dtype=object)
     std = float(x.std())
-    if std > 0:
-        amp_bad = np.abs(x - np.median(x)) > amp_threshold * std
-        flags |= amp_bad
-        triggers[amp_bad] = "amplitude"
-        mstd = _moving_std(x, window)
-        med_mstd = float(np.median(mstd))
-        std_bad = mstd > std_threshold * med_mstd
-        triggers[std_bad & ~flags] = "moving_std"
-        flags |= std_bad
-    if not flags.any():
+    if not std > 0:
         return []
+    amp_bad = np.abs(x - np.median(x)) > amp_threshold * std
+    mstd = _moving_std(x, window)
+    idx = np.flatnonzero(amp_bad | (mstd > std_threshold * float(np.median(mstd))))
+    if idx.size == 0:
+        return []
+    # Runs of consecutive flagged samples, padded and clipped to the series.
+    breaks = np.flatnonzero(np.diff(idx) != 1)
+    run_first = np.concatenate([idx[:1], idx[breaks + 1]])
     pad = int(round(pad_s * fs))
-    segments: list[ArtifactSegment] = []
-    idx = np.nonzero(flags)[0]
-    run_start = idx[0]
-    prev = idx[0]
-    for i in list(idx[1:]) + [None]:
-        if i is not None and i == prev + 1:
-            prev = i
-            continue
-        start = max(0, run_start - pad)
-        end = min(x.size, prev + 1 + pad)
-        trigger = triggers[run_start] or "moving_std"
-        if segments and start <= segments[-1].end:
-            last = segments[-1]
-            segments[-1] = ArtifactSegment(last.start, end, channel_id, last.trigger)
-        else:
-            segments.append(ArtifactSegment(start, end, channel_id, trigger))
-        if i is not None:
-            run_start = prev = i
-    return segments
+    starts = np.maximum(run_first - pad, 0)
+    ends = np.minimum(np.append(idx[breaks], idx[-1]) + 1 + pad, x.size)
+    # Padded ends never decrease, so a run joins the segment before it
+    # exactly when it starts at or before that segment's end. A segment's
+    # trigger is that of the first sample of its first run.
+    first = np.flatnonzero(np.concatenate([[True], starts[1:] > ends[:-1]]))
+    last = np.append(first[1:], starts.size) - 1
+    return [
+        ArtifactSegment(
+            int(starts[a]),
+            int(ends[b]),
+            channel_id,
+            "amplitude" if amp_bad[run_first[a]] else "moving_std",
+        )
+        for a, b in zip(first, last)
+    ]
 
 
 def spline_correct(

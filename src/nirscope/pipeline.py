@@ -28,6 +28,9 @@ __all__ = [
     "preprocess_dataset",
     "epochs_from_dataset",
     "run_pipeline",
+    "descriptive_report",
+    "synthesize",
+    "metrics_text",
     "REPORT_FILES",
 ]
 
@@ -121,24 +124,15 @@ class PipelineConfig:
         )
 
 
-def preprocess_recording(
-    recording,
-    montage,
-    spec: BandpassSpec | None = None,
-    short_channel: bool = True,
-    motion_correction: bool = True,
-    motion_amp_sigma: float = 5.0,
-    motion_iqr: float = 1.5,
-    extinction: optics.ExtinctionTable | None = None,
-) -> HemoSeries:
+def preprocess_recording(recording, montage, config: PipelineConfig) -> HemoSeries:
     """Raw intensities to band-limited hemoglobin concentration changes.
 
     Order: optical density, short-channel regression (per wavelength, on
     OD), Beer-Lambert inversion, spline + wavelet motion correction, then
     the band-pass. Every step is recorded in the provenance.
     """
-    spec = spec or BandpassSpec()
-    extinction = extinction or optics.default_extinction_table()
+    spec = config.bandpass_spec()
+    extinction = optics.default_extinction_table()
     fs = recording.sample_rate_hz
     wl = recording.wavelengths_nm
     ids = list(recording.channel_ids)
@@ -153,7 +147,7 @@ def preprocess_recording(
     }
 
     longs = montage.long_channels
-    if short_channel and montage.short_channels:
+    if config.short_channel and montage.short_channels:
         for w in wl:
             for ch in longs:
                 short_id = match_short_channel(montage, ch.id)
@@ -182,14 +176,14 @@ def preprocess_recording(
         )
     )
 
-    if motion_correction:
+    if config.motion_correction:
         # Channels with no detected artifacts are left untouched; the spline
         # and wavelet passes only run on the flagged rows, so clean recordings
         # survive motion correction bit-for-bit.
         for arr in (hbo, hbr):
             segments = [
                 detect_artifacts(
-                    arr[li], fs, amp_threshold=motion_amp_sigma,
+                    arr[li], fs, amp_threshold=config.motion_amp_sigma,
                     channel_id=longs[li].id,
                 )
                 for li in range(arr.shape[0])
@@ -199,13 +193,13 @@ def preprocess_recording(
                 rows = spline_correct(
                     arr[flagged], [segments[li] for li in flagged], fs=fs
                 )
-                arr[flagged] = wavelet_correct(rows, iqr_multiplier=motion_iqr)
+                arr[flagged] = wavelet_correct(rows, iqr_multiplier=config.motion_iqr)
         provenance.append(
             ProvenanceStep.make(
                 "motion_correction",
                 order="spline_then_wavelet",
-                amp_sigma=motion_amp_sigma,
-                iqr_multiplier=motion_iqr,
+                amp_sigma=config.motion_amp_sigma,
+                iqr_multiplier=config.motion_iqr,
             )
         )
 
@@ -238,16 +232,7 @@ def preprocess_dataset(dataset: Dataset, config: PipelineConfig) -> Dataset:
     if dataset.kind != "intensity":
         return dataset
     hemo = tuple(
-        preprocess_recording(
-            rec,
-            dataset.montage,
-            spec=config.bandpass_spec(),
-            short_channel=config.short_channel,
-            motion_correction=config.motion_correction,
-            motion_amp_sigma=config.motion_amp_sigma,
-            motion_iqr=config.motion_iqr,
-        )
-        for rec in dataset.recordings
+        preprocess_recording(rec, dataset.montage, config) for rec in dataset.recordings
     )
     return Dataset(
         montage=dataset.montage,
@@ -266,31 +251,49 @@ def epochs_from_dataset(dataset: Dataset, config: PipelineConfig) -> EpochSet:
     )
 
 
-def _group_summaries_for_channel(
-    epoch_set: EpochSet, task: str, channel: str, chromophore: str, pool: str
-):
-    """Per-group pooled observations of one channel/chromophore."""
-    ci = epoch_set.channel_ids.index(channel)
-    out = {}
-    for group in ("control", "patient"):
-        eps = epoch_set.filter(task=task, group=group).epochs
-        windows = [getattr(ep, chromophore)[ci] for ep in eps]
-        if not windows:
-            out[group] = np.array([])
-            continue
-        if pool == "sample":
-            out[group] = np.concatenate(windows)
-        else:
-            out[group] = np.array([w.mean() for w in windows])
-    return out["control"], out["patient"]
+def synthesize(config: PipelineConfig):
+    """The synthetic dataset and ground truth that ``config`` describes."""
+    return synth.generate_dataset(
+        n_patients=config.patients,
+        n_controls=config.controls,
+        trials_per_task=config.trials_per_task,
+        effect=config.effect_spec(),
+        seed=config.seed,
+    )
+
+
+def metrics_text(config: PipelineConfig, cv) -> str:
+    """The metrics.txt report: the run settings, then per-fold and pooled metrics."""
+    rows = [(f"fold {fr.fold_index}", fr.metrics) for fr in cv.folds]
+    rows.append(("pooled", cv.pooled))
+    return (
+        f"model = {config.model}, task = {config.task}, "
+        f"mode = {config.feature_mode}, k = {cv.select_k}, folds = {config.folds}, "
+        f"seed = {config.seed}\n\n"
+        + report.metrics_table(rows, ("fold", "accuracy", "precision", "recall", "f1"))
+    )
+
+
+def _pooled_observations(epochs, ci: int, chromophore: str, pool: str) -> np.ndarray:
+    """One channel/chromophore of ``epochs``: every sample, or one mean per trial."""
+    windows = [getattr(ep, chromophore)[ci] for ep in epochs]
+    if not windows:
+        return np.array([])
+    if pool == "sample":
+        return np.concatenate(windows)
+    return np.array([w.mean() for w in windows])
 
 
 def _stats_report(epoch_set: EpochSet, importance, config: PipelineConfig, montage) -> str:
+    by_group = [
+        epoch_set.filter(task=config.task, group=group).epochs
+        for group in ("control", "patient")
+    ]
     lines = ["Group statistics", "================", ""]
-    top = [e for e in importance.entries[: config.top_channels]]
-    for channel, chrom, _ in top:
-        control, patient = _group_summaries_for_channel(
-            epoch_set, config.task, channel, chrom, config.pool
+    for channel, chrom, _ in importance.entries[: config.top_channels]:
+        ci = epoch_set.channel_ids.index(channel)
+        control, patient = (
+            _pooled_observations(eps, ci, chrom, config.pool) for eps in by_group
         )
         if control.size < 2 or patient.size < 2:
             continue
@@ -319,10 +322,8 @@ def _stats_report(epoch_set: EpochSet, importance, config: PipelineConfig, monta
         if not members:
             continue
         for chrom in ("hbo", "hbr"):
-            groups = []
-            for group in ("control", "patient"):
-                eps = epoch_set.filter(task=config.task, group=group).epochs
-                vals = [
+            groups = [
+                [
                     float(
                         epochs_mod.roi_average(
                             getattr(ep, chrom), epoch_set.channel_ids, members
@@ -330,7 +331,8 @@ def _stats_report(epoch_set: EpochSet, importance, config: PipelineConfig, monta
                     )
                     for ep in eps
                 ]
-                groups.append(vals)
+                for eps in by_group
+            ]
             if min(len(g) for g in groups) < 2:
                 continue
             res = stats.one_way_anova(groups)
@@ -349,36 +351,107 @@ def _peak_roi(montage) -> tuple[str, tuple[str, ...]]:
     return name, members
 
 
-def _time_to_peak_entries(
-    epoch_set: EpochSet, task: str, roi_name: str, roi_members, chromophore: str
-) -> list[epochs_mod.PeakTiming]:
-    entries = []
-    for pid, group in epoch_set.participants:
-        eps = [
-            ep
-            for ep in epoch_set.epochs
-            if ep.participant_id == pid and ep.task == task
-        ]
-        if not eps:
+def _emit_block_average_curves(path: Path, epoch_set: EpochSet, task: str, pairs, title: str):
+    """Group mean and std curves in umol/L, one panel per (channel, chromophore).
+
+    Groups without epochs for the task are left out of every panel.
+    """
+    averages = []
+    for group, color in (("control", "#4472c4"), ("patient", "#c0504d")):
+        try:
+            averages.append((group, color, epochs_mod.block_average(epoch_set, task, group=group)))
+        except ValueError:
             continue
-        mean_curve = np.mean(
-            [
-                epochs_mod.roi_average(getattr(ep, chromophore), epoch_set.channel_ids, roi_members)
-                for ep in eps
-            ],
-            axis=0,
-        )
-        ttp = epochs_mod.time_to_peak(mean_curve, epoch_set.sample_rate_hz, chromophore)
-        entries.append(
-            epochs_mod.PeakTiming(
-                participant_id=pid,
-                group=group,
-                roi=roi_name,
-                chromophore=chromophore,
-                time_to_peak_s=ttp,
+    panels = []
+    for channel, chrom in pairs:
+        ci = epoch_set.channel_ids.index(channel)
+        curves = [
+            (
+                group,
+                getattr(avg, f"{chrom}_mean")[ci] * _MICROMOLAR,
+                getattr(avg, f"{chrom}_std")[ci] * _MICROMOLAR,
+                color,
+            )
+            for group, color, avg in averages
+        ]
+        if curves:
+            panels.append((f"{channel} {chrom}", curves))
+    report.emit_svg_curves(
+        panels,
+        epoch_set.sample_rate_hz,
+        path,
+        title=title,
+        y_label="concentration change (umol/L)",
+    )
+
+
+def _time_to_peak_svg(epoch_set: EpochSet, task: str, roi) -> str:
+    """Per-participant time to peak of the ROI mean response, hbo above hbr."""
+    roi_name, roi_members = roi
+    task_epochs: dict[str, list] = {}
+    for ep in epoch_set.filter(task=task).epochs:
+        task_epochs.setdefault(ep.participant_id, []).append(ep)
+    sections = []
+    for chrom in ("hbo", "hbr"):
+        entries = []
+        for pid, group in epoch_set.participants:
+            if pid not in task_epochs:
+                continue
+            mean_curve = np.mean(
+                [
+                    epochs_mod.roi_average(
+                        getattr(ep, chrom), epoch_set.channel_ids, roi_members
+                    )
+                    for ep in task_epochs[pid]
+                ],
+                axis=0,
+            )
+            ttp = epochs_mod.time_to_peak(mean_curve, epoch_set.sample_rate_hz, chrom)
+            entries.append(epochs_mod.PeakTiming(pid, group, roi_name, chrom, ttp))
+        sections.append(
+            report.svg_group_bars(
+                [(p.participant_id, p.group, p.time_to_peak_s) for p in entries],
+                title=f"Time to peak {chrom}, ROI {roi_name}, {task} task",
+                y_label="time to peak (s)",
             )
         )
-    return entries
+    return _stack_svgs(sections)
+
+
+class _Outputs:
+    """Report files of one run in ``out_dir``, and the stage the run is in.
+
+    Used as a context manager: an exception inside it removes every file
+    registered so far and is raised again as a PipelineError naming the stage.
+    """
+
+    def __init__(self, out_dir):
+        self.dir = Path(out_dir)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.written: list[Path] = []
+        self.stage = "ingest"
+
+    def path(self, name: str) -> Path:
+        """Register ``name`` as an output and return where to write it."""
+        path = self.dir / name
+        self.written.append(path)
+        return path
+
+    def emit(self, name: str, text: str):
+        self.path(name).write_text(text, encoding="utf-8", newline="\n")
+
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def __exit__(self, kind, error, traceback):
+        if not isinstance(error, Exception):
+            return False
+        for path in self.written:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        raise PipelineError(self.stage, error) from error
 
 
 def run_pipeline(config: PipelineConfig):
@@ -388,37 +461,20 @@ def run_pipeline(config: PipelineConfig):
     any partially written artifacts are removed and a PipelineError naming
     the failing stage is raised.
     """
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def emit(name: str, text: str) -> Path:
-        path = out_dir / name
-        path.write_text(text, encoding="utf-8", newline="\n")
-        written.append(path)
-        return path
-
-    stage = "ingest"
-    try:
+    with _Outputs(config.out_dir) as out:
         ground_truth = None
         if config.dataset_path is None:
-            dataset, ground_truth = synth.generate_dataset(
-                n_patients=config.patients,
-                n_controls=config.controls,
-                trials_per_task=config.trials_per_task,
-                effect=config.effect_spec(),
-                seed=config.seed,
-            )
+            dataset, ground_truth = synthesize(config)
         else:
             dataset = load_dataset(config.dataset_path)
 
-        stage = "preprocess"
+        out.stage = "preprocess"
         hemo_dataset = preprocess_dataset(dataset, config)
 
-        stage = "epoch"
+        out.stage = "epoch"
         epoch_set = epochs_from_dataset(hemo_dataset, config)
 
-        stage = "features"
+        out.stage = "features"
         mode = FeatureMode(config.feature_mode)
         per_pair = epoch_set.window_samples if mode is FeatureMode.RAW else 4
         n_features = len(epoch_set.channel_ids) * 2 * per_pair
@@ -430,7 +486,7 @@ def run_pipeline(config: PipelineConfig):
                 f"select_k={select_k} outside [1, {n_features}] for mode {mode.value}"
             )
 
-        stage = "train"
+        out.stage = "train"
         plan = learn.make_fold_plan(
             hemo_dataset.participants, n_folds=config.folds, seed=config.seed
         )
@@ -443,82 +499,46 @@ def run_pipeline(config: PipelineConfig):
             select_k=select_k,
         )
 
-        stage = "explain"
+        out.stage = "explain"
         importance, attributions, group_keys = explain.attribute_cross_validation(
             cv, n_samples=config.shap_samples, seed=config.seed
         )
 
-        stage = "stats"
+        out.stage = "stats"
         stats_text = _stats_report(epoch_set, importance, config, hemo_dataset.montage)
 
-        stage = "report"
-        fold_rows = [(f"fold {fr.fold_index}", fr.metrics) for fr in cv.folds]
-        fold_rows.append(("pooled", cv.pooled))
-        header = ("fold", "accuracy", "precision", "recall", "f1")
-        emit(
-            "metrics.txt",
-            f"model = {config.model}, task = {config.task}, "
-            f"mode = {mode.value}, k = {cv.select_k}, folds = {config.folds}, "
-            f"seed = {config.seed}\n\n" + report.metrics_table(fold_rows, header),
-        )
+        out.stage = "report"
+        out.emit("metrics.txt", metrics_text(config, cv))
 
         csv_lines = ["channel,chromophore,mean_abs_shap"]
         csv_lines += [
             f"{ch},{chrom},{value:.12g}" for ch, chrom, value in importance.entries
         ]
-        emit("channel_importance.csv", "\n".join(csv_lines) + "\n")
+        out.emit("channel_importance.csv", "\n".join(csv_lines) + "\n")
 
         top_entries = importance.top(10)
-        emit_path = out_dir / "channel_importance.svg"
         report.emit_svg_bar(
             [v for _, _, v in top_entries],
             [f"{ch} {chrom}" for ch, chrom, _ in top_entries],
-            emit_path,
+            out.path("channel_importance.svg"),
             title=f"Channel importance ({config.model}, {config.task} task, "
             f"summed over {mode.value} features)",
             y_label="mean |attribution|",
         )
-        written.append(emit_path)
 
-        panels = []
-        for channel, chrom, _ in importance.top(config.top_channels):
-            curves = []
-            for group, color in (("control", "#4472c4"), ("patient", "#c0504d")):
-                try:
-                    avg = epochs_mod.block_average(epoch_set, config.task, group=group)
-                except ValueError:
-                    continue
-                ci = epoch_set.channel_ids.index(channel)
-                mean = getattr(avg, f"{chrom}_mean")[ci] * _MICROMOLAR
-                std = getattr(avg, f"{chrom}_std")[ci] * _MICROMOLAR
-                curves.append((group, mean, std, color))
-            panels.append((f"{channel} {chrom}", curves))
-        curves_path = out_dir / "block_average_curves.svg"
-        report.emit_svg_curves(
-            panels,
-            epoch_set.sample_rate_hz,
-            curves_path,
+        _emit_block_average_curves(
+            out.path("block_average_curves.svg"),
+            epoch_set,
+            config.task,
+            [(ch, chrom) for ch, chrom, _ in importance.top(config.top_channels)],
             title=f"Group mean responses, {config.task} task",
-            y_label="concentration change (umol/L)",
         )
-        written.append(curves_path)
+        out.emit(
+            "time_to_peak.svg",
+            _time_to_peak_svg(epoch_set, config.task, _peak_roi(hemo_dataset.montage)),
+        )
 
-        roi_name, roi_members = _peak_roi(hemo_dataset.montage)
-        ttp_sections = []
-        for chrom in ("hbo", "hbr"):
-            entries = _time_to_peak_entries(
-                epoch_set, config.task, roi_name, roi_members, chrom
-            )
-            ttp_sections.append(
-                report.svg_group_bars(
-                    [(p.participant_id, p.group, p.time_to_peak_s) for p in entries],
-                    title=f"Time to peak {chrom}, ROI {roi_name}, {config.task} task",
-                    y_label="time to peak (s)",
-                )
-            )
-        emit("time_to_peak.svg", _stack_svgs(ttp_sections))
-
-        emit("stats_tests.txt", stats_text)
+        out.emit("stats_tests.txt", stats_text)
 
         provenance_lines = [
             f"nirscope {__version__}",
@@ -536,10 +556,10 @@ def run_pipeline(config: PipelineConfig):
             provenance_lines.append(
                 f"  fold {fr.fold_index}: test = {', '.join(fr.test_ids)}"
             )
-        emit("provenance.txt", "\n".join(provenance_lines) + "\n")
+        out.emit("provenance.txt", "\n".join(provenance_lines) + "\n")
 
         return {
-            "out_dir": out_dir,
+            "out_dir": out.dir,
             "dataset": dataset,
             "ground_truth": ground_truth,
             "epochs": epoch_set,
@@ -548,70 +568,35 @@ def run_pipeline(config: PipelineConfig):
             "attributions": attributions,
             "group_keys": group_keys,
             "stats_text": stats_text,
-            "files": [out_dir / name for name in REPORT_FILES],
+            "files": [out.dir / name for name in REPORT_FILES],
         }
-    except PipelineError:
-        raise
-    except Exception as e:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise PipelineError(stage, e) from e
 
 
 def descriptive_report(config: PipelineConfig) -> list[Path]:
-    """Block-average curves and time-to-peak bars without any training."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = load_dataset(config.dataset_path)
-    hemo_dataset = preprocess_dataset(dataset, config)
-    epoch_set = epochs_from_dataset(hemo_dataset, config)
-    roi_name, roi_members = _peak_roi(hemo_dataset.montage)
-    paths = []
+    """Block-average curves and time-to-peak bars without any training.
 
-    panels = []
-    for channel in roi_members:
-        ci = epoch_set.channel_ids.index(channel)
-        for chrom in ("hbo", "hbr"):
-            curves = []
-            for group, color in (("control", "#4472c4"), ("patient", "#c0504d")):
-                try:
-                    avg = epochs_mod.block_average(epoch_set, config.task, group=group)
-                except ValueError:
-                    continue
-                mean = getattr(avg, f"{chrom}_mean")[ci] * _MICROMOLAR
-                std = getattr(avg, f"{chrom}_std")[ci] * _MICROMOLAR
-                curves.append((group, mean, std, color))
-            if curves:
-                panels.append((f"{channel} {chrom}", curves))
-    curves_path = out_dir / "block_average_curves.svg"
-    report.emit_svg_curves(
-        panels,
-        epoch_set.sample_rate_hz,
-        curves_path,
-        title=f"Group mean responses, {config.task} task, ROI {roi_name}",
-        y_label="concentration change (umol/L)",
-    )
-    paths.append(curves_path)
+    Fails like run_pipeline: partial outputs removed, the stage named.
+    """
+    with _Outputs(config.out_dir) as out:
+        dataset = load_dataset(config.dataset_path)
 
-    ttp_sections = []
-    for chrom in ("hbo", "hbr"):
-        entries = _time_to_peak_entries(
-            epoch_set, config.task, roi_name, roi_members, chrom
+        out.stage = "preprocess"
+        hemo_dataset = preprocess_dataset(dataset, config)
+
+        out.stage = "epoch"
+        epoch_set = epochs_from_dataset(hemo_dataset, config)
+
+        out.stage = "report"
+        roi = _peak_roi(hemo_dataset.montage)
+        _emit_block_average_curves(
+            out.path("block_average_curves.svg"),
+            epoch_set,
+            config.task,
+            [(ch, chrom) for ch in roi[1] for chrom in ("hbo", "hbr")],
+            title=f"Group mean responses, {config.task} task, ROI {roi[0]}",
         )
-        ttp_sections.append(
-            report.svg_group_bars(
-                [(p.participant_id, p.group, p.time_to_peak_s) for p in entries],
-                title=f"Time to peak {chrom}, ROI {roi_name}, {config.task} task",
-                y_label="time to peak (s)",
-            )
-        )
-    ttp_path = out_dir / "time_to_peak.svg"
-    ttp_path.write_text(_stack_svgs(ttp_sections), encoding="utf-8", newline="\n")
-    paths.append(ttp_path)
-    return paths
+        out.emit("time_to_peak.svg", _time_to_peak_svg(epoch_set, config.task, roi))
+        return list(out.written)
 
 
 def _stack_svgs(svgs: list[str]) -> str:

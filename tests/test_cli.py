@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
-from nirscope.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from nirscope.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _config_from_args, build_parser, main
 from nirscope.model import load_dataset
-from nirscope.pipeline import REPORT_FILES
+from nirscope.pipeline import REPORT_FILES, PipelineConfig
 from nirscope.synth import parse_ground_truth
 
 SMALL_RUN = [
@@ -178,3 +179,137 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# Characterization digests, recorded on the commit before the CLI built every
+# config in one place and `run` and `report` shared one figure path. That
+# change must leave these bytes as they were.
+GOLDEN_SYNTH = [
+    "synth", "--patients", "2", "--controls", "2", "--seed", "1",
+    "--effect-channels", "S7-D6", "S5-D6",
+    "--amplitude-ratio", "0.5", "--peak-delay", "1.5",
+]
+GOLDEN_DATASET_SHA256 = "1fc6bc048b7b3f1ec50f4c786c374e76c49cefa9ee7388b5a68da1e1cd98d64f"
+GOLDEN_REPORT_SHA256 = {
+    "block_average_curves.svg": "e688d15a02bd3fe214bb704b5a225aaa7a2fe5ae9b9ee3e86fbb596f50f36454",
+    "time_to_peak.svg": "af39b311442e8d4b8397b235432efe26a507fd99e11d9f46d13bbebb3fb60ad8",
+}
+GOLDEN_TRAIN_STDOUT_SHA256 = "33ddc356aa2d3aeb7fb237474b968ca20f7e85572d79e6f9c88bd819d3bc4d8c"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _tree_sha256(root) -> str:
+    """One digest over the relative names and bytes of every file under root."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(root)).encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden") / "raw"
+    assert main(GOLDEN_SYNTH + ["--out", str(out)]) == EXIT_OK
+    return out
+
+
+def test_synth_dataset_matches_golden_digest(golden_dataset):
+    assert _tree_sha256(golden_dataset) == GOLDEN_DATASET_SHA256
+
+
+def test_report_svgs_match_golden_digests(golden_dataset, tmp_path):
+    out = tmp_path / "figures"
+    assert main(["report", "--dataset", str(golden_dataset), "--out", str(out)]) == EXIT_OK
+    got = {name: _sha256((out / name).read_bytes()) for name in GOLDEN_REPORT_SHA256}
+    assert got == GOLDEN_REPORT_SHA256
+
+
+def test_train_stdout_matches_golden_digest(golden_dataset, capsys):
+    capsys.readouterr()
+    argv = ["train", "--dataset", str(golden_dataset), "--folds", "2", "--seed", "1"]
+    assert main(argv) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode()) == GOLDEN_TRAIN_STDOUT_SHA256
+
+
+def test_explain_writes_the_same_files_as_run(golden_dataset, tmp_path):
+    flags = ["--dataset", str(golden_dataset), "--folds", "2", "--samples", "64", "--seed", "1"]
+    assert main(["explain", "--out", str(tmp_path / "explain")] + flags) == EXIT_OK
+    assert main(["run", "--out", str(tmp_path / "run")] + flags) == EXIT_OK
+    for name in REPORT_FILES:
+        assert (tmp_path / "explain" / name).read_bytes() == (
+            tmp_path / "run" / name
+        ).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--out", "o"],
+        ["preprocess", "--dataset", "d", "--out", "o"],
+        ["epoch", "--dataset", "d"],
+        ["train", "--dataset", "d"],
+        ["explain", "--dataset", "d", "--out", "o"],
+        ["report", "--dataset", "d", "--out", "o"],
+        ["run", "--out", "o"],
+    ],
+)
+def test_required_flags_alone_give_the_default_config(argv):
+    cfg = _config_from_args(build_parser().parse_args(argv))
+    out_dir = "o" if "--out" in argv else PipelineConfig.out_dir
+    dataset_path = "d" if "--dataset" in argv else None
+    assert cfg == PipelineConfig(out_dir=out_dir, dataset_path=dataset_path)
+
+
+def test_every_run_flag_sets_its_config_field():
+    argv = [
+        "run", "--out", "o", "--dataset", "d", "--seed", "7", "--samples", "9",
+        "--pool", "trial", "--patients", "3", "--controls", "4", "--trials", "2",
+        "--effect-channels", "S1-D1", "--amplitude-ratio", "0.3", "--peak-delay", "1.0",
+        "--effect-chromophore", "hbo", "--low-cut", "0.01", "--high-cut", "0.5",
+        "--filter-order", "2", "--no-short-channel", "--no-motion",
+        "--motion-amp-sigma", "4", "--motion-iqr", "2", "--task", "dual",
+        "--model", "svm", "--folds", "3", "--feature-mode", "summary",
+        "--select-k", "5", "--window", "15",
+    ]
+    assert _config_from_args(build_parser().parse_args(argv)) == PipelineConfig(
+        out_dir="o", dataset_path="d", seed=7, shap_samples=9, pool="trial",
+        patients=3, controls=4, trials_per_task=2, effect_channels=("S1-D1",),
+        amplitude_ratio=0.3, peak_delay_s=1.0, effect_chromophore="hbo",
+        low_cut_hz=0.01, high_cut_hz=0.5, filter_order=2, short_channel=False,
+        motion_correction=False, motion_amp_sigma=4.0, motion_iqr=2.0, task="dual",
+        model="svm", folds=3, feature_mode="summary", select_k=5, window_s=15.0,
+    )
+
+
+def test_stats_csv_repeated_equals_listed(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("1\n2\n4\n8\n")
+    b.write_text("3\n3.5\n2\n9\n7\n")
+    lines = []
+    for argv in (["--csv", str(a), "--csv", str(b)], ["--csv", str(a), str(b)]):
+        for test in ("ttest", "levene"):
+            assert main(["stats", test] + argv) == EXIT_OK
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+    assert lines[0].count("p = ") == 2
+
+
+def test_report_failure_removes_outputs_and_names_stage(
+    golden_dataset, tmp_path, monkeypatch, capsys
+):
+    import nirscope.report
+
+    def broken(*args, **kwargs):
+        raise ValueError("no bars")
+
+    monkeypatch.setattr(nirscope.report, "svg_group_bars", broken)
+    out = tmp_path / "figures"
+    code = main(["report", "--dataset", str(golden_dataset), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "stage 'report'" in capsys.readouterr().err
+    assert not (out / "block_average_curves.svg").exists()

@@ -272,20 +272,6 @@ def test_hemo_rejects_mismatched_chromophores():
         )
 
 
-def test_hemo_with_step_appends_provenance():
-    h = HemoSeries(
-        participant_id="P01",
-        group="patient",
-        sample_rate_hz=3.9,
-        channel_ids=("S1-D1",),
-        hbo=np.zeros((1, 50)),
-        hbr=np.zeros((1, 50)),
-    )
-    h2 = h.with_step(h.hbo, h.hbr, ProvenanceStep.make("bandpass", order=4))
-    assert len(h2.provenance) == 1
-    assert h.provenance == ()  # original untouched
-
-
 def test_epoch_set_rejects_wrong_window():
     ep = Epoch("P01", "patient", "single", 0, np.zeros((1, 10)), np.zeros((1, 10)))
     with pytest.raises(ValueError, match="window"):

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import spiky_walks
 from nirscope.motion import (
+    _moving_std,
     ArtifactSegment,
     detect_artifacts,
     spline_correct,
@@ -61,6 +62,80 @@ def test_segments_are_padded_and_merged():
     pad = int(round(0.5 * FS))
     assert segs[0].start <= 300 - pad + 1
     assert segs[0].end >= 303 + pad - 1
+
+
+def _detect_artifacts_loop(x, fs, amp_threshold=5.0, std_threshold=3.0, pad_s=0.5):
+    """Reference: flagged samples merged one index at a time, triggers kept
+    in an object array (the detector's earlier form)."""
+    x = np.asarray(x, dtype=float)
+    window = max(2, int(round(fs)))
+    flags = np.zeros(x.size, dtype=bool)
+    triggers = np.empty(x.size, dtype=object)
+    std = float(x.std())
+    if std > 0:
+        amp_bad = np.abs(x - np.median(x)) > amp_threshold * std
+        flags |= amp_bad
+        triggers[amp_bad] = "amplitude"
+        mstd = _moving_std(x, window)
+        std_bad = mstd > std_threshold * float(np.median(mstd))
+        triggers[std_bad & ~flags] = "moving_std"
+        flags |= std_bad
+    if not flags.any():
+        return []
+    pad = int(round(pad_s * fs))
+    segments = []
+    idx = np.nonzero(flags)[0]
+    run_start = prev = idx[0]
+    for i in list(idx[1:]) + [None]:
+        if i is not None and i == prev + 1:
+            prev = i
+            continue
+        start = max(0, run_start - pad)
+        end = min(x.size, prev + 1 + pad)
+        trigger = triggers[run_start] or "moving_std"
+        if segments and start <= segments[-1].end:
+            last = segments[-1]
+            segments[-1] = ArtifactSegment(last.start, end, "c", last.trigger)
+        else:
+            segments.append(ArtifactSegment(start, end, "c", trigger))
+        if i is not None:
+            run_start = prev = i
+    return segments
+
+
+@pytest.mark.parametrize("fs", [2.0, 3.9, 10.0])
+@pytest.mark.parametrize("pad_s", [0.0, 0.5, 2.0])
+def test_detection_matches_loop_reference(fs, pad_s):
+    walks = spiky_walks(40, 600, seed=int(fs * 10 + pad_s * 100))
+    # Steps make long moving-std runs next to the spikes. From a 3-sample
+    # window up, the moving std also flags the sample before a spike, so a
+    # run seldom starts on an amplitude flag except at a series' first sample.
+    walks[::3, 300:] += 30 * walks[::3].std(axis=1, keepdims=True)
+    walks[1::4, 0] += 40 * walks[1::4].std(axis=1)
+    n_segments = 0
+    triggers = set()
+    for row in walks:
+        got = detect_artifacts(row, fs, channel_id="c", pad_s=pad_s)
+        assert got == _detect_artifacts_loop(row, fs, pad_s=pad_s)
+        n_segments += len(got)
+        triggers.update(seg.trigger for seg in got)
+    assert n_segments > 40
+    assert triggers == {"amplitude", "moving_std"}
+
+
+def test_detection_merges_overlapping_padded_runs_like_loop():
+    x = np.random.default_rng(4).normal(0, 0.1, size=800)
+    x[[100, 104, 108, 300, 320]] += 50
+    x[790] += 50
+    unpadded = detect_artifacts(x, FS, channel_id="c", pad_s=0.0)
+    padded = detect_artifacts(x, FS, channel_id="c", pad_s=2.0)
+    assert unpadded == _detect_artifacts_loop(x, FS, pad_s=0.0)
+    assert padded == _detect_artifacts_loop(x, FS, pad_s=2.0)
+    # The runs around 300 and 320 meet only once padded by 8 samples each,
+    # and the last padded end is clipped to the series.
+    assert len(unpadded) == 4 and len(padded) == 3
+    assert padded[1].start < 300 and padded[1].end > 320
+    assert padded[-1].end == x.size
 
 
 def test_detection_validation():

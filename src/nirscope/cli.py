@@ -27,6 +27,7 @@ from .pipeline import (
     preprocess_dataset,
     run_pipeline,
     synthesize,
+    train,
 )
 
 EXIT_OK = 0
@@ -273,22 +274,8 @@ def _cmd_epoch(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from . import learn
-    from .features import FeatureMode
-
     cfg = _config_from_args(args)
-    dataset = preprocess_dataset(load_dataset(cfg.dataset_path), cfg)
-    epoch_set = epochs_from_dataset(dataset, cfg)
-    plan = learn.make_fold_plan(dataset.participants, n_folds=cfg.folds, seed=cfg.seed)
-    cv = learn.cross_validate(
-        epoch_set,
-        cfg.task,
-        cfg.classifier_spec(),
-        plan,
-        mode=FeatureMode(cfg.feature_mode),
-        select_k=cfg.select_k,
-    )
-    print(metrics_text(cfg, cv))
+    print(metrics_text(cfg, train(cfg)))
     return EXIT_OK
 
 
@@ -326,29 +313,33 @@ _COMMANDS = {
 }
 
 
+def _failure(error: Exception) -> tuple[int, str] | None:
+    """Exit code and message prefix for an error, or None if it is not handled.
+
+    A failed pipeline stage is classified by its cause, and is a config error
+    when the cause is neither a data nor a numerical failure.
+    """
+    cause = error.cause if isinstance(error, PipelineError) else error
+    if isinstance(cause, DatasetFormatError):
+        return EXIT_DATA, "data error"
+    if isinstance(cause, (np.linalg.LinAlgError, ArithmeticError)):
+        return EXIT_NUMERIC, "numerical failure"
+    if isinstance(error, (PipelineError, ValueError, KeyError, OSError)):
+        return EXIT_CONFIG, "error"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DatasetFormatError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except PipelineError as e:
-        cause = e.cause
-        if isinstance(cause, DatasetFormatError):
-            print(f"data error: {e}", file=sys.stderr)
-            return EXIT_DATA
-        if isinstance(cause, (np.linalg.LinAlgError, ArithmeticError, FloatingPointError)):
-            print(f"numerical failure: {e}", file=sys.stderr)
-            return EXIT_NUMERIC
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (np.linalg.LinAlgError, ArithmeticError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception as e:
+        failure = _failure(e)
+        if failure is None:
+            raise
+        code, label = failure
+        print(f"{label}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

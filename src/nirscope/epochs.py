@@ -10,7 +10,6 @@ from .model import Epoch, EpochSet, HemoSeries
 
 __all__ = [
     "BlockAverage",
-    "PeakTiming",
     "segment",
     "block_average",
     "time_to_peak",
@@ -43,21 +42,6 @@ class BlockAverage:
             raise ValueError("block-average curves must share one shape")
         if np.any(self.hbo_std < 0) or np.any(self.hbr_std < 0):
             raise ValueError("std curves must be nonnegative")
-
-
-@dataclass(frozen=True)
-class PeakTiming:
-    participant_id: str
-    group: str
-    roi: str
-    chromophore: str
-    time_to_peak_s: float
-
-    def __post_init__(self):
-        if self.chromophore not in ("hbo", "hbr"):
-            raise ValueError(f"chromophore must be hbo or hbr, got {self.chromophore!r}")
-        if self.time_to_peak_s < 0:
-            raise ValueError(f"time to peak must be >= 0, got {self.time_to_peak_s}")
 
 
 def segment(

@@ -30,6 +30,12 @@ __all__ = [
 ]
 
 EXACT_MAX_GROUPS = 20
+# Exact enumeration costs 2^groups coalitions per explained row.
+# attribute_cross_validation pays that for every test row of a fold, so it
+# switches to the kernel estimate past 12 groups (4,096 coalitions against a
+# budget of a few hundred samples); a single exact_shapley call, such as an
+# oracle for the kernel estimate, may still go up to EXACT_MAX_GROUPS.
+FOLD_EXACT_MAX_GROUPS = 12
 _SCORE_CHUNK = 200_000  # rows per batched score call
 
 
@@ -335,13 +341,12 @@ def attribute_cross_validation(
     cv,
     n_samples: int = 256,
     seed: int = 0,
-    exact_max_groups: int = 12,
 ) -> tuple[ChannelImportance, list[Attribution], list[tuple[str, str]]]:
     """Attribute every test trial against its fold's model, then rank channels.
 
-    Uses exact enumeration when the fold's group count allows it, kernel
-    estimation otherwise. Channels never selected in any fold are reported
-    with zero importance.
+    Uses exact enumeration for folds with at most FOLD_EXACT_MAX_GROUPS
+    groups, kernel estimation otherwise. Channels never selected in any
+    fold are reported with zero importance.
     """
     all_attrs: list[Attribution] = []
     per_trial_keys: list[list[tuple[str, str]]] = []
@@ -349,7 +354,7 @@ def attribute_cross_validation(
         groups, keys = group_columns(cv.features.feature_index, fold.selected)
         background = build_background(fold.train_x)
         score_fn = fold.model.predict_score
-        use_exact = len(groups) <= exact_max_groups
+        use_exact = len(groups) <= FOLD_EXACT_MAX_GROUPS
         for row in fold.test_x:
             if use_exact:
                 att = exact_shapley(score_fn, background, row, groups)

@@ -12,7 +12,6 @@ from enum import Enum
 
 import numpy as np
 
-from .epochs import time_to_peak
 from .model import EpochSet
 
 __all__ = [
@@ -73,7 +72,7 @@ def _summary_row(window: np.ndarray, fs: float, chromophore: str) -> list[float]
     return [
         float(window.mean()),
         float(window[peak_idx]),
-        time_to_peak(window, fs, chromophore),
+        peak_idx / fs,  # time to peak, as epochs.time_to_peak computes it
         float(slope),
     ]
 

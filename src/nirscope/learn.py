@@ -137,6 +137,11 @@ class KnnModel:
 
 @dataclass(eq=False)
 class _Tree:
+    """Binary tree in arrays: a row goes left where x[feature] <= threshold.
+
+    Forest trees split raw values; boosting trees split bin indices.
+    """
+
     feature: np.ndarray  # -1 for leaves
     threshold: np.ndarray
     left: np.ndarray
@@ -292,26 +297,6 @@ def _fit_svm(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> SvmModel:
 # Histogram gradient boosting with leaf-wise growth
 
 
-@dataclass(eq=False)
-class _BoostTree:
-    feature: np.ndarray
-    split_bin: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-
-    def predict_binned(self, binned: np.ndarray) -> np.ndarray:
-        node = np.zeros(binned.shape[0], dtype=int)
-        active = self.feature[node] >= 0
-        while active.any():
-            f = self.feature[node[active]]
-            sb = self.split_bin[node[active]]
-            go_left = binned[active, f] <= sb
-            node[active] = np.where(go_left, self.left[node[active]], self.right[node[active]])
-            active = self.feature[node] >= 0
-        return self.value[node]
-
-
 _GBDT_REG = 0.0  # no L2 on leaf weights; per-row hessians are floored instead,
 # which keeps leaf values finite and makes training exactly invariant to
 # duplicating every row
@@ -349,7 +334,7 @@ def _leaf_best_split(binned, g, h, rows, n_bins):
     return float(gain.flat[j]), int(f), int(b), rows[go_left], rows[~go_left]
 
 
-def _grow_boost_tree(binned, g, h, n_bins, max_leaves) -> _BoostTree:
+def _grow_boost_tree(binned, g, h, n_bins, max_leaves) -> _Tree:
     feature, split_bin, left, right, value = [], [], [], [], []
 
     def new_node(rows) -> int:
@@ -387,9 +372,9 @@ def _grow_boost_tree(binned, g, h, n_bins, max_leaves) -> _BoostTree:
         open_leaves[li] = rows_l
         open_leaves[ri] = rows_r
         n_leaves += 1
-    return _BoostTree(
+    return _Tree(
         feature=np.asarray(feature),
-        split_bin=np.asarray(split_bin),
+        threshold=np.asarray(split_bin),
         left=np.asarray(left),
         right=np.asarray(right),
         value=np.asarray(value),
@@ -399,7 +384,7 @@ def _grow_boost_tree(binned, g, h, n_bins, max_leaves) -> _BoostTree:
 @dataclass(eq=False)
 class BoostModel:
     bin_edges: list[np.ndarray]
-    trees: list[_BoostTree]
+    trees: list[_Tree]  # thresholds are bin indices
     base_score: float
     learning_rate: float
 
@@ -418,7 +403,7 @@ class BoostModel:
         binned = self._bin(x)
         score = np.full(x.shape[0], self.base_score)
         for t in self.trees:
-            score += self.learning_rate * t.predict_binned(binned)
+            score += self.learning_rate * t.predict(binned)
         return score
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:
@@ -450,7 +435,7 @@ def _fit_boost(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> BoostModel
         h = np.maximum(p * (1 - p), 1e-12)
         tree = _grow_boost_tree(binned, g, h, n_bins, spec.gbdt_max_leaves)
         model.trees.append(tree)
-        score += spec.gbdt_learning_rate * tree.predict_binned(binned)
+        score += spec.gbdt_learning_rate * tree.predict(binned)
     return model
 
 

@@ -10,7 +10,7 @@ immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -48,6 +48,23 @@ def _frozen(a) -> np.ndarray:
     out = np.asarray(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _values_equal(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_values_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _fields_equal(self, other) -> bool:
+    """Field-wise equality: arrays by value, dicts key by key, the rest by ==."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(
+        _values_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+    )
 
 
 @dataclass(frozen=True)
@@ -124,15 +141,7 @@ class Montage:
                 return ch
         raise KeyError(f"channel {channel_id} not in montage")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Montage):
-            return NotImplemented
-        return (
-            self.sources == other.sources
-            and self.detectors == other.detectors
-            and self.channels == other.channels
-            and self.roi_map == other.roi_map
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -212,22 +221,7 @@ class Recording:
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate_hz
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Recording):
-            return NotImplemented
-        return (
-            self.participant_id == other.participant_id
-            and self.group == other.group
-            and self.sample_rate_hz == other.sample_rate_hz
-            and self.wavelengths_nm == other.wavelengths_nm
-            and self.channel_ids == other.channel_ids
-            and self.annotations == other.annotations
-            and sorted(self.intensity) == sorted(other.intensity)
-            and all(
-                np.array_equal(self.intensity[wl], other.intensity[wl])
-                for wl in self.intensity
-            )
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -274,19 +268,7 @@ class HemoSeries:
     def n_samples(self) -> int:
         return self.hbo.shape[1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HemoSeries):
-            return NotImplemented
-        return (
-            self.participant_id == other.participant_id
-            and self.group == other.group
-            and self.sample_rate_hz == other.sample_rate_hz
-            and self.channel_ids == other.channel_ids
-            and self.annotations == other.annotations
-            and self.provenance == other.provenance
-            and np.array_equal(self.hbo, other.hbo)
-            and np.array_equal(self.hbr, other.hbr)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,17 +397,7 @@ class Dataset:
         items = self.recordings if self.recordings else self.hemo
         return tuple((p.participant_id, p.group) for p in items)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.montage == other.montage
-            and self.recordings == other.recordings
-            and self.hemo == other.hemo
-            and self.creator == other.creator
-            and self.seed == other.seed
-            and self.schema_version == other.schema_version
-        )
+    __eq__ = _fields_equal
 
 
 # ---------------------------------------------------------------------------

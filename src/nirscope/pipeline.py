@@ -4,7 +4,9 @@ run_pipeline drives synth/ingest -> preprocessing -> epoching ->
 cross-participant validation -> channel attribution -> group statistics and
 writes the report artifacts (metrics table, channel-importance CSV + SVG,
 group block-average curves, per-participant time-to-peak bars, provenance
-log). Failures name the stage and remove partial outputs.
+log). train stops after validation and descriptive_report after epoching;
+all three run their shared stages on one path. Failures name the stage and
+remove partial outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, epochs as epochs_mod, explain, learn, optics, report, stats, synth
-from .features import FeatureMode, default_select_k
+from .features import SUMMARY_STATS, FeatureMode, default_select_k
 from .model import Dataset, EpochSet, HemoSeries, ProvenanceStep, load_dataset, merge_epoch_sets
 from .motion import detect_artifacts, spline_correct, wavelet_correct
 from .signal import BandpassSpec, bandpass, match_short_channel, short_channel_regress
@@ -28,6 +30,7 @@ __all__ = [
     "preprocess_dataset",
     "epochs_from_dataset",
     "run_pipeline",
+    "train",
     "descriptive_report",
     "synthesize",
     "metrics_text",
@@ -407,10 +410,10 @@ def _time_to_peak_svg(epoch_set: EpochSet, task: str, roi) -> str:
                 axis=0,
             )
             ttp = epochs_mod.time_to_peak(mean_curve, epoch_set.sample_rate_hz, chrom)
-            entries.append(epochs_mod.PeakTiming(pid, group, roi_name, chrom, ttp))
+            entries.append((pid, group, ttp))
         sections.append(
             report.svg_group_bars(
-                [(p.participant_id, p.group, p.time_to_peak_s) for p in entries],
+                entries,
                 title=f"Time to peak {chrom}, ROI {roi_name}, {task} task",
                 y_label="time to peak (s)",
             )
@@ -423,16 +426,18 @@ class _Outputs:
 
     Used as a context manager: an exception inside it removes every file
     registered so far and is raised again as a PipelineError naming the stage.
+    ``out_dir`` is created when the first file is registered, so a run that
+    writes nothing leaves no directory behind.
     """
 
     def __init__(self, out_dir):
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
         self.stage = "ingest"
 
     def path(self, name: str) -> Path:
         """Register ``name`` as an output and return where to write it."""
+        self.dir.mkdir(parents=True, exist_ok=True)
         path = self.dir / name
         self.written.append(path)
         return path
@@ -454,6 +459,62 @@ class _Outputs:
         raise PipelineError(self.stage, error) from error
 
 
+def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
+    """Ingest, preprocess and epoch; with ``classify``, then features and train.
+
+    Returns (dataset, ground truth or None, hemo dataset, epochs, cross
+    validation or None). ``out.stage`` names each stage as it starts.
+    """
+    ground_truth = None
+    if config.dataset_path is None:
+        dataset, ground_truth = synthesize(config)
+    else:
+        dataset = load_dataset(config.dataset_path)
+
+    out.stage = "preprocess"
+    hemo_dataset = preprocess_dataset(dataset, config)
+
+    out.stage = "epoch"
+    epoch_set = epochs_from_dataset(hemo_dataset, config)
+    if not classify:
+        return dataset, ground_truth, hemo_dataset, epoch_set, None
+
+    out.stage = "features"
+    mode = FeatureMode(config.feature_mode)
+    per_pair = epoch_set.window_samples if mode is FeatureMode.RAW else len(SUMMARY_STATS)
+    n_features = len(epoch_set.channel_ids) * 2 * per_pair
+    select_k = config.select_k
+    if select_k is None:
+        select_k = min(default_select_k(mode), n_features)
+    if not 1 <= select_k <= n_features:
+        raise ValueError(
+            f"select_k={select_k} outside [1, {n_features}] for mode {mode.value}"
+        )
+
+    out.stage = "train"
+    plan = learn.make_fold_plan(
+        hemo_dataset.participants, n_folds=config.folds, seed=config.seed
+    )
+    cv = learn.cross_validate(
+        epoch_set,
+        config.task,
+        config.classifier_spec(),
+        plan,
+        mode=mode,
+        select_k=select_k,
+    )
+    return dataset, ground_truth, hemo_dataset, epoch_set, cv
+
+
+def train(config: PipelineConfig) -> learn.CrossValidation:
+    """Cross-validate the configured classifier; writes no files.
+
+    Fails like run_pipeline: a PipelineError names the stage.
+    """
+    with _Outputs(config.out_dir) as out:
+        return _shared_stages(out, config, classify=True)[-1]
+
+
 def run_pipeline(config: PipelineConfig):
     """Execute the full analysis and write the report artifacts.
 
@@ -462,42 +523,8 @@ def run_pipeline(config: PipelineConfig):
     the failing stage is raised.
     """
     with _Outputs(config.out_dir) as out:
-        ground_truth = None
-        if config.dataset_path is None:
-            dataset, ground_truth = synthesize(config)
-        else:
-            dataset = load_dataset(config.dataset_path)
-
-        out.stage = "preprocess"
-        hemo_dataset = preprocess_dataset(dataset, config)
-
-        out.stage = "epoch"
-        epoch_set = epochs_from_dataset(hemo_dataset, config)
-
-        out.stage = "features"
-        mode = FeatureMode(config.feature_mode)
-        per_pair = epoch_set.window_samples if mode is FeatureMode.RAW else 4
-        n_features = len(epoch_set.channel_ids) * 2 * per_pair
-        select_k = config.select_k
-        if select_k is None:
-            select_k = min(default_select_k(mode), n_features)
-        if not 1 <= select_k <= n_features:
-            raise ValueError(
-                f"select_k={select_k} outside [1, {n_features}] for mode {mode.value}"
-            )
-
-        out.stage = "train"
-        plan = learn.make_fold_plan(
-            hemo_dataset.participants, n_folds=config.folds, seed=config.seed
-        )
-        cv = learn.cross_validate(
-            epoch_set,
-            config.task,
-            config.classifier_spec(),
-            plan,
-            mode=mode,
-            select_k=select_k,
-        )
+        stages = _shared_stages(out, config, classify=True)
+        dataset, ground_truth, hemo_dataset, epoch_set, cv = stages
 
         out.stage = "explain"
         importance, attributions, group_keys = explain.attribute_cross_validation(
@@ -522,7 +549,7 @@ def run_pipeline(config: PipelineConfig):
             [f"{ch} {chrom}" for ch, chrom, _ in top_entries],
             out.path("channel_importance.svg"),
             title=f"Channel importance ({config.model}, {config.task} task, "
-            f"summed over {mode.value} features)",
+            f"summed over {cv.mode.value} features)",
             y_label="mean |attribution|",
         )
 
@@ -578,13 +605,7 @@ def descriptive_report(config: PipelineConfig) -> list[Path]:
     Fails like run_pipeline: partial outputs removed, the stage named.
     """
     with _Outputs(config.out_dir) as out:
-        dataset = load_dataset(config.dataset_path)
-
-        out.stage = "preprocess"
-        hemo_dataset = preprocess_dataset(dataset, config)
-
-        out.stage = "epoch"
-        epoch_set = epochs_from_dataset(hemo_dataset, config)
+        _, _, hemo_dataset, epoch_set, _ = _shared_stages(out, config, classify=False)
 
         out.stage = "report"
         roi = _peak_roi(hemo_dataset.montage)

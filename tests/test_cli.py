@@ -1,11 +1,21 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from nirscope.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _config_from_args, build_parser, main
-from nirscope.model import load_dataset
-from nirscope.pipeline import REPORT_FILES, PipelineConfig
+import nirscope.cli
+from nirscope.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    _config_from_args,
+    build_parser,
+    main,
+)
+from nirscope.model import DatasetFormatError, load_dataset
+from nirscope.pipeline import REPORT_FILES, PipelineConfig, PipelineError
 from nirscope.synth import parse_ground_truth
 
 SMALL_RUN = [
@@ -313,3 +323,103 @@ def test_report_failure_removes_outputs_and_names_stage(
     assert code == EXIT_CONFIG
     assert "stage 'report'" in capsys.readouterr().err
     assert not (out / "block_average_curves.svg").exists()
+
+
+# Recorded on the commit before `train` ran on `run`'s stage path, the boosted
+# trees shared the forest's tree type and the p-values came from
+# scipy.special.betainc. Those changes must leave these bytes as they were.
+GOLDEN_TRAIN_MODEL_STDOUT_SHA256 = {
+    ("--model", "rf"): "d8853111d63cc7e384d2c989099bef93fe14a4266b908d7f92b60403b14d143c",
+    ("--model", "gbdt", "--feature-mode", "summary"):
+        "b814ededdb19662e7f251ce4269f630e5c464edfc20bbd56c5ab99dc10345099",
+}
+GOLDEN_STATS_STDOUT_SHA256 = {
+    ("ttest",): "42831fbc91a1b25b7052dde99110e3d4a7daafb0dedda52f5b5cc8b2978077ba",
+    ("ttest", "--welch"): "6b67a4e2a928f825d99a1f89ca27ab4bad14a1d1ef41478d9365d0f3203229f4",
+    ("anova",): "dec0f38b18f8da277a08b3c1be8701988abe5536a659f5c57470b4b1719ba7a4",
+    ("levene", "--center", "mean"): "b33d00f7399d3a1bfaa78451e6e595b4c023ea287b8dc0f9f2b91eb961396f79",
+    ("levene", "--center", "median"): "c60e314e6aa6caf6d2dd9070ce4479c9de4330037d3d82c5bef6da7bd08340d6",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_csvs(golden_dataset, tmp_path_factory):
+    """One sample CSV per participant: every 40th intensity of the first channel."""
+    out = tmp_path_factory.mktemp("csv")
+    paths = []
+    for rec in load_dataset(golden_dataset).recordings:
+        path = out / f"{rec.participant_id}.csv"
+        samples = rec.intensity[rec.wavelengths_nm[0]][0, ::40]
+        path.write_text("\n".join(repr(float(v)) for v in samples) + "\n")
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("flags", sorted(GOLDEN_TRAIN_MODEL_STDOUT_SHA256))
+def test_train_models_stdout_matches_golden_digest(golden_dataset, capsys, flags):
+    capsys.readouterr()
+    argv = ["train", "--dataset", str(golden_dataset), "--folds", "2", "--seed", "1"]
+    assert main(argv + list(flags)) == EXIT_OK
+    got = _sha256(capsys.readouterr().out.encode())
+    assert got == GOLDEN_TRAIN_MODEL_STDOUT_SHA256[flags]
+
+
+@pytest.mark.parametrize("test", sorted(GOLDEN_STATS_STDOUT_SHA256))
+def test_stats_stdout_matches_golden_digest(golden_csvs, capsys, test):
+    capsys.readouterr()
+    # t-tests compare the first two participants; the F-tests all four
+    csvs = golden_csvs[:2] if test[0] == "ttest" else golden_csvs
+    assert main(["stats", *test, "--csv", *csvs]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode()) == GOLDEN_STATS_STDOUT_SHA256[test]
+
+
+def test_train_with_excessive_k_names_features_stage(golden_dataset, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["train", "--dataset", str(golden_dataset), "--folds", "2", "--select-k", "999999"]
+    assert main(argv) == EXIT_CONFIG
+    assert "stage 'features'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # train writes nothing, not even a directory
+
+
+def test_run_failing_at_ingest_leaves_no_directory(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["run", "--dataset", str(tmp_path / "nope"), "--out", str(out)])
+    assert code == EXIT_DATA
+    assert "stage 'ingest'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _failing_command(error):
+    def command(args):
+        raise error
+
+    return command
+
+
+@pytest.mark.parametrize("staged", [False, True], ids=["bare", "stage_cause"])
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (DatasetFormatError("bad manifest"), EXIT_DATA),
+        (np.linalg.LinAlgError("singular"), EXIT_NUMERIC),
+        (FloatingPointError("overflow"), EXIT_NUMERIC),
+        (ValueError("bad value"), EXIT_CONFIG),
+        (KeyError("no such key"), EXIT_CONFIG),
+        (OSError("no such file"), EXIT_CONFIG),
+    ],
+)
+def test_an_error_and_a_stage_cause_map_to_one_exit_code(monkeypatch, capsys, error, code, staged):
+    raised = PipelineError("train", error) if staged else error
+    monkeypatch.setitem(nirscope.cli._COMMANDS, "train", _failing_command(raised))
+    assert main(["train", "--dataset", "d"]) == code
+    assert ("stage 'train'" in capsys.readouterr().err) == staged
+
+
+def test_unexpected_error_is_a_config_error_only_inside_a_stage(monkeypatch):
+    error = TypeError("bug")
+    monkeypatch.setitem(nirscope.cli._COMMANDS, "train", _failing_command(error))
+    with pytest.raises(TypeError):
+        main(["train", "--dataset", "d"])
+    staged = PipelineError("train", error)
+    monkeypatch.setitem(nirscope.cli._COMMANDS, "train", _failing_command(staged))
+    assert main(["train", "--dataset", "d"]) == EXIT_CONFIG

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,22 @@ def test_empty_dataset_round_trip(small_montage, tmp_path):
     manifest = (tmp_path / "empty" / "manifest.json").read_text()
     assert '"participants": []' in manifest
     assert load_dataset(tmp_path / "empty") == d
+
+
+def test_equality_compares_arrays_and_dicts_by_value(small_montage):
+    rec = make_recording(small_montage)
+    reordered = dataclasses.replace(
+        rec, intensity={w: rec.intensity[w].copy() for w in reversed(rec.wavelengths_nm)}
+    )
+    assert reordered == rec
+    assert Dataset(montage=small_montage, recordings=(reordered,)) == Dataset(
+        montage=small_montage, recordings=(rec,)
+    )
+    changed = {w: a.copy() for w, a in rec.intensity.items()}
+    changed[850.0][0, 0] += 1e-9
+    assert dataclasses.replace(rec, intensity=changed) != rec
+    assert dataclasses.replace(small_montage, roi_map={"left": ("S1-D1",)}) != small_montage
+    assert rec != "P01"
 
 
 def test_missing_manifest(tmp_path):

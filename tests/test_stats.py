@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 
 from nirscope.stats import (
@@ -11,7 +10,6 @@ from nirscope.stats import (
     levene,
     one_way_anova,
     one_way_anova_from_summary,
-    regularized_incomplete_beta,
     summarize,
     t_cdf,
     t_test,
@@ -214,17 +212,6 @@ def test_f_cdf_matches_scipy_to_1e10():
             ours = f_cdf(f, d1, d2)
             ref = scipy.stats.f.cdf(f, d1, d2)
             assert ours == pytest.approx(ref, rel=1e-10, abs=1e-14)
-
-
-def test_incomplete_beta_matches_scipy():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        a = float(rng.uniform(0.1, 50))
-        b = float(rng.uniform(0.1, 50))
-        x = float(rng.uniform(0, 1))
-        ours = regularized_incomplete_beta(a, b, x)
-        ref = scipy.special.betainc(a, b, x)
-        assert ours == pytest.approx(ref, rel=1e-10, abs=1e-13)
 
 
 def test_p_monotone_in_statistic_magnitude():

@@ -36,7 +36,12 @@ EXACT_MAX_GROUPS = 20
 # budget of a few hundred samples); a single exact_shapley call, such as an
 # oracle for the kernel estimate, may still go up to EXACT_MAX_GROUPS.
 FOLD_EXACT_MAX_GROUPS = 12
-_SCORE_CHUNK = 200_000  # rows per batched score call
+# Rows per score call. A call scores (part of) one explained row's
+# coalitions, each composed with every background row; explained rows are
+# not batched together. This caps the composed matrix and the model's work
+# arrays on the exact path, whose 2^groups coalitions × 16 background rows
+# reach 65,536 rows at 12 groups.
+_SCORE_CHUNK = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,30 +75,33 @@ class ChannelImportance:
 
 
 ScoreFn = Callable[[np.ndarray], np.ndarray]
+# The per-row attributor of one game (score function, background, groups);
+# everything that does not depend on the explained row is done when it is made.
+Explainer = Callable[[np.ndarray], Attribution]
 
 
-def _coalition_values(
-    score_fn: ScoreFn,
-    background: np.ndarray,
-    instance: np.ndarray,
-    groups: Sequence[Sequence[int]],
-    masks: np.ndarray,
-) -> np.ndarray:
-    """v(S) for each mask row: mean score over background with S from instance."""
-    n_bg, n_cols = background.shape
-    n_masks = masks.shape[0]
+def _members(groups: Sequence[Sequence[int]], n_cols: int, masks: np.ndarray) -> np.ndarray:
+    """(n_masks, n_cols): is the column taken from the instance under each mask?"""
     # Map every column to its group (-1 = not in the game, stays background).
     col_group = np.full(n_cols, -1, dtype=int)
     for gi, cols in enumerate(groups):
         col_group[list(cols)] = gi
-    padded = np.concatenate([masks, np.zeros((n_masks, 1), dtype=bool)], axis=1)
+    padded = np.concatenate([masks, np.zeros((masks.shape[0], 1), dtype=bool)], axis=1)
+    return padded[:, col_group]
+
+
+def _coalition_values(
+    score_fn: ScoreFn, background: np.ndarray, instance: np.ndarray, member: np.ndarray
+) -> np.ndarray:
+    """v(S) for each mask row: mean score over background with S from instance."""
+    n_bg, n_cols = background.shape
+    n_masks = member.shape[0]
     values = np.empty(n_masks)
     rows_per_batch = max(1, _SCORE_CHUNK // n_bg)
     for start in range(0, n_masks, rows_per_batch):
-        batch = padded[start : start + rows_per_batch]
-        member = batch[:, col_group]  # (batch, n_cols): column taken from instance?
+        batch = member[start : start + rows_per_batch]
         composed = np.where(
-            member[:, None, :], instance[None, None, :], background[None, :, :]
+            batch[:, None, :], instance[None, None, :], background[None, :, :]
         )
         flat = composed.reshape(-1, n_cols)
         scores = np.asarray(score_fn(flat), dtype=float).reshape(batch.shape[0], n_bg)
@@ -114,6 +122,45 @@ def _validate_groups(groups: Sequence[Sequence[int]], n_columns: int):
         seen |= cols
 
 
+def _prepare(background, instance, groups):
+    background = np.atleast_2d(np.asarray(background, dtype=float))
+    instance = np.asarray(instance, dtype=float).ravel()
+    if background.shape[0] == 0:
+        raise ValueError("background set is empty")
+    if groups is None:
+        groups = [[j] for j in range(instance.size)]
+    _validate_groups(groups, instance.size)
+    return background, instance, groups
+
+
+def _exact_explainer(
+    score_fn: ScoreFn, background: np.ndarray, groups: Sequence[Sequence[int]]
+) -> Explainer:
+    """Exact Shapley values of any row: masks and size weights made once."""
+    n = len(groups)
+    masks = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+    member = _members(groups, background.shape[1], masks)
+    sizes = masks.sum(axis=1)
+    fact = [math.factorial(i) for i in range(n + 1)]
+    weight_by_size = np.array(
+        [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)] + [0.0]
+    )
+    # Per group g: the coalitions with and without g, and their weights.
+    terms = []
+    for g in range(n):
+        idx_without = np.nonzero(~masks[:, g])[0]
+        terms.append((idx_without | (1 << g), idx_without, weight_by_size[sizes[idx_without]]))
+
+    def explain(instance: np.ndarray) -> Attribution:
+        values = _coalition_values(score_fn, background, instance, member)
+        phi = np.array(
+            [float(np.sum(w * (values[with_g] - values[without]))) for with_g, without, w in terms]
+        )
+        return Attribution(phi=phi, base_value=float(values[0]), instance=instance.copy())
+
+    return explain
+
+
 def exact_shapley(
     score_fn: ScoreFn,
     background: np.ndarray,
@@ -125,31 +172,11 @@ def exact_shapley(
     phi_g sums over all coalitions S not containing g the weighted marginal
     contribution |S|!(n-|S|-1)!/n! * (v(S+g) - v(S)). Capped at 20 groups.
     """
-    background = np.atleast_2d(np.asarray(background, dtype=float))
-    instance = np.asarray(instance, dtype=float).ravel()
-    if background.shape[0] == 0:
-        raise ValueError("background set is empty")
-    if groups is None:
-        groups = [[j] for j in range(instance.size)]
-    _validate_groups(groups, instance.size)
+    background, instance, groups = _prepare(background, instance, groups)
     n = len(groups)
     if n > EXACT_MAX_GROUPS:
         raise ValueError(f"{n} groups exceeds the exact enumeration cap ({EXACT_MAX_GROUPS})")
-    masks = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
-    values = _coalition_values(score_fn, background, instance, groups, masks)
-    sizes = masks.sum(axis=1)
-    fact = [math.factorial(i) for i in range(n + 1)]
-    weight_by_size = np.array(
-        [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)] + [0.0]
-    )
-    phi = np.zeros(n)
-    for g in range(n):
-        without = ~masks[:, g]
-        idx_without = np.nonzero(without)[0]
-        idx_with = idx_without | (1 << g)
-        w = weight_by_size[sizes[idx_without]]
-        phi[g] = float(np.sum(w * (values[idx_with] - values[idx_without])))
-    return Attribution(phi=phi, base_value=float(values[0]), instance=instance.copy())
+    return _exact_explainer(score_fn, background, groups)(instance)
 
 
 def _kernel_weight(n: int, size: int) -> float:
@@ -224,6 +251,58 @@ def _sample_coalitions(n: int, budget: int, rng: np.random.Generator):
     return np.array(masks, dtype=bool), np.array(weights)
 
 
+def _kernel_explainer(
+    score_fn: ScoreFn,
+    background: np.ndarray,
+    groups: Sequence[Sequence[int]],
+    n_samples: int,
+    seed: int,
+) -> Explainer:
+    """Kernel Shapley estimates of any row.
+
+    The coalitions, their weights, the normal matrix (with its condition
+    check) and the background score are made once, before any row is scored.
+    """
+    n = len(groups)
+    if n == 1:
+        base = float(np.mean(np.asarray(score_fn(background))))
+
+        def explain_one(instance: np.ndarray) -> Attribution:
+            full = float(np.mean(np.asarray(score_fn(instance[None, :]))))
+            return Attribution(phi=np.array([full - base]), base_value=base, instance=instance.copy())
+
+        return explain_one
+    if n_samples < 2 * n + 2:
+        raise ValueError(f"n_samples must be at least 2*n_groups+2 = {2 * n + 2}, got {n_samples}")
+    rng = np.random.default_rng(seed)
+    masks, weights = _sample_coalitions(n, n_samples - 2, rng)
+    # Eliminate the last coefficient with the efficiency constraint
+    # sum(phi) = delta, then solve the weighted normal equations.
+    z = masks.astype(float)
+    zc = z[:, :-1] - z[:, -1:]
+    zw = zc * weights[:, None]
+    a = zc.T @ zw
+    try:
+        cond = np.linalg.cond(a)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not np.isfinite(cond) or cond > 1e12:
+        raise ValueError("insufficient coalition diversity for the kernel regression")
+    member = _members(groups, background.shape[1], masks)
+    base = float(np.mean(np.asarray(score_fn(background), dtype=float)))
+
+    def explain(instance: np.ndarray) -> Attribution:
+        v = _coalition_values(score_fn, background, instance, member)
+        full = float(np.mean(np.asarray(score_fn(instance[None, :]), dtype=float)))
+        delta = full - base
+        yc = (v - base) - z[:, -1] * delta
+        phi_head = np.linalg.solve(a, zw.T @ yc)
+        phi = np.append(phi_head, delta - phi_head.sum())
+        return Attribution(phi=phi, base_value=base, instance=instance.copy())
+
+    return explain
+
+
 def kernel_shap(
     score_fn: ScoreFn,
     background: np.ndarray,
@@ -239,44 +318,8 @@ def kernel_shap(
     efficiency constraint. Deterministic given the seed. When the budget
     covers every coalition the result equals exact enumeration.
     """
-    background = np.atleast_2d(np.asarray(background, dtype=float))
-    instance = np.asarray(instance, dtype=float).ravel()
-    if background.shape[0] == 0:
-        raise ValueError("background set is empty")
-    if groups is None:
-        groups = [[j] for j in range(instance.size)]
-    _validate_groups(groups, instance.size)
-    n = len(groups)
-    if n == 1:
-        full = float(np.mean(np.asarray(score_fn(instance[None, :]))))
-        base = float(np.mean(np.asarray(score_fn(background))))
-        return Attribution(phi=np.array([full - base]), base_value=base, instance=instance.copy())
-    if n_samples < 2 * n + 2:
-        raise ValueError(f"n_samples must be at least 2*n_groups+2 = {2 * n + 2}, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    masks, weights = _sample_coalitions(n, n_samples - 2, rng)
-    v = _coalition_values(score_fn, background, instance, groups, masks)
-    base = float(np.mean(np.asarray(score_fn(background), dtype=float)))
-    full = float(np.mean(np.asarray(score_fn(instance[None, :]), dtype=float)))
-    delta = full - base
-    z = masks.astype(float)
-    y = v - base
-    # Eliminate the last coefficient with the efficiency constraint
-    # sum(phi) = delta, then solve the weighted normal equations.
-    zc = z[:, :-1] - z[:, -1:]
-    yc = y - z[:, -1] * delta
-    zw = zc * weights[:, None]
-    a = zc.T @ zw
-    b = zw.T @ yc
-    try:
-        cond = np.linalg.cond(a)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ValueError("insufficient coalition diversity for the kernel regression")
-    phi_head = np.linalg.solve(a, b)
-    phi = np.append(phi_head, delta - phi_head.sum())
-    return Attribution(phi=phi, base_value=base, instance=instance.copy())
+    background, instance, groups = _prepare(background, instance, groups)
+    return _kernel_explainer(score_fn, background, groups, n_samples, seed)(instance)
 
 
 def channel_importance(
@@ -345,8 +388,11 @@ def attribute_cross_validation(
     """Attribute every test trial against its fold's model, then rank channels.
 
     Uses exact enumeration for folds with at most FOLD_EXACT_MAX_GROUPS
-    groups, kernel estimation otherwise. Channels never selected in any
-    fold are reported with zero importance.
+    groups, kernel estimation otherwise. A fold's coalitions, weights,
+    normal matrix and background score are made once and shared by its
+    trials, which get the values exact_shapley or kernel_shap would give
+    each of them. Channels never selected in any fold are reported with
+    zero importance.
     """
     all_attrs: list[Attribution] = []
     per_trial_keys: list[list[tuple[str, str]]] = []
@@ -354,15 +400,12 @@ def attribute_cross_validation(
         groups, keys = group_columns(cv.features.feature_index, fold.selected)
         background = build_background(fold.train_x)
         score_fn = fold.model.predict_score
-        use_exact = len(groups) <= FOLD_EXACT_MAX_GROUPS
+        if len(groups) <= FOLD_EXACT_MAX_GROUPS:
+            explain = _exact_explainer(score_fn, background, groups)
+        else:
+            explain = _kernel_explainer(score_fn, background, groups, n_samples, seed)
         for row in fold.test_x:
-            if use_exact:
-                att = exact_shapley(score_fn, background, row, groups)
-            else:
-                att = kernel_shap(
-                    score_fn, background, row, groups, n_samples=n_samples, seed=seed
-                )
-            all_attrs.append(att)
+            all_attrs.append(explain(row))
             per_trial_keys.append(keys)
     # Folds may select different channels; expand every attribution onto the
     # union of keys so trials are averaged on a common axis.

@@ -10,7 +10,7 @@ two classes, so weighted recall always equals accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -139,7 +139,8 @@ class KnnModel:
 class _Tree:
     """Binary tree in arrays: a row goes left where x[feature] <= threshold.
 
-    Forest trees split raw values; boosting trees split bin indices.
+    Forest trees split raw values; boosting trees split bin indices. Children
+    always come after their parent, so ``depth`` follows in one forward pass.
     """
 
     feature: np.ndarray  # -1 for leaves
@@ -147,49 +148,94 @@ class _Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    depth: int = field(init=False)
+
+    def __post_init__(self):
+        depth = np.zeros(self.feature.size, dtype=int)
+        for node in np.flatnonzero(self.feature >= 0):
+            depth[self.left[node]] = depth[self.right[node]] = depth[node] + 1
+        self.depth = int(depth.max())
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        node = np.zeros(x.shape[0], dtype=int)
-        active = self.feature[node] >= 0
-        while active.any():
-            f = self.feature[node[active]]
-            thr = self.threshold[node[active]]
-            go_left = x[active, f] <= thr
-            nxt = np.where(go_left, self.left[node[active]], self.right[node[active]])
-            node[active] = nxt
-            active = self.feature[node] >= 0
-        return self.value[node]
+        return _tree_sum([self], x, np.zeros(x.shape[0]))
+
+
+_WALK_CELLS = 1 << 15  # (tree, row) pairs walked at once: small enough to stay in cache
+
+
+def _tree_sum(trees: list[_Tree], x: np.ndarray, out: np.ndarray, scale: float = 1.0):
+    """Add scale * each tree's leaf value to ``out`` per row, in tree order.
+
+    Every tree is walked in lockstep: the node arrays are concatenated with
+    per-tree offsets, deepest tree first, and every leaf becomes a self-loop
+    (both children itself, feature 0 to keep the lookup in range). Step k of
+    "go left where x[row, feature] <= threshold" moves the trees deeper than
+    k, so after ``max depth`` steps each (tree, row) pair is at its leaf.
+    Rows go in blocks of at most _WALK_CELLS pairs. Returns ``out``.
+    """
+    depth = np.array([t.depth for t in trees])
+    order = np.argsort(-depth, kind="stable")
+    restore = np.argsort(order)  # walk position -> tree order
+    deeper = [int(np.count_nonzero(depth > k)) for k in range(depth.max())]
+    trees = [trees[i] for i in order]
+    sizes = [t.feature.size for t in trees]
+    offsets = np.cumsum([0] + sizes[:-1])
+    feature = np.concatenate([t.feature for t in trees])
+    leaf = feature < 0
+    self_index = np.arange(feature.size)
+    feature = np.where(leaf, 0, feature)
+    threshold = np.concatenate([t.threshold for t in trees])
+    shift = np.repeat(offsets, sizes)
+    left = np.where(leaf, self_index, np.concatenate([t.left for t in trees]) + shift)
+    right = np.where(leaf, self_index, np.concatenate([t.right for t in trees]) + shift)
+    child = np.stack([right, left], axis=1).ravel()  # child[2 * node + goes_left]
+    value = np.concatenate([t.value for t in trees])
+    n_rows, n_cols = x.shape
+    block = max(1, _WALK_CELLS // len(trees))
+    for start in range(0, n_rows, block):
+        xb = x[start : start + block]
+        cells = xb.ravel()
+        row_base = (np.arange(xb.shape[0]) * n_cols)[None, :]
+        node = np.repeat(offsets[:, None], xb.shape[0], axis=1)
+        for k in deeper:
+            moving = node[:k]
+            goes_left = cells[row_base + feature[moving]] <= threshold[moving]
+            node[:k] = child[2 * moving + goes_left]
+        acc = out[start : start + xb.shape[0]]
+        for v in value[node[restore]]:
+            acc += scale * v
+    return out
 
 
 def _best_gini_split(x: np.ndarray, y: np.ndarray, features: np.ndarray, min_leaf: int):
-    """(feature, threshold, weighted child impurity) or None."""
+    """(feature, threshold, weighted child impurity) or None.
+
+    Every candidate column is sorted and costed at once; the first minimum
+    wins, over features in the given order and over split points within one.
+    """
     n = y.size
-    best = None
-    for f in features:
-        v = x[:, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ys = y[order]
-        ones = np.cumsum(ys)
-        total_ones = ones[-1]
-        i = np.arange(1, n)  # left side size
-        valid = vs[1:] > vs[:-1]
-        if min_leaf > 1:
-            valid &= (i >= min_leaf) & (n - i >= min_leaf)
-        if not valid.any():
-            continue
-        left_ones = ones[:-1]
-        right_ones = total_ones - left_ones
-        left_n = i.astype(float)
-        right_n = (n - i).astype(float)
-        gini_l = 1.0 - (left_ones / left_n) ** 2 - (1 - left_ones / left_n) ** 2
-        gini_r = 1.0 - (right_ones / right_n) ** 2 - (1 - right_ones / right_n) ** 2
-        cost = left_n * gini_l + right_n * gini_r
-        cost[~valid] = np.inf
-        j = int(np.argmin(cost))
-        if best is None or cost[j] < best[2]:
-            best = (int(f), 0.5 * (vs[j] + vs[j + 1]), float(cost[j]))
-    return best
+    v = x[:, features]
+    order = np.argsort(v, axis=0, kind="stable")
+    vs = np.take_along_axis(v, order, axis=0)
+    ones = np.cumsum(y[order], axis=0)
+    i = np.arange(1, n)[:, None]  # left side size
+    valid = vs[1:] > vs[:-1]
+    if min_leaf > 1:
+        valid &= (i >= min_leaf) & (n - i >= min_leaf)
+    left_ones = ones[:-1]
+    right_ones = ones[-1] - left_ones
+    left_n = i.astype(float)
+    right_n = (n - i).astype(float)
+    gini_l = 1.0 - (left_ones / left_n) ** 2 - (1 - left_ones / left_n) ** 2
+    gini_r = 1.0 - (right_ones / right_n) ** 2 - (1 - right_ones / right_n) ** 2
+    cost = left_n * gini_l + right_n * gini_r
+    cost[~valid] = np.inf
+    j = np.argmin(cost, axis=0)
+    col = int(np.argmin(cost[j, np.arange(j.size)]))
+    j = int(j[col])
+    if not valid[j, col]:
+        return None
+    return int(features[col]), 0.5 * (vs[j, col] + vs[j + 1, col]), float(cost[j, col])
 
 
 def _grow_cart(x, y, rng, max_features: int, min_leaf: int) -> _Tree:
@@ -236,10 +282,7 @@ class ForestModel:
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:
         x = _check_columns(x, self.n_features)
-        votes = np.zeros(x.shape[0])
-        for t in self.trees:
-            votes += t.predict(x)
-        return votes / len(self.trees)
+        return _tree_sum(self.trees, x, np.zeros(x.shape[0])) / len(self.trees)
 
 
 def _fit_forest(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> ForestModel:
@@ -336,6 +379,9 @@ def _leaf_best_split(binned, g, h, rows, n_bins):
 
 def _grow_boost_tree(binned, g, h, n_bins, max_leaves) -> _Tree:
     feature, split_bin, left, right, value = [], [], [], [], []
+    # Open leaves in creation order, each with its best split (or None),
+    # computed once when the leaf is made.
+    open_leaves = {}
 
     def new_node(rows) -> int:
         idx = len(feature)
@@ -344,19 +390,16 @@ def _grow_boost_tree(binned, g, h, n_bins, max_leaves) -> _Tree:
         left.append(-1)
         right.append(-1)
         value.append(-g[rows].sum() / (h[rows].sum() + _GBDT_REG))
+        open_leaves[idx] = _leaf_best_split(binned, g, h, rows, n_bins)
         return idx
 
-    root_rows = np.arange(binned.shape[0])
-    root = new_node(root_rows)
-    # Leaf-wise growth: always split the open leaf with the largest gain.
-    open_leaves = {root: root_rows}
+    new_node(np.arange(binned.shape[0]))
+    # Leaf-wise growth: always split the open leaf with the largest gain; the
+    # earliest leaf wins a tie.
     n_leaves = 1
-    while n_leaves < max_leaves and open_leaves:
+    while n_leaves < max_leaves:
         best = None
-        for node_idx, rows in open_leaves.items():
-            if rows.size < 2:
-                continue
-            split = _leaf_best_split(binned, g, h, rows, n_bins)
+        for node_idx, split in open_leaves.items():
             if split is not None and (best is None or split[0] > best[1][0]):
                 best = (node_idx, split)
         if best is None:
@@ -365,12 +408,8 @@ def _grow_boost_tree(binned, g, h, n_bins, max_leaves) -> _Tree:
         del open_leaves[node_idx]
         feature[node_idx] = f
         split_bin[node_idx] = b
-        li = new_node(rows_l)
-        ri = new_node(rows_r)
-        left[node_idx] = li
-        right[node_idx] = ri
-        open_leaves[li] = rows_l
-        open_leaves[ri] = rows_r
+        left[node_idx] = new_node(rows_l)
+        right[node_idx] = new_node(rows_r)
         n_leaves += 1
     return _Tree(
         feature=np.asarray(feature),
@@ -400,11 +439,8 @@ class BoostModel:
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
         x = _check_columns(x, self.n_features)
-        binned = self._bin(x)
         score = np.full(x.shape[0], self.base_score)
-        for t in self.trees:
-            score += self.learning_rate * t.predict(binned)
-        return score
+        return _tree_sum(self.trees, self._bin(x), score, self.learning_rate)
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision_function(x))

@@ -423,3 +423,41 @@ def test_unexpected_error_is_a_config_error_only_inside_a_stage(monkeypatch):
     staged = PipelineError("train", error)
     monkeypatch.setitem(nirscope.cli._COMMANDS, "train", _failing_command(staged))
     assert main(["train", "--dataset", "d"]) == EXIT_CONFIG
+
+
+# Characterization digests of summary-mode `run` attributions, recorded on the
+# commit before the tree code walked all trees at once and the attribution
+# shared each fold's coalitions. The default k=20 keeps 16 and 18 groups per
+# fold (kernel path); k=8 keeps at most 8 (exact path).
+GOLDEN_RUN_SUMMARY_SHA256 = {
+    ("rf", None): (
+        "d816c296bd71a2c407e09855c33fc970ef749e2fe07ce9b8311b2722ae05d194",
+        "aad5287bcca0d2ff0711aa8214abd8d8cc278739aad172ea7b1102aa07c20764",
+    ),
+    ("gbdt", None): (
+        "6461d247fb124edd606d9923c04055d7decced007c6ac6ee7bdc73fae805a8f9",
+        "ef96b7c367d3279cdbe95184473adf8921f2e9289c7a21eb00905825e882c191",
+    ),
+    ("rf", "8"): (
+        "8c6472c6874286027742322e878ff44bbfe4d156b90d5c38f5ef4a736b75fdd7",
+        "5fba4446bfd1963378a82022ec57d289a2842bc2d744815bdb34e1dceae330bf",
+    ),
+    ("gbdt", "8"): (
+        "69ccbc974c418c15ca99d8f8c661a0a0e6dc57a387efbf05b374aba74072a4f9",
+        "4ee0ff6a9dab32fc26e12c0019cf839b054bd9caab4c835ed1515d49bfb0af57",
+    ),
+}
+
+
+@pytest.mark.parametrize("model,select_k", sorted(GOLDEN_RUN_SUMMARY_SHA256, key=str))
+def test_summary_run_attributions_match_golden_digests(golden_dataset, tmp_path, model, select_k):
+    out = tmp_path / "report"
+    argv = ["run", "--dataset", str(golden_dataset), "--out", str(out), "--folds", "2",
+            "--seed", "1", "--feature-mode", "summary", "--model", model]
+    if select_k is not None:
+        argv += ["--select-k", select_k]
+    assert main(argv) == EXIT_OK
+    got = tuple(
+        _sha256((out / name).read_bytes()) for name in ("channel_importance.csv", "metrics.txt")
+    )
+    assert got == GOLDEN_RUN_SUMMARY_SHA256[(model, select_k)]

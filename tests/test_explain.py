@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from conftest import make_epoch_set
+from nirscope import explain
 from nirscope.explain import (
     Attribution,
     ChannelImportance,
+    attribute_cross_validation,
     build_background,
     channel_importance,
     exact_shapley,
     group_columns,
     kernel_shap,
 )
-from nirscope.features import FeatureKey
+from nirscope.features import FeatureKey, FeatureMode
+from nirscope.learn import ClassifierSpec, cross_validate, make_fold_plan
 
 
 def _linear(w):
@@ -298,3 +302,85 @@ def test_group_columns_by_channel_chromophore():
     groups, keys = group_columns(index, [0, 1, 2, 3])
     assert keys == [("S1-D1", "hbo"), ("S1-D1", "hbr"), ("S2-D2", "hbo")]
     assert groups[keys.index(("S1-D1", "hbo"))] == [0, 3]
+
+
+# --- per-fold attribution against the per-row functions ---
+
+KINDS = ("knn", "random_forest", "linear_svm", "boosted_trees")
+
+
+def _small_cv(kind, select_k):
+    """Six participants, 8 channels: 16 (channel, chromophore) groups."""
+    eps = make_epoch_set(n_participants=6, trials=3, n_channels=8, seed=3)
+    plan = make_fold_plan(eps.participants, n_folds=3, seed=1)
+    spec = ClassifierSpec(kind=kind, seed=2, rf_trees=10, svm_epochs=20, gbdt_rounds=10)
+    return cross_validate(eps, "single", spec, plan, mode=FeatureMode.SUMMARY, select_k=select_k)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("select_k", [6, 60])  # at most 6 groups: exact; at least 15: kernel
+def test_fold_attribution_equals_per_row_calls(kind, select_k):
+    cv = _small_cv(kind, select_k)
+    # 128 samples leave the kernel sampler a random partial size pair
+    _, attrs, union = attribute_cross_validation(cv, n_samples=128, seed=4)
+    key_pos = {k: i for i, k in enumerate(union)}
+    expected = []
+    for fold in cv.folds:
+        groups, keys = group_columns(cv.features.feature_index, fold.selected)
+        assert (len(groups) <= explain.FOLD_EXACT_MAX_GROUPS) == (select_k == 6)
+        background = build_background(fold.train_x)
+        for row in fold.test_x:
+            if select_k == 6:
+                att = exact_shapley(fold.model.predict_score, background, row, groups)
+            else:
+                att = kernel_shap(
+                    fold.model.predict_score, background, row, groups, n_samples=128, seed=4
+                )
+            phi = np.zeros(len(union))
+            phi[[key_pos[k] for k in keys]] = att.phi
+            expected.append((phi, att.base_value, att.instance))
+    assert len(attrs) == len(expected)
+    for att, (phi, base, instance) in zip(attrs, expected):
+        assert np.array_equal(att.phi, phi)
+        assert att.base_value == base
+        assert np.array_equal(att.instance, instance)
+
+
+def _counting(score):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return score(x)
+
+    return counted, calls
+
+
+def test_kernel_budget_error_comes_before_scoring():
+    score, calls = _counting(_linear(np.ones(6)))
+    with pytest.raises(ValueError, match="n_samples"):
+        kernel_shap(score, np.zeros((2, 6)), np.ones(6), n_samples=13)
+    cv = _small_cv("random_forest", 60)
+    for fold in cv.folds:
+        fold.model.predict_score = score
+    with pytest.raises(ValueError, match="n_samples"):
+        attribute_cross_validation(cv, n_samples=20)
+    assert calls == []
+
+
+def test_singular_kernel_regression_fails_before_scoring(monkeypatch):
+    def one_coalition(n, budget, rng):
+        masks = np.zeros((budget, n), dtype=bool)
+        masks[:, 0] = True
+        return masks, np.ones(budget)
+
+    monkeypatch.setattr(explain, "_sample_coalitions", one_coalition)
+    score, calls = _counting(_linear(np.ones(6)))
+    with pytest.raises(ValueError, match="insufficient coalition diversity"):
+        kernel_shap(score, np.zeros((2, 6)), np.ones(6), n_samples=40)
+    cv = _small_cv("random_forest", 60)
+    for fold in cv.folds:
+        fold.model.predict_score = score
+    with pytest.raises(ValueError, match="insufficient coalition diversity"):
+        attribute_cross_validation(cv, n_samples=40)
+    assert calls == []

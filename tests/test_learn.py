@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_epoch_set
+from nirscope import learn
 from nirscope.features import FeatureMode
 from nirscope.learn import (
     ClassifierSpec,
@@ -385,3 +386,226 @@ def test_positive_feature_scaling_is_absorbed_by_standardization():
     for fa, fb in zip(base.folds, scl.folds):
         assert np.array_equal(fa.test_pred, fb.test_pred)
     assert base.pooled == scl.pooled
+
+
+# --- tree code against one-at-a-time references ---
+#
+# Reference implementations: a per-tree walk with a boolean mask of the rows
+# still at an inner node, a per-feature Gini search, and a boosting grower
+# that rescans every open leaf before each split.
+
+
+def _reference_predict(tree, x):
+    node = np.zeros(x.shape[0], dtype=int)
+    active = tree.feature[node] >= 0
+    while active.any():
+        f = tree.feature[node[active]]
+        thr = tree.threshold[node[active]]
+        go_left = x[active, f] <= thr
+        nxt = np.where(go_left, tree.left[node[active]], tree.right[node[active]])
+        node[active] = nxt
+        active = tree.feature[node] >= 0
+    return tree.value[node]
+
+
+def _reference_gini_split(x, y, features, min_leaf):
+    n = y.size
+    best = None
+    for f in features:
+        v = x[:, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        ys = y[order]
+        ones = np.cumsum(ys)
+        total_ones = ones[-1]
+        i = np.arange(1, n)
+        valid = vs[1:] > vs[:-1]
+        if min_leaf > 1:
+            valid &= (i >= min_leaf) & (n - i >= min_leaf)
+        if not valid.any():
+            continue
+        left_ones = ones[:-1]
+        right_ones = total_ones - left_ones
+        left_n = i.astype(float)
+        right_n = (n - i).astype(float)
+        gini_l = 1.0 - (left_ones / left_n) ** 2 - (1 - left_ones / left_n) ** 2
+        gini_r = 1.0 - (right_ones / right_n) ** 2 - (1 - right_ones / right_n) ** 2
+        cost = left_n * gini_l + right_n * gini_r
+        cost[~valid] = np.inf
+        j = int(np.argmin(cost))
+        if best is None or cost[j] < best[2]:
+            best = (int(f), 0.5 * (vs[j] + vs[j + 1]), float(cost[j]))
+    return best
+
+
+def _reference_grow_boost_tree(binned, g, h, n_bins, max_leaves):
+    feature, split_bin, left, right, value = [], [], [], [], []
+
+    def new_node(rows):
+        idx = len(feature)
+        feature.append(-1)
+        split_bin.append(0)
+        left.append(-1)
+        right.append(-1)
+        value.append(-g[rows].sum() / (h[rows].sum() + learn._GBDT_REG))
+        return idx
+
+    root_rows = np.arange(binned.shape[0])
+    open_leaves = {new_node(root_rows): root_rows}
+    n_leaves = 1
+    while n_leaves < max_leaves and open_leaves:
+        best = None
+        for node_idx, rows in open_leaves.items():
+            if rows.size < 2:
+                continue
+            split = learn._leaf_best_split(binned, g, h, rows, n_bins)
+            if split is not None and (best is None or split[0] > best[1][0]):
+                best = (node_idx, split)
+        if best is None:
+            break
+        node_idx, (_, f, b, rows_l, rows_r) = best
+        del open_leaves[node_idx]
+        feature[node_idx] = f
+        split_bin[node_idx] = b
+        li = new_node(rows_l)
+        ri = new_node(rows_r)
+        left[node_idx] = li
+        right[node_idx] = ri
+        open_leaves[li] = rows_l
+        open_leaves[ri] = rows_r
+        n_leaves += 1
+    return learn._Tree(
+        feature=np.asarray(feature),
+        threshold=np.asarray(split_bin),
+        left=np.asarray(left),
+        right=np.asarray(right),
+        value=np.asarray(value),
+    )
+
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+def _tree_data(case, seed):
+    """(x, y, queries) for one data case."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(60, 9))
+    queries = rng.normal(size=(150, 9))
+    if case == "ties":
+        x, queries = np.round(x), np.round(queries)
+    elif case == "constant":
+        x[:, [0, 4, 8]] = 2.0
+        queries[:, 0] = 2.0
+    y = (x[:, 1] + x[:, 2] + rng.normal(scale=0.7, size=60) > 0).astype(int)
+    if case == "one_positive":
+        # most bootstrap draws miss the single positive row: pure-class trees
+        y = np.zeros(60, dtype=int)
+        y[7] = 1
+    return x, y, queries
+
+
+TREE_CASES = ("random", "ties", "constant", "one_positive")
+
+
+def _assert_same_trees(a, b):
+    assert len(a) == len(b)
+    for ta, tb in zip(a, b):
+        for name in TREE_ARRAYS:
+            assert np.array_equal(getattr(ta, name), getattr(tb, name)), name
+
+
+@pytest.mark.parametrize("case", TREE_CASES)
+@pytest.mark.parametrize("min_leaf", [1, 3])
+def test_forest_walk_matches_mask_loop(case, min_leaf):
+    x, y, queries = _tree_data(case, seed=min_leaf)
+    spec = ClassifierSpec(kind="random_forest", rf_trees=25, rf_min_leaf=min_leaf, seed=5)
+    model = fit(spec, x, y)
+    if case == "one_positive":
+        assert min(t.depth for t in model.trees) == 0
+    rows = np.vstack([x, queries])
+    votes = np.zeros(rows.shape[0])
+    for tree in model.trees:
+        reference = _reference_predict(tree, rows)
+        assert np.array_equal(tree.predict(rows), reference)
+        votes += reference
+    assert np.array_equal(model.predict_score(rows), votes / len(model.trees))
+
+
+def test_tree_walk_blocks_rows(monkeypatch):
+    x, y, queries = _tree_data("random", seed=2)
+    forest = fit(ClassifierSpec(kind="random_forest", rf_trees=7), x, y)
+    boost = fit(ClassifierSpec(kind="boosted_trees", gbdt_rounds=7), x, y)
+    whole = forest.predict_score(queries), boost.predict_score(queries)
+    monkeypatch.setattr(learn, "_WALK_CELLS", 50)  # blocks of 7 rows
+    assert np.array_equal(forest.predict_score(queries), whole[0])
+    assert np.array_equal(boost.predict_score(queries), whole[1])
+
+
+@pytest.mark.parametrize("case", TREE_CASES)
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+def test_gini_split_matches_per_feature_search(case, min_leaf):
+    x, y, _ = _tree_data(case, seed=10 + min_leaf)
+    rng = np.random.default_rng(min_leaf)
+    for _ in range(40):
+        rows = rng.choice(x.shape[0], size=int(rng.integers(2, 40)), replace=False)
+        features = np.sort(rng.choice(x.shape[1], size=int(rng.integers(1, 10)), replace=False))
+        got = learn._best_gini_split(x[rows], y[rows], features, min_leaf)
+        assert got == _reference_gini_split(x[rows], y[rows], features, min_leaf)
+
+
+@pytest.mark.parametrize("case", TREE_CASES)
+@pytest.mark.parametrize("min_leaf", [1, 3])
+def test_forest_grows_as_with_per_feature_search(monkeypatch, case, min_leaf):
+    x, y, _ = _tree_data(case, seed=20 + min_leaf)
+    spec = ClassifierSpec(kind="random_forest", rf_trees=15, rf_min_leaf=min_leaf, seed=1)
+    model = fit(spec, x, y)
+    monkeypatch.setattr(learn, "_best_gini_split", _reference_gini_split)
+    _assert_same_trees(model.trees, fit(spec, x, y).trees)
+
+
+@pytest.mark.parametrize("case", TREE_CASES)
+@pytest.mark.parametrize("bins", [4, 64])
+def test_boosting_matches_rescanning_grower(monkeypatch, case, bins):
+    x, y, queries = _tree_data(case, seed=30 + bins)
+    spec = ClassifierSpec(kind="boosted_trees", gbdt_rounds=20, gbdt_bins=bins, seed=2)
+    model = fit(spec, x, y)
+    binned = model._bin(np.vstack([x, queries]))
+    score = np.full(binned.shape[0], model.base_score)
+    for tree in model.trees:
+        reference = _reference_predict(tree, binned)
+        assert np.array_equal(tree.predict(binned), reference)
+        score += model.learning_rate * reference
+    assert np.array_equal(model.decision_function(np.vstack([x, queries])), score)
+    monkeypatch.setattr(learn, "_grow_boost_tree", _reference_grow_boost_tree)
+    _assert_same_trees(model.trees, fit(spec, x, y).trees)
+
+
+def test_boosting_gain_ties_go_to_the_earliest_leaf(monkeypatch):
+    # Column 0 splits the rows into two halves whose labels are each other's
+    # flip. With p = 0.5 the gradients are +-0.5 and the hessians 0.25, so
+    # after the root split both children offer exactly the same best gain;
+    # the child created first must be split first.
+    x1 = np.arange(6.0)
+    x = np.column_stack([np.repeat([0.0, 1.0], 6), np.tile(x1, 2)])
+    y = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0])
+    spec = ClassifierSpec(kind="boosted_trees", gbdt_rounds=2, gbdt_max_leaves=3, gbdt_bins=8)
+    model = fit(spec, x, y)
+    first = model.trees[0]
+    assert first.feature[0] == 0 and first.left[0] == 1
+    assert first.feature[1] == 1 and first.feature[2] == -1
+    monkeypatch.setattr(learn, "_grow_boost_tree", _reference_grow_boost_tree)
+    _assert_same_trees(model.trees, fit(spec, x, y).trees)
+
+
+def test_boost_grower_finds_each_leaf_split_once(monkeypatch):
+    calls = []
+    original = learn._leaf_best_split
+
+    def counted(binned, g, h, rows, n_bins):
+        calls.append(rows.size)
+        return original(binned, g, h, rows, n_bins)
+
+    monkeypatch.setattr(learn, "_leaf_best_split", counted)
+    x, y, _ = _tree_data("random", seed=4)
+    model = fit(ClassifierSpec(kind="boosted_trees", gbdt_rounds=5, gbdt_max_leaves=8), x, y)
+    assert len(calls) == sum(t.feature.size for t in model.trees)

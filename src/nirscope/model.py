@@ -433,11 +433,11 @@ def _montage_from_json(obj: Mapping, path: Path) -> Montage:
 
 
 def _write_series_csv(path: Path, channel_ids: Sequence[str], rows: np.ndarray, fs: float):
-    lines = ["t_s," + ",".join(channel_ids)]
-    n = rows.shape[1]
-    for i in range(n):
-        t = i / fs
-        lines.append(_fmt(t) + "," + ",".join(_fmt(v) for v in rows[:, i]))
+    # "%.17g" prints a float exactly as _fmt does; one row template formats
+    # the time and every channel of a sample in one pass.
+    row = "%.17g," + ",".join(["%.17g"] * len(channel_ids))
+    table = np.vstack([np.arange(rows.shape[1]) / fs, rows]).T.tolist()
+    lines = ["t_s," + ",".join(channel_ids)] + [row % tuple(r) for r in table]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -456,6 +456,28 @@ def _read_series_csv(
             f"{path}:1: header does not match the manifest channel list"
         )
     n_cols = len(header)
+    if len(lines) > 1:
+        try:
+            data = np.loadtxt(
+                lines[1:], delimiter=",", dtype=float, ndmin=2, comments=None
+            )
+        except ValueError:
+            pass  # the line parser below names the offending line
+        else:
+            if data.shape == (len(lines) - 1, n_cols) and not (
+                positive and np.any(data[:, 1:] <= 0)
+            ):
+                # A fresh C-ordered copy, transposed: the same (channels,
+                # samples) layout and strides as the line parser gives.
+                return data[:, 1:].copy().T
+    return _parse_series_lines(path, lines, n_cols, positive)
+
+
+def _parse_series_lines(
+    path: Path, lines: Sequence[str], n_cols: int, positive: bool
+) -> np.ndarray:
+    # Line-by-line parse of a body np.loadtxt rejected (or that has no rows),
+    # so that each DatasetFormatError names its line.
     data = np.empty((len(lines) - 1, n_cols - 1), dtype=float)
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")

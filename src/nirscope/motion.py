@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_smoothing_spline
 
 __all__ = [
     "ArtifactSegment",
@@ -83,7 +82,9 @@ def detect_artifacts(
     A sample is flagged when |x - median| > amp_threshold * std(x) or when
     the moving std over ``std_window_s`` exceeds std_threshold times its
     median. Adjacent flags merge into segments padded by ``pad_s`` on each
-    side. A zero-variance series yields no segments.
+    side. A segment's trigger is "amplitude" when any of its samples
+    crosses the amplitude threshold, else "moving_std". A zero-variance
+    series yields no segments.
     """
     x = np.asarray(series, dtype=float)
     window = max(2, int(round(std_window_s * fs)))
@@ -105,7 +106,8 @@ def detect_artifacts(
     ends = np.minimum(np.append(idx[breaks], idx[-1]) + 1 + pad, x.size)
     # Padded ends never decrease, so a run joins the segment before it
     # exactly when it starts at or before that segment's end. A segment's
-    # trigger is that of the first sample of its first run.
+    # padding holds no flagged sample and other segments' runs lie outside
+    # it, so amp_bad over the segment reads exactly its own runs.
     first = np.flatnonzero(np.concatenate([[True], starts[1:] > ends[:-1]]))
     last = np.append(first[1:], starts.size) - 1
     return [
@@ -113,7 +115,7 @@ def detect_artifacts(
             int(starts[a]),
             int(ends[b]),
             channel_id,
-            "amplitude" if amp_bad[run_first[a]] else "moving_std",
+            "amplitude" if amp_bad[starts[a] : ends[b]].any() else "moving_std",
         )
         for a, b in zip(first, last)
     ]
@@ -139,6 +141,8 @@ def spline_correct(
     share it and are fitted in one call; every row comes out exactly as it
     would on its own.
     """
+    from scipy.interpolate import make_smoothing_spline
+
     x = np.array(series, dtype=float)
     if x.ndim == 1:
         return spline_correct(x[None], [segments], fs, lam, baseline_s)[0]

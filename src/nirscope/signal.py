@@ -12,7 +12,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .model import Montage
 
@@ -56,6 +55,8 @@ class BandpassSpec:
 
 def bandpass_sos(spec: BandpassSpec, fs: float) -> np.ndarray:
     """Second-order sections of the designed band-pass."""
+    from scipy import signal as sps
+
     spec.validate_for(fs)
     return sps.butter(
         spec.order // 2,
@@ -68,6 +69,8 @@ def bandpass_sos(spec: BandpassSpec, fs: float) -> np.ndarray:
 
 def bandpass_gain(spec: BandpassSpec, fs: float, freqs) -> np.ndarray:
     """Magnitude response at ``freqs`` (Hz), squared when zero-phase."""
+    from scipy import signal as sps
+
     sos = bandpass_sos(spec, fs)
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     _, h = sps.sosfreqz(sos, worN=freqs * (2 * np.pi / fs))
@@ -78,6 +81,8 @@ def bandpass_gain(spec: BandpassSpec, fs: float, freqs) -> np.ndarray:
 def _settle_len(sos: np.ndarray, fs: float, spec: BandpassSpec) -> int:
     # One filter-settling length: impulse response support down to 1e-8 of
     # its peak, bounded to keep padding finite for degenerate designs.
+    from scipy import signal as sps
+
     n_probe = int(min(60.0 / spec.low_cut_hz * fs, 1_000_000))
     impulse = np.zeros(n_probe)
     impulse[0] = 1.0
@@ -103,6 +108,8 @@ def bandpass(series, spec: BandpassSpec, fs: float) -> np.ndarray:
     forward and backward with reflection padding of one filter-settling
     length; output shape equals input shape.
     """
+    from scipy import signal as sps
+
     x = np.asarray(series, dtype=float)
     if x.ndim == 0:
         raise ValueError("series must have at least one dimension, got a scalar")

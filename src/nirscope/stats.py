@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 __all__ = [
     "GroupSummary",
@@ -72,6 +71,8 @@ def summarize(samples: Sequence[float]) -> GroupSummary:
 
 def t_cdf(t: float, df: float) -> float:
     """CDF of Student's t with ``df`` degrees of freedom."""
+    from scipy.special import betainc
+
     if df <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
     if math.isinf(t):
@@ -85,6 +86,8 @@ def t_cdf(t: float, df: float) -> float:
 
 def f_cdf(f: float, d1: float, d2: float) -> float:
     """CDF of the F distribution with (d1, d2) degrees of freedom."""
+    from scipy.special import betainc
+
     if d1 <= 0 or d2 <= 0:
         raise ValueError(f"degrees of freedom must be positive, got ({d1}, {d2})")
     if f <= 0:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import optics
 from .model import Annotation, Channel, Dataset, Montage, Recording
@@ -139,6 +138,7 @@ class GroundTruth:
 @lru_cache(maxsize=32)
 def _hrf_params(peak_s: float, undershoot_s: float, undershoot_ratio: float):
     """Solve the main-lobe gamma mode so the combined extremum sits at peak_s."""
+    from scipy.optimize import brentq
 
     def g(t, mode, shape):
         t = np.asarray(t, dtype=float)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from nirscope.model import (
     Montage,
     ProvenanceStep,
     Recording,
+    _fmt,
+    _read_series_csv,
+    _write_series_csv,
     load_dataset,
     save_dataset,
 )
@@ -158,6 +162,127 @@ def test_round_trip_over_randomized_datasets(small_montage, tmp_path):
         d = Dataset(montage=small_montage, recordings=(rec,), seed=seed)
         save_dataset(d, tmp_path / f"ds{seed}")
         assert load_dataset(tmp_path / f"ds{seed}") == d
+
+
+def _write_series_csv_loop(path, channel_ids, rows, fs):
+    """Reference: one _fmt call per value (the container writer's earlier form)."""
+    lines = ["t_s," + ",".join(channel_ids)]
+    for i in range(rows.shape[1]):
+        lines.append(_fmt(i / fs) + "," + ",".join(_fmt(v) for v in rows[:, i]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _read_series_csv_lines(path, expect_channels, positive):
+    """Reference: the line-by-line parser (the container reader's earlier form)."""
+    if not path.is_file():
+        raise DatasetFormatError(f"missing participant file: {path}")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise DatasetFormatError(f"{path}:1: empty channel file")
+    header = lines[0].split(",")
+    if header[0] != "t_s" or tuple(header[1:]) != tuple(expect_channels):
+        raise DatasetFormatError(
+            f"{path}:1: header does not match the manifest channel list"
+        )
+    n_cols = len(header)
+    data = np.empty((len(lines) - 1, n_cols - 1), dtype=float)
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != n_cols:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)} "
+                "(channel-length mismatch)"
+            )
+        try:
+            data[lineno - 2] = [float(p) for p in parts[1:]]
+        except ValueError as e:
+            raise DatasetFormatError(f"{path}:{lineno}: {e}") from e
+        if positive and np.any(data[lineno - 2] <= 0):
+            raise DatasetFormatError(
+                f"{path}:{lineno}: non-positive intensity value"
+            )
+    return data.T
+
+
+_BODY = ["0,1.5,2.25", "0.25,1.75,2.5", "0.5,1.25,3", "0.75,1,4"]
+
+
+def _with_line(i, line):
+    body = list(_BODY)
+    body[i] = line
+    return body
+
+
+# Body lines after the "t_s,A,B" header; line numbers in errors count the
+# header as line 1.
+LOADER_CASES = {
+    "clean": _BODY,
+    "hash_inside_value": _with_line(1, "0.25,1.75,2.5#9"),
+    "blank_line_in_middle": _BODY[:2] + [""] + _BODY[2:],
+    "blank_line_at_end": _BODY + [""],
+    "spaces_around_values": _with_line(2, " 0.5 , 1.25 ,\t3 "),
+    "underscore_digits": _with_line(1, "0.25,1_0,2.5"),
+    "nan": _with_line(1, "0.25,nan,2.5"),
+    "inf": _with_line(1, "0.25,inf,-inf"),
+    "negative_zero": _with_line(1, "0.25,-0,2.5"),
+    "short_row_on_line_4": _with_line(2, "0.5,1.25"),
+    "non_positive_on_line_3": _with_line(1, "0.25,-1.75,2.5"),
+    "header_only": [],
+    "bad_time_value": _with_line(0, "zero,1.5,2.25"),
+    "extra_column": _with_line(3, "0.75,1,4,5"),
+}
+
+
+@pytest.mark.parametrize("positive", [True, False])
+@pytest.mark.parametrize("case", sorted(LOADER_CASES))
+def test_loader_matches_line_parser(tmp_path, case, positive):
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join(["t_s,A,B", *LOADER_CASES[case]]) + "\n")
+    try:
+        ref = _read_series_csv_lines(path, ("A", "B"), positive)
+    except DatasetFormatError as e:
+        with pytest.raises(DatasetFormatError) as got:
+            _read_series_csv(path, ("A", "B"), positive)
+        assert str(got.value) == str(e)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        got = _read_series_csv(path, ("A", "B"), positive)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.strides == ref.strides
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_loader_matches_line_parser_on_written_files(tmp_path):
+    rng = np.random.default_rng(7)
+    ids = tuple(f"S{i}-D{i}" for i in range(1, 6))
+    for positive, rows in ((True, 1.0 + rng.random((5, 300))),
+                           (False, rng.normal(size=(5, 300)) * 1e-6),
+                           (False, rng.normal(size=(5, 1)))):
+        path = tmp_path / "series.csv"
+        _write_series_csv(path, ids, rows, 3.9)
+        got = _read_series_csv(path, ids, positive)
+        ref = _read_series_csv_lines(path, ids, positive)
+        assert got.strides == ref.strides and got.tobytes() == ref.tobytes()
+        assert got.tobytes() == rows.tobytes()
+
+
+def test_writer_matches_per_value_formatting(tmp_path):
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 1 / 3,
+               np.nan, np.inf, -np.inf]
+    rng = np.random.default_rng(3)
+    cases = [
+        np.array([special, special[::-1]]),
+        rng.normal(size=(4, 50)) * 10.0 ** rng.integers(-300, 300, size=(4, 50)),
+        np.empty((3, 0)),
+    ]
+    for k, rows in enumerate(cases):
+        ids = [f"c{i}" for i in range(rows.shape[0])]
+        for fs in (3.9, 1.0, 7.8125):
+            _write_series_csv(tmp_path / "got.csv", ids, rows, fs)
+            _write_series_csv_loop(tmp_path / "ref.csv", ids, rows, fs)
+            got, ref = (tmp_path / "got.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes()
+            assert got == ref, (k, fs)
 
 
 def test_intensity_manifest_requires_wavelengths(small_montage, tmp_path):

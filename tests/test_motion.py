@@ -92,10 +92,13 @@ def _detect_artifacts_loop(x, fs, amp_threshold=5.0, std_threshold=3.0, pad_s=0.
             continue
         start = max(0, run_start - pad)
         end = min(x.size, prev + 1 + pad)
-        trigger = triggers[run_start] or "moving_std"
+        run_amp = any(triggers[j] == "amplitude" for j in range(run_start, prev + 1))
+        trigger = "amplitude" if run_amp else "moving_std"
         if segments and start <= segments[-1].end:
             last = segments[-1]
-            segments[-1] = ArtifactSegment(last.start, end, "c", last.trigger)
+            if last.trigger == "amplitude":
+                trigger = "amplitude"
+            segments[-1] = ArtifactSegment(last.start, end, "c", trigger)
         else:
             segments.append(ArtifactSegment(start, end, "c", trigger))
         if i is not None:
@@ -107,9 +110,8 @@ def _detect_artifacts_loop(x, fs, amp_threshold=5.0, std_threshold=3.0, pad_s=0.
 @pytest.mark.parametrize("pad_s", [0.0, 0.5, 2.0])
 def test_detection_matches_loop_reference(fs, pad_s):
     walks = spiky_walks(40, 600, seed=int(fs * 10 + pad_s * 100))
-    # Steps make long moving-std runs next to the spikes. From a 3-sample
-    # window up, the moving std also flags the sample before a spike, so a
-    # run seldom starts on an amplitude flag except at a series' first sample.
+    # Steps make long moving-std runs with no amplitude flag next to the
+    # spikes, so both triggers occur.
     walks[::3, 300:] += 30 * walks[::3].std(axis=1, keepdims=True)
     walks[1::4, 0] += 40 * walks[1::4].std(axis=1)
     n_segments = 0
@@ -121,6 +123,20 @@ def test_detection_matches_loop_reference(fs, pad_s):
         triggers.update(seg.trigger for seg in got)
     assert n_segments > 40
     assert triggers == {"amplitude", "moving_std"}
+
+
+def test_spike_segments_are_labelled_amplitude():
+    # From a 3-sample window up (3.9 Hz at 1 s) the moving std also flags the
+    # sample before each spike, so every run starts on a moving-std flag.
+    x = np.random.default_rng(6).normal(0, 1.0, size=1200)
+    spikes = [100, 300, 500, 700, 900, 1100]
+    x[spikes] += 500
+    segs = detect_artifacts(x, FS, channel_id="c")
+    assert len(segs) == 6
+    for seg, at in zip(segs, spikes):
+        assert seg.start < at < seg.end
+    assert [seg.trigger for seg in segs] == ["amplitude"] * 6
+    assert segs == _detect_artifacts_loop(x, FS)
 
 
 def test_detection_merges_overlapping_padded_runs_like_loop():

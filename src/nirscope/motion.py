@@ -227,14 +227,12 @@ def _dwt_synthesis(approx: np.ndarray, levels) -> np.ndarray:
     c = approx
     k = c.shape[0]
     for detail, idx, N in reversed(levels):
-        out = np.zeros(k * N)
-        rows = (np.arange(k) * N)[:, None, None]
-        np.add.at(
-            out,
-            idx[None] + rows,
-            c[:, :, None] * _DB4_LO + detail[:, :, None] * _DB4_HI,
-        )
-        c = out.reshape(k, N)
+        contrib = (c[:, :, None] * _DB4_LO + detail[:, :, None] * _DB4_HI).reshape(k, -1)
+        # Every output sample takes four contributions. Gather them in the
+        # order np.add.at would add them (their flat position) and sum from
+        # 0.0 as it does, so the result, -0.0 included, is the same.
+        v = contrib[:, np.argsort(idx.ravel(), kind="stable").reshape(N, 4)]
+        c = 0.0 + v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3]
     return c
 
 

@@ -48,6 +48,11 @@ REPORT_FILES = (
 )
 
 _MICROMOLAR = 1e6  # report curves in umol/L
+# Hemoglobin samples (recordings x 2 x long channels x samples) preprocessed
+# together. The spline and the band-pass copy them, so this bounds their
+# memory (16 MB of series) on large datasets and long recordings; the 12 + 12
+# synthetic dataset (1.57 million samples) is one chunk.
+_CHUNK_CELLS = 1 << 21
 
 
 class PipelineError(Exception):
@@ -127,16 +132,10 @@ class PipelineConfig:
         )
 
 
-def preprocess_recording(recording, montage, config: PipelineConfig) -> HemoSeries:
-    """Raw intensities to band-limited hemoglobin concentration changes.
-
-    Order: optical density, short-channel regression (per wavelength, on
-    OD), Beer-Lambert inversion, spline + wavelet motion correction, then
-    the band-pass. Every step is recorded in the provenance.
-    """
-    spec = config.bandpass_spec()
-    extinction = optics.default_extinction_table()
-    fs = recording.sample_rate_hz
+def _hemoglobin(recording, montage, config: PipelineConfig, extinction, out) -> list:
+    """Optical density, short-channel regression and Beer-Lambert inversion
+    of one recording into ``out`` (2, long channels, samples): hbo, then hbr.
+    Returns the provenance of these steps."""
     wl = recording.wavelengths_nm
     ids = list(recording.channel_ids)
     index = {c: i for i, c in enumerate(ids)}
@@ -164,11 +163,9 @@ def preprocess_recording(recording, montage, config: PipelineConfig) -> HemoSeri
             ProvenanceStep.make("short_channel_regression", method="shared_source")
         )
 
-    hbo = np.empty((len(longs), recording.n_samples))
-    hbr = np.empty_like(hbo)
     for li, ch in enumerate(longs):
         i = index[ch.id]
-        hbo[li], hbr[li] = optics.mbll_invert(
+        out[0, li], out[1, li] = optics.mbll_invert(
             (od[wl[0]][i], od[wl[1]][i]), wl, ch.distance_m, extinction
         )
     provenance.append(
@@ -178,26 +175,69 @@ def preprocess_recording(recording, montage, config: PipelineConfig) -> HemoSeri
             dpf=[extinction.pathlength_factor(w) for w in wl],
         )
     )
+    return provenance
+
+
+def _correct_motion(rows: np.ndarray, fs: float, longs, config: PipelineConfig) -> None:
+    """Spline + wavelet motion correction, in place, of the rows of
+    (series, long channels) that have detected artifacts.
+
+    Rows with no detected artifacts are left untouched, so clean recordings
+    survive motion correction bit-for-bit. One spline call fits the flagged
+    rows of every series; the wavelet pass runs once per series, because
+    one call over every flagged row at once runs slower, out of cache.
+    """
+    segments = [
+        detect_artifacts(
+            row, fs, amp_threshold=config.motion_amp_sigma,
+            channel_id=longs[i % len(longs)].id,
+        )
+        for i, row in enumerate(rows)
+    ]
+    flagged = np.flatnonzero([bool(segs) for segs in segments])
+    if not flagged.size:
+        return
+    fixed = spline_correct(rows[flagged], [segments[i] for i in flagged], fs=fs)
+    series_of = flagged // len(longs)
+    for series in np.unique(series_of):
+        mine = series_of == series
+        rows[flagged[mine]] = wavelet_correct(fixed[mine], iqr_multiplier=config.motion_iqr)
+
+
+def _preprocess(recordings, montage, config: PipelineConfig) -> list[HemoSeries]:
+    """Preprocess recordings, in order, into hemo series.
+
+    Each recording's hemoglobin series come from its own intensities, into
+    one stack per (sample rate, length). One spline call fits the flagged
+    rows of a stack, and one band-pass call per sample rate filters all of
+    its stacks, whatever their lengths. Every row comes out exactly as it
+    would on its own, so a recording's result does not depend on which
+    others share the calls.
+    """
+    spec = config.bandpass_spec()
+    extinction = optics.default_extinction_table()
+    longs = montage.long_channels
+    groups: dict[tuple[float, int], list[int]] = {}
+    for i, rec in enumerate(recordings):
+        groups.setdefault((rec.sample_rate_hz, rec.n_samples), []).append(i)
+    # (recording, chromophore, channel, sample); chromophore 0 is hbo.
+    stacks = {
+        key: np.empty((len(members), 2, len(longs), key[1]))
+        for key, members in groups.items()
+    }
+    provenance = [None] * len(recordings)
+    for key, members in groups.items():
+        for i, out in zip(members, stacks[key]):
+            provenance[i] = _hemoglobin(recordings[i], montage, config, extinction, out)
+    steps = []
 
     if config.motion_correction:
-        # Channels with no detected artifacts are left untouched; the spline
-        # and wavelet passes only run on the flagged rows, so clean recordings
-        # survive motion correction bit-for-bit.
-        for arr in (hbo, hbr):
-            segments = [
-                detect_artifacts(
-                    arr[li], fs, amp_threshold=config.motion_amp_sigma,
-                    channel_id=longs[li].id,
-                )
-                for li in range(arr.shape[0])
-            ]
-            flagged = [li for li, segs in enumerate(segments) if segs]
-            if flagged:
-                rows = spline_correct(
-                    arr[flagged], [segments[li] for li in flagged], fs=fs
-                )
-                arr[flagged] = wavelet_correct(rows, iqr_multiplier=config.motion_iqr)
-        provenance.append(
+        # Its own function, so that the spline's copies of the flagged rows
+        # are freed before the band-pass allocates its buffer: that call sets
+        # the peak memory of a run.
+        for (fs, n), stack in stacks.items():
+            _correct_motion(stack.reshape(-1, n), fs, longs, config)
+        steps.append(
             ProvenanceStep.make(
                 "motion_correction",
                 order="spline_then_wavelet",
@@ -206,9 +246,12 @@ def preprocess_recording(recording, montage, config: PipelineConfig) -> HemoSeri
             )
         )
 
-    hbo = bandpass(hbo, spec, fs)
-    hbr = bandpass(hbr, spec, fs)
-    provenance.append(
+    rates: dict[float, list[tuple[float, int]]] = {}
+    for key in stacks:
+        rates.setdefault(key[0], []).append(key)
+    for fs, keys in rates.items():
+        stacks.update(zip(keys, bandpass([stacks[key] for key in keys], spec, fs)))
+    steps.append(
         ProvenanceStep.make(
             "bandpass",
             low_cut_hz=spec.low_cut_hz,
@@ -218,28 +261,57 @@ def preprocess_recording(recording, montage, config: PipelineConfig) -> HemoSeri
         )
     )
 
-    return HemoSeries(
-        participant_id=recording.participant_id,
-        group=recording.group,
-        sample_rate_hz=fs,
-        channel_ids=tuple(ch.id for ch in longs),
-        hbo=hbo,
-        hbr=hbr,
-        annotations=recording.annotations,
-        provenance=tuple(provenance),
-    )
+    hemo = [None] * len(recordings)
+    for key, members in groups.items():
+        for i, series in zip(members, stacks[key]):
+            hemo[i] = series
+    return [
+        HemoSeries(
+            participant_id=rec.participant_id,
+            group=rec.group,
+            sample_rate_hz=rec.sample_rate_hz,
+            channel_ids=tuple(ch.id for ch in longs),
+            hbo=hbo,
+            hbr=hbr,
+            annotations=rec.annotations,
+            provenance=tuple(prov + steps),
+        )
+        for rec, prov, (hbo, hbr) in zip(recordings, provenance, hemo)
+    ]
+
+
+def preprocess_recording(recording, montage, config: PipelineConfig) -> HemoSeries:
+    """Raw intensities to band-limited hemoglobin concentration changes.
+
+    Order: optical density, short-channel regression (per wavelength, on
+    OD), Beer-Lambert inversion, spline + wavelet motion correction, then
+    the band-pass. Every step is recorded in the provenance.
+    """
+    return _preprocess([recording], montage, config)[0]
 
 
 def preprocess_dataset(dataset: Dataset, config: PipelineConfig) -> Dataset:
-    """Preprocess every recording into a hemo-series dataset."""
+    """Preprocess every recording into a hemo-series dataset.
+
+    Consecutive recordings of at most _CHUNK_CELLS hemoglobin samples in
+    all are preprocessed together: one band-pass call per sample rate and
+    one spline call per (sample rate, length). Each recording comes out
+    exactly as ``preprocess_recording`` gives it.
+    """
     if dataset.kind != "intensity":
         return dataset
-    hemo = tuple(
-        preprocess_recording(rec, dataset.montage, config) for rec in dataset.recordings
-    )
+    per_sample = 2 * len(dataset.montage.long_channels)
+    hemo, chunk, cells = [], [], 0
+    for rec in dataset.recordings:
+        if chunk and cells + per_sample * rec.n_samples > _CHUNK_CELLS:
+            hemo += _preprocess(chunk, dataset.montage, config)
+            chunk, cells = [], 0
+        chunk.append(rec)
+        cells += per_sample * rec.n_samples
+    hemo += _preprocess(chunk, dataset.montage, config)
     return Dataset(
         montage=dataset.montage,
-        hemo=hemo,
+        hemo=tuple(hemo),
         creator=dataset.creator,
         seed=dataset.seed,
     )

@@ -4,6 +4,11 @@ The default 0.05-0.7 Hz Butterworth band-pass keeps the hemodynamic band
 while rejecting slow drifts below and cardiac/respiratory oscillations
 above. Zero-phase application (forward-backward) squares the magnitude
 response and cancels group delay.
+
+Design and filtering are a numpy port of scipy.signal's ``butter``,
+``sosfilt_zi`` and ``sosfiltfilt`` that reproduces them bit for bit, so the
+output does not depend on the installed scipy and a process that filters
+never imports scipy.signal (which also loads scipy.stats).
 """
 
 from __future__ import annotations
@@ -53,79 +58,247 @@ class BandpassSpec:
             )
 
 
-def bandpass_sos(spec: BandpassSpec, fs: float) -> np.ndarray:
-    """Second-order sections of the designed band-pass."""
-    from scipy import signal as sps
+def _cplxreal(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # One member (positive imaginary part) of each conjugate pair, and the
+    # real values, both sorted; scipy.signal._filter_design._cplxreal.
+    tol = 100 * np.finfo(float).eps
+    z = z[np.lexsort((abs(z.imag), z.real))]
+    real_indices = abs(z.imag) <= tol * abs(z)
+    zr = z[real_indices].real
+    if len(zr) == len(z):
+        return np.array([]), zr
+    z = z[~real_indices]
+    zp = z[z.imag > 0]
+    zn = z[z.imag < 0]
+    same_real = np.diff(zp.real) <= tol * abs(zp[:-1])
+    diffs = np.diff(np.concatenate(([0], same_real, [0])))
+    for start, stop in zip(np.nonzero(diffs > 0)[0], np.nonzero(diffs < 0)[0] + 1):
+        for chunk in (zp[start:stop], zn[start:stop]):
+            chunk[...] = chunk[np.lexsort([abs(chunk.imag)])]
+    return (zp + zn.conj()) / 2, zr
 
+
+def _poly(roots) -> np.ndarray:
+    # Monic polynomial with these roots, highest power first. Complex roots
+    # come in conjugate pairs, so the coefficients are real.
+    roots = np.asarray(roots)
+    a = np.ones(1, dtype=roots.dtype)
+    for root in roots:
+        a = np.convolve(a, np.stack((np.ones_like(root), -root)), mode="full")
+    return a.real
+
+
+def _zpk2sos(z: np.ndarray, p: np.ndarray, k: float) -> np.ndarray:
+    # scipy.signal.zpk2sos with 'nearest' pairing, for a digital band-pass
+    # Butterworth: every zero is real (+1 or -1) and real poles come in pairs,
+    # so every section takes two poles and two zeros. Sections are filled
+    # from the last, each taking the remaining pole nearest the unit circle
+    # and the two remaining zeros nearest that pole.
+    z = np.sort(z.real)
+    p = np.concatenate(_cplxreal(p))
+    sos = np.zeros((len(z) // 2, 6))
+    for si in range(len(sos) - 1, -1, -1):
+        p1_idx = np.argmin(np.abs(1 - np.abs(p)))
+        p1 = p[p1_idx]
+        p = np.delete(p, p1_idx)
+        if np.isreal(p1):
+            real = np.flatnonzero(np.isreal(p))
+            p2_idx = real[np.argmin(np.abs(1 - np.abs(p[real])))]
+            p2 = p[p2_idx]
+            p = np.delete(p, p2_idx)
+        else:
+            p2 = p1.conj()
+        pair = []
+        for _ in range(2):
+            z_idx = np.argsort(np.abs(z - p1))[0]
+            pair.append(z[z_idx])
+            z = np.delete(z, z_idx)
+        sos[si, :3] = _poly(pair)
+        sos[si, 3:] = _poly([p1, p2])
+    sos[0, :3] *= k
+    return sos
+
+
+def bandpass_sos(spec: BandpassSpec, fs: float) -> np.ndarray:
+    """Second-order sections of the designed band-pass.
+
+    Equal, bit for bit, to ``scipy.signal.butter(spec.order // 2, band,
+    btype="band", fs=fs, output="sos")``: the same operations in the same
+    order (analog prototype, band-pass transform, bilinear transform,
+    pairing into sections), so the design does not depend on the installed
+    scipy.
+    """
     spec.validate_for(fs)
-    return sps.butter(
-        spec.order // 2,
-        [spec.low_cut_hz, spec.high_cut_hz],
-        btype="band",
-        fs=fs,
-        output="sos",
+    n = spec.order // 2
+    fs = float(fs)
+    wn = np.asarray([spec.low_cut_hz, spec.high_cut_hz], dtype=np.float64) / (fs / 2)
+    # Analog Butterworth prototype: n poles on the left unit semicircle.
+    m = np.arange(-n + 1, n, 2, dtype=np.float64)
+    p = -np.exp(1j * np.pi * m / (2 * n))
+    # Prewarp the band edges for the bilinear transform at fs = 2.
+    warped = 2 * 2.0 * np.tan(np.pi * wn / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    # Low-pass to band-pass: every pole splits in two, n zeros at the origin.
+    p_lp = p * bw / 2
+    p_bp = np.concatenate(
+        (p_lp + np.sqrt(p_lp**2 - wo**2), p_lp - np.sqrt(p_lp**2 - wo**2))
     )
+    z_bp = np.zeros(n, dtype=np.complex128)
+    # Bilinear transform at fs = 2; the n zeros at infinity go to Nyquist.
+    fs2 = 4.0
+    z_z = np.concatenate(((fs2 + z_bp) / (fs2 - z_bp), -np.ones(n)))
+    p_z = (fs2 + p_bp) / (fs2 - p_bp)
+    k_z = bw**n * np.real(np.prod(fs2 - z_bp) / np.prod(fs2 - p_bp))
+    return _zpk2sos(z_z, p_z, k_z)
 
 
 def bandpass_gain(spec: BandpassSpec, fs: float, freqs) -> np.ndarray:
     """Magnitude response at ``freqs`` (Hz), squared when zero-phase."""
-    from scipy import signal as sps
-
     sos = bandpass_sos(spec, fs)
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    _, h = sps.sosfreqz(sos, worN=freqs * (2 * np.pi / fs))
+    zm1 = np.exp(-1j * (freqs * (2 * np.pi / fs)))
+    h = 1.0
+    for b0, b1, b2, a0, a1, a2 in sos:
+        h = h * ((b0 + zm1 * (b1 + zm1 * b2)) / (a0 + zm1 * (a1 + zm1 * a2)))
     mag = np.abs(h)
     return mag**2 if spec.zero_phase else mag
+
+
+def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:
+    # Steady-state initial conditions of each section for a unit step:
+    # lfilter_zi's (I - A) zi = B with A the companion matrix of a, scaled by
+    # the DC gain of the sections before it (scipy.signal.sosfilt_zi).
+    zi = np.empty((sos.shape[0], 2))
+    scale = 1.0
+    for s, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        companion = np.array([[-a[1], -a[2]], [1.0, 0.0]])
+        zi[s] = scale * np.linalg.solve(np.eye(2) - companion.T, b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    return zi
+
+
+def _sosfilt(sos: np.ndarray, x, z) -> None:
+    """Filter ``x[0], x[1], ...`` in place through the sections of ``sos``.
+
+    ``z[s]`` is section s's initial two-element state. The samples and
+    states are floats, or arrays that filter their elements side by side.
+    Each section runs over all of ``x`` before the next; each is the direct
+    form II transposed recursion of scipy's ``_sosfilt``, operation for
+    operation, so the output is the same to the bit.
+    """
+    for (b0, b1, b2, _, a1, a2), (z0, z1) in zip(sos.tolist(), z):
+        for t in range(len(x)):
+            xc = x[t]
+            y = b0 * xc + z0
+            z0 = b1 * xc - a1 * y + z1
+            z1 = b2 * xc - a2 * y
+            x[t] = y
 
 
 def _settle_len(sos: np.ndarray, fs: float, spec: BandpassSpec) -> int:
     # One filter-settling length: impulse response support down to 1e-8 of
     # its peak, bounded to keep padding finite for degenerate designs.
-    from scipy import signal as sps
-
     n_probe = int(min(60.0 / spec.low_cut_hz * fs, 1_000_000))
-    impulse = np.zeros(n_probe)
-    impulse[0] = 1.0
-    resp = np.abs(sps.sosfilt(sos, impulse))
+    impulse = [1.0] + [0.0] * (n_probe - 1)
+    _sosfilt(sos, impulse, [(0.0, 0.0)] * len(sos))
+    resp = np.abs(np.array(impulse))
     peak = resp.max()
     above = np.nonzero(resp > 1e-8 * peak)[0]
     return int(above[-1]) + 1 if above.size else 1
 
 
 @functools.lru_cache(maxsize=None)
-def _design(spec: BandpassSpec, fs: float) -> tuple[np.ndarray, int]:
-    # The SOS sections and the settle length depend only on (spec, fs), so a
-    # recording designs its filter once instead of once per channel.
+def _design(spec: BandpassSpec, fs: float) -> tuple[np.ndarray, np.ndarray, int]:
+    # The SOS sections, their step-response initial state and the settle
+    # length depend only on (spec, fs), so they are designed once.
     sos = bandpass_sos(spec, fs)
-    return sos, _settle_len(sos, fs, spec)
+    return sos, _sosfilt_zi(sos), _settle_len(sos, fs, spec)
 
 
-def bandpass(series, spec: BandpassSpec, fs: float) -> np.ndarray:
+def _filter_columns(sos: np.ndarray, zi: np.ndarray, buf: np.ndarray) -> None:
+    # Filter each column of buf (samples x rows) in place, starting from the
+    # steady state of its first sample.
+    _sosfilt(sos, buf, [(zi[s, 0] * buf[0], zi[s, 1] * buf[0]) for s in range(len(sos))])
+
+
+def _filter_rows(sos, zi, pieces, zero_phase: bool) -> None:
+    """Filter (rows, out, pad) pieces side by side in one (samples x rows)
+    buffer, writing each row's result into ``out``.
+
+    Each piece's rows, reflected by ``pad`` samples at both ends, fill the
+    start of their columns; columns of shorter series end in zeros, so the
+    recursion past their end runs on finite values. After
+    the forward pass every shorter series moves to the end of the buffer,
+    so the backward pass, over a reversed view, starts at the last sample
+    of every series. Columns never interact, so every row comes out as it
+    would on its own.
+    """
+    lengths = [rows.shape[1] + 2 * pad for rows, _, pad in pieces]
+    span = max(lengths)
+    buf = np.empty((span, sum(len(rows) for rows, _, _ in pieces)))
+    cols = []
+    c = 0
+    for (rows, _, pad), length in zip(pieces, lengths):
+        n = rows.shape[1]
+        col = buf[:, c : c + len(rows)]
+        c += len(rows)
+        col[pad : pad + n] = rows.T
+        if pad:
+            col[:pad] = rows[:, pad:0:-1].T
+            col[pad + n : length] = rows[:, -2 : -(pad + 2) : -1].T
+        col[length:] = 0.0
+        cols.append(col)
+    _filter_columns(sos, zi, buf)
+    if zero_phase:
+        for col, length in zip(cols, lengths):
+            if length < span:
+                col[span - length :] = col[:length]
+        # The backward pass stops at the first sample of the last series to
+        # end: what it would give over the leading padding is thrown away.
+        stop = max(rows.shape[1] + pad for rows, _, pad in pieces)
+        _filter_columns(sos, zi, buf[::-1][:stop])
+    for (rows, out, pad), col, length in zip(pieces, cols, lengths):
+        start = span - length + pad if zero_phase else 0
+        out[...] = col[start : start + rows.shape[1]].T
+
+
+def bandpass(series, spec: BandpassSpec, fs: float):
     """Apply the Butterworth band-pass along the last axis.
 
-    ``series`` is one series or an (..., n_samples) stack of them; every row
-    is filtered exactly as it would be on its own. Zero-phase mode filters
-    forward and backward with reflection padding of one filter-settling
-    length; output shape equals input shape.
-    """
-    from scipy import signal as sps
+    ``series`` is one series or an (..., n_samples) stack of them, and the
+    output has its shape; or it is a list of such arrays, whose lengths may
+    differ, and the output is a list of their filtered copies. Every row is
+    filtered exactly as it would be on its own. Zero-phase mode filters
+    forward and backward with even (reflection) padding of one
+    filter-settling length, as ``scipy.signal.sosfiltfilt(sos, x,
+    padtype="even", padlen=min(settle, n - 1))`` does, bit for bit;
+    single-pass mode starts from the steady state of the first sample.
 
-    x = np.asarray(series, dtype=float)
-    if x.ndim == 0:
-        raise ValueError("series must have at least one dimension, got a scalar")
-    n = x.shape[-1]
-    if n < 3 * spec.order:
-        raise ValueError(
-            f"series too short: {n} samples < 3x filter order ({3 * spec.order})"
-        )
-    sos, settle = _design(spec, fs)
-    if not spec.zero_phase:
-        # sosfilt wants zi as (n_sections, ..., 2): one initial state per row.
-        zi0 = sps.sosfilt_zi(sos).reshape(sos.shape[0], *(1,) * (x.ndim - 1), 2)
-        y, _ = sps.sosfilt(sos, x, axis=-1, zi=zi0 * x[..., :1])
-        return y
-    y = sps.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=min(settle, n - 1))
-    return np.ascontiguousarray(y)
+    The recursion steps over samples and works on many rows at once, so its
+    cost is per sample, nearly whatever the number of rows: one call on a
+    large stack, or a list of them, is much cheaper than one call per
+    small stack.
+    """
+    many = isinstance(series, list) and all(isinstance(s, np.ndarray) for s in series)
+    xs = [np.asarray(s, dtype=float) for s in (series if many else [series])]
+    for x in xs:
+        if x.ndim == 0:
+            raise ValueError("series must have at least one dimension, got a scalar")
+        if x.shape[-1] < 3 * spec.order:
+            raise ValueError(
+                f"series too short: {x.shape[-1]} samples < 3x filter order ({3 * spec.order})"
+            )
+    sos, zi, settle = _design(spec, fs)
+    outs = [np.empty(x.shape) for x in xs]
+    pieces = []
+    for x, out in zip(xs, outs):
+        n = x.shape[-1]
+        pad = min(settle, n - 1) if spec.zero_phase else 0
+        pieces.append((x.reshape(-1, n), out.reshape(-1, n), pad))
+    if sum(len(rows) for rows, _, _ in pieces):
+        _filter_rows(sos, zi, pieces, spec.zero_phase)
+    return outs if many else outs[0]
 
 
 def short_channel_regress(long, short) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""scipy is imported inside the functions that call it, never at module level.
+"""scipy is imported inside the functions that call it, never at module level,
+and never at all where numpy code does the work.
 
 A `run --dataset <hemo>` process never filters, fits a spline or synthesizes,
-so it should not pay for importing `scipy.signal` (which pulls in
-`scipy.stats`), `scipy.interpolate` or `scipy.optimize`.
+so it should not pay for importing `scipy.interpolate` or `scipy.optimize`.
+The band-pass is a numpy port of `scipy.signal`, so no process imports
+`scipy.signal` or, through it, `scipy.stats`: `preprocess` and `run` on raw
+intensities load only what the spline pulls in.
 """
 
 import ast
@@ -19,6 +22,7 @@ from nirscope.cli import EXIT_OK, main
 
 PACKAGE = Path(nirscope.__file__).parent
 UNUSED_ON_HEMO = ("scipy.interpolate", "scipy.optimize", "scipy.signal")
+NEVER_USED = ("scipy.signal", "scipy.stats")
 
 
 def _module_level_imports(tree: ast.AST):
@@ -82,3 +86,20 @@ def test_run_on_a_hemo_container_skips_filter_spline_and_solver_imports(tmp_path
     )
     assert "scipy.special" in loaded  # the p-values of the stats stage
     assert [k for k in loaded if k.startswith(UNUSED_ON_HEMO)] == []
+
+
+def test_preprocess_and_run_on_raw_intensities_skip_signal_and_stats(tmp_path):
+    raw = tmp_path / "raw"
+    assert main(["synth", "--patients", "2", "--controls", "2", "--seed", "1",
+                 "--out", str(raw)]) == EXIT_OK
+    commands = (
+        ["preprocess", "--dataset", str(raw), "--out", str(tmp_path / "hemo")],
+        ["run", "--dataset", str(raw), "--out", str(tmp_path / "report"),
+         "--folds", "2", "--seed", "1"],
+    )
+    for argv in commands:
+        loaded = _scipy_modules_after(
+            f"from nirscope.cli import main\nassert main({argv!r}) == {EXIT_OK}"
+        )
+        assert "scipy.interpolate" in loaded  # the motion-correction spline
+        assert [k for k in loaded if k.startswith(NEVER_USED)] == [], argv[0]

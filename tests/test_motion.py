@@ -3,6 +3,10 @@ import pytest
 
 from conftest import spiky_walks
 from nirscope.motion import (
+    _DB4_HI,
+    _DB4_LO,
+    _dwt_analysis,
+    _dwt_synthesis,
     _moving_std,
     ArtifactSegment,
     detect_artifacts,
@@ -311,3 +315,48 @@ def test_wavelet_rows_match_single_series(k, n):
     assert not np.array_equal(out, x)  # outliers were zeroed
     for i in range(k):
         assert np.array_equal(out[i], wavelet_correct(x[i]))
+
+
+def _add_at_synthesis(approx, levels):
+    """The inverse DWT as a scatter: np.add.at adds each contribution to its
+    output sample in flat order, starting from 0.0."""
+    c = approx
+    k = c.shape[0]
+    for detail, idx, N in reversed(levels):
+        out = np.zeros(k * N)
+        rows = (np.arange(k) * N)[:, None, None]
+        np.add.at(
+            out,
+            idx[None] + rows,
+            c[:, :, None] * _DB4_LO + detail[:, :, None] * _DB4_HI,
+        )
+        c = out.reshape(k, N)
+    return c
+
+
+@pytest.mark.parametrize("zeros", [1 / 3, 1.0])
+@pytest.mark.parametrize("n", [2, 4, 8, 64, 2048])
+@pytest.mark.parametrize("k", [1, 3, 20])
+def test_synthesis_gathers_in_add_at_order(k, n, zeros):
+    # Full depth from n covers every level size down to 2, where the filter
+    # wraps the level more than once. A share of the coefficients are zeros
+    # of either sign; where all four contributions to a sample are -0.0, a
+    # sum started from 0.0 gives +0.0, as np.add.at does. Synthesis itself
+    # never passes -0.0 up a level, so the top level is also synthesized
+    # alone, from approximations drawn like the details.
+    rng = np.random.default_rng(n + k)
+    approx, levels = _dwt_analysis(rng.normal(size=(k, n)))
+
+    def zero(a):
+        signed = np.where(rng.random(a.shape) < 0.5, -0.0, 0.0)
+        return np.where(rng.random(a.shape) < zeros, signed, a)
+
+    levels = [(zero(detail), idx, N) for detail, idx, N in levels]
+    for approx, levels in (
+        (zero(approx), levels),
+        (zero(rng.normal(size=(k, n // 2))), levels[:1]),
+    ):
+        want = _add_at_synthesis(approx, levels)
+        got = _dwt_synthesis(approx, levels)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

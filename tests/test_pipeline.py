@@ -1,7 +1,10 @@
 import hashlib
 
-from nirscope import synth
-from nirscope.pipeline import PipelineConfig, preprocess_dataset
+import pytest
+
+from nirscope import pipeline, synth
+from nirscope.model import Dataset, Recording
+from nirscope.pipeline import PipelineConfig, preprocess_dataset, preprocess_recording
 
 # sha256 over hbo.tobytes() + hbr.tobytes() of every recording, in order.
 # Recorded from the per-channel implementation, before preprocessing worked on
@@ -17,3 +20,75 @@ def test_preprocessed_hemo_matches_golden_digest():
         digest.update(rec.hbo.tobytes())
         digest.update(rec.hbr.tobytes())
     assert digest.hexdigest() == GOLDEN_HEMO_SHA256
+
+
+def _varied_dataset():
+    """Six recordings in four (sample rate, length) groups, no annotations."""
+    base, _ = synth.generate_dataset(n_patients=3, n_controls=3, seed=2)
+    shapes = [(3.9, 1638), (3.9, 1200), (3.9, 1638), (5.0, 1638), (3.9, 1200), (5.0, 1000)]
+    recordings = tuple(
+        Recording(
+            participant_id=rec.participant_id,
+            group=rec.group,
+            sample_rate_hz=fs,
+            wavelengths_nm=rec.wavelengths_nm,
+            channel_ids=rec.channel_ids,
+            intensity={w: a[:, :n] for w, a in rec.intensity.items()},
+        )
+        for rec, (fs, n) in zip(base.recordings, shapes)
+    )
+    return Dataset(montage=base.montage, recordings=recordings)
+
+
+# (sample rate, stack shapes) of each band-pass call. By default there is
+# one call per sample rate, whatever the lengths; chunks of at most two
+# 1638-sample recordings make one call per rate in each of three chunks.
+BANDPASS_CALLS = {
+    None: [
+        (3.9, [(2, 2, 20, 1638), (2, 2, 20, 1200)]),
+        (5.0, [(1, 2, 20, 1638), (1, 2, 20, 1000)]),
+    ],
+    2 * 2 * 20 * 1638: [
+        (3.9, [(1, 2, 20, 1638), (1, 2, 20, 1200)]),
+        (3.9, [(1, 2, 20, 1638)]),
+        (5.0, [(1, 2, 20, 1638)]),
+        (3.9, [(1, 2, 20, 1200)]),
+        (5.0, [(1, 2, 20, 1000)]),
+    ],
+}
+
+
+@pytest.mark.parametrize("chunk_cells", list(BANDPASS_CALLS))
+def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch, chunk_cells):
+    dataset = _varied_dataset()
+    config = PipelineConfig(seed=2)
+    if chunk_cells is not None:
+        monkeypatch.setattr(pipeline, "_CHUNK_CELLS", chunk_cells)
+    calls = {"bandpass": [], "spline_correct": 0}
+    bandpass = pipeline.bandpass
+    spline_correct = pipeline.spline_correct
+
+    def counted_bandpass(series, spec, fs):
+        calls["bandpass"].append((fs, [stack.shape for stack in series]))
+        return bandpass(series, spec, fs)
+
+    def counted_spline(*args, **kwargs):
+        calls["spline_correct"] += 1
+        return spline_correct(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "bandpass", counted_bandpass)
+    monkeypatch.setattr(pipeline, "spline_correct", counted_spline)
+    hemo = preprocess_dataset(dataset, config)
+    # Each band-pass call covers both chromophores of its recordings, one
+    # stack per length; there is at most one spline call per stack.
+    assert calls["bandpass"] == BANDPASS_CALLS[chunk_cells]
+    n_stacks = sum(len(shapes) for _, shapes in calls["bandpass"])
+    assert 1 <= calls["spline_correct"] <= n_stacks
+
+    for rec, series in zip(dataset.recordings, hemo.hemo):
+        alone = preprocess_recording(rec, dataset.montage, config)
+        assert series.participant_id == rec.participant_id
+        assert series.sample_rate_hz == rec.sample_rate_hz
+        assert series.provenance == alone.provenance
+        assert series.hbo.tobytes() == alone.hbo.tobytes()
+        assert series.hbr.tobytes() == alone.hbr.tobytes()

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from conftest import spiky_walks
 from nirscope.signal import (
     BandpassSpec,
+    _design,
     bandpass,
     bandpass_gain,
+    bandpass_sos,
     match_short_channel,
     short_channel_regress,
 )
@@ -239,3 +242,101 @@ def test_bandpass_filters_the_last_axis_of_any_stack():
     for i in range(2):
         for j in range(3):
             assert np.array_equal(out[i, j], bandpass(x[i, j], BandpassSpec(), FS))
+
+
+# --- scipy.signal as the oracle of the numpy port ---
+
+BANDS = ((0.05, 0.7), (0.01, 0.5), (0.1, 0.3), (0.02, 1.5), (0.5, 0.6), (0.9, 1.0))
+RATES = (3.9, 3.90625, 7.8125, 10.0, 50.0)
+
+
+def _scipy_design(spec, fs):
+    sos = sps.butter(
+        spec.order // 2, [spec.low_cut_hz, spec.high_cut_hz], btype="band", fs=fs, output="sos"
+    )
+    n_probe = int(min(60.0 / spec.low_cut_hz * fs, 1_000_000))
+    impulse = np.zeros(n_probe)
+    impulse[0] = 1.0
+    resp = np.abs(sps.sosfilt(sos, impulse))
+    above = np.nonzero(resp > 1e-8 * resp.max())[0]
+    return sos, int(above[-1]) + 1 if above.size else 1
+
+
+@pytest.mark.parametrize("fs", RATES)
+@pytest.mark.parametrize("order", [2, 4, 6, 8, 10])
+def test_design_equals_scipy_butter(order, fs):
+    checked = 0
+    for low, high in BANDS:
+        spec = BandpassSpec(low, high, order=order)
+        if high >= fs / 2:
+            continue
+        sos, settle = _scipy_design(spec, fs)
+        assert np.array_equal(bandpass_sos(spec, fs), sos)
+        assert _design(spec, fs)[2] == settle
+        freqs = np.linspace(0.001, 0.999 * fs / 2, 97)
+        _, h = sps.sosfreqz(sos, worN=freqs * (2 * np.pi / fs))
+        single = BandpassSpec(low, high, order=order, zero_phase=False)
+        assert np.abs(bandpass_gain(single, fs, freqs) - np.abs(h)).max() <= 1e-12
+        checked += 1
+    assert checked >= 4
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 600), (7, 333), (960, 1638), (2, 3, 401)], ids=lambda s: "x".join(map(str, s))
+)
+def test_zero_phase_equals_scipy_sosfiltfilt(shape):
+    spec = BandpassSpec()
+    sos, settle = _scipy_design(spec, FS)
+    x = spiky_walks(int(np.prod(shape[:-1])), shape[-1], seed=shape[0]).reshape(shape)
+    n = shape[-1]
+    want = sps.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=min(settle, n - 1))
+    assert np.array_equal(bandpass(x, spec, FS), want)
+
+
+@pytest.mark.parametrize("n", [12, 13, 40, 305, 306, 307, 1000, 1637, 1638])
+@pytest.mark.parametrize("low_cut", [0.05, 0.01])
+def test_zero_phase_equals_sosfiltfilt_at_every_padding(n, low_cut):
+    # At 0.05 Hz the settle length is 305 samples; at 0.01 Hz it exceeds
+    # 1637, so the padding is n - 1 for every n here.
+    spec = BandpassSpec(low_cut_hz=low_cut)
+    sos, settle = _scipy_design(spec, FS)
+    x = spiky_walks(3, n, seed=n)
+    want = sps.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=min(settle, n - 1))
+    assert np.array_equal(bandpass(x, spec, FS), want)
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_single_pass_equals_scipy_sosfilt_from_steady_state(order):
+    spec = BandpassSpec(order=order, zero_phase=False)
+    sos, _ = _scipy_design(spec, FS)
+    x = spiky_walks(5, 700, seed=order)
+    want, _ = sps.sosfilt(sos, x, axis=-1, zi=sps.sosfilt_zi(sos)[:, None, :] * x[:, :1])
+    assert np.array_equal(bandpass(x, spec, FS), want)
+
+
+@pytest.mark.parametrize("zero_phase", [True, False])
+def test_list_of_stacks_of_any_length_equals_scipy(zero_phase):
+    # Stacks of different lengths share one buffer; each row must still
+    # come out as scipy filters it alone.
+    spec = BandpassSpec(low_cut_hz=0.01, zero_phase=zero_phase)
+    sos, settle = _scipy_design(spec, FS)
+    shapes = [(3, 1638), (2, 2, 40), (5, 700), (1, 12), (2, 1638)]
+    series = [
+        spiky_walks(int(np.prod(s[:-1])), s[-1], seed=i).reshape(s) for i, s in enumerate(shapes)
+    ]
+    out = bandpass(series, spec, FS)
+    assert isinstance(out, list) and len(out) == len(series)
+    for x, got in zip(series, out):
+        n = x.shape[-1]
+        if zero_phase:
+            want = sps.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=min(settle, n - 1))
+        else:
+            zi = sps.sosfilt_zi(sos).reshape(len(sos), *(1,) * (x.ndim - 1), 2)
+            want, _ = sps.sosfilt(sos, x, axis=-1, zi=zi * x[..., :1])
+        assert got.shape == x.shape
+        assert np.array_equal(got, want)
+
+
+def test_bandpass_of_no_rows_is_empty():
+    assert bandpass(np.zeros((0, 50)), BandpassSpec(), FS).shape == (0, 50)
+    assert bandpass([], BandpassSpec(), FS) == []

@@ -3,9 +3,12 @@
 Detection flags amplitude excursions and moving-variance bursts; flagged
 segments get a cubic smoothing-spline trend subtraction re-anchored to the
 local baseline, and a wavelet pass zeroes detail coefficients that are
-interquartile-range outliers within their decomposition level. The wavelet
-transform is a self-contained periodized Daubechies-4 DWT so results are
-bit-stable across platforms.
+interquartile-range outliers within their decomposition level. The spline
+is a numpy Reinsch solve with knots at the sample index; it agrees with
+``scipy.interpolate.make_smoothing_spline`` to 1e-14 of each segment's
+largest |value| at the default ``lam``. The wavelet transform is a
+self-contained periodized Daubechies-4 DWT so results are bit-stable across
+platforms.
 """
 
 from __future__ import annotations
@@ -121,6 +124,50 @@ def detect_artifacts(
     ]
 
 
+def _smoothing_spline(y: np.ndarray, lam: float) -> np.ndarray:
+    """Knot values of the cubic smoothing spline of each column of ``y``.
+
+    ``y`` is (L, m) with L >= 5 and knots at the sample index 0..L-1. The
+    spline minimizes sum (y - f)^2 + lam * integral f''^2, as
+    ``scipy.interpolate.make_smoothing_spline(t, y, lam=lam)(t)`` does, in
+    Reinsch's form (Reinsch 1967) with unit knot spacing: f = y - lam Q g,
+    where (R + lam Q'Q) g = Q'y, Q is the (L, L-2) second difference
+    (columns 1, -2, 1) and R is tridiagonal with 2/3 on the diagonal and
+    1/6 beside it. R + lam Q'Q is a symmetric positive definite
+    pentadiagonal Toeplitz matrix, solved by a banded LDL' over all columns
+    at once, so every column comes out exactly as it would on its own.
+    """
+    n = y.shape[0] - 2
+    a0, a1, a2 = 2.0 / 3.0 + 6.0 * lam, 1.0 / 6.0 - 4.0 * lam, lam
+    # LDL': L[k, k-1] = l1[k], L[k, k-2] = l2[k], D = diag(d). For k < 2,
+    # d[k - 1] and d[k - 2] wrap to entries not yet set (0.0), which meet
+    # only zero multipliers.
+    d, l1, l2 = [0.0] * n, [0.0] * n, [0.0] * n
+    for k in range(n):
+        if k >= 2:
+            l2[k] = a2 / d[k - 2]
+        if k >= 1:
+            l1[k] = (a1 - l2[k] * d[k - 2] * l1[k - 1]) / d[k - 1]
+        d[k] = a0 - l1[k] * l1[k] * d[k - 1] - l2[k] * l2[k] * d[k - 2]
+
+    g = y[2:] - 2.0 * y[1:-1] + y[:-2]  # Q'y
+    for k in range(1, n):
+        g[k] -= l1[k] * g[k - 1]
+        if k >= 2:
+            g[k] -= l2[k] * g[k - 2]
+    g /= np.array(d)[:, None]
+    for k in range(n - 2, -1, -1):
+        g[k] -= l1[k + 1] * g[k + 1]
+        if k + 2 < n:
+            g[k] -= l2[k + 2] * g[k + 2]
+
+    qg = np.zeros_like(y)  # Q g
+    qg[:-2] += g
+    qg[1:-1] -= 2.0 * g
+    qg[2:] += g
+    return y - lam * qg
+
+
 def spline_correct(
     series,
     segments: list[ArtifactSegment] | list[list[ArtifactSegment]],
@@ -135,17 +182,29 @@ def spline_correct(
     mean of the ``baseline_s`` seconds before it (after it when the segment
     starts the series), so no step discontinuity remains at segment
     boundaries. Samples outside segments are never modified. Segments of a
-    row must not overlap.
+    row must not overlap. The input is not modified.
 
     The spline abscissa is the sample index, so all segments of one length
     share it and are fitted in one call; every row comes out exactly as it
     would on its own.
     """
-    from scipy.interpolate import make_smoothing_spline
-
     x = np.array(series, dtype=float)
     if x.ndim == 1:
-        return spline_correct(x[None], [segments], fs, lam, baseline_s)[0]
+        _spline_correct_in_place(x[None], [segments], fs, lam, baseline_s)
+    else:
+        _spline_correct_in_place(x, segments, fs, lam, baseline_s)
+    return x
+
+
+def _spline_correct_in_place(
+    x: np.ndarray,
+    segments: list[list[ArtifactSegment]],
+    fs: float = 1.0,
+    lam: float = 1e-3,
+    baseline_s: float = 2.0,
+) -> np.ndarray:
+    """``spline_correct`` of a (k, n) float array, written into ``x``, which
+    is returned."""
     if x.ndim != 2 or len(segments) != x.shape[0]:
         raise ValueError(
             f"need a (k, n) array with k segment lists, got shape {x.shape} "
@@ -176,9 +235,8 @@ def spline_correct(
                 y = x[r, a : a + length]
                 trends[r, a] = np.full(length, y.mean())
             continue
-        t = np.arange(length, dtype=float)
         y = np.stack([x[r, a : a + length] for r, a in starts], axis=1)
-        fitted = make_smoothing_spline(t, y, lam=lam)(t)
+        fitted = _smoothing_spline(y, lam)
         for j, key in enumerate(starts):
             trends[key] = fitted[:, j]
 

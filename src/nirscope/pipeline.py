@@ -20,7 +20,9 @@ import numpy as np
 from . import __version__, epochs as epochs_mod, explain, learn, optics, report, stats, synth
 from .features import SUMMARY_STATS, FeatureMode, default_select_k
 from .model import Dataset, EpochSet, HemoSeries, ProvenanceStep, load_dataset, merge_epoch_sets
-from .motion import detect_artifacts, spline_correct, wavelet_correct
+from .motion import detect_artifacts, wavelet_correct
+# The in-place fit, bound under the name that stage timings and tests patch.
+from .motion import _spline_correct_in_place as spline_correct
 from .signal import BandpassSpec, bandpass, match_short_channel, short_channel_regress
 
 __all__ = [
@@ -49,8 +51,8 @@ REPORT_FILES = (
 
 _MICROMOLAR = 1e6  # report curves in umol/L
 # Hemoglobin samples (recordings x 2 x long channels x samples) preprocessed
-# together. The spline and the band-pass copy them, so this bounds their
-# memory (16 MB of series) on large datasets and long recordings; the 12 + 12
+# together. The band-pass copies them, so this bounds its memory (16 MB of
+# series) on large datasets and long recordings; the 12 + 12
 # synthetic dataset (1.57 million samples) is one chunk.
 _CHUNK_CELLS = 1 << 21
 
@@ -184,8 +186,8 @@ def _correct_motion(rows: np.ndarray, fs: float, longs, config: PipelineConfig) 
 
     Rows with no detected artifacts are left untouched, so clean recordings
     survive motion correction bit-for-bit. One spline call fits the flagged
-    rows of every series; the wavelet pass runs once per series, because
-    one call over every flagged row at once runs slower, out of cache.
+    rows of every series, in place; the wavelet pass runs once per series,
+    because one call over every flagged row at once runs slower, out of cache.
     """
     segments = [
         detect_artifacts(
@@ -197,11 +199,11 @@ def _correct_motion(rows: np.ndarray, fs: float, longs, config: PipelineConfig) 
     flagged = np.flatnonzero([bool(segs) for segs in segments])
     if not flagged.size:
         return
-    fixed = spline_correct(rows[flagged], [segments[i] for i in flagged], fs=fs)
+    spline_correct(rows, segments, fs=fs)
     series_of = flagged // len(longs)
     for series in np.unique(series_of):
-        mine = series_of == series
-        rows[flagged[mine]] = wavelet_correct(fixed[mine], iqr_multiplier=config.motion_iqr)
+        mine = flagged[series_of == series]
+        rows[mine] = wavelet_correct(rows[mine], iqr_multiplier=config.motion_iqr)
 
 
 def _preprocess(recordings, montage, config: PipelineConfig) -> list[HemoSeries]:
@@ -232,9 +234,6 @@ def _preprocess(recordings, montage, config: PipelineConfig) -> list[HemoSeries]
     steps = []
 
     if config.motion_correction:
-        # Its own function, so that the spline's copies of the flagged rows
-        # are freed before the band-pass allocates its buffer: that call sets
-        # the peak memory of a run.
         for (fs, n), stack in stacks.items():
             _correct_motion(stack.reshape(-1, n), fs, longs, config)
         steps.append(

@@ -12,6 +12,7 @@ GroundTruth object for later verification.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -135,10 +136,63 @@ class GroundTruth:
     true_peak_s: dict[str, dict[str, float]]  # pid -> chromophore -> target-channel peak
 
 
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of ``f`` in [xa, xb] by Brent's method.
+
+    A step-for-step port of scipy's C ``brentq``
+    (scipy/optimize/Zeros/brentq.c) on Python floats, with its default
+    ``rtol`` and ``maxiter``, so it returns the same float as
+    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol)``.
+    """
+    rtol, maxiter = 4 * 2.0**-52, 100
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
+
+
 @lru_cache(maxsize=32)
 def _hrf_params(peak_s: float, undershoot_s: float, undershoot_ratio: float):
     """Solve the main-lobe gamma mode so the combined extremum sits at peak_s."""
-    from scipy.optimize import brentq
 
     def g(t, mode, shape):
         t = np.asarray(t, dtype=float)
@@ -160,7 +214,7 @@ def _hrf_params(peak_s: float, undershoot_s: float, undershoot_ratio: float):
     if target == 0.0:
         mode = peak_s
     else:
-        mode = brentq(excess, 0.5 * peak_s, 4.0 * peak_s, xtol=1e-12)
+        mode = _brentq(excess, 0.5 * peak_s, 4.0 * peak_s, xtol=1e-12)
     peak_value = float(
         g(np.array([peak_s]), mode, _HRF_SHAPE_MAIN)[0]
         - undershoot_ratio * g(np.array([peak_s]), undershoot_s, _HRF_SHAPE_UNDER)[0]

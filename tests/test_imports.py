@@ -1,11 +1,11 @@
-"""scipy is imported inside the functions that call it, never at module level,
-and never at all where numpy code does the work.
+"""No module of the package imports scipy; scipy serves the tests only, as an
+oracle.
 
-A `run --dataset <hemo>` process never filters, fits a spline or synthesizes,
-so it should not pay for importing `scipy.interpolate` or `scipy.optimize`.
-The band-pass is a numpy port of `scipy.signal`, so no process imports
-`scipy.signal` or, through it, `scipy.stats`: `preprocess` and `run` on raw
-intensities load only what the spline pulls in.
+The last three scipy calls have numpy ports: the root solve of `synth`
+(`brentq`), the smoothing spline of motion correction and the incomplete beta
+function of the p-values. The source must hold no scipy import, at module
+level or inside a function, and `synth`, `preprocess`, `run` on raw
+intensities, `run --dataset <hemo>` and `stats` must each load no scipy module.
 """
 
 import ast
@@ -21,28 +21,35 @@ import nirscope
 from nirscope.cli import EXIT_OK, main
 
 PACKAGE = Path(nirscope.__file__).parent
-UNUSED_ON_HEMO = ("scipy.interpolate", "scipy.optimize", "scipy.signal")
-NEVER_USED = ("scipy.signal", "scipy.stats")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
-def _module_level_imports(tree: ast.AST):
-    """Import statements that run when the module is imported: everything
-    outside a function body."""
-    stack = [tree]
+def _imports(tree: ast.AST, in_functions: bool):
+    """Import statements inside function bodies, or everywhere else."""
+    stack = [(tree, False)]
     while stack:
-        node = stack.pop()
+        node, inside = stack.pop()
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(child, (ast.Import, ast.ImportFrom)):
+            child_inside = inside or isinstance(child, FUNCTIONS)
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and child_inside == in_functions:
                 yield child
-            stack.append(child)
+            stack.append((child, child_inside))
 
 
 def _imported_names(node) -> list[str]:
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
     return [node.module or ""] if node.level == 0 else []
+
+
+def _scipy_imports(path: Path, in_functions: bool) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in _imports(tree, in_functions)
+        for name in _imported_names(node)
+        if name == "scipy" or name.startswith("scipy.")
+    ]
 
 
 def _scipy_modules_after(code: str) -> list[str]:
@@ -58,48 +65,61 @@ def _scipy_modules_after(code: str) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _scipy_modules_after_main(argv: list[str]) -> list[str]:
+    return _scipy_modules_after(
+        f"from nirscope.cli import main\nassert main({argv!r}) == {EXIT_OK}"
+    )
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_level_scipy_import(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    offending = [
-        f"{path.name}:{node.lineno}"
-        for node in _module_level_imports(tree)
-        for name in _imported_names(node)
-        if name == "scipy" or name.startswith("scipy.")
-    ]
-    assert offending == []
+    assert _scipy_imports(path, in_functions=False) == []
+
+
+def test_no_scipy_import_inside_functions():
+    assert [hit for path in sorted(PACKAGE.glob("*.py"))
+            for hit in _scipy_imports(path, in_functions=True)] == []
 
 
 def test_importing_the_cli_loads_no_scipy():
     assert _scipy_modules_after("import nirscope.cli") == []
 
 
-def test_run_on_a_hemo_container_skips_filter_spline_and_solver_imports(tmp_path):
-    raw, hemo = tmp_path / "raw", tmp_path / "hemo"
+@pytest.fixture(scope="module")
+def raw_dataset(tmp_path_factory):
+    raw = tmp_path_factory.mktemp("imports") / "raw"
     assert main(["synth", "--patients", "2", "--controls", "2", "--seed", "1",
                  "--out", str(raw)]) == EXIT_OK
-    assert main(["preprocess", "--dataset", str(raw), "--out", str(hemo)]) == EXIT_OK
+    return raw
+
+
+def test_synth_and_stats_load_no_scipy(tmp_path):
+    assert _scipy_modules_after_main(
+        ["synth", "--patients", "1", "--controls", "1", "--seed", "1",
+         "--out", str(tmp_path / "raw")]
+    ) == []
+    csvs = []
+    for i, shift in enumerate((0.0, 0.4)):
+        csvs.append(tmp_path / f"group{i}.csv")
+        csvs[-1].write_text("".join(f"{shift + 0.1 * (k % 7)}\n" for k in range(20)))
+    for test in ("ttest", "anova", "levene"):
+        argv = ["stats", test, "--csv", *map(str, csvs)]
+        assert _scipy_modules_after_main(argv) == [], test
+
+
+def test_run_on_a_hemo_container_skips_filter_spline_and_solver_imports(raw_dataset, tmp_path):
+    hemo = tmp_path / "hemo"
+    assert main(["preprocess", "--dataset", str(raw_dataset), "--out", str(hemo)]) == EXIT_OK
     argv = ["run", "--dataset", str(hemo), "--out", str(tmp_path / "report"),
             "--feature-mode", "summary", "--folds", "2", "--samples", "64", "--seed", "1"]
-    loaded = _scipy_modules_after(
-        f"from nirscope.cli import main\nassert main({argv!r}) == {EXIT_OK}"
-    )
-    assert "scipy.special" in loaded  # the p-values of the stats stage
-    assert [k for k in loaded if k.startswith(UNUSED_ON_HEMO)] == []
+    assert _scipy_modules_after_main(argv) == []  # the p-values too
 
 
-def test_preprocess_and_run_on_raw_intensities_skip_signal_and_stats(tmp_path):
-    raw = tmp_path / "raw"
-    assert main(["synth", "--patients", "2", "--controls", "2", "--seed", "1",
-                 "--out", str(raw)]) == EXIT_OK
+def test_preprocess_and_run_on_raw_intensities_skip_signal_and_stats(raw_dataset, tmp_path):
     commands = (
-        ["preprocess", "--dataset", str(raw), "--out", str(tmp_path / "hemo")],
-        ["run", "--dataset", str(raw), "--out", str(tmp_path / "report"),
+        ["preprocess", "--dataset", str(raw_dataset), "--out", str(tmp_path / "hemo")],
+        ["run", "--dataset", str(raw_dataset), "--out", str(tmp_path / "report"),
          "--folds", "2", "--seed", "1"],
     )
     for argv in commands:
-        loaded = _scipy_modules_after(
-            f"from nirscope.cli import main\nassert main({argv!r}) == {EXIT_OK}"
-        )
-        assert "scipy.interpolate" in loaded  # the motion-correction spline
-        assert [k for k in loaded if k.startswith(NEVER_USED)] == [], argv[0]
+        assert _scipy_modules_after_main(argv) == [], argv[0]  # the spline too

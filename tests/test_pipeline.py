@@ -1,25 +1,60 @@
 import hashlib
 
+import numpy as np
 import pytest
+from scipy.interpolate import make_smoothing_spline
 
-from nirscope import pipeline, synth
+from nirscope import motion, pipeline, synth
 from nirscope.model import Dataset, Recording
 from nirscope.pipeline import PipelineConfig, preprocess_dataset, preprocess_recording
 
 # sha256 over hbo.tobytes() + hbr.tobytes() of every recording, in order.
 # Recorded from the per-channel implementation, before preprocessing worked on
-# (channels x samples) arrays; the array code must reproduce it bit for bit.
+# (channels x samples) arrays, with scipy's smoothing spline; with that spline
+# patched back in, the array code must reproduce it bit for bit.
 GOLDEN_HEMO_SHA256 = "415fff1a4564b3ebf4d2c024753e7adb4311cdf879ddc93ff1e3052faac573a1"
+# The same digest with the shipped numpy (Reinsch) spline.
+GOLDEN_HEMO_NUMPY_SPLINE_SHA256 = (
+    "205826078d04a6059ade9d36a2ab3ab557b8d0bc090b6568e5f4693a61f1b1e4"
+)
 
 
-def test_preprocessed_hemo_matches_golden_digest():
+def _scipy_spline(y, lam):
+    t = np.arange(y.shape[0], dtype=float)
+    return make_smoothing_spline(t, y, lam=lam)(t)
+
+
+def _golden_hemo():
     dataset, _ = synth.generate_dataset(n_patients=2, n_controls=2, seed=1)
-    hemo = preprocess_dataset(dataset, PipelineConfig(seed=1))
+    return preprocess_dataset(dataset, PipelineConfig(seed=1))
+
+
+def _hemo_digest(hemo) -> str:
     digest = hashlib.sha256()
     for rec in hemo.hemo:
         digest.update(rec.hbo.tobytes())
         digest.update(rec.hbr.tobytes())
-    assert digest.hexdigest() == GOLDEN_HEMO_SHA256
+    return digest.hexdigest()
+
+
+def test_preprocessed_hemo_matches_golden_digest(monkeypatch):
+    # Every step but the spline fit is bit-identical to the recorded code.
+    monkeypatch.setattr(motion, "_smoothing_spline", _scipy_spline)
+    assert _hemo_digest(_golden_hemo()) == GOLDEN_HEMO_SHA256
+
+
+def test_preprocessed_hemo_matches_numpy_spline_digest():
+    assert _hemo_digest(_golden_hemo()) == GOLDEN_HEMO_NUMPY_SPLINE_SHA256
+
+
+def test_numpy_spline_hemo_agrees_with_scipy_spline(monkeypatch):
+    ours = _golden_hemo()
+    monkeypatch.setattr(motion, "_smoothing_spline", _scipy_spline)
+    ref = _golden_hemo()
+    for a, b in zip(ours.hemo, ref.hemo):
+        for x, y in ((a.hbo, b.hbo), (a.hbr, b.hbr)):
+            scale = np.abs(y).max(axis=1, keepdims=True)
+            assert np.all(np.abs(x - y) <= 1e-12 * scale)
 
 
 def _varied_dataset():

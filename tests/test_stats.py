@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from nirscope.stats import (
+    _betainc,
     GroupSummary,
     f_cdf,
     levene,
@@ -212,6 +215,69 @@ def test_f_cdf_matches_scipy_to_1e10():
             ours = f_cdf(f, d1, d2)
             ref = scipy.stats.f.cdf(f, d1, d2)
             assert ours == pytest.approx(ref, rel=1e-10, abs=1e-14)
+
+
+# --- the incomplete beta function against scipy.special.betainc ---
+
+# Degrees of freedom from 10 to 1e5, as the t and F tests of a run see them.
+DFS = np.unique(np.round(np.geomspace(10, 1e5, 40)))
+
+
+def _assert_betainc_matches_scipy(a, b, x):
+    ref = float(scipy.special.betainc(a, b, x))
+    if ref >= 1e-300:  # denormal values carry fewer significant bits
+        assert _betainc(a, b, x) == pytest.approx(ref, rel=1e-11, abs=0), (a, b, x)
+
+
+def test_betainc_matches_scipy_on_t_test_arguments():
+    ts = np.concatenate([np.geomspace(1e-4, 40.0, 60), np.linspace(1.5, 2.0, 21)])
+    for df in DFS:
+        for t in ts:
+            _assert_betainc_matches_scipy(0.5 * df, 0.5, df / (df + t * t))
+
+
+def test_betainc_matches_scipy_on_f_test_arguments():
+    for d1 in (1, 2, 3):
+        for d2 in DFS:
+            for f in np.geomspace(1e-3, 100.0, 40):
+                _assert_betainc_matches_scipy(0.5 * d1, 0.5 * d2, d1 * f / (d1 * f + d2))
+
+
+PARAM = st.floats(0.05, 1e5)
+UNIT = st.floats(0.0, 1.0)
+# x on a grid of 2**-40, so that 1 - x is exact: near x = 0 or 1, I_x moves
+# by far more than 1e-12 over the rounding error of 1 - x.
+GRID_UNIT = st.integers(0, 2**40).map(lambda k: k / 2**40)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(PARAM, PARAM, GRID_UNIT)
+def test_betainc_reflection_and_range(a, b, x):
+    i = _betainc(a, b, x)
+    assert 0.0 <= i <= 1.0
+    assert i + _betainc(b, a, 1.0 - x) == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(PARAM, PARAM, UNIT, UNIT)
+def test_betainc_monotone_in_x(a, b, x1, x2):
+    lo, hi = sorted((x1, x2))
+    # to within its rounding error
+    assert _betainc(a, b, lo) <= _betainc(a, b, hi) * (1.0 + 1e-12)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(0.1, 1e5))
+def test_t_cdf_is_symmetric(t, df):
+    # t_cdf(t) is 1 - t_cdf(-t) rounded once, and 1 - that is exact.
+    assert t_cdf(-t, df) == pytest.approx(1.0 - t_cdf(t, df), rel=0, abs=2.0**-53)
+
+
+def test_nan_statistic_or_df_gives_nan_p():
+    assert math.isnan(t_cdf(math.nan, 5))
+    assert math.isnan(t_cdf(1.0, math.nan))
+    assert math.isnan(f_cdf(math.nan, 1, 5))
+    assert math.isnan(t_test([1.0, math.nan, 2.0], [1.0, 2.0, 3.0]).p_two_sided)
 
 
 def test_p_monotone_in_statistic_magnitude():

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from nirscope import epochs as em, optics
+from nirscope import epochs as em, optics, synth
 from nirscope.pipeline import PipelineConfig, preprocess_dataset, epochs_from_dataset
 from nirscope.signal import bandpass
 from nirscope.synth import (
@@ -59,6 +62,51 @@ def test_hrf_has_undershoot():
     h = canonical_hrf(t)
     assert h.min() < -0.01
     assert t[np.argmin(h)] > 10.0
+
+
+# --- the brentq port against scipy.optimize.brentq ---
+
+
+def _root_or_sign_error(solve, f, a, b, **kwargs):
+    try:
+        return solve(f, a, b, **kwargs)
+    except ValueError:
+        return "no sign change"
+
+
+def test_brentq_port_equals_scipy_on_random_functions():
+    rng = np.random.default_rng(0)
+    for i in range(600):
+        c, r = rng.normal(size=3), rng.uniform(-2.0, 2.0)
+        f = (
+            lambda x: (x - r) * (1.0 + c[0] ** 2) + c[1] * (x - r) ** 3,
+            lambda x: math.tanh(3.0 * (x - r)) + 0.1 * c[2] * (x - r) ** 3,
+            lambda x: math.exp(x - r) - 1.0,
+            lambda x: abs(c[2]) * (x - r) ** 3 + 1e-3 * (x - r),
+        )[i % 4]
+        a, b = r - rng.uniform(0.01, 5.0), r + rng.uniform(0.01, 5.0)
+        if rng.random() < 0.5:
+            a, b = b, a
+        for xtol in (1e-12, 1e-6):
+            ours = _root_or_sign_error(synth._brentq, f, a, b, xtol=xtol)
+            assert ours == _root_or_sign_error(brentq, f, a, b, xtol=xtol)
+
+
+def test_hrf_params_equal_scipy_brentq_on_a_grid(monkeypatch):
+    def solve_grid():
+        out = []
+        for peak_s in np.linspace(3.0, 8.0, 11):
+            for undershoot_s in np.linspace(10.0, 20.0, 6):
+                for ratio in np.linspace(0.0, 0.5, 11):
+                    try:  # past the cache
+                        out.append(synth._hrf_params.__wrapped__(peak_s, undershoot_s, ratio))
+                    except ValueError:  # no sign change over the bracket
+                        out.append(None)
+        return out
+
+    ours = solve_grid()
+    monkeypatch.setattr(synth, "_brentq", brentq)
+    assert ours == solve_grid()
 
 
 def test_default_montage_shape():

@@ -9,6 +9,13 @@ is a numpy Reinsch solve with knots at the sample index; it agrees with
 largest |value| at the default ``lam``. The wavelet transform is a
 self-contained periodized Daubechies-4 DWT so results are bit-stable across
 platforms.
+
+Every step takes a (rows x samples) stack as well as one series, and gives
+each row exactly what it gives that series alone. Detection works on
+blocks of rows (``detect_artifact_stack``; ``detect_artifacts`` is its
+one-row case); the spline fits all segments of one length at once; the
+inverse DWT sums each output sample's four contributions per tap, in the
+order a scatter would add them.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import numpy as np
 __all__ = [
     "ArtifactSegment",
     "detect_artifacts",
+    "detect_artifact_stack",
     "spline_correct",
     "wavelet_correct",
 ]
@@ -38,6 +46,10 @@ _DB4_LO = np.array(
     ]
 )
 _DB4_HI = np.array([(-1) ** n * _DB4_LO[len(_DB4_LO) - 1 - n] for n in range(len(_DB4_LO))])
+# Rows per block of detect_artifact_stack. Its eight or so temporaries are
+# one block wide; a whole stack of 960 rows of 1638 samples would make each
+# of them 12.6 MB.
+_DETECT_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -57,18 +69,33 @@ class ArtifactSegment:
 
 
 def _moving_std(x: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving standard deviation with edge shrinkage."""
-    n = x.size
+    """Centered moving standard deviation with edge shrinkage, along the
+    last axis of ``x``.
+
+    Samples whose whole window fits the series take slice differences of
+    the running sums; only the edge samples, whose windows shrink, index
+    them per sample. Every sample is computed from the same sums with the
+    same operations either way.
+    """
+    n = x.shape[-1]
     half = window // 2
-    csum = np.concatenate([[0.0], np.cumsum(x)])
-    csum2 = np.concatenate([[0.0], np.cumsum(x * x)])
-    idx = np.arange(n)
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + (window - half), n)
-    cnt = hi - lo
-    mean = (csum[hi] - csum[lo]) / cnt
-    var = (csum2[hi] - csum2[lo]) / cnt - mean**2
-    return np.sqrt(np.maximum(var, 0.0))
+    s1 = np.zeros(x.shape[:-1] + (n + 1,))
+    s2 = np.zeros(x.shape[:-1] + (n + 1,))
+    np.cumsum(x, axis=-1, out=s1[..., 1:])
+    np.cumsum(x * x, axis=-1, out=s2[..., 1:])
+
+    def var(hi, lo, cnt):
+        mean = (s1[..., hi] - s1[..., lo]) / cnt
+        return (s2[..., hi] - s2[..., lo]) / cnt - mean**2
+
+    first, stop = half, n - window + half + 1  # samples whose window fits
+    out = np.empty(x.shape)
+    out[..., first:stop] = var(slice(window, n + 1), slice(0, stop - first), window)
+    edge = np.r_[0:first, stop:n]
+    lo = np.maximum(edge - half, 0)
+    hi = np.minimum(edge + (window - half), n)
+    out[..., edge] = var(hi, lo, hi - lo)
+    return np.sqrt(np.maximum(out, 0.0))
 
 
 def detect_artifacts(
@@ -87,41 +114,93 @@ def detect_artifacts(
     median. Adjacent flags merge into segments padded by ``pad_s`` on each
     side. A segment's trigger is "amplitude" when any of its samples
     crosses the amplitude threshold, else "moving_std". A zero-variance
-    series yields no segments.
+    series yields no segments. This is ``detect_artifact_stack`` of one row.
     """
     x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"series must be 1-D, got shape {x.shape}")
+    return detect_artifact_stack(
+        x[None], fs, amp_threshold, std_window_s, std_threshold, [channel_id], pad_s
+    )[0]
+
+
+def detect_artifact_stack(
+    rows,
+    fs: float,
+    amp_threshold: float = 5.0,
+    std_window_s: float = 1.0,
+    std_threshold: float = 3.0,
+    channel_ids=None,
+    pad_s: float = 0.5,
+) -> list[list[ArtifactSegment]]:
+    """``detect_artifacts`` of each row of a (k, n) array: one segment list
+    per row, each exactly as that row gives on its own.
+
+    ``channel_ids`` names the channel of each row (default ""). The rows
+    are taken in blocks of at most _DETECT_BLOCK_ROWS, so the temporaries
+    are a block wide, not a stack wide. Each block is made C-contiguous,
+    so its reductions along a row sum in the same order as they do over
+    one series.
+    """
+    x = np.asarray(rows, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"rows must be a (k, n) array, got shape {x.shape}")
+    k, n = x.shape
+    ids = [""] * k if channel_ids is None else list(channel_ids)
+    if len(ids) != k:
+        raise ValueError(f"need {k} channel ids, got {len(ids)}")
     window = max(2, int(round(std_window_s * fs)))
-    if x.size <= window:
-        raise ValueError(f"series length {x.size} must exceed the std window {window}")
-    std = float(x.std())
-    if not std > 0:
-        return []
-    amp_bad = np.abs(x - np.median(x)) > amp_threshold * std
-    mstd = _moving_std(x, window)
-    idx = np.flatnonzero(amp_bad | (mstd > std_threshold * float(np.median(mstd))))
-    if idx.size == 0:
-        return []
-    # Runs of consecutive flagged samples, padded and clipped to the series.
-    breaks = np.flatnonzero(np.diff(idx) != 1)
-    run_first = np.concatenate([idx[:1], idx[breaks + 1]])
+    if n <= window:
+        raise ValueError(f"series length {n} must exceed the std window {window}")
     pad = int(round(pad_s * fs))
-    starts = np.maximum(run_first - pad, 0)
-    ends = np.minimum(np.append(idx[breaks], idx[-1]) + 1 + pad, x.size)
-    # Padded ends never decrease, so a run joins the segment before it
-    # exactly when it starts at or before that segment's end. A segment's
-    # padding holds no flagged sample and other segments' runs lie outside
-    # it, so amp_bad over the segment reads exactly its own runs.
-    first = np.flatnonzero(np.concatenate([[True], starts[1:] > ends[:-1]]))
-    last = np.append(first[1:], starts.size) - 1
-    return [
-        ArtifactSegment(
-            int(starts[a]),
-            int(ends[b]),
-            channel_id,
-            "amplitude" if amp_bad[starts[a] : ends[b]].any() else "moving_std",
-        )
-        for a, b in zip(first, last)
-    ]
+    segments: list[list[ArtifactSegment]] = []
+    for lo in range(0, k, _DETECT_BLOCK_ROWS):
+        block = np.ascontiguousarray(x[lo : lo + _DETECT_BLOCK_ROWS])
+        std = block.std(axis=1, keepdims=True)
+        amp_bad = np.abs(block - np.median(block, axis=1, keepdims=True)) > amp_threshold * std
+        mstd = _moving_std(block, window)
+        flags = amp_bad | (mstd > std_threshold * np.median(mstd, axis=1, keepdims=True))
+        # A zero-variance row yields no segments.
+        flags &= std > 0
+        segments += _segments(flags, amp_bad, pad, ids[lo : lo + _DETECT_BLOCK_ROWS])
+    return segments
+
+
+def _segments(
+    flags: np.ndarray, amp_bad: np.ndarray, pad: int, ids
+) -> list[list[ArtifactSegment]]:
+    """Padded segments of the flagged runs of each row of a (b, n) block."""
+    b, n = flags.shape
+    # Runs of consecutive flagged samples, in row-major order: each row has
+    # one rising and one falling edge per run.
+    row, col = np.nonzero(np.diff(flags, axis=1, prepend=False, append=False))
+    out: list[list[ArtifactSegment]] = [[] for _ in range(b)]
+    if not row.size:
+        return out
+    row = row[::2]
+    starts = np.maximum(col[::2] - pad, 0)
+    ends = np.minimum(col[1::2] + pad, n)
+    # Padded ends never decrease along a row, so a run joins the segment
+    # before it exactly when it is on the same row and starts at or before
+    # that segment's end.
+    new = np.ones(row.size, dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (starts[1:] > ends[:-1])
+    first = np.flatnonzero(new)
+    last = np.append(first[1:], row.size) - 1
+    seg_row, seg_start, seg_end = row[first], starts[first], ends[last]
+    # Segments are disjoint, sorted in row-major order and hold every
+    # flagged sample, so each amp_bad sample falls in the last segment
+    # starting at or before it.
+    amp_row, amp_col = np.nonzero(amp_bad & flags)
+    amplitude = np.zeros(first.size, dtype=bool)
+    amplitude[
+        np.searchsorted(seg_row * n + seg_start, amp_row * n + amp_col, side="right") - 1
+    ] = True
+    for r, a, e, amp in zip(
+        seg_row.tolist(), seg_start.tolist(), seg_end.tolist(), amplitude.tolist()
+    ):
+        out[r].append(ArtifactSegment(a, e, ids[r], "amplitude" if amp else "moving_std"))
+    return out
 
 
 def _smoothing_spline(y: np.ndarray, lam: float) -> np.ndarray:
@@ -267,9 +346,10 @@ def _dwt_analysis(x: np.ndarray):
     while c.shape[1] >= 2:
         N = c.shape[1]
         idx = (2 * np.arange(N // 2)[:, None] + np.arange(_DB4_LO.size)[None, :]) % N
-        # A contiguous gather keeps numpy on the same matvec kernel as a
-        # single row; the two smallest levels are only bit-stable row by row.
-        win = np.ascontiguousarray(c[:, idx])
+        # A contiguous gather (``take`` writes one, ``c[:, idx]`` does not)
+        # keeps numpy on the same matvec kernel as a single row; the two
+        # smallest levels are only bit-stable row by row.
+        win = np.take(c, idx, axis=1)
         if N >= 8:
             flat = win.reshape(-1, _DB4_LO.size)
             detail = (flat @ _DB4_HI).reshape(c.shape[0], -1)
@@ -282,15 +362,38 @@ def _dwt_analysis(x: np.ndarray):
 
 
 def _dwt_synthesis(approx: np.ndarray, levels) -> np.ndarray:
+    """Inverse of ``_dwt_analysis``.
+
+    Every output sample takes four (coefficient, tap) contributions and sums
+    them from 0.0 in the order np.add.at would add them, by ascending
+    coefficient index, so the result, -0.0 included, is that of the
+    scatter.
+    """
     c = approx
     k = c.shape[0]
     for detail, idx, N in reversed(levels):
-        contrib = (c[:, :, None] * _DB4_LO + detail[:, :, None] * _DB4_HI).reshape(k, -1)
-        # Every output sample takes four contributions. Gather them in the
-        # order np.add.at would add them (their flat position) and sum from
-        # 0.0 as it does, so the result, -0.0 included, is the same.
-        v = contrib[:, np.argsort(idx.ravel(), kind="stable").reshape(N, 4)]
-        c = 0.0 + v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3]
+        if N < 8:
+            # A coefficient reaches an output sample through more than one
+            # tap, so gather in np.add.at's order.
+            contrib = (c[:, :, None] * _DB4_LO + detail[:, :, None] * _DB4_HI).reshape(k, -1)
+            v = contrib[:, np.argsort(idx.ravel(), kind="stable").reshape(N, 4)]
+            c = 0.0 + v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3]
+            continue
+        half = N // 2
+        out = np.empty((k, half, 2))
+        for r in (0, 1):
+            # Output 2q + r takes e[m][q - m] (mod N/2), e[m] being tap
+            # r + 2m of every coefficient; ascending coefficient index puts
+            # m = 3 first. Only q < 3 wraps, and its wrapped terms (m > q)
+            # have the largest indices, so they come last.
+            e = [c * _DB4_LO[r + 2 * m] + detail * _DB4_HI[r + 2 * m] for m in range(4)]
+            out[:, 3:, r] = 0.0 + e[3][:, :-3] + e[2][:, 1:-2] + e[1][:, 2:-1] + e[0][:, 3:]
+            for q in range(3):
+                total = 0.0
+                for m in (*range(q, -1, -1), *range(3, q, -1)):
+                    total = total + e[m][:, q - m]
+                out[:, q, r] = total
+        c = out.reshape(k, N)
     return c
 
 

@@ -97,20 +97,29 @@ def default_extinction_table() -> ExtinctionTable:
 
 
 def intensity_to_od(intensity, reference: float | None = None) -> np.ndarray:
-    """Convert a positive intensity series to optical density.
+    """Convert a positive intensity series, or each row of a (channels,
+    samples) array of them, to optical density.
 
     od[t] = -ln(intensity[t] / reference); the reference defaults to the
-    series mean so a constant series maps to zero OD.
+    mean of each series, so a constant series maps to zero OD. The rows of
+    an array are made C-contiguous first, so each mean sums its samples in
+    the same order as it does for the series alone.
     """
     x = np.asarray(intensity, dtype=float)
     if x.size == 0:
         raise ValueError("intensity series is empty")
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise ValueError("intensity samples must be finite and strictly positive")
-    ref = float(np.mean(x)) if reference is None else float(reference)
-    if ref <= 0:
-        raise ValueError(f"reference must be strictly positive, got {ref}")
-    return -np.log(x / ref)
+    if reference is None:
+        x = np.ascontiguousarray(x)
+        ref = x.mean(axis=-1, keepdims=True)
+    else:
+        ref = float(reference)
+        if ref <= 0:
+            raise ValueError(f"reference must be strictly positive, got {ref}")
+    od = np.divide(x, ref)
+    np.log(od, out=od)
+    return np.negative(od, out=od)
 
 
 def _solve_matrix(
@@ -139,23 +148,31 @@ def _solve_matrix(
 def mbll_invert(
     od_pair: tuple[np.ndarray, np.ndarray],
     wavelengths_nm: tuple[float, float],
-    distance_m: float,
+    distance_m,
     table: ExtinctionTable,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invert two-wavelength OD changes into (delta_hbo, delta_hbr) in mol/L.
 
     Solves, per sample, od(wl_i) = eps_hbo(wl_i)*dHbO + eps_hbr(wl_i)*dHbR
     scaled by distance and DPF. Exact 2x2 solve; raises on a singular
-    extinction matrix.
+    extinction matrix. The two OD arrays are single series, or (channels,
+    samples) arrays with ``distance_m`` one distance or one per channel;
+    each channel comes out exactly as it does on its own.
     """
     od1 = np.asarray(od_pair[0], dtype=float)
     od2 = np.asarray(od_pair[1], dtype=float)
     if od1.shape != od2.shape:
         raise ValueError(f"OD series lengths differ: {od1.shape} vs {od2.shape}")
-    m = _solve_matrix(wavelengths_nm[0], wavelengths_nm[1], distance_m, table)
-    inv = np.linalg.inv(m)
-    conc = inv @ np.vstack([od1, od2])
-    return conc[0], conc[1]
+    distances = np.broadcast_to(np.asarray(distance_m, dtype=float), od1.shape[:-1])
+    per_channel = distances.ravel().tolist()
+    inverse = {
+        d: np.linalg.inv(_solve_matrix(wavelengths_nm[0], wavelengths_nm[1], d, table))
+        for d in dict.fromkeys(per_channel)
+    }
+    inv = np.array([inverse[d] for d in per_channel])
+    # One 2x2 @ (2, samples) product per channel, as for a single series.
+    conc = np.matmul(inv.reshape(distances.shape + (2, 2)), np.stack([od1, od2], axis=-2))
+    return conc[..., 0, :], conc[..., 1, :]
 
 
 def mbll_forward(

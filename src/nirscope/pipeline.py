@@ -20,7 +20,11 @@ import numpy as np
 from . import __version__, epochs as epochs_mod, explain, learn, optics, report, stats, synth
 from .features import SUMMARY_STATS, FeatureMode, default_select_k
 from .model import Dataset, EpochSet, HemoSeries, ProvenanceStep, load_dataset, merge_epoch_sets
-from .motion import detect_artifacts, wavelet_correct
+# perfbench/tracer.py wraps ``pipeline.detect_artifacts`` and reads what it
+# returns as one series' segment list. The name stays bound to the one-row
+# detector, which the pipeline no longer calls, so that the tracer finds its
+# target; the stack detector has a name of its own.
+from .motion import detect_artifact_stack, detect_artifacts, wavelet_correct  # noqa: F401
 # The in-place fit, bound under the name that stage timings and tests patch.
 from .motion import _spline_correct_in_place as spline_correct
 from .signal import BandpassSpec, bandpass, match_short_channel, short_channel_regress
@@ -137,39 +141,35 @@ class PipelineConfig:
 def _hemoglobin(recording, montage, config: PipelineConfig, extinction, out) -> list:
     """Optical density, short-channel regression and Beer-Lambert inversion
     of one recording into ``out`` (2, long channels, samples): hbo, then hbr.
+    Each step is one call over the recording's (channels x samples) arrays.
     Returns the provenance of these steps."""
     wl = recording.wavelengths_nm
-    ids = list(recording.channel_ids)
-    index = {c: i for i, c in enumerate(ids)}
+    index = {c: i for i, c in enumerate(recording.channel_ids)}
+    longs = montage.long_channels
+    long_rows = np.array([index[ch.id] for ch in longs])
     provenance = [ProvenanceStep.make("intensity_to_od", reference="series_mean")]
 
-    od = {
-        w: np.vstack(
-            [optics.intensity_to_od(recording.intensity[w][i]) for i in range(len(ids))]
-        )
-        for w in wl
-    }
+    od = {w: optics.intensity_to_od(recording.intensity[w]) for w in wl}
 
-    longs = montage.long_channels
     if config.short_channel and montage.short_channels:
+        short_rows = np.array([index[match_short_channel(montage, ch.id)] for ch in longs])
         for w in wl:
-            for ch in longs:
-                short_id = match_short_channel(montage, ch.id)
-                short_od = od[w][index[short_id]]
-                if np.ptp(short_od) == 0.0:
-                    continue  # constant short channel: nothing to regress out
-                od[w][index[ch.id]] = short_channel_regress(
-                    od[w][index[ch.id]], short_od
-                )
+            short = od[w][short_rows]
+            # A constant short channel has nothing to regress out.
+            keep = np.ptp(short, axis=1) != 0.0
+            if keep.any():
+                rows = long_rows[keep]
+                od[w][rows] = short_channel_regress(od[w][rows], short[keep])
         provenance.append(
             ProvenanceStep.make("short_channel_regression", method="shared_source")
         )
 
-    for li, ch in enumerate(longs):
-        i = index[ch.id]
-        out[0, li], out[1, li] = optics.mbll_invert(
-            (od[wl[0]][i], od[wl[1]][i]), wl, ch.distance_m, extinction
-        )
+    out[0], out[1] = optics.mbll_invert(
+        (od[wl[0]][long_rows], od[wl[1]][long_rows]),
+        wl,
+        [ch.distance_m for ch in longs],
+        extinction,
+    )
     provenance.append(
         ProvenanceStep.make(
             "mbll_invert",
@@ -185,17 +185,15 @@ def _correct_motion(rows: np.ndarray, fs: float, longs, config: PipelineConfig) 
     (series, long channels) that have detected artifacts.
 
     Rows with no detected artifacts are left untouched, so clean recordings
-    survive motion correction bit-for-bit. One spline call fits the flagged
-    rows of every series, in place; the wavelet pass runs once per series,
-    because one call over every flagged row at once runs slower, out of cache.
+    survive motion correction bit-for-bit. One detection call covers every
+    row and one spline call fits the flagged rows of every series, in place;
+    the wavelet pass runs once per series, because one call over every
+    flagged row at once runs slower, out of cache.
     """
-    segments = [
-        detect_artifacts(
-            row, fs, amp_threshold=config.motion_amp_sigma,
-            channel_id=longs[i % len(longs)].id,
-        )
-        for i, row in enumerate(rows)
-    ]
+    segments = detect_artifact_stack(
+        rows, fs, amp_threshold=config.motion_amp_sigma,
+        channel_ids=[ch.id for ch in longs] * (len(rows) // len(longs)),
+    )
     flagged = np.flatnonzero([bool(segs) for segs in segments])
     if not flagged.size:
         return
@@ -364,7 +362,16 @@ def _stats_report(epoch_set: EpochSet, importance, config: PipelineConfig, monta
         for group in ("control", "patient")
     ]
     lines = ["Group statistics", "================", ""]
-    for channel, chrom, _ in importance.entries[: config.top_channels]:
+    # A pair with zero importance sits in the ranking only by its name's
+    # place in a tie; testing it would report a channel no model used.
+    tested = [(ch, chrom) for ch, chrom, v in importance.top(config.top_channels) if v > 0]
+    if len(tested) < config.top_channels:
+        lines += [
+            f"Only {len(tested)} channel/chromophore pairs have nonzero importance "
+            f"(top_channels = {config.top_channels}); only those are tested.",
+            "",
+        ]
+    for channel, chrom in tested:
         ci = epoch_set.channel_ids.index(channel)
         control, patient = (
             _pooled_observations(eps, ci, chrom, config.pool) for eps in by_group
@@ -415,6 +422,27 @@ def _stats_report(epoch_set: EpochSet, importance, config: PipelineConfig, monta
                 f"df = ({res.df[0]:.0f}, {res.df[1]:.0f}), p = {res.p_two_sided:.4g}"
             )
     return "\n".join(lines) + "\n"
+
+
+def _preprocessing_lines(hemo) -> list[str]:
+    """The preprocessing steps of every participant for provenance.txt: one
+    block per distinct step sequence, naming its participants unless all of
+    them share it."""
+    sequences: dict[tuple[str, ...], list[str]] = {}
+    for series in hemo:
+        steps = tuple(f"  {step.name}: {dict(step.params)}" for step in series.provenance)
+        sequences.setdefault(steps, []).append(series.participant_id)
+    lines = []
+    for steps, ids in sequences.items():
+        if len(sequences) == 1:
+            lines.append(f"preprocessing steps (all {len(ids)} participants):")
+        else:
+            lines.append(
+                f"preprocessing steps ({len(ids)} of {len(hemo)} participants: "
+                f"{', '.join(ids)}):"
+            )
+        lines += [*steps, ""]
+    return lines
 
 
 def _peak_roi(montage) -> tuple[str, tuple[str, ...]]:
@@ -643,17 +671,10 @@ def run_pipeline(config: PipelineConfig):
             "config:",
             json.dumps(_config_json(config), indent=2, sort_keys=True),
             "",
-            "preprocessing steps (first participant):",
+            *_preprocessing_lines(hemo_dataset.hemo),
+            f"fold plan seed: {config.seed}",
+            *(f"  fold {fr.fold_index}: test = {', '.join(fr.test_ids)}" for fr in cv.folds),
         ]
-        if hemo_dataset.hemo:
-            for step in hemo_dataset.hemo[0].provenance:
-                provenance_lines.append(f"  {step.name}: {dict(step.params)}")
-        provenance_lines.append("")
-        provenance_lines.append(f"fold plan seed: {config.seed}")
-        for fr in cv.folds:
-            provenance_lines.append(
-                f"  fold {fr.fold_index}: test = {', '.join(fr.test_ids)}"
-            )
         out.emit("provenance.txt", "\n".join(provenance_lines) + "\n")
 
         return {

@@ -306,18 +306,28 @@ def short_channel_regress(long, short) -> np.ndarray:
 
     Fits beta = <long - mean, short - mean> / <short - mean, short - mean>
     and subtracts beta * (short - mean(short)); the result is orthogonal to
-    the demeaned short series.
+    the demeaned short series. ``long`` and ``short`` are single series, or
+    (k, samples) arrays regressed row by row, each row exactly as on its
+    own: the rows are made C-contiguous and each inner product is one dot.
     """
     x = np.asarray(long, dtype=float)
     s = np.asarray(short, dtype=float)
     if x.shape != s.shape:
         raise ValueError(f"series lengths differ: {x.shape} vs {s.shape}")
-    sd = s - s.mean()
-    denom = float(sd @ sd)
-    if denom == 0.0:
-        raise ValueError("uninformative short channel: zero variance")
-    beta = float((x - x.mean()) @ sd) / denom
-    return x - beta * sd
+    if x.ndim == 1:
+        return short_channel_regress(x[None], s[None])[0]
+    x, s = np.ascontiguousarray(x), np.ascontiguousarray(s)
+    sd = s - s.mean(axis=-1, keepdims=True)
+    out = x - x.mean(axis=-1, keepdims=True)
+    beta = np.empty((len(x), 1))
+    for i, (xi, si) in enumerate(zip(out, sd)):
+        denom = float(si.dot(si))
+        if denom == 0.0:
+            raise ValueError("uninformative short channel: zero variance")
+        beta[i] = float(xi.dot(si)) / denom
+    # x - beta * sd, written over the demeaned rows.
+    np.multiply(beta, sd, out=out)
+    return np.subtract(x, out, out=out)
 
 
 def _detector_order(detector: str) -> tuple:

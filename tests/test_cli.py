@@ -185,6 +185,34 @@ def test_provenance_ignores_nirscope_threads(tmp_path, monkeypatch):
     assert b"threads" not in a
 
 
+def test_provenance_lists_every_participant(tmp_path):
+    raw, hemo = tmp_path / "raw", tmp_path / "hemo"
+    synth = ["synth", "--patients", "3", "--controls", "3", "--seed", "4", "--out", str(raw)]
+    assert main(synth) == EXIT_OK
+    assert main(["preprocess", "--dataset", str(raw), "--out", str(hemo)]) == EXIT_OK
+    run = ["run", "--dataset", str(hemo), "--folds", "3", "--feature-mode", "summary",
+           "--samples", "64", "--seed", "4", "--out"]
+    assert main(run + [str(tmp_path / "same")]) == EXIT_OK
+    text = (tmp_path / "same" / "provenance.txt").read_text()
+    assert "preprocessing steps (all 6 participants):" in text
+    assert text.count("  bandpass: ") == 1
+
+    # One participant's manifest records another band-pass.
+    manifest = json.loads((hemo / "manifest.json").read_text())
+    odd = manifest["participants"][4]
+    for name, params in odd["provenance"]:
+        if name == "bandpass":
+            params["high_cut_hz"] = 0.5
+    (hemo / "manifest.json").write_text(json.dumps(manifest))
+    assert main(run + [str(tmp_path / "mixed")]) == EXIT_OK
+    text = (tmp_path / "mixed" / "provenance.txt").read_text()
+    others = [p["id"] for p in manifest["participants"] if p is not odd]
+    assert f"preprocessing steps (5 of 6 participants: {', '.join(others)}):" in text
+    assert f"preprocessing steps (1 of 6 participants: {odd['id']}):" in text
+    assert text.count("  bandpass: ") == 2
+    assert "'high_cut_hz': 0.5" in text and "'high_cut_hz': 0.7" in text
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

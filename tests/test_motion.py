@@ -3,6 +3,7 @@ import pytest
 from scipy.interpolate import make_smoothing_spline
 
 from conftest import spiky_walks
+from nirscope import motion
 from nirscope.motion import (
     _DB4_HI,
     _DB4_LO,
@@ -11,6 +12,7 @@ from nirscope.motion import (
     _moving_std,
     _smoothing_spline,
     ArtifactSegment,
+    detect_artifact_stack,
     detect_artifacts,
     spline_correct,
     wavelet_correct,
@@ -160,9 +162,86 @@ def test_detection_merges_overlapping_padded_runs_like_loop():
     assert padded[-1].end == x.size
 
 
+def _stack_walks(k, n, seed):
+    """Spiky walks with steps (long moving-std runs next to the spikes, so
+    both triggers occur), a spike in the first sample of some rows and two
+    zero-variance rows."""
+    walks = spiky_walks(k, n, seed=seed)
+    walks[::3, n // 2 :] += 30 * walks[::3].std(axis=1, keepdims=True)
+    walks[1::4, 0] += 40 * walks[1::4].std(axis=1)
+    walks[5] = 0.0
+    walks[k - 2] = 7.25
+    return walks
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("block", [7, 64])
+def test_stack_detection_matches_rows(order, block, monkeypatch):
+    # 150 rows: blocks of 7 or 64 leave a partial last block.
+    monkeypatch.setattr(motion, "_DETECT_BLOCK_ROWS", block)
+    walks = np.asarray(_stack_walks(150, 600, seed=block), order=order)
+    ids = [f"c{i}" for i in range(len(walks))]
+    got = detect_artifact_stack(walks, FS, channel_ids=ids)
+    assert len(got) == len(walks)
+    triggers = set()
+    for i, (row, segs) in enumerate(zip(walks, got)):
+        assert segs == detect_artifacts(row, FS, channel_id=ids[i])
+        loop = _detect_artifacts_loop(row, FS)
+        assert [(s.start, s.end, s.trigger) for s in segs] == [
+            (s.start, s.end, s.trigger) for s in loop
+        ]
+        assert all(s.channel_id == ids[i] for s in segs)
+        triggers.update(s.trigger for s in segs)
+    assert got[5] == [] and got[-2] == []
+    assert triggers == {"amplitude", "moving_std"}
+    assert sum(map(len, got)) > 150
+
+
+@pytest.mark.parametrize("pad_s", [0.0, 2.0])
+def test_stack_detection_thresholds_match_rows(pad_s):
+    walks = _stack_walks(20, 500, seed=9)
+    kwargs = dict(amp_threshold=3.0, std_window_s=2.0, std_threshold=2.0, pad_s=pad_s)
+    got = detect_artifact_stack(walks, 10.0, **kwargs)
+    assert got == [detect_artifacts(row, 10.0, **kwargs) for row in walks]
+    assert detect_artifact_stack(walks[:0], 10.0) == []
+
+
+def _moving_std_indexed(x, window):
+    """The moving std of one series with every window's sums indexed per
+    sample (the detector's earlier form)."""
+    n = x.size
+    half = window // 2
+    csum = np.concatenate([[0.0], np.cumsum(x)])
+    csum2 = np.concatenate([[0.0], np.cumsum(x * x)])
+    idx = np.arange(n)
+    lo = np.maximum(idx - half, 0)
+    hi = np.minimum(idx + (window - half), n)
+    cnt = hi - lo
+    mean = (csum[hi] - csum[lo]) / cnt
+    var = (csum2[hi] - csum2[lo]) / cnt - mean**2
+    return np.sqrt(np.maximum(var, 0.0))
+
+
+def test_moving_std_rows_match_indexed_form():
+    x = spiky_walks(9, 300, seed=5)
+    for window in (2, 3, 4, 299):
+        got = _moving_std(x, window)
+        for row, want in zip(x, got):
+            assert want.tobytes() == _moving_std_indexed(row, window).tobytes()
+            assert want.tobytes() == _moving_std(row, window).tobytes()
+
+
 def test_detection_validation():
     with pytest.raises(ValueError, match="exceed"):
         detect_artifacts(np.ones(3), FS)
+    with pytest.raises(ValueError, match="length 4 must exceed the std window 4"):
+        detect_artifact_stack(np.ones((5, 4)), FS)
+    with pytest.raises(ValueError, match="must exceed"):
+        detect_artifact_stack(np.ones((0, 4)), FS)
+    with pytest.raises(ValueError, match="1-D"):
+        detect_artifacts(np.ones((2, 30)), FS)
+    with pytest.raises(ValueError, match="channel ids"):
+        detect_artifact_stack(np.ones((2, 30)), FS, channel_ids=["a"])
     with pytest.raises(ValueError):
         ArtifactSegment(5, 5)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 
 from nirscope.optics import (
     ExtinctionTable,
+    _solve_matrix,
     default_extinction_table,
     intensity_to_od,
     mbll_forward,
@@ -40,6 +41,57 @@ def test_od_rejects_nonpositive_inputs():
         intensity_to_od([1.0, 2.0], reference=-1.0)
     with pytest.raises(ValueError):
         intensity_to_od([])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1638, 1199])
+def test_od_rows_match_single_series(order, n):
+    # The loader's arrays are column-major; each row's mean must still sum
+    # its samples in the order it does for the series alone.
+    x = np.asarray(0.5 + np.random.default_rng(n).random((28, n)), order=order)
+    od = intensity_to_od(x)
+    assert od.shape == x.shape
+    for row, got in zip(x, od):
+        assert got.tobytes() == (-np.log(row / float(np.mean(row)))).tobytes()
+        assert got.tobytes() == intensity_to_od(row).tobytes()
+    ref = intensity_to_od(x, reference=0.75)
+    assert ref.tobytes() == (-np.log(np.ascontiguousarray(x) / 0.75)).tobytes()
+
+
+def test_od_rows_reject_one_nonpositive_sample():
+    x = np.ones((3, 20))
+    x[2, 7] = 0.0
+    with pytest.raises(ValueError, match="strictly positive"):
+        intensity_to_od(x)
+
+
+@pytest.mark.parametrize("n", [1638, 1199])
+def test_mbll_rows_match_single_pairs(n):
+    table = default_extinction_table()
+    od1, od2 = np.random.default_rng(n).normal(size=(2, 6, n))
+    distances = [0.03, 0.025, 0.03, 0.035, 0.025, 0.03]
+    hbo, hbr = mbll_invert((od1, od2), WLS, distances, table)
+    assert hbo.shape == hbr.shape == od1.shape
+    for i, d in enumerate(distances):
+        inv = np.linalg.inv(_solve_matrix(WLS[0], WLS[1], d, table))
+        want = inv @ np.vstack([od1[i], od2[i]])
+        assert hbo[i].tobytes() == want[0].tobytes()
+        assert hbr[i].tobytes() == want[1].tobytes()
+        one = mbll_invert((od1[i], od2[i]), WLS, d, table)
+        assert one[0].tobytes() == want[0].tobytes()
+        assert one[1].tobytes() == want[1].tobytes()
+    # One distance serves every channel.
+    same = mbll_invert((od1, od2), WLS, 0.03, table)
+    assert same[0].tobytes() == mbll_invert((od1, od2), WLS, [0.03] * 6, table)[0].tobytes()
+
+
+def test_mbll_rows_validate_distances():
+    table = default_extinction_table()
+    z = np.zeros((3, 10))
+    with pytest.raises(ValueError, match="positive"):
+        mbll_invert((z, z), WLS, [0.03, 0.0, 0.03], table)
+    with pytest.raises(ValueError):
+        mbll_invert((z, z), WLS, [0.03, 0.03], table)
 
 
 def test_zero_od_gives_zero_concentrations():

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.interpolate import make_smoothing_spline
 
-from nirscope import motion, pipeline, synth
-from nirscope.model import Dataset, Recording
+from conftest import make_epoch_set
+from nirscope import motion, optics, pipeline, synth
+from nirscope.explain import ChannelImportance
+from nirscope.model import Dataset, Recording, load_dataset, save_dataset
+from nirscope.signal import match_short_channel
 from nirscope.pipeline import PipelineConfig, preprocess_dataset, preprocess_recording
 
 # sha256 over hbo.tobytes() + hbr.tobytes() of every recording, in order.
@@ -99,9 +102,10 @@ def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch, chunk
     config = PipelineConfig(seed=2)
     if chunk_cells is not None:
         monkeypatch.setattr(pipeline, "_CHUNK_CELLS", chunk_cells)
-    calls = {"bandpass": [], "spline_correct": 0}
+    calls = {"bandpass": [], "spline_correct": 0, "detect": []}
     bandpass = pipeline.bandpass
     spline_correct = pipeline.spline_correct
+    detect = pipeline.detect_artifact_stack
 
     def counted_bandpass(series, spec, fs):
         calls["bandpass"].append((fs, [stack.shape for stack in series]))
@@ -111,14 +115,23 @@ def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch, chunk
         calls["spline_correct"] += 1
         return spline_correct(*args, **kwargs)
 
+    def counted_detect(rows, fs, **kwargs):
+        calls["detect"].append((fs, rows.shape))
+        return detect(rows, fs, **kwargs)
+
     monkeypatch.setattr(pipeline, "bandpass", counted_bandpass)
     monkeypatch.setattr(pipeline, "spline_correct", counted_spline)
+    monkeypatch.setattr(pipeline, "detect_artifact_stack", counted_detect)
     hemo = preprocess_dataset(dataset, config)
     # Each band-pass call covers both chromophores of its recordings, one
-    # stack per length; there is at most one spline call per stack.
+    # stack per length; detection runs once over the rows of each stack, and
+    # there is at most one spline call per stack.
     assert calls["bandpass"] == BANDPASS_CALLS[chunk_cells]
-    n_stacks = sum(len(shapes) for _, shapes in calls["bandpass"])
-    assert 1 <= calls["spline_correct"] <= n_stacks
+    stacks = [(fs, shape) for fs, shapes in calls["bandpass"] for shape in shapes]
+    assert sorted(calls["detect"]) == sorted(
+        (fs, (r * c * ch, n)) for fs, (r, c, ch, n) in stacks
+    )
+    assert 1 <= calls["spline_correct"] <= len(stacks)
 
     for rec, series in zip(dataset.recordings, hemo.hemo):
         alone = preprocess_recording(rec, dataset.montage, config)
@@ -127,3 +140,99 @@ def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch, chunk
         assert series.provenance == alone.provenance
         assert series.hbo.tobytes() == alone.hbo.tobytes()
         assert series.hbr.tobytes() == alone.hbr.tobytes()
+
+
+def _hemoglobin_per_channel(recording, montage, config):
+    """OD, short-channel regression and Beer-Lambert inversion one channel
+    at a time, each as a 1-D computation (the pipeline's earlier form)."""
+    table = optics.default_extinction_table()
+    wl = recording.wavelengths_nm
+    index = {c: i for i, c in enumerate(recording.channel_ids)}
+    longs = montage.long_channels
+    od = {
+        w: np.vstack([-np.log(row / float(np.mean(row))) for row in recording.intensity[w]])
+        for w in wl
+    }
+    for w in wl:
+        for ch in longs:
+            short = od[w][index[match_short_channel(montage, ch.id)]]
+            if np.ptp(short) == 0.0:
+                continue
+            x = od[w][index[ch.id]]
+            sd = short - short.mean()
+            beta = float((x - x.mean()) @ sd) / float(sd @ sd)
+            od[w][index[ch.id]] = x - beta * sd
+    out = np.empty((2, len(longs), recording.n_samples))
+    for li, ch in enumerate(longs):
+        m = optics._solve_matrix(wl[0], wl[1], ch.distance_m, table)
+        i = index[ch.id]
+        out[:, li] = np.linalg.inv(m) @ np.vstack([od[wl[0]][i], od[wl[1]][i]])
+    return out
+
+
+def test_hemoglobin_matches_per_channel_steps(tmp_path):
+    # In-memory (C-ordered) intensities of an even and an odd length, and
+    # the loader's column-major ones.
+    dataset = _varied_dataset()
+    odd = Recording(
+        participant_id="P99",
+        group="patient",
+        sample_rate_hz=3.9,
+        wavelengths_nm=dataset.recordings[0].wavelengths_nm,
+        channel_ids=dataset.recordings[0].channel_ids,
+        intensity={w: a[:, :1199] for w, a in dataset.recordings[0].intensity.items()},
+    )
+    save_dataset(dataset, tmp_path / "raw")
+    loaded = load_dataset(tmp_path / "raw")
+    assert not loaded.recordings[0].intensity[760.0].flags.c_contiguous
+    config = PipelineConfig()
+    table = optics.default_extinction_table()
+    for rec in (*dataset.recordings[:2], odd, *loaded.recordings[:2]):
+        got = np.empty((2, len(dataset.montage.long_channels), rec.n_samples))
+        pipeline._hemoglobin(rec, dataset.montage, config, table, got)
+        assert got.tobytes() == _hemoglobin_per_channel(rec, dataset.montage, config).tobytes()
+
+
+def test_container_preprocessing_matches_in_memory(tmp_path):
+    dataset, _ = synth.generate_dataset(n_patients=2, n_controls=2, seed=1)
+    save_dataset(dataset, tmp_path / "raw")
+    config = PipelineConfig(seed=1)
+    from_disk = preprocess_dataset(load_dataset(tmp_path / "raw"), config)
+    in_memory = preprocess_dataset(dataset, config)
+    assert _hemo_digest(from_disk) == _hemo_digest(in_memory)
+    for a, b in zip(from_disk.hemo, in_memory.hemo):
+        assert a.provenance == b.provenance
+
+
+def _tested_pairs(text):
+    return [line.split(" (pool=")[0] for line in text.splitlines() if " (pool=" in line]
+
+
+def test_stats_report_tests_only_nonzero_importance(small_montage):
+    epoch_set = make_epoch_set(n_participants=6, trials=2, n_channels=2)
+    tied = ChannelImportance(
+        entries=(
+            ("S2-D2", "hbr", 0.4),
+            ("S1-D1", "hbo", 0.0),
+            ("S1-D1", "hbr", 0.0),
+            ("S2-D2", "hbo", 0.0),
+        )
+    )
+    text = pipeline._stats_report(epoch_set, tied, PipelineConfig(), small_montage)
+    assert _tested_pairs(text) == ["S2-D2 hbr"]
+    assert (
+        "Only 1 channel/chromophore pairs have nonzero importance (top_channels = 4); "
+        "only those are tested." in text
+    )
+
+    none = ChannelImportance(entries=tuple((c, h, 0.0) for c, h, _ in tied.entries))
+    text = pipeline._stats_report(epoch_set, none, PipelineConfig(), small_montage)
+    assert _tested_pairs(text) == []
+    assert "Only 0 channel/chromophore pairs" in text
+
+    ranked = ChannelImportance(
+        entries=(("S2-D2", "hbr", 0.4), ("S1-D1", "hbo", 0.3), ("S1-D1", "hbr", 0.0))
+    )
+    text = pipeline._stats_report(epoch_set, ranked, PipelineConfig(top_channels=2), small_montage)
+    assert _tested_pairs(text) == ["S2-D2 hbr", "S1-D1 hbo"]
+    assert "nonzero importance" not in text

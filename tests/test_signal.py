@@ -170,6 +170,33 @@ def test_regression_is_idempotent():
 def test_zero_variance_short_is_an_error():
     with pytest.raises(ValueError, match="uninformative short channel"):
         short_channel_regress(np.arange(10.0), np.full(10, 2.0))
+    rows = np.random.default_rng(6).normal(size=(3, 10))
+    shorts = rows.copy()
+    shorts[1] = 2.0
+    with pytest.raises(ValueError, match="uninformative short channel"):
+        short_channel_regress(rows, shorts)
+
+
+def _regress_one(long, short):
+    """The regression of one series, each inner product one dot."""
+    sd = short - short.mean()
+    beta = float((long - long.mean()) @ sd) / float(sd @ sd)
+    return long - beta * sd
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1638, 1199, 12558])
+def test_regression_rows_match_single_series(order, n):
+    rng = np.random.default_rng(n)
+    short = rng.normal(size=(12, n))
+    long = np.asarray(rng.normal(size=(12, n)) + 0.7 * short, order=order)
+    short = np.asarray(short, order=order)
+    out = short_channel_regress(long, short)
+    assert out.shape == long.shape
+    for i in range(len(long)):
+        want = _regress_one(long[i], short[i]).tobytes()
+        assert out[i].tobytes() == want
+        assert short_channel_regress(long[i], short[i]).tobytes() == want
 
 
 # --- short-channel matching ---

@@ -23,8 +23,11 @@ from .model import Dataset, EpochSet, HemoSeries, ProvenanceStep, load_dataset, 
 # perfbench/tracer.py wraps ``pipeline.detect_artifacts`` and reads what it
 # returns as one series' segment list. The name stays bound to the one-row
 # detector, which the pipeline no longer calls, so that the tracer finds its
-# target; the stack detector has a name of its own.
+# target; the stack detector has a name of its own. The tracer also wraps
+# ``pipeline.bandpass`` and ``pipeline.wavelet_correct``, so the pipeline
+# calls both through the names bound here.
 from .motion import detect_artifact_stack, detect_artifacts, wavelet_correct  # noqa: F401
+from .motion import BLOCK_ROWS
 # The in-place fit, bound under the name that stage timings and tests patch.
 from .motion import _spline_correct_in_place as spline_correct
 from .signal import BandpassSpec, bandpass, match_short_channel, short_channel_regress
@@ -55,8 +58,8 @@ REPORT_FILES = (
 
 _MICROMOLAR = 1e6  # report curves in umol/L
 # Hemoglobin samples (recordings x 2 x long channels x samples) preprocessed
-# together. The band-pass copies them, so this bounds its memory (16 MB of
-# series) on large datasets and long recordings; the 12 + 12
+# together. The band-pass buffers them with their padding, so this bounds its
+# memory (16 MB of series) on large datasets and long recordings; the 12 + 12
 # synthetic dataset (1.57 million samples) is one chunk.
 _CHUNK_CELLS = 1 << 21
 
@@ -187,8 +190,9 @@ def _correct_motion(rows: np.ndarray, fs: float, longs, config: PipelineConfig) 
     Rows with no detected artifacts are left untouched, so clean recordings
     survive motion correction bit-for-bit. One detection call covers every
     row and one spline call fits the flagged rows of every series, in place;
-    the wavelet pass runs once per series, because one call over every
-    flagged row at once runs slower, out of cache.
+    the wavelet pass runs once per BLOCK_ROWS flagged rows, whatever their
+    series: one call over every flagged row runs slower, its temporaries a
+    stack wide.
     """
     segments = detect_artifact_stack(
         rows, fs, amp_threshold=config.motion_amp_sigma,
@@ -198,10 +202,9 @@ def _correct_motion(rows: np.ndarray, fs: float, longs, config: PipelineConfig) 
     if not flagged.size:
         return
     spline_correct(rows, segments, fs=fs)
-    series_of = flagged // len(longs)
-    for series in np.unique(series_of):
-        mine = flagged[series_of == series]
-        rows[mine] = wavelet_correct(rows[mine], iqr_multiplier=config.motion_iqr)
+    for lo in range(0, flagged.size, BLOCK_ROWS):
+        block = flagged[lo : lo + BLOCK_ROWS]
+        rows[block] = wavelet_correct(rows[block], iqr_multiplier=config.motion_iqr)
 
 
 def _preprocess(recordings, montage, config: PipelineConfig) -> list[HemoSeries]:
@@ -210,8 +213,8 @@ def _preprocess(recordings, montage, config: PipelineConfig) -> list[HemoSeries]
     Each recording's hemoglobin series come from its own intensities, into
     one stack per (sample rate, length). One spline call fits the flagged
     rows of a stack, and one band-pass call per sample rate filters all of
-    its stacks, whatever their lengths. Every row comes out exactly as it
-    would on its own, so a recording's result does not depend on which
+    its stacks in place, whatever their lengths. Every row comes out exactly
+    as it would on its own, so a recording's result does not depend on which
     others share the calls.
     """
     spec = config.bandpass_spec()
@@ -247,7 +250,8 @@ def _preprocess(recordings, montage, config: PipelineConfig) -> list[HemoSeries]
     for key in stacks:
         rates.setdefault(key[0], []).append(key)
     for fs, keys in rates.items():
-        stacks.update(zip(keys, bandpass([stacks[key] for key in keys], spec, fs)))
+        same_rate = [stacks[key] for key in keys]
+        bandpass(same_rate, spec, fs, out=same_rate)
     steps.append(
         ProvenanceStep.make(
             "bandpass",
@@ -734,8 +738,24 @@ def _stack_svgs(svgs: list[str]) -> str:
     )
 
 
+# Fields that only describe the synthetic data a run generates; a run on a
+# dataset from disk never reads them.
+_SYNTHETIC_FIELDS = (
+    "patients",
+    "controls",
+    "trials_per_task",
+    "effect_channels",
+    "amplitude_ratio",
+    "peak_delay_s",
+    "effect_chromophore",
+)
+
+
 def _config_json(config: PipelineConfig) -> dict:
     out = asdict(config)
     out["effect_channels"] = list(config.effect_channels)
     del out["out_dir"]  # where the report lands, not an analysis parameter
+    if config.dataset_path is not None:
+        for name in _SYNTHETIC_FIELDS:
+            del out[name]
     return out

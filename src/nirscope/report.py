@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -23,6 +22,12 @@ __all__ = [
 ]
 
 _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
+
+
+def escape(text: str) -> str:
+    """``xml.sax.saxutils.escape``: ``&``, ``>`` and ``<`` as entities, in that
+    order. Importing saxutils loads urllib.request, http.client and email."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _f(v: float) -> str:

@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 
+# Samples per block of the array recursion in _sosfilt. Its three products
+# are (block x rows): 1.5 MB for 960 rows.
+_BLOCK_SAMPLES = 64
+
+
 @dataclass(frozen=True)
 class BandpassSpec:
     """Butterworth band-pass parameters.
@@ -178,22 +183,47 @@ def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:
     return zi
 
 
-def _sosfilt(sos: np.ndarray, x, z) -> None:
-    """Filter ``x[0], x[1], ...`` in place through the sections of ``sos``.
+def _sosfilt(sos: np.ndarray, x, z) -> list:
+    """Filter ``x[0], x[1], ...`` in place through the sections of ``sos``
+    and return each section's final state.
 
-    ``z[s]`` is section s's initial two-element state. The samples and
-    states are floats, or arrays that filter their elements side by side.
-    Each section runs over all of ``x`` before the next; each is the direct
-    form II transposed recursion of scipy's ``_sosfilt``, operation for
-    operation, so the output is the same to the bit.
+    ``z[s]`` is section s's initial two-element state. ``x`` is a list of
+    floats with float states, or a 2-D array whose rows are filtered
+    element by element, side by side, with array states that are updated
+    in place. Each section runs over all of ``x`` before the next; each is
+    the direct form II transposed recursion of scipy's ``_sosfilt``,
+    operation for operation, so the output is the same to the bit. On an
+    array, ``b0·x``, ``b1·x`` and ``b2·x`` are formed once per block of
+    _BLOCK_SAMPLES samples, and each sample then takes the same operations
+    as on floats.
     """
+    final = []
+    on_array = isinstance(x, np.ndarray)
+    if on_array:
+        bx = np.empty((3, min(len(x), _BLOCK_SAMPLES)) + x.shape[1:])
     for (b0, b1, b2, _, a1, a2), (z0, z1) in zip(sos.tolist(), z):
-        for t in range(len(x)):
-            xc = x[t]
-            y = b0 * xc + z0
-            z0 = b1 * xc - a1 * y + z1
-            z1 = b2 * xc - a2 * y
-            x[t] = y
+        if on_array:
+            for lo in range(0, len(x), _BLOCK_SAMPLES):
+                block = x[lo : lo + _BLOCK_SAMPLES]
+                products = bx[:, : len(block)]
+                for b, p in zip((b0, b1, b2), products):
+                    np.multiply(block, b, out=p)
+                for y, bx0, bx1, bx2 in zip(block, *products):
+                    np.add(bx0, z0, out=y)  # y = b0 * x + z0
+                    np.multiply(y, a1, out=z0)  # z0 = b1 * x - a1 * y + z1
+                    np.subtract(bx1, z0, out=z0)
+                    np.add(z0, z1, out=z0)
+                    np.multiply(y, a2, out=z1)  # z1 = b2 * x - a2 * y
+                    np.subtract(bx2, z1, out=z1)
+        else:
+            for t in range(len(x)):
+                xc = x[t]
+                y = b0 * xc + z0
+                z0 = b1 * xc - a1 * y + z1
+                z1 = b2 * xc - a2 * y
+                x[t] = y
+        final.append((z0, z1))
+    return final
 
 
 def _settle_len(sos: np.ndarray, fs: float, spec: BandpassSpec) -> int:
@@ -216,40 +246,53 @@ def _design(spec: BandpassSpec, fs: float) -> tuple[np.ndarray, np.ndarray, int]
     return sos, _sosfilt_zi(sos), _settle_len(sos, fs, spec)
 
 
-def _filter_columns(sos: np.ndarray, zi: np.ndarray, buf: np.ndarray) -> None:
-    # Filter each column of buf (samples x rows) in place, starting from the
-    # steady state of its first sample.
-    _sosfilt(sos, buf, [(zi[s, 0] * buf[0], zi[s, 1] * buf[0]) for s in range(len(sos))])
+def _steady_state(zi: np.ndarray, first: np.ndarray) -> list:
+    # Each section's state after an input held at ``first`` forever: the
+    # step-response state scaled by the first sample, as sosfiltfilt starts.
+    return [(zi[s, 0] * first, zi[s, 1] * first) for s in range(len(zi))]
 
 
 def _filter_rows(sos, zi, pieces, zero_phase: bool) -> None:
     """Filter (rows, out, pad) pieces side by side in one (samples x rows)
-    buffer, writing each row's result into ``out``.
+    buffer, writing each row's result into ``out``, which may be ``rows``.
 
     Each piece's rows, reflected by ``pad`` samples at both ends, fill the
     start of their columns; columns of shorter series end in zeros, so the
-    recursion past their end runs on finite values. After
-    the forward pass every shorter series moves to the end of the buffer,
-    so the backward pass, over a reversed view, starts at the last sample
-    of every series. Columns never interact, so every row comes out as it
-    would on its own.
+    recursion past their end runs on finite values. The first ``lead =
+    min(pad)`` samples of every column are padding: their forward output
+    only sets the filter state and the backward pass never reads it. They
+    are filtered in a head buffer of their own, whose final state starts
+    the main buffer, so the main buffer holds ``n + 2 pad - lead`` samples
+    of each column. After the forward pass every shorter series moves to
+    the end of the buffer, so the backward pass, over a reversed view,
+    starts at the last sample of every series. Columns never interact, so
+    every row comes out as it would on its own.
     """
-    lengths = [rows.shape[1] + 2 * pad for rows, _, pad in pieces]
+    lead = min(pad for _, _, pad in pieces)
+    lengths = [rows.shape[1] + 2 * pad - lead for rows, _, pad in pieces]
+    width = sum(len(rows) for rows, _, _ in pieces)
+    if lead:
+        head = np.empty((lead, width))
+        c = 0
+        for rows, _, pad in pieces:
+            head[:, c : c + len(rows)] = rows[:, pad : pad - lead : -1].T
+            c += len(rows)
+        state = _sosfilt(sos, head, _steady_state(zi, head[0]))
+        del head
     span = max(lengths)
-    buf = np.empty((span, sum(len(rows) for rows, _, _ in pieces)))
+    buf = np.empty((span, width))
     cols = []
     c = 0
     for (rows, _, pad), length in zip(pieces, lengths):
-        n = rows.shape[1]
+        n, skip = rows.shape[1], pad - lead
         col = buf[:, c : c + len(rows)]
         c += len(rows)
-        col[pad : pad + n] = rows.T
-        if pad:
-            col[:pad] = rows[:, pad:0:-1].T
-            col[pad + n : length] = rows[:, -2 : -(pad + 2) : -1].T
+        col[:skip] = rows[:, skip:0:-1].T
+        col[skip : skip + n] = rows.T
+        col[skip + n : length] = rows[:, -2 : -(pad + 2) : -1].T
         col[length:] = 0.0
         cols.append(col)
-    _filter_columns(sos, zi, buf)
+    _sosfilt(sos, buf, state if lead else _steady_state(zi, buf[0]))
     if zero_phase:
         for col, length in zip(cols, lengths):
             if length < span:
@@ -257,13 +300,14 @@ def _filter_rows(sos, zi, pieces, zero_phase: bool) -> None:
         # The backward pass stops at the first sample of the last series to
         # end: what it would give over the leading padding is thrown away.
         stop = max(rows.shape[1] + pad for rows, _, pad in pieces)
-        _filter_columns(sos, zi, buf[::-1][:stop])
+        back = buf[::-1][:stop]
+        _sosfilt(sos, back, _steady_state(zi, back[0]))
     for (rows, out, pad), col, length in zip(pieces, cols, lengths):
-        start = span - length + pad if zero_phase else 0
+        start = (span - length if zero_phase else 0) + pad - lead
         out[...] = col[start : start + rows.shape[1]].T
 
 
-def bandpass(series, spec: BandpassSpec, fs: float):
+def bandpass(series, spec: BandpassSpec, fs: float, out=None):
     """Apply the Butterworth band-pass along the last axis.
 
     ``series`` is one series or an (..., n_samples) stack of them, and the
@@ -274,6 +318,10 @@ def bandpass(series, spec: BandpassSpec, fs: float):
     filter-settling length, as ``scipy.signal.sosfiltfilt(sos, x,
     padtype="even", padlen=min(settle, n - 1))`` does, bit for bit;
     single-pass mode starts from the steady state of the first sample.
+
+    As in numpy, ``out`` (a C-contiguous float64 array of the input's
+    shape, or a list of them for a list) receives the result and is
+    returned; it may be the input itself, which is then filtered in place.
 
     The recursion steps over samples and works on many rows at once, so its
     cost is per sample, nearly whatever the number of rows: one call on a
@@ -289,13 +337,22 @@ def bandpass(series, spec: BandpassSpec, fs: float):
             raise ValueError(
                 f"series too short: {x.shape[-1]} samples < 3x filter order ({3 * spec.order})"
             )
+    if out is None:
+        outs = [np.empty(x.shape) for x in xs]
+    else:
+        outs = list(out) if many else [out]
+        if len(outs) != len(xs) or not all(
+            isinstance(o, np.ndarray) and o.dtype == np.float64 and o.flags.c_contiguous
+            and o.shape == x.shape
+            for o, x in zip(outs, xs)
+        ):
+            raise ValueError("out must be C-contiguous float64 arrays of the input's shapes")
     sos, zi, settle = _design(spec, fs)
-    outs = [np.empty(x.shape) for x in xs]
     pieces = []
-    for x, out in zip(xs, outs):
+    for x, o in zip(xs, outs):
         n = x.shape[-1]
         pad = min(settle, n - 1) if spec.zero_phase else 0
-        pieces.append((x.reshape(-1, n), out.reshape(-1, n), pad))
+        pieces.append((x.reshape(-1, n), o.reshape(-1, n), pad))
     if sum(len(rows) for rows, _, _ in pieces):
         _filter_rows(sos, zi, pieces, spec.zero_phase)
     return outs if many else outs[0]

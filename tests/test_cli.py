@@ -213,6 +213,38 @@ def test_provenance_lists_every_participant(tmp_path):
     assert "'high_cut_hz': 0.5" in text and "'high_cut_hz': 0.7" in text
 
 
+SYNTHETIC_FIELDS = {
+    "patients", "controls", "trials_per_task", "effect_channels",
+    "amplitude_ratio", "peak_delay_s", "effect_chromophore",
+}
+
+
+def _provenance_config(report_dir) -> dict:
+    """The config echoed at the top of a run's provenance.txt."""
+    text = (report_dir / "provenance.txt").read_text()
+    head = text.split("\n\n")[0]
+    return json.loads(head[head.index("config:\n") + len("config:\n") :])
+
+
+def test_provenance_config_leaves_out_synthetic_fields_of_a_dataset_run(tmp_path):
+    assert main(["run", "--out", str(tmp_path / "synthetic")] + SMALL_RUN) == EXIT_OK
+    config = _provenance_config(tmp_path / "synthetic")
+    assert SYNTHETIC_FIELDS <= set(config)
+    assert config["patients"] == 6 and config["dataset_path"] is None
+
+    raw, hemo = tmp_path / "raw", tmp_path / "hemo"
+    synth = ["synth", "--patients", "3", "--controls", "3", "--seed", "5", "--out", str(raw)]
+    assert main(synth) == EXIT_OK
+    assert main(["preprocess", "--dataset", str(raw), "--out", str(hemo)]) == EXIT_OK
+    run = ["run", "--dataset", str(hemo), "--folds", "3", "--feature-mode", "summary",
+           "--samples", "64", "--seed", "5", "--out", str(tmp_path / "dataset")]
+    assert main(run) == EXIT_OK
+    config = _provenance_config(tmp_path / "dataset")
+    assert not SYNTHETIC_FIELDS & set(config)
+    assert config["dataset_path"] == str(hemo)
+    assert config["seed"] == 5 and config["model"] == "knn"
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

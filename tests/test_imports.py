@@ -6,6 +6,8 @@ The last three scipy calls have numpy ports: the root solve of `synth`
 function of the p-values. The source must hold no scipy import, at module
 level or inside a function, and `synth`, `preprocess`, `run` on raw
 intensities, `run --dataset <hemo>` and `stats` must each load no scipy module.
+`import nirscope.cli` must not load the network and mail modules that
+`xml.sax.saxutils` brings in either.
 """
 
 import ast
@@ -52,17 +54,28 @@ def _scipy_imports(path: Path, in_functions: bool) -> list[str]:
     ]
 
 
-def _scipy_modules_after(code: str) -> list[str]:
+def _modules_after(code: str, prefixes: tuple[str, ...]) -> list[str]:
+    """The modules named by, or inside, one of ``prefixes`` that a fresh
+    interpreter has loaded after running ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent), *filter(None, [env.get("PYTHONPATH")])]
     )
-    code += "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+    code += (
+        "\nimport json, sys"
+        f"\nprefixes = {prefixes!r}"
+        "\nprint(json.dumps(sorted(m for m in sys.modules"
+        " if any(m == p or m.startswith(p + '.') for p in prefixes))))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    return _modules_after(code, ("scipy",))
 
 
 def _scipy_modules_after_main(argv: list[str]) -> list[str]:
@@ -83,6 +96,14 @@ def test_no_scipy_import_inside_functions():
 
 def test_importing_the_cli_loads_no_scipy():
     assert _scipy_modules_after("import nirscope.cli") == []
+
+
+def test_importing_the_cli_loads_no_network_or_mail_modules():
+    # xml.sax.saxutils would pull these in for its escape function alone.
+    loaded = _modules_after(
+        "import nirscope.cli", ("xml.sax", "urllib.request", "http.client", "email")
+    )
+    assert loaded == []
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,12 @@
 import dataclasses
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_recording
 from nirscope import synth
@@ -448,3 +452,89 @@ def test_dataset_rejects_mixed_payload(small_montage):
     )
     with pytest.raises(ValueError, match="not both"):
         Dataset(montage=small_montage, recordings=(rec,), hemo=(hemo,))
+
+
+# --- container round trip, property-based ---
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Hemo values: any finite float, with signed zeros and subnormals drawn often.
+HEMO_VALUES = st.one_of(
+    FINITE, st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072009e-308])
+)
+# Intensities: positive, from subnormal to near the largest float.
+INTENSITY_VALUES = st.floats(min_value=5e-324, max_value=1e308, allow_subnormal=True)
+
+
+def _montage(n_long: int, n_short: int) -> Montage:
+    longs = [Channel("S1", f"D{i + 1}", 0.03, "long", "left") for i in range(n_long)]
+    shorts = [Channel("S1", f"SD{i + 1}", 0.008, "short", "left") for i in range(n_short)]
+    return Montage(
+        sources=("S1",),
+        detectors=tuple(ch.detector for ch in longs + shorts),
+        channels=tuple(longs + shorts),
+    )
+
+
+@st.composite
+def _containers(draw, kind: str):
+    """A one- or two-participant dataset of ``kind`` with random channel
+    counts and lengths (one-sample files included)."""
+    n_long = draw(st.integers(1, 4))
+    montage = _montage(n_long, draw(st.integers(0, 2)) if kind == "intensity" else 0)
+    participants = []
+    for p in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 9))
+        if kind == "intensity":
+            shape = (len(montage.channels), n)
+            participants.append(
+                Recording(
+                    participant_id=f"P{p}",
+                    group="control",
+                    sample_rate_hz=draw(st.sampled_from([3.9, 10.0, 7.8125])),
+                    wavelengths_nm=(760.0, 850.0),
+                    channel_ids=montage.channel_ids,
+                    intensity={
+                        w: draw(hnp.arrays(np.float64, shape, elements=INTENSITY_VALUES))
+                        for w in (760.0, 850.0)
+                    },
+                )
+            )
+        else:
+            shape = (n_long, n)
+            participants.append(
+                HemoSeries(
+                    participant_id=f"P{p}",
+                    group="patient",
+                    sample_rate_hz=3.9,
+                    channel_ids=tuple(ch.id for ch in montage.long_channels),
+                    hbo=draw(hnp.arrays(np.float64, shape, elements=HEMO_VALUES)),
+                    hbr=draw(hnp.arrays(np.float64, shape, elements=HEMO_VALUES)),
+                )
+            )
+    field = "recordings" if kind == "intensity" else "hemo"
+    return Dataset(montage=montage, **{field: tuple(participants)})
+
+
+def _arrays(dataset: Dataset) -> list[np.ndarray]:
+    if dataset.kind == "intensity":
+        return [rec.intensity[w] for rec in dataset.recordings for w in rec.wavelengths_nm]
+    return [a for h in dataset.hemo for a in (h.hbo, h.hbr)]
+
+
+@pytest.mark.parametrize("kind", ["intensity", "hemo"])
+def test_container_round_trip_is_bitwise(kind):
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(_containers(kind))
+    def round_trip(dataset):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(dataset, Path(tmp) / "ds")
+            loaded = load_dataset(Path(tmp) / "ds")
+        assert loaded.kind == kind
+        saved, got = _arrays(dataset), _arrays(loaded)
+        assert len(got) == len(saved)
+        for a, b in zip(saved, got):
+            # Bit patterns, so that -0.0 and 0.0 differ.
+            assert b.shape == a.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    round_trip()

@@ -178,7 +178,7 @@ def _stack_walks(k, n, seed):
 @pytest.mark.parametrize("block", [7, 64])
 def test_stack_detection_matches_rows(order, block, monkeypatch):
     # 150 rows: blocks of 7 or 64 leave a partial last block.
-    monkeypatch.setattr(motion, "_DETECT_BLOCK_ROWS", block)
+    monkeypatch.setattr(motion, "BLOCK_ROWS", block)
     walks = np.asarray(_stack_walks(150, 600, seed=block), order=order)
     ids = [f"c{i}" for i in range(len(walks))]
     got = detect_artifact_stack(walks, FS, channel_ids=ids)
@@ -474,3 +474,41 @@ def test_synthesis_gathers_in_add_at_order(k, n, zeros):
         got = _dwt_synthesis(approx, levels)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _quartile_cases(m, rng):
+    """(k, m) rows: Gaussian, ties of a few integers, signed zeros among a
+    few values, and magnitudes spread over many decades."""
+    k = 9
+    ties = rng.integers(-2, 3, size=(k, m)).astype(float)
+    zeros = np.where(rng.random((k, m)) < 0.5, -0.0, 0.0)
+    zeros = np.where(rng.random((k, m)) < 0.2, rng.normal(size=(k, m)), zeros)
+    spread = rng.normal(size=(k, m)) * 10.0 ** rng.integers(-300, 300, size=(k, m))
+    return [rng.normal(size=(k, m)), ties, zeros, spread]
+
+
+@pytest.mark.parametrize("m", [*range(2, 41), 64, 128, 256, 512, 1024])
+def test_quartiles_equal_numpy_percentile_bitwise(m):
+    rng = np.random.default_rng(m)
+    for x in _quartile_cases(m, rng):
+        want = np.percentile(x, [25, 75], axis=1, keepdims=True)
+        got = motion._quartiles(x)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (len(x), 1)
+            assert g.tobytes() == w.tobytes()  # -0.0 included
+
+
+@pytest.mark.parametrize("n", [16, 333, 1638])
+def test_wavelet_row_does_not_depend_on_its_block(n):
+    x = spiky_walks(150, n, seed=n)
+    alone = np.stack([wavelet_correct(row) for row in x])
+    for block in (1, 7, 64, len(x)):
+        got = np.concatenate(
+            [wavelet_correct(x[lo : lo + block]) for lo in range(0, len(x), block)]
+        )
+        assert got.tobytes() == alone.tobytes(), block
+    # Other companions, in another order.
+    order = np.random.default_rng(n).permutation(len(x))
+    for lo in range(0, len(x), 64):
+        rows = order[lo : lo + 64]
+        assert wavelet_correct(x[rows]).tobytes() == alone[rows].tobytes()

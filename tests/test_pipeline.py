@@ -100,16 +100,26 @@ BANDPASS_CALLS = {
 def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch, chunk_cells):
     dataset = _varied_dataset()
     config = PipelineConfig(seed=2)
+    block_rows = pipeline.BLOCK_ROWS
     if chunk_cells is not None:
         monkeypatch.setattr(pipeline, "_CHUNK_CELLS", chunk_cells)
-    calls = {"bandpass": [], "spline_correct": 0, "detect": []}
+        # Wavelet blocks of 7 rows leave partial blocks, and the recordings
+        # alone below still use blocks of 64.
+        monkeypatch.setattr(pipeline, "BLOCK_ROWS", 7)
+    calls = {"bandpass": [], "spline_correct": 0, "detect": [], "flagged": [], "wavelet": []}
+    filtered = []
     bandpass = pipeline.bandpass
     spline_correct = pipeline.spline_correct
     detect = pipeline.detect_artifact_stack
+    wavelet_correct = pipeline.wavelet_correct
 
-    def counted_bandpass(series, spec, fs):
+    def counted_bandpass(series, spec, fs, out=None):
         calls["bandpass"].append((fs, [stack.shape for stack in series]))
-        return bandpass(series, spec, fs)
+        # The band-pass writes into the pipeline's stacks.
+        assert out is not None and len(out) == len(series)
+        assert all(o is stack for o, stack in zip(out, series))
+        filtered.extend(series)
+        return bandpass(series, spec, fs, out=out)
 
     def counted_spline(*args, **kwargs):
         calls["spline_correct"] += 1
@@ -117,11 +127,18 @@ def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch, chunk
 
     def counted_detect(rows, fs, **kwargs):
         calls["detect"].append((fs, rows.shape))
-        return detect(rows, fs, **kwargs)
+        segments = detect(rows, fs, **kwargs)
+        calls["flagged"].append(sum(bool(segs) for segs in segments))
+        return segments
+
+    def counted_wavelet(rows, **kwargs):
+        calls["wavelet"].append(len(rows))
+        return wavelet_correct(rows, **kwargs)
 
     monkeypatch.setattr(pipeline, "bandpass", counted_bandpass)
     monkeypatch.setattr(pipeline, "spline_correct", counted_spline)
     monkeypatch.setattr(pipeline, "detect_artifact_stack", counted_detect)
+    monkeypatch.setattr(pipeline, "wavelet_correct", counted_wavelet)
     hemo = preprocess_dataset(dataset, config)
     # Each band-pass call covers both chromophores of its recordings, one
     # stack per length; detection runs once over the rows of each stack, and
@@ -132,7 +149,21 @@ def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch, chunk
         (fs, (r * c * ch, n)) for fs, (r, c, ch, n) in stacks
     )
     assert 1 <= calls["spline_correct"] <= len(stacks)
+    # One wavelet call per block of flagged rows of each stack, in order.
+    blocks = []
+    for flagged in calls["flagged"]:
+        whole, rest = divmod(flagged, pipeline.BLOCK_ROWS)
+        blocks += [pipeline.BLOCK_ROWS] * whole + [rest] * bool(rest)
+    assert calls["wavelet"] == blocks
+    assert sum(blocks) > 2 * len(stacks)
+    if chunk_cells is not None:
+        assert max(blocks) == 7 and min(blocks) < 7
+    # The hemo series are views of the stacks the band-pass filtered.
+    for series in hemo.hemo:
+        for chromophore in (series.hbo, series.hbr):
+            assert sum(np.shares_memory(chromophore, stack) for stack in filtered) == 1
 
+    monkeypatch.setattr(pipeline, "BLOCK_ROWS", block_rows)
     for rec, series in zip(dataset.recordings, hemo.hemo):
         alone = preprocess_recording(rec, dataset.montage, config)
         assert series.participant_id == rec.participant_id

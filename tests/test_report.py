@@ -1,10 +1,12 @@
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
 
 from nirscope.report import (
+    escape,
     metrics_table,
     svg_bar_chart,
     svg_curve_panels,
@@ -100,3 +102,10 @@ def test_metrics_table_layout():
     assert lines[0].split() == ["fold", "accuracy", "precision", "recall", "f1"]
     assert "0.7500" in lines[3]
     assert "0.7170" in lines[3]
+
+
+@pytest.mark.parametrize(
+    "text", ["", "plain", "a & b", "<tag>", "&amp; stays escaped", "x<&>y&&<<>>", "S1-D1 hbo > 0"]
+)
+def test_escape_equals_saxutils(text):
+    assert escape(text) == sax_escape(text)

@@ -367,3 +367,54 @@ def test_list_of_stacks_of_any_length_equals_scipy(zero_phase):
 def test_bandpass_of_no_rows_is_empty():
     assert bandpass(np.zeros((0, 50)), BandpassSpec(), FS).shape == (0, 50)
     assert bandpass([], BandpassSpec(), FS) == []
+
+
+# --- writing into out ---
+
+
+@pytest.mark.parametrize("zero_phase", [True, False])
+def test_bandpass_into_its_input_equals_a_copy(zero_phase):
+    spec = BandpassSpec(zero_phase=zero_phase)
+    x = spiky_walks(6, 700, seed=11).reshape(2, 3, 700)
+    want = bandpass(x, spec, FS)
+    got = x.copy()
+    assert bandpass(got, spec, FS, out=got) is got
+    assert np.array_equal(got, want)
+    # The input of a copying call is left as it was.
+    assert np.array_equal(x, spiky_walks(6, 700, seed=11).reshape(2, 3, 700))
+
+
+@pytest.mark.parametrize("zero_phase", [True, False])
+def test_bandpass_of_a_list_into_its_input_equals_a_copy(zero_phase):
+    # At 0.05 Hz the settle length is 305 samples: the 12- and 40-sample
+    # stacks pad by 11 and 39, the others by 305, so the head buffer holds
+    # 11 samples and the other columns keep the rest of their padding.
+    spec = BandpassSpec(zero_phase=zero_phase)
+    shapes = [(3, 1638), (2, 2, 40), (5, 700), (1, 12), (2, 1638)]
+    series = [
+        spiky_walks(int(np.prod(s[:-1])), s[-1], seed=i).reshape(s) for i, s in enumerate(shapes)
+    ]
+    if zero_phase:
+        pads = [min(_design(spec, FS)[2], s[-1] - 1) for s in shapes]
+        assert min(pads) == 11 and max(pads) == 305
+    want = bandpass(series, spec, FS)
+    got = [x.copy() for x in series]
+    out = bandpass(got, spec, FS, out=got)
+    assert len(out) == len(got) and all(o is g for o, g in zip(out, got))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    # Into separate arrays, the input is left as it was.
+    into = [np.empty(x.shape) for x in series]
+    bandpass(series, spec, FS, out=into)
+    for g, w in zip(into, want):
+        assert np.array_equal(g, w)
+
+
+def test_bandpass_rejects_an_unusable_out():
+    x = spiky_walks(2, 300, seed=1)
+    for bad in (np.empty((2, 299)), np.empty((2, 300), dtype=np.float32),
+                np.empty((300, 2)).T, [np.empty((2, 300))]):
+        with pytest.raises(ValueError, match="out must be"):
+            bandpass(x, BandpassSpec(), FS, out=bad)
+    with pytest.raises(ValueError, match="out must be"):
+        bandpass([x, x], BandpassSpec(), FS, out=[np.empty((2, 300))])

@@ -503,6 +503,15 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     Validation errors refuse the write before any file is touched; output is
     byte-deterministic for a given dataset.
     """
+    series = dataset.recordings or dataset.hemo
+    for s in series[1:]:
+        # The manifest holds one sample rate, which every file is read back at.
+        if s.sample_rate_hz != series[0].sample_rate_hz:
+            raise ValueError(
+                f"participant {s.participant_id} is sampled at {s.sample_rate_hz} Hz, "
+                f"participant {series[0].participant_id} at {series[0].sample_rate_hz} Hz: "
+                "a dataset directory holds one sample rate"
+            )
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     participants = []

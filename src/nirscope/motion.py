@@ -4,9 +4,10 @@ Detection flags amplitude excursions and moving-variance bursts; flagged
 segments get a cubic smoothing-spline trend subtraction re-anchored to the
 local baseline, and a wavelet pass zeroes detail coefficients that are
 interquartile-range outliers within their decomposition level. The spline
-is a numpy Reinsch solve with knots at the sample index; it agrees with
+is a numpy Reinsch solve with knots at the sample index and a fixed
+smoothing weight of 1e-3; it agrees there with
 ``scipy.interpolate.make_smoothing_spline`` to 1e-14 of each segment's
-largest |value| at the default ``lam``. The wavelet transform is a
+largest |value|. The wavelet transform is a
 self-contained periodized Daubechies-4 DWT so results are bit-stable across
 platforms.
 
@@ -50,6 +51,10 @@ _DB4_HI = np.array([(-1) ** n * _DB4_LO[len(_DB4_LO) - 1 - n] for n in range(len
 # the pipeline. Their temporaries are one block wide (0.8 MB for rows of 1638
 # samples); a whole stack of 960 rows would make each of them 12.6 MB.
 BLOCK_ROWS = 64
+# Smoothing weight of the artifact-trend spline, on a unit knot spacing, and
+# the seconds of signal a corrected segment is re-anchored to.
+_SPLINE_LAM = 1e-3
+_SPLINE_BASELINE_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -251,15 +256,14 @@ def spline_correct(
     series,
     segments: list[ArtifactSegment] | list[list[ArtifactSegment]],
     fs: float = 1.0,
-    lam: float = 1e-3,
-    baseline_s: float = 2.0,
 ) -> np.ndarray:
     """Subtract a cubic smoothing-spline artifact trend inside each segment.
 
     ``series`` is one series with a list of segments, or a (k, n) array with
-    one segment list per row. Each corrected segment is re-anchored to the
-    mean of the ``baseline_s`` seconds before it (after it when the segment
-    starts the series), so no step discontinuity remains at segment
+    one segment list per row. The spline's smoothing weight is
+    _SPLINE_LAM (1e-3). Each corrected segment is re-anchored to the mean of
+    the _SPLINE_BASELINE_S (2 s) before it (after it when the segment starts
+    the series), so no step discontinuity remains at segment
     boundaries. Samples outside segments are never modified. Segments of a
     row must not overlap. The input is not modified.
 
@@ -269,9 +273,9 @@ def spline_correct(
     """
     x = np.array(series, dtype=float)
     if x.ndim == 1:
-        _spline_correct_in_place(x[None], [segments], fs, lam, baseline_s)
+        _spline_correct_in_place(x[None], [segments], fs)
     else:
-        _spline_correct_in_place(x, segments, fs, lam, baseline_s)
+        _spline_correct_in_place(x, segments, fs)
     return x
 
 
@@ -279,8 +283,6 @@ def _spline_correct_in_place(
     x: np.ndarray,
     segments: list[list[ArtifactSegment]],
     fs: float = 1.0,
-    lam: float = 1e-3,
-    baseline_s: float = 2.0,
 ) -> np.ndarray:
     """``spline_correct`` of a (k, n) float array, written into ``x``, which
     is returned."""
@@ -290,7 +292,7 @@ def _spline_correct_in_place(
             f"and {len(segments)} lists"
         )
     n = x.shape[1]
-    n_base = max(1, int(round(baseline_s * fs)))
+    n_base = max(1, int(round(_SPLINE_BASELINE_S * fs)))
     # (row, start) of the segments of each length.
     by_length: dict[int, list[tuple[int, int]]] = {}
     for r, segs in enumerate(segments):
@@ -315,7 +317,7 @@ def _spline_correct_in_place(
                 trends[r, a] = np.full(length, y.mean())
             continue
         y = np.stack([x[r, a : a + length] for r, a in starts], axis=1)
-        fitted = _smoothing_spline(y, lam)
+        fitted = _smoothing_spline(y, _SPLINE_LAM)
         for j, key in enumerate(starts):
             trends[key] = fitted[:, j]
 

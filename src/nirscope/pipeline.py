@@ -258,7 +258,7 @@ def _preprocess(recordings, montage, config: PipelineConfig) -> list[HemoSeries]
             low_cut_hz=spec.low_cut_hz,
             high_cut_hz=spec.high_cut_hz,
             order=spec.order,
-            zero_phase=spec.zero_phase,
+            zero_phase=True,  # bandpass is always zero-phase; the record keeps saying so
         )
     )
 
@@ -463,7 +463,7 @@ def _emit_block_average_curves(path: Path, epoch_set: EpochSet, task: str, pairs
     Groups without epochs for the task are left out of every panel.
     """
     averages = []
-    for group, color in (("control", "#4472c4"), ("patient", "#c0504d")):
+    for group, color in report.GROUP_COLORS.items():
         try:
             averages.append((group, color, epochs_mod.block_average(epoch_set, task, group=group)))
         except ValueError:
@@ -521,7 +521,7 @@ def _time_to_peak_svg(epoch_set: EpochSet, task: str, roi) -> str:
                 y_label="time to peak (s)",
             )
         )
-    return _stack_svgs(sections)
+    return report.svg_stack(sections)
 
 
 class _Outputs:
@@ -714,28 +714,6 @@ def descriptive_report(config: PipelineConfig) -> list[Path]:
         )
         out.emit("time_to_peak.svg", _time_to_peak_svg(epoch_set, config.task, roi))
         return list(out.written)
-
-
-def _stack_svgs(svgs: list[str]) -> str:
-    # Independent SVG documents concatenated vertically into one document.
-    import re
-
-    inner = []
-    total_h = 0
-    width = 0
-    for svg in svgs:
-        m = re.search(r'width="(\d+)" height="(\d+)"', svg)
-        w, h = int(m.group(1)), int(m.group(2))
-        body = svg[svg.index(">") + 1 : svg.rindex("</svg>")]
-        inner.append(f'<g transform="translate(0 {total_h})">{body}</g>')
-        total_h += h
-        width = max(width, w)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{total_h}" viewBox="0 0 {width} {total_h}">'
-        + "".join(inner)
-        + "</svg>\n"
-    )
 
 
 # Fields that only describe the synthetic data a run generates; a run on a

@@ -13,15 +13,26 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "GROUP_COLORS",
+    "Svg",
     "svg_bar_chart",
     "svg_curve_panels",
     "svg_group_bars",
+    "svg_stack",
     "emit_svg_bar",
     "emit_svg_curves",
     "metrics_table",
 ]
 
 _FONT = "font-family=\"Helvetica, Arial, sans-serif\""
+
+# Figure geometry (px) and colours.
+GROUP_COLORS = {"control": "#4472c4", "patient": "#c0504d"}
+_BAR_WIDTH, _BAR_HEIGHT = 640, 360
+_BAR_COLOR = "#4472c4"
+_PANEL_WIDTH, _PANEL_HEIGHT = 320, 220
+_PANEL_COLUMNS = 2
+_GROUP_BARS_WIDTH, _GROUP_BARS_HEIGHT = 640, 300
 
 
 def escape(text: str) -> str:
@@ -41,19 +52,47 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [float(v) for v in raw]
 
 
+def _svg_open(width: int, height: int) -> str:
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
+    )
+
+
+class Svg(str):
+    """The text of an SVG document on a white background, which also keeps
+    its size and the elements inside its root, so that ``svg_stack`` can
+    compose documents without parsing them back."""
+
+    def __new__(cls, width: int, height: int, elements: Sequence[str]):
+        background = f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>'
+        body = "\n" + "\n".join([background, *elements]) + "\n"
+        doc = super().__new__(cls, _svg_open(width, height) + body + "</svg>\n")
+        doc.width, doc.height, doc.body = width, height, body
+        return doc
+
+
+def svg_stack(docs: Sequence[Svg]) -> str:
+    """One document showing ``docs`` one below the other, left-aligned."""
+    inner = []
+    top = 0
+    for doc in docs:
+        inner.append(f'<g transform="translate(0 {top})">{doc.body}</g>')
+        top += doc.height
+    return _svg_open(max(doc.width for doc in docs), top) + "".join(inner) + "</svg>\n"
+
+
 def svg_bar_chart(
     values: Sequence[float],
     labels: Sequence[str],
     title: str = "",
     y_label: str = "",
-    width: int = 640,
-    height: int = 360,
-    color: str = "#4472c4",
-) -> str:
+) -> Svg:
     """Vertical bar chart with the exact value printed above each bar."""
     vals = [float(v) for v in values]
     if not vals or len(vals) != len(labels):
         raise ValueError("bar chart needs equal, nonempty values and labels")
+    width, height = _BAR_WIDTH, _BAR_HEIGHT
     ml, mr, mt, mb = 64, 16, 36, 64
     w = width - ml - mr
     h = height - mt - mb
@@ -61,11 +100,7 @@ def svg_bar_chart(
     vmax = vmax if vmax > 0 else 1.0
     slot = w / len(vals)
     bar_w = slot * 0.7
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
+    parts = []
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="20" {_FONT} font-size="14" '
@@ -87,7 +122,7 @@ def svg_bar_chart(
         y = mt + h - bh
         parts.append(
             f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(bar_w)}" height="{_f(bh)}" '
-            f'fill="{color}"/>'
+            f'fill="{_BAR_COLOR}"/>'
         )
         parts.append(
             f'<text x="{_f(x + bar_w / 2)}" y="{_f(y - 4)}" {_FONT} font-size="8" '
@@ -106,8 +141,7 @@ def svg_bar_chart(
             f'text-anchor="middle" transform="rotate(-90 14 {mt + h / 2:.1f})">'
             f"{escape(y_label)}</text>"
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return Svg(width, height, parts)
 
 
 def _polyline(xs: np.ndarray, ys: np.ndarray) -> str:
@@ -119,11 +153,8 @@ def svg_curve_panels(
     fs: float,
     title: str = "",
     y_label: str = "",
-    panel_width: int = 320,
-    panel_height: int = 220,
-    columns: int = 2,
-) -> str:
-    """Grid of line panels with shaded +-std bands.
+) -> Svg:
+    """Grid of line panels with shaded +-std bands, two panels a row.
 
     Each panel is (panel_title, curves); each curve is
     (label, mean, std, color). A zero std degenerates the band to the line.
@@ -133,16 +164,13 @@ def svg_curve_panels(
     for _, curves in panels:
         if not curves:
             raise ValueError("panel without curves")
-    n_cols = min(columns, len(panels))
+    panel_width, panel_height = _PANEL_WIDTH, _PANEL_HEIGHT
+    n_cols = min(_PANEL_COLUMNS, len(panels))
     n_rows = (len(panels) + n_cols - 1) // n_cols
     width = n_cols * panel_width
     height = n_rows * panel_height + (30 if title else 0)
     top = 30 if title else 0
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
+    parts = []
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="20" {_FONT} font-size="14" '
@@ -225,22 +253,19 @@ def svg_curve_panels(
                 f'transform="rotate(-90 {px + 12} {py + mt + h / 2:.1f})">'
                 f"{escape(y_label)}</text>"
             )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return Svg(width, height, parts)
 
 
 def svg_group_bars(
     entries: Sequence[tuple[str, str, float]],
     title: str = "",
     y_label: str = "",
-    group_colors: dict[str, str] | None = None,
-    width: int = 640,
-    height: int = 300,
-) -> str:
-    """Per-individual bars colored by group: (individual, group, value)."""
+) -> Svg:
+    """Per-individual bars colored by group (GROUP_COLORS): (individual,
+    group, value)."""
     if not entries:
         raise ValueError("no entries to draw")
-    colors = group_colors or {"control": "#4472c4", "patient": "#c0504d"}
+    width, height = _GROUP_BARS_WIDTH, _GROUP_BARS_HEIGHT
     ml, mr, mt, mb = 56, 16, 36, 56
     w = width - ml - mr
     h = height - mt - mb
@@ -248,11 +273,7 @@ def svg_group_bars(
     vmax = vmax if vmax > 0 else 1.0
     slot = w / len(entries)
     bar_w = slot * 0.72
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
+    parts = []
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="20" {_FONT} font-size="13" '
@@ -272,7 +293,7 @@ def svg_group_bars(
         bh = (max(value, 0.0) / vmax) * h
         x = ml + i * slot + (slot - bar_w) / 2
         y = mt + h - bh
-        color = colors.get(group, "#888888")
+        color = GROUP_COLORS.get(group, "#888888")
         parts.append(
             f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(bar_w)}" height="{_f(bh)}" '
             f'fill="{color}"/>'
@@ -283,7 +304,7 @@ def svg_group_bars(
             f'text-anchor="end" transform="rotate(-60 {_f(cx)} {_f(mt + h + 10)})">'
             f"{escape(name)}</text>"
         )
-    for gi, (group, color) in enumerate(sorted(colors.items())):
+    for gi, (group, color) in enumerate(sorted(GROUP_COLORS.items())):
         gx = ml + 8 + gi * 110
         parts.append(f'<rect x="{gx}" y="{mt - 14}" width="10" height="10" fill="{color}"/>')
         parts.append(
@@ -295,8 +316,7 @@ def svg_group_bars(
             f'text-anchor="middle" transform="rotate(-90 14 {mt + h / 2:.1f})">'
             f"{escape(y_label)}</text>"
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return Svg(width, height, parts)
 
 
 def emit_svg_bar(values, labels, path: str | Path, title: str = "", y_label: str = ""):

@@ -2,8 +2,8 @@
 
 The default 0.05-0.7 Hz Butterworth band-pass keeps the hemodynamic band
 while rejecting slow drifts below and cardiac/respiratory oscillations
-above. Zero-phase application (forward-backward) squares the magnitude
-response and cancels group delay.
+above. It is always applied zero-phase (forward-backward), which squares
+the magnitude response and cancels group delay.
 
 Design and filtering are a numpy port of scipy.signal's ``butter``,
 ``sosfilt_zi`` and ``sosfiltfilt`` that reproduces them bit for bit, so the
@@ -46,7 +46,6 @@ class BandpassSpec:
     low_cut_hz: float = 0.05
     high_cut_hz: float = 0.7
     order: int = 4
-    zero_phase: bool = True
 
     def __post_init__(self):
         if self.low_cut_hz <= 0 or self.high_cut_hz <= self.low_cut_hz:
@@ -159,15 +158,15 @@ def bandpass_sos(spec: BandpassSpec, fs: float) -> np.ndarray:
 
 
 def bandpass_gain(spec: BandpassSpec, fs: float, freqs) -> np.ndarray:
-    """Magnitude response at ``freqs`` (Hz), squared when zero-phase."""
+    """Magnitude response at ``freqs`` (Hz) of the zero-phase filter: the
+    designed filter's magnitude, squared by the forward-backward pass."""
     sos = bandpass_sos(spec, fs)
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     zm1 = np.exp(-1j * (freqs * (2 * np.pi / fs)))
     h = 1.0
     for b0, b1, b2, a0, a1, a2 in sos:
         h = h * ((b0 + zm1 * (b1 + zm1 * b2)) / (a0 + zm1 * (a1 + zm1 * a2)))
-    mag = np.abs(h)
-    return mag**2 if spec.zero_phase else mag
+    return np.abs(h) ** 2
 
 
 def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:
@@ -252,9 +251,10 @@ def _steady_state(zi: np.ndarray, first: np.ndarray) -> list:
     return [(zi[s, 0] * first, zi[s, 1] * first) for s in range(len(zi))]
 
 
-def _filter_rows(sos, zi, pieces, zero_phase: bool) -> None:
-    """Filter (rows, out, pad) pieces side by side in one (samples x rows)
-    buffer, writing each row's result into ``out``, which may be ``rows``.
+def _filter_rows(sos, zi, pieces) -> None:
+    """Filter (rows, out, pad) pieces forward and backward side by side in
+    one (samples x rows) buffer, writing each row's result into ``out``,
+    which may be ``rows``.
 
     Each piece's rows, reflected by ``pad`` samples at both ends, fill the
     start of their columns; columns of shorter series end in zeros, so the
@@ -268,17 +268,16 @@ def _filter_rows(sos, zi, pieces, zero_phase: bool) -> None:
     starts at the last sample of every series. Columns never interact, so
     every row comes out as it would on its own.
     """
-    lead = min(pad for _, _, pad in pieces)
+    lead = min(pad for _, _, pad in pieces)  # >= 1: each pad is min(settle, n - 1)
     lengths = [rows.shape[1] + 2 * pad - lead for rows, _, pad in pieces]
     width = sum(len(rows) for rows, _, _ in pieces)
-    if lead:
-        head = np.empty((lead, width))
-        c = 0
-        for rows, _, pad in pieces:
-            head[:, c : c + len(rows)] = rows[:, pad : pad - lead : -1].T
-            c += len(rows)
-        state = _sosfilt(sos, head, _steady_state(zi, head[0]))
-        del head
+    head = np.empty((lead, width))
+    c = 0
+    for rows, _, pad in pieces:
+        head[:, c : c + len(rows)] = rows[:, pad : pad - lead : -1].T
+        c += len(rows)
+    state = _sosfilt(sos, head, _steady_state(zi, head[0]))
+    del head
     span = max(lengths)
     buf = np.empty((span, width))
     cols = []
@@ -292,18 +291,17 @@ def _filter_rows(sos, zi, pieces, zero_phase: bool) -> None:
         col[skip + n : length] = rows[:, -2 : -(pad + 2) : -1].T
         col[length:] = 0.0
         cols.append(col)
-    _sosfilt(sos, buf, state if lead else _steady_state(zi, buf[0]))
-    if zero_phase:
-        for col, length in zip(cols, lengths):
-            if length < span:
-                col[span - length :] = col[:length]
-        # The backward pass stops at the first sample of the last series to
-        # end: what it would give over the leading padding is thrown away.
-        stop = max(rows.shape[1] + pad for rows, _, pad in pieces)
-        back = buf[::-1][:stop]
-        _sosfilt(sos, back, _steady_state(zi, back[0]))
+    _sosfilt(sos, buf, state)
+    for col, length in zip(cols, lengths):
+        if length < span:
+            col[span - length :] = col[:length]
+    # The backward pass stops at the first sample of the last series to
+    # end: what it would give over the leading padding is thrown away.
+    stop = max(rows.shape[1] + pad for rows, _, pad in pieces)
+    back = buf[::-1][:stop]
+    _sosfilt(sos, back, _steady_state(zi, back[0]))
     for (rows, out, pad), col, length in zip(pieces, cols, lengths):
-        start = (span - length if zero_phase else 0) + pad - lead
+        start = span - length + pad - lead
         out[...] = col[start : start + rows.shape[1]].T
 
 
@@ -313,11 +311,10 @@ def bandpass(series, spec: BandpassSpec, fs: float, out=None):
     ``series`` is one series or an (..., n_samples) stack of them, and the
     output has its shape; or it is a list of such arrays, whose lengths may
     differ, and the output is a list of their filtered copies. Every row is
-    filtered exactly as it would be on its own. Zero-phase mode filters
-    forward and backward with even (reflection) padding of one
-    filter-settling length, as ``scipy.signal.sosfiltfilt(sos, x,
-    padtype="even", padlen=min(settle, n - 1))`` does, bit for bit;
-    single-pass mode starts from the steady state of the first sample.
+    filtered exactly as it would be on its own, zero-phase: forward and
+    backward with even (reflection) padding of one filter-settling length,
+    as ``scipy.signal.sosfiltfilt(sos, x, padtype="even", padlen=min(settle,
+    n - 1))`` does, bit for bit.
 
     As in numpy, ``out`` (a C-contiguous float64 array of the input's
     shape, or a list of them for a list) receives the result and is
@@ -351,10 +348,9 @@ def bandpass(series, spec: BandpassSpec, fs: float, out=None):
     pieces = []
     for x, o in zip(xs, outs):
         n = x.shape[-1]
-        pad = min(settle, n - 1) if spec.zero_phase else 0
-        pieces.append((x.reshape(-1, n), o.reshape(-1, n), pad))
+        pieces.append((x.reshape(-1, n), o.reshape(-1, n), min(settle, n - 1)))
     if sum(len(rows) for rows, _, _ in pieces):
-        _filter_rows(sos, zi, pieces, spec.zero_phase)
+        _filter_rows(sos, zi, pieces)
     return outs if many else outs[0]
 
 

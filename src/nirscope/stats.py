@@ -210,7 +210,10 @@ def t_test_from_summary(
         q1, q2 = v1 / a.n, v2 / b.n
         se = math.sqrt(q1 + q2)
         if q1 + q2 > 0:
-            df = (q1 + q2) ** 2 / (q1**2 / (a.n - 1) + q2**2 / (b.n - 1))
+            # In shares of q1 + q2, so that the squares of tiny variances
+            # cannot underflow to 0 / 0.
+            r1, r2 = q1 / (q1 + q2), q2 / (q1 + q2)
+            df = 1.0 / (r1**2 / (a.n - 1) + r2**2 / (b.n - 1))
         else:
             df = float(a.n + b.n - 2)
     if se == 0.0:

@@ -34,7 +34,32 @@ __all__ = [
 
 _HRF_SHAPE_MAIN = 6.0  # gamma shape of the positive lobe
 _HRF_SHAPE_UNDER = 16.0  # gamma shape of the undershoot lobe
+_HRF_UNDERSHOOT_S = 16.0  # mode of the undershoot lobe
+_HRF_UNDERSHOOT_RATIO = 1.0 / 6.0  # undershoot lobe relative to the main lobe
 _SUPERFICIAL_HBR_RATIO = 0.3  # scalp HbR fluctuation relative to scalp HbO
+
+# The synthetic protocol: Nine Hole Peg Test blocks in two conditions, each
+# task block followed by rest, after a lead-in, sampled at two wavelengths.
+_TASKS = ("single", "dual")
+_SAMPLE_RATE_HZ = 3.9
+_TASK_S = 20.0
+_REST_S = 20.0
+_LEAD_IN_S = 20.0
+_WAVELENGTHS_NM = (760.0, 850.0)
+# The evoked response: HbO peak amplitude (mol/L), HbR relative to HbO
+# (inverted), the HRF peak time, and the within-block adaptation of the
+# neural drive toward its floor.
+_HBO_AMPLITUDE = 1e-6
+_HBR_RATIO = 1.0 / 3.0
+_HRF_PEAK_S = 6.0
+_ADAPTATION_TAU_S = 8.0
+_ADAPTATION_FLOOR = 0.35
+# Physiological rhythms (Hz). They are not phase-stable over minutes; the
+# random phase walk keeps them from locking to the periodic block design.
+_CARDIAC_HZ = 1.1
+_RESPIRATION_HZ = 0.3
+_MAYER_HZ = 0.1
+_PHASE_JITTER_RAD_PER_SQRT_S = 0.3
 
 
 @dataclass(frozen=True)
@@ -90,20 +115,15 @@ class EffectSpec:
 class NoiseSpec:
     """Amplitudes of the physiological and instrumental noise components.
 
-    Oscillation amplitudes and the white-noise sd are concentration
-    equivalents (mol/L); drift and spikes act on optical density. Defaults
-    put the raw in-band noise on the order of the response amplitude.
+    Oscillation amplitudes (at the fixed cardiac, respiratory and Mayer-wave
+    rates) and the white-noise sd are concentration equivalents (mol/L);
+    drift and spikes act on optical density. Defaults put the raw in-band
+    noise on the order of the response amplitude.
     """
 
-    cardiac_hz: float = 1.1
     cardiac_amp: float = 6e-7
-    respiration_hz: float = 0.3
     respiration_amp: float = 4e-7
-    mayer_hz: float = 0.1
     mayer_amp: float = 5e-7
-    # Physiological rhythms are not phase-stable over minutes; the random
-    # phase walk keeps them from locking to the periodic block design.
-    phase_jitter_rad_per_sqrt_s: float = 0.3
     white_sd: float = 3e-8
     drift_od_per_min: float = 2e-3
     spike_rate_per_min: float = 0.5
@@ -222,32 +242,29 @@ def _hrf_params(peak_s: float, undershoot_s: float, undershoot_ratio: float):
     return mode, peak_value
 
 
-def canonical_hrf(
-    t,
-    peak_s: float = 6.0,
-    undershoot_s: float = 16.0,
-    undershoot_ratio: float = 1.0 / 6.0,
-):
+def canonical_hrf(t, peak_s: float = _HRF_PEAK_S):
     """Double-gamma hemodynamic response, unit peak exactly at ``peak_s``.
 
-    Two gamma-density-shaped lobes are combined; the main lobe's mode is
-    solved so the analytic maximum of the difference lands on ``peak_s``,
-    and the curve is normalized so that maximum is 1. Zero at t <= 0.
+    Two gamma-density-shaped lobes are combined, the undershoot lobe with
+    its mode at _HRF_UNDERSHOOT_S and weight _HRF_UNDERSHOOT_RATIO; the main
+    lobe's mode is solved so the analytic maximum of the difference lands on
+    ``peak_s``, and the curve is normalized so that maximum is 1. Zero at
+    t <= 0.
     """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    mode, peak_value = _hrf_params(peak_s, undershoot_s, undershoot_ratio)
+    mode, peak_value = _hrf_params(peak_s, _HRF_UNDERSHOOT_S, _HRF_UNDERSHOOT_RATIO)
     out = np.zeros_like(t)
     pos = t > 0
     tp = t[pos]
     main = (tp / mode) ** (_HRF_SHAPE_MAIN - 1) * np.exp(
         -(tp - mode) * (_HRF_SHAPE_MAIN - 1) / mode
     )
-    under = (tp / undershoot_s) ** (_HRF_SHAPE_UNDER - 1) * np.exp(
-        -(tp - undershoot_s) * (_HRF_SHAPE_UNDER - 1) / undershoot_s
+    under = (tp / _HRF_UNDERSHOOT_S) ** (_HRF_SHAPE_UNDER - 1) * np.exp(
+        -(tp - _HRF_UNDERSHOOT_S) * (_HRF_SHAPE_UNDER - 1) / _HRF_UNDERSHOOT_S
     )
-    out[pos] = (main - undershoot_ratio * under) / peak_value
+    out[pos] = (main - _HRF_UNDERSHOOT_RATIO * under) / peak_value
     return float(out[0]) if scalar else out
 
 
@@ -287,10 +304,10 @@ def default_montage() -> Montage:
     )
 
 
-def _block_kernel(fs: float, peak_s: float, delay_s: float, envelope: np.ndarray):
+def _block_kernel(fs: float, delay_s: float, envelope: np.ndarray):
     """HRF impulse kernel shifted by delay, scaled to unit single-block peak."""
     t = np.arange(int(round(40.0 * fs))) / fs
-    kernel = canonical_hrf(np.maximum(t - delay_s, 0.0), peak_s=peak_s)
+    kernel = canonical_hrf(np.maximum(t - delay_s, 0.0))
     block = np.convolve(envelope, kernel)
     peak = block.max()
     return kernel / peak if peak > 0 else kernel
@@ -312,56 +329,45 @@ def _spike_train(rng, n: int, fs: float, rate_per_min: float, amp: float) -> np.
 def generate_dataset(
     n_patients: int,
     n_controls: int,
-    montage: Montage | None = None,
     trials_per_task: int = 5,
-    tasks: tuple[str, ...] = ("single", "dual"),
     effect: EffectSpec | None = None,
     noise: NoiseSpec | None = None,
     seed: int = 0,
-    sample_rate_hz: float = 3.9,
-    task_s: float = 20.0,
-    rest_s: float = 20.0,
-    lead_in_s: float = 20.0,
-    wavelengths_nm: tuple[float, float] = (760.0, 850.0),
-    extinction: optics.ExtinctionTable | None = None,
-    hbo_amplitude: float = 1e-6,
-    hbr_ratio: float = 1.0 / 3.0,
-    hrf_peak_s: float = 6.0,
-    adaptation_tau_s: float = 8.0,
-    adaptation_floor: float = 0.35,
     participant_gain_sd: float = 0.08,
     trial_gain_sd: float = 0.05,
 ) -> tuple[Dataset, GroundTruth]:
     """Generate raw two-wavelength recordings with known ground truth.
 
-    Each participant performs ``trials_per_task`` trials of every task in a
-    seeded random order (task_s on, rest_s off). Neural responses are the
-    HRF convolved with the task drive (HbR inverted at ``hbr_ratio``
-    amplitude); the drive decays exponentially within each block toward
-    ``adaptation_floor`` with time constant ``adaptation_tau_s``, so the
-    response peaks and declines instead of plateauing (neural adaptation).
-    Patients express the effect in its target channels only. Superficial
-    noise is shared between each long channel and the short channel of its
-    source, so short-channel regression can remove it. Deterministic per
-    seed.
+    The protocol is fixed: the default montage, sampled at 3.9 Hz at 760
+    and 850 nm; after a 20 s lead-in, each participant performs
+    ``trials_per_task`` trials of the single and the dual task in a seeded
+    random order, each a 20 s block followed by 20 s of rest. Neural
+    responses are the HRF (peak at 6 s) convolved with the task drive, HbR
+    inverted at a third of the HbO amplitude; the drive decays
+    exponentially within each block toward 0.35 with an 8 s time constant,
+    so the response peaks and declines instead of plateauing (neural
+    adaptation). Patients express the effect in its target channels only.
+    Superficial noise is shared between each long channel and the short
+    channel of its source, so short-channel regression can remove it.
+    Deterministic per seed.
     """
     if n_patients < 1 or n_controls < 1:
         raise ValueError("need at least one participant per group")
-    montage = montage or default_montage()
+    montage = default_montage()
     noise = noise or NoiseSpec()
-    extinction = extinction or optics.default_extinction_table()
+    extinction = optics.default_extinction_table()
     if effect is not None:
         known = set(montage.channel_ids)
         for ch in effect.target_channels:
             if ch not in known:
                 raise ValueError(f"effect channel {ch} absent from montage")
 
-    fs = sample_rate_hz
-    n_trials = trials_per_task * len(tasks)
-    duration_s = lead_in_s + n_trials * (task_s + rest_s)
+    fs = _SAMPLE_RATE_HZ
+    n_trials = trials_per_task * len(_TASKS)
+    duration_s = _LEAD_IN_S + n_trials * (_TASK_S + _REST_S)
     n = int(round(duration_s * fs))
     t = np.arange(n) / fs
-    task_samples = int(round(task_s * fs))
+    task_samples = int(round(_TASK_S * fs))
     by_source = {ch.id: ch.source for ch in montage.channels}
 
     participants = [(f"P{i + 1:02d}", "patient") for i in range(n_patients)] + [
@@ -377,19 +383,19 @@ def generate_dataset(
         labels[pid] = group
 
         order = rng.permutation(
-            np.repeat(np.arange(len(tasks)), trials_per_task)
+            np.repeat(np.arange(len(_TASKS)), trials_per_task)
         )
         annotations = []
         onsets = []
         for j, task_idx in enumerate(order):
-            onset = lead_in_s + j * (task_s + rest_s)
-            annotations.append(Annotation(onset, task_s, tasks[int(task_idx)]))
+            onset = _LEAD_IN_S + j * (_TASK_S + _REST_S)
+            annotations.append(Annotation(onset, _TASK_S, _TASKS[int(task_idx)]))
             onsets.append(int(round(onset * fs)))
 
         # Stimulus train with within-block adaptation and per-trial jitter.
         block_t = np.arange(task_samples) / fs
-        envelope = adaptation_floor + (1.0 - adaptation_floor) * np.exp(
-            -block_t / adaptation_tau_s
+        envelope = _ADAPTATION_FLOOR + (1.0 - _ADAPTATION_FLOOR) * np.exp(
+            -block_t / _ADAPTATION_TAU_S
         )
         u = np.zeros(n)
         for start in onsets:
@@ -404,20 +410,20 @@ def generate_dataset(
         def response(delay: float) -> np.ndarray:
             if delay not in kernels:
                 kernels[delay] = np.convolve(
-                    u, _block_kernel(fs, hrf_peak_s, delay, envelope)
+                    u, _block_kernel(fs, delay, envelope)
                 )[:n]
             return kernels[delay]
 
         # Superficial (scalp) signal per source, shared with short channels.
         sup_hbo: dict[str, np.ndarray] = {}
         sup_hbr: dict[str, np.ndarray] = {}
-        step = noise.phase_jitter_rad_per_sqrt_s / np.sqrt(fs)
+        step = _PHASE_JITTER_RAD_PER_SQRT_S / np.sqrt(fs)
         for src in montage.sources:
             sup = np.zeros(n)
             for hz, amp in (
-                (noise.cardiac_hz, noise.cardiac_amp),
-                (noise.respiration_hz, noise.respiration_amp),
-                (noise.mayer_hz, noise.mayer_amp),
+                (_CARDIAC_HZ, noise.cardiac_amp),
+                (_RESPIRATION_HZ, noise.respiration_amp),
+                (_MAYER_HZ, noise.mayer_amp),
             ):
                 phase0 = rng.uniform(0, 2 * np.pi)
                 walk = np.cumsum(step * rng.standard_normal(n))
@@ -425,7 +431,7 @@ def generate_dataset(
             sup_hbo[src] = sup
             sup_hbr[src] = _SUPERFICIAL_HBR_RATIO * sup
 
-        per_wl = {wl: np.empty((len(montage.channels), n)) for wl in wavelengths_nm}
+        per_wl = {wl: np.empty((len(montage.channels), n)) for wl in _WAVELENGTHS_NM}
         truth_chrom: dict[str, float] = {}
         for ci, ch in enumerate(montage.channels):
             src = by_source[ch.id]
@@ -435,18 +441,18 @@ def generate_dataset(
                 ratio_hbr = effect.ratio_for("hbr") if affected else 1.0
                 delay_hbo = effect.delay_for("hbo") if affected else 0.0
                 delay_hbr = effect.delay_for("hbr") if affected else 0.0
-                hbo = gain * hbo_amplitude * ratio_hbo * response(delay_hbo)
-                hbr = -gain * hbo_amplitude * hbr_ratio * ratio_hbr * response(delay_hbr)
+                hbo = gain * _HBO_AMPLITUDE * ratio_hbo * response(delay_hbo)
+                hbr = -gain * _HBO_AMPLITUDE * _HBR_RATIO * ratio_hbr * response(delay_hbr)
                 if ch.id in targets:
                     for chrom, delay in (("hbo", delay_hbo), ("hbr", delay_hbr)):
-                        truth_chrom.setdefault(chrom, hrf_peak_s + delay)
+                        truth_chrom.setdefault(chrom, _HRF_PEAK_S + delay)
             else:
                 hbo = np.zeros(n)
                 hbr = np.zeros(n)
             hbo = hbo + sup_hbo[src] + noise.white_sd * rng.standard_normal(n)
             hbr = hbr + sup_hbr[src] + noise.white_sd * rng.standard_normal(n)
             od1, od2 = optics.mbll_forward(
-                hbo, hbr, wavelengths_nm, ch.distance_m, extinction
+                hbo, hbr, _WAVELENGTHS_NM, ch.distance_m, extinction
             )
             if ch.kind == "long":
                 # Drift and motion spikes live on the long channels so the
@@ -457,8 +463,8 @@ def generate_dataset(
                 )
                 od1 = od1 + drift + spikes
                 od2 = od2 + 0.8 * (drift + spikes)
-            per_wl[wavelengths_nm[0]][ci] = od1
-            per_wl[wavelengths_nm[1]][ci] = od2
+            per_wl[_WAVELENGTHS_NM[0]][ci] = od1
+            per_wl[_WAVELENGTHS_NM[1]][ci] = od2
 
         intensity = {wl: np.exp(-od) for wl, od in per_wl.items()}
         recordings.append(
@@ -466,14 +472,14 @@ def generate_dataset(
                 participant_id=pid,
                 group=group,
                 sample_rate_hz=fs,
-                wavelengths_nm=wavelengths_nm,
+                wavelengths_nm=_WAVELENGTHS_NM,
                 channel_ids=montage.channel_ids,
                 intensity=intensity,
                 annotations=tuple(annotations),
             )
         )
         if not truth_chrom:
-            truth_chrom = {"hbo": hrf_peak_s, "hbr": hrf_peak_s}
+            truth_chrom = {"hbo": _HRF_PEAK_S, "hbr": _HRF_PEAK_S}
         true_peak[pid] = truth_chrom
 
     dataset = Dataset(
@@ -491,7 +497,7 @@ def generate_dataset(
         discriminative=() if null_effect else effect.discriminative,
         amplitude_ratio=1.0 if effect is None else effect.amplitude_ratio,
         peak_delay_s=0.0 if effect is None else effect.peak_delay_s,
-        hrf_peak_s=hrf_peak_s,
+        hrf_peak_s=_HRF_PEAK_S,
         true_peak_s=true_peak,
     )
     return dataset, gt

@@ -77,6 +77,17 @@ def test_empty_dataset_round_trip(small_montage, tmp_path):
     assert load_dataset(tmp_path / "empty") == d
 
 
+def test_save_refuses_mixed_sample_rates_before_writing(small_montage, tmp_path):
+    # The manifest holds one sample rate; a second rate would load back as
+    # the first.
+    slow = make_recording(small_montage, fs=3.9)
+    fast = dataclasses.replace(make_recording(small_montage, fs=7.8), participant_id="C01")
+    d = Dataset(montage=small_montage, recordings=(slow, fast), creator="test")
+    with pytest.raises(ValueError, match=r"C01 is sampled at 7\.8 Hz, participant P01 at 3\.9 Hz"):
+        save_dataset(d, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
 def test_equality_compares_arrays_and_dicts_by_value(small_montage):
     rec = make_recording(small_montage)
     reordered = dataclasses.replace(
@@ -478,9 +489,11 @@ def _montage(n_long: int, n_short: int) -> Montage:
 @st.composite
 def _containers(draw, kind: str):
     """A one- or two-participant dataset of ``kind`` with random channel
-    counts and lengths (one-sample files included)."""
+    counts, lengths (one-sample files included) and sample rate."""
     n_long = draw(st.integers(1, 4))
     montage = _montage(n_long, draw(st.integers(0, 2)) if kind == "intensity" else 0)
+    # One rate for the whole dataset: save_dataset refuses mixed rates.
+    fs = draw(st.sampled_from([3.9, 10.0, 7.8125])) if kind == "intensity" else 3.9
     participants = []
     for p in range(draw(st.integers(1, 2))):
         n = draw(st.integers(1, 9))
@@ -490,7 +503,7 @@ def _containers(draw, kind: str):
                 Recording(
                     participant_id=f"P{p}",
                     group="control",
-                    sample_rate_hz=draw(st.sampled_from([3.9, 10.0, 7.8125])),
+                    sample_rate_hz=fs,
                     wavelengths_nm=(760.0, 850.0),
                     channel_ids=montage.channel_ids,
                     intensity={
@@ -505,7 +518,7 @@ def _containers(draw, kind: str):
                 HemoSeries(
                     participant_id=f"P{p}",
                     group="patient",
-                    sample_rate_hz=3.9,
+                    sample_rate_hz=fs,
                     channel_ids=tuple(ch.id for ch in montage.long_channels),
                     hbo=draw(hnp.arrays(np.float64, shape, elements=HEMO_VALUES)),
                     hbr=draw(hnp.arrays(np.float64, shape, elements=HEMO_VALUES)),
@@ -530,6 +543,8 @@ def test_container_round_trip_is_bitwise(kind):
             save_dataset(dataset, Path(tmp) / "ds")
             loaded = load_dataset(Path(tmp) / "ds")
         assert loaded.kind == kind
+        rates = [s.sample_rate_hz for s in dataset.recordings + dataset.hemo]
+        assert [s.sample_rate_hz for s in loaded.recordings + loaded.hemo] == rates
         saved, got = _arrays(dataset), _arrays(loaded)
         assert len(got) == len(saved)
         for a, b in zip(saved, got):

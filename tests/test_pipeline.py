@@ -213,7 +213,10 @@ def test_hemoglobin_matches_per_channel_steps(tmp_path):
         channel_ids=dataset.recordings[0].channel_ids,
         intensity={w: a[:, :1199] for w, a in dataset.recordings[0].intensity.items()},
     )
-    save_dataset(dataset, tmp_path / "raw")
+    # The first two recordings share a sample rate, as a saved dataset must.
+    save_dataset(
+        Dataset(montage=dataset.montage, recordings=dataset.recordings[:2]), tmp_path / "raw"
+    )
     loaded = load_dataset(tmp_path / "raw")
     assert not loaded.recordings[0].intensity[760.0].flags.c_contiguous
     config = PipelineConfig()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nirscope.stats import (
     _betainc,
@@ -124,6 +124,15 @@ def test_t_sign_flips_on_group_swap_p_unchanged():
     ba = t_test(b, a)
     assert ba.statistic == pytest.approx(-ab.statistic, rel=1e-12)
     assert ba.p_two_sided == pytest.approx(ab.p_two_sided, rel=1e-12)
+
+
+def test_welch_df_of_tiny_variances_is_finite():
+    # q2 = var / n is near 2e-282, so q2**2 underflows to 0: df was 0 / 0.
+    tiny = t_test([0.0, 0.0], [0.0, 2.8409263603372385e-141], equal_variance=False)
+    unit = t_test([0.0, 0.0], [0.0, 1.0], equal_variance=False)
+    assert tiny.df == unit.df == 1.0
+    assert tiny.statistic == pytest.approx(unit.statistic, rel=1e-12)
+    assert tiny.p_two_sided == pytest.approx(unit.p_two_sided, rel=1e-12)
 
 
 def test_two_group_anova_equals_pooled_t_squared():
@@ -310,3 +319,81 @@ def test_small_groups_rejected():
         t_test([1.0], [2.0, 3.0])
     with pytest.raises(ValueError):
         one_way_anova([[1.0, 2.0]])
+
+
+# --- invariances of the group tests (property-based) ---
+
+# Samples on a grid of 1/8 in [-100, 100], at least two distinct values a
+# group: a shift on the same grid is exact, and no group has zero spread.
+GRID_VALUE = st.integers(-800, 800).map(lambda k: k / 8.0)
+GRID_GROUP = st.lists(GRID_VALUE, min_size=3, max_size=12).filter(lambda g: len(set(g)) >= 2)
+GRID_GROUPS = st.lists(GRID_GROUP, min_size=2, max_size=4)
+# Shift, scale and reordering change every statistic and p-value by rounding
+# only: 1e-9 relative, or 1e-9 absolute for values near zero (a t near 0, a
+# p near 1), where a relative bound says nothing.
+INVARIANCE_TOL = dict(rel_tol=1e-9, abs_tol=1e-9)
+
+
+def _group_tests(groups) -> list[float]:
+    """Statistic and p of the pooled t, Welch, Levene and the ANOVA; the
+    t-tests compare the first two groups."""
+    a, b = groups[0], groups[1]
+    results = (
+        t_test(a, b, equal_variance=True),
+        t_test(a, b, equal_variance=False),
+        levene(groups),
+        one_way_anova(groups),
+    )
+    return [v for r in results for v in (r.statistic, r.p_two_sided)]
+
+
+def _assert_invariant(before, after):
+    for x, y in zip(before, after, strict=True):
+        assert math.isclose(x, y, **INVARIANCE_TOL), (before, after)
+
+
+def _informative_deviations(groups) -> bool:
+    # Levene is an ANOVA of |x - mean|; when those are constant within every
+    # group, its within-group spread is zero up to rounding and F is 0/0.
+    return any(np.ptp(np.abs(np.array(g) - np.mean(g))) > 0 for g in groups)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=20),
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=20),
+)
+def test_group_swap_negates_t_and_keeps_every_p_exactly(a, b):
+    for equal_variance in (True, False):
+        ab = t_test(a, b, equal_variance=equal_variance)
+        ba = t_test(b, a, equal_variance=equal_variance)
+        assert ba.statistic == -ab.statistic
+        assert ba.p_two_sided == ab.p_two_sided
+        assert ba.df == ab.df
+    for test in (levene, one_way_anova):
+        ab, ba = test([a, b]), test([b, a])
+        assert (ba.statistic, ba.df, ba.p_two_sided) == (ab.statistic, ab.df, ab.p_two_sided)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(GRID_GROUPS, GRID_VALUE)
+def test_common_shift_changes_no_test(groups, shift):
+    assume(_informative_deviations(groups))
+    shifted = [[v + shift for v in g] for g in groups]
+    _assert_invariant(_group_tests(groups), _group_tests(shifted))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(GRID_GROUPS, st.floats(1e-3, 1e3))
+def test_positive_common_scale_changes_no_test(groups, scale):
+    assume(_informative_deviations(groups))
+    scaled = [[v * scale for v in g] for g in groups]
+    _assert_invariant(_group_tests(groups), _group_tests(scaled))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(GRID_GROUPS, st.data())
+def test_reordering_within_groups_changes_no_test(groups, data):
+    assume(_informative_deviations(groups))
+    reordered = [data.draw(st.permutations(g)) for g in groups]
+    _assert_invariant(_group_tests(groups), _group_tests(reordered))

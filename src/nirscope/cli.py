@@ -257,9 +257,8 @@ def _cmd_preprocess(args) -> int:
 def _cmd_epoch(args) -> int:
     cfg = _config_from_args(args)
     epoch_set = epochs_from_dataset(load_dataset(cfg.dataset_path), cfg)
-    task_set = epoch_set.filter(task=cfg.task)
     print(
-        f"{len(epoch_set.epochs)} epochs total, {len(task_set.epochs)} for task "
+        f"{len(epoch_set.tasks)} epochs total, {epoch_set.tasks.count(cfg.task)} for task "
         f"{cfg.task!r}, window {epoch_set.window_samples} samples "
         f"@ {epoch_set.sample_rate_hz} Hz"
     )

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .model import Epoch, EpochSet, HemoSeries
+from .model import EpochSet, HemoSeries
 
 __all__ = [
     "BlockAverage",
     "segment",
     "block_average",
+    "peak_index",
     "time_to_peak",
     "roi_average",
 ]
@@ -45,58 +47,65 @@ class BlockAverage:
 
 
 def segment(
-    hemo: HemoSeries, window_s: float = 20.0, baseline_s: float = 2.0
+    series: Sequence[HemoSeries], window_s: float = 20.0, baseline_s: float = 2.0
 ) -> EpochSet:
-    """Cut one epoch per task annotation, baseline-corrected.
+    """Cut one baseline-corrected window per task annotation of every series.
 
     window_samples = floor(window_s * fs). The mean of the ``baseline_s``
     seconds preceding the onset is subtracted per channel (truncated at the
-    recording start when fewer samples exist).
+    recording start when fewer samples exist). Trials follow the series
+    order, each series' in onset order, and are written into one
+    preallocated (trials, channels, window) array per chromophore.
     """
-    fs = hemo.sample_rate_hz
-    tasks = [a for a in hemo.annotations if a.label != REST_LABEL]
-    if not tasks:
-        raise ValueError("recording has no task annotations to segment")
-    for a in tasks:
-        if window_s > a.duration_s + 1e-9:
-            raise ValueError(
-                f"window {window_s} s exceeds annotation duration {a.duration_s} s "
-                f"({a.label!r} at {a.onset_s} s)"
-            )
+    if not series:
+        raise ValueError("no hemoglobin series to segment")
+    fs, channel_ids = series[0].sample_rate_hz, series[0].channel_ids
     window = int(np.floor(window_s * fs))
     n_base = int(np.floor(baseline_s * fs))
-    n = hemo.n_samples
-    counters: dict[str, int] = {}
-    out: list[Epoch] = []
-    for a in sorted(tasks, key=lambda a: a.onset_s):
-        start = int(round(a.onset_s * fs))
-        if start + window > n:
-            raise ValueError(
-                f"annotation at {a.onset_s} s extends past the recording end"
-            )
-        hbo = hemo.hbo[:, start : start + window]
-        hbr = hemo.hbr[:, start : start + window]
-        b0 = max(0, start - n_base)
-        if b0 < start:
-            hbo = hbo - hemo.hbo[:, b0:start].mean(axis=1, keepdims=True)
-            hbr = hbr - hemo.hbr[:, b0:start].mean(axis=1, keepdims=True)
-        trial = counters.get(a.label, 0)
-        counters[a.label] = trial + 1
-        out.append(
-            Epoch(
-                participant_id=hemo.participant_id,
-                group=hemo.group,
-                task=a.label,
-                trial_index=trial,
-                hbo=hbo,
-                hbr=hbr,
-            )
+    cuts: list[tuple[HemoSeries, int, str, int]] = []  # series, onset, task, trial
+    for hemo in series:
+        if hemo.sample_rate_hz != fs or hemo.channel_ids != channel_ids:
+            raise ValueError("hemo series have mismatched sample rates or channels")
+        tasks = sorted(
+            (a for a in hemo.annotations if a.label != REST_LABEL), key=lambda a: a.onset_s
         )
+        if not tasks:
+            raise ValueError(
+                f"participant {hemo.participant_id}: recording has no task "
+                "annotations to segment"
+            )
+        counters: dict[str, int] = {}
+        for a in tasks:
+            if window_s > a.duration_s + 1e-9:
+                raise ValueError(
+                    f"window {window_s} s exceeds annotation duration {a.duration_s} s "
+                    f"({a.label!r} at {a.onset_s} s)"
+                )
+            start = int(round(a.onset_s * fs))
+            if start + window > hemo.n_samples:
+                raise ValueError(
+                    f"annotation at {a.onset_s} s extends past the recording end"
+                )
+            counters[a.label] = counters.get(a.label, -1) + 1
+            cuts.append((hemo, start, a.label, counters[a.label]))
+    hbo = np.empty((len(cuts), len(channel_ids), window))
+    hbr = np.empty_like(hbo)
+    for i, (hemo, start, _, _) in enumerate(cuts):
+        b0 = max(0, start - n_base)
+        for src, out in ((hemo.hbo, hbo[i]), (hemo.hbr, hbr[i])):
+            out[...] = src[:, start : start + window]
+            if b0 < start:
+                out -= src[:, b0:start].mean(axis=1, keepdims=True)
+    owners, _, labels, trials = zip(*cuts)
     return EpochSet(
-        window_samples=window,
         sample_rate_hz=fs,
-        channel_ids=hemo.channel_ids,
-        epochs=tuple(out),
+        channel_ids=channel_ids,
+        hbo=hbo,
+        hbr=hbr,
+        participant_ids=tuple(h.participant_id for h in owners),
+        groups=tuple(h.group for h in owners),
+        tasks=labels,
+        trial_index=trials,
     )
 
 
@@ -104,14 +113,13 @@ def block_average(
     epochs: EpochSet, task: str, group: str | None = None
 ) -> BlockAverage:
     """Pointwise mean/std over all trials matching task (and group)."""
-    matching = epochs.filter(task=task, group=group).epochs
-    if not matching:
+    rows = epochs.rows(task=task, group=group)
+    if not rows.size:
         raise ValueError(f"no epochs match task={task!r}, group={group!r}")
-    hbo = np.stack([ep.hbo for ep in matching])
-    hbr = np.stack([ep.hbr for ep in matching])
+    hbo, hbr = epochs.hbo[rows], epochs.hbr[rows]
     return BlockAverage(
         task=task,
-        n_trials=len(matching),
+        n_trials=rows.size,
         channel_ids=epochs.channel_ids,
         hbo_mean=hbo.mean(axis=0),
         hbo_std=hbo.std(axis=0),
@@ -120,27 +128,33 @@ def block_average(
     )
 
 
-def time_to_peak(curve, fs: float, chromophore: str) -> float:
-    """Latency of the response extremum in seconds.
+def peak_index(curves, chromophore: str) -> np.ndarray:
+    """Sample index of the response extremum along the last axis.
 
     hbo peaks at the curve maximum; hbr at the largest absolute deviation
     from the first sample (sign-robust). Ties break to the earliest index,
-    so a constant curve returns 0.
+    so a constant curve gives 0.
     """
-    x = np.asarray(curve, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty curve")
+    x = np.asarray(curves, dtype=float)
     if chromophore == "hbo":
-        idx = int(np.argmax(x))
-    elif chromophore == "hbr":
-        idx = int(np.argmax(np.abs(x - x[0])))
-    else:
-        raise ValueError(f"chromophore must be hbo or hbr, got {chromophore!r}")
-    return idx / fs
+        return np.argmax(x, axis=-1)
+    if chromophore == "hbr":
+        deviation = x - x[..., :1]
+        return np.argmax(np.abs(deviation, out=deviation), axis=-1)
+    raise ValueError(f"chromophore must be hbo or hbr, got {chromophore!r}")
+
+
+def time_to_peak(curve, fs: float, chromophore: str) -> float:
+    """Latency of the response extremum of one curve in seconds (see peak_index)."""
+    return int(peak_index(curve, chromophore)) / fs
 
 
 def roi_average(values, channel_ids, roi_channels) -> np.ndarray:
-    """Pointwise mean of the rows of ``values`` named by ``roi_channels``."""
+    """Pointwise mean over the channels named by ``roi_channels``.
+
+    ``values`` is (..., channels, samples): one (channels x samples) array
+    or a stack of them; the channel axis is averaged away.
+    """
     arr = np.asarray(values, dtype=float)
     index = {c: i for i, c in enumerate(channel_ids)}
     rows = []
@@ -150,4 +164,4 @@ def roi_average(values, channel_ids, roi_channels) -> np.ndarray:
         rows.append(index[ch])
     if not rows:
         raise ValueError("ROI has no channels")
-    return arr[rows].mean(axis=0)
+    return arr[..., rows, :].mean(axis=-2)

@@ -1,8 +1,10 @@
 """Trial feature matrices, ANOVA-F scoring, k-best selection, standardization.
 
-Column ordering is deterministic: channels in montage order, hbo before hbr,
-slots (sample indices or summary statistics) in order. Labels are 0 for
-controls and 1 for patients.
+Features are built from an EpochSet's (trials x channels x window) arrays in
+whole-array expressions. Column ordering is deterministic and defined once,
+by ``feature_keys``: channels in montage order, hbo before hbr, slots
+(sample indices or summary statistics) in order. Labels are 0 for controls
+and 1 for patients.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ from enum import Enum
 
 import numpy as np
 
+from .epochs import peak_index
 from .model import EpochSet
 
 __all__ = [
     "FeatureMode",
     "FeatureKey",
     "FeatureMatrix",
+    "feature_keys",
     "build_features",
     "anova_f_scores",
     "select_k_best",
@@ -63,52 +67,51 @@ class FeatureMatrix:
             raise ValueError("feature matrix contains NaN or Inf")
 
 
-def _summary_row(window: np.ndarray, fs: float, chromophore: str) -> list[float]:
-    if chromophore == "hbo":
-        peak_idx = int(np.argmax(window))
-    else:
-        peak_idx = int(np.argmax(np.abs(window - window[0])))
-    slope = (window[-1] - window[0]) / (len(window) - 1) * fs if len(window) > 1 else 0.0
-    return [
-        float(window.mean()),
-        float(window[peak_idx]),
-        peak_idx / fs,  # time to peak, as epochs.time_to_peak computes it
-        float(slope),
-    ]
+def feature_keys(epochs: EpochSet, mode: FeatureMode) -> tuple[FeatureKey, ...]:
+    """The columns ``build_features`` gives ``epochs``: channel > chromophore > slot."""
+    slots = range(epochs.window_samples) if mode is FeatureMode.RAW else SUMMARY_STATS
+    return tuple(
+        FeatureKey(ch, chrom, slot)
+        for ch in epochs.channel_ids
+        for chrom in ("hbo", "hbr")
+        for slot in slots
+    )
+
+
+def _summary(stack: np.ndarray, fs: float, chromophore: str) -> np.ndarray:
+    """(trials, channels, window) -> (trials, channels, SUMMARY_STATS)."""
+    peak_idx = peak_index(stack, chromophore)
+    peak = np.take_along_axis(stack, peak_idx[..., None], axis=-1)[..., 0]
+    w = stack.shape[-1]
+    slope = (stack[..., -1] - stack[..., 0]) / (w - 1) * fs if w > 1 else np.zeros(peak.shape)
+    return np.stack([stack.mean(axis=-1), peak, peak_idx / fs, slope], axis=-1)
 
 
 def build_features(
     epochs: EpochSet, task: str, mode: FeatureMode = FeatureMode.RAW
 ) -> FeatureMatrix:
-    """One row per matching trial; columns ordered channel > chromophore > slot."""
-    matching = epochs.filter(task=task).epochs
-    if not matching:
+    """One row per matching trial; columns ordered channel > chromophore > slot.
+
+    Raw rows hold every sample of the window; summary rows hold the
+    SUMMARY_STATS of each window, computed over the whole trial stack.
+    """
+    rows = epochs.rows(task=task)
+    if not rows.size:
         raise ValueError(f"no epochs match task {task!r}")
     fs = epochs.sample_rate_hz
-    keys: list[FeatureKey] = []
-    for ch in epochs.channel_ids:
-        for chrom in ("hbo", "hbr"):
-            if mode is FeatureMode.RAW:
-                keys.extend(
-                    FeatureKey(ch, chrom, s) for s in range(epochs.window_samples)
-                )
-            else:
-                keys.extend(FeatureKey(ch, chrom, stat) for stat in SUMMARY_STATS)
-    rows = []
-    for ep in matching:
-        if mode is FeatureMode.RAW:
-            # (n_ch, 2, w) flattened -> channel-major, hbo before hbr, samples in order
-            rows.append(np.stack([ep.hbo, ep.hbr], axis=1).reshape(-1))
-        else:
-            vals: list[float] = []
-            for ci in range(len(epochs.channel_ids)):
-                vals.extend(_summary_row(ep.hbo[ci], fs, "hbo"))
-                vals.extend(_summary_row(ep.hbr[ci], fs, "hbr"))
-            rows.append(np.asarray(vals))
-    x = np.vstack(rows)
-    y = np.array([LABELS[ep.group] for ep in matching], dtype=int)
-    pids = tuple(ep.participant_id for ep in matching)
-    return FeatureMatrix(x=x, y=y, participant_ids=pids, feature_index=tuple(keys))
+    pairs = [
+        stack[rows] if mode is FeatureMode.RAW else _summary(stack[rows], fs, chrom)
+        for chrom, stack in (("hbo", epochs.hbo), ("hbr", epochs.hbr))
+    ]
+    # (trials, channels, 2, slots) -> channel-major, hbo before hbr, slots in order
+    x = np.stack(pairs, axis=2).reshape(rows.size, -1)
+    y = np.array([LABELS[epochs.groups[i]] for i in rows], dtype=int)
+    return FeatureMatrix(
+        x=x,
+        y=y,
+        participant_ids=tuple(epochs.participant_ids[i] for i in rows),
+        feature_index=feature_keys(epochs, mode),
+    )
 
 
 def anova_f_scores(x: np.ndarray, y: np.ndarray) -> np.ndarray:

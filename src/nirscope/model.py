@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "Recording",
     "ProvenanceStep",
     "HemoSeries",
-    "Epoch",
     "EpochSet",
     "Dataset",
     "load_dataset",
@@ -272,83 +271,63 @@ class HemoSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class Epoch:
-    participant_id: str
-    group: str
-    task: str
-    trial_index: int
-    hbo: np.ndarray  # (n_channels, window_samples)
-    hbr: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "hbo", _frozen(self.hbo))
-        object.__setattr__(self, "hbr", _frozen(self.hbr))
-        if self.hbo.shape != self.hbr.shape:
-            raise ValueError("epoch hbo/hbr shapes differ")
-
-
-@dataclass(frozen=True, eq=False)
 class EpochSet:
-    """Task-aligned fixed-length windows with participant and group labels."""
+    """Task-aligned fixed-length windows of many trials, one array per chromophore.
 
-    window_samples: int
+    ``hbo`` and ``hbr`` are C-contiguous, read-only (trials, channels, window)
+    arrays. Trial ``i`` belongs to ``participant_ids[i]`` in ``groups[i]``, was
+    cut from a ``tasks[i]`` block, and is that participant's
+    ``trial_index[i]``-th trial of that task.
+    """
+
     sample_rate_hz: float
     channel_ids: tuple[str, ...]
-    epochs: tuple[Epoch, ...]
+    hbo: np.ndarray
+    hbr: np.ndarray
+    participant_ids: tuple[str, ...]
+    groups: tuple[str, ...]
+    tasks: tuple[str, ...]
+    trial_index: tuple[int, ...]
 
     def __post_init__(self):
+        for name in ("hbo", "hbr"):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        shape = (len(self.participant_ids), len(self.channel_ids))
+        if (self.hbo.ndim, self.hbo.shape[:2]) != (3, shape) or self.hbr.shape != self.hbo.shape:
+            raise ValueError(
+                f"epoch arrays {self.hbo.shape} and {self.hbr.shape} must both be "
+                f"(trials, channels, window) with (trials, channels) = {shape}"
+            )
+        if {len(self.groups), len(self.tasks), len(self.trial_index)} != {shape[0]}:
+            raise ValueError("every trial needs one participant, group, task and index")
         seen = set()
-        for ep in self.epochs:
-            if ep.hbo.shape != (len(self.channel_ids), self.window_samples):
-                raise ValueError(
-                    f"epoch window shape {ep.hbo.shape} does not match "
-                    f"({len(self.channel_ids)}, {self.window_samples})"
-                )
-            key = (ep.participant_id, ep.task, ep.trial_index)
+        for key in zip(self.participant_ids, self.tasks, self.trial_index):
             if key in seen:
                 raise ValueError(f"duplicate trial index {key}")
             seen.add(key)
 
-    def filter(self, task: str | None = None, group: str | None = None) -> "EpochSet":
-        kept = tuple(
-            ep
-            for ep in self.epochs
-            if (task is None or ep.task == task) and (group is None or ep.group == group)
-        )
-        return EpochSet(
-            window_samples=self.window_samples,
-            sample_rate_hz=self.sample_rate_hz,
-            channel_ids=self.channel_ids,
-            epochs=kept,
+    @property
+    def window_samples(self) -> int:
+        return self.hbo.shape[2]
+
+    def rows(self, task: str | None = None, group: str | None = None) -> np.ndarray:
+        """Indices of the trials of ``task`` in ``group`` (None matches all).
+
+        ``hbo[rows]`` copies the windows: reduce first where a caller can.
+        """
+        return np.flatnonzero(
+            [
+                (task is None or t == task) and (group is None or g == group)
+                for t, g in zip(self.tasks, self.groups)
+            ]
         )
 
     @property
     def participants(self) -> tuple[tuple[str, str], ...]:
         """(participant_id, group) pairs in first-seen order."""
-        seen: dict[str, str] = {}
-        for ep in self.epochs:
-            seen.setdefault(ep.participant_id, ep.group)
-        return tuple(seen.items())
-
-
-def merge_epoch_sets(sets: Iterable[EpochSet]) -> EpochSet:
-    sets = list(sets)
-    if not sets:
-        raise ValueError("no epoch sets to merge")
-    first = sets[0]
-    for s in sets[1:]:
-        if (
-            s.window_samples != first.window_samples
-            or s.channel_ids != first.channel_ids
-            or s.sample_rate_hz != first.sample_rate_hz
-        ):
-            raise ValueError("epoch sets have mismatched windows or channels")
-    return EpochSet(
-        window_samples=first.window_samples,
-        sample_rate_hz=first.sample_rate_hz,
-        channel_ids=first.channel_ids,
-        epochs=tuple(ep for s in sets for ep in s.epochs),
-    )
+        return tuple(dict(zip(self.participant_ids, self.groups)).items())
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,12 +484,20 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """
     series = dataset.recordings or dataset.hemo
     for s in series[1:]:
-        # The manifest holds one sample rate, which every file is read back at.
-        if s.sample_rate_hz != series[0].sample_rate_hz:
+        # The manifest holds one sample rate and one wavelength pair, which
+        # every file is read back at.
+        first = series[0]
+        if s.sample_rate_hz != first.sample_rate_hz:
             raise ValueError(
                 f"participant {s.participant_id} is sampled at {s.sample_rate_hz} Hz, "
-                f"participant {series[0].participant_id} at {series[0].sample_rate_hz} Hz: "
+                f"participant {first.participant_id} at {first.sample_rate_hz} Hz: "
                 "a dataset directory holds one sample rate"
+            )
+        if dataset.recordings and s.wavelengths_nm != first.wavelengths_nm:
+            raise ValueError(
+                f"participant {s.participant_id} is recorded at {s.wavelengths_nm} nm, "
+                f"participant {first.participant_id} at {first.wavelengths_nm} nm: "
+                "a dataset directory holds one wavelength pair"
             )
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, epochs as epochs_mod, explain, learn, optics, report, stats, synth
-from .features import SUMMARY_STATS, FeatureMode, default_select_k
-from .model import Dataset, EpochSet, HemoSeries, ProvenanceStep, load_dataset, merge_epoch_sets
+from .features import FeatureMode, default_select_k, feature_keys
+from .model import Dataset, EpochSet, HemoSeries, ProvenanceStep, load_dataset
 # perfbench/tracer.py wraps ``pipeline.detect_artifacts`` and reads what it
 # returns as one series' segment list. The name stays bound to the one-row
 # detector, which the pipeline no longer calls, so that the tracer finds its
@@ -321,9 +321,8 @@ def preprocess_dataset(dataset: Dataset, config: PipelineConfig) -> Dataset:
 def epochs_from_dataset(dataset: Dataset, config: PipelineConfig) -> EpochSet:
     if dataset.kind != "hemo":
         raise ValueError("epoching needs a preprocessed (hemo) dataset")
-    return merge_epoch_sets(
-        epochs_mod.segment(h, window_s=config.window_s, baseline_s=config.baseline_s)
-        for h in dataset.hemo
+    return epochs_mod.segment(
+        dataset.hemo, window_s=config.window_s, baseline_s=config.baseline_s
     )
 
 
@@ -350,21 +349,13 @@ def metrics_text(config: PipelineConfig, cv) -> str:
     )
 
 
-def _pooled_observations(epochs, ci: int, chromophore: str, pool: str) -> np.ndarray:
-    """One channel/chromophore of ``epochs``: every sample, or one mean per trial."""
-    windows = [getattr(ep, chromophore)[ci] for ep in epochs]
-    if not windows:
-        return np.array([])
-    if pool == "sample":
-        return np.concatenate(windows)
-    return np.array([w.mean() for w in windows])
+def _pooled_observations(windows: np.ndarray, pool: str) -> np.ndarray:
+    """(trials, window) of one channel/chromophore: every sample, or one mean per trial."""
+    return windows.reshape(-1) if pool == "sample" else windows.mean(axis=-1)
 
 
 def _stats_report(epoch_set: EpochSet, importance, config: PipelineConfig, montage) -> str:
-    by_group = [
-        epoch_set.filter(task=config.task, group=group).epochs
-        for group in ("control", "patient")
-    ]
+    by_group = [epoch_set.rows(task=config.task, group=group) for group in ("control", "patient")]
     lines = ["Group statistics", "================", ""]
     # A pair with zero importance sits in the ranking only by its name's
     # place in a tie; testing it would report a channel no model used.
@@ -378,7 +369,8 @@ def _stats_report(epoch_set: EpochSet, importance, config: PipelineConfig, monta
     for channel, chrom in tested:
         ci = epoch_set.channel_ids.index(channel)
         control, patient = (
-            _pooled_observations(eps, ci, chrom, config.pool) for eps in by_group
+            _pooled_observations(getattr(epoch_set, chrom)[rows, ci], config.pool)
+            for rows in by_group
         )
         if control.size < 2 or patient.size < 2:
             continue
@@ -407,18 +399,11 @@ def _stats_report(epoch_set: EpochSet, importance, config: PipelineConfig, monta
         if not members:
             continue
         for chrom in ("hbo", "hbr"):
-            groups = [
-                [
-                    float(
-                        epochs_mod.roi_average(
-                            getattr(ep, chrom), epoch_set.channel_ids, members
-                        ).mean()
-                    )
-                    for ep in eps
-                ]
-                for eps in by_group
-            ]
-            if min(len(g) for g in groups) < 2:
+            trial_means = epochs_mod.roi_average(
+                getattr(epoch_set, chrom), epoch_set.channel_ids, members
+            ).mean(axis=-1)
+            groups = [trial_means[rows] for rows in by_group]
+            if min(g.size for g in groups) < 2:
                 continue
             res = stats.one_way_anova(groups)
             lines.append(
@@ -494,26 +479,19 @@ def _emit_block_average_curves(path: Path, epoch_set: EpochSet, task: str, pairs
 def _time_to_peak_svg(epoch_set: EpochSet, task: str, roi) -> str:
     """Per-participant time to peak of the ROI mean response, hbo above hbr."""
     roi_name, roi_members = roi
-    task_epochs: dict[str, list] = {}
-    for ep in epoch_set.filter(task=task).epochs:
-        task_epochs.setdefault(ep.participant_id, []).append(ep)
+    rows = epoch_set.rows(task=task)
+    pids = np.array(epoch_set.participant_ids)[rows]
+    fs = epoch_set.sample_rate_hz
     sections = []
     for chrom in ("hbo", "hbr"):
-        entries = []
-        for pid, group in epoch_set.participants:
-            if pid not in task_epochs:
-                continue
-            mean_curve = np.mean(
-                [
-                    epochs_mod.roi_average(
-                        getattr(ep, chrom), epoch_set.channel_ids, roi_members
-                    )
-                    for ep in task_epochs[pid]
-                ],
-                axis=0,
-            )
-            ttp = epochs_mod.time_to_peak(mean_curve, epoch_set.sample_rate_hz, chrom)
-            entries.append((pid, group, ttp))
+        curves = epochs_mod.roi_average(
+            getattr(epoch_set, chrom), epoch_set.channel_ids, roi_members
+        )[rows]
+        entries = [
+            (pid, group, epochs_mod.time_to_peak(curves[pids == pid].mean(axis=0), fs, chrom))
+            for pid, group in epoch_set.participants
+            if pid in pids
+        ]
         sections.append(
             report.svg_group_bars(
                 entries,
@@ -584,8 +562,7 @@ def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
 
     out.stage = "features"
     mode = FeatureMode(config.feature_mode)
-    per_pair = epoch_set.window_samples if mode is FeatureMode.RAW else len(SUMMARY_STATS)
-    n_features = len(epoch_set.channel_ids) * 2 * per_pair
+    n_features = len(feature_keys(epoch_set, mode))
     select_k = config.select_k
     if select_k is None:
         select_k = min(default_select_k(mode), n_features)

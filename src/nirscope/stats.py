@@ -63,12 +63,21 @@ class TestResult:
             raise ValueError(f"p-value out of [0, 1]: {self.p_two_sided}")
 
 
+# Below this spread a squared deviation falls under 2**-1022 / eps, where
+# subnormal rounding is no longer negligible and values underflow to 0.
+_TINY_SPREAD = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+
+
 def summarize(samples: Sequence[float]) -> GroupSummary:
     """Build a GroupSummary (n-1 denominator sd) from raw samples."""
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise ValueError(f"group needs at least 2 samples, got {x.size}")
-    return GroupSummary(n=int(x.size), mean=float(x.mean()), sd=float(x.std(ddof=1)))
+    sd = float(x.std(ddof=1))
+    spread = float(np.ptp(x))
+    if 0.0 < spread < _TINY_SPREAD:
+        sd = spread * float((x / spread).std(ddof=1))
+    return GroupSummary(n=int(x.size), mean=float(x.mean()), sd=sd)
 
 
 # Bernoulli-number coefficients B_2k / (2k (2k - 1)) of Stirling's series
@@ -201,7 +210,11 @@ def t_test_from_summary(
     equal means give statistic 0 and p 1 rather than an error.
     """
     diff = a.mean - b.mean
-    v1, v2 = a.sd**2, b.sd**2
+    # t and df do not depend on the unit: spreads whose squares would
+    # underflow are measured in units of the larger one.
+    larger = max(a.sd, b.sd)
+    unit = larger if 0.0 < larger < _TINY_SPREAD else 1.0
+    v1, v2 = (a.sd / unit) ** 2, (b.sd / unit) ** 2
     if equal_variance:
         df = float(a.n + b.n - 2)
         sp2 = ((a.n - 1) * v1 + (b.n - 1) * v2) / df
@@ -221,7 +234,7 @@ def t_test_from_summary(
             return TestResult(0.0, df, 1.0, mean_difference=0.0)
         stat = math.copysign(math.inf, diff)
         return TestResult(stat, df, 0.0, mean_difference=diff)
-    stat = diff / se
+    stat = diff / unit / se
     return TestResult(stat, df, _t_two_sided_p(stat, df), mean_difference=diff)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nirscope.model import Annotation, Channel, Epoch, EpochSet, Montage, Recording
+from nirscope.model import Annotation, Channel, EpochSet, Montage, Recording
 
 
 @pytest.fixture
@@ -62,7 +62,7 @@ def make_epoch_set(
     rng = np.random.default_rng(seed)
     if channel_ids is None:
         channel_ids = tuple(f"S{i + 1}-D{i + 1}" for i in range(n_channels))
-    epochs = []
+    pids, groups, hbo, hbr = [], [], [], []
     for p in range(n_participants):
         pid = f"X{p:02d}"
         group = (
@@ -70,22 +70,21 @@ def make_epoch_set(
             if group_of
             else ("patient" if p < n_participants // 2 else "control")
         )
-        for t in range(trials):
-            epochs.append(
-                Epoch(
-                    participant_id=pid,
-                    group=group,
-                    task=task,
-                    trial_index=t,
-                    hbo=rng.normal(size=(len(channel_ids), window)),
-                    hbr=rng.normal(size=(len(channel_ids), window)),
-                )
-            )
+        for _ in range(trials):
+            pids.append(pid)
+            groups.append(group)
+            hbo.append(rng.normal(size=(len(channel_ids), window)))
+            hbr.append(rng.normal(size=(len(channel_ids), window)))
+    shape = (len(pids), len(channel_ids), window)
     return EpochSet(
-        window_samples=window,
         sample_rate_hz=fs,
         channel_ids=tuple(channel_ids),
-        epochs=tuple(epochs),
+        hbo=np.reshape(hbo, shape),
+        hbr=np.reshape(hbr, shape),
+        participant_ids=tuple(pids),
+        groups=tuple(groups),
+        tasks=(task,) * len(pids),
+        trial_index=tuple(range(trials)) * n_participants,
     )
 
 

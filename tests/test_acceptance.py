@@ -5,6 +5,7 @@ complete. The end-to-end criteria (6-8) generate synthetic datasets and run
 the full default pipeline; total runtime is a few minutes on a laptop.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from nirscope import epochs as em, explain, learn, optics, stats
 from nirscope.cli import EXIT_OK, main
 from nirscope.features import FeatureMode
-from nirscope.model import Epoch, EpochSet
 from nirscope.pipeline import (
     REPORT_FILES,
     PipelineConfig,
@@ -211,22 +211,11 @@ def test_criterion_5_cross_validation_hygiene():
     cv1 = learn.cross_validate(eps, "single", spec, plan, select_k=8)
     leaked = False
     for fi, fold in enumerate(plan.folds):
-        test_set = set(fold.test_ids)
-        perturbed = EpochSet(
-            window_samples=eps.window_samples,
-            sample_rate_hz=eps.sample_rate_hz,
-            channel_ids=eps.channel_ids,
-            epochs=tuple(
-                Epoch(
-                    ep.participant_id,
-                    ep.group,
-                    ep.task,
-                    ep.trial_index,
-                    ep.hbo + (1e3 if ep.participant_id in test_set else 0.0),
-                    ep.hbr * (-2.0 if ep.participant_id in test_set else 1.0),
-                )
-                for ep in eps.epochs
-            ),
+        in_test = np.isin(eps.participant_ids, fold.test_ids)[:, None, None]
+        perturbed = dataclasses.replace(
+            eps,
+            hbo=eps.hbo + np.where(in_test, 1e3, 0.0),
+            hbr=eps.hbr * np.where(in_test, -2.0, 1.0),
         )
         cv2 = learn.cross_validate(perturbed, "single", spec, plan, select_k=8)
         if not (
@@ -317,11 +306,10 @@ def test_criterion_7_time_to_peak_recovery():
         eps = epochs_from_dataset(preprocess_dataset(dataset, cfg), cfg)
         fs = eps.sample_rate_hz
         per_group: dict[str, list[float]] = {"patient": [], "control": []}
+        curves = em.roi_average(eps.hbr, eps.channel_ids, roi)
+        pids = np.array(eps.participant_ids)
         for pid, group in eps.participants:
-            trials = [ep for ep in eps.epochs if ep.participant_id == pid]
-            curve = np.mean(
-                [em.roi_average(ep.hbr, eps.channel_ids, roi) for ep in trials], axis=0
-            )
+            curve = curves[pids == pid].mean(axis=0)
             per_group[group].append(em.time_to_peak(curve, fs, "hbr"))
         diffs.append(np.mean(per_group["patient"]) - np.mean(per_group["control"]))
     mean_diff = float(np.mean(diffs))

@@ -521,3 +521,70 @@ def test_summary_run_attributions_match_golden_digests(golden_dataset, tmp_path,
         _sha256((out / name).read_bytes()) for name in ("channel_importance.csv", "metrics.txt")
     )
     assert got == GOLDEN_RUN_SUMMARY_SHA256[(model, select_k)]
+
+
+# Recorded on the commit before epochs became one (trials x channels x window)
+# array per chromophore. A hemo container loads column-major, so the summary
+# runs cover features computed from strided series; the raw runs cover the
+# stats report and both figures at each pooling level.
+GOLDEN_HEMO_SUMMARY_RUN_SHA256 = {
+    "knn": (
+        "e7606f6190ea6469e2294ceca0890a86cd7010a1793a67429dc161076373897c",
+        "f93b2f803464189e8db480602c4818920b48f8ba33d2f70b6ac1bf6a5fa862b4",
+    ),
+    "gbdt": (
+        "6461d247fb124edd606d9923c04055d7decced007c6ac6ee7bdc73fae805a8f9",
+        "ef96b7c367d3279cdbe95184473adf8921f2e9289c7a21eb00905825e882c191",
+    ),
+}
+# The figures do not depend on the pooling level, only stats_tests.txt does.
+_GOLDEN_RUN_FIGURES = {
+    "block_average_curves.svg": "7cb2d2a298ad3bc295bfd7c104c3576dec511d3d5e0b87cc6f27db365bce708d",
+    "time_to_peak.svg": "af39b311442e8d4b8397b235432efe26a507fd99e11d9f46d13bbebb3fb60ad8",
+}
+GOLDEN_RUN_FIGURES_SHA256 = {
+    "sample": {
+        "stats_tests.txt": "eae4ecea79b9a13609546165cbc0880c54be5899fdf08b787176b23f00f308e1",
+        **_GOLDEN_RUN_FIGURES,
+    },
+    "trial": {
+        "stats_tests.txt": "7638d88edfc365d2e17589f4f5780ea96418d4207bb79b03c320a8d32228e5cc",
+        **_GOLDEN_RUN_FIGURES,
+    },
+}
+GOLDEN_EPOCH_STDOUT_SHA256 = "7275320f2f46c9048394558259431b58d11c194021e74cb367b3b7c0c14f0c85"
+
+
+@pytest.fixture(scope="module")
+def golden_hemo(golden_dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden") / "hemo"
+    assert main(["preprocess", "--dataset", str(golden_dataset), "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_HEMO_SUMMARY_RUN_SHA256))
+def test_summary_run_on_hemo_container_matches_golden_digests(golden_hemo, tmp_path, model):
+    out = tmp_path / "report"
+    argv = ["run", "--dataset", str(golden_hemo), "--out", str(out), "--folds", "2",
+            "--seed", "1", "--feature-mode", "summary", "--model", model]
+    assert main(argv) == EXIT_OK
+    got = tuple(
+        _sha256((out / name).read_bytes()) for name in ("channel_importance.csv", "metrics.txt")
+    )
+    assert got == GOLDEN_HEMO_SUMMARY_RUN_SHA256[model]
+
+
+@pytest.mark.parametrize("pool", sorted(GOLDEN_RUN_FIGURES_SHA256))
+def test_run_stats_and_figures_match_golden_digests(golden_dataset, tmp_path, pool):
+    out = tmp_path / "report"
+    argv = ["run", "--dataset", str(golden_dataset), "--out", str(out), "--folds", "2",
+            "--samples", "64", "--seed", "1", "--pool", pool]
+    assert main(argv) == EXIT_OK
+    expected = GOLDEN_RUN_FIGURES_SHA256[pool]
+    assert {name: _sha256((out / name).read_bytes()) for name in expected} == expected
+
+
+def test_epoch_stdout_matches_golden_digest(golden_hemo, capsys):
+    capsys.readouterr()
+    assert main(["epoch", "--dataset", str(golden_hemo)]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode()) == GOLDEN_EPOCH_STDOUT_SHA256

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nirscope.epochs import block_average, roi_average, segment, time_to_peak
-from nirscope.model import Annotation, Epoch, EpochSet, HemoSeries
+from nirscope.epochs import block_average, peak_index, roi_average, segment, time_to_peak
+from nirscope.model import Annotation, EpochSet, HemoSeries
 from nirscope.synth import canonical_hrf, default_montage
 
 from conftest import make_epoch_set
@@ -33,33 +35,34 @@ def _block_annotations(n_single=5, n_dual=5, task_s=20.0, rest_s=20.0, lead=20.0
 
 def test_five_plus_five_annotations_give_ten_epochs():
     hemo = _hemo(annotations=_block_annotations())
-    eps = segment(hemo)
-    assert len(eps.epochs) == 10
-    assert sum(ep.task == "single" for ep in eps.epochs) == 5
-    assert sum(ep.task == "dual" for ep in eps.epochs) == 5
+    eps = segment([hemo])
+    assert eps.hbo.shape == eps.hbr.shape == (10, 2, 78)
+    assert eps.tasks.count("single") == 5
+    assert eps.tasks.count("dual") == 5
 
 
 def test_window_samples_is_floor_of_window_times_fs():
     hemo = _hemo(annotations=_block_annotations())
-    eps = segment(hemo, window_s=20.0)
+    eps = segment([hemo], window_s=20.0)
     assert eps.window_samples == 78  # floor(20 * 3.9)
 
 
 def test_rest_annotations_are_ignored():
     anns = _block_annotations(2, 2) + [Annotation(5.0, 10.0, "rest")]
-    eps = segment(_hemo(annotations=anns))
-    assert len(eps.epochs) == 4
+    eps = segment([_hemo(annotations=anns)])
+    assert eps.hbo.shape[0] == 4
+    assert "rest" not in eps.tasks
 
 
 def test_window_larger_than_annotation_duration_rejected():
     hemo = _hemo(annotations=[Annotation(20.0, 10.0, "single")])
     with pytest.raises(ValueError, match="exceeds annotation duration"):
-        segment(hemo, window_s=20.0)
+        segment([hemo], window_s=20.0)
 
 
 def test_no_task_annotations_rejected():
     with pytest.raises(ValueError, match="no task annotations"):
-        segment(_hemo(annotations=[Annotation(5.0, 10.0, "rest")]))
+        segment([_hemo(annotations=[Annotation(5.0, 10.0, "rest")])])
 
 
 def test_baseline_subtracts_preonset_mean():
@@ -75,17 +78,17 @@ def test_baseline_subtracts_preonset_mean():
         hbr=hbo.copy(),
         annotations=(Annotation(30.0, 20.0, "single"),),
     )
-    eps = segment(hemo, window_s=20.0, baseline_s=2.0)
-    assert np.abs(eps.epochs[0].hbo).max() < 1e-12
+    eps = segment([hemo], window_s=20.0, baseline_s=2.0)
+    assert np.abs(eps.hbo[0]).max() < 1e-12
 
 
 def test_segmentation_preserves_samples_exactly():
     # with baseline correction disabled, windows are literal slices
     hemo = _hemo(annotations=_block_annotations(3, 0))
-    eps = segment(hemo, baseline_s=0.0)
-    for ann, ep in zip(sorted(hemo.annotations, key=lambda a: a.onset_s), eps.epochs):
+    eps = segment([hemo], baseline_s=0.0)
+    for ann, trial in zip(sorted(hemo.annotations, key=lambda a: a.onset_s), eps.hbo):
         start = int(round(ann.onset_s * FS))
-        assert np.array_equal(ep.hbo, hemo.hbo[:, start : start + eps.window_samples])
+        assert np.array_equal(trial, hemo.hbo[:, start : start + eps.window_samples])
 
 
 # --- block averaging ---
@@ -94,12 +97,14 @@ def test_segmentation_preserves_samples_exactly():
 def test_identical_trials_average_to_trial_with_zero_std():
     window = np.tile(np.arange(10.0), (2, 1))
     eps = EpochSet(
-        window_samples=10,
         sample_rate_hz=FS,
         channel_ids=("A", "B"),
-        epochs=tuple(
-            Epoch("P01", "patient", "single", i, window, -window) for i in range(5)
-        ),
+        hbo=np.stack([window] * 5),
+        hbr=np.stack([-window] * 5),
+        participant_ids=("P01",) * 5,
+        groups=("patient",) * 5,
+        tasks=("single",) * 5,
+        trial_index=tuple(range(5)),
     )
     avg = block_average(eps, "single")
     assert np.array_equal(avg.hbo_mean, window)
@@ -110,13 +115,14 @@ def test_identical_trials_average_to_trial_with_zero_std():
 def test_opposite_trials_average_to_zero_with_abs_std():
     x = np.arange(8.0)[None, :]
     eps = EpochSet(
-        window_samples=8,
         sample_rate_hz=FS,
         channel_ids=("A",),
-        epochs=(
-            Epoch("P01", "patient", "single", 0, x, x),
-            Epoch("P01", "patient", "single", 1, -x, -x),
-        ),
+        hbo=np.stack([x, -x]),
+        hbr=np.stack([x, -x]),
+        participant_ids=("P01", "P01"),
+        groups=("patient", "patient"),
+        tasks=("single", "single"),
+        trial_index=(0, 1),
     )
     avg = block_average(eps, "single")
     assert np.abs(avg.hbo_mean).max() == 0.0
@@ -126,7 +132,7 @@ def test_opposite_trials_average_to_zero_with_abs_std():
 def test_block_average_matches_brute_force():
     eps = make_epoch_set(n_participants=2, trials=5, seed=9)
     avg = block_average(eps, "single")
-    stack = np.stack([ep.hbo for ep in eps.epochs])
+    stack = np.stack([eps.hbo[i] for i in range(len(eps.tasks))])
     assert np.allclose(avg.hbo_mean, stack.mean(axis=0), atol=1e-12)
     assert np.allclose(avg.hbo_std, stack.std(axis=0), atol=1e-12)
 
@@ -217,6 +223,37 @@ def test_block_average_commutes_with_roi_average():
     avg = block_average(eps, "single")
     roi_of_avg = roi_average(avg.hbo_mean, eps.channel_ids, roi)
     per_trial = np.stack(
-        [roi_average(ep.hbo, eps.channel_ids, roi) for ep in eps.epochs]
+        [roi_average(trial, eps.channel_ids, roi) for trial in eps.hbo]
     )
     assert np.allclose(roi_of_avg, per_trial.mean(axis=0), atol=1e-12)
+
+
+# --- whole-stack forms ---
+
+
+def test_segment_stacks_every_series_in_order():
+    first = _hemo(annotations=_block_annotations(2, 1))
+    second = dataclasses.replace(
+        _hemo(seed=1, annotations=_block_annotations(1, 2)), participant_id="C01", group="control"
+    )
+    eps = segment([first, second])
+    assert eps.participant_ids == ("P01",) * 3 + ("C01",) * 3
+    assert eps.groups == ("patient",) * 3 + ("control",) * 3
+    assert eps.tasks == ("single", "single", "dual", "single", "dual", "dual")
+    assert eps.trial_index == (0, 1, 0, 0, 0, 1)
+    alone = segment([second])
+    assert np.array_equal(eps.hbo[3:], alone.hbo) and np.array_equal(eps.hbr[3:], alone.hbr)
+    with pytest.raises(ValueError, match="mismatched"):
+        segment([first, _hemo(annotations=_block_annotations(1, 0), channels=("S1-D1",))])
+
+
+def test_stack_reductions_equal_the_per_trial_ones():
+    eps = make_epoch_set(n_participants=3, trials=4, n_channels=4, seed=11)
+    roi = eps.channel_ids[1:]
+    per_trial = [roi_average(trial, eps.channel_ids, roi) for trial in eps.hbr]
+    stacked = roi_average(eps.hbr, eps.channel_ids, roi)
+    assert stacked.tobytes() == np.stack(per_trial).tobytes()
+    hbo_peaks, hbr_peaks = peak_index(stacked, "hbo"), peak_index(stacked, "hbr")
+    for curve, hbo_peak, hbr_peak in zip(stacked, hbo_peaks, hbr_peaks):
+        assert hbo_peak == np.argmax(curve)
+        assert hbr_peak == np.argmax(np.abs(curve - curve[0]))

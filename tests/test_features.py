@@ -39,9 +39,9 @@ def test_column_ordering_channel_major_hbo_first():
     assert [k.chromophore for k in keys[:6]] == ["hbo"] * 3 + ["hbr"] * 3
     assert [k.slot for k in keys[:3]] == [0, 1, 2]
     # values line up with the epoch windows
-    ep = eps.filter(task="single").epochs[0]
-    assert np.array_equal(feats.x[0, :3], ep.hbo[0])
-    assert np.array_equal(feats.x[0, 3:6], ep.hbr[0])
+    first = eps.rows(task="single")[0]
+    assert np.array_equal(feats.x[0, :3], eps.hbo[first, 0])
+    assert np.array_equal(feats.x[0, 3:6], eps.hbr[first, 0])
 
 
 def test_feature_index_deterministic_across_builds():
@@ -55,13 +55,38 @@ def test_feature_index_deterministic_across_builds():
 def test_summary_stats_values():
     eps = make_epoch_set(n_participants=2, trials=1, n_channels=1, window=10, seed=2)
     feats = build_features(eps, "single", FeatureMode.SUMMARY)
-    ep = eps.epochs[0]
-    hbo = ep.hbo[0]
+    hbo = eps.hbo[0, 0]
     fs = eps.sample_rate_hz
     assert feats.x[0, 0] == pytest.approx(hbo.mean())
     assert feats.x[0, 1] == pytest.approx(hbo[np.argmax(hbo)])
     assert feats.x[0, 2] == pytest.approx(np.argmax(hbo) / fs)
     assert feats.x[0, 3] == pytest.approx((hbo[-1] - hbo[0]) / 9 * fs)
+
+
+def _summary_row(window, fs, chromophore):
+    """The per-window loop body the whole-stack summary replaced."""
+    if chromophore == "hbo":
+        peak_idx = int(np.argmax(window))
+    else:
+        peak_idx = int(np.argmax(np.abs(window - window[0])))
+    slope = (window[-1] - window[0]) / (len(window) - 1) * fs
+    return [float(window.mean()), float(window[peak_idx]), peak_idx / fs, float(slope)]
+
+
+def test_summary_features_equal_the_per_window_loop_bit_for_bit():
+    eps = make_epoch_set(n_participants=4, trials=3, n_channels=5, window=17, seed=4)
+    feats = build_features(eps, "single", FeatureMode.SUMMARY)
+    fs = eps.sample_rate_hz
+    expected = [
+        [
+            v
+            for ci in range(len(eps.channel_ids))
+            for chrom in ("hbo", "hbr")
+            for v in _summary_row(getattr(eps, chrom)[t, ci], fs, chrom)
+        ]
+        for t in range(len(eps.tasks))
+    ]
+    assert feats.x.tobytes() == np.array(expected).tobytes()
 
 
 # --- ANOVA F scoring ---

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -279,18 +281,18 @@ def test_null_labels_give_chance_accuracy():
 
 
 def test_duplicated_trials_leave_metrics_unchanged():
-    from nirscope.model import Epoch, EpochSet
-
     eps = _cv_epochs(seed=3, trials=3)
-    doubled = EpochSet(
-        window_samples=eps.window_samples,
-        sample_rate_hz=eps.sample_rate_hz,
-        channel_ids=eps.channel_ids,
-        epochs=tuple(
-            Epoch(ep.participant_id, ep.group, ep.task, ti, ep.hbo, ep.hbr)
-            for ep in eps.epochs
-            for ti in (ep.trial_index, ep.trial_index + 1000)
-        ),
+    def twice(values):
+        return tuple(v for v in values for _ in range(2))
+
+    doubled = dataclasses.replace(
+        eps,
+        hbo=np.repeat(eps.hbo, 2, axis=0),
+        hbr=np.repeat(eps.hbr, 2, axis=0),
+        participant_ids=twice(eps.participant_ids),
+        groups=twice(eps.groups),
+        tasks=twice(eps.tasks),
+        trial_index=tuple(t + extra for t in eps.trial_index for extra in (0, 1000)),
     )
     plan = make_fold_plan(eps.participants, n_folds=3, seed=3)
     spec = ClassifierSpec(kind="boosted_trees", gbdt_rounds=15, seed=3)
@@ -327,24 +329,9 @@ def test_selection_and_scaling_ignore_test_rows():
     plan = make_fold_plan(eps.participants, n_folds=3, seed=7)
     cv1 = cross_validate(eps, "single", ClassifierSpec(kind="knn", seed=7), plan, select_k=6)
 
-    from nirscope.model import Epoch, EpochSet
-
-    fold0_test = set(plan.folds[0].test_ids)
-    perturbed = EpochSet(
-        window_samples=eps.window_samples,
-        sample_rate_hz=eps.sample_rate_hz,
-        channel_ids=eps.channel_ids,
-        epochs=tuple(
-            Epoch(
-                ep.participant_id,
-                ep.group,
-                ep.task,
-                ep.trial_index,
-                ep.hbo + (100.0 if ep.participant_id in fold0_test else 0.0),
-                ep.hbr - (50.0 if ep.participant_id in fold0_test else 0.0),
-            )
-            for ep in eps.epochs
-        ),
+    in_test = np.isin(eps.participant_ids, plan.folds[0].test_ids)[:, None, None]
+    perturbed = dataclasses.replace(
+        eps, hbo=eps.hbo + 100.0 * in_test, hbr=eps.hbr - 50.0 * in_test
     )
     cv2 = cross_validate(
         perturbed, "single", ClassifierSpec(kind="knn", seed=7), plan, select_k=6
@@ -366,19 +353,8 @@ def test_cross_validation_deterministic():
 
 
 def test_positive_feature_scaling_is_absorbed_by_standardization():
-    from nirscope.model import Epoch, EpochSet
-
     eps = _cv_epochs(seed=9)
-    scaled = EpochSet(
-        window_samples=eps.window_samples,
-        sample_rate_hz=eps.sample_rate_hz,
-        channel_ids=eps.channel_ids,
-        epochs=tuple(
-            Epoch(ep.participant_id, ep.group, ep.task, ep.trial_index,
-                  37.0 * ep.hbo, 37.0 * ep.hbr)
-            for ep in eps.epochs
-        ),
-    )
+    scaled = dataclasses.replace(eps, hbo=37.0 * eps.hbo, hbr=37.0 * eps.hbr)
     plan = make_fold_plan(eps.participants, n_folds=3, seed=9)
     spec = ClassifierSpec(kind="knn", seed=9)
     base = cross_validate(eps, "single", spec, plan, select_k=6)

@@ -15,7 +15,6 @@ from nirscope.model import (
     Channel,
     Dataset,
     DatasetFormatError,
-    Epoch,
     EpochSet,
     HemoSeries,
     Montage,
@@ -84,6 +83,25 @@ def test_save_refuses_mixed_sample_rates_before_writing(small_montage, tmp_path)
     fast = dataclasses.replace(make_recording(small_montage, fs=7.8), participant_id="C01")
     d = Dataset(montage=small_montage, recordings=(slow, fast), creator="test")
     with pytest.raises(ValueError, match=r"C01 is sampled at 7\.8 Hz, participant P01 at 3\.9 Hz"):
+        save_dataset(d, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
+def test_save_refuses_mixed_wavelengths_before_writing(small_montage, tmp_path):
+    # The manifest holds one wavelength pair; a second pair would fail to load
+    # with a missing manifest key that names neither participant nor cause.
+    rec = make_recording(small_montage)
+    other = dataclasses.replace(
+        rec,
+        participant_id="C01",
+        wavelengths_nm=(780.0, 850.0),
+        intensity={780.0: rec.intensity[760.0], 850.0: rec.intensity[850.0]},
+    )
+    d = Dataset(montage=small_montage, recordings=(rec, other), creator="test")
+    with pytest.raises(
+        ValueError,
+        match=r"C01 is recorded at \(780\.0, 850\.0\) nm, participant P01 at \(760\.0, 850\.0\) nm",
+    ):
         save_dataset(d, tmp_path / "ds")
     assert not (tmp_path / "ds").exists()
 
@@ -430,19 +448,40 @@ def test_hemo_rejects_mismatched_chromophores():
         )
 
 
+def _epoch_set(hbo, hbr, trial_index=(0,)):
+    n = len(trial_index)
+    return EpochSet(
+        sample_rate_hz=3.9,
+        channel_ids=("S1-D1",),
+        hbo=hbo,
+        hbr=hbr,
+        participant_ids=("P01",) * n,
+        groups=("patient",) * n,
+        tasks=("single",) * n,
+        trial_index=trial_index,
+    )
+
+
 def test_epoch_set_rejects_wrong_window():
-    ep = Epoch("P01", "patient", "single", 0, np.zeros((1, 10)), np.zeros((1, 10)))
     with pytest.raises(ValueError, match="window"):
-        EpochSet(window_samples=12, sample_rate_hz=3.9, channel_ids=("S1-D1",), epochs=(ep,))
+        _epoch_set(np.zeros((1, 1, 10)), np.zeros((1, 1, 12)))
 
 
 def test_epoch_set_rejects_duplicate_trial_index():
-    eps = tuple(
-        Epoch("P01", "patient", "single", 0, np.zeros((1, 10)), np.zeros((1, 10)))
-        for _ in range(2)
-    )
     with pytest.raises(ValueError, match="duplicate trial"):
-        EpochSet(window_samples=10, sample_rate_hz=3.9, channel_ids=("S1-D1",), epochs=eps)
+        _epoch_set(np.zeros((2, 1, 10)), np.zeros((2, 1, 10)), trial_index=(0, 0))
+
+
+def test_epoch_set_holds_c_contiguous_read_only_arrays():
+    # A column-major input is copied to C order; every array is frozen.
+    hbo = np.asfortranarray(np.arange(20.0).reshape(2, 1, 10))
+    eps = _epoch_set(hbo, -hbo, trial_index=(0, 1))
+    for arr in (eps.hbo, eps.hbr):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert np.array_equal(eps.hbo, hbo)
+    assert eps.window_samples == 10
+    assert eps.rows(task="single", group="patient").tolist() == [0, 1]
+    assert eps.rows(task="dual").size == 0
 
 
 def test_dataset_rejects_duplicate_participants(small_montage):

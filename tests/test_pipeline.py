@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.interpolate import make_smoothing_spline
 from conftest import make_epoch_set
 from nirscope import motion, optics, pipeline, synth
 from nirscope.explain import ChannelImportance
+from nirscope.features import FeatureMode, build_features
 from nirscope.model import Dataset, Recording, load_dataset, save_dataset
 from nirscope.signal import match_short_channel
 from nirscope.pipeline import PipelineConfig, preprocess_dataset, preprocess_recording
@@ -270,3 +272,34 @@ def test_stats_report_tests_only_nonzero_importance(small_montage):
     text = pipeline._stats_report(epoch_set, ranked, PipelineConfig(top_channels=2), small_montage)
     assert _tested_pairs(text) == ["S2-D2 hbr", "S1-D1 hbo"]
     assert "nonzero importance" not in text
+
+
+def test_epochs_from_dataset_holds_each_trial_once():
+    hemo = _golden_hemo()
+    config = PipelineConfig(seed=1)
+    tracemalloc.start()
+    try:
+        epochs = pipeline.epochs_from_dataset(hemo, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Trials are written into the result's arrays; merging per-participant
+    # arrays would hold every trial twice.
+    assert peak < 1.5 * (epochs.hbo.nbytes + epochs.hbr.nbytes)
+    for arr in (epochs.hbo, epochs.hbr):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+
+
+def test_summary_features_of_a_loaded_container_equal_in_memory_ones(tmp_path):
+    # A loaded container is column-major; its features must not depend on that.
+    hemo = _golden_hemo()
+    save_dataset(hemo, tmp_path / "hemo")
+    loaded = load_dataset(tmp_path / "hemo")
+    assert not loaded.hemo[0].hbo.flags.c_contiguous
+    config = PipelineConfig(seed=1)
+    in_memory, from_disk = (
+        build_features(pipeline.epochs_from_dataset(d, config), "single", FeatureMode.SUMMARY)
+        for d in (hemo, loaded)
+    )
+    assert from_disk.x.tobytes() == in_memory.x.tobytes()
+    assert from_disk.participant_ids == in_memory.participant_ids

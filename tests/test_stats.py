@@ -321,6 +321,21 @@ def test_small_groups_rejected():
         one_way_anova([[1.0, 2.0]])
 
 
+def test_t_test_of_tiny_spreads_equals_the_rescaled_test():
+    # Each sd**2 of these groups underflows to 0; t and p must not become inf and 0.
+    for equal_variance in (True, False):
+        tiny = t_test([0.0, 1e-170], [0.0, 3e-170], equal_variance=equal_variance)
+        unit = t_test([0.0, 1.0], [0.0, 3.0], equal_variance=equal_variance)
+        assert tiny.statistic == pytest.approx(unit.statistic, rel=1e-12)
+        assert tiny.p_two_sided == pytest.approx(unit.p_two_sided, rel=1e-12)
+        assert tiny.df == pytest.approx(unit.df, rel=1e-12)
+        assert tiny.mean_difference == pytest.approx(-1e-170, rel=1e-12)
+        summary = t_test_from_summary(
+            GroupSummary(2, 0.0, 1e-170), GroupSummary(2, 1e-170, 1e-170), equal_variance
+        )
+        assert summary.statistic == pytest.approx(-1.0, rel=1e-12)
+
+
 # --- invariances of the group tests (property-based) ---
 
 # Samples on a grid of 1/8 in [-100, 100], at least two distinct values a
@@ -334,17 +349,18 @@ GRID_GROUPS = st.lists(GRID_GROUP, min_size=2, max_size=4)
 INVARIANCE_TOL = dict(rel_tol=1e-9, abs_tol=1e-9)
 
 
+def _t_tests(groups) -> list[float]:
+    """Statistic and p of the pooled t and Welch tests of the first two groups."""
+    a, b = groups[0], groups[1]
+    results = (t_test(a, b, equal_variance=True), t_test(a, b, equal_variance=False))
+    return [v for r in results for v in (r.statistic, r.p_two_sided)]
+
+
 def _group_tests(groups) -> list[float]:
     """Statistic and p of the pooled t, Welch, Levene and the ANOVA; the
     t-tests compare the first two groups."""
-    a, b = groups[0], groups[1]
-    results = (
-        t_test(a, b, equal_variance=True),
-        t_test(a, b, equal_variance=False),
-        levene(groups),
-        one_way_anova(groups),
-    )
-    return [v for r in results for v in (r.statistic, r.p_two_sided)]
+    results = (levene(groups), one_way_anova(groups))
+    return _t_tests(groups) + [v for r in results for v in (r.statistic, r.p_two_sided)]
 
 
 def _assert_invariant(before, after):
@@ -389,6 +405,10 @@ def test_positive_common_scale_changes_no_test(groups, scale):
     assume(_informative_deviations(groups))
     scaled = [[v * scale for v in g] for g in groups]
     _assert_invariant(_group_tests(groups), _group_tests(scaled))
+    # Deviations this small square to 0 in floating point; the t-tests
+    # measure them in units of the larger spread and still hold.
+    tiny = [[v * scale * 1e-170 for v in g] for g in groups]
+    _assert_invariant(_t_tests(groups), _t_tests(tiny))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

@@ -58,9 +58,10 @@ REPORT_FILES = (
 
 _MICROMOLAR = 1e6  # report curves in umol/L
 # Hemoglobin samples (recordings x 2 x long channels x samples) preprocessed
-# together. The band-pass buffers them with their padding, so this bounds its
-# memory (16 MB of series) on large datasets and long recordings; the 12 + 12
-# synthetic dataset (1.57 million samples) is one chunk.
+# together. Motion correction and the band-pass work in place on their
+# stacks, so this bounds the memory of preprocessing (16 MB of series) on
+# large datasets and long recordings; the 12 + 12 synthetic dataset (1.57
+# million samples) is one chunk.
 _CHUNK_CELLS = 1 << 21
 
 
@@ -207,22 +208,28 @@ def _correct_motion(rows: np.ndarray, fs: float, longs, config: PipelineConfig) 
         rows[block] = wavelet_correct(rows[block], iqr_multiplier=config.motion_iqr)
 
 
-def _preprocess(recordings, montage, config: PipelineConfig) -> list[HemoSeries]:
+def _preprocess(recordings: list, montage, config: PipelineConfig) -> list[HemoSeries]:
     """Preprocess recordings, in order, into hemo series.
 
     Each recording's hemoglobin series come from its own intensities, into
-    one stack per (sample rate, length). One spline call fits the flagged
-    rows of a stack, and one band-pass call per sample rate filters all of
-    its stacks in place, whatever their lengths. Every row comes out exactly
-    as it would on its own, so a recording's result does not depend on which
+    one stack per (sample rate, length), and its slot in ``recordings`` is
+    then cleared, so a recording that only that list holds is released as
+    soon as its hemoglobin is formed. One spline call fits the flagged rows
+    of a stack, and one band-pass call per sample rate filters all of its
+    stacks in place, whatever their lengths. Every row comes out exactly as
+    it would on its own, so a recording's result does not depend on which
     others share the calls.
     """
     spec = config.bandpass_spec()
     extinction = optics.default_extinction_table()
     longs = montage.long_channels
+    about = [
+        (rec.participant_id, rec.group, rec.sample_rate_hz, rec.annotations)
+        for rec in recordings
+    ]
     groups: dict[tuple[float, int], list[int]] = {}
-    for i, rec in enumerate(recordings):
-        groups.setdefault((rec.sample_rate_hz, rec.n_samples), []).append(i)
+    for i, key in enumerate([(rec.sample_rate_hz, rec.n_samples) for rec in recordings]):
+        groups.setdefault(key, []).append(i)
     # (recording, chromophore, channel, sample); chromophore 0 is hbo.
     stacks = {
         key: np.empty((len(members), 2, len(longs), key[1]))
@@ -232,6 +239,7 @@ def _preprocess(recordings, montage, config: PipelineConfig) -> list[HemoSeries]
     for key, members in groups.items():
         for i, out in zip(members, stacks[key]):
             provenance[i] = _hemoglobin(recordings[i], montage, config, extinction, out)
+            recordings[i] = None
     steps = []
 
     if config.motion_correction:
@@ -268,16 +276,16 @@ def _preprocess(recordings, montage, config: PipelineConfig) -> list[HemoSeries]
             hemo[i] = series
     return [
         HemoSeries(
-            participant_id=rec.participant_id,
-            group=rec.group,
-            sample_rate_hz=rec.sample_rate_hz,
+            participant_id=pid,
+            group=group,
+            sample_rate_hz=fs,
             channel_ids=tuple(ch.id for ch in longs),
             hbo=hbo,
             hbr=hbr,
-            annotations=rec.annotations,
+            annotations=annotations,
             provenance=tuple(prov + steps),
         )
-        for rec, prov, (hbo, hbr) in zip(recordings, provenance, hemo)
+        for (pid, group, fs, annotations), prov, (hbo, hbr) in zip(about, provenance, hemo)
     ]
 
 
@@ -298,24 +306,29 @@ def preprocess_dataset(dataset: Dataset, config: PipelineConfig) -> Dataset:
     all are preprocessed together: one band-pass call per sample rate and
     one spline call per (sample rate, length). Each recording comes out
     exactly as ``preprocess_recording`` gives it.
+
+    The dataset is never changed. A recording that nothing but ``dataset``
+    references, as when the caller passes a dataset it does not keep, is
+    released as soon as its hemoglobin is formed, so the raw intensities
+    and the hemoglobin are not all held at once.
     """
     if dataset.kind != "intensity":
         return dataset
-    per_sample = 2 * len(dataset.montage.long_channels)
+    montage, creator, seed = dataset.montage, dataset.creator, dataset.seed
+    recordings = list(dataset.recordings)
+    del dataset  # the caller's reference, if any, is now the only other one
+    per_sample = 2 * len(montage.long_channels)
     hemo, chunk, cells = [], [], 0
-    for rec in dataset.recordings:
-        if chunk and cells + per_sample * rec.n_samples > _CHUNK_CELLS:
-            hemo += _preprocess(chunk, dataset.montage, config)
+    for i in range(len(recordings)):
+        size = per_sample * recordings[i].n_samples
+        if chunk and cells + size > _CHUNK_CELLS:
+            hemo += _preprocess(chunk, montage, config)
             chunk, cells = [], 0
-        chunk.append(rec)
-        cells += per_sample * rec.n_samples
-    hemo += _preprocess(chunk, dataset.montage, config)
-    return Dataset(
-        montage=dataset.montage,
-        hemo=tuple(hemo),
-        creator=dataset.creator,
-        seed=dataset.seed,
-    )
+        chunk.append(recordings[i])
+        recordings[i] = None
+        cells += size
+    hemo += _preprocess(chunk, montage, config)
+    return Dataset(montage=montage, hemo=tuple(hemo), creator=creator, seed=seed)
 
 
 def epochs_from_dataset(dataset: Dataset, config: PipelineConfig) -> EpochSet:
@@ -540,25 +553,31 @@ class _Outputs:
         raise PipelineError(self.stage, error) from error
 
 
+def _ingest(out: _Outputs, config: PipelineConfig) -> Dataset:
+    """The dataset the run starts from, synthesized or loaded; the stage is
+    then preprocess."""
+    if config.dataset_path is None:
+        dataset = synthesize(config)[0]
+    else:
+        dataset = load_dataset(config.dataset_path)
+    out.stage = "preprocess"
+    return dataset
+
+
 def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
     """Ingest, preprocess and epoch; with ``classify``, then features and train.
 
-    Returns (dataset, ground truth or None, hemo dataset, epochs, cross
-    validation or None). ``out.stage`` names each stage as it starts.
+    Returns (hemo dataset, epochs, cross validation or None). ``out.stage``
+    names each stage as it starts. The ingested dataset goes straight into
+    preprocessing and nothing here keeps it, so each raw recording is
+    released once its hemoglobin is formed.
     """
-    ground_truth = None
-    if config.dataset_path is None:
-        dataset, ground_truth = synthesize(config)
-    else:
-        dataset = load_dataset(config.dataset_path)
-
-    out.stage = "preprocess"
-    hemo_dataset = preprocess_dataset(dataset, config)
+    hemo_dataset = preprocess_dataset(_ingest(out, config), config)
 
     out.stage = "epoch"
     epoch_set = epochs_from_dataset(hemo_dataset, config)
     if not classify:
-        return dataset, ground_truth, hemo_dataset, epoch_set, None
+        return hemo_dataset, epoch_set, None
 
     out.stage = "features"
     mode = FeatureMode(config.feature_mode)
@@ -583,7 +602,7 @@ def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
         mode=mode,
         select_k=select_k,
     )
-    return dataset, ground_truth, hemo_dataset, epoch_set, cv
+    return hemo_dataset, epoch_set, cv
 
 
 def train(config: PipelineConfig) -> learn.CrossValidation:
@@ -598,18 +617,18 @@ def train(config: PipelineConfig) -> learn.CrossValidation:
 def run_pipeline(config: PipelineConfig):
     """Execute the full analysis and write the report artifacts.
 
-    Returns a dict with the in-memory results and output paths. On error,
-    any partially written artifacts are removed and a PipelineError naming
-    the failing stage is raised.
+    Returns a dict with the cross validation (``cv``), the channel ranking
+    (``importance``) and the report paths (``files``). On error, any
+    partially written artifacts are removed and a PipelineError naming the
+    failing stage is raised.
     """
     with _Outputs(config.out_dir) as out:
-        stages = _shared_stages(out, config, classify=True)
-        dataset, ground_truth, hemo_dataset, epoch_set, cv = stages
+        hemo_dataset, epoch_set, cv = _shared_stages(out, config, classify=True)
 
         out.stage = "explain"
-        importance, attributions, group_keys = explain.attribute_cross_validation(
+        importance = explain.attribute_cross_validation(
             cv, n_samples=config.shap_samples, seed=config.seed
-        )
+        )[0]
 
         out.stage = "stats"
         stats_text = _stats_report(epoch_set, importance, config, hemo_dataset.montage)
@@ -659,15 +678,8 @@ def run_pipeline(config: PipelineConfig):
         out.emit("provenance.txt", "\n".join(provenance_lines) + "\n")
 
         return {
-            "out_dir": out.dir,
-            "dataset": dataset,
-            "ground_truth": ground_truth,
-            "epochs": epoch_set,
             "cv": cv,
             "importance": importance,
-            "attributions": attributions,
-            "group_keys": group_keys,
-            "stats_text": stats_text,
             "files": [out.dir / name for name in REPORT_FILES],
         }
 
@@ -678,7 +690,7 @@ def descriptive_report(config: PipelineConfig) -> list[Path]:
     Fails like run_pipeline: partial outputs removed, the stage named.
     """
     with _Outputs(config.out_dir) as out:
-        _, _, hemo_dataset, epoch_set, _ = _shared_stages(out, config, classify=False)
+        hemo_dataset, epoch_set, _ = _shared_stages(out, config, classify=False)
 
         out.stage = "report"
         roi = _peak_roi(hemo_dataset.montage)

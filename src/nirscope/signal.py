@@ -30,8 +30,9 @@ __all__ = [
 ]
 
 
-# Samples per block of the array recursion in _sosfilt. Its three products
-# are (block x rows): 1.5 MB for 960 rows.
+# Samples per block of the band-pass: each block of every row is gathered
+# into a (block x rows) scratch and runs through every section before the
+# next block. With its three products that is 2 MB for 960 rows.
 _BLOCK_SAMPLES = 64
 
 
@@ -182,38 +183,32 @@ def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:
     return zi
 
 
-def _sosfilt(sos: np.ndarray, x, z) -> list:
+def _sosfilt(sos: np.ndarray, x, z, products=None) -> list:
     """Filter ``x[0], x[1], ...`` in place through the sections of ``sos``
     and return each section's final state.
 
     ``z[s]`` is section s's initial two-element state. ``x`` is a list of
     floats with float states, or a 2-D array whose rows are filtered
     element by element, side by side, with array states that are updated
-    in place. Each section runs over all of ``x`` before the next; each is
-    the direct form II transposed recursion of scipy's ``_sosfilt``,
-    operation for operation, so the output is the same to the bit. On an
-    array, ``b0·x``, ``b1·x`` and ``b2·x`` are formed once per block of
-    _BLOCK_SAMPLES samples, and each sample then takes the same operations
-    as on floats.
+    in place; ``products`` is then a (3,) + ``x.shape`` scratch. Each
+    section runs over all of ``x`` before the next; each is the direct form
+    II transposed recursion of scipy's ``_sosfilt``, operation for
+    operation, so the output is the same to the bit. On an array, ``b0·x``,
+    ``b1·x`` and ``b2·x`` are formed once per section into ``products``,
+    and each sample then takes the same operations as on floats.
     """
     final = []
-    on_array = isinstance(x, np.ndarray)
-    if on_array:
-        bx = np.empty((3, min(len(x), _BLOCK_SAMPLES)) + x.shape[1:])
     for (b0, b1, b2, _, a1, a2), (z0, z1) in zip(sos.tolist(), z):
-        if on_array:
-            for lo in range(0, len(x), _BLOCK_SAMPLES):
-                block = x[lo : lo + _BLOCK_SAMPLES]
-                products = bx[:, : len(block)]
-                for b, p in zip((b0, b1, b2), products):
-                    np.multiply(block, b, out=p)
-                for y, bx0, bx1, bx2 in zip(block, *products):
-                    np.add(bx0, z0, out=y)  # y = b0 * x + z0
-                    np.multiply(y, a1, out=z0)  # z0 = b1 * x - a1 * y + z1
-                    np.subtract(bx1, z0, out=z0)
-                    np.add(z0, z1, out=z0)
-                    np.multiply(y, a2, out=z1)  # z1 = b2 * x - a2 * y
-                    np.subtract(bx2, z1, out=z1)
+        if products is not None:
+            for b, p in zip((b0, b1, b2), products):
+                np.multiply(x, b, out=p)
+            for y, bx0, bx1, bx2 in zip(x, *products):
+                np.add(bx0, z0, out=y)  # y = b0 * x + z0
+                np.multiply(y, a1, out=z0)  # z0 = b1 * x - a1 * y + z1
+                np.subtract(bx1, z0, out=z0)
+                np.add(z0, z1, out=z0)
+                np.multiply(y, a2, out=z1)  # z1 = b2 * x - a2 * y
+                np.subtract(bx2, z1, out=z1)
         else:
             for t in range(len(x)):
                 xc = x[t]
@@ -251,58 +246,80 @@ def _steady_state(zi: np.ndarray, first: np.ndarray) -> list:
     return [(zi[s, 0] * first, zi[s, 1] * first) for s in range(len(zi))]
 
 
-def _filter_rows(sos, zi, pieces) -> None:
-    """Filter (rows, out, pad) pieces forward and backward side by side in
-    one (samples x rows) buffer, writing each row's result into ``out``,
-    which may be ``rows``.
+def _overlaps(segments, lo: int, hi: int):
+    # (block rows, segment rows, input, output) of each segment that steps
+    # lo..hi - 1 of a pass reach.
+    for start, source, target in segments:
+        a, b = max(lo, start), min(hi, start + len(source))
+        if a < b:
+            yield slice(a - lo, b - lo), slice(a - start, b - start), source, target
 
-    Each piece's rows, reflected by ``pad`` samples at both ends, fill the
-    start of their columns; columns of shorter series end in zeros, so the
-    recursion past their end runs on finite values. The first ``lead =
-    min(pad)`` samples of every column are padding: their forward output
-    only sets the filter state and the backward pass never reads it. They
-    are filtered in a head buffer of their own, whose final state starts
-    the main buffer, so the main buffer holds ``n + 2 pad - lead`` samples
-    of each column. After the forward pass every shorter series moves to
-    the end of the buffer, so the backward pass, over a reversed view,
-    starts at the last sample of every series. Columns never interact, so
-    every row comes out as it would on its own.
+
+def _pass(sos, state, pieces, length: int) -> None:
+    """Run one direction of the filter over ``length`` steps of side-by-side
+    pieces, from ``state``.
+
+    Each piece is (columns, segments): its rows take those columns, and its
+    segments, (first step, input, output or None), are (steps x rows) views
+    that follow one another from step 0. Each block of _BLOCK_SAMPLES steps
+    is gathered from every piece into one (block x columns) scratch, runs
+    through every section, and goes back into the outputs; steps without an
+    output only carry the state, and steps past a piece's last segment run
+    on zeros.
     """
-    lead = min(pad for _, _, pad in pieces)  # >= 1: each pad is min(settle, n - 1)
-    lengths = [rows.shape[1] + 2 * pad - lead for rows, _, pad in pieces]
+    width = state[0][0].shape[0]
+    block = np.empty((min(_BLOCK_SAMPLES, length), width))
+    products = np.empty((3,) + block.shape)
+    for lo in range(0, length, _BLOCK_SAMPLES):
+        x = block[: length - lo]
+        hi = lo + len(x)
+        for cols, segments in pieces:
+            for into, part, source, _ in _overlaps(segments, lo, hi):
+                x[into, cols] = source[part]
+            start, source, _ = segments[-1]
+            end = start + len(source)
+            if end < hi:
+                x[max(end - lo, 0) :, cols] = 0.0
+        _sosfilt(sos, x, state, products[:, : len(x)])
+        for cols, segments in pieces:
+            for into, part, _, target in _overlaps(segments, lo, hi):
+                if target is not None:
+                    target[part] = x[into, cols]
+
+
+def _filter_rows(sos, zi, pieces) -> None:
+    """Filter (rows, out, pad) pieces forward and backward side by side,
+    writing each row's result into ``out``, which may be ``rows``.
+
+    Each piece's rows, reflected by ``pad`` samples at both ends, are read
+    where they lie: the forward pass writes its output over ``out``, after
+    the reflected tail, which it would overwrite, is copied into a (pad x
+    rows) tail buffer, where its forward output then lands. The forward
+    output over the leading padding only sets the filter state, and the
+    backward pass never reads it. Each piece starts the forward pass at its
+    own first padded sample, and the backward pass at its own last one, so
+    every row comes out as it would on its own; columns never interact.
+    """
     width = sum(len(rows) for rows, _, _ in pieces)
-    head = np.empty((lead, width))
+    tails = np.empty((max(pad for _, _, pad in pieces), width))
+    forward, backward, first, last = [], [], [], []
     c = 0
-    for rows, _, pad in pieces:
-        head[:, c : c + len(rows)] = rows[:, pad : pad - lead : -1].T
+    for rows, out, pad in pieces:
+        cols = slice(c, c + len(rows))
         c += len(rows)
-    state = _sosfilt(sos, head, _steady_state(zi, head[0]))
-    del head
-    span = max(lengths)
-    buf = np.empty((span, width))
-    cols = []
-    c = 0
-    for (rows, _, pad), length in zip(pieces, lengths):
-        n, skip = rows.shape[1], pad - lead
-        col = buf[:, c : c + len(rows)]
-        c += len(rows)
-        col[:skip] = rows[:, skip:0:-1].T
-        col[skip : skip + n] = rows.T
-        col[skip + n : length] = rows[:, -2 : -(pad + 2) : -1].T
-        col[length:] = 0.0
-        cols.append(col)
-    _sosfilt(sos, buf, state)
-    for col, length in zip(cols, lengths):
-        if length < span:
-            col[span - length :] = col[:length]
-    # The backward pass stops at the first sample of the last series to
-    # end: what it would give over the leading padding is thrown away.
-    stop = max(rows.shape[1] + pad for rows, _, pad in pieces)
-    back = buf[::-1][:stop]
-    _sosfilt(sos, back, _steady_state(zi, back[0]))
-    for (rows, out, pad), col, length in zip(pieces, cols, lengths):
-        start = span - length + pad - lead
-        out[...] = col[start : start + rows.shape[1]].T
+        x, y, n = rows.T, out.T, rows.shape[1]
+        tail = tails[:pad, cols]
+        tail[...] = x[-2 : -(pad + 2) : -1]
+        forward.append((cols, [(0, x[pad:0:-1], None), (pad, x, y), (pad + n, tail, tail)]))
+        backward.append((cols, [(0, tail[::-1], None), (pad, y[::-1], y[::-1])]))
+        first.append(x[pad])
+        last.append(tail[-1])
+    steps = max(rows.shape[1] + 2 * pad for rows, _, pad in pieces)
+    _pass(sos, _steady_state(zi, np.concatenate(first)), forward, steps)
+    # The backward pass stops at each piece's first sample: what it would
+    # give over the leading padding is thrown away.
+    steps = max(rows.shape[1] + pad for rows, _, pad in pieces)
+    _pass(sos, _steady_state(zi, np.concatenate(last)), backward, steps)
 
 
 def bandpass(series, spec: BandpassSpec, fs: float, out=None):
@@ -323,7 +340,10 @@ def bandpass(series, spec: BandpassSpec, fs: float, out=None):
     The recursion steps over samples and works on many rows at once, so its
     cost is per sample, nearly whatever the number of rows: one call on a
     large stack, or a list of them, is much cheaper than one call per
-    small stack.
+    small stack. It runs every section over one block of _BLOCK_SAMPLES
+    samples of every row before the next block, reading and writing the
+    rows where they lie, so beside ``out`` it holds only one settling
+    length of each row and that block.
     """
     many = isinstance(series, list) and all(isinstance(s, np.ndarray) for s in series)
     xs = [np.asarray(s, dtype=float) for s in (series if many else [series])]

@@ -252,8 +252,12 @@ def one_way_anova_from_summary(groups: Sequence[GroupSummary]) -> TestResult:
     k = len(groups)
     n_total = sum(g.n for g in groups)
     grand = sum(g.n * g.mean for g in groups) / n_total
-    ss_between = sum(g.n * (g.mean - grand) ** 2 for g in groups)
-    ss_within = sum((g.n - 1) * g.sd**2 for g in groups)
+    # F does not depend on the unit: spreads and mean deviations whose
+    # squares would underflow are measured in units of the largest of them.
+    largest = max(max(g.sd, abs(g.mean - grand)) for g in groups)
+    unit = largest if 0.0 < largest < _TINY_SPREAD else 1.0
+    ss_between = sum(g.n * ((g.mean - grand) / unit) ** 2 for g in groups)
+    ss_within = sum((g.n - 1) * (g.sd / unit) ** 2 for g in groups)
     df_between = float(k - 1)
     df_within = float(n_total - k)
     ms_between = ss_between / df_between

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -588,3 +592,57 @@ def test_epoch_stdout_matches_golden_digest(golden_hemo, capsys):
     capsys.readouterr()
     assert main(["epoch", "--dataset", str(golden_hemo)]) == EXIT_OK
     assert _sha256(capsys.readouterr().out.encode()) == GOLDEN_EPOCH_STDOUT_SHA256
+
+
+# --- memory of a whole run ---
+
+# The benchmark's default run: knn on raw features, 12 + 12 participants
+# with the synthetic effect.
+DEFAULT_RUN = [
+    "run", "--out", "report", "--seed", "1", "--model", "knn",
+    "--patients", "12", "--controls", "12", "--trials", "5",
+    "--effect-channels", "S7-D6", "S5-D6", "--amplitude-ratio", "0.5", "--peak-delay", "1.5",
+]
+
+
+# Starts the command in argv[1:] and prints its exit code and ru_maxrss (kB).
+_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mb(code: str, cwd: Path) -> float:
+    """Peak RSS of a fresh interpreter that runs ``code``, read from wait4.
+
+    A child's ru_maxrss also counts the resident memory of the process it
+    was forked from, so the interpreter is started by a small launcher, not
+    by the test process.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nirscope.cli.__file__).parent.parent), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, "-c", code],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, maxrss_kb = map(int, proc.stdout.split())
+    assert exit_code == 0, proc.stderr
+    return maxrss_kb / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kB from os.wait4")
+def test_default_run_holds_under_45_mb_beyond_the_interpreter(tmp_path):
+    # 12.6 MB of hemoglobin and 17.6 MB of raw intensities. Each recording
+    # is released once its hemoglobin is formed and the band-pass filters
+    # in place; holding the raw data to the end and band-passing through a
+    # padded copy took 62 MB over the interpreter.
+    interpreter = _peak_rss_mb("import nirscope.cli", tmp_path)
+    run = _peak_rss_mb(
+        f"import sys; from nirscope.cli import main; sys.exit(main({DEFAULT_RUN!r}))", tmp_path
+    )
+    assert run - interpreter < 45.0

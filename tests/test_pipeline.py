@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -173,6 +174,52 @@ def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch, chunk
         assert series.provenance == alone.provenance
         assert series.hbo.tobytes() == alone.hbo.tobytes()
         assert series.hbr.tobytes() == alone.hbr.tobytes()
+
+
+def test_preprocess_dataset_leaves_the_callers_dataset_as_it_was():
+    dataset, _ = synth.generate_dataset(n_patients=2, n_controls=2, seed=3)
+    recordings = dataset.recordings
+    before = [{w: a.copy() for w, a in rec.intensity.items()} for rec in recordings]
+    hemo = preprocess_dataset(dataset, PipelineConfig(seed=3))
+    assert len(hemo.hemo) == len(recordings) == 4
+    assert dataset.recordings is recordings
+    for rec, intensity in zip(dataset.recordings, before):
+        assert rec.intensity.keys() == intensity.keys()
+        for w, a in intensity.items():
+            assert rec.intensity[w].tobytes() == a.tobytes()
+
+
+def test_run_releases_each_raw_recording_once_its_hemoglobin_is_formed(monkeypatch, tmp_path):
+    watched = []
+    synthesize = pipeline.synthesize
+    bandpass = pipeline.bandpass
+    epochs_from_dataset = pipeline.epochs_from_dataset
+
+    def synthesize_and_watch(config):
+        dataset, truth = synthesize(config)
+        watched.append(weakref.ref(next(iter(dataset.recordings[0].intensity.values()))))
+        return dataset, truth
+
+    def bandpass_released(series, spec, fs, out=None):
+        # Every hemoglobin series is formed before the band-pass.
+        assert watched[0]() is None
+        return bandpass(series, spec, fs, out=out)
+
+    def epochs_released(dataset, config):
+        assert watched[0]() is None
+        watched.append("epoched")
+        return epochs_from_dataset(dataset, config)
+
+    monkeypatch.setattr(pipeline, "synthesize", synthesize_and_watch)
+    monkeypatch.setattr(pipeline, "bandpass", bandpass_released)
+    monkeypatch.setattr(pipeline, "epochs_from_dataset", epochs_released)
+    config = PipelineConfig(
+        out_dir=str(tmp_path), patients=3, controls=3, folds=3, trials_per_task=3,
+        shap_samples=32, seed=2,
+    )
+    result = pipeline.run_pipeline(config)
+    assert watched[1:] == ["epoched"]
+    assert sorted(result) == ["cv", "files", "importance"]
 
 
 def _hemoglobin_per_channel(recording, montage, config):

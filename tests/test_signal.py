@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import signal as sps
 
 from conftest import spiky_walks
 from nirscope.signal import (
+    _BLOCK_SAMPLES,
     BandpassSpec,
     _design,
     bandpass,
@@ -360,8 +363,8 @@ def test_bandpass_into_its_input_equals_a_copy():
 
 def test_bandpass_of_a_list_into_its_input_equals_a_copy():
     # At 0.05 Hz the settle length is 305 samples: the 12- and 40-sample
-    # stacks pad by 11 and 39, the others by 305, so the head buffer holds
-    # 11 samples and the other columns keep the rest of their padding.
+    # stacks pad by 11 and 39, the others by 305, so the stacks enter and
+    # leave the side-by-side passes at different steps.
     spec = BandpassSpec()
     shapes = [(3, 1638), (2, 2, 40), (5, 700), (1, 12), (2, 1638)]
     series = [
@@ -380,6 +383,86 @@ def test_bandpass_of_a_list_into_its_input_equals_a_copy():
     bandpass(series, spec, FS, out=into)
     for g, w in zip(into, want):
         assert np.array_equal(g, w)
+
+
+# --- the blocked, in-place recursion at its edges ---
+
+# (n, low cut). At 0.05 Hz the settle length is 305 samples, so a series
+# pads by min(305, n - 1); at 0.01 Hz every series here pads by n - 1. The
+# forward pass runs n + 2 pad steps and the backward pass n + pad, in
+# blocks of _BLOCK_SAMPLES (64).
+EDGE_CASES = {
+    "3x order, under a block": (12, 0.05),
+    "forward one whole block": (22, 0.05),
+    "forward a block and one": (23, 0.05),
+    "n a block less one": (63, 0.05),
+    "n one block": (64, 0.05),
+    "n a block and one": (65, 0.05),
+    "forward whole blocks": (350, 0.05),
+    "backward whole blocks": (399, 0.05),
+    "pad n - 1, n not in blocks": (1000, 0.01),
+}
+
+
+@pytest.mark.parametrize("n, low_cut", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_blocked_filter_equals_sosfiltfilt_at_block_edges(n, low_cut):
+    assert _BLOCK_SAMPLES == 64
+    spec = BandpassSpec(low_cut_hz=low_cut)
+    sos, settle = _scipy_design(spec, FS)
+    x = spiky_walks(5, n, seed=n)
+    want = sps.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=min(settle, n - 1))
+    assert np.array_equal(bandpass(x, spec, FS), want)
+    bandpass(x, spec, FS, out=x)
+    assert np.array_equal(x, want)
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [(1638, 40, 200), (40, 1638, 200), (40, 200, 1638)],
+    ids=["longest first", "longest in the middle", "longest last"],
+)
+def test_ragged_list_equals_sosfiltfilt_wherever_the_longest_is(lengths):
+    spec = BandpassSpec()
+    sos, settle = _scipy_design(spec, FS)
+    pads = [min(settle, n - 1) for n in lengths]
+    assert sorted(pads) == [39, 199, 305]
+    series = [spiky_walks(i + 2, n, seed=n) for i, n in enumerate(lengths)]
+    wants = [
+        sps.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=pad)
+        for x, pad in zip(series, pads)
+    ]
+    for got, want in zip(bandpass(series, spec, FS), wants, strict=True):
+        assert np.array_equal(got, want)
+    bandpass(series, spec, FS, out=series)
+    for got, want in zip(series, wants):
+        assert np.array_equal(got, want)
+
+
+def _peak_bytes(call) -> int:
+    """Peak of the memory ``call`` allocates, from tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bandpass_into_its_input_holds_under_half_of_it():
+    # The 12 + 12 run's hemoglobin: 960 rows of 1638 samples, 12.6 MB.
+    # Filtered in place, only one settling length of each row (305 samples)
+    # and one block of every row are held beside it; a padded copy of the
+    # stack would take 1.2 times its size.
+    spec = BandpassSpec()
+    stack = spiky_walks(960, 1638, seed=4)
+    assert _peak_bytes(lambda: bandpass(stack, spec, FS, out=stack)) < 0.5 * stack.nbytes
+    # The same for stacks of different lengths, filtered side by side.
+    ragged = [
+        spiky_walks(480, 1638, seed=5),
+        spiky_walks(480, 1200, seed=6).reshape(2, 240, 1200),
+    ]
+    nbytes = sum(x.nbytes for x in ragged)
+    assert _peak_bytes(lambda: bandpass(ragged, spec, FS, out=ragged)) < 0.5 * nbytes
 
 
 def test_bandpass_rejects_an_unusable_out():

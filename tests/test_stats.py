@@ -336,6 +336,22 @@ def test_t_test_of_tiny_spreads_equals_the_rescaled_test():
         assert summary.statistic == pytest.approx(-1.0, rel=1e-12)
 
 
+def test_anova_and_levene_of_tiny_spreads_equal_the_rescaled_tests():
+    # Every squared deviation of these groups underflows to 0; F and p must
+    # not become 0 and 1.
+    cases = (
+        (one_way_anova, [[0.0, 1.0, 2.0], [0.0, 3.0, 1.0]]),
+        (levene, [[0.0, 1.0, 2.0, 0.5], [0.0, 3.0, 1.0, 7.0]]),
+    )
+    for test, groups in cases:
+        unit = test(groups)
+        tiny = test([[v * 1e-170 for v in g] for g in groups])
+        assert unit.statistic > 0.0
+        assert tiny.statistic == pytest.approx(unit.statistic, rel=1e-12)
+        assert tiny.p_two_sided == pytest.approx(unit.p_two_sided, rel=1e-12)
+        assert tiny.df == unit.df
+
+
 # --- invariances of the group tests (property-based) ---
 
 # Samples on a grid of 1/8 in [-100, 100], at least two distinct values a
@@ -405,10 +421,10 @@ def test_positive_common_scale_changes_no_test(groups, scale):
     assume(_informative_deviations(groups))
     scaled = [[v * scale for v in g] for g in groups]
     _assert_invariant(_group_tests(groups), _group_tests(scaled))
-    # Deviations this small square to 0 in floating point; the t-tests
-    # measure them in units of the larger spread and still hold.
+    # Deviations this small square to 0 in floating point; every test
+    # measures them in units of the largest spread and still holds.
     tiny = [[v * scale * 1e-170 for v in g] for g in groups]
-    _assert_invariant(_t_tests(groups), _t_tests(tiny))
+    _assert_invariant(_group_tests(groups), _group_tests(tiny))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

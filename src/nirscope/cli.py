@@ -159,10 +159,17 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     values = {k: v for k, v in vars(args).items() if k in fields}
     if getattr(args, "config", None):
-        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{args.config}:{e.lineno}: {e.msg}") from e
+        if not isinstance(overrides, dict):
+            raise ValueError(
+                f"{args.config}: config must be a JSON object, got {type(overrides).__name__}"
+            )
         unknown = set(overrides) - fields
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
         values.update(overrides)
     if "effect_channels" in values:
         values["effect_channels"] = tuple(values["effect_channels"])
@@ -184,11 +191,18 @@ def _parse_summaries(raw: list[str]) -> list[stats.GroupSummary]:
 def _load_sample_csvs(paths: list[str]) -> list[np.ndarray]:
     groups = []
     for path in paths:
-        values = [
-            float(line)
-            for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        values = []
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                value = np.nan
+            if not np.isfinite(value):
+                raise DatasetFormatError(f"{path}:{lineno}: not a finite number: {line.strip()!r}")
+            values.append(value)
         groups.append(np.asarray(values))
     return groups
 

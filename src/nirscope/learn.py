@@ -49,8 +49,6 @@ class ClassifierSpec:
     seed: int = 0
     knn_k: int = 5
     rf_trees: int = 100
-    rf_min_leaf: int = 1
-    rf_bootstrap: bool = True
     svm_c: float = 1.0
     svm_epochs: int = 200
     gbdt_rounds: int = 100
@@ -64,7 +62,6 @@ class ClassifierSpec:
         positive = {
             "knn_k": self.knn_k,
             "rf_trees": self.rf_trees,
-            "rf_min_leaf": self.rf_min_leaf,
             "svm_c": self.svm_c,
             "svm_epochs": self.svm_epochs,
             "gbdt_rounds": self.gbdt_rounds,
@@ -207,7 +204,7 @@ def _tree_sum(trees: list[_Tree], x: np.ndarray, out: np.ndarray, scale: float =
     return out
 
 
-def _best_gini_split(x: np.ndarray, y: np.ndarray, features: np.ndarray, min_leaf: int):
+def _best_gini_split(x: np.ndarray, y: np.ndarray, features: np.ndarray):
     """(feature, threshold, weighted child impurity) or None.
 
     Every candidate column is sorted and costed at once; the first minimum
@@ -220,8 +217,6 @@ def _best_gini_split(x: np.ndarray, y: np.ndarray, features: np.ndarray, min_lea
     ones = np.cumsum(y[order], axis=0)
     i = np.arange(1, n)[:, None]  # left side size
     valid = vs[1:] > vs[:-1]
-    if min_leaf > 1:
-        valid &= (i >= min_leaf) & (n - i >= min_leaf)
     left_ones = ones[:-1]
     right_ones = ones[-1] - left_ones
     left_n = i.astype(float)
@@ -238,7 +233,7 @@ def _best_gini_split(x: np.ndarray, y: np.ndarray, features: np.ndarray, min_lea
     return int(features[col]), 0.5 * (vs[j, col] + vs[j + 1, col]), float(cost[j, col])
 
 
-def _grow_cart(x, y, rng, max_features: int, min_leaf: int) -> _Tree:
+def _grow_cart(x, y, rng, max_features: int) -> _Tree:
     feature, threshold, left, right, value = [], [], [], [], []
 
     def build(rows: np.ndarray) -> int:
@@ -249,10 +244,10 @@ def _grow_cart(x, y, rng, max_features: int, min_leaf: int) -> _Tree:
         right.append(-1)
         value.append(float(y[rows].mean()))
         ys = y[rows]
-        if ys.size < 2 * min_leaf or np.all(ys == ys[0]):
+        if ys.size < 2 or np.all(ys == ys[0]):
             return idx
         cand = rng.choice(x.shape[1], size=max_features, replace=False)
-        split = _best_gini_split(x[rows], ys, np.sort(cand), min_leaf)
+        split = _best_gini_split(x[rows], ys, np.sort(cand))
         if split is None:
             return idx
         f, thr, _ = split
@@ -292,8 +287,8 @@ def _fit_forest(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> ForestMod
     trees = []
     for _ in range(spec.rf_trees):
         rng = np.random.default_rng(root.integers(0, 2**63 - 1))
-        rows = rng.integers(0, n, size=n) if spec.rf_bootstrap else np.arange(n)
-        trees.append(_grow_cart(x[rows], y[rows], rng, max_features, spec.rf_min_leaf))
+        rows = rng.integers(0, n, size=n)
+        trees.append(_grow_cart(x[rows], y[rows], rng, max_features))
     return ForestModel(trees=trees, n_features=n_features)
 
 
@@ -340,15 +335,10 @@ def _fit_svm(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> SvmModel:
 # Histogram gradient boosting with leaf-wise growth
 
 
-_GBDT_REG = 0.0  # no L2 on leaf weights; per-row hessians are floored instead,
-# which keeps leaf values finite and makes training exactly invariant to
-# duplicating every row
-
-
 def _leaf_best_split(binned, g, h, rows, n_bins):
     """Best (gain, feature, bin, left_rows, right_rows) for one leaf."""
     gt, ht = g[rows].sum(), h[rows].sum()
-    parent = gt * gt / (ht + _GBDT_REG)
+    parent = gt * gt / ht
     sub = binned[rows]
     n_features = sub.shape[1]
     flat = (sub + np.arange(n_features)[None, :] * n_bins).ravel()
@@ -366,7 +356,7 @@ def _leaf_best_split(binned, g, h, rows, n_bins):
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = np.where(
             valid,
-            gl**2 / (hl + _GBDT_REG) + gr**2 / (hr + _GBDT_REG) - parent,
+            gl**2 / hl + gr**2 / hr - parent,
             -np.inf,
         )
     j = int(np.argmax(gain))
@@ -389,7 +379,7 @@ def _grow_boost_tree(binned, g, h, n_bins, max_leaves) -> _Tree:
         split_bin.append(0)
         left.append(-1)
         right.append(-1)
-        value.append(-g[rows].sum() / (h[rows].sum() + _GBDT_REG))
+        value.append(-g[rows].sum() / h[rows].sum())
         open_leaves[idx] = _leaf_best_split(binned, g, h, rows, n_bins)
         return idx
 
@@ -468,6 +458,8 @@ def _fit_boost(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> BoostModel
     for _ in range(spec.gbdt_rounds):
         p = _sigmoid(score)
         g = p - y
+        # No L2 on leaf weights; the floored hessians keep leaf values finite
+        # and leave training exactly invariant to duplicating every row.
         h = np.maximum(p * (1 - p), 1e-12)
         tree = _grow_boost_tree(binned, g, h, n_bins, spec.gbdt_max_leaves)
         model.trees.append(tree)

@@ -339,7 +339,6 @@ class Dataset:
     hemo: tuple[HemoSeries, ...] = ()
     creator: str = "nirscope"
     seed: int | None = None
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if self.recordings and self.hemo:
@@ -550,7 +549,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     elif dataset.hemo:
         sample_rate = dataset.hemo[0].sample_rate_hz
     manifest = {
-        "schema_version": dataset.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "creator": dataset.creator,
         "seed": dataset.seed,
         "data_kind": dataset.kind,
@@ -663,7 +662,6 @@ def load_dataset(path: str | Path) -> Dataset:
             hemo=tuple(hemo),
             creator=manifest.get("creator", "unknown"),
             seed=manifest.get("seed"),
-            schema_version=version,
         )
     except ValueError as e:
         raise DatasetFormatError(f"{manifest_path}: {e}") from e

@@ -1,19 +1,18 @@
 """Optical density conversion and the modified Beer-Lambert inversion.
 
-Raw intensities become optical densities (OD) against a reference level;
-paired two-wavelength OD series are then inverted, per sample, into oxy- and
-deoxy-hemoglobin concentration changes (mol/L) by solving the 2x2 extinction
-system. Extinction coefficients and differential pathlength factors are
-configuration: the shipped defaults are commonly used literature values for
-760/850 nm, and correctness is established by forward/inverse round trips
-rather than by any specific table.
+Raw intensities become optical densities (OD) against the mean of each
+series; paired two-wavelength OD series are then inverted, per sample, into
+oxy- and deoxy-hemoglobin concentration changes (mol/L) by solving the 2x2
+extinction system. Extinction coefficients and differential pathlength
+factors are configuration: the shipped defaults are commonly used literature
+values for 760/850 nm, another table is an ``ExtinctionTable(entries=...,
+dpf=...)`` built directly, and correctness is established by forward/inverse
+round trips rather than by any specific table.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -66,24 +65,6 @@ class ExtinctionTable:
         e2 = self.eps(wl2)
         return np.array([e1, e2], dtype=float)
 
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "ExtinctionTable":
-        """Load a table from CSV columns wavelength_nm,eps_hbo,eps_hbr,dpf."""
-        entries: dict[float, tuple[float, float]] = {}
-        dpf: dict[float, float] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            required = {"wavelength_nm", "eps_hbo", "eps_hbr", "dpf"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ValueError(
-                    f"{path}: extinction CSV must have columns {sorted(required)}"
-                )
-            for row in reader:
-                wl = float(row["wavelength_nm"])
-                entries[wl] = (float(row["eps_hbo"]), float(row["eps_hbr"]))
-                dpf[wl] = float(row["dpf"])
-        return cls(entries=entries, dpf=dpf)
-
 
 def default_extinction_table() -> ExtinctionTable:
     """Commonly used literature extinction values at 760 and 850 nm, DPF 6."""
@@ -96,28 +77,22 @@ def default_extinction_table() -> ExtinctionTable:
     )
 
 
-def intensity_to_od(intensity, reference: float | None = None) -> np.ndarray:
+def intensity_to_od(intensity) -> np.ndarray:
     """Convert a positive intensity series, or each row of a (channels,
     samples) array of them, to optical density.
 
-    od[t] = -ln(intensity[t] / reference); the reference defaults to the
-    mean of each series, so a constant series maps to zero OD. The rows of
-    an array are made C-contiguous first, so each mean sums its samples in
-    the same order as it does for the series alone.
+    od[t] = -ln(intensity[t] / mean), with the mean of each series, so a
+    constant series maps to zero OD. The rows of an array are made
+    C-contiguous first, so each mean sums its samples in the same order as
+    it does for the series alone.
     """
     x = np.asarray(intensity, dtype=float)
     if x.size == 0:
         raise ValueError("intensity series is empty")
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise ValueError("intensity samples must be finite and strictly positive")
-    if reference is None:
-        x = np.ascontiguousarray(x)
-        ref = x.mean(axis=-1, keepdims=True)
-    else:
-        ref = float(reference)
-        if ref <= 0:
-            raise ValueError(f"reference must be strictly positive, got {ref}")
-    od = np.divide(x, ref)
+    x = np.ascontiguousarray(x)
+    od = np.divide(x, x.mean(axis=-1, keepdims=True))
     np.log(od, out=od)
     return np.negative(od, out=od)
 

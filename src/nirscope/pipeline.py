@@ -12,6 +12,7 @@ remove partial outputs.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -119,11 +120,8 @@ class PipelineConfig:
         kind = {
             "knn": "knn",
             "rf": "random_forest",
-            "random_forest": "random_forest",
             "svm": "linear_svm",
-            "linear_svm": "linear_svm",
             "gbdt": "boosted_trees",
-            "boosted_trees": "boosted_trees",
         }.get(self.model)
         if kind is None:
             raise ValueError(f"unknown model {self.model!r}")
@@ -723,6 +721,9 @@ def _config_json(config: PipelineConfig) -> dict:
     out["effect_channels"] = list(config.effect_channels)
     del out["out_dir"]  # where the report lands, not an analysis parameter
     if config.dataset_path is not None:
+        # The dataset's directory name only: where it sits on disk is not an
+        # analysis parameter either.
+        out["dataset_path"] = os.path.basename(os.path.abspath(config.dataset_path))
         for name in _SYNTHETIC_FIELDS:
             del out[name]
     return out

@@ -12,9 +12,7 @@ GroundTruth object for later verification.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +34,12 @@ _HRF_SHAPE_MAIN = 6.0  # gamma shape of the positive lobe
 _HRF_SHAPE_UNDER = 16.0  # gamma shape of the undershoot lobe
 _HRF_UNDERSHOOT_S = 16.0  # mode of the undershoot lobe
 _HRF_UNDERSHOOT_RATIO = 1.0 / 6.0  # undershoot lobe relative to the main lobe
+# The main lobe's mode that puts the combined maximum at the 6 s peak
+# (_HRF_PEAK_S), and the value of that maximum: the root of the combined
+# slope at 6 s over modes in [3, 24] s by Brent's method (xtol 1e-12), and
+# the curve there. The synth tests pin both to scipy's solve.
+_HRF_MAIN_MODE_S = 6.009028935580818
+_HRF_PEAK_VALUE = 0.9991929885178603
 _SUPERFICIAL_HBR_RATIO = 0.3  # scalp HbR fluctuation relative to scalp HbO
 
 # The synthetic protocol: Nine Hole Peg Test blocks in two conditions, each
@@ -156,105 +160,19 @@ class GroundTruth:
     true_peak_s: dict[str, dict[str, float]]  # pid -> chromophore -> target-channel peak
 
 
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """Root of ``f`` in [xa, xb] by Brent's method.
-
-    A step-for-step port of scipy's C ``brentq``
-    (scipy/optimize/Zeros/brentq.c) on Python floats, with its default
-    ``rtol`` and ``maxiter``, so it returns the same float as
-    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol)``.
-    """
-    rtol, maxiter = 4 * 2.0**-52, 100
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
-
-
-@lru_cache(maxsize=32)
-def _hrf_params(peak_s: float, undershoot_s: float, undershoot_ratio: float):
-    """Solve the main-lobe gamma mode so the combined extremum sits at peak_s."""
-
-    def g(t, mode, shape):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        pos = t > 0
-        out[pos] = (t[pos] / mode) ** (shape - 1) * np.exp(
-            -(t[pos] - mode) * (shape - 1) / mode
-        )
-        return out
-
-    def g_prime(t, mode, shape):
-        return float(g(np.array([t]), mode, shape)[0]) * (shape - 1) * (1 / t - 1 / mode)
-
-    target = undershoot_ratio * g_prime(peak_s, undershoot_s, _HRF_SHAPE_UNDER)
-
-    def excess(mode):
-        return g_prime(peak_s, mode, _HRF_SHAPE_MAIN) - target
-
-    if target == 0.0:
-        mode = peak_s
-    else:
-        mode = _brentq(excess, 0.5 * peak_s, 4.0 * peak_s, xtol=1e-12)
-    peak_value = float(
-        g(np.array([peak_s]), mode, _HRF_SHAPE_MAIN)[0]
-        - undershoot_ratio * g(np.array([peak_s]), undershoot_s, _HRF_SHAPE_UNDER)[0]
-    )
-    return mode, peak_value
-
-
-def canonical_hrf(t, peak_s: float = _HRF_PEAK_S):
-    """Double-gamma hemodynamic response, unit peak exactly at ``peak_s``.
+def canonical_hrf(t):
+    """Double-gamma hemodynamic response, unit peak exactly at _HRF_PEAK_S.
 
     Two gamma-density-shaped lobes are combined, the undershoot lobe with
-    its mode at _HRF_UNDERSHOOT_S and weight _HRF_UNDERSHOOT_RATIO; the main
-    lobe's mode is solved so the analytic maximum of the difference lands on
-    ``peak_s``, and the curve is normalized so that maximum is 1. Zero at
-    t <= 0.
+    its mode at _HRF_UNDERSHOOT_S and weight _HRF_UNDERSHOOT_RATIO. The main
+    lobe's mode, _HRF_MAIN_MODE_S, places the analytic maximum of the
+    difference on _HRF_PEAK_S, and the curve is divided by that maximum,
+    _HRF_PEAK_VALUE, so it is 1 there. Zero at t <= 0.
     """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    mode, peak_value = _hrf_params(peak_s, _HRF_UNDERSHOOT_S, _HRF_UNDERSHOOT_RATIO)
+    mode = _HRF_MAIN_MODE_S
     out = np.zeros_like(t)
     pos = t > 0
     tp = t[pos]
@@ -264,7 +182,7 @@ def canonical_hrf(t, peak_s: float = _HRF_PEAK_S):
     under = (tp / _HRF_UNDERSHOOT_S) ** (_HRF_SHAPE_UNDER - 1) * np.exp(
         -(tp - _HRF_UNDERSHOOT_S) * (_HRF_SHAPE_UNDER - 1) / _HRF_UNDERSHOOT_S
     )
-    out[pos] = (main - _HRF_UNDERSHOOT_RATIO * under) / peak_value
+    out[pos] = (main - _HRF_UNDERSHOOT_RATIO * under) / _HRF_PEAK_VALUE
     return float(out[0]) if scalar else out
 
 

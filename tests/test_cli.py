@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,18 @@ def test_stats_levene_from_csvs(tmp_path, capsys):
     assert main(["stats", "levene", "--csv", str(a), str(b)]) == EXIT_OK
     out = capsys.readouterr().out
     assert float(out.split("p = ")[1]) < 0.05
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "-inf"])
+def test_stats_csv_with_a_non_number_is_a_data_error_naming_file_and_line(
+    tmp_path, capsys, bad
+):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("1.5\n2.5\n3.0\n")
+    b.write_text(f"# values\n1.0\n\n {bad}\n2.0\n")
+    assert main(["stats", "ttest", "--csv", str(a), str(b)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{b}:4: not a finite number: '{bad}'" in err
 
 
 def test_stats_rejects_mixed_inputs(tmp_path):
@@ -163,6 +176,26 @@ def test_config_file_overrides_flags(tmp_path):
     assert '"seed": 9' in provenance
 
 
+def test_config_with_malformed_json_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{\n  "seed": 9,\n  model: "rf"\n}\n')
+    code = main(["run", "--out", str(tmp_path / "r"), "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert f"{cfg}:3: Expecting property name" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("top", [[["seed", 9]], "seed", 9, None])
+def test_config_must_be_a_json_object(tmp_path, capsys, top):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(top))
+    code = main(["run", "--out", str(tmp_path / "r"), "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{cfg}: config must be a JSON object, got {type(top).__name__}" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"not_a_key": 1}))
@@ -245,8 +278,24 @@ def test_provenance_config_leaves_out_synthetic_fields_of_a_dataset_run(tmp_path
     assert main(run) == EXIT_OK
     config = _provenance_config(tmp_path / "dataset")
     assert not SYNTHETIC_FIELDS & set(config)
-    assert config["dataset_path"] == str(hemo)
+    assert config["dataset_path"] == "hemo"
     assert config["seed"] == 5 and config["model"] == "knn"
+
+
+def test_provenance_of_one_container_is_the_same_from_two_locations(tmp_path):
+    raw, here = tmp_path / "raw", tmp_path / "a" / "study"
+    synth = ["synth", "--patients", "3", "--controls", "3", "--seed", "6", "--out", str(raw)]
+    assert main(synth) == EXIT_OK
+    assert main(["preprocess", "--dataset", str(raw), "--out", str(here)]) == EXIT_OK
+    there = tmp_path / "b" / "deeper" / "study"
+    shutil.copytree(here, there)
+    run = ["run", "--folds", "3", "--feature-mode", "summary", "--samples", "64",
+           "--seed", "6"]
+    assert main(run + ["--dataset", str(here), "--out", str(tmp_path / "r1")]) == EXIT_OK
+    assert main(run + ["--dataset", str(there) + "/", "--out", str(tmp_path / "r2")]) == EXIT_OK
+    first = (tmp_path / "r1" / "provenance.txt").read_bytes()
+    assert first == (tmp_path / "r2" / "provenance.txt").read_bytes()
+    assert b'"dataset_path": "study"' in first
 
 
 def test_version_flag():

@@ -1,9 +1,8 @@
 """No module of the package imports scipy; scipy serves the tests only, as an
 oracle.
 
-The last three scipy calls have numpy ports: the root solve of `synth`
-(`brentq`), the smoothing spline of motion correction and the incomplete beta
-function of the p-values. The source must hold no scipy import, at module
+The last two scipy calls have numpy ports: the smoothing spline of motion
+correction and the incomplete beta function of the p-values. The source must hold no scipy import, at module
 level or inside a function, and `synth`, `preprocess`, `run` on raw
 intensities, `run --dataset <hemo>` and `stats` must each load no scipy module.
 `import nirscope.cli` must not load the network and mail modules that

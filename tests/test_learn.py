@@ -68,16 +68,14 @@ def test_fully_grown_cart_fits_training_set():
     y = (rng.random(50) > 0.5).astype(int)
     if np.unique(y).size < 2:
         y[0] = 1 - y[0]
-    spec = ClassifierSpec(kind="random_forest", rf_trees=1, rf_bootstrap=False)
-    model = fit(spec, x, y)
-    assert (predict(model, x) == y).all()
+    tree = learn._grow_cart(x, y, np.random.default_rng(0), x.shape[1])
+    assert (tree.predict(x) == y).all()
 
 
 def test_single_tree_scores_are_zero_or_one():
     x, y = _separable(seed=2)
-    model = fit(ClassifierSpec(kind="random_forest", rf_trees=1, rf_bootstrap=False), x, y)
-    scores = predict_score(model, x)
-    assert set(np.round(scores, 12)) <= {0.0, 1.0}
+    tree = learn._grow_cart(x, y, np.random.default_rng(0), x.shape[1])
+    assert set(np.round(tree.predict(x), 12)) <= {0.0, 1.0}
 
 
 def test_forest_separates_separable_data():
@@ -384,7 +382,7 @@ def _reference_predict(tree, x):
     return tree.value[node]
 
 
-def _reference_gini_split(x, y, features, min_leaf):
+def _reference_gini_split(x, y, features):
     n = y.size
     best = None
     for f in features:
@@ -396,8 +394,6 @@ def _reference_gini_split(x, y, features, min_leaf):
         total_ones = ones[-1]
         i = np.arange(1, n)
         valid = vs[1:] > vs[:-1]
-        if min_leaf > 1:
-            valid &= (i >= min_leaf) & (n - i >= min_leaf)
         if not valid.any():
             continue
         left_ones = ones[:-1]
@@ -423,7 +419,7 @@ def _reference_grow_boost_tree(binned, g, h, n_bins, max_leaves):
         split_bin.append(0)
         left.append(-1)
         right.append(-1)
-        value.append(-g[rows].sum() / (h[rows].sum() + learn._GBDT_REG))
+        value.append(-g[rows].sum() / h[rows].sum())
         return idx
 
     root_rows = np.arange(binned.shape[0])
@@ -491,10 +487,10 @@ def _assert_same_trees(a, b):
 
 
 @pytest.mark.parametrize("case", TREE_CASES)
-@pytest.mark.parametrize("min_leaf", [1, 3])
-def test_forest_walk_matches_mask_loop(case, min_leaf):
-    x, y, queries = _tree_data(case, seed=min_leaf)
-    spec = ClassifierSpec(kind="random_forest", rf_trees=25, rf_min_leaf=min_leaf, seed=5)
+@pytest.mark.parametrize("seed", [1, 3])
+def test_forest_walk_matches_mask_loop(case, seed):
+    x, y, queries = _tree_data(case, seed=seed)
+    spec = ClassifierSpec(kind="random_forest", rf_trees=25, seed=5)
     model = fit(spec, x, y)
     if case == "one_positive":
         assert min(t.depth for t in model.trees) == 0
@@ -518,22 +514,22 @@ def test_tree_walk_blocks_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("case", TREE_CASES)
-@pytest.mark.parametrize("min_leaf", [1, 2, 5])
-def test_gini_split_matches_per_feature_search(case, min_leaf):
-    x, y, _ = _tree_data(case, seed=10 + min_leaf)
-    rng = np.random.default_rng(min_leaf)
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_gini_split_matches_per_feature_search(case, seed):
+    x, y, _ = _tree_data(case, seed=10 + seed)
+    rng = np.random.default_rng(seed)
     for _ in range(40):
         rows = rng.choice(x.shape[0], size=int(rng.integers(2, 40)), replace=False)
         features = np.sort(rng.choice(x.shape[1], size=int(rng.integers(1, 10)), replace=False))
-        got = learn._best_gini_split(x[rows], y[rows], features, min_leaf)
-        assert got == _reference_gini_split(x[rows], y[rows], features, min_leaf)
+        got = learn._best_gini_split(x[rows], y[rows], features)
+        assert got == _reference_gini_split(x[rows], y[rows], features)
 
 
 @pytest.mark.parametrize("case", TREE_CASES)
-@pytest.mark.parametrize("min_leaf", [1, 3])
-def test_forest_grows_as_with_per_feature_search(monkeypatch, case, min_leaf):
-    x, y, _ = _tree_data(case, seed=20 + min_leaf)
-    spec = ClassifierSpec(kind="random_forest", rf_trees=15, rf_min_leaf=min_leaf, seed=1)
+@pytest.mark.parametrize("seed", [1, 3])
+def test_forest_grows_as_with_per_feature_search(monkeypatch, case, seed):
+    x, y, _ = _tree_data(case, seed=20 + seed)
+    spec = ClassifierSpec(kind="random_forest", rf_trees=15, seed=1)
     model = fit(spec, x, y)
     monkeypatch.setattr(learn, "_best_gini_split", _reference_gini_split)
     _assert_same_trees(model.trees, fit(spec, x, y).trees)

@@ -21,8 +21,8 @@ def test_constant_series_maps_to_zero_od():
 def test_analytic_point_value():
     x = np.ones(10)
     x[4] = np.exp(-1.0)
-    od = intensity_to_od(x, reference=1.0)
-    assert od[4] == pytest.approx(1.0, rel=1e-14)
+    od = intensity_to_od(x)
+    assert od[4] == pytest.approx(1.0 + np.log(x.mean()), rel=1e-14)
 
 
 def test_od_round_trip_random_series():
@@ -38,8 +38,6 @@ def test_od_rejects_nonpositive_inputs():
     with pytest.raises(ValueError):
         intensity_to_od([1.0, 0.0, 2.0])
     with pytest.raises(ValueError):
-        intensity_to_od([1.0, 2.0], reference=-1.0)
-    with pytest.raises(ValueError):
         intensity_to_od([])
 
 
@@ -54,8 +52,6 @@ def test_od_rows_match_single_series(order, n):
     for row, got in zip(x, od):
         assert got.tobytes() == (-np.log(row / float(np.mean(row)))).tobytes()
         assert got.tobytes() == intensity_to_od(row).tobytes()
-    ref = intensity_to_od(x, reference=0.75)
-    assert ref.tobytes() == (-np.log(np.ascontiguousarray(x) / 0.75)).tobytes()
 
 
 def test_od_rows_reject_one_nonpositive_sample():
@@ -167,20 +163,3 @@ def test_mismatched_series_lengths_rejected():
         mbll_invert((np.zeros(5), np.zeros(6)), WLS, 0.03, table)
     with pytest.raises(ValueError):
         mbll_invert((np.zeros(5), np.zeros(5)), WLS, 0.0, table)
-
-
-def test_extinction_table_csv_round_trip(tmp_path):
-    path = tmp_path / "ext.csv"
-    path.write_text(
-        "wavelength_nm,eps_hbo,eps_hbr,dpf\n760,586.0,1548.52,6.0\n850,1058.0,691.32,5.5\n"
-    )
-    table = ExtinctionTable.from_csv(path)
-    assert table.eps(760.0) == (586.0, 1548.52)
-    assert table.pathlength_factor(850.0) == 5.5
-
-
-def test_extinction_csv_requires_columns(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("wavelength_nm,eps_hbo\n760,586\n")
-    with pytest.raises(ValueError, match="columns"):
-        ExtinctionTable.from_csv(path)

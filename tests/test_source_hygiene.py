@@ -1,0 +1,77 @@
+"""Source hygiene of the package, checked on its syntax trees.
+
+Every import binds a name that its module uses, lists in ``__all__`` or
+marks ``# noqa: F401``, and every ``__all__`` entry resolves to an attribute
+of its module. A deletion that leaves an import behind fails here.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import nirscope
+
+PACKAGE = Path(nirscope.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _dunder_all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    kept = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_dunder_all(tree))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in kept:
+                unused.append(f"{path.name}:{node.lineno}: {bound}")
+    return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used_exported_or_marked(path):
+    assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_all_entry_resolves(path):
+    name = "nirscope" if path.stem == "__init__" else f"nirscope.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [entry for entry in _dunder_all(_tree(path)) if not hasattr(module, entry)]
+    assert missing == []
+
+
+def test_an_unused_import_is_found(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from functools import lru_cache, partial\n"
+        "from json import dumps  # noqa: F401\n"
+        "def f(x: partial) -> int:\n"
+        "    return os.path.sep\n"
+    )
+    assert _unused_imports(path) == ["probe.py:2: math", "probe.py:4: lru_cache"]

@@ -51,12 +51,6 @@ def test_hrf_returns_to_baseline_by_30s():
     assert abs(canonical_hrf(30.0)) < 0.02
 
 
-def test_hrf_custom_peak_location():
-    t = np.arange(0, 30, 0.001)
-    h = canonical_hrf(t, peak_s=7.5)
-    assert t[np.argmax(h)] == pytest.approx(7.5, abs=0.01)
-
-
 def test_hrf_has_undershoot():
     t = np.arange(0, 30, 0.01)
     h = canonical_hrf(t)
@@ -64,49 +58,35 @@ def test_hrf_has_undershoot():
     assert t[np.argmin(h)] > 10.0
 
 
-# --- the brentq port against scipy.optimize.brentq ---
+# --- the HRF constants against scipy.optimize.brentq ---
 
 
-def _root_or_sign_error(solve, f, a, b, **kwargs):
-    try:
-        return solve(f, a, b, **kwargs)
-    except ValueError:
-        return "no sign change"
+def _gamma_lobe(t, mode, shape):
+    return (t / mode) ** (shape - 1) * math.exp(-(t - mode) * (shape - 1) / mode)
 
 
-def test_brentq_port_equals_scipy_on_random_functions():
-    rng = np.random.default_rng(0)
-    for i in range(600):
-        c, r = rng.normal(size=3), rng.uniform(-2.0, 2.0)
-        f = (
-            lambda x: (x - r) * (1.0 + c[0] ** 2) + c[1] * (x - r) ** 3,
-            lambda x: math.tanh(3.0 * (x - r)) + 0.1 * c[2] * (x - r) ** 3,
-            lambda x: math.exp(x - r) - 1.0,
-            lambda x: abs(c[2]) * (x - r) ** 3 + 1e-3 * (x - r),
-        )[i % 4]
-        a, b = r - rng.uniform(0.01, 5.0), r + rng.uniform(0.01, 5.0)
-        if rng.random() < 0.5:
-            a, b = b, a
-        for xtol in (1e-12, 1e-6):
-            ours = _root_or_sign_error(synth._brentq, f, a, b, xtol=xtol)
-            assert ours == _root_or_sign_error(brentq, f, a, b, xtol=xtol)
+def _gamma_lobe_slope(t, mode, shape):
+    return _gamma_lobe(t, mode, shape) * (shape - 1) * (1 / t - 1 / mode)
 
 
-def test_hrf_params_equal_scipy_brentq_on_a_grid(monkeypatch):
-    def solve_grid():
-        out = []
-        for peak_s in np.linspace(3.0, 8.0, 11):
-            for undershoot_s in np.linspace(10.0, 20.0, 6):
-                for ratio in np.linspace(0.0, 0.5, 11):
-                    try:  # past the cache
-                        out.append(synth._hrf_params.__wrapped__(peak_s, undershoot_s, ratio))
-                    except ValueError:  # no sign change over the bracket
-                        out.append(None)
-        return out
-
-    ours = solve_grid()
-    monkeypatch.setattr(synth, "_brentq", brentq)
-    assert ours == solve_grid()
+def test_hrf_constants_equal_scipy_brentq_solve():
+    # The main-lobe mode that puts the slope of main - ratio * undershoot to
+    # zero at the peak, solved over [peak / 2, 4 peak], and the curve there.
+    peak = synth._HRF_PEAK_S
+    target = synth._HRF_UNDERSHOOT_RATIO * _gamma_lobe_slope(
+        peak, synth._HRF_UNDERSHOOT_S, synth._HRF_SHAPE_UNDER
+    )
+    mode = brentq(
+        lambda m: _gamma_lobe_slope(peak, m, synth._HRF_SHAPE_MAIN) - target,
+        0.5 * peak,
+        4.0 * peak,
+        xtol=1e-12,
+    )
+    value = _gamma_lobe(peak, mode, synth._HRF_SHAPE_MAIN) - synth._HRF_UNDERSHOOT_RATIO * (
+        _gamma_lobe(peak, synth._HRF_UNDERSHOOT_S, synth._HRF_SHAPE_UNDER)
+    )
+    assert mode.hex() == synth._HRF_MAIN_MODE_S.hex()
+    assert value.hex() == synth._HRF_PEAK_VALUE.hex()
 
 
 def test_default_montage_shape():

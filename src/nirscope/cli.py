@@ -19,6 +19,9 @@ import numpy as np
 from . import __version__, epochs as epochs_mod, stats, synth
 from .model import DatasetFormatError, load_dataset, save_dataset
 from .pipeline import (
+    FEATURE_MODES,
+    MODELS,
+    POOLS,
     PipelineConfig,
     PipelineError,
     descriptive_report,
@@ -55,9 +58,9 @@ def _add_epoch_flags(p: argparse.ArgumentParser):
 
 def _add_learn_flags(p: argparse.ArgumentParser):
     _add_epoch_flags(p)
-    p.add_argument("--model", choices=["knn", "rf", "svm", "gbdt"])
+    p.add_argument("--model", choices=MODELS)
     p.add_argument("--folds", type=int)
-    p.add_argument("--feature-mode", choices=["raw", "summary"])
+    p.add_argument("--feature-mode", choices=FEATURE_MODES)
     p.add_argument("--select-k", type=int)
 
 
@@ -68,7 +71,7 @@ def _add_synth_flags(p: argparse.ArgumentParser):
     p.add_argument("--effect-channels", nargs="*")
     p.add_argument("--amplitude-ratio", type=float)
     p.add_argument("--peak-delay", dest="peak_delay_s", type=float)
-    p.add_argument("--effect-chromophore", choices=["hbo", "hbr"])
+    p.add_argument("--effect-chromophore", choices=synth.CHROMOPHORES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_dir", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", dest="shap_samples", type=int)
-    p.add_argument("--pool", choices=["sample", "trial"])
+    p.add_argument("--pool", choices=POOLS)
     p.add_argument("--config", help="JSON config overriding flags")
     _add_synth_flags(p)
     _add_preprocess_flags(p)
@@ -155,9 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    """PipelineConfig defaults, overridden by the given flags, then by --config."""
+    """PipelineConfig defaults, overridden by the given flags, then by --config.
+
+    A list (a JSON array or an nargs flag) becomes a tuple. The flags the
+    file leaves alone are checked first, so an error after them involves a
+    key from the file and names the file.
+    """
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     values = {k: v for k, v in vars(args).items() if k in fields}
+    overrides = {}
     if getattr(args, "config", None):
         try:
             overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -171,9 +180,12 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
         values.update(overrides)
-    if "effect_channels" in values:
-        values["effect_channels"] = tuple(values["effect_channels"])
-    return PipelineConfig(**values)
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
+    PipelineConfig(**{k: v for k, v in values.items() if k not in overrides})
+    try:
+        return PipelineConfig(**values)
+    except ValueError as e:
+        raise ValueError(f"{args.config}: {e}") from e
 
 
 def _parse_summaries(raw: list[str]) -> list[stats.GroupSummary]:

@@ -42,6 +42,8 @@ FOLD_EXACT_MAX_GROUPS = 12
 # arrays on the exact path, whose 2^groups coalitions × 16 background rows
 # reach 65,536 rows at 12 groups.
 _SCORE_CHUNK = 200_000
+# Training rows, strided by norm, beside the mean row in each background.
+_BACKGROUND_ROWS = 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,14 +354,14 @@ def channel_importance(
     )
 
 
-def build_background(train_x: np.ndarray, max_medoids: int = 15) -> np.ndarray:
-    """Mean training row plus up to ``max_medoids`` norm-strided rows."""
+def build_background(train_x: np.ndarray) -> np.ndarray:
+    """Mean training row plus up to _BACKGROUND_ROWS norm-strided rows."""
     x = np.asarray(train_x, dtype=float)
     if x.shape[0] == 0:
         raise ValueError("training matrix is empty")
     mean_row = x.mean(axis=0, keepdims=True)
     order = np.argsort(np.linalg.norm(x, axis=1), kind="stable")
-    count = min(max_medoids, x.shape[0])
+    count = min(_BACKGROUND_ROWS, x.shape[0])
     strided = order[np.unique(np.linspace(0, x.shape[0] - 1, count).round().astype(int))]
     return np.vstack([mean_row, x[strided]])
 

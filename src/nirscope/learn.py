@@ -41,37 +41,25 @@ __all__ = [
 ]
 
 KINDS = ("knn", "random_forest", "linear_svm", "boosted_trees")
+# Hyperparameters of the four learners.
+_KNN_K = 5  # neighbours
+_RF_TREES = 100
+_SVM_C = 1.0  # hinge-loss weight; the L2 weight is 1 / (C * n)
+_SVM_EPOCHS = 200
+_GBDT_ROUNDS = 100
+_GBDT_LEARNING_RATE = 0.1
+_GBDT_MAX_LEAVES = 31
+_GBDT_BINS = 64  # histogram bins per feature
 
 
 @dataclass(frozen=True)
 class ClassifierSpec:
     kind: str = "knn"
     seed: int = 0
-    knn_k: int = 5
-    rf_trees: int = 100
-    svm_c: float = 1.0
-    svm_epochs: int = 200
-    gbdt_rounds: int = 100
-    gbdt_learning_rate: float = 0.1
-    gbdt_max_leaves: int = 31
-    gbdt_bins: int = 64
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"classifier kind must be one of {KINDS}, got {self.kind!r}")
-        positive = {
-            "knn_k": self.knn_k,
-            "rf_trees": self.rf_trees,
-            "svm_c": self.svm_c,
-            "svm_epochs": self.svm_epochs,
-            "gbdt_rounds": self.gbdt_rounds,
-            "gbdt_learning_rate": self.gbdt_learning_rate,
-            "gbdt_max_leaves": self.gbdt_max_leaves,
-            "gbdt_bins": self.gbdt_bins,
-        }
-        for name, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -285,7 +273,7 @@ def _fit_forest(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> ForestMod
     max_features = max(1, int(math.sqrt(n_features)))
     root = np.random.default_rng(spec.seed)
     trees = []
-    for _ in range(spec.rf_trees):
+    for _ in range(_RF_TREES):
         rng = np.random.default_rng(root.integers(0, 2**63 - 1))
         rows = rng.integers(0, n, size=n)
         trees.append(_grow_cart(x[rows], y[rows], rng, max_features))
@@ -316,11 +304,11 @@ def _fit_svm(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> SvmModel:
     # Bias handled as a weight on an appended constant feature; the 1/(lam*t)
     # schedule then applies uniformly (Pegasos-style, lam = 1/(C*n)).
     xa = np.hstack([x, np.ones((n, 1))])
-    lam = 1.0 / (spec.svm_c * n)
+    lam = 1.0 / (_SVM_C * n)
     rng = np.random.default_rng(spec.seed)
     w = np.zeros(n_features + 1)
     t = 0
-    for _ in range(spec.svm_epochs):
+    for _ in range(_SVM_EPOCHS):
         for i in rng.permutation(n):
             t += 1
             eta = 1.0 / (lam * t)
@@ -436,9 +424,9 @@ class BoostModel:
         return _sigmoid(self.decision_function(x))
 
 
-def _fit_boost(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> BoostModel:
+def _fit_boost(x: np.ndarray, y: np.ndarray) -> BoostModel:
     n, n_features = x.shape
-    n_bins = spec.gbdt_bins
+    n_bins = _GBDT_BINS
     edges = []
     for f in range(n_features):
         # inverted_cdf quantiles are pure order statistics, so the binning is
@@ -451,19 +439,19 @@ def _fit_boost(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> BoostModel
         bin_edges=edges,
         trees=[],
         base_score=float(np.log((y.mean() + 1e-12) / (1 - y.mean() + 1e-12))),
-        learning_rate=spec.gbdt_learning_rate,
+        learning_rate=_GBDT_LEARNING_RATE,
     )
     binned = model._bin(x)
     score = np.full(n, model.base_score)
-    for _ in range(spec.gbdt_rounds):
+    for _ in range(_GBDT_ROUNDS):
         p = _sigmoid(score)
         g = p - y
         # No L2 on leaf weights; the floored hessians keep leaf values finite
         # and leave training exactly invariant to duplicating every row.
         h = np.maximum(p * (1 - p), 1e-12)
-        tree = _grow_boost_tree(binned, g, h, n_bins, spec.gbdt_max_leaves)
+        tree = _grow_boost_tree(binned, g, h, n_bins, _GBDT_MAX_LEAVES)
         model.trees.append(tree)
-        score += spec.gbdt_learning_rate * tree.predict(binned)
+        score += _GBDT_LEARNING_RATE * tree.predict(binned)
     return model
 
 
@@ -486,14 +474,14 @@ def fit(spec: ClassifierSpec, x, y):
     y = np.asarray(y, dtype=int)
     _validate_training(x, y)
     if spec.kind == "knn":
-        if spec.knn_k > x.shape[0]:
-            raise ValueError(f"knn_k={spec.knn_k} exceeds {x.shape[0]} training rows")
-        return KnnModel(x=x.copy(), y=y.copy(), k=spec.knn_k)
+        if _KNN_K > x.shape[0]:
+            raise ValueError(f"k={_KNN_K} neighbours exceed {x.shape[0]} training rows")
+        return KnnModel(x=x.copy(), y=y.copy(), k=_KNN_K)
     if spec.kind == "random_forest":
         return _fit_forest(spec, x, y)
     if spec.kind == "linear_svm":
         return _fit_svm(spec, x, y)
-    return _fit_boost(spec, x, y)
+    return _fit_boost(x, y)
 
 
 def predict_score(model, x) -> np.ndarray:

@@ -588,28 +588,40 @@ def load_dataset(path: str | Path) -> Dataset:
         )
     montage = _montage_from_json(manifest.get("montage", {}), manifest_path)
     kind = manifest.get("data_kind", "intensity")
+    if kind not in ("intensity", "hemo"):
+        raise DatasetFormatError(
+            f"{manifest_path}: data_kind must be 'intensity' or 'hemo', got {kind!r}"
+        )
     sample_rate = manifest.get("sample_rate_hz")
-    sample_rate = float(sample_rate) if sample_rate is not None else None
     wavelengths = manifest.get("wavelengths_nm")
-    if wavelengths is not None:
-        wavelengths = tuple(float(w) for w in wavelengths)
+    try:
+        sample_rate = None if sample_rate is None else float(sample_rate)
+    except (TypeError, ValueError):
+        raise DatasetFormatError(
+            f"{manifest_path}: sample_rate_hz must be a number, got {sample_rate!r}"
+        ) from None
+    try:
+        wavelengths = None if wavelengths is None else tuple(float(w) for w in wavelengths)
+    except (TypeError, ValueError):
+        raise DatasetFormatError(
+            f"{manifest_path}: wavelengths_nm must be a list of numbers, got {wavelengths!r}"
+        ) from None
+    participants = manifest.get("participants", [])
+    needed = ("sample_rate_hz", "wavelengths_nm") if kind == "intensity" else ("sample_rate_hz",)
+    if participants and any(manifest.get(key) is None for key in needed):
+        raise DatasetFormatError(f"{manifest_path}: {kind} datasets need {' and '.join(needed)}")
 
     recordings: list[Recording] = []
     hemo: list[HemoSeries] = []
     long_ids = tuple(ch.id for ch in montage.long_channels)
     try:
-        for p in manifest.get("participants", []):
+        for p in participants:
             pid = p["id"]
             annotations = tuple(
                 Annotation(float(o), float(d), str(lbl))
                 for o, d, lbl in p.get("annotations", [])
             )
             if kind == "intensity":
-                if wavelengths is None or sample_rate is None:
-                    raise DatasetFormatError(
-                        f"{manifest_path}: intensity datasets need sample_rate_hz "
-                        "and wavelengths_nm"
-                    )
                 intensity = {}
                 for wl in wavelengths:
                     fname = p["files"][_fmt(wl)]

@@ -55,6 +55,11 @@ BLOCK_ROWS = 64
 # the seconds of signal a corrected segment is re-anchored to.
 _SPLINE_LAM = 1e-3
 _SPLINE_BASELINE_S = 2.0
+# Detection: the moving-std window and its threshold over the median moving
+# std, and the seconds each flagged run is padded by on either side.
+_STD_WINDOW_S = 1.0
+_STD_RATIO = 3.0
+_PAD_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -107,36 +112,28 @@ def detect_artifacts(
     series,
     fs: float,
     amp_threshold: float = 5.0,
-    std_window_s: float = 1.0,
-    std_threshold: float = 3.0,
     channel_id: str = "",
-    pad_s: float = 0.5,
 ) -> list[ArtifactSegment]:
     """Flag samples by amplitude excursion or moving-std burst.
 
     A sample is flagged when |x - median| > amp_threshold * std(x) or when
-    the moving std over ``std_window_s`` exceeds std_threshold times its
-    median. Adjacent flags merge into segments padded by ``pad_s`` on each
-    side. A segment's trigger is "amplitude" when any of its samples
-    crosses the amplitude threshold, else "moving_std". A zero-variance
-    series yields no segments. This is ``detect_artifact_stack`` of one row.
+    the moving std over _STD_WINDOW_S exceeds _STD_RATIO times its median.
+    Adjacent flags merge into segments padded by _PAD_S on each side. A
+    segment's trigger is "amplitude" when any of its samples crosses the
+    amplitude threshold, else "moving_std". A zero-variance series yields
+    no segments. This is ``detect_artifact_stack`` of one row.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"series must be 1-D, got shape {x.shape}")
-    return detect_artifact_stack(
-        x[None], fs, amp_threshold, std_window_s, std_threshold, [channel_id], pad_s
-    )[0]
+    return detect_artifact_stack(x[None], fs, amp_threshold, [channel_id])[0]
 
 
 def detect_artifact_stack(
     rows,
     fs: float,
     amp_threshold: float = 5.0,
-    std_window_s: float = 1.0,
-    std_threshold: float = 3.0,
     channel_ids=None,
-    pad_s: float = 0.5,
 ) -> list[list[ArtifactSegment]]:
     """``detect_artifacts`` of each row of a (k, n) array: one segment list
     per row, each exactly as that row gives on its own.
@@ -154,17 +151,17 @@ def detect_artifact_stack(
     ids = [""] * k if channel_ids is None else list(channel_ids)
     if len(ids) != k:
         raise ValueError(f"need {k} channel ids, got {len(ids)}")
-    window = max(2, int(round(std_window_s * fs)))
+    window = max(2, int(round(_STD_WINDOW_S * fs)))
     if n <= window:
         raise ValueError(f"series length {n} must exceed the std window {window}")
-    pad = int(round(pad_s * fs))
+    pad = int(round(_PAD_S * fs))
     segments: list[list[ArtifactSegment]] = []
     for lo in range(0, k, BLOCK_ROWS):
         block = np.ascontiguousarray(x[lo : lo + BLOCK_ROWS])
         std = block.std(axis=1, keepdims=True)
         amp_bad = np.abs(block - np.median(block, axis=1, keepdims=True)) > amp_threshold * std
         mstd = _moving_std(block, window)
-        flags = amp_bad | (mstd > std_threshold * np.median(mstd, axis=1, keepdims=True))
+        flags = amp_bad | (mstd > _STD_RATIO * np.median(mstd, axis=1, keepdims=True))
         # A zero-variance row yields no segments.
         flags &= std > 0
         segments += _segments(flags, amp_bad, pad, ids[lo : lo + BLOCK_ROWS])

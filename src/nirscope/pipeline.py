@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import os
+import types
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -36,6 +38,9 @@ from .signal import BandpassSpec, bandpass, match_short_channel, short_channel_r
 __all__ = [
     "PipelineConfig",
     "PipelineError",
+    "MODELS",
+    "FEATURE_MODES",
+    "POOLS",
     "preprocess_recording",
     "preprocess_dataset",
     "epochs_from_dataset",
@@ -73,8 +78,43 @@ class PipelineError(Exception):
         self.cause = cause
 
 
+# The values of each choice field; the CLI offers the same. A model name
+# maps to its learn.ClassifierSpec kind.
+MODELS = {"knn": "knn", "rf": "random_forest", "svm": "linear_svm", "gbdt": "boosted_trees"}
+FEATURE_MODES = tuple(mode.value for mode in FeatureMode)
+POOLS = ("sample", "trial")
+_CHOICES = {"model": MODELS, "feature_mode": FEATURE_MODES, "pool": POOLS,
+            "effect_chromophore": synth.CHROMOPHORES}
+# Bounds no spec checks: the least value of each field, and the value each
+# field must exceed.
+_AT_LEAST = {"patients": 1, "controls": 1, "trials_per_task": 1, "shap_samples": 1,
+             "top_channels": 1, "select_k": 1, "folds": 2, "seed": 0, "baseline_s": 0,
+             "motion_iqr": 0}
+_ABOVE = {"window_s": 0, "motion_amp_sigma": 0}
+
+
+def _has_type(value, hint) -> bool:
+    """Whether ``value`` has the annotated type: an int passes for a float,
+    a bool never for an int, and a tuple is checked item by item."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, tuple) and all(_has_type(v, item) for v in value)
+    if hint is float:
+        hint = (int, float)
+    if hint is not bool and isinstance(value, bool):
+        return False
+    return isinstance(value, hint)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting a run can vary, checked when made; an error names the
+    field. Checks that need the data (the Nyquist limit, select_k against
+    the feature count, folds against group sizes, effect channels against
+    the montage) run in the stages that have it."""
+
     out_dir: str = "nirscope-run"
     dataset_path: str | None = None  # None: generate synthetic data
     seed: int = 0
@@ -107,7 +147,31 @@ class PipelineConfig:
     shap_samples: int = 256
     top_channels: int = 4
     # statistics
-    pool: str = "sample"  # "sample" | "trial"
+    pool: str = "sample"
+
+    def __post_init__(self):
+        for name, hint in typing.get_type_hints(PipelineConfig).items():
+            value = getattr(self, name)
+            if not _has_type(value, hint):
+                shown = hint.__name__ if isinstance(hint, type) else hint
+                raise ValueError(f"{name}: must be {shown}, got {type(value).__name__} {value!r}")
+            if name in _AT_LEAST and value is not None and not value >= _AT_LEAST[name]:
+                raise ValueError(f"{name}: must be >= {_AT_LEAST[name]}, got {value!r}")
+            if name in _ABOVE and not value > _ABOVE[name]:
+                raise ValueError(f"{name}: must be > {_ABOVE[name]}, got {value!r}")
+            if name in _CHOICES and value not in _CHOICES[name]:
+                raise ValueError(f"{name}: must be one of {list(_CHOICES[name])}, got {value!r}")
+        if not self.task:
+            raise ValueError("task: must name a task, got ''")
+        # The specs check the rules they hold, each over its own fields.
+        for build, names in (
+            (self.bandpass_spec, "low_cut_hz, high_cut_hz, filter_order"),
+            (self.effect_spec, "effect_channels, amplitude_ratio, peak_delay_s"),
+        ):
+            try:
+                build()
+            except ValueError as e:
+                raise ValueError(f"{names}: {e}") from e
 
     def bandpass_spec(self) -> BandpassSpec:
         return BandpassSpec(
@@ -117,26 +181,16 @@ class PipelineConfig:
         )
 
     def classifier_spec(self) -> learn.ClassifierSpec:
-        kind = {
-            "knn": "knn",
-            "rf": "random_forest",
-            "svm": "linear_svm",
-            "gbdt": "boosted_trees",
-        }.get(self.model)
-        if kind is None:
-            raise ValueError(f"unknown model {self.model!r}")
-        return learn.ClassifierSpec(kind=kind, seed=self.seed)
+        return learn.ClassifierSpec(kind=MODELS[self.model], seed=self.seed)
 
     def effect_spec(self) -> synth.EffectSpec | None:
         if not self.effect_channels:
             return None
-        weights = {"hbo": 0.0, "hbr": 0.0}
-        weights[self.effect_chromophore] = 1.0
         return synth.EffectSpec(
-            target_channels=tuple(self.effect_channels),
+            target_channels=self.effect_channels,
             amplitude_ratio=self.amplitude_ratio,
             peak_delay_s=self.peak_delay_s,
-            chromophore_weights=weights,
+            chromophore=self.effect_chromophore,
         )
 
 
@@ -514,7 +568,8 @@ def _time_to_peak_svg(epoch_set: EpochSet, task: str, roi) -> str:
 
 
 class _Outputs:
-    """Report files of one run in ``out_dir``, and the stage the run is in.
+    """Report files of one run in ``out_dir``, the stage the run is in, and
+    whether the run preprocessed its data (``preprocessed``).
 
     Used as a context manager: an exception inside it removes every file
     registered so far and is raised again as a PipelineError naming the stage.
@@ -526,6 +581,7 @@ class _Outputs:
         self.dir = Path(out_dir)
         self.written: list[Path] = []
         self.stage = "ingest"
+        self.preprocessed = False
 
     def path(self, name: str) -> Path:
         """Register ``name`` as an output and return where to write it."""
@@ -553,12 +609,13 @@ class _Outputs:
 
 def _ingest(out: _Outputs, config: PipelineConfig) -> Dataset:
     """The dataset the run starts from, synthesized or loaded; the stage is
-    then preprocess."""
+    then preprocess, which raw intensities go through."""
     if config.dataset_path is None:
         dataset = synthesize(config)[0]
     else:
         dataset = load_dataset(config.dataset_path)
     out.stage = "preprocess"
+    out.preprocessed = dataset.kind == "intensity"
     return dataset
 
 
@@ -667,7 +724,7 @@ def run_pipeline(config: PipelineConfig):
         provenance_lines = [
             f"nirscope {__version__}",
             "config:",
-            json.dumps(_config_json(config), indent=2, sort_keys=True),
+            json.dumps(_config_json(config, out.preprocessed), indent=2, sort_keys=True),
             "",
             *_preprocessing_lines(hemo_dataset.hemo),
             f"fold plan seed: {config.seed}",
@@ -705,25 +762,26 @@ def descriptive_report(config: PipelineConfig) -> list[Path]:
 
 # Fields that only describe the synthetic data a run generates; a run on a
 # dataset from disk never reads them.
-_SYNTHETIC_FIELDS = (
-    "patients",
-    "controls",
-    "trials_per_task",
-    "effect_channels",
-    "amplitude_ratio",
-    "peak_delay_s",
-    "effect_chromophore",
-)
+_SYNTHETIC_FIELDS = ("patients", "controls", "trials_per_task", "effect_channels",
+                     "amplitude_ratio", "peak_delay_s", "effect_chromophore")
+# Fields that only set how raw intensities are preprocessed; a run on a
+# preprocessed dataset never reads them, and its provenance lists the steps
+# that made the dataset.
+_PREPROCESSING_FIELDS = ("low_cut_hz", "high_cut_hz", "filter_order", "short_channel",
+                         "motion_correction", "motion_amp_sigma", "motion_iqr")
 
 
-def _config_json(config: PipelineConfig) -> dict:
+def _config_json(config: PipelineConfig, preprocessed: bool) -> dict:
+    """The config echoed in provenance.txt: the fields the run read."""
     out = asdict(config)
-    out["effect_channels"] = list(config.effect_channels)
     del out["out_dir"]  # where the report lands, not an analysis parameter
     if config.dataset_path is not None:
         # The dataset's directory name only: where it sits on disk is not an
         # analysis parameter either.
         out["dataset_path"] = os.path.basename(os.path.abspath(config.dataset_path))
         for name in _SYNTHETIC_FIELDS:
+            del out[name]
+    if not preprocessed:
+        for name in _PREPROCESSING_FIELDS:
             del out[name]
     return out

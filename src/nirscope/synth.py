@@ -12,7 +12,7 @@ GroundTruth object for later verification.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from . import optics
 from .model import Annotation, Channel, Dataset, Montage, Recording
 
 __all__ = [
+    "CHROMOPHORES",
     "EffectSpec",
-    "NoiseSpec",
     "GroundTruth",
     "canonical_hrf",
     "default_montage",
@@ -64,40 +64,52 @@ _CARDIAC_HZ = 1.1
 _RESPIRATION_HZ = 0.3
 _MAYER_HZ = 0.1
 _PHASE_JITTER_RAD_PER_SQRT_S = 0.3
+# Noise amplitudes. The oscillations (at the rhythms above) and the white
+# noise sd are concentration equivalents (mol/L); drift and spikes act on
+# optical density. They put the raw in-band noise on the order of the
+# response amplitude.
+_CARDIAC_AMP = 6e-7
+_RESPIRATION_AMP = 4e-7
+_MAYER_AMP = 5e-7
+_WHITE_SD = 3e-8
+_DRIFT_OD_PER_MIN = 2e-3
+_SPIKE_RATE_PER_MIN = 0.5
+_SPIKE_OD_AMP = 0.12
+# Relative sd of each participant's response gain and of each trial's drive.
+_PARTICIPANT_GAIN_SD = 0.08
+_TRIAL_GAIN_SD = 0.05
+
+# The chromophores an effect can be expressed in.
+CHROMOPHORES = ("hbo", "hbr")
 
 
 @dataclass(frozen=True)
 class EffectSpec:
     """Patient-group effect injected into designated channels.
 
-    ``chromophore_weights`` scales how strongly each chromophore expresses
-    the effect: the effective amplitude ratio per chromophore is
-    1 - w * (1 - amplitude_ratio) and the effective peak delay is
-    w * peak_delay_s.
+    Only ``chromophore`` expresses the effect: its amplitude is scaled by
+    ``amplitude_ratio`` and its peak delayed by ``peak_delay_s``; the other
+    chromophore responds as in controls.
     """
 
     target_channels: tuple[str, ...]
     amplitude_ratio: float = 0.5
     peak_delay_s: float = 0.0
-    chromophore_weights: dict[str, float] = field(
-        default_factory=lambda: {"hbo": 0.0, "hbr": 1.0}
-    )
+    chromophore: str = "hbr"
 
     def __post_init__(self):
         if not 0.0 < self.amplitude_ratio <= 1.0:
             raise ValueError(f"amplitude_ratio must be in (0, 1], got {self.amplitude_ratio}")
         if self.peak_delay_s < 0:
             raise ValueError(f"peak_delay_s must be >= 0, got {self.peak_delay_s}")
-        for chrom, w in self.chromophore_weights.items():
-            if chrom not in ("hbo", "hbr"):
-                raise ValueError(f"unknown chromophore {chrom!r}")
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"chromophore weight must be in [0, 1], got {w}")
+        if self.chromophore not in CHROMOPHORES:
+            raise ValueError(f"unknown chromophore {self.chromophore!r}")
 
     def weight(self, chromophore: str) -> float:
-        return self.chromophore_weights.get(chromophore, 0.0)
+        return 1.0 if chromophore == self.chromophore else 0.0
 
     def ratio_for(self, chromophore: str) -> float:
+        # Kept as 1 - w * (1 - r), not r: 1 - (1 - r) != r for r = 0.1.
         return 1.0 - self.weight(chromophore) * (1.0 - self.amplitude_ratio)
 
     def delay_for(self, chromophore: str) -> float:
@@ -106,45 +118,9 @@ class EffectSpec:
     @property
     def discriminative(self) -> tuple[tuple[str, str], ...]:
         """(channel, chromophore) pairs the effect actually changes."""
-        pairs = []
-        for ch in self.target_channels:
-            for chrom in ("hbo", "hbr"):
-                w = self.weight(chrom)
-                if w > 0 and (self.amplitude_ratio < 1.0 or self.peak_delay_s > 0):
-                    pairs.append((ch, chrom))
-        return tuple(pairs)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Amplitudes of the physiological and instrumental noise components.
-
-    Oscillation amplitudes (at the fixed cardiac, respiratory and Mayer-wave
-    rates) and the white-noise sd are concentration equivalents (mol/L);
-    drift and spikes act on optical density. Defaults put the raw in-band
-    noise on the order of the response amplitude.
-    """
-
-    cardiac_amp: float = 6e-7
-    respiration_amp: float = 4e-7
-    mayer_amp: float = 5e-7
-    white_sd: float = 3e-8
-    drift_od_per_min: float = 2e-3
-    spike_rate_per_min: float = 0.5
-    spike_od_amp: float = 0.12
-
-    def __post_init__(self):
-        for name in (
-            "cardiac_amp",
-            "respiration_amp",
-            "mayer_amp",
-            "white_sd",
-            "drift_od_per_min",
-            "spike_rate_per_min",
-            "spike_od_amp",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if not (self.amplitude_ratio < 1.0 or self.peak_delay_s > 0):
+            return ()
+        return tuple((ch, self.chromophore) for ch in self.target_channels)
 
 
 @dataclass(frozen=True)
@@ -249,10 +225,7 @@ def generate_dataset(
     n_controls: int,
     trials_per_task: int = 5,
     effect: EffectSpec | None = None,
-    noise: NoiseSpec | None = None,
     seed: int = 0,
-    participant_gain_sd: float = 0.08,
-    trial_gain_sd: float = 0.05,
 ) -> tuple[Dataset, GroundTruth]:
     """Generate raw two-wavelength recordings with known ground truth.
 
@@ -272,7 +245,6 @@ def generate_dataset(
     if n_patients < 1 or n_controls < 1:
         raise ValueError("need at least one participant per group")
     montage = default_montage()
-    noise = noise or NoiseSpec()
     extinction = optics.default_extinction_table()
     if effect is not None:
         known = set(montage.channel_ids)
@@ -318,10 +290,10 @@ def generate_dataset(
         u = np.zeros(n)
         for start in onsets:
             u[start : start + task_samples] = envelope * (
-                1.0 + trial_gain_sd * rng.standard_normal()
+                1.0 + _TRIAL_GAIN_SD * rng.standard_normal()
             )
 
-        gain = max(0.2, 1.0 + participant_gain_sd * rng.standard_normal())
+        gain = max(0.2, 1.0 + _PARTICIPANT_GAIN_SD * rng.standard_normal())
         is_patient = group == "patient"
         kernels: dict[float, np.ndarray] = {}
 
@@ -339,9 +311,9 @@ def generate_dataset(
         for src in montage.sources:
             sup = np.zeros(n)
             for hz, amp in (
-                (_CARDIAC_HZ, noise.cardiac_amp),
-                (_RESPIRATION_HZ, noise.respiration_amp),
-                (_MAYER_HZ, noise.mayer_amp),
+                (_CARDIAC_HZ, _CARDIAC_AMP),
+                (_RESPIRATION_HZ, _RESPIRATION_AMP),
+                (_MAYER_HZ, _MAYER_AMP),
             ):
                 phase0 = rng.uniform(0, 2 * np.pi)
                 walk = np.cumsum(step * rng.standard_normal(n))
@@ -367,18 +339,16 @@ def generate_dataset(
             else:
                 hbo = np.zeros(n)
                 hbr = np.zeros(n)
-            hbo = hbo + sup_hbo[src] + noise.white_sd * rng.standard_normal(n)
-            hbr = hbr + sup_hbr[src] + noise.white_sd * rng.standard_normal(n)
+            hbo = hbo + sup_hbo[src] + _WHITE_SD * rng.standard_normal(n)
+            hbr = hbr + sup_hbr[src] + _WHITE_SD * rng.standard_normal(n)
             od1, od2 = optics.mbll_forward(
                 hbo, hbr, _WAVELENGTHS_NM, ch.distance_m, extinction
             )
             if ch.kind == "long":
                 # Drift and motion spikes live on the long channels so the
                 # short channels stay a clean superficial reference.
-                drift = noise.drift_od_per_min * rng.uniform(-1.0, 1.0) * (t / 60.0)
-                spikes = _spike_train(
-                    rng, n, fs, noise.spike_rate_per_min, noise.spike_od_amp
-                )
+                drift = _DRIFT_OD_PER_MIN * rng.uniform(-1.0, 1.0) * (t / 60.0)
+                spikes = _spike_train(rng, n, fs, _SPIKE_RATE_PER_MIN, _SPIKE_OD_AMP)
                 od1 = od1 + drift + spikes
                 od2 = od2 + 0.8 * (drift + spikes)
             per_wl[_WAVELENGTHS_NM[0]][ci] = od1
@@ -406,13 +376,10 @@ def generate_dataset(
         creator="nirscope-synth",
         seed=seed,
     )
-    null_effect = effect is None or (
-        effect.amplitude_ratio == 1.0 and effect.peak_delay_s == 0.0
-    )
     gt = GroundTruth(
         seed=seed,
         labels=labels,
-        discriminative=() if null_effect else effect.discriminative,
+        discriminative=() if effect is None else effect.discriminative,
         amplitude_ratio=1.0 if effect is None else effect.amplitude_ratio,
         peak_delay_s=0.0 if effect is None else effect.peak_delay_s,
         hrf_peak_s=_HRF_PEAK_S,

@@ -29,7 +29,7 @@ EFFECT = EffectSpec(
     target_channels=("S7-D6", "S5-D6"),
     amplitude_ratio=0.5,
     peak_delay_s=1.5,
-    chromophore_weights={"hbo": 0.0, "hbr": 1.0},
+    chromophore="hbr",
 )
 SEEDS = (1, 2, 3, 4, 5)
 

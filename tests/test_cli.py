@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -222,6 +223,68 @@ def test_provenance_ignores_nirscope_threads(tmp_path, monkeypatch):
     assert b"threads" not in a
 
 
+# A value of the wrong type for each annotation of a PipelineConfig field.
+WRONG_TYPED = {
+    "str": 3,
+    "str | None": 3,
+    "int": "3",
+    "int | None": "3",
+    "float": "0.5",
+    "bool": "no",
+    "tuple[str, ...]": "S7-D6",
+}
+
+
+@pytest.mark.parametrize(
+    "field", dataclasses.fields(PipelineConfig), ids=lambda field: field.name
+)
+def test_config_file_value_of_the_wrong_type_is_refused_before_any_work(
+    tmp_path, capsys, field
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field.name: WRONG_TYPED[field.type]}))
+    out = tmp_path / "r"
+    assert main(["run", "--out", str(out), "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: {field.name}: must be {field.type}, got ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        ([], {"pool": "participant"}, "pool: must be one of ['sample', 'trial']"),
+        ([], {"short_channel": "no"}, "short_channel: must be bool, got str 'no'"),
+        ([], {"baseline_s": -1}, "baseline_s: must be >= 0, got -1"),
+        ([], {"motion_amp_sigma": -1}, "motion_amp_sigma: must be > 0, got -1"),
+        (["--folds", "0"], None, "folds: must be >= 2, got 0"),
+        (["--window", "-1"], None, "window_s: must be > 0, got -1.0"),
+        (["--samples", "0"], None, "shap_samples: must be >= 1, got 0"),
+    ],
+    ids=["pool", "short_channel", "baseline", "motion_sigma", "folds", "window", "samples"],
+)
+def test_bad_config_value_exits_2_before_any_work(tmp_path, capsys, flags, config, message):
+    out = tmp_path / "r"
+    argv = ["run", "--out", str(out), "--patients", "3", "--controls", "3", *flags]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+        message = f"{cfg}: {message}"
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "pipeline failed" not in err
+    assert not out.exists()
+
+
+def test_config_file_list_becomes_a_tuple(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"effect_channels": ["S7-D6"]}))
+    args = build_parser().parse_args(["run", "--out", "o", "--config", str(cfg)])
+    assert _config_from_args(args).effect_channels == ("S7-D6",)
+
+
 def test_provenance_lists_every_participant(tmp_path):
     raw, hemo = tmp_path / "raw", tmp_path / "hemo"
     synth = ["synth", "--patients", "3", "--controls", "3", "--seed", "4", "--out", str(raw)]
@@ -296,6 +359,30 @@ def test_provenance_of_one_container_is_the_same_from_two_locations(tmp_path):
     first = (tmp_path / "r1" / "provenance.txt").read_bytes()
     assert first == (tmp_path / "r2" / "provenance.txt").read_bytes()
     assert b'"dataset_path": "study"' in first
+
+
+PREPROCESSING_FIELDS = {
+    "low_cut_hz", "high_cut_hz", "filter_order", "short_channel",
+    "motion_correction", "motion_amp_sigma", "motion_iqr",
+}
+
+
+def test_provenance_config_leaves_out_preprocessing_fields_of_a_hemo_run(
+    golden_dataset, golden_hemo, tmp_path
+):
+    flags = ["--folds", "2", "--samples", "64", "--seed", "1", "--low-cut", "0.01", "--no-motion"]
+    out = tmp_path / "hemo-run"
+    assert main(["run", "--dataset", str(golden_hemo), "--out", str(out)] + flags) == EXIT_OK
+    assert not PREPROCESSING_FIELDS & set(_provenance_config(out))
+    # The steps that made the container are listed, as they were run.
+    text = (out / "provenance.txt").read_text()
+    assert "'low_cut_hz': 0.05" in text and "  motion_correction: " in text
+
+    out = tmp_path / "raw-run"
+    assert main(["run", "--dataset", str(golden_dataset), "--out", str(out)] + flags) == EXIT_OK
+    config = _provenance_config(out)
+    assert PREPROCESSING_FIELDS <= set(config)
+    assert config["low_cut_hz"] == 0.01 and config["motion_correction"] is False
 
 
 def test_version_flag():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_epoch_set
-from nirscope import explain
+from nirscope import explain, learn
 from nirscope.explain import (
     Attribution,
     ChannelImportance,
@@ -276,10 +276,11 @@ def test_importance_validates_ordering():
 # --- background and grouping helpers ---
 
 
-def test_background_contains_mean_and_strided_rows():
+def test_background_contains_mean_and_strided_rows(monkeypatch):
     rng = np.random.default_rng(11)
     x = rng.normal(size=(40, 3))
-    bg = build_background(x, max_medoids=5)
+    monkeypatch.setattr(explain, "_BACKGROUND_ROWS", 5)
+    bg = build_background(x)
     assert bg.shape[1] == 3
     assert np.allclose(bg[0], x.mean(axis=0))
     assert bg.shape[0] <= 6
@@ -309,18 +310,21 @@ def test_group_columns_by_channel_chromophore():
 KINDS = ("knn", "random_forest", "linear_svm", "boosted_trees")
 
 
-def _small_cv(kind, select_k):
+def _small_cv(monkeypatch, kind, select_k):
     """Six participants, 8 channels: 16 (channel, chromophore) groups."""
     eps = make_epoch_set(n_participants=6, trials=3, n_channels=8, seed=3)
     plan = make_fold_plan(eps.participants, n_folds=3, seed=1)
-    spec = ClassifierSpec(kind=kind, seed=2, rf_trees=10, svm_epochs=20, gbdt_rounds=10)
+    monkeypatch.setattr(learn, "_RF_TREES", 10)
+    monkeypatch.setattr(learn, "_SVM_EPOCHS", 20)
+    monkeypatch.setattr(learn, "_GBDT_ROUNDS", 10)
+    spec = ClassifierSpec(kind=kind, seed=2)
     return cross_validate(eps, "single", spec, plan, mode=FeatureMode.SUMMARY, select_k=select_k)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("select_k", [6, 60])  # at most 6 groups: exact; at least 15: kernel
-def test_fold_attribution_equals_per_row_calls(kind, select_k):
-    cv = _small_cv(kind, select_k)
+def test_fold_attribution_equals_per_row_calls(monkeypatch, kind, select_k):
+    cv = _small_cv(monkeypatch, kind, select_k)
     # 128 samples leave the kernel sampler a random partial size pair
     _, attrs, union = attribute_cross_validation(cv, n_samples=128, seed=4)
     key_pos = {k: i for i, k in enumerate(union)}
@@ -356,11 +360,11 @@ def _counting(score):
     return counted, calls
 
 
-def test_kernel_budget_error_comes_before_scoring():
+def test_kernel_budget_error_comes_before_scoring(monkeypatch):
     score, calls = _counting(_linear(np.ones(6)))
     with pytest.raises(ValueError, match="n_samples"):
         kernel_shap(score, np.zeros((2, 6)), np.ones(6), n_samples=13)
-    cv = _small_cv("random_forest", 60)
+    cv = _small_cv(monkeypatch, "random_forest", 60)
     for fold in cv.folds:
         fold.model.predict_score = score
     with pytest.raises(ValueError, match="n_samples"):
@@ -378,7 +382,7 @@ def test_singular_kernel_regression_fails_before_scoring(monkeypatch):
     score, calls = _counting(_linear(np.ones(6)))
     with pytest.raises(ValueError, match="insufficient coalition diversity"):
         kernel_shap(score, np.zeros((2, 6)), np.ones(6), n_samples=40)
-    cv = _small_cv("random_forest", 60)
+    cv = _small_cv(monkeypatch, "random_forest", 60)
     for fold in cv.folds:
         fold.model.predict_score = score
     with pytest.raises(ValueError, match="insufficient coalition diversity"):

@@ -30,24 +30,27 @@ def _separable(n=40, gap=3.0, seed=0, d=2):
 # --- classifiers ---
 
 
-def test_knn_k1_memorizes_training_points():
+def test_knn_k1_memorizes_training_points(monkeypatch):
     x = np.array([[0.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1])
-    model = fit(ClassifierSpec(kind="knn", knn_k=1), x, y)
+    monkeypatch.setattr(learn, "_KNN_K", 1)
+    model = fit(ClassifierSpec(kind="knn"), x, y)
     assert predict(model, x).tolist() == [0, 1]
 
 
-def test_knn_scores_are_neighbor_fractions():
+def test_knn_scores_are_neighbor_fractions(monkeypatch):
     x = np.array([[0.0], [0.1], [0.2], [5.0], [5.1]])
     y = np.array([1, 1, 0, 0, 0])
-    model = fit(ClassifierSpec(kind="knn", knn_k=3), x, y)
+    monkeypatch.setattr(learn, "_KNN_K", 3)
+    model = fit(ClassifierSpec(kind="knn"), x, y)
     assert predict_score(model, np.array([[0.05]]))[0] == pytest.approx(2 / 3)
 
 
-def test_knn_distance_ties_break_by_training_row_index():
+def test_knn_distance_ties_break_by_training_row_index(monkeypatch):
     x = np.array([[1.0], [-1.0], [1.0]])  # rows 0 and 2 identical
     y = np.array([1, 0, 0])
-    model = fit(ClassifierSpec(kind="knn", knn_k=1), x, y)
+    monkeypatch.setattr(learn, "_KNN_K", 1)
+    model = fit(ClassifierSpec(kind="knn"), x, y)
     # the query is equidistant to rows 0 and 2; row 0 wins
     assert predict(model, np.array([[1.0]]))[0] == 1
 
@@ -90,22 +93,25 @@ def test_svm_separable_training_accuracy():
     assert (predict(model, x) == y).mean() == 1.0
 
 
-def test_gbdt_fits_and_scores_in_range():
+def test_gbdt_fits_and_scores_in_range(monkeypatch):
     x, y = _separable(n=50, gap=2.0, seed=6)
-    model = fit(ClassifierSpec(kind="boosted_trees", gbdt_rounds=30), x, y)
+    monkeypatch.setattr(learn, "_GBDT_ROUNDS", 30)
+    model = fit(ClassifierSpec(kind="boosted_trees"), x, y)
     assert (predict(model, x) == y).mean() >= 0.95
     scores = predict_score(model, x)
     assert scores.min() >= 0.0 and scores.max() <= 1.0
 
 
-def test_scores_bounded_for_all_models_fuzz():
+def test_scores_bounded_for_all_models_fuzz(monkeypatch):
     rng = np.random.default_rng(7)
     x = rng.normal(size=(30, 5))
     y = (rng.random(30) > 0.5).astype(int)
     y[:2] = [0, 1]
     queries = rng.normal(scale=10.0, size=(50, 5))
+    monkeypatch.setattr(learn, "_RF_TREES", 10)
+    monkeypatch.setattr(learn, "_GBDT_ROUNDS", 10)
     for kind in ("knn", "random_forest", "linear_svm", "boosted_trees"):
-        model = fit(ClassifierSpec(kind=kind, rf_trees=10, gbdt_rounds=10), x, y)
+        model = fit(ClassifierSpec(kind=kind), x, y)
         s = predict_score(model, queries)
         assert np.all((s >= 0.0) & (s <= 1.0))
 
@@ -126,11 +132,11 @@ def test_fit_validation():
     bad = x.copy()
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="NaN"):
-        fit(ClassifierSpec(kind="knn", knn_k=1), bad, np.array([0, 1, 0, 1]))
+        fit(ClassifierSpec(kind="knn"), bad, np.array([0, 1, 0, 1]))
     with pytest.raises(ValueError):
         ClassifierSpec(kind="deep_net")
-    with pytest.raises(ValueError):
-        ClassifierSpec(knn_k=0)
+    with pytest.raises(ValueError, match="exceed 4 training rows"):
+        fit(ClassifierSpec(kind="knn"), x, np.array([0, 1, 0, 1]))
 
 
 def test_column_mismatch_rejected():
@@ -278,7 +284,7 @@ def test_null_labels_give_chance_accuracy():
     assert 0.35 <= float(np.mean(accs)) <= 0.65
 
 
-def test_duplicated_trials_leave_metrics_unchanged():
+def test_duplicated_trials_leave_metrics_unchanged(monkeypatch):
     eps = _cv_epochs(seed=3, trials=3)
     def twice(values):
         return tuple(v for v in values for _ in range(2))
@@ -293,7 +299,8 @@ def test_duplicated_trials_leave_metrics_unchanged():
         trial_index=tuple(t + extra for t in eps.trial_index for extra in (0, 1000)),
     )
     plan = make_fold_plan(eps.participants, n_folds=3, seed=3)
-    spec = ClassifierSpec(kind="boosted_trees", gbdt_rounds=15, seed=3)
+    monkeypatch.setattr(learn, "_GBDT_ROUNDS", 15)
+    spec = ClassifierSpec(kind="boosted_trees", seed=3)
     base = cross_validate(eps, "single", spec, plan, select_k=8)
     doubled_cv = cross_validate(doubled, "single", spec, plan, select_k=8)
     assert doubled_cv.pooled == base.pooled
@@ -339,10 +346,11 @@ def test_selection_and_scaling_ignore_test_rows():
     assert np.array_equal(cv1.folds[0].scaler_std, cv2.folds[0].scaler_std)
 
 
-def test_cross_validation_deterministic():
+def test_cross_validation_deterministic(monkeypatch):
     eps = _cv_epochs(seed=8)
     plan = make_fold_plan(eps.participants, n_folds=3, seed=8)
-    spec = ClassifierSpec(kind="random_forest", rf_trees=20, seed=8)
+    monkeypatch.setattr(learn, "_RF_TREES", 20)
+    spec = ClassifierSpec(kind="random_forest", seed=8)
     a = cross_validate(eps, "single", spec, plan, select_k=6)
     b = cross_validate(eps, "single", spec, plan, select_k=6)
     assert a.pooled == b.pooled
@@ -488,9 +496,10 @@ def _assert_same_trees(a, b):
 
 @pytest.mark.parametrize("case", TREE_CASES)
 @pytest.mark.parametrize("seed", [1, 3])
-def test_forest_walk_matches_mask_loop(case, seed):
+def test_forest_walk_matches_mask_loop(monkeypatch, case, seed):
     x, y, queries = _tree_data(case, seed=seed)
-    spec = ClassifierSpec(kind="random_forest", rf_trees=25, seed=5)
+    monkeypatch.setattr(learn, "_RF_TREES", 25)
+    spec = ClassifierSpec(kind="random_forest", seed=5)
     model = fit(spec, x, y)
     if case == "one_positive":
         assert min(t.depth for t in model.trees) == 0
@@ -505,8 +514,10 @@ def test_forest_walk_matches_mask_loop(case, seed):
 
 def test_tree_walk_blocks_rows(monkeypatch):
     x, y, queries = _tree_data("random", seed=2)
-    forest = fit(ClassifierSpec(kind="random_forest", rf_trees=7), x, y)
-    boost = fit(ClassifierSpec(kind="boosted_trees", gbdt_rounds=7), x, y)
+    monkeypatch.setattr(learn, "_RF_TREES", 7)
+    monkeypatch.setattr(learn, "_GBDT_ROUNDS", 7)
+    forest = fit(ClassifierSpec(kind="random_forest"), x, y)
+    boost = fit(ClassifierSpec(kind="boosted_trees"), x, y)
     whole = forest.predict_score(queries), boost.predict_score(queries)
     monkeypatch.setattr(learn, "_WALK_CELLS", 50)  # blocks of 7 rows
     assert np.array_equal(forest.predict_score(queries), whole[0])
@@ -529,7 +540,8 @@ def test_gini_split_matches_per_feature_search(case, seed):
 @pytest.mark.parametrize("seed", [1, 3])
 def test_forest_grows_as_with_per_feature_search(monkeypatch, case, seed):
     x, y, _ = _tree_data(case, seed=20 + seed)
-    spec = ClassifierSpec(kind="random_forest", rf_trees=15, seed=1)
+    monkeypatch.setattr(learn, "_RF_TREES", 15)
+    spec = ClassifierSpec(kind="random_forest", seed=1)
     model = fit(spec, x, y)
     monkeypatch.setattr(learn, "_best_gini_split", _reference_gini_split)
     _assert_same_trees(model.trees, fit(spec, x, y).trees)
@@ -539,7 +551,9 @@ def test_forest_grows_as_with_per_feature_search(monkeypatch, case, seed):
 @pytest.mark.parametrize("bins", [4, 64])
 def test_boosting_matches_rescanning_grower(monkeypatch, case, bins):
     x, y, queries = _tree_data(case, seed=30 + bins)
-    spec = ClassifierSpec(kind="boosted_trees", gbdt_rounds=20, gbdt_bins=bins, seed=2)
+    monkeypatch.setattr(learn, "_GBDT_ROUNDS", 20)
+    monkeypatch.setattr(learn, "_GBDT_BINS", bins)
+    spec = ClassifierSpec(kind="boosted_trees", seed=2)
     model = fit(spec, x, y)
     binned = model._bin(np.vstack([x, queries]))
     score = np.full(binned.shape[0], model.base_score)
@@ -560,7 +574,10 @@ def test_boosting_gain_ties_go_to_the_earliest_leaf(monkeypatch):
     x1 = np.arange(6.0)
     x = np.column_stack([np.repeat([0.0, 1.0], 6), np.tile(x1, 2)])
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0])
-    spec = ClassifierSpec(kind="boosted_trees", gbdt_rounds=2, gbdt_max_leaves=3, gbdt_bins=8)
+    monkeypatch.setattr(learn, "_GBDT_ROUNDS", 2)
+    monkeypatch.setattr(learn, "_GBDT_MAX_LEAVES", 3)
+    monkeypatch.setattr(learn, "_GBDT_BINS", 8)
+    spec = ClassifierSpec(kind="boosted_trees")
     model = fit(spec, x, y)
     first = model.trees[0]
     assert first.feature[0] == 0 and first.left[0] == 1
@@ -579,5 +596,7 @@ def test_boost_grower_finds_each_leaf_split_once(monkeypatch):
 
     monkeypatch.setattr(learn, "_leaf_best_split", counted)
     x, y, _ = _tree_data("random", seed=4)
-    model = fit(ClassifierSpec(kind="boosted_trees", gbdt_rounds=5, gbdt_max_leaves=8), x, y)
+    monkeypatch.setattr(learn, "_GBDT_ROUNDS", 5)
+    monkeypatch.setattr(learn, "_GBDT_MAX_LEAVES", 8)
+    model = fit(ClassifierSpec(kind="boosted_trees"), x, y)
     assert len(calls) == sum(t.feature.size for t in model.trees)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import make_recording
 from nirscope import synth
+from nirscope.cli import EXIT_DATA, main
 from nirscope.model import (
     Annotation,
     Channel,
@@ -319,8 +321,6 @@ def test_writer_matches_per_value_formatting(tmp_path):
 
 
 def test_intensity_manifest_requires_wavelengths(small_montage, tmp_path):
-    import json
-
     d = _dataset(small_montage)
     save_dataset(d, tmp_path / "ds")
     manifest = tmp_path / "ds" / "manifest.json"
@@ -329,6 +329,48 @@ def test_intensity_manifest_requires_wavelengths(small_montage, tmp_path):
     manifest.write_text(json.dumps(obj))
     with pytest.raises(DatasetFormatError, match="wavelengths_nm"):
         load_dataset(tmp_path / "ds")
+
+
+def _hemo_dataset(small_montage):
+    rng = np.random.default_rng(1)
+    hemo = HemoSeries(
+        participant_id="P01",
+        group="control",
+        sample_rate_hz=3.9,
+        channel_ids=tuple(ch.id for ch in small_montage.long_channels),
+        hbo=rng.normal(size=(2, 100)) * 1e-6,
+        hbr=rng.normal(size=(2, 100)) * 1e-6,
+        annotations=(Annotation(3.0, 10.0, "single"),),
+    )
+    return Dataset(montage=small_montage, hemo=(hemo,), creator="test")
+
+
+@pytest.mark.parametrize(
+    "kind, key, value, message",
+    [
+        ("hemo", "data_kind", "hemoglobin", "data_kind must be 'intensity' or 'hemo'"),
+        ("intensity", "data_kind", "raw", "data_kind must be 'intensity' or 'hemo'"),
+        ("hemo", "sample_rate_hz", None, "hemo datasets need sample_rate_hz"),
+        ("hemo", "sample_rate_hz", "abc", "sample_rate_hz must be a number, got 'abc'"),
+        ("intensity", "wavelengths_nm", ["760", "red"], "wavelengths_nm must be a list of numbers"),
+    ],
+    ids=["hemo-kind-hemoglobin", "raw-kind-raw", "hemo-rate-null", "hemo-rate-abc",
+         "raw-wavelength-red"],
+)
+def test_bad_manifest_header_is_a_data_error_naming_the_manifest(
+    small_montage, tmp_path, capsys, kind, key, value, message
+):
+    dataset = _dataset(small_montage) if kind == "intensity" else _hemo_dataset(small_montage)
+    save_dataset(dataset, tmp_path / "ds")
+    manifest = tmp_path / "ds" / "manifest.json"
+    obj = json.loads(manifest.read_text())
+    obj[key] = value
+    manifest.write_text(json.dumps(obj))
+    with pytest.raises(DatasetFormatError, match=message) as error:
+        load_dataset(tmp_path / "ds")
+    assert str(error.value).startswith(f"{manifest}: ")
+    assert main(["epoch", "--dataset", str(tmp_path / "ds")]) == EXIT_DATA
+    assert f"data error: {manifest}: " in capsys.readouterr().err
 
 
 def test_synthetic_dataset_matches_generator_counts(tmp_path):

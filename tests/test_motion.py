@@ -116,7 +116,8 @@ def _detect_artifacts_loop(x, fs, amp_threshold=5.0, std_threshold=3.0, pad_s=0.
 
 @pytest.mark.parametrize("fs", [2.0, 3.9, 10.0])
 @pytest.mark.parametrize("pad_s", [0.0, 0.5, 2.0])
-def test_detection_matches_loop_reference(fs, pad_s):
+def test_detection_matches_loop_reference(monkeypatch, fs, pad_s):
+    monkeypatch.setattr(motion, "_PAD_S", pad_s)
     walks = spiky_walks(40, 600, seed=int(fs * 10 + pad_s * 100))
     # Steps make long moving-std runs with no amplitude flag next to the
     # spikes, so both triggers occur.
@@ -125,7 +126,7 @@ def test_detection_matches_loop_reference(fs, pad_s):
     n_segments = 0
     triggers = set()
     for row in walks:
-        got = detect_artifacts(row, fs, channel_id="c", pad_s=pad_s)
+        got = detect_artifacts(row, fs, channel_id="c")
         assert got == _detect_artifacts_loop(row, fs, pad_s=pad_s)
         n_segments += len(got)
         triggers.update(seg.trigger for seg in got)
@@ -147,12 +148,14 @@ def test_spike_segments_are_labelled_amplitude():
     assert segs == _detect_artifacts_loop(x, FS)
 
 
-def test_detection_merges_overlapping_padded_runs_like_loop():
+def test_detection_merges_overlapping_padded_runs_like_loop(monkeypatch):
     x = np.random.default_rng(4).normal(0, 0.1, size=800)
     x[[100, 104, 108, 300, 320]] += 50
     x[790] += 50
-    unpadded = detect_artifacts(x, FS, channel_id="c", pad_s=0.0)
-    padded = detect_artifacts(x, FS, channel_id="c", pad_s=2.0)
+    monkeypatch.setattr(motion, "_PAD_S", 0.0)
+    unpadded = detect_artifacts(x, FS, channel_id="c")
+    monkeypatch.setattr(motion, "_PAD_S", 2.0)
+    padded = detect_artifacts(x, FS, channel_id="c")
     assert unpadded == _detect_artifacts_loop(x, FS, pad_s=0.0)
     assert padded == _detect_artifacts_loop(x, FS, pad_s=2.0)
     # The runs around 300 and 320 meet only once padded by 8 samples each,
@@ -198,11 +201,13 @@ def test_stack_detection_matches_rows(order, block, monkeypatch):
 
 
 @pytest.mark.parametrize("pad_s", [0.0, 2.0])
-def test_stack_detection_thresholds_match_rows(pad_s):
+def test_stack_detection_thresholds_match_rows(monkeypatch, pad_s):
     walks = _stack_walks(20, 500, seed=9)
-    kwargs = dict(amp_threshold=3.0, std_window_s=2.0, std_threshold=2.0, pad_s=pad_s)
-    got = detect_artifact_stack(walks, 10.0, **kwargs)
-    assert got == [detect_artifacts(row, 10.0, **kwargs) for row in walks]
+    monkeypatch.setattr(motion, "_STD_WINDOW_S", 2.0)
+    monkeypatch.setattr(motion, "_STD_RATIO", 2.0)
+    monkeypatch.setattr(motion, "_PAD_S", pad_s)
+    got = detect_artifact_stack(walks, 10.0, amp_threshold=3.0)
+    assert got == [detect_artifacts(row, 10.0, amp_threshold=3.0) for row in walks]
     assert detect_artifact_stack(walks[:0], 10.0) == []
 
 

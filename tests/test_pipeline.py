@@ -350,3 +350,46 @@ def test_summary_features_of_a_loaded_container_equal_in_memory_ones(tmp_path):
     )
     assert from_disk.x.tobytes() == in_memory.x.tobytes()
     assert from_disk.participant_ids == in_memory.participant_ids
+
+
+@pytest.mark.parametrize(
+    "settings, fields",
+    [
+        ({"patients": 0}, ("patients",)),
+        ({"controls": 0}, ("controls",)),
+        ({"trials_per_task": 0}, ("trials_per_task",)),
+        ({"shap_samples": 0}, ("shap_samples",)),
+        ({"top_channels": 0}, ("top_channels",)),
+        ({"select_k": 0}, ("select_k",)),
+        ({"folds": 1}, ("folds",)),
+        ({"seed": -1}, ("seed",)),
+        ({"window_s": 0.0}, ("window_s",)),
+        ({"window_s": float("nan")}, ("window_s",)),
+        ({"baseline_s": -0.5}, ("baseline_s",)),
+        ({"motion_amp_sigma": 0.0}, ("motion_amp_sigma",)),
+        ({"motion_iqr": -1.0}, ("motion_iqr",)),
+        ({"task": ""}, ("task",)),
+        ({"model": "lda"}, ("model",)),
+        ({"feature_mode": "all"}, ("feature_mode",)),
+        ({"pool": "participant"}, ("pool",)),
+        ({"effect_chromophore": "hbt"}, ("effect_chromophore",)),
+        ({"folds": True}, ("folds",)),
+        ({"select_k": 2.0}, ("select_k",)),
+        ({"effect_channels": ("S1-D1", 2)}, ("effect_channels",)),
+        ({"low_cut_hz": 1.0}, ("low_cut_hz", "high_cut_hz", "filter_order")),
+        ({"filter_order": 3}, ("low_cut_hz", "high_cut_hz", "filter_order")),
+        (
+            {"effect_channels": ("S7-D6",), "amplitude_ratio": 0.0},
+            ("effect_channels", "amplitude_ratio", "peak_delay_s"),
+        ),
+    ],
+)
+def test_config_refuses_values_no_run_accepts(settings, fields):
+    with pytest.raises(ValueError) as error:
+        PipelineConfig(**settings)
+    assert str(error.value).startswith(", ".join(fields) + ": ")
+
+
+def test_config_takes_an_int_for_a_float_and_none_for_select_k():
+    config = PipelineConfig(window_s=15, amplitude_ratio=1, select_k=None)
+    assert config.window_s == 15.0 and config.select_k is None

@@ -2,7 +2,9 @@
 
 Every import binds a name that its module uses, lists in ``__all__`` or
 marks ``# noqa: F401``, and every ``__all__`` entry resolves to an attribute
-of its module. A deletion that leaves an import behind fails here.
+of its module. A deletion that leaves an import behind fails here. Every
+``PipelineConfig`` field is read by some code other than the check in its
+``__post_init__``, so a setting no stage uses fails here too.
 """
 
 import ast
@@ -75,3 +77,43 @@ def test_an_unused_import_is_found(tmp_path):
         "    return os.path.sep\n"
     )
     assert _unused_imports(path) == ["probe.py:2: math", "probe.py:4: lru_cache"]
+
+
+def _config_fields_never_read(paths) -> list[str]:
+    """PipelineConfig fields that no attribute read in ``paths`` names,
+    leaving out the reads in PipelineConfig.__post_init__."""
+    fields, reads = [], set()
+    for path in paths:
+        tree = _tree(path)
+        checks = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "PipelineConfig":
+                fields += [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+                        checks |= {id(n) for n in ast.walk(item)}
+        reads |= {
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in checks
+        }
+    return [name for name in fields if name not in reads]
+
+
+def test_every_config_field_is_read():
+    assert _config_fields_never_read(MODULES) == []
+
+
+def test_a_config_field_never_read_is_found(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "class PipelineConfig:\n"
+        "    used: int = 1\n"
+        "    checked: int = 2\n"
+        "    stored: int = 3\n"
+        "    def __post_init__(self):\n"
+        "        assert self.checked > 0\n"
+        "def run(config, out):\n"
+        "    out.stored = config.used\n"
+    )
+    assert _config_fields_never_read([path]) == ["checked", "stored"]

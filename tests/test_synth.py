@@ -10,7 +10,6 @@ from nirscope.signal import bandpass
 from nirscope.synth import (
     EffectSpec,
     GroundTruth,
-    NoiseSpec,
     canonical_hrf,
     default_montage,
     generate_dataset,
@@ -22,17 +21,25 @@ EFFECT = EffectSpec(
     target_channels=("S7-D6", "S5-D6"),
     amplitude_ratio=0.5,
     peak_delay_s=1.5,
-    chromophore_weights={"hbo": 0.0, "hbr": 1.0},
+    chromophore="hbr",
 )
 
-ZERO_NOISE = NoiseSpec(
-    cardiac_amp=0.0,
-    respiration_amp=0.0,
-    mayer_amp=0.0,
-    white_sd=0.0,
-    drift_od_per_min=0.0,
-    spike_rate_per_min=0.0,
-)
+# Noise constants of the generator, and the gain spreads, set to zero.
+ZERO_NOISE = {
+    "_CARDIAC_AMP": 0.0,
+    "_RESPIRATION_AMP": 0.0,
+    "_MAYER_AMP": 0.0,
+    "_WHITE_SD": 0.0,
+    "_DRIFT_OD_PER_MIN": 0.0,
+    "_SPIKE_RATE_PER_MIN": 0.0,
+    "_PARTICIPANT_GAIN_SD": 0.0,
+    "_TRIAL_GAIN_SD": 0.0,
+}
+
+
+def _set_constants(monkeypatch, constants):
+    for name, value in constants.items():
+        monkeypatch.setattr(synth, name, value)
 
 
 def test_hrf_zero_at_origin():
@@ -109,17 +116,18 @@ def test_same_seed_is_bit_identical():
     assert a != c
 
 
-def test_intensities_strictly_positive_even_with_heavy_noise():
-    noise = NoiseSpec(
-        cardiac_amp=5e-6,
-        respiration_amp=5e-6,
-        mayer_amp=5e-6,
-        white_sd=1e-6,
-        drift_od_per_min=0.05,
-        spike_rate_per_min=10.0,
-        spike_od_amp=0.5,
-    )
-    ds, _ = generate_dataset(1, 1, noise=noise, seed=9)
+def test_intensities_strictly_positive_even_with_heavy_noise(monkeypatch):
+    heavy = {
+        "_CARDIAC_AMP": 5e-6,
+        "_RESPIRATION_AMP": 5e-6,
+        "_MAYER_AMP": 5e-6,
+        "_WHITE_SD": 1e-6,
+        "_DRIFT_OD_PER_MIN": 0.05,
+        "_SPIKE_RATE_PER_MIN": 10.0,
+        "_SPIKE_OD_AMP": 0.5,
+    }
+    _set_constants(monkeypatch, heavy)
+    ds, _ = generate_dataset(1, 1, seed=9)
     for rec in ds.recordings:
         for arr in rec.intensity.values():
             assert np.all(arr > 0)
@@ -179,15 +187,15 @@ def test_effect_spec_validation():
     with pytest.raises(ValueError):
         EffectSpec(target_channels=("A",), peak_delay_s=-1.0)
     with pytest.raises(ValueError):
-        EffectSpec(target_channels=("A",), chromophore_weights={"hbx": 1.0})
+        EffectSpec(target_channels=("A",), chromophore="hbx")
 
 
-def test_zero_noise_pipeline_reproduces_band_limited_response():
+def test_zero_noise_pipeline_reproduces_band_limited_response(monkeypatch):
     # conversion-chain fidelity: with nothing to correct, the pipeline output
     # equals the band-passed injected concentration series to numerical
     # precision
-    ds, _ = generate_dataset(1, 1, noise=ZERO_NOISE, seed=7,
-                             participant_gain_sd=0.0, trial_gain_sd=0.0)
+    _set_constants(monkeypatch, ZERO_NOISE)
+    ds, _ = generate_dataset(1, 1, seed=7)
     rec = ds.recordings[0]
     table = optics.default_extinction_table()
     cfg = PipelineConfig(motion_correction=False)
@@ -214,7 +222,7 @@ def test_patient_amplitude_ratio_recovered_after_preprocessing():
             target_channels=("S7-D6", "S5-D6"),
             amplitude_ratio=0.5,
             peak_delay_s=0.0,
-            chromophore_weights={"hbo": 0.0, "hbr": 1.0},
+            chromophore="hbr",
         ),
         seed=2,
     )
@@ -234,7 +242,3 @@ def test_patient_amplitude_ratio_recovered_after_preprocessing():
         ratios.append(np.abs(patient).max() / np.abs(control).max())
     assert float(np.mean(ratios)) == pytest.approx(0.5, abs=0.05)
 
-
-def test_noise_spec_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(white_sd=-1.0)

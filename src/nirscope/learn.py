@@ -105,15 +105,25 @@ class KnnModel:
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:
         x = _check_columns(x, self.n_features)
-        # Squared distances via the expansion trick; ties resolved by the
-        # stable sort, i.e. by smaller training-row index.
+        # Squared distances via the expansion trick.
         d2 = (
             (x**2).sum(axis=1)[:, None]
             + (self.x**2).sum(axis=1)[None, :]
             - 2.0 * x @ self.x.T
         )
-        order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-        return self.y[order].mean(axis=1)
+        # The k nearest as a stable sort picks them: every row at most the
+        # k-th distance away, unless more than k tie at that distance or it
+        # is NaN; only the sort, which breaks ties by training-row index,
+        # orders such rows. Labels are 0 or 1, so the score is the share of
+        # the k labelled 1.
+        kth = np.partition(d2, self.k - 1, axis=1)[:, [self.k - 1]]
+        nearest = d2 <= kth
+        score = np.count_nonzero(nearest & (self.y == 1), axis=1) / self.k
+        odd = np.flatnonzero(np.count_nonzero(nearest, axis=1) != self.k)
+        if odd.size:
+            order = np.argsort(d2[odd], axis=1, kind="stable")[:, : self.k]
+            score[odd] = self.y[order].mean(axis=1)
+        return score
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +334,10 @@ def _fit_svm(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> SvmModel:
 
 
 def _leaf_best_split(binned, g, h, rows, n_bins):
-    """Best (gain, feature, bin, left_rows, right_rows) for one leaf."""
+    """Best (gain, feature, bin, left_rows, right_rows) for one leaf, or
+    None when no split gains."""
+    if rows.size < 2:
+        return None  # a split needs a row on each side
     gt, ht = g[rows].sum(), h[rows].sum()
     parent = gt * gt / ht
     sub = binned[rows]

@@ -9,6 +9,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -370,11 +371,6 @@ class Dataset:
     def kind(self) -> str:
         return "hemo" if self.hemo else "intensity"
 
-    @property
-    def participants(self) -> tuple[tuple[str, str], ...]:
-        items = self.recordings if self.recordings else self.hemo
-        return tuple((p.participant_id, p.group) for p in items)
-
     __eq__ = _fields_equal
 
 
@@ -424,30 +420,35 @@ def _read_series_csv(
 ) -> np.ndarray:
     if not path.is_file():
         raise DatasetFormatError(f"missing participant file: {path}")
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
+    raw = path.read_bytes()
+    if not raw:
         raise DatasetFormatError(f"{path}:1: empty channel file")
+    n_cols = len(expect_channels) + 1
+    end = raw.find(b"\n")
+    header = ",".join(["t_s", *expect_channels]).encode("utf-8")
+    if 0 <= end < len(raw) - 1 and raw[:end] == header and raw.isascii():
+        # The body in one loadtxt call, read from the file's bytes. A file it
+        # does not take line for line goes to the line parser below, which
+        # names the offending line.
+        try:
+            data = np.loadtxt(
+                io.BytesIO(raw), skiprows=1, delimiter=",", dtype=float, ndmin=2,
+                comments=None,
+            )
+        except ValueError:
+            pass
+        else:
+            n_rows = raw.count(b"\n") - raw.endswith(b"\n")
+            if data.shape == (n_rows, n_cols) and not (positive and np.any(data[:, 1:] <= 0)):
+                # A fresh C-ordered copy, transposed: the same (channels,
+                # samples) layout and strides as the line parser gives.
+                return data[:, 1:].copy().T
+    lines = raw.decode("utf-8").splitlines()
     header = lines[0].split(",")
     if header[0] != "t_s" or tuple(header[1:]) != tuple(expect_channels):
         raise DatasetFormatError(
             f"{path}:1: header does not match the manifest channel list"
         )
-    n_cols = len(header)
-    if len(lines) > 1:
-        try:
-            data = np.loadtxt(
-                lines[1:], delimiter=",", dtype=float, ndmin=2, comments=None
-            )
-        except ValueError:
-            pass  # the line parser below names the offending line
-        else:
-            if data.shape == (len(lines) - 1, n_cols) and not (
-                positive and np.any(data[:, 1:] <= 0)
-            ):
-                # A fresh C-ordered copy, transposed: the same (channels,
-                # samples) layout and strides as the line parser gives.
-                return data[:, 1:].copy().T
     return _parse_series_lines(path, lines, n_cols, positive)
 
 

@@ -48,9 +48,11 @@ _DB4_LO = np.array(
 )
 _DB4_HI = np.array([(-1) ** n * _DB4_LO[len(_DB4_LO) - 1 - n] for n in range(len(_DB4_LO))])
 # Rows per block of detect_artifact_stack, and per wavelet_correct call of
-# the pipeline. Their temporaries are one block wide (0.8 MB for rows of 1638
-# samples); a whole stack of 960 rows would make each of them 12.6 MB.
-BLOCK_ROWS = 64
+# the pipeline. Their temporaries are one block wide: 0.4 MB for rows of 1638
+# samples, and 2.1 MB for the wavelet pass's (rows, N/2, 8) gather window
+# over those rows padded to N = 2048. A whole stack of 960 rows would make
+# each row-sized one 12.6 MB.
+BLOCK_ROWS = 32
 # Smoothing weight of the artifact-trend spline, on a unit knot spacing, and
 # the seconds of signal a corrected segment is re-anchored to.
 _SPLINE_LAM = 1e-3

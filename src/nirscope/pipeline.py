@@ -15,6 +15,7 @@ import json
 import os
 import types
 import typing
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__, epochs as epochs_mod, explain, learn, optics, report, stats, synth
 from .features import FeatureMode, default_select_k, feature_keys
-from .model import Dataset, EpochSet, HemoSeries, ProvenanceStep, load_dataset
+from .model import Dataset, EpochSet, HemoSeries, ProvenanceStep, Recording, load_dataset
 # perfbench/tracer.py wraps ``pipeline.detect_artifacts`` and reads what it
 # returns as one series' segment list. The name stays bound to the one-row
 # detector, which the pipeline no longer calls, so that the tracer finds its
@@ -67,7 +68,8 @@ _MICROMOLAR = 1e6  # report curves in umol/L
 # together. Motion correction and the band-pass work in place on their
 # stacks, so this bounds the memory of preprocessing (16 MB of series) on
 # large datasets and long recordings; the 12 + 12 synthetic dataset (1.57
-# million samples) is one chunk.
+# million samples) is one chunk. A chunk's stacks are allocated at this size
+# and only the slots its recordings fill become resident.
 _CHUNK_CELLS = 1 << 21
 
 
@@ -163,10 +165,11 @@ class PipelineConfig:
                 raise ValueError(f"{name}: must be one of {list(_CHOICES[name])}, got {value!r}")
         if not self.task:
             raise ValueError("task: must name a task, got ''")
-        # The specs check the rules they hold, each over its own fields.
+        # The specs check the rules they hold, each over its own fields; the
+        # effect's are checked whether or not a channel expresses it.
         for build, names in (
             (self.bandpass_spec, "low_cut_hz, high_cut_hz, filter_order"),
-            (self.effect_spec, "effect_channels, amplitude_ratio, peak_delay_s"),
+            (self._effect, "effect_channels, amplitude_ratio, peak_delay_s"),
         ):
             try:
                 build()
@@ -184,8 +187,9 @@ class PipelineConfig:
         return learn.ClassifierSpec(kind=MODELS[self.model], seed=self.seed)
 
     def effect_spec(self) -> synth.EffectSpec | None:
-        if not self.effect_channels:
-            return None
+        return self._effect() if self.effect_channels else None
+
+    def _effect(self) -> synth.EffectSpec:
         return synth.EffectSpec(
             target_channels=self.effect_channels,
             amplitude_ratio=self.amplitude_ratio,
@@ -260,42 +264,60 @@ def _correct_motion(rows: np.ndarray, fs: float, longs, config: PipelineConfig) 
         rows[block] = wavelet_correct(rows[block], iqr_multiplier=config.motion_iqr)
 
 
-def _preprocess(recordings: list, montage, config: PipelineConfig) -> list[HemoSeries]:
-    """Preprocess recordings, in order, into hemo series.
+def _preprocess(
+    recordings: Iterable[Recording], montage, config: PipelineConfig
+) -> list[HemoSeries]:
+    """Preprocess recordings, in the order given, into hemo series.
 
-    Each recording's hemoglobin series come from its own intensities, into
-    one stack per (sample rate, length), and its slot in ``recordings`` is
-    then cleared, so a recording that only that list holds is released as
-    soon as its hemoglobin is formed. One spline call fits the flagged rows
-    of a stack, and one band-pass call per sample rate filters all of its
-    stacks in place, whatever their lengths. Every row comes out exactly as
-    it would on its own, so a recording's result does not depend on which
-    others share the calls.
+    Consecutive recordings of at most _CHUNK_CELLS hemoglobin samples in all
+    form a chunk. Each recording's hemoglobin is formed from its intensities
+    into its chunk's stack for its (sample rate, length) before the next
+    recording is taken, and nothing here keeps the recording, so one that
+    only ``recordings`` held is released before the next is read. Once a
+    chunk is whole, one spline call fits the flagged rows of each of its
+    stacks, and one band-pass call per sample rate filters all of them in
+    place, whatever their lengths. Every row comes out exactly as it would
+    on its own, so a recording's result does not depend on which others
+    share the calls.
     """
-    spec = config.bandpass_spec()
     extinction = optics.default_extinction_table()
+    per_sample = 2 * len(montage.long_channels)
+    hemo, chunk, stacks, cells = [], [], {}, 0
+    for recording in recordings:
+        key = (recording.sample_rate_hz, recording.n_samples)
+        size = per_sample * key[1]
+        if chunk and cells + size > _CHUNK_CELLS:
+            hemo += _filter_chunk(chunk, stacks, montage, config)
+            chunk, stacks, cells = [], {}, 0
+        if key not in stacks:
+            # (recording, chromophore, channel, sample); chromophore 0 is
+            # hbo. Room for every recording of this key the chunk can still
+            # take: the pages of slots never written are never resident.
+            room = max(1, (_CHUNK_CELLS - cells) // size)
+            stacks[key] = [np.empty((room, 2, len(montage.long_channels), key[1])), 0]
+        stack = stacks[key]
+        out = stack[0][stack[1]]
+        stack[1] += 1
+        provenance = _hemoglobin(recording, montage, config, extinction, out)
+        chunk.append((recording.participant_id, recording.group, recording.sample_rate_hz,
+                      recording.annotations, provenance, out))
+        cells += size
+        del recording  # not held while the next one is read
+    if chunk:
+        hemo += _filter_chunk(chunk, stacks, montage, config)
+    return hemo
+
+
+def _filter_chunk(chunk: list, stacks: dict, montage, config: PipelineConfig) -> list[HemoSeries]:
+    """Motion correction and the band-pass, in place, of the filled slots
+    of a chunk's stacks, and the chunk's hemo series, which view them."""
+    spec = config.bandpass_spec()
     longs = montage.long_channels
-    about = [
-        (rec.participant_id, rec.group, rec.sample_rate_hz, rec.annotations)
-        for rec in recordings
-    ]
-    groups: dict[tuple[float, int], list[int]] = {}
-    for i, key in enumerate([(rec.sample_rate_hz, rec.n_samples) for rec in recordings]):
-        groups.setdefault(key, []).append(i)
-    # (recording, chromophore, channel, sample); chromophore 0 is hbo.
-    stacks = {
-        key: np.empty((len(members), 2, len(longs), key[1]))
-        for key, members in groups.items()
-    }
-    provenance = [None] * len(recordings)
-    for key, members in groups.items():
-        for i, out in zip(members, stacks[key]):
-            provenance[i] = _hemoglobin(recordings[i], montage, config, extinction, out)
-            recordings[i] = None
+    filled = {key: stack[:count] for key, (stack, count) in stacks.items()}
     steps = []
 
     if config.motion_correction:
-        for (fs, n), stack in stacks.items():
+        for (fs, n), stack in filled.items():
             _correct_motion(stack.reshape(-1, n), fs, longs, config)
         steps.append(
             ProvenanceStep.make(
@@ -306,11 +328,10 @@ def _preprocess(recordings: list, montage, config: PipelineConfig) -> list[HemoS
             )
         )
 
-    rates: dict[float, list[tuple[float, int]]] = {}
-    for key in stacks:
-        rates.setdefault(key[0], []).append(key)
-    for fs, keys in rates.items():
-        same_rate = [stacks[key] for key in keys]
+    rates: dict[float, list[np.ndarray]] = {}
+    for (fs, _), stack in filled.items():
+        rates.setdefault(fs, []).append(stack)
+    for fs, same_rate in rates.items():
         bandpass(same_rate, spec, fs, out=same_rate)
     steps.append(
         ProvenanceStep.make(
@@ -322,22 +343,18 @@ def _preprocess(recordings: list, montage, config: PipelineConfig) -> list[HemoS
         )
     )
 
-    hemo = [None] * len(recordings)
-    for key, members in groups.items():
-        for i, series in zip(members, stacks[key]):
-            hemo[i] = series
     return [
         HemoSeries(
             participant_id=pid,
             group=group,
             sample_rate_hz=fs,
             channel_ids=tuple(ch.id for ch in longs),
-            hbo=hbo,
-            hbr=hbr,
+            hbo=out[0],
+            hbr=out[1],
             annotations=annotations,
             provenance=tuple(prov + steps),
         )
-        for (pid, group, fs, annotations), prov, (hbo, hbr) in zip(about, provenance, hemo)
+        for pid, group, fs, annotations, prov, out in chunk
     ]
 
 
@@ -369,18 +386,15 @@ def preprocess_dataset(dataset: Dataset, config: PipelineConfig) -> Dataset:
     montage, creator, seed = dataset.montage, dataset.creator, dataset.seed
     recordings = list(dataset.recordings)
     del dataset  # the caller's reference, if any, is now the only other one
-    per_sample = 2 * len(montage.long_channels)
-    hemo, chunk, cells = [], [], 0
-    for i in range(len(recordings)):
-        size = per_sample * recordings[i].n_samples
-        if chunk and cells + size > _CHUNK_CELLS:
-            hemo += _preprocess(chunk, montage, config)
-            chunk, cells = [], 0
-        chunk.append(recordings[i])
-        recordings[i] = None
-        cells += size
-    hemo += _preprocess(chunk, montage, config)
+    hemo = _preprocess(_released(recordings), montage, config)
     return Dataset(montage=montage, hemo=tuple(hemo), creator=creator, seed=seed)
+
+
+def _released(recordings: list) -> Iterator[Recording]:
+    """The recordings of the list in order, each removed from it as it is read."""
+    recordings.reverse()
+    while recordings:
+        yield recordings.pop()
 
 
 def epochs_from_dataset(dataset: Dataset, config: PipelineConfig) -> EpochSet:
@@ -393,13 +407,13 @@ def epochs_from_dataset(dataset: Dataset, config: PipelineConfig) -> EpochSet:
 
 def synthesize(config: PipelineConfig):
     """The synthetic dataset and ground truth that ``config`` describes."""
-    return synth.generate_dataset(
-        n_patients=config.patients,
-        n_controls=config.controls,
-        trials_per_task=config.trials_per_task,
-        effect=config.effect_spec(),
-        seed=config.seed,
-    )
+    return synth.generate_dataset(*_synthetic_args(config))
+
+
+def _synthetic_args(config: PipelineConfig) -> tuple:
+    """The arguments of synth's generators that ``config`` sets."""
+    return (config.patients, config.controls, config.trials_per_task, config.effect_spec(),
+            config.seed)
 
 
 def metrics_text(config: PipelineConfig, cv) -> str:
@@ -607,32 +621,41 @@ class _Outputs:
         raise PipelineError(self.stage, error) from error
 
 
-def _ingest(out: _Outputs, config: PipelineConfig) -> Dataset:
-    """The dataset the run starts from, synthesized or loaded; the stage is
-    then preprocess, which raw intensities go through."""
+def _ingest(config: PipelineConfig):
+    """The montage of the run's data, and its raw recordings or, for a
+    preprocessed container, None and its hemo series. The recordings come
+    as an iterator that keeps none it has given: synthetic ones are
+    generated as it reaches them."""
     if config.dataset_path is None:
-        dataset = synthesize(config)[0]
-    else:
-        dataset = load_dataset(config.dataset_path)
-    out.stage = "preprocess"
-    out.preprocessed = dataset.kind == "intensity"
-    return dataset
+        recordings = synth.generate_recordings(*_synthetic_args(config))
+        return synth.default_montage(), recordings, ()
+    dataset = load_dataset(config.dataset_path)
+    if dataset.kind == "hemo":
+        return dataset.montage, None, dataset.hemo
+    return dataset.montage, _released(list(dataset.recordings)), ()
 
 
 def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
     """Ingest, preprocess and epoch; with ``classify``, then features and train.
 
-    Returns (hemo dataset, epochs, cross validation or None). ``out.stage``
-    names each stage as it starts. The ingested dataset goes straight into
-    preprocessing and nothing here keeps it, so each raw recording is
-    released once its hemoglobin is formed.
+    Returns (montage, the preprocessing lines of provenance.txt, epochs,
+    cross validation or None). ``out.stage`` names each stage as it starts.
+    Each array is held only while a later stage reads it: a raw recording
+    until its hemoglobin is formed, so one at a time, and the hemoglobin
+    until the epochs are cut.
     """
-    hemo_dataset = preprocess_dataset(_ingest(out, config), config)
+    montage, recordings, hemo = _ingest(config)
+    out.stage = "preprocess"
+    out.preprocessed = recordings is not None
+    if out.preprocessed:
+        hemo = _preprocess(recordings, montage, config)
 
     out.stage = "epoch"
-    epoch_set = epochs_from_dataset(hemo_dataset, config)
+    epoch_set = epochs_mod.segment(hemo, window_s=config.window_s, baseline_s=config.baseline_s)
+    preprocessing = _preprocessing_lines(hemo)
+    del hemo
     if not classify:
-        return hemo_dataset, epoch_set, None
+        return montage, preprocessing, epoch_set, None
 
     out.stage = "features"
     mode = FeatureMode(config.feature_mode)
@@ -646,9 +669,8 @@ def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
         )
 
     out.stage = "train"
-    plan = learn.make_fold_plan(
-        hemo_dataset.participants, n_folds=config.folds, seed=config.seed
-    )
+    # Every series has a trial, so the epochs name every participant, in order.
+    plan = learn.make_fold_plan(epoch_set.participants, n_folds=config.folds, seed=config.seed)
     cv = learn.cross_validate(
         epoch_set,
         config.task,
@@ -657,7 +679,7 @@ def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
         mode=mode,
         select_k=select_k,
     )
-    return hemo_dataset, epoch_set, cv
+    return montage, preprocessing, epoch_set, cv
 
 
 def train(config: PipelineConfig) -> learn.CrossValidation:
@@ -678,7 +700,7 @@ def run_pipeline(config: PipelineConfig):
     failing stage is raised.
     """
     with _Outputs(config.out_dir) as out:
-        hemo_dataset, epoch_set, cv = _shared_stages(out, config, classify=True)
+        montage, preprocessing, epoch_set, cv = _shared_stages(out, config, classify=True)
 
         out.stage = "explain"
         importance = explain.attribute_cross_validation(
@@ -686,7 +708,7 @@ def run_pipeline(config: PipelineConfig):
         )[0]
 
         out.stage = "stats"
-        stats_text = _stats_report(epoch_set, importance, config, hemo_dataset.montage)
+        stats_text = _stats_report(epoch_set, importance, config, montage)
 
         out.stage = "report"
         out.emit("metrics.txt", metrics_text(config, cv))
@@ -716,7 +738,7 @@ def run_pipeline(config: PipelineConfig):
         )
         out.emit(
             "time_to_peak.svg",
-            _time_to_peak_svg(epoch_set, config.task, _peak_roi(hemo_dataset.montage)),
+            _time_to_peak_svg(epoch_set, config.task, _peak_roi(montage)),
         )
 
         out.emit("stats_tests.txt", stats_text)
@@ -726,7 +748,7 @@ def run_pipeline(config: PipelineConfig):
             "config:",
             json.dumps(_config_json(config, out.preprocessed), indent=2, sort_keys=True),
             "",
-            *_preprocessing_lines(hemo_dataset.hemo),
+            *preprocessing,
             f"fold plan seed: {config.seed}",
             *(f"  fold {fr.fold_index}: test = {', '.join(fr.test_ids)}" for fr in cv.folds),
         ]
@@ -745,10 +767,10 @@ def descriptive_report(config: PipelineConfig) -> list[Path]:
     Fails like run_pipeline: partial outputs removed, the stage named.
     """
     with _Outputs(config.out_dir) as out:
-        hemo_dataset, epoch_set, _ = _shared_stages(out, config, classify=False)
+        montage, _, epoch_set, _ = _shared_stages(out, config, classify=False)
 
         out.stage = "report"
-        roi = _peak_roi(hemo_dataset.montage)
+        roi = _peak_roi(montage)
         _emit_block_average_curves(
             out.path("block_average_curves.svg"),
             epoch_set,

@@ -12,6 +12,7 @@ GroundTruth object for later verification.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "canonical_hrf",
     "default_montage",
     "generate_dataset",
+    "generate_recordings",
     "ground_truth_report",
     "parse_ground_truth",
 ]
@@ -242,16 +244,77 @@ def generate_dataset(
     channel of its source, so short-channel regression can remove it.
     Deterministic per seed.
     """
+    recordings = tuple(
+        generate_recordings(n_patients, n_controls, trials_per_task, effect, seed)
+    )
+    montage = default_montage()
+    dataset = Dataset(
+        montage=montage, recordings=recordings, creator="nirscope-synth", seed=seed
+    )
+    return dataset, _ground_truth(montage, _participants(n_patients, n_controls), effect, seed)
+
+
+def generate_recordings(
+    n_patients: int,
+    n_controls: int,
+    trials_per_task: int = 5,
+    effect: EffectSpec | None = None,
+    seed: int = 0,
+) -> Iterator[Recording]:
+    """The recordings of ``generate_dataset``, patients then controls, each
+    generated when the iterator reaches it: a caller that keeps none of
+    them holds one at a time. The arguments are checked at the call."""
     if n_patients < 1 or n_controls < 1:
         raise ValueError("need at least one participant per group")
     montage = default_montage()
-    extinction = optics.default_extinction_table()
     if effect is not None:
         known = set(montage.channel_ids)
         for ch in effect.target_channels:
             if ch not in known:
                 raise ValueError(f"effect channel {ch} absent from montage")
+    extinction = optics.default_extinction_table()
+    return (
+        _recording(montage, extinction, pid, group, trials_per_task, effect,
+                   np.random.default_rng([seed, p_index]))
+        for p_index, (pid, group) in enumerate(_participants(n_patients, n_controls))
+    )
 
+
+def _participants(n_patients: int, n_controls: int) -> list[tuple[str, str]]:
+    return [(f"P{i + 1:02d}", "patient") for i in range(n_patients)] + [
+        (f"C{i + 1:02d}", "control") for i in range(n_controls)
+    ]
+
+
+def _ground_truth(montage, participants, effect: EffectSpec | None, seed: int) -> GroundTruth:
+    """What the generator injects, which depends on the groups and the effect
+    only: when a target is a long channel, each patient's target-channel
+    response peaks ``effect.delay_for(chromophore)`` after the HRF peak."""
+    long_ids = {ch.id for ch in montage.long_channels}
+    expressed = effect is not None and any(ch in long_ids for ch in effect.target_channels)
+    true_peak = {}
+    for pid, group in participants:
+        delayed = expressed and group == "patient"
+        true_peak[pid] = {
+            chrom: _HRF_PEAK_S + (effect.delay_for(chrom) if delayed else 0.0)
+            for chrom in CHROMOPHORES
+        }
+    return GroundTruth(
+        seed=seed,
+        labels=dict(participants),
+        discriminative=() if effect is None else effect.discriminative,
+        amplitude_ratio=1.0 if effect is None else effect.amplitude_ratio,
+        peak_delay_s=0.0 if effect is None else effect.peak_delay_s,
+        hrf_peak_s=_HRF_PEAK_S,
+        true_peak_s=true_peak,
+    )
+
+
+def _recording(
+    montage: Montage, extinction, pid: str, group: str, trials_per_task: int,
+    effect: EffectSpec | None, rng,
+) -> Recording:
+    """One participant's recording, drawn from ``rng``."""
     fs = _SAMPLE_RATE_HZ
     n_trials = trials_per_task * len(_TASKS)
     duration_s = _LEAD_IN_S + n_trials * (_TASK_S + _REST_S)
@@ -259,133 +322,95 @@ def generate_dataset(
     t = np.arange(n) / fs
     task_samples = int(round(_TASK_S * fs))
     by_source = {ch.id: ch.source for ch in montage.channels}
-
-    participants = [(f"P{i + 1:02d}", "patient") for i in range(n_patients)] + [
-        (f"C{i + 1:02d}", "control") for i in range(n_controls)
-    ]
-    recordings = []
-    labels: dict[str, str] = {}
-    true_peak: dict[str, dict[str, float]] = {}
     targets = set(effect.target_channels) if effect is not None else set()
 
-    for p_index, (pid, group) in enumerate(participants):
-        rng = np.random.default_rng([seed, p_index])
-        labels[pid] = group
-
-        order = rng.permutation(
-            np.repeat(np.arange(len(_TASKS)), trials_per_task)
-        )
-        annotations = []
-        onsets = []
-        for j, task_idx in enumerate(order):
-            onset = _LEAD_IN_S + j * (_TASK_S + _REST_S)
-            annotations.append(Annotation(onset, _TASK_S, _TASKS[int(task_idx)]))
-            onsets.append(int(round(onset * fs)))
-
-        # Stimulus train with within-block adaptation and per-trial jitter.
-        block_t = np.arange(task_samples) / fs
-        envelope = _ADAPTATION_FLOOR + (1.0 - _ADAPTATION_FLOOR) * np.exp(
-            -block_t / _ADAPTATION_TAU_S
-        )
-        u = np.zeros(n)
-        for start in onsets:
-            u[start : start + task_samples] = envelope * (
-                1.0 + _TRIAL_GAIN_SD * rng.standard_normal()
-            )
-
-        gain = max(0.2, 1.0 + _PARTICIPANT_GAIN_SD * rng.standard_normal())
-        is_patient = group == "patient"
-        kernels: dict[float, np.ndarray] = {}
-
-        def response(delay: float) -> np.ndarray:
-            if delay not in kernels:
-                kernels[delay] = np.convolve(
-                    u, _block_kernel(fs, delay, envelope)
-                )[:n]
-            return kernels[delay]
-
-        # Superficial (scalp) signal per source, shared with short channels.
-        sup_hbo: dict[str, np.ndarray] = {}
-        sup_hbr: dict[str, np.ndarray] = {}
-        step = _PHASE_JITTER_RAD_PER_SQRT_S / np.sqrt(fs)
-        for src in montage.sources:
-            sup = np.zeros(n)
-            for hz, amp in (
-                (_CARDIAC_HZ, _CARDIAC_AMP),
-                (_RESPIRATION_HZ, _RESPIRATION_AMP),
-                (_MAYER_HZ, _MAYER_AMP),
-            ):
-                phase0 = rng.uniform(0, 2 * np.pi)
-                walk = np.cumsum(step * rng.standard_normal(n))
-                sup += amp * np.sin(2 * np.pi * hz * t + phase0 + walk)
-            sup_hbo[src] = sup
-            sup_hbr[src] = _SUPERFICIAL_HBR_RATIO * sup
-
-        per_wl = {wl: np.empty((len(montage.channels), n)) for wl in _WAVELENGTHS_NM}
-        truth_chrom: dict[str, float] = {}
-        for ci, ch in enumerate(montage.channels):
-            src = by_source[ch.id]
-            if ch.kind == "long":
-                affected = is_patient and ch.id in targets and effect is not None
-                ratio_hbo = effect.ratio_for("hbo") if affected else 1.0
-                ratio_hbr = effect.ratio_for("hbr") if affected else 1.0
-                delay_hbo = effect.delay_for("hbo") if affected else 0.0
-                delay_hbr = effect.delay_for("hbr") if affected else 0.0
-                hbo = gain * _HBO_AMPLITUDE * ratio_hbo * response(delay_hbo)
-                hbr = -gain * _HBO_AMPLITUDE * _HBR_RATIO * ratio_hbr * response(delay_hbr)
-                if ch.id in targets:
-                    for chrom, delay in (("hbo", delay_hbo), ("hbr", delay_hbr)):
-                        truth_chrom.setdefault(chrom, _HRF_PEAK_S + delay)
-            else:
-                hbo = np.zeros(n)
-                hbr = np.zeros(n)
-            hbo = hbo + sup_hbo[src] + _WHITE_SD * rng.standard_normal(n)
-            hbr = hbr + sup_hbr[src] + _WHITE_SD * rng.standard_normal(n)
-            od1, od2 = optics.mbll_forward(
-                hbo, hbr, _WAVELENGTHS_NM, ch.distance_m, extinction
-            )
-            if ch.kind == "long":
-                # Drift and motion spikes live on the long channels so the
-                # short channels stay a clean superficial reference.
-                drift = _DRIFT_OD_PER_MIN * rng.uniform(-1.0, 1.0) * (t / 60.0)
-                spikes = _spike_train(rng, n, fs, _SPIKE_RATE_PER_MIN, _SPIKE_OD_AMP)
-                od1 = od1 + drift + spikes
-                od2 = od2 + 0.8 * (drift + spikes)
-            per_wl[_WAVELENGTHS_NM[0]][ci] = od1
-            per_wl[_WAVELENGTHS_NM[1]][ci] = od2
-
-        intensity = {wl: np.exp(-od) for wl, od in per_wl.items()}
-        recordings.append(
-            Recording(
-                participant_id=pid,
-                group=group,
-                sample_rate_hz=fs,
-                wavelengths_nm=_WAVELENGTHS_NM,
-                channel_ids=montage.channel_ids,
-                intensity=intensity,
-                annotations=tuple(annotations),
-            )
-        )
-        if not truth_chrom:
-            truth_chrom = {"hbo": _HRF_PEAK_S, "hbr": _HRF_PEAK_S}
-        true_peak[pid] = truth_chrom
-
-    dataset = Dataset(
-        montage=montage,
-        recordings=tuple(recordings),
-        creator="nirscope-synth",
-        seed=seed,
+    order = rng.permutation(
+        np.repeat(np.arange(len(_TASKS)), trials_per_task)
     )
-    gt = GroundTruth(
-        seed=seed,
-        labels=labels,
-        discriminative=() if effect is None else effect.discriminative,
-        amplitude_ratio=1.0 if effect is None else effect.amplitude_ratio,
-        peak_delay_s=0.0 if effect is None else effect.peak_delay_s,
-        hrf_peak_s=_HRF_PEAK_S,
-        true_peak_s=true_peak,
+    annotations = []
+    onsets = []
+    for j, task_idx in enumerate(order):
+        onset = _LEAD_IN_S + j * (_TASK_S + _REST_S)
+        annotations.append(Annotation(onset, _TASK_S, _TASKS[int(task_idx)]))
+        onsets.append(int(round(onset * fs)))
+
+    # Stimulus train with within-block adaptation and per-trial jitter.
+    block_t = np.arange(task_samples) / fs
+    envelope = _ADAPTATION_FLOOR + (1.0 - _ADAPTATION_FLOOR) * np.exp(
+        -block_t / _ADAPTATION_TAU_S
     )
-    return dataset, gt
+    u = np.zeros(n)
+    for start in onsets:
+        u[start : start + task_samples] = envelope * (
+            1.0 + _TRIAL_GAIN_SD * rng.standard_normal()
+        )
+
+    gain = max(0.2, 1.0 + _PARTICIPANT_GAIN_SD * rng.standard_normal())
+    is_patient = group == "patient"
+    kernels: dict[float, np.ndarray] = {}
+
+    def response(delay: float) -> np.ndarray:
+        if delay not in kernels:
+            kernels[delay] = np.convolve(
+                u, _block_kernel(fs, delay, envelope)
+            )[:n]
+        return kernels[delay]
+
+    # Superficial (scalp) signal per source, shared with short channels.
+    sup_hbo: dict[str, np.ndarray] = {}
+    sup_hbr: dict[str, np.ndarray] = {}
+    step = _PHASE_JITTER_RAD_PER_SQRT_S / np.sqrt(fs)
+    for src in montage.sources:
+        sup = np.zeros(n)
+        for hz, amp in (
+            (_CARDIAC_HZ, _CARDIAC_AMP),
+            (_RESPIRATION_HZ, _RESPIRATION_AMP),
+            (_MAYER_HZ, _MAYER_AMP),
+        ):
+            phase0 = rng.uniform(0, 2 * np.pi)
+            walk = np.cumsum(step * rng.standard_normal(n))
+            sup += amp * np.sin(2 * np.pi * hz * t + phase0 + walk)
+        sup_hbo[src] = sup
+        sup_hbr[src] = _SUPERFICIAL_HBR_RATIO * sup
+
+    per_wl = {wl: np.empty((len(montage.channels), n)) for wl in _WAVELENGTHS_NM}
+    for ci, ch in enumerate(montage.channels):
+        src = by_source[ch.id]
+        if ch.kind == "long":
+            affected = is_patient and ch.id in targets and effect is not None
+            ratio_hbo = effect.ratio_for("hbo") if affected else 1.0
+            ratio_hbr = effect.ratio_for("hbr") if affected else 1.0
+            delay_hbo = effect.delay_for("hbo") if affected else 0.0
+            delay_hbr = effect.delay_for("hbr") if affected else 0.0
+            hbo = gain * _HBO_AMPLITUDE * ratio_hbo * response(delay_hbo)
+            hbr = -gain * _HBO_AMPLITUDE * _HBR_RATIO * ratio_hbr * response(delay_hbr)
+        else:
+            hbo = np.zeros(n)
+            hbr = np.zeros(n)
+        hbo = hbo + sup_hbo[src] + _WHITE_SD * rng.standard_normal(n)
+        hbr = hbr + sup_hbr[src] + _WHITE_SD * rng.standard_normal(n)
+        od1, od2 = optics.mbll_forward(
+            hbo, hbr, _WAVELENGTHS_NM, ch.distance_m, extinction
+        )
+        if ch.kind == "long":
+            # Drift and motion spikes live on the long channels so the
+            # short channels stay a clean superficial reference.
+            drift = _DRIFT_OD_PER_MIN * rng.uniform(-1.0, 1.0) * (t / 60.0)
+            spikes = _spike_train(rng, n, fs, _SPIKE_RATE_PER_MIN, _SPIKE_OD_AMP)
+            od1 = od1 + drift + spikes
+            od2 = od2 + 0.8 * (drift + spikes)
+        per_wl[_WAVELENGTHS_NM[0]][ci] = od1
+        per_wl[_WAVELENGTHS_NM[1]][ci] = od2
+
+    return Recording(
+        participant_id=pid,
+        group=group,
+        sample_rate_hz=fs,
+        wavelengths_nm=_WAVELENGTHS_NM,
+        channel_ids=montage.channel_ids,
+        intensity={wl: np.exp(-od) for wl, od in per_wl.items()},
+        annotations=tuple(annotations),
+    )
 
 
 def ground_truth_report(gt: GroundTruth) -> str:

@@ -260,8 +260,13 @@ def test_config_file_value_of_the_wrong_type_is_refused_before_any_work(
         (["--folds", "0"], None, "folds: must be >= 2, got 0"),
         (["--window", "-1"], None, "window_s: must be > 0, got -1.0"),
         (["--samples", "0"], None, "shap_samples: must be >= 1, got 0"),
+        # The effect's settings are checked when no channel expresses it too.
+        (["--amplitude-ratio", "0", "--peak-delay", "3"], None,
+         "effect_channels, amplitude_ratio, peak_delay_s: amplitude_ratio must be in (0, 1], "
+         "got 0.0"),
     ],
-    ids=["pool", "short_channel", "baseline", "motion_sigma", "folds", "window", "samples"],
+    ids=["pool", "short_channel", "baseline", "motion_sigma", "folds", "window", "samples",
+         "effect_without_channels"],
 )
 def test_bad_config_value_exits_2_before_any_work(tmp_path, capsys, flags, config, message):
     out = tmp_path / "r"
@@ -773,12 +778,28 @@ def _peak_rss_mb(code: str, cwd: Path) -> float:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kB from os.wait4")
 def test_default_run_holds_under_45_mb_beyond_the_interpreter(tmp_path):
-    # 12.6 MB of hemoglobin and 17.6 MB of raw intensities. Each recording
-    # is released once its hemoglobin is formed and the band-pass filters
-    # in place; holding the raw data to the end and band-passing through a
-    # padded copy took 62 MB over the interpreter.
+    # The run's data: 17.6 MB of raw intensities and 12.6 MB of hemoglobin,
+    # and the epochs cut from it. The bound admits a run that holds all the
+    # raw data and all the hemoglobin at once, but not one that also
+    # band-passes through a padded copy: holding the raw data to the end and
+    # band-passing through a padded copy took 62 MB over the interpreter.
     interpreter = _peak_rss_mb("import nirscope.cli", tmp_path)
     run = _peak_rss_mb(
         f"import sys; from nirscope.cli import main; sys.exit(main({DEFAULT_RUN!r}))", tmp_path
     )
     assert run - interpreter < 45.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kB from os.wait4")
+def test_default_run_holds_under_35_mb_beyond_the_interpreter(tmp_path):
+    # Each array is held only while a later stage reads it: one raw
+    # recording (0.7 MB) at a time, generated as preprocessing reads it, and
+    # the hemoglobin only until the epochs are cut, so the peak is the
+    # hemoglobin beside the epochs. With every raw recording generated up
+    # front and the hemoglobin held to the report, the run took 39 MB over
+    # the interpreter.
+    interpreter = _peak_rss_mb("import nirscope.cli", tmp_path)
+    run = _peak_rss_mb(
+        f"import sys; from nirscope.cli import main; sys.exit(main({DEFAULT_RUN!r}))", tmp_path
+    )
+    assert run - interpreter < 35.0

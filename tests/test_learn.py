@@ -55,6 +55,25 @@ def test_knn_distance_ties_break_by_training_row_index(monkeypatch):
     assert predict(model, np.array([[1.0]]))[0] == 1
 
 
+@pytest.mark.parametrize("k", [1, 3, 5, 12])
+def test_knn_scores_equal_the_stable_sort_under_forced_ties(monkeypatch, k):
+    # Points on a 5 x 5 grid: training rows repeat and many share a distance
+    # to a query, so the k-th distance is often shared across the cut. The
+    # last query is NaN, at the same distance from every row.
+    rng = np.random.default_rng(k)
+    x = rng.integers(-2, 3, size=(12, 2)).astype(float)
+    y = np.array([0, 1] * 6)
+    queries = np.vstack([rng.integers(-2, 3, size=(60, 2)).astype(float), [[np.nan, 0.0]]])
+    monkeypatch.setattr(learn, "_KNN_K", k)
+    model = fit(ClassifierSpec(kind="knn"), x, y)
+    d2 = (queries**2).sum(axis=1)[:, None] + (x**2).sum(axis=1)[None, :] - 2.0 * queries @ x.T
+    by_distance = np.sort(d2, axis=1)
+    if k < len(x):
+        assert np.sum(by_distance[:, k - 1] == by_distance[:, k]) > 10
+    expected = y[np.argsort(d2, axis=1, kind="stable")[:, :k]].mean(axis=1)
+    assert model.predict_score(queries).tobytes() == expected.tobytes()
+
+
 def test_knn_invariant_to_training_row_permutation():
     rng = np.random.default_rng(4)
     x, y = _separable(n=30, gap=1.0, seed=4)

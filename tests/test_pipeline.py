@@ -7,7 +7,7 @@ import pytest
 from scipy.interpolate import make_smoothing_spline
 
 from conftest import make_epoch_set
-from nirscope import motion, optics, pipeline, synth
+from nirscope import epochs, learn, motion, optics, pipeline, synth
 from nirscope.explain import ChannelImportance
 from nirscope.features import FeatureMode, build_features
 from nirscope.model import Dataset, Recording, load_dataset, save_dataset
@@ -190,36 +190,59 @@ def test_preprocess_dataset_leaves_the_callers_dataset_as_it_was():
 
 
 def test_run_releases_each_raw_recording_once_its_hemoglobin_is_formed(monkeypatch, tmp_path):
+    # Recording i is released before recording i + 1 is generated.
     watched = []
-    synthesize = pipeline.synthesize
-    bandpass = pipeline.bandpass
-    epochs_from_dataset = pipeline.epochs_from_dataset
+    generate = synth.generate_recordings
 
-    def synthesize_and_watch(config):
-        dataset, truth = synthesize(config)
-        watched.append(weakref.ref(next(iter(dataset.recordings[0].intensity.values()))))
-        return dataset, truth
+    def generate_and_watch(*args):
+        recordings = generate(*args)
+        while True:
+            assert all(ref() is None for ref in watched)
+            recording = next(recordings, None)
+            if recording is None:
+                return
+            watched.extend(weakref.ref(a) for a in recording.intensity.values())
+            yield recording
+            del recording
 
-    def bandpass_released(series, spec, fs, out=None):
-        # Every hemoglobin series is formed before the band-pass.
-        assert watched[0]() is None
-        return bandpass(series, spec, fs, out=out)
-
-    def epochs_released(dataset, config):
-        assert watched[0]() is None
-        watched.append("epoched")
-        return epochs_from_dataset(dataset, config)
-
-    monkeypatch.setattr(pipeline, "synthesize", synthesize_and_watch)
-    monkeypatch.setattr(pipeline, "bandpass", bandpass_released)
-    monkeypatch.setattr(pipeline, "epochs_from_dataset", epochs_released)
+    monkeypatch.setattr(synth, "generate_recordings", generate_and_watch)
     config = PipelineConfig(
         out_dir=str(tmp_path), patients=3, controls=3, folds=3, trials_per_task=3,
         shap_samples=32, seed=2,
     )
     result = pipeline.run_pipeline(config)
-    assert watched[1:] == ["epoched"]
+    assert len(watched) == 2 * 6
     assert sorted(result) == ["cv", "files", "importance"]
+
+
+@pytest.mark.parametrize("container", [None, "raw", "hemo"])
+def test_no_hemoglobin_is_held_once_the_epochs_are_cut(monkeypatch, tmp_path, container):
+    watched = []
+    segment = epochs.segment
+    cross_validate = learn.cross_validate
+
+    def segment_and_watch(series, **kwargs):
+        arrays = [a for s in series for a in (s.hbo, s.hbr)]
+        watched.extend(weakref.ref(x) for a in arrays for x in (a, a.base) if x is not None)
+        return segment(series, **kwargs)
+
+    def cross_validate_released(*args, **kwargs):
+        assert watched and all(ref() is None for ref in watched)
+        watched.append("trained")
+        return cross_validate(*args, **kwargs)
+
+    settings = dict(patients=3, controls=3, trials_per_task=3, folds=3, seed=2)
+    dataset_path = None
+    if container is not None:
+        raw, _ = synth.generate_dataset(3, 3, trials_per_task=3, seed=2)
+        data = raw if container == "raw" else preprocess_dataset(raw, PipelineConfig(seed=2))
+        dataset_path = str(tmp_path / container)
+        save_dataset(data, dataset_path)
+    monkeypatch.setattr(epochs, "segment", segment_and_watch)
+    monkeypatch.setattr(learn, "cross_validate", cross_validate_released)
+    pipeline.train(PipelineConfig(out_dir=str(tmp_path / "out"), dataset_path=dataset_path,
+                                  **settings))
+    assert watched[-1] == "trained"
 
 
 def _hemoglobin_per_channel(recording, montage, config):

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .features import FeatureKey
+from .learn import _Ensemble, _TreeModel
 
 __all__ = [
     "Attribution",
@@ -39,9 +41,14 @@ FOLD_EXACT_MAX_GROUPS = 12
 # Rows per score call. A call scores (part of) one explained row's
 # coalitions, each composed with every background row; explained rows are
 # not batched together. This caps the composed matrix and the model's work
-# arrays on the exact path, whose 2^groups coalitions × 16 background rows
-# reach 65,536 rows at 12 groups.
-_SCORE_CHUNK = 200_000
+# arrays (knn's distances to every training row), which the exact path's
+# 2^groups coalitions × 16 background rows would take to 65,536 rows at 12
+# groups. The tree path composes at most as many rows at once.
+_SCORE_CHUNK = 1024
+# Leaf values the tree path holds at once: its trees go in windows, in tree
+# order, of this many (tree, pattern, background row) triples plus at most
+# one tree's.
+_LEAF_CELLS = 1 << 17
 # Training rows, strided by norm, beside the mean row in each background.
 _BACKGROUND_ROWS = 15
 
@@ -77,6 +84,11 @@ class ChannelImportance:
 
 
 ScoreFn = Callable[[np.ndarray], np.ndarray]
+# The coalition values of one game: given the member matrix of its masks, a
+# function of the explained row giving v(S) for each mask, as
+# _coalition_values does. Everything that does not depend on the explained
+# row is done when the function is made.
+CoalitionValues = Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
 # The per-row attributor of one game (score function, background, groups);
 # everything that does not depend on the explained row is done when it is made.
 Explainer = Callable[[np.ndarray], Attribution]
@@ -111,6 +123,87 @@ def _coalition_values(
     return values
 
 
+def _composed_values(score_fn: ScoreFn, background: np.ndarray) -> CoalitionValues:
+    """Score every composed row: any model."""
+
+    def of_members(member):
+        return lambda instance: _coalition_values(score_fn, background, instance, member)
+
+    return of_members
+
+
+def _tree_values(model: _TreeModel, ensemble: _Ensemble, background: np.ndarray) -> CoalitionValues:
+    """_coalition_values(model.predict_score, background, ·, member), bit for
+    bit, walking each tree once per column pattern.
+
+    A tree reads only the columns it splits on, so masks that agree on those
+    columns send a background row to the same leaf. Per game, each tree's
+    masks are grouped into distinct patterns of its columns, each kept with
+    its first mask. Per explained row, only those masks' rows are composed,
+    at most _SCORE_CHUNK rows at a time; each (tree, pattern, background
+    row) triple is walked once; and every mask takes its pattern's leaf
+    back. The leaves are summed in tree order and finished as predict_score
+    does, so each score is the same float. ``ensemble`` is model.trees
+    packed.
+    """
+    reads = [np.unique(t.feature[t.feature >= 0]) for t in model.trees]
+    background = model.leaf_input(background)
+    n_bg, n_cols = background.shape
+    masks_per_block = max(1, _SCORE_CHUNK // n_bg)
+
+    def of_members(member):
+        firsts, inverses = [], []
+        for cols in reads:
+            # Bit-packed rows of the columns the tree reads: one code per pattern.
+            _, first, inverse = np.unique(
+                np.packbits(member[:, cols], axis=1), axis=0, return_index=True, return_inverse=True
+            )
+            firsts.append(first)
+            inverses.append(inverse.reshape(-1))
+        counts = np.array([f.size for f in firsts])
+        starts = np.cumsum(counts) - counts
+        window_of = starts * n_bg // _LEAF_CELLS
+        windows = []
+        for w in np.unique(window_of):
+            trees = np.flatnonzero(window_of == w)
+            tree = np.repeat(trees, counts[trees])
+            first = np.concatenate([firsts[t] for t in trees])
+            masks, rank = np.unique(first, return_inverse=True)
+            block_of = rank // masks_per_block
+            # Walk order, which is also the order of the window's leaf rows:
+            # by block of masks, then deepest tree first.
+            order = np.lexsort((-ensemble.depth[tree], block_of))
+            leaf_row = np.argsort(order)
+            bounds = np.searchsorted(block_of[order], np.arange(block_of.max() + 2))
+            blocks = []
+            for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                units = order[lo:hi]
+                first_row = (rank[units] - b * masks_per_block) * n_bg
+                rows_of = masks[b * masks_per_block : (b + 1) * masks_per_block]
+                blocks.append((member[rows_of], tree[units], first_row, slice(lo, hi)))
+            # per tree of the window, each mask's leaf row
+            leaf_of = [leaf_row[inverses[t] + starts[t] - starts[trees[0]]] for t in trees]
+            windows.append((first.size, blocks, leaf_of))
+
+        def values(instance: np.ndarray) -> np.ndarray:
+            instance = model.leaf_input(instance[None, :])[0]
+            total = np.full((member.shape[0], n_bg), model.leaf_init)
+            term = np.empty_like(total)
+            for n_leaves, blocks, leaf_of in windows:
+                leaves = np.empty((n_leaves, n_bg))
+                for block_member, tree, first_row, rows in blocks:
+                    composed = np.where(block_member[:, None, :], instance, background)
+                    ensemble.walk(tree, first_row, composed.reshape(-1, n_cols), leaves[rows])
+                leaves *= model.leaf_scale
+                for rows in leaf_of:
+                    total += np.take(leaves, rows, axis=0, out=term)
+            return model.finish(total).mean(axis=1)
+
+        return values
+
+    return of_members
+
+
 def _validate_groups(groups: Sequence[Sequence[int]], n_columns: int):
     seen: set[int] = set()
     for g in groups:
@@ -136,12 +229,13 @@ def _prepare(background, instance, groups):
 
 
 def _exact_explainer(
-    score_fn: ScoreFn, background: np.ndarray, groups: Sequence[Sequence[int]]
+    values: CoalitionValues, n_cols: int, groups: Sequence[Sequence[int]]
 ) -> Explainer:
-    """Exact Shapley values of any row: masks and size weights made once."""
+    """Exact Shapley values of any row: masks, size weights and the
+    coalition values' per-game work made once."""
     n = len(groups)
     masks = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
-    member = _members(groups, background.shape[1], masks)
+    value_of = values(_members(groups, n_cols, masks))
     sizes = masks.sum(axis=1)
     fact = [math.factorial(i) for i in range(n + 1)]
     weight_by_size = np.array(
@@ -154,11 +248,11 @@ def _exact_explainer(
         terms.append((idx_without | (1 << g), idx_without, weight_by_size[sizes[idx_without]]))
 
     def explain(instance: np.ndarray) -> Attribution:
-        values = _coalition_values(score_fn, background, instance, member)
+        v = value_of(instance)
         phi = np.array(
-            [float(np.sum(w * (values[with_g] - values[without]))) for with_g, without, w in terms]
+            [float(np.sum(w * (v[with_g] - v[without]))) for with_g, without, w in terms]
         )
-        return Attribution(phi=phi, base_value=float(values[0]), instance=instance.copy())
+        return Attribution(phi=phi, base_value=float(v[0]), instance=instance.copy())
 
     return explain
 
@@ -178,7 +272,8 @@ def exact_shapley(
     n = len(groups)
     if n > EXACT_MAX_GROUPS:
         raise ValueError(f"{n} groups exceeds the exact enumeration cap ({EXACT_MAX_GROUPS})")
-    return _exact_explainer(score_fn, background, groups)(instance)
+    values = _composed_values(score_fn, background)
+    return _exact_explainer(values, background.shape[1], groups)(instance)
 
 
 def _kernel_weight(n: int, size: int) -> float:
@@ -255,6 +350,7 @@ def _sample_coalitions(n: int, budget: int, rng: np.random.Generator):
 
 def _kernel_explainer(
     score_fn: ScoreFn,
+    values: CoalitionValues,
     background: np.ndarray,
     groups: Sequence[Sequence[int]],
     n_samples: int,
@@ -263,7 +359,9 @@ def _kernel_explainer(
     """Kernel Shapley estimates of any row.
 
     The coalitions, their weights, the normal matrix (with its condition
-    check) and the background score are made once, before any row is scored.
+    check), the coalition values' per-game work and the background score are
+    made once, before any row is scored; the empty and full coalitions are
+    scored by ``score_fn``.
     """
     n = len(groups)
     if n == 1:
@@ -290,11 +388,11 @@ def _kernel_explainer(
         cond = np.inf
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError("insufficient coalition diversity for the kernel regression")
-    member = _members(groups, background.shape[1], masks)
+    value_of = values(_members(groups, background.shape[1], masks))
     base = float(np.mean(np.asarray(score_fn(background), dtype=float)))
 
     def explain(instance: np.ndarray) -> Attribution:
-        v = _coalition_values(score_fn, background, instance, member)
+        v = value_of(instance)
         full = float(np.mean(np.asarray(score_fn(instance[None, :]), dtype=float)))
         delta = full - base
         yc = (v - base) - z[:, -1] * delta
@@ -321,7 +419,8 @@ def kernel_shap(
     covers every coalition the result equals exact enumeration.
     """
     background, instance, groups = _prepare(background, instance, groups)
-    return _kernel_explainer(score_fn, background, groups, n_samples, seed)(instance)
+    values = _composed_values(score_fn, background)
+    return _kernel_explainer(score_fn, values, background, groups, n_samples, seed)(instance)
 
 
 def channel_importance(
@@ -393,19 +492,28 @@ def attribute_cross_validation(
     groups, kernel estimation otherwise. A fold's coalitions, weights,
     normal matrix and background score are made once and shared by its
     trials, which get the values exact_shapley or kernel_shap would give
-    each of them. Channels never selected in any fold are reported with
-    zero importance.
+    each of them. Forest and boosting folds score their coalitions by
+    column pattern (_tree_values); other models score composed rows.
+    Channels never selected in any fold are reported with zero importance.
     """
     all_attrs: list[Attribution] = []
     per_trial_keys: list[list[tuple[str, str]]] = []
     for fold in cv.folds:
         groups, keys = group_columns(cv.features.feature_index, fold.selected)
         background = build_background(fold.train_x)
-        score_fn = fold.model.predict_score
-        if len(groups) <= FOLD_EXACT_MAX_GROUPS:
-            explain = _exact_explainer(score_fn, background, groups)
+        model = fold.model
+        if isinstance(model, _TreeModel):
+            # The fold's trees packed once, for every score of the fold.
+            ensemble = _Ensemble(model.trees)
+            score_fn = partial(model.score_with, ensemble)
+            values = _tree_values(model, ensemble, background)
         else:
-            explain = _kernel_explainer(score_fn, background, groups, n_samples, seed)
+            score_fn = model.predict_score
+            values = _composed_values(score_fn, background)
+        if len(groups) <= FOLD_EXACT_MAX_GROUPS:
+            explain = _exact_explainer(values, background.shape[1], groups)
+        else:
+            explain = _kernel_explainer(score_fn, values, background, groups, n_samples, seed)
         for row in fold.test_x:
             all_attrs.append(explain(row))
             per_trial_keys.append(keys)

@@ -152,54 +152,76 @@ class _Tree:
         self.depth = int(depth.max())
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return _tree_sum([self], x, np.zeros(x.shape[0]))
+        return _Ensemble([self]).sum(x, np.zeros(x.shape[0]))
 
 
 _WALK_CELLS = 1 << 15  # (tree, row) pairs walked at once: small enough to stay in cache
 
 
-def _tree_sum(trees: list[_Tree], x: np.ndarray, out: np.ndarray, scale: float = 1.0):
-    """Add scale * each tree's leaf value to ``out`` per row, in tree order.
+class _Ensemble:
+    """A tree list packed for a lockstep walk.
 
-    Every tree is walked in lockstep: the node arrays are concatenated with
-    per-tree offsets, deepest tree first, and every leaf becomes a self-loop
-    (both children itself, feature 0 to keep the lookup in range). Step k of
-    "go left where x[row, feature] <= threshold" moves the trees deeper than
-    k, so after ``max depth`` steps each (tree, row) pair is at its leaf.
-    Rows go in blocks of at most _WALK_CELLS pairs. Returns ``out``.
+    The node arrays are concatenated with per-tree offsets, and every leaf
+    becomes a self-loop: both children itself, feature 0 to keep the lookup
+    in range. A walk holds node n as 2n, so that 2n + goes_left indexes
+    ``child``; the other arrays hold each node's entry twice.
     """
-    depth = np.array([t.depth for t in trees])
-    order = np.argsort(-depth, kind="stable")
-    restore = np.argsort(order)  # walk position -> tree order
-    deeper = [int(np.count_nonzero(depth > k)) for k in range(depth.max())]
-    trees = [trees[i] for i in order]
-    sizes = [t.feature.size for t in trees]
-    offsets = np.cumsum([0] + sizes[:-1])
-    feature = np.concatenate([t.feature for t in trees])
-    leaf = feature < 0
-    self_index = np.arange(feature.size)
-    feature = np.where(leaf, 0, feature)
-    threshold = np.concatenate([t.threshold for t in trees])
-    shift = np.repeat(offsets, sizes)
-    left = np.where(leaf, self_index, np.concatenate([t.left for t in trees]) + shift)
-    right = np.where(leaf, self_index, np.concatenate([t.right for t in trees]) + shift)
-    child = np.stack([right, left], axis=1).ravel()  # child[2 * node + goes_left]
-    value = np.concatenate([t.value for t in trees])
-    n_rows, n_cols = x.shape
-    block = max(1, _WALK_CELLS // len(trees))
-    for start in range(0, n_rows, block):
-        xb = x[start : start + block]
-        cells = xb.ravel()
-        row_base = (np.arange(xb.shape[0]) * n_cols)[None, :]
-        node = np.repeat(offsets[:, None], xb.shape[0], axis=1)
-        for k in deeper:
-            moving = node[:k]
-            goes_left = cells[row_base + feature[moving]] <= threshold[moving]
-            node[:k] = child[2 * moving + goes_left]
-        acc = out[start : start + xb.shape[0]]
-        for v in value[node[restore]]:
-            acc += scale * v
-    return out
+
+    def __init__(self, trees: list[_Tree]):
+        sizes = [t.feature.size for t in trees]
+        offsets = np.cumsum([0] + sizes[:-1])
+        self.depth = np.array([t.depth for t in trees])
+        feature = np.concatenate([t.feature for t in trees])
+        leaf = feature < 0
+        self_index = np.arange(feature.size)
+        shift = np.repeat(offsets, sizes)
+        left = np.where(leaf, self_index, np.concatenate([t.left for t in trees]) + shift)
+        right = np.where(leaf, self_index, np.concatenate([t.right for t in trees]) + shift)
+        self.root = 2 * offsets
+        self.child = 2 * np.stack([right, left], axis=1).ravel()
+        self.feature = np.repeat(np.where(leaf, 0, feature), 2)
+        self.threshold = np.repeat(np.concatenate([t.threshold for t in trees]), 2)
+        self.value = np.repeat(np.concatenate([t.value for t in trees]), 2)
+
+    def walk(self, tree: np.ndarray, first_row: np.ndarray, x: np.ndarray, out: np.ndarray):
+        """Fill ``out`` (len(tree), width) with leaf values: unit i walks tree
+        ``tree[i]`` on rows ``first_row[i] + j`` of x, for j < width.
+
+        Units must come sorted by tree depth, deepest first. Step k of "go
+        left where x[row, feature] <= threshold" then moves a prefix of them,
+        the units deeper than k, so after the largest depth every (tree, row)
+        pair is at its leaf. Units go in blocks of at most _WALK_CELLS pairs.
+        """
+        n_cols = x.shape[1]
+        cells = x.ravel()
+        width = out.shape[1]
+        columns = np.arange(width) * n_cols
+        step = max(1, _WALK_CELLS // width)
+        for start in range(0, tree.size, step):
+            units = tree[start : start + step]
+            depth = self.depth[units]
+            row_base = (first_row[start : start + step] * n_cols)[:, None] + columns
+            node = np.repeat(self.root[units][:, None], width, axis=1)
+            # the number of units deeper than k, for each step k
+            for deeper in np.searchsorted(-depth, -np.arange(depth[0])):
+                moving = node[:deeper]
+                goes_left = cells[row_base[:deeper] + self.feature[moving]] <= self.threshold[moving]
+                node[:deeper] = self.child[moving + goes_left]
+            np.take(self.value, node, out=out[start : start + units.size])
+
+    def sum(self, x: np.ndarray, out: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """Add scale * each tree's leaf value to ``out`` per row, in tree
+        order: the walk of every (tree, row) pair. Returns ``out``."""
+        order = np.argsort(-self.depth, kind="stable")
+        restore = np.argsort(order)  # walk position -> tree order
+        block = max(1, _WALK_CELLS // order.size)
+        for start in range(0, x.shape[0], block):
+            leaves = np.empty((order.size, min(block, x.shape[0] - start)))
+            self.walk(order, np.full(order.size, start), x, leaves)
+            acc = out[start : start + leaves.shape[1]]
+            for v in leaves[restore]:
+                acc += scale * v
+        return out
 
 
 def _best_gini_split(x: np.ndarray, y: np.ndarray, features: np.ndarray):
@@ -268,14 +290,37 @@ def _grow_cart(x, y, rng, max_features: int) -> _Tree:
     )
 
 
-@dataclass(eq=False)
-class ForestModel:
-    trees: list[_Tree]
-    n_features: int
+class _TreeModel:
+    """What ForestModel and BoostModel share: x scores as ``finish(leaf_init
+    + leaf_scale * each tree's leaf for leaf_input(x), summed in tree
+    order)``. explain scores coalitions through the same terms."""
+
+    def _leaf_total(self, ensemble: _Ensemble, x: np.ndarray) -> np.ndarray:
+        total = np.full(x.shape[0], self.leaf_init)
+        return ensemble.sum(self.leaf_input(x), total, self.leaf_scale)
+
+    def score_with(self, ensemble: _Ensemble, x: np.ndarray) -> np.ndarray:
+        """predict_score of 2-D x, with this model's trees packed in ``ensemble``."""
+        return self.finish(self._leaf_total(ensemble, x))
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:
-        x = _check_columns(x, self.n_features)
-        return _tree_sum(self.trees, x, np.zeros(x.shape[0])) / len(self.trees)
+        return self.score_with(_Ensemble(self.trees), _check_columns(x, self.n_features))
+
+
+@dataclass(eq=False)
+class ForestModel(_TreeModel):
+    """Bagged CART trees; the score is the mean leaf value."""
+
+    trees: list[_Tree]
+    n_features: int
+    leaf_init = 0.0
+    leaf_scale = 1.0
+
+    def leaf_input(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def finish(self, total: np.ndarray) -> np.ndarray:
+        return total / len(self.trees)
 
 
 def _fit_forest(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> ForestModel:
@@ -333,16 +378,20 @@ def _fit_svm(spec: ClassifierSpec, x: np.ndarray, y: np.ndarray) -> SvmModel:
 # Histogram gradient boosting with leaf-wise growth
 
 
-def _leaf_best_split(binned, g, h, rows, n_bins):
+def _leaf_best_split(cells, g, h, rows, n_bins):
     """Best (gain, feature, bin, left_rows, right_rows) for one leaf, or
-    None when no split gains."""
+    None when no split gains.
+
+    ``cells`` holds each row's histogram cell per feature: its bin plus
+    feature * n_bins, as _fit_boost computes it once.
+    """
     if rows.size < 2:
         return None  # a split needs a row on each side
     gt, ht = g[rows].sum(), h[rows].sum()
     parent = gt * gt / ht
-    sub = binned[rows]
+    sub = cells[rows]
     n_features = sub.shape[1]
-    flat = (sub + np.arange(n_features)[None, :] * n_bins).ravel()
+    flat = sub.ravel()
     hist_g = np.bincount(
         flat, weights=np.repeat(g[rows], n_features), minlength=n_features * n_bins
     ).reshape(n_features, n_bins)
@@ -364,15 +413,17 @@ def _leaf_best_split(binned, g, h, rows, n_bins):
     f, b = divmod(j, n_bins - 1)
     if not np.isfinite(gain.flat[j]) or gain.flat[j] <= 1e-12:
         return None
-    go_left = sub[:, f] <= b
+    go_left = sub[:, f] <= f * n_bins + b
     return float(gain.flat[j]), int(f), int(b), rows[go_left], rows[~go_left]
 
 
-def _grow_boost_tree(binned, g, h, n_bins, max_leaves) -> _Tree:
+def _grow_boost_tree(cells, g, h, n_bins, max_leaves) -> tuple[_Tree, list]:
+    """The tree and its leaves as (node, training rows) pairs."""
     feature, split_bin, left, right, value = [], [], [], [], []
     # Open leaves in creation order, each with its best split (or None),
-    # computed once when the leaf is made.
+    # computed once when the leaf is made, and its rows.
     open_leaves = {}
+    leaf_rows = {}
 
     def new_node(rows) -> int:
         idx = len(feature)
@@ -381,10 +432,11 @@ def _grow_boost_tree(binned, g, h, n_bins, max_leaves) -> _Tree:
         left.append(-1)
         right.append(-1)
         value.append(-g[rows].sum() / h[rows].sum())
-        open_leaves[idx] = _leaf_best_split(binned, g, h, rows, n_bins)
+        open_leaves[idx] = _leaf_best_split(cells, g, h, rows, n_bins)
+        leaf_rows[idx] = rows
         return idx
 
-    new_node(np.arange(binned.shape[0]))
+    new_node(np.arange(cells.shape[0]))
     # Leaf-wise growth: always split the open leaf with the largest gain; the
     # earliest leaf wins a tie.
     n_leaves = 1
@@ -396,23 +448,24 @@ def _grow_boost_tree(binned, g, h, n_bins, max_leaves) -> _Tree:
         if best is None:
             break
         node_idx, (gain, f, b, rows_l, rows_r) = best
-        del open_leaves[node_idx]
+        del open_leaves[node_idx], leaf_rows[node_idx]
         feature[node_idx] = f
         split_bin[node_idx] = b
         left[node_idx] = new_node(rows_l)
         right[node_idx] = new_node(rows_r)
         n_leaves += 1
-    return _Tree(
+    tree = _Tree(
         feature=np.asarray(feature),
         threshold=np.asarray(split_bin),
         left=np.asarray(left),
         right=np.asarray(right),
         value=np.asarray(value),
     )
+    return tree, list(leaf_rows.items())
 
 
 @dataclass(eq=False)
-class BoostModel:
+class BoostModel(_TreeModel):
     bin_edges: list[np.ndarray]
     trees: list[_Tree]  # thresholds are bin indices
     base_score: float
@@ -422,19 +475,27 @@ class BoostModel:
     def n_features(self) -> int:
         return len(self.bin_edges)
 
-    def _bin(self, x: np.ndarray) -> np.ndarray:
+    @property
+    def leaf_init(self) -> float:
+        return self.base_score
+
+    @property
+    def leaf_scale(self) -> float:
+        return self.learning_rate
+
+    def leaf_input(self, x: np.ndarray) -> np.ndarray:
+        """Bin indices; binning is per element, so the bins of a composed
+        row are composed from the bins of its parts."""
         binned = np.empty(x.shape, dtype=np.int64)
         for f, edges in enumerate(self.bin_edges):
             binned[:, f] = np.searchsorted(edges, x[:, f], side="right")
         return binned
 
-    def decision_function(self, x: np.ndarray) -> np.ndarray:
-        x = _check_columns(x, self.n_features)
-        score = np.full(x.shape[0], self.base_score)
-        return _tree_sum(self.trees, self._bin(x), score, self.learning_rate)
+    def finish(self, total: np.ndarray) -> np.ndarray:
+        return _sigmoid(total)
 
-    def predict_score(self, x: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_function(x))
+    def decision_function(self, x: np.ndarray) -> np.ndarray:
+        return self._leaf_total(_Ensemble(self.trees), _check_columns(x, self.n_features))
 
 
 def _fit_boost(x: np.ndarray, y: np.ndarray) -> BoostModel:
@@ -454,7 +515,7 @@ def _fit_boost(x: np.ndarray, y: np.ndarray) -> BoostModel:
         base_score=float(np.log((y.mean() + 1e-12) / (1 - y.mean() + 1e-12))),
         learning_rate=_GBDT_LEARNING_RATE,
     )
-    binned = model._bin(x)
+    cells = model.leaf_input(x) + np.arange(n_features) * n_bins
     score = np.full(n, model.base_score)
     for _ in range(_GBDT_ROUNDS):
         p = _sigmoid(score)
@@ -462,9 +523,11 @@ def _fit_boost(x: np.ndarray, y: np.ndarray) -> BoostModel:
         # No L2 on leaf weights; the floored hessians keep leaf values finite
         # and leave training exactly invariant to duplicating every row.
         h = np.maximum(p * (1 - p), 1e-12)
-        tree = _grow_boost_tree(binned, g, h, n_bins, _GBDT_MAX_LEAVES)
+        tree, leaves = _grow_boost_tree(cells, g, h, n_bins, _GBDT_MAX_LEAVES)
         model.trees.append(tree)
-        score += _GBDT_LEARNING_RATE * tree.predict(binned)
+        # Each training row's leaf is known from the growth: no walk.
+        for node, rows in leaves:
+            score[rows] += _GBDT_LEARNING_RATE * tree.value[node]
     return model
 
 

@@ -608,6 +608,9 @@ def load_dataset(path: str | Path) -> Dataset:
             f"{manifest_path}: wavelengths_nm must be a list of numbers, got {wavelengths!r}"
         ) from None
     participants = manifest.get("participants", [])
+    if not participants:
+        # Nothing could be preprocessed, epoched or trained from it.
+        raise DatasetFormatError(f"{manifest_path}: lists no participants")
     needed = ("sample_rate_hz", "wavelengths_nm") if kind == "intensity" else ("sample_rate_hz",)
     if participants and any(manifest.get(key) is None for key in needed):
         raise DatasetFormatError(f"{manifest_path}: {kind} datasets need {' and '.join(needed)}")

@@ -586,6 +586,21 @@ def test_train_with_excessive_k_names_features_stage(golden_dataset, tmp_path, m
     assert list(tmp_path.iterdir()) == []  # train writes nothing, not even a directory
 
 
+@pytest.mark.parametrize("command", ["preprocess", "run"])
+def test_container_without_participants_is_a_data_error(tmp_path, capsys, command):
+    raw = tmp_path / "raw"
+    main(["synth", "--patients", "1", "--controls", "1", "--seed", "2", "--out", str(raw)])
+    manifest = json.loads((raw / "manifest.json").read_text())
+    manifest["participants"] = []
+    (raw / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--dataset", str(raw), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "manifest.json: lists no participants" in err
+    assert not out.exists()
+
+
 def test_run_failing_at_ingest_leaves_no_directory(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["run", "--dataset", str(tmp_path / "nope"), "--out", str(out)])

@@ -321,12 +321,10 @@ def _small_cv(monkeypatch, kind, select_k):
     return cross_validate(eps, "single", spec, plan, mode=FeatureMode.SUMMARY, select_k=select_k)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("select_k", [6, 60])  # at most 6 groups: exact; at least 15: kernel
-def test_fold_attribution_equals_per_row_calls(monkeypatch, kind, select_k):
-    cv = _small_cv(monkeypatch, kind, select_k)
-    # 128 samples leave the kernel sampler a random partial size pair
-    _, attrs, union = attribute_cross_validation(cv, n_samples=128, seed=4)
+def _per_row_attributions(cv, select_k, union):
+    """(phi on ``union``, base value, instance) of every test row, from
+    exact_shapley or kernel_shap called on it: composed rows scored by
+    predict_score."""
     key_pos = {k: i for i, k in enumerate(union)}
     expected = []
     for fold in cv.folds:
@@ -343,6 +341,16 @@ def test_fold_attribution_equals_per_row_calls(monkeypatch, kind, select_k):
             phi = np.zeros(len(union))
             phi[[key_pos[k] for k in keys]] = att.phi
             expected.append((phi, att.base_value, att.instance))
+    return expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("select_k", [6, 60])  # at most 6 groups: exact; at least 15: kernel
+def test_fold_attribution_equals_per_row_calls(monkeypatch, kind, select_k):
+    cv = _small_cv(monkeypatch, kind, select_k)
+    # 128 samples leave the kernel sampler a random partial size pair
+    _, attrs, union = attribute_cross_validation(cv, n_samples=128, seed=4)
+    expected = _per_row_attributions(cv, select_k, union)
     assert len(attrs) == len(expected)
     for att, (phi, base, instance) in zip(attrs, expected):
         assert np.array_equal(att.phi, phi)
@@ -388,3 +396,109 @@ def test_singular_kernel_regression_fails_before_scoring(monkeypatch):
     with pytest.raises(ValueError, match="insufficient coalition diversity"):
         attribute_cross_validation(cv, n_samples=40)
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("select_k", [6, 60])
+@pytest.mark.parametrize("masks_per_call", [1, 3])
+def test_row_cap_bounds_every_score_call_and_leaves_phi_unchanged(
+    monkeypatch, kind, select_k, masks_per_call
+):
+    cv = _small_cv(monkeypatch, kind, select_k)
+    _, _, union = attribute_cross_validation(cv, n_samples=128, seed=4)
+    expected = _per_row_attributions(cv, select_k, union)
+    n_bg = build_background(cv.folds[0].train_x).shape[0]
+    cap = masks_per_call * n_bg
+    monkeypatch.setattr(explain, "_SCORE_CHUNK", cap)
+    rows = []
+    score = type(cv.folds[0].model).predict_score
+    monkeypatch.setattr(
+        type(cv.folds[0].model), "predict_score", lambda model, x: rows.append(len(x)) or score(model, x)
+    )
+    walk = learn._Ensemble.walk
+    monkeypatch.setattr(
+        learn._Ensemble,
+        "walk",
+        lambda self, tree, first_row, x, out: rows.append(len(x)) or walk(self, tree, first_row, x, out),
+    )
+    _, attrs, _ = attribute_cross_validation(cv, n_samples=128, seed=4)
+    assert rows and max(rows) <= cap
+    assert len(attrs) == len(expected)
+    # The tree path gives the same floats by construction. knn and svm score
+    # through BLAS products, whose rounding may depend on the rows per call.
+    same = np.array_equal if kind in ("random_forest", "boosted_trees") else _within_rounding
+    for att, (phi, base, _) in zip(attrs, expected):
+        assert same(att.phi, phi)
+        assert same(att.base_value, base)
+
+
+def _within_rounding(a, b):
+    return np.allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
+# --- the tree path against composed rows ---
+
+GAME = [[0], [1, 2], [3], [4, 5], [6]]  # columns 7 and 8 are in no group
+
+
+def _tree_model(monkeypatch, kind):
+    """A small forest or boosting model with two trees put in its middle: one
+    that reads no column, one that reads only column 7, outside every group."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(80, 9))
+    y = (x[:, 0] + x[:, 2] + x[:, 7] + rng.normal(scale=0.5, size=80) > 0).astype(int)
+    monkeypatch.setattr(learn, "_RF_TREES", 12)
+    monkeypatch.setattr(learn, "_GBDT_ROUNDS", 12)
+    model = learn.fit(ClassifierSpec(kind=kind, seed=3), x, y)
+    threshold = [0.2] if kind == "random_forest" else [30]
+    dtype = model.trees[0].threshold.dtype
+    leaf = learn._Tree(
+        feature=np.array([-1]),
+        threshold=np.zeros(1, dtype=dtype),
+        left=np.array([-1]),
+        right=np.array([-1]),
+        value=np.zeros(1),
+    )
+    stump = learn._Tree(
+        feature=np.array([7, -1, -1]),
+        threshold=np.array(threshold + [0, 0], dtype=dtype),
+        left=np.array([1, -1, -1]),
+        right=np.array([2, -1, -1]),
+        value=np.zeros(3),
+    )
+    model.trees[5:5] = [leaf, stump]
+    # Leaves of many magnitudes: a sum in another order rounds otherwise.
+    for tree in model.trees:
+        tree.value = rng.uniform(-1, 1, tree.value.size) * 10.0 ** rng.integers(-3, 3, tree.value.size)
+    return model, x, rng.normal(size=(4, 9))
+
+
+@pytest.mark.parametrize("kind", ["random_forest", "boosted_trees"])
+@pytest.mark.parametrize("masks", ["exact", "kernel"])
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_tree_values_equal_composed_scores(monkeypatch, kind, masks, small_blocks):
+    model, x, instances = _tree_model(monkeypatch, kind)
+    n = len(GAME)
+    if masks == "exact":
+        mask = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+    else:
+        mask, _ = explain._sample_coalitions(n, 14, np.random.default_rng(2))
+    member = explain._members(GAME, x.shape[1], mask)
+    background = build_background(x)
+    if small_blocks:
+        # walks of a few pairs, blocks of three masks, windows of two trees
+        monkeypatch.setattr(learn, "_WALK_CELLS", 40)
+        monkeypatch.setattr(explain, "_SCORE_CHUNK", 3 * background.shape[0])
+        monkeypatch.setattr(explain, "_LEAF_CELLS", 2 * background.shape[0])
+    values = explain._tree_values(model, learn._Ensemble(model.trees), background)(member)
+    # Every sum of leaves, before the mean or the sigmoid, is compared too.
+    totals = []
+    finish = model.finish
+    model.finish = lambda total: totals.append(total.ravel()) or finish(total)
+    for instance in np.vstack([instances, background[:1]]):
+        got = values(instance)
+        tree_totals = totals.pop()
+        expected = explain._coalition_values(model.predict_score, background, instance, member)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(tree_totals, np.concatenate(totals))
+        totals.clear()

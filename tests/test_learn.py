@@ -473,13 +473,14 @@ def _reference_grow_boost_tree(binned, g, h, n_bins, max_leaves):
         open_leaves[li] = rows_l
         open_leaves[ri] = rows_r
         n_leaves += 1
-    return learn._Tree(
+    tree = learn._Tree(
         feature=np.asarray(feature),
         threshold=np.asarray(split_bin),
         left=np.asarray(left),
         right=np.asarray(right),
         value=np.asarray(value),
     )
+    return tree, list(open_leaves.items())
 
 
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
@@ -574,7 +575,7 @@ def test_boosting_matches_rescanning_grower(monkeypatch, case, bins):
     monkeypatch.setattr(learn, "_GBDT_BINS", bins)
     spec = ClassifierSpec(kind="boosted_trees", seed=2)
     model = fit(spec, x, y)
-    binned = model._bin(np.vstack([x, queries]))
+    binned = model.leaf_input(np.vstack([x, queries]))
     score = np.full(binned.shape[0], model.base_score)
     for tree in model.trees:
         reference = _reference_predict(tree, binned)

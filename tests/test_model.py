@@ -70,12 +70,13 @@ def test_second_save_is_byte_identical(small_montage, tmp_path):
     assert first == second
 
 
-def test_empty_dataset_round_trip(small_montage, tmp_path):
+def test_empty_dataset_is_written_but_refused_on_load(small_montage, tmp_path):
     d = Dataset(montage=small_montage, creator="test")
     save_dataset(d, tmp_path / "empty")
     manifest = (tmp_path / "empty" / "manifest.json").read_text()
     assert '"participants": []' in manifest
-    assert load_dataset(tmp_path / "empty") == d
+    with pytest.raises(DatasetFormatError, match=r"manifest\.json: lists no participants"):
+        load_dataset(tmp_path / "empty")
 
 
 def test_save_refuses_mixed_sample_rates_before_writing(small_montage, tmp_path):

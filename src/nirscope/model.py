@@ -483,6 +483,9 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     byte-deterministic for a given dataset.
     """
     series = dataset.recordings or dataset.hemo
+    if not series:
+        # load_dataset refuses a container that lists no participants.
+        raise ValueError("the dataset has no participants: a dataset directory holds at least one")
     for s in series[1:]:
         # The manifest holds one sample rate and one wavelength pair, which
         # every file is read back at.
@@ -542,22 +545,16 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
                     ],
                 }
             )
-    sample_rate = None
-    wavelengths = None
-    if dataset.recordings:
-        sample_rate = dataset.recordings[0].sample_rate_hz
-        wavelengths = dataset.recordings[0].wavelengths_nm
-    elif dataset.hemo:
-        sample_rate = dataset.hemo[0].sample_rate_hz
+    fs = series[0].sample_rate_hz
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "creator": dataset.creator,
         "seed": dataset.seed,
         "data_kind": dataset.kind,
-        "sample_rate_hz": None if sample_rate is None else _fmt(sample_rate),
-        "wavelengths_nm": None
-        if wavelengths is None
-        else [_fmt(w) for w in wavelengths],
+        "sample_rate_hz": _fmt(fs),
+        "wavelengths_nm": [_fmt(w) for w in series[0].wavelengths_nm]
+        if dataset.recordings
+        else None,
         "montage": _montage_to_json(dataset.montage),
         "participants": participants,
     }
@@ -566,7 +563,6 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         encoding="utf-8",
         newline="\n",
     )
-    fs = sample_rate if sample_rate is not None else 1.0
     for fpath, ids, arr in files:
         _write_series_csv(fpath, ids, np.asarray(arr), fs)
 
@@ -612,7 +608,7 @@ def load_dataset(path: str | Path) -> Dataset:
         # Nothing could be preprocessed, epoched or trained from it.
         raise DatasetFormatError(f"{manifest_path}: lists no participants")
     needed = ("sample_rate_hz", "wavelengths_nm") if kind == "intensity" else ("sample_rate_hz",)
-    if participants and any(manifest.get(key) is None for key in needed):
+    if any(manifest.get(key) is None for key in needed):
         raise DatasetFormatError(f"{manifest_path}: {kind} datasets need {' and '.join(needed)}")
 
     recordings: list[Recording] = []

@@ -11,12 +11,12 @@ largest |value|. The wavelet transform is a
 self-contained periodized Daubechies-4 DWT so results are bit-stable across
 platforms.
 
-Every step takes a (rows x samples) stack as well as one series, and gives
-each row exactly what it gives that series alone. Detection works on
-blocks of rows (``detect_artifact_stack``; ``detect_artifacts`` is its
-one-row case); the spline fits all segments of one length at once; the
-inverse DWT sums each output sample's four contributions per tap, in the
-order a scatter would add them.
+Every step works on a (rows x samples) array, such as one recording's
+channels, and gives each row exactly what it gives that series alone.
+``detect_artifact_stack`` takes all rows at once (``detect_artifacts`` is
+its one-row case); ``spline_correct`` corrects the rows in place and fits
+all segments of one length at once; the inverse DWT sums each output
+sample's four contributions per tap, in the order a scatter would add them.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ _DB4_LO = np.array(
     ]
 )
 _DB4_HI = np.array([(-1) ** n * _DB4_LO[len(_DB4_LO) - 1 - n] for n in range(len(_DB4_LO))])
-# Rows per block of detect_artifact_stack, and per wavelet_correct call of
-# the pipeline. Their temporaries are one block wide: 0.4 MB for rows of 1638
-# samples, and 2.1 MB for the wavelet pass's (rows, N/2, 8) gather window
-# over those rows padded to N = 2048. A whole stack of 960 rows would make
-# each row-sized one 12.6 MB.
-BLOCK_ROWS = 32
 # Smoothing weight of the artifact-trend spline, on a unit knot spacing, and
 # the seconds of signal a corrected segment is re-anchored to.
 _SPLINE_LAM = 1e-3
@@ -141,12 +135,10 @@ def detect_artifact_stack(
     per row, each exactly as that row gives on its own.
 
     ``channel_ids`` names the channel of each row (default ""). The rows
-    are taken in blocks of at most BLOCK_ROWS, so the temporaries
-    are a block wide, not a stack wide. Each block is made C-contiguous,
-    so its reductions along a row sum in the same order as they do over
-    one series.
+    are made C-contiguous, so their reductions along a row sum in the same
+    order as they do over one series.
     """
-    x = np.asarray(rows, dtype=float)
+    x = np.ascontiguousarray(rows, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"rows must be a (k, n) array, got shape {x.shape}")
     k, n = x.shape
@@ -156,29 +148,24 @@ def detect_artifact_stack(
     window = max(2, int(round(_STD_WINDOW_S * fs)))
     if n <= window:
         raise ValueError(f"series length {n} must exceed the std window {window}")
-    pad = int(round(_PAD_S * fs))
-    segments: list[list[ArtifactSegment]] = []
-    for lo in range(0, k, BLOCK_ROWS):
-        block = np.ascontiguousarray(x[lo : lo + BLOCK_ROWS])
-        std = block.std(axis=1, keepdims=True)
-        amp_bad = np.abs(block - np.median(block, axis=1, keepdims=True)) > amp_threshold * std
-        mstd = _moving_std(block, window)
-        flags = amp_bad | (mstd > _STD_RATIO * np.median(mstd, axis=1, keepdims=True))
-        # A zero-variance row yields no segments.
-        flags &= std > 0
-        segments += _segments(flags, amp_bad, pad, ids[lo : lo + BLOCK_ROWS])
-    return segments
+    std = x.std(axis=1, keepdims=True)
+    amp_bad = np.abs(x - np.median(x, axis=1, keepdims=True)) > amp_threshold * std
+    mstd = _moving_std(x, window)
+    flags = amp_bad | (mstd > _STD_RATIO * np.median(mstd, axis=1, keepdims=True))
+    # A zero-variance row yields no segments.
+    flags &= std > 0
+    return _segments(flags, amp_bad, int(round(_PAD_S * fs)), ids)
 
 
 def _segments(
     flags: np.ndarray, amp_bad: np.ndarray, pad: int, ids
 ) -> list[list[ArtifactSegment]]:
-    """Padded segments of the flagged runs of each row of a (b, n) block."""
-    b, n = flags.shape
+    """Padded segments of the flagged runs of each row of a (k, n) array."""
+    k, n = flags.shape
     # Runs of consecutive flagged samples, in row-major order: each row has
     # one rising and one falling edge per run.
     row, col = np.nonzero(np.diff(flags, axis=1, prepend=False, append=False))
-    out: list[list[ArtifactSegment]] = [[] for _ in range(b)]
+    out: list[list[ArtifactSegment]] = [[] for _ in range(k)]
     if not row.size:
         return out
     row = row[::2]
@@ -252,43 +239,26 @@ def _smoothing_spline(y: np.ndarray, lam: float) -> np.ndarray:
 
 
 def spline_correct(
-    series,
-    segments: list[ArtifactSegment] | list[list[ArtifactSegment]],
-    fs: float = 1.0,
-) -> np.ndarray:
-    """Subtract a cubic smoothing-spline artifact trend inside each segment.
+    x: np.ndarray, segments: list[list[ArtifactSegment]], fs: float = 1.0
+) -> None:
+    """Subtract a cubic smoothing-spline artifact trend inside each segment,
+    in place.
 
-    ``series`` is one series with a list of segments, or a (k, n) array with
-    one segment list per row. The spline's smoothing weight is
-    _SPLINE_LAM (1e-3). Each corrected segment is re-anchored to the mean of
-    the _SPLINE_BASELINE_S (2 s) before it (after it when the segment starts
-    the series), so no step discontinuity remains at segment
-    boundaries. Samples outside segments are never modified. Segments of a
-    row must not overlap. The input is not modified.
+    ``x`` is a (k, n) float array with one segment list per row. The
+    spline's smoothing weight is _SPLINE_LAM (1e-3). Each corrected segment
+    is re-anchored to the mean of the _SPLINE_BASELINE_S (2 s) before it
+    (after it when the segment starts the series), so no step discontinuity
+    remains at segment boundaries. Samples outside segments are never
+    modified. Segments of a row must not overlap.
 
     The spline abscissa is the sample index, so all segments of one length
     share it and are fitted in one call; every row comes out exactly as it
     would on its own.
     """
-    x = np.array(series, dtype=float)
-    if x.ndim == 1:
-        _spline_correct_in_place(x[None], [segments], fs)
-    else:
-        _spline_correct_in_place(x, segments, fs)
-    return x
-
-
-def _spline_correct_in_place(
-    x: np.ndarray,
-    segments: list[list[ArtifactSegment]],
-    fs: float = 1.0,
-) -> np.ndarray:
-    """``spline_correct`` of a (k, n) float array, written into ``x``, which
-    is returned."""
-    if x.ndim != 2 or len(segments) != x.shape[0]:
+    if x.dtype.kind != "f" or x.ndim != 2 or len(segments) != x.shape[0]:
         raise ValueError(
-            f"need a (k, n) array with k segment lists, got shape {x.shape} "
-            f"and {len(segments)} lists"
+            f"need a (k, n) float array with k segment lists, got a {x.dtype} array "
+            f"of shape {x.shape} and {len(segments)} lists"
         )
     n = x.shape[1]
     n_base = max(1, int(round(_SPLINE_BASELINE_S * fs)))
@@ -333,7 +303,6 @@ def _spline_correct_in_place(
             else:
                 anchor = 0.0  # segment covers the whole series: leave demeaned
             row[a:b] = resid - resid.mean() + anchor
-    return x
 
 
 def _dwt_analysis(x: np.ndarray):

@@ -28,12 +28,11 @@ from .model import Dataset, EpochSet, HemoSeries, ProvenanceStep, Recording, loa
 # returns as one series' segment list. The name stays bound to the one-row
 # detector, which the pipeline no longer calls, so that the tracer finds its
 # target; the stack detector has a name of its own. The tracer also wraps
-# ``pipeline.bandpass`` and ``pipeline.wavelet_correct``, so the pipeline
-# calls both through the names bound here.
-from .motion import detect_artifact_stack, detect_artifacts, wavelet_correct  # noqa: F401
-from .motion import BLOCK_ROWS
-# The in-place fit, bound under the name that stage timings and tests patch.
-from .motion import _spline_correct_in_place as spline_correct
+# ``pipeline.bandpass``, ``pipeline.spline_correct`` and
+# ``pipeline.wavelet_correct``, so the pipeline calls them through the names
+# bound here.
+from .motion import detect_artifact_stack, detect_artifacts  # noqa: F401
+from .motion import spline_correct, wavelet_correct
 from .signal import BandpassSpec, bandpass, match_short_channel, short_channel_regress
 
 __all__ = [
@@ -64,13 +63,6 @@ REPORT_FILES = (
 )
 
 _MICROMOLAR = 1e6  # report curves in umol/L
-# Hemoglobin samples (recordings x 2 x long channels x samples) preprocessed
-# together. Motion correction and the band-pass work in place on their
-# stacks, so this bounds the memory of preprocessing (16 MB of series) on
-# large datasets and long recordings; the 12 + 12 synthetic dataset (1.57
-# million samples) is one chunk. A chunk's stacks are allocated at this size
-# and only the slots its recordings fill become resident.
-_CHUNK_CELLS = 1 << 21
 
 
 class PipelineError(Exception):
@@ -240,28 +232,26 @@ def _hemoglobin(recording, montage, config: PipelineConfig, extinction, out) -> 
     return provenance
 
 
-def _correct_motion(rows: np.ndarray, fs: float, longs, config: PipelineConfig) -> None:
-    """Spline + wavelet motion correction, in place, of the rows of
-    (series, long channels) that have detected artifacts.
+def _correct_motion(hemo: np.ndarray, fs: float, longs, config: PipelineConfig) -> None:
+    """Spline + wavelet motion correction, in place, of the rows of one
+    recording's (2, long channels, samples) hemoglobin that have detected
+    artifacts.
 
     Rows with no detected artifacts are left untouched, so clean recordings
     survive motion correction bit-for-bit. One detection call covers every
-    row and one spline call fits the flagged rows of every series, in place;
-    the wavelet pass runs once per BLOCK_ROWS flagged rows, whatever their
-    series: one call over every flagged row runs slower, its temporaries a
-    stack wide.
+    row, one spline call fits every segment and one wavelet call corrects
+    the flagged rows.
     """
+    rows = hemo.reshape(-1, hemo.shape[-1])
     segments = detect_artifact_stack(
         rows, fs, amp_threshold=config.motion_amp_sigma,
-        channel_ids=[ch.id for ch in longs] * (len(rows) // len(longs)),
+        channel_ids=[ch.id for ch in longs] * len(hemo),
     )
     flagged = np.flatnonzero([bool(segs) for segs in segments])
     if not flagged.size:
         return
     spline_correct(rows, segments, fs=fs)
-    for lo in range(0, flagged.size, BLOCK_ROWS):
-        block = flagged[lo : lo + BLOCK_ROWS]
-        rows[block] = wavelet_correct(rows[block], iqr_multiplier=config.motion_iqr)
+    rows[flagged] = wavelet_correct(rows[flagged], iqr_multiplier=config.motion_iqr)
 
 
 def _preprocess(
@@ -269,56 +259,20 @@ def _preprocess(
 ) -> list[HemoSeries]:
     """Preprocess recordings, in the order given, into hemo series.
 
-    Consecutive recordings of at most _CHUNK_CELLS hemoglobin samples in all
-    form a chunk. Each recording's hemoglobin is formed from its intensities
-    into its chunk's stack for its (sample rate, length) before the next
-    recording is taken, and nothing here keeps the recording, so one that
-    only ``recordings`` held is released before the next is read. Once a
-    chunk is whole, one spline call fits the flagged rows of each of its
-    stacks, and one band-pass call per sample rate filters all of them in
-    place, whatever their lengths. Every row comes out exactly as it would
-    on its own, so a recording's result does not depend on which others
-    share the calls.
+    Each recording's hemoglobin is formed from its intensities into an
+    array of its own and motion-corrected there before the next recording
+    is taken, and nothing here keeps the recording, so one that only
+    ``recordings`` held is released before the next is read. After the
+    last, one band-pass call per sample rate filters every array in place,
+    whatever their lengths. Every row comes out exactly as it would on its
+    own, so a recording's result does not depend on which others share the
+    call.
     """
     extinction = optics.default_extinction_table()
-    per_sample = 2 * len(montage.long_channels)
-    hemo, chunk, stacks, cells = [], [], {}, 0
-    for recording in recordings:
-        key = (recording.sample_rate_hz, recording.n_samples)
-        size = per_sample * key[1]
-        if chunk and cells + size > _CHUNK_CELLS:
-            hemo += _filter_chunk(chunk, stacks, montage, config)
-            chunk, stacks, cells = [], {}, 0
-        if key not in stacks:
-            # (recording, chromophore, channel, sample); chromophore 0 is
-            # hbo. Room for every recording of this key the chunk can still
-            # take: the pages of slots never written are never resident.
-            room = max(1, (_CHUNK_CELLS - cells) // size)
-            stacks[key] = [np.empty((room, 2, len(montage.long_channels), key[1])), 0]
-        stack = stacks[key]
-        out = stack[0][stack[1]]
-        stack[1] += 1
-        provenance = _hemoglobin(recording, montage, config, extinction, out)
-        chunk.append((recording.participant_id, recording.group, recording.sample_rate_hz,
-                      recording.annotations, provenance, out))
-        cells += size
-        del recording  # not held while the next one is read
-    if chunk:
-        hemo += _filter_chunk(chunk, stacks, montage, config)
-    return hemo
-
-
-def _filter_chunk(chunk: list, stacks: dict, montage, config: PipelineConfig) -> list[HemoSeries]:
-    """Motion correction and the band-pass, in place, of the filled slots
-    of a chunk's stacks, and the chunk's hemo series, which view them."""
     spec = config.bandpass_spec()
     longs = montage.long_channels
-    filled = {key: stack[:count] for key, (stack, count) in stacks.items()}
     steps = []
-
     if config.motion_correction:
-        for (fs, n), stack in filled.items():
-            _correct_motion(stack.reshape(-1, n), fs, longs, config)
         steps.append(
             ProvenanceStep.make(
                 "motion_correction",
@@ -327,12 +281,6 @@ def _filter_chunk(chunk: list, stacks: dict, montage, config: PipelineConfig) ->
                 iqr_multiplier=config.motion_iqr,
             )
         )
-
-    rates: dict[float, list[np.ndarray]] = {}
-    for (fs, _), stack in filled.items():
-        rates.setdefault(fs, []).append(stack)
-    for fs, same_rate in rates.items():
-        bandpass(same_rate, spec, fs, out=same_rate)
     steps.append(
         ProvenanceStep.make(
             "bandpass",
@@ -342,19 +290,32 @@ def _filter_chunk(chunk: list, stacks: dict, montage, config: PipelineConfig) ->
             zero_phase=True,  # bandpass is always zero-phase; the record keeps saying so
         )
     )
-
+    done, rates = [], {}
+    for recording in recordings:
+        fs = recording.sample_rate_hz
+        # (chromophore, channel, sample); chromophore 0 is hbo.
+        hemo = np.empty((2, len(longs), recording.n_samples))
+        provenance = _hemoglobin(recording, montage, config, extinction, hemo)
+        if config.motion_correction:
+            _correct_motion(hemo, fs, longs, config)
+        rates.setdefault(fs, []).append(hemo)
+        done.append((recording.participant_id, recording.group, fs, recording.annotations,
+                     provenance, hemo))
+        del recording  # not held while the next one is read
+    for fs, same_rate in rates.items():
+        bandpass(same_rate, spec, fs, out=same_rate)
     return [
         HemoSeries(
             participant_id=pid,
             group=group,
             sample_rate_hz=fs,
             channel_ids=tuple(ch.id for ch in longs),
-            hbo=out[0],
-            hbr=out[1],
+            hbo=hemo[0],
+            hbr=hemo[1],
             annotations=annotations,
-            provenance=tuple(prov + steps),
+            provenance=tuple(provenance + steps),
         )
-        for pid, group, fs, annotations, prov, out in chunk
+        for pid, group, fs, annotations, provenance, hemo in done
     ]
 
 
@@ -371,10 +332,9 @@ def preprocess_recording(recording, montage, config: PipelineConfig) -> HemoSeri
 def preprocess_dataset(dataset: Dataset, config: PipelineConfig) -> Dataset:
     """Preprocess every recording into a hemo-series dataset.
 
-    Consecutive recordings of at most _CHUNK_CELLS hemoglobin samples in
-    all are preprocessed together: one band-pass call per sample rate and
-    one spline call per (sample rate, length). Each recording comes out
-    exactly as ``preprocess_recording`` gives it.
+    Each recording is motion-corrected on its own, and one band-pass call
+    per sample rate filters them all. Each recording comes out exactly as
+    ``preprocess_recording`` gives it.
 
     The dataset is never changed. A recording that nothing but ``dataset``
     references, as when the caller passes a dataset it does not keep, is

@@ -70,13 +70,13 @@ def test_second_save_is_byte_identical(small_montage, tmp_path):
     assert first == second
 
 
-def test_empty_dataset_is_written_but_refused_on_load(small_montage, tmp_path):
+def test_save_refuses_an_empty_dataset_before_writing(small_montage, tmp_path):
+    # load_dataset refuses a container that lists no participants, so none
+    # is written.
     d = Dataset(montage=small_montage, creator="test")
-    save_dataset(d, tmp_path / "empty")
-    manifest = (tmp_path / "empty" / "manifest.json").read_text()
-    assert '"participants": []' in manifest
-    with pytest.raises(DatasetFormatError, match=r"manifest\.json: lists no participants"):
-        load_dataset(tmp_path / "empty")
+    with pytest.raises(ValueError, match="the dataset has no participants"):
+        save_dataset(d, tmp_path / "empty")
+    assert not (tmp_path / "empty").exists()
 
 
 def test_save_refuses_mixed_sample_rates_before_writing(small_montage, tmp_path):

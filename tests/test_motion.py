@@ -178,11 +178,9 @@ def _stack_walks(k, n, seed):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("block", [7, 64])
-def test_stack_detection_matches_rows(order, block, monkeypatch):
-    # 150 rows: blocks of 7 or 64 leave a partial last block.
-    monkeypatch.setattr(motion, "BLOCK_ROWS", block)
-    walks = np.asarray(_stack_walks(150, 600, seed=block), order=order)
+@pytest.mark.parametrize("seed", [7, 64])
+def test_stack_detection_matches_rows(order, seed):
+    walks = np.asarray(_stack_walks(150, 600, seed=seed), order=order)
     ids = [f"c{i}" for i in range(len(walks))]
     got = detect_artifact_stack(walks, FS, channel_ids=ids)
     assert len(got) == len(walks)
@@ -258,23 +256,24 @@ def test_detection_validation():
 
 def test_empty_segment_list_is_identity():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=200)
-    out = spline_correct(x, [], fs=FS)
-    assert np.array_equal(out, x)
+    x = rng.normal(size=(1, 200))
+    before = x.copy()
+    spline_correct(x, [[]], fs=FS)
+    assert np.array_equal(x, before)
 
 
 def test_step_inside_segment_is_flattened():
-    x = np.zeros(400)
-    x[180:215] += 10.0  # boxcar artifact wholly inside the flagged segment
-    segs = [ArtifactSegment(150, 240)]
-    out = spline_correct(x, segs, fs=FS)
-    assert np.abs(out).max() < 0.5
+    x = np.zeros((1, 400))
+    x[0, 180:215] += 10.0  # boxcar artifact wholly inside the flagged segment
+    spline_correct(x, [[ArtifactSegment(150, 240)]], fs=FS)
+    assert np.abs(x).max() < 0.5
 
 
 def test_spline_reanchors_to_presegment_baseline():
-    x = np.full(300, 2.0)
-    x[100:140] += 8.0
-    out = spline_correct(x, [ArtifactSegment(90, 150)], fs=FS)
+    x = np.full((1, 300), 2.0)
+    x[0, 100:140] += 8.0
+    spline_correct(x, [[ArtifactSegment(90, 150)]], fs=FS)
+    out = x[0]
     # no step discontinuity beyond the pre-segment spread at the boundaries
     assert abs(out[90] - out[89]) < 0.5
     assert abs(out[150] - out[149]) < 0.5
@@ -284,33 +283,34 @@ def test_spline_reanchors_to_presegment_baseline():
 def test_segment_covering_entire_series():
     t = np.arange(200) / FS
     x = 3.0 + 0.5 * t  # pure trend
-    out = spline_correct(x, [ArtifactSegment(0, 200)], fs=FS)
-    assert out.shape == x.shape
+    out = x[None].copy()
+    spline_correct(out, [[ArtifactSegment(0, 200)]], fs=FS)
     assert abs(out.mean()) < 1e-8  # demeaned, trend removed
     assert out.std() < x.std()
 
 
 def test_spline_never_touches_outside_segments():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=500)
-    segs = [ArtifactSegment(100, 150), ArtifactSegment(300, 320)]
-    out = spline_correct(x, segs, fs=FS)
+    x = rng.normal(size=(1, 500))
+    before = x.copy()
+    spline_correct(x, [[ArtifactSegment(100, 150), ArtifactSegment(300, 320)]], fs=FS)
     mask = np.ones(500, dtype=bool)
     mask[100:150] = False
     mask[300:320] = False
-    assert np.array_equal(out[mask], x[mask])
+    assert np.array_equal(x[0, mask], before[0, mask])
+    assert not np.array_equal(x[0, ~mask], before[0, ~mask])
 
 
 def test_segment_at_series_start_uses_post_baseline():
-    x = np.full(200, 5.0)
-    x[0:30] += 7.0
-    out = spline_correct(x, [ArtifactSegment(0, 40)], fs=FS)
-    assert out[10] == pytest.approx(5.0, abs=0.5)
+    x = np.full((1, 200), 5.0)
+    x[0, 0:30] += 7.0
+    spline_correct(x, [[ArtifactSegment(0, 40)]], fs=FS)
+    assert x[0, 10] == pytest.approx(5.0, abs=0.5)
 
 
 def test_segment_outside_bounds_rejected():
     with pytest.raises(ValueError, match="outside series"):
-        spline_correct(np.zeros(10), [ArtifactSegment(5, 20)], fs=FS)
+        spline_correct(np.zeros((1, 10)), [[ArtifactSegment(5, 20)]], fs=FS)
 
 
 # --- wavelet correction ---
@@ -378,18 +378,25 @@ def test_spline_rows_match_single_series(k):
     ]
     if k > 1:
         segments[1] = []
-    out = spline_correct(x, segments, fs=FS)
-    assert out.shape == x.shape
+    out = x.copy()
+    spline_correct(out, segments, fs=FS)
+    assert not np.array_equal(out, x)
     for i in range(k):
-        assert np.array_equal(out[i], spline_correct(x[i], segments[i], fs=FS))
+        alone = x[i : i + 1].copy()
+        spline_correct(alone, segments[i : i + 1], fs=FS)
+        assert np.array_equal(out[i], alone[0])
 
 
 def test_spline_batch_validation():
     x = np.zeros((2, 50))
     with pytest.raises(ValueError, match="segment lists"):
         spline_correct(x, [[]], fs=FS)
+    with pytest.raises(ValueError, match="segment lists"):
+        spline_correct(x[0], [[]], fs=FS)
+    with pytest.raises(ValueError, match="float array"):
+        spline_correct(np.zeros((1, 50), dtype=int), [[ArtifactSegment(5, 20)]], fs=FS)
     with pytest.raises(ValueError, match="overlap"):
-        spline_correct(x[0], [ArtifactSegment(5, 20), ArtifactSegment(10, 30)], fs=FS)
+        spline_correct(x, [[ArtifactSegment(5, 20), ArtifactSegment(10, 30)], []], fs=FS)
 
 
 # --- the numpy smoothing spline against scipy's ---

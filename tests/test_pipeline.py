@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 import weakref
 
@@ -81,61 +82,40 @@ def _varied_dataset():
     return Dataset(montage=base.montage, recordings=recordings)
 
 
-# (sample rate, stack shapes) of each band-pass call. By default there is
-# one call per sample rate, whatever the lengths; chunks of at most two
-# 1638-sample recordings make one call per rate in each of three chunks.
-BANDPASS_CALLS = {
-    None: [
-        (3.9, [(2, 2, 20, 1638), (2, 2, 20, 1200)]),
-        (5.0, [(1, 2, 20, 1638), (1, 2, 20, 1000)]),
-    ],
-    2 * 2 * 20 * 1638: [
-        (3.9, [(1, 2, 20, 1638), (1, 2, 20, 1200)]),
-        (3.9, [(1, 2, 20, 1638)]),
-        (5.0, [(1, 2, 20, 1638)]),
-        (3.9, [(1, 2, 20, 1200)]),
-        (5.0, [(1, 2, 20, 1000)]),
-    ],
-}
-
-
-@pytest.mark.parametrize("chunk_cells", list(BANDPASS_CALLS))
-def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch, chunk_cells):
+def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch):
     dataset = _varied_dataset()
+    recordings = dataset.recordings
     config = PipelineConfig(seed=2)
-    block_rows = pipeline.BLOCK_ROWS
-    if chunk_cells is not None:
-        monkeypatch.setattr(pipeline, "_CHUNK_CELLS", chunk_cells)
-        # Wavelet blocks of 7 rows leave partial blocks, and the recordings
-        # alone below still use blocks of 64.
-        monkeypatch.setattr(pipeline, "BLOCK_ROWS", 7)
-    calls = {"bandpass": [], "spline_correct": 0, "detect": [], "flagged": [], "wavelet": []}
-    filtered = []
+    bandpass_calls, detect_calls, spline_calls, wavelet_calls = [], [], [], []
+    flagged = []  # the flagged rows of each recording
     bandpass = pipeline.bandpass
     spline_correct = pipeline.spline_correct
     detect = pipeline.detect_artifact_stack
     wavelet_correct = pipeline.wavelet_correct
 
     def counted_bandpass(series, spec, fs, out=None):
-        calls["bandpass"].append((fs, [stack.shape for stack in series]))
-        # The band-pass writes into the pipeline's stacks.
+        bandpass_calls.append((fs, list(series)))
+        # The band-pass writes into the pipeline's arrays.
         assert out is not None and len(out) == len(series)
-        assert all(o is stack for o, stack in zip(out, series))
-        filtered.extend(series)
+        assert all(o is a for o, a in zip(out, series))
         return bandpass(series, spec, fs, out=out)
 
-    def counted_spline(*args, **kwargs):
-        calls["spline_correct"] += 1
-        return spline_correct(*args, **kwargs)
-
     def counted_detect(rows, fs, **kwargs):
-        calls["detect"].append((fs, rows.shape))
+        detect_calls.append((fs, rows.shape))
         segments = detect(rows, fs, **kwargs)
-        calls["flagged"].append(sum(bool(segs) for segs in segments))
+        flagged.append([i for i, segs in enumerate(segments) if segs])
         return segments
 
+    def counted_spline(rows, segments, fs):
+        spline_calls.append((len(detect_calls), rows))
+        return spline_correct(rows, segments, fs=fs)
+
     def counted_wavelet(rows, **kwargs):
-        calls["wavelet"].append(len(rows))
+        # Exactly the flagged rows of the recording the spline just corrected.
+        recording, spline_rows = spline_calls[-1]
+        assert recording == len(detect_calls)
+        assert np.array_equal(rows, spline_rows[flagged[-1]])
+        wavelet_calls.append((recording, len(rows)))
         return wavelet_correct(rows, **kwargs)
 
     monkeypatch.setattr(pipeline, "bandpass", counted_bandpass)
@@ -143,31 +123,26 @@ def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch, chunk
     monkeypatch.setattr(pipeline, "detect_artifact_stack", counted_detect)
     monkeypatch.setattr(pipeline, "wavelet_correct", counted_wavelet)
     hemo = preprocess_dataset(dataset, config)
-    # Each band-pass call covers both chromophores of its recordings, one
-    # stack per length; detection runs once over the rows of each stack, and
-    # there is at most one spline call per stack.
-    assert calls["bandpass"] == BANDPASS_CALLS[chunk_cells]
-    stacks = [(fs, shape) for fs, shapes in calls["bandpass"] for shape in shapes]
-    assert sorted(calls["detect"]) == sorted(
-        (fs, (r * c * ch, n)) for fs, (r, c, ch, n) in stacks
-    )
-    assert 1 <= calls["spline_correct"] <= len(stacks)
-    # One wavelet call per block of flagged rows of each stack, in order.
-    blocks = []
-    for flagged in calls["flagged"]:
-        whole, rest = divmod(flagged, pipeline.BLOCK_ROWS)
-        blocks += [pipeline.BLOCK_ROWS] * whole + [rest] * bool(rest)
-    assert calls["wavelet"] == blocks
-    assert sum(blocks) > 2 * len(stacks)
-    if chunk_cells is not None:
-        assert max(blocks) == 7 and min(blocks) < 7
-    # The hemo series are views of the stacks the band-pass filtered.
-    for series in hemo.hemo:
-        for chromophore in (series.hbo, series.hbr):
-            assert sum(np.shares_memory(chromophore, stack) for stack in filtered) == 1
+    monkeypatch.undo()
+    # One detection call per recording, over both chromophores of its 20
+    # long channels.
+    assert detect_calls == [(rec.sample_rate_hz, (40, rec.n_samples)) for rec in recordings]
+    # One spline call and one wavelet call per recording with artifacts.
+    with_artifacts = [i + 1 for i, rows in enumerate(flagged) if rows]
+    assert [recording for recording, _ in spline_calls] == with_artifacts
+    assert wavelet_calls == [(i + 1, len(rows)) for i, rows in enumerate(flagged) if rows]
+    assert sum(map(len, flagged)) > 2 * len(recordings)
+    # One band-pass call per sample rate, over one (2, 20, n) array per
+    # recording, in order; the hemo series are views of those arrays.
+    assert [fs for fs, _ in bandpass_calls] == [3.9, 5.0]
+    for fs, arrays in bandpass_calls:
+        same_rate = [(rec, series) for rec, series in zip(recordings, hemo.hemo)
+                     if rec.sample_rate_hz == fs]
+        assert [a.shape for a in arrays] == [(2, 20, rec.n_samples) for rec, _ in same_rate]
+        assert all(series.hbo.base is a and series.hbr.base is a
+                   for a, (_, series) in zip(arrays, same_rate))
 
-    monkeypatch.setattr(pipeline, "BLOCK_ROWS", block_rows)
-    for rec, series in zip(dataset.recordings, hemo.hemo):
+    for rec, series in zip(recordings, hemo.hemo):
         alone = preprocess_recording(rec, dataset.montage, config)
         assert series.participant_id == rec.participant_id
         assert series.sample_rate_hz == rec.sample_rate_hz
@@ -213,6 +188,36 @@ def test_run_releases_each_raw_recording_once_its_hemoglobin_is_formed(monkeypat
     result = pipeline.run_pipeline(config)
     assert len(watched) == 2 * 6
     assert sorted(result) == ["cv", "files", "importance"]
+
+
+def test_each_recording_is_motion_corrected_before_the_next_is_generated(monkeypatch):
+    events = []
+    generate = synth.generate_recordings
+    detect = pipeline.detect_artifact_stack
+    wavelet_correct = pipeline.wavelet_correct
+
+    def generate_and_log(*args):
+        for recording in generate(*args):
+            events.append("g")
+            yield recording
+
+    def detect_and_log(*args, **kwargs):
+        events.append("d")
+        return detect(*args, **kwargs)
+
+    def wavelet_and_log(*args, **kwargs):
+        events.append("w")
+        return wavelet_correct(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "generate_recordings", generate_and_log)
+    monkeypatch.setattr(pipeline, "detect_artifact_stack", detect_and_log)
+    monkeypatch.setattr(pipeline, "wavelet_correct", wavelet_and_log)
+    pipeline.train(PipelineConfig(patients=3, controls=3, folds=3, trials_per_task=3, seed=2))
+    # Generated, detected, then wavelet-corrected if it has artifacts: all
+    # of one recording before the next is generated.
+    order = "".join(events)
+    assert re.fullmatch("(gdw?)+", order), order
+    assert order.count("g") == 6 and "w" in order
 
 
 @pytest.mark.parametrize("container", [None, "raw", "hemo"])

@@ -59,11 +59,6 @@ class Attribution:
 
     phi: np.ndarray  # (n_groups,)
     base_value: float
-    instance: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.phi.sum() + self.base_value)
 
 
 @dataclass(frozen=True)
@@ -252,7 +247,7 @@ def _exact_explainer(
         phi = np.array(
             [float(np.sum(w * (v[with_g] - v[without]))) for with_g, without, w in terms]
         )
-        return Attribution(phi=phi, base_value=float(v[0]), instance=instance.copy())
+        return Attribution(phi=phi, base_value=float(v[0]))
 
     return explain
 
@@ -369,7 +364,7 @@ def _kernel_explainer(
 
         def explain_one(instance: np.ndarray) -> Attribution:
             full = float(np.mean(np.asarray(score_fn(instance[None, :]))))
-            return Attribution(phi=np.array([full - base]), base_value=base, instance=instance.copy())
+            return Attribution(phi=np.array([full - base]), base_value=base)
 
         return explain_one
     if n_samples < 2 * n + 2:
@@ -398,7 +393,7 @@ def _kernel_explainer(
         yc = (v - base) - z[:, -1] * delta
         phi_head = np.linalg.solve(a, zw.T @ yc)
         phi = np.append(phi_head, delta - phi_head.sum())
-        return Attribution(phi=phi, base_value=base, instance=instance.copy())
+        return Attribution(phi=phi, base_value=base)
 
     return explain
 
@@ -424,27 +419,29 @@ def kernel_shap(
 
 
 def channel_importance(
-    attributions: Sequence[Attribution],
+    phi: np.ndarray,
     group_keys: Sequence[tuple[str, str]],
     extra_zero_keys: Sequence[tuple[str, str]] = (),
 ) -> ChannelImportance:
     """Rank (channel, chromophore) pairs by mean absolute attribution.
 
-    ``group_keys[i]`` names the pair that attribution group i belongs to;
-    groups sharing a pair are summed within each trial before averaging.
-    ``extra_zero_keys`` appends pairs that never entered the model with
-    importance 0. Ties sort by channel then chromophore label.
+    ``phi`` is (trials, pairs): column j holds every trial's attribution to
+    the pair ``group_keys[j]``. The absolute values are summed row by row in
+    trial order, then divided by the number of trials. ``extra_zero_keys``
+    appends pairs that never entered the model with importance 0. Ties sort
+    by channel then chromophore label.
     """
-    if not attributions:
+    phi = np.asarray(phi, dtype=float)
+    if len(phi) == 0:
         raise ValueError("no attributions to rank")
-    totals: dict[tuple[str, str], float] = {}
-    for att in attributions:
-        if att.phi.size != len(group_keys):
-            raise ValueError("attribution size does not match group keys")
-        for key, value in zip(group_keys, np.abs(att.phi)):
-            totals[key] = totals.get(key, 0.0) + float(value)
-    n = len(attributions)
-    means = {key: total / n for key, total in totals.items()}
+    if phi.ndim != 2 or phi.shape[1] != len(group_keys):
+        raise ValueError("attribution columns do not match group keys")
+    if len(set(group_keys)) != len(group_keys):
+        raise ValueError("group keys must name each pair once")
+    totals = np.zeros(phi.shape[1])
+    for row in np.abs(phi):
+        totals += row
+    means = {key: float(total) / len(phi) for key, total in zip(group_keys, totals)}
     for key in extra_zero_keys:
         means.setdefault(key, 0.0)
     ranked = sorted(means.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
@@ -485,8 +482,13 @@ def attribute_cross_validation(
     cv,
     n_samples: int = 256,
     seed: int = 0,
-) -> tuple[ChannelImportance, list[Attribution], list[tuple[str, str]]]:
+) -> tuple[ChannelImportance, np.ndarray, list[tuple[str, str]]]:
     """Attribute every test trial against its fold's model, then rank channels.
+
+    Returns the ranking, the (test trials × pairs) attribution matrix, with
+    trials in fold order and a zero where a trial's fold did not select the
+    pair, and the pairs of its columns: the sorted union of every fold's
+    (channel, chromophore) pairs.
 
     Uses exact enumeration for folds with at most FOLD_EXACT_MAX_GROUPS
     groups, kernel estimation otherwise. A fold's coalitions, weights,
@@ -496,10 +498,12 @@ def attribute_cross_validation(
     column pattern (_tree_values); other models score composed rows.
     Channels never selected in any fold are reported with zero importance.
     """
-    all_attrs: list[Attribution] = []
-    per_trial_keys: list[list[tuple[str, str]]] = []
-    for fold in cv.folds:
-        groups, keys = group_columns(cv.features.feature_index, fold.selected)
+    fold_groups = [group_columns(cv.features.feature_index, f.selected) for f in cv.folds]
+    union = sorted({k for _, keys in fold_groups for k in keys})
+    key_pos = {k: i for i, k in enumerate(union)}
+    phi = np.zeros((sum(len(f.test_x) for f in cv.folds), len(union)))
+    trial = 0
+    for fold, (groups, keys) in zip(cv.folds, fold_groups):
         background = build_background(fold.train_x)
         model = fold.model
         if isinstance(model, _TreeModel):
@@ -514,21 +518,12 @@ def attribute_cross_validation(
             explain = _exact_explainer(values, background.shape[1], groups)
         else:
             explain = _kernel_explainer(score_fn, values, background, groups, n_samples, seed)
+        columns = [key_pos[k] for k in keys]
         for row in fold.test_x:
-            all_attrs.append(explain(row))
-            per_trial_keys.append(keys)
-    # Folds may select different channels; expand every attribution onto the
-    # union of keys so trials are averaged on a common axis.
-    union = sorted({k for keys in per_trial_keys for k in keys})
-    key_pos = {k: i for i, k in enumerate(union)}
-    expanded: list[Attribution] = []
-    for att, keys in zip(all_attrs, per_trial_keys):
-        phi = np.zeros(len(union))
-        for k, v in zip(keys, att.phi):
-            phi[key_pos[k]] += v
-        expanded.append(Attribution(phi=phi, base_value=att.base_value, instance=att.instance))
+            phi[trial, columns] = explain(row).phi
+            trial += 1
     montage_keys = sorted(
         {(fk.channel_id, fk.chromophore) for fk in cv.features.feature_index}
     )
-    ranking = channel_importance(expanded, union, extra_zero_keys=montage_keys)
-    return ranking, expanded, union
+    ranking = channel_importance(phi, union, extra_zero_keys=montage_keys)
+    return ranking, phi, union

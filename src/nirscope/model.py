@@ -349,7 +349,6 @@ class Dataset:
         ]
         if len(set(ids)) != len(ids):
             raise ValueError("participant ids must be unique")
-        montage_ids = set(self.montage.channel_ids)
         long_ids = tuple(ch.id for ch in self.montage.long_channels)
         for r in self.recordings:
             if tuple(r.channel_ids) != self.montage.channel_ids:
@@ -357,10 +356,6 @@ class Dataset:
                     f"participant {r.participant_id}: channels do not match montage"
                 )
         for h in self.hemo:
-            if any(c not in montage_ids for c in h.channel_ids):
-                raise ValueError(
-                    f"participant {h.participant_id}: unknown channels in hemo series"
-                )
             if tuple(h.channel_ids) != long_ids:
                 raise ValueError(
                     f"participant {h.participant_id}: hemo series must cover the "
@@ -402,8 +397,22 @@ def _montage_from_json(obj: Mapping, path: Path) -> Montage:
             channels=channels,
             roi_map={k: tuple(v) for k, v in obj.get("roi_map", {}).items()},
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
         raise DatasetFormatError(f"{path}: bad montage block: {e}") from e
+
+
+def _participant_files(
+    kind: str, montage: Montage, wavelengths: Sequence[float] | None
+) -> tuple[tuple[str, str, tuple[str, ...], bool], ...]:
+    """The files of one participant of a ``kind`` dataset, in manifest order:
+    (key under "files", file name after ``<participant id>_``, channels,
+    values must be positive)."""
+    if kind == "intensity":
+        return tuple(
+            (_fmt(wl), f"wl{_fmt(wl)}.csv", montage.channel_ids, True) for wl in wavelengths
+        )
+    long_ids = tuple(ch.id for ch in montage.long_channels)
+    return tuple((chrom, f"{chrom}.csv", long_ids, False) for chrom in ("hbo", "hbr"))
 
 
 def _write_series_csv(path: Path, channel_ids: Sequence[str], rows: np.ndarray, fs: float):
@@ -486,10 +495,10 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     if not series:
         # load_dataset refuses a container that lists no participants.
         raise ValueError("the dataset has no participants: a dataset directory holds at least one")
+    first = series[0]
     for s in series[1:]:
         # The manifest holds one sample rate and one wavelength pair, which
         # every file is read back at.
-        first = series[0]
         if s.sample_rate_hz != first.sample_rate_hz:
             raise ValueError(
                 f"participant {s.participant_id} is sampled at {s.sample_rate_hz} Hz, "
@@ -502,59 +511,37 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
                 f"participant {first.participant_id} at {first.wavelengths_nm} nm: "
                 "a dataset directory holds one wavelength pair"
             )
+    wavelengths = first.wavelengths_nm if dataset.recordings else None
+    table = _participant_files(dataset.kind, dataset.montage, wavelengths)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     participants = []
     files: list[tuple[Path, Sequence[str], np.ndarray]] = []
-    if dataset.kind == "intensity":
-        for rec in dataset.recordings:
-            refs = {}
-            for wl in rec.wavelengths_nm:
-                fname = f"{rec.participant_id}_wl{_fmt(wl)}.csv"
-                refs[_fmt(wl)] = fname
-                files.append((root / fname, rec.channel_ids, rec.intensity[wl]))
-            participants.append(
-                {
-                    "id": rec.participant_id,
-                    "group": rec.group,
-                    "files": refs,
-                    "annotations": [
-                        [_fmt(a.onset_s), _fmt(a.duration_s), a.label]
-                        for a in rec.annotations
-                    ],
-                }
-            )
-    else:
-        for h in dataset.hemo:
-            refs = {}
-            for chrom, arr in (("hbo", h.hbo), ("hbr", h.hbr)):
-                fname = f"{h.participant_id}_{chrom}.csv"
-                refs[chrom] = fname
-                files.append((root / fname, h.channel_ids, arr))
-            participants.append(
-                {
-                    "id": h.participant_id,
-                    "group": h.group,
-                    "files": refs,
-                    "annotations": [
-                        [_fmt(a.onset_s), _fmt(a.duration_s), a.label]
-                        for a in h.annotations
-                    ],
-                    "provenance": [
-                        [s.name, {k: v for k, v in s.params}] for s in h.provenance
-                    ],
-                }
-            )
-    fs = series[0].sample_rate_hz
+    for s in series:
+        arrays = [s.intensity[wl] for wl in wavelengths] if dataset.recordings else [s.hbo, s.hbr]
+        refs = {}
+        for (key, suffix, channel_ids, _), arr in zip(table, arrays):
+            refs[key] = f"{s.participant_id}_{suffix}"
+            files.append((root / refs[key], channel_ids, arr))
+        entry = {
+            "id": s.participant_id,
+            "group": s.group,
+            "files": refs,
+            "annotations": [
+                [_fmt(a.onset_s), _fmt(a.duration_s), a.label] for a in s.annotations
+            ],
+        }
+        if dataset.hemo:
+            entry["provenance"] = [[step.name, dict(step.params)] for step in s.provenance]
+        participants.append(entry)
+    fs = first.sample_rate_hz
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "creator": dataset.creator,
         "seed": dataset.seed,
         "data_kind": dataset.kind,
         "sample_rate_hz": _fmt(fs),
-        "wavelengths_nm": [_fmt(w) for w in series[0].wavelengths_nm]
-        if dataset.recordings
-        else None,
+        "wavelengths_nm": [_fmt(w) for w in wavelengths] if dataset.recordings else None,
         "montage": _montage_to_json(dataset.montage),
         "participants": participants,
     }
@@ -577,6 +564,8 @@ def load_dataset(path: str | Path) -> Dataset:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise DatasetFormatError(f"{manifest_path}:{e.lineno}: {e.msg}") from e
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError(f"{manifest_path}: the manifest must be a JSON object")
     version = manifest.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DatasetFormatError(
@@ -604,6 +593,10 @@ def load_dataset(path: str | Path) -> Dataset:
             f"{manifest_path}: wavelengths_nm must be a list of numbers, got {wavelengths!r}"
         ) from None
     participants = manifest.get("participants", [])
+    if not isinstance(participants, list):
+        raise DatasetFormatError(
+            f"{manifest_path}: participants must be a list, got {participants!r}"
+        )
     if not participants:
         # Nothing could be preprocessed, epoched or trained from it.
         raise DatasetFormatError(f"{manifest_path}: lists no participants")
@@ -611,59 +604,41 @@ def load_dataset(path: str | Path) -> Dataset:
     if any(manifest.get(key) is None for key in needed):
         raise DatasetFormatError(f"{manifest_path}: {kind} datasets need {' and '.join(needed)}")
 
+    table = _participant_files(kind, montage, wavelengths)
     recordings: list[Recording] = []
     hemo: list[HemoSeries] = []
-    long_ids = tuple(ch.id for ch in montage.long_channels)
     try:
         for p in participants:
-            pid = p["id"]
-            annotations = tuple(
-                Annotation(float(o), float(d), str(lbl))
-                for o, d, lbl in p.get("annotations", [])
+            common = dict(
+                participant_id=p["id"],
+                group=p["group"],
+                sample_rate_hz=sample_rate,
+                channel_ids=table[0][2],  # every file of a kind holds the same channels
+                annotations=tuple(
+                    Annotation(float(o), float(d), str(lbl))
+                    for o, d, lbl in p.get("annotations", [])
+                ),
             )
+            arrays = [
+                _read_series_csv(root / p["files"][key], channel_ids, positive)
+                for key, _, channel_ids, positive in table
+            ]
             if kind == "intensity":
-                intensity = {}
-                for wl in wavelengths:
-                    fname = p["files"][_fmt(wl)]
-                    intensity[wl] = _read_series_csv(
-                        root / fname, montage.channel_ids, positive=True
-                    )
+                intensity = dict(zip(wavelengths, arrays))
                 recordings.append(
-                    Recording(
-                        participant_id=pid,
-                        group=p["group"],
-                        sample_rate_hz=sample_rate,
-                        wavelengths_nm=wavelengths,
-                        channel_ids=montage.channel_ids,
-                        intensity=intensity,
-                        annotations=annotations,
-                    )
+                    Recording(wavelengths_nm=wavelengths, intensity=intensity, **common)
                 )
             else:
-                arrays = {}
-                for chrom in ("hbo", "hbr"):
-                    fname = p["files"][chrom]
-                    arrays[chrom] = _read_series_csv(
-                        root / fname, long_ids, positive=False
-                    )
                 provenance = tuple(
-                    ProvenanceStep(name=s[0], params=tuple(sorted(s[1].items())))
-                    for s in p.get("provenance", [])
+                    ProvenanceStep.make(name, **params) for name, params in p.get("provenance", [])
                 )
-                hemo.append(
-                    HemoSeries(
-                        participant_id=pid,
-                        group=p["group"],
-                        sample_rate_hz=sample_rate,
-                        channel_ids=long_ids,
-                        hbo=arrays["hbo"],
-                        hbr=arrays["hbr"],
-                        annotations=annotations,
-                        provenance=provenance,
-                    )
-                )
+                hbo, hbr = arrays
+                hemo.append(HemoSeries(hbo=hbo, hbr=hbr, provenance=provenance, **common))
     except KeyError as e:
         raise DatasetFormatError(f"{manifest_path}: missing manifest key {e}") from e
+    except (TypeError, AttributeError) as e:
+        # A participant entry, its files or a provenance step of the wrong JSON type.
+        raise DatasetFormatError(f"{manifest_path}: malformed participant entry: {e}") from e
     except ValueError as e:
         raise DatasetFormatError(f"{manifest_path}: {e}") from e
 

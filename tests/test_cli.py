@@ -713,6 +713,10 @@ GOLDEN_RUN_FIGURES_SHA256 = {
     },
 }
 GOLDEN_EPOCH_STDOUT_SHA256 = "7275320f2f46c9048394558259431b58d11c194021e74cb367b3b7c0c14f0c85"
+# The preprocessed container of GOLDEN_SYNTH: every CSV and the manifest's
+# files, annotations and provenance, recorded before save_dataset and
+# load_dataset took the per-kind file layout from one table.
+GOLDEN_HEMO_SHA256 = "687f1c20d81395b48f125d2b567d4351122062798212240c9c93b82aef6b2a3d"
 
 
 @pytest.fixture(scope="module")
@@ -720,6 +724,10 @@ def golden_hemo(golden_dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("golden") / "hemo"
     assert main(["preprocess", "--dataset", str(golden_dataset), "--out", str(out)]) == EXIT_OK
     return out
+
+
+def test_hemo_container_matches_golden_digest(golden_hemo):
+    assert _tree_sha256(golden_hemo) == GOLDEN_HEMO_SHA256
 
 
 @pytest.mark.parametrize("model", sorted(GOLDEN_HEMO_SUMMARY_RUN_SHA256))

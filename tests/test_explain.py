@@ -4,7 +4,6 @@ import pytest
 from conftest import make_epoch_set
 from nirscope import explain, learn
 from nirscope.explain import (
-    Attribution,
     ChannelImportance,
     attribute_cross_validation,
     build_background,
@@ -216,35 +215,51 @@ def test_kernel_efficiency_is_exact():
 
 
 def test_single_attribution_singleton_groups():
-    att = Attribution(phi=np.array([0.5, -1.5]), base_value=0.0, instance=np.zeros(2))
-    imp = channel_importance([att], [("A", "hbo"), ("B", "hbr")])
+    imp = channel_importance(np.array([[0.5, -1.5]]), [("A", "hbo"), ("B", "hbr")])
     assert imp.entries[0] == ("B", "hbr", 1.5)
     assert imp.entries[1] == ("A", "hbo", 0.5)
 
 
 def test_zero_attributions_rank_by_label():
-    atts = [Attribution(phi=np.zeros(3), base_value=0.0, instance=np.zeros(3))]
     keys = [("C", "hbo"), ("A", "hbr"), ("B", "hbo")]
-    imp = channel_importance(atts, keys)
+    imp = channel_importance(np.zeros((1, 3)), keys)
     assert [e[:2] for e in imp.entries] == [("A", "hbr"), ("B", "hbo"), ("C", "hbo")]
     assert all(e[2] == 0.0 for e in imp.entries)
 
 
-def test_importance_sums_within_channel_and_averages_over_trials():
-    keys = [("A", "hbo"), ("A", "hbo"), ("B", "hbr")]
-    atts = [
-        Attribution(phi=np.array([1.0, -2.0, 0.5]), base_value=0.0, instance=np.zeros(3)),
-        Attribution(phi=np.array([0.0, 0.0, 1.5]), base_value=0.0, instance=np.zeros(3)),
-    ]
-    imp = channel_importance(atts, keys)
-    # A hbo: (|1| + |-2| + 0) / 2 = 1.5 ; B hbr: (0.5 + 1.5) / 2 = 1.0
-    assert imp.entries[0] == ("A", "hbo", 1.5)
-    assert imp.entries[1] == ("B", "hbr", 1.0)
+def test_importance_averages_absolute_values_over_trials():
+    keys = [("A", "hbo"), ("B", "hbr")]
+    phi = np.array([[1.0, 0.5], [-2.0, 1.5]])
+    imp = channel_importance(phi, keys)
+    # A hbo: (|1| + |-2|) / 2 = 1.5 ; B hbr: (0.5 + 1.5) / 2 = 1.0
+    assert imp.entries == (("A", "hbo", 1.5), ("B", "hbr", 1.0))
+
+
+def test_importance_sums_trials_left_to_right():
+    # 1.0 + 2**-53 rounds back to 1.0 at every step; a sum that adds the
+    # small values first (pairwise, or from the end) would exceed 1.0.
+    column = [1.0] + [2.0**-53] * 16
+    total = 0.0
+    for value in column:
+        total += value
+    assert total == 1.0
+    imp = channel_importance(np.array(column)[:, None], [("A", "hbo")])
+    assert imp.entries == (("A", "hbo", total / len(column)),)
+    assert total / len(column) != sum(column[::-1]) / len(column)
+
+
+def test_importance_refuses_duplicate_keys():
+    with pytest.raises(ValueError, match="each pair once"):
+        channel_importance(np.ones((2, 3)), [("A", "hbo"), ("A", "hbo"), ("B", "hbr")])
+
+
+def test_importance_refuses_columns_other_than_keys():
+    with pytest.raises(ValueError, match="do not match group keys"):
+        channel_importance(np.ones((2, 3)), [("A", "hbo"), ("B", "hbr")])
 
 
 def test_extra_zero_keys_appended():
-    att = Attribution(phi=np.array([2.0]), base_value=0.0, instance=np.zeros(1))
-    imp = channel_importance([att], [("A", "hbo")], extra_zero_keys=[("Z", "hbr")])
+    imp = channel_importance(np.array([[2.0]]), [("A", "hbo")], extra_zero_keys=[("Z", "hbr")])
     assert imp.entries[-1] == ("Z", "hbr", 0.0)
 
 
@@ -254,16 +269,17 @@ def test_ranking_invariant_under_positive_score_scaling():
     bg = rng.normal(size=(5, 6))
     keys = [(f"C{i}", "hbo") for i in range(6)]
     insts = rng.normal(size=(4, 6))
-    atts = [exact_shapley(score, bg, x) for x in insts]
-    scaled = [exact_shapley(lambda z: 7.0 * score(z), bg, x) for x in insts]
-    base_rank = [e[:2] for e in channel_importance(atts, keys).entries]
+    phi = np.array([exact_shapley(score, bg, x).phi for x in insts])
+    scaled = np.array([exact_shapley(lambda z: 7.0 * score(z), bg, x).phi for x in insts])
+    base_rank = [e[:2] for e in channel_importance(phi, keys).entries]
     scaled_rank = [e[:2] for e in channel_importance(scaled, keys).entries]
     assert base_rank == scaled_rank
 
 
 def test_importance_requires_attributions():
-    with pytest.raises(ValueError, match="no attributions"):
-        channel_importance([], [])
+    for empty in ([], np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="no attributions"):
+            channel_importance(empty, [])
 
 
 def test_importance_validates_ordering():
@@ -322,7 +338,7 @@ def _small_cv(monkeypatch, kind, select_k):
 
 
 def _per_row_attributions(cv, select_k, union):
-    """(phi on ``union``, base value, instance) of every test row, from
+    """The (test trials × ``union``) matrix of every test row's phi, from
     exact_shapley or kernel_shap called on it: composed rows scored by
     predict_score."""
     key_pos = {k: i for i, k in enumerate(union)}
@@ -340,8 +356,8 @@ def _per_row_attributions(cv, select_k, union):
                 )
             phi = np.zeros(len(union))
             phi[[key_pos[k] for k in keys]] = att.phi
-            expected.append((phi, att.base_value, att.instance))
-    return expected
+            expected.append(phi)
+    return np.array(expected)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -349,13 +365,11 @@ def _per_row_attributions(cv, select_k, union):
 def test_fold_attribution_equals_per_row_calls(monkeypatch, kind, select_k):
     cv = _small_cv(monkeypatch, kind, select_k)
     # 128 samples leave the kernel sampler a random partial size pair
-    _, attrs, union = attribute_cross_validation(cv, n_samples=128, seed=4)
+    _, phi, union = attribute_cross_validation(cv, n_samples=128, seed=4)
     expected = _per_row_attributions(cv, select_k, union)
-    assert len(attrs) == len(expected)
-    for att, (phi, base, instance) in zip(attrs, expected):
-        assert np.array_equal(att.phi, phi)
-        assert att.base_value == base
-        assert np.array_equal(att.instance, instance)
+    assert phi.shape == expected.shape == (sum(len(f.test_x) for f in cv.folds), len(union))
+    for got, want in zip(phi, expected):
+        assert np.array_equal(got, want)
 
 
 def _counting(score):
@@ -421,15 +435,14 @@ def test_row_cap_bounds_every_score_call_and_leaves_phi_unchanged(
         "walk",
         lambda self, tree, first_row, x, out: rows.append(len(x)) or walk(self, tree, first_row, x, out),
     )
-    _, attrs, _ = attribute_cross_validation(cv, n_samples=128, seed=4)
+    _, phi, _ = attribute_cross_validation(cv, n_samples=128, seed=4)
     assert rows and max(rows) <= cap
-    assert len(attrs) == len(expected)
+    assert phi.shape == expected.shape
     # The tree path gives the same floats by construction. knn and svm score
     # through BLAS products, whose rounding may depend on the rows per call.
     same = np.array_equal if kind in ("random_forest", "boosted_trees") else _within_rounding
-    for att, (phi, base, _) in zip(attrs, expected):
-        assert same(att.phi, phi)
-        assert same(att.base_value, base)
+    for got, want in zip(phi, expected):
+        assert same(got, want)
 
 
 def _within_rounding(a, b):

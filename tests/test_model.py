@@ -374,6 +374,44 @@ def test_bad_manifest_header_is_a_data_error_naming_the_manifest(
     assert f"data error: {manifest}: " in capsys.readouterr().err
 
 
+# Manifests of the wrong JSON shape below the header: the value at each key
+# path (the empty path is the whole manifest) is replaced. Each of these once
+# escaped the loader as a TypeError or AttributeError.
+@pytest.mark.parametrize(
+    "key_path, value",
+    [
+        ((), [1]),
+        (("participants",), {"P01": {}}),
+        (("participants", 0), ["P01"]),
+        (("participants", 0, "files"), "x"),
+        (("participants", 0, "provenance"), [["x", [1]]]),
+        (("montage", "roi_map"), ["left"]),
+    ],
+    ids=["top-level-list", "participants-object", "participant-list", "files-string",
+         "provenance-params-list", "roi-map-list"],
+)
+def test_malformed_manifest_is_a_data_error_naming_the_manifest(
+    small_montage, tmp_path, capsys, key_path, value
+):
+    save_dataset(_hemo_dataset(small_montage), tmp_path / "ds")
+    manifest = tmp_path / "ds" / "manifest.json"
+    obj = json.loads(manifest.read_text())
+    if key_path:
+        *parents, last = key_path
+        owner = obj
+        for key in parents:
+            owner = owner[key]
+        owner[last] = value
+    else:
+        obj = value
+    manifest.write_text(json.dumps(obj))
+    with pytest.raises(DatasetFormatError) as error:
+        load_dataset(tmp_path / "ds")
+    assert str(error.value).startswith(f"{manifest}: ")
+    assert main(["epoch", "--dataset", str(tmp_path / "ds")]) == EXIT_DATA
+    assert f"data error: {manifest}: " in capsys.readouterr().err
+
+
 def test_synthetic_dataset_matches_generator_counts(tmp_path):
     dataset, _ = synth.generate_dataset(13, 11, seed=5)
     save_dataset(dataset, tmp_path / "ds")
@@ -531,6 +569,24 @@ def test_dataset_rejects_duplicate_participants(small_montage):
     rec = make_recording(small_montage)
     with pytest.raises(ValueError, match="unique"):
         Dataset(montage=small_montage, recordings=(rec, rec))
+
+
+def test_dataset_rejects_recording_channels_other_than_the_montage(small_montage):
+    rec = make_recording(small_montage)
+    swapped = dataclasses.replace(rec, channel_ids=rec.channel_ids[::-1])
+    with pytest.raises(ValueError, match="channels do not match montage"):
+        Dataset(montage=small_montage, recordings=(swapped,))
+
+
+@pytest.mark.parametrize(
+    "channel_ids",
+    [("S1-D1", "S9-D9"), ("S1-D1", "S1-SD1"), ("S2-D2", "S1-D1")],
+    ids=["unknown-channel", "short-channel", "other-order"],
+)
+def test_dataset_rejects_hemo_series_off_the_long_channels(small_montage, channel_ids):
+    hemo = dataclasses.replace(_hemo_dataset(small_montage).hemo[0], channel_ids=channel_ids)
+    with pytest.raises(ValueError, match="montage long channels in montage order"):
+        Dataset(montage=small_montage, hemo=(hemo,))
 
 
 def test_dataset_rejects_mixed_payload(small_montage):

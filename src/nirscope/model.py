@@ -158,8 +158,29 @@ class Annotation:
             )
 
 
-def _check_annotations(annotations: Sequence[Annotation], duration_s: float):
-    ordered = sorted(annotations, key=lambda a: a.onset_s)
+def _check_series(series, arrays: Mapping[str, np.ndarray]) -> None:
+    """The rules a recording and a hemo series share: a known group, a
+    positive finite sample rate, (channels, samples) ``arrays`` of one length,
+    and annotations inside the series."""
+    if series.group not in GROUPS:
+        raise ValueError(f"group must be one of {GROUPS}, got {series.group!r}")
+    if not 0 < series.sample_rate_hz < np.inf:
+        raise ValueError(f"sample rate must be positive and finite, got {series.sample_rate_hz}")
+    n_channels = len(series.channel_ids)
+    for name, arr in arrays.items():
+        if arr.ndim != 2 or arr.shape[0] != n_channels:
+            raise ValueError(
+                f"{name} must be (n_channels, n_samples), got {arr.shape} "
+                f"for {n_channels} channels"
+            )
+    shapes = [arr.shape for arr in arrays.values()]
+    if len(set(shapes)) > 1:
+        raise ValueError(
+            f"series lengths differ: {' and '.join(arrays)} must cover identical channels "
+            f"and lengths, got {' vs '.join(map(str, shapes))}"
+        )
+    duration_s = shapes[0][1] / series.sample_rate_hz
+    ordered = sorted(series.annotations, key=lambda a: a.onset_s)
     for a in ordered:
         if a.onset_s + a.duration_s > duration_s + 1e-9:
             raise ValueError(
@@ -187,39 +208,21 @@ class Recording:
     annotations: tuple[Annotation, ...] = ()
 
     def __post_init__(self):
-        if self.group not in GROUPS:
-            raise ValueError(f"group must be one of {GROUPS}, got {self.group!r}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")
         if tuple(sorted(self.intensity)) != tuple(sorted(self.wavelengths_nm)):
             raise ValueError("intensity wavelengths do not match wavelengths_nm")
-        n_samples = None
         for wl, arr in self.intensity.items():
-            arr = _frozen(arr)
-            self.intensity[wl] = arr
-            if arr.ndim != 2 or arr.shape[0] != len(self.channel_ids):
-                raise ValueError(
-                    f"intensity at {wl} nm must be (n_channels, n_samples), "
-                    f"got {arr.shape} for {len(self.channel_ids)} channels"
-                )
-            if n_samples is None:
-                n_samples = arr.shape[1]
-            elif arr.shape[1] != n_samples:
-                raise ValueError("channel series lengths differ across wavelengths")
+            self.intensity[wl] = _frozen(arr)
+        _check_series(self, {f"intensity at {wl} nm": a for wl, a in self.intensity.items()})
+        for arr in self.intensity.values():
             if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
                 raise ValueError(
                     f"participant {self.participant_id}: intensities must be "
                     "finite and strictly positive"
                 )
-        _check_annotations(self.annotations, self.duration_s)
 
     @property
     def n_samples(self) -> int:
         return next(iter(self.intensity.values())).shape[1]
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
 
     __eq__ = _fields_equal
 
@@ -248,21 +251,9 @@ class HemoSeries:
     provenance: tuple[ProvenanceStep, ...] = ()
 
     def __post_init__(self):
-        if self.group not in GROUPS:
-            raise ValueError(f"group must be one of {GROUPS}, got {self.group!r}")
         object.__setattr__(self, "hbo", _frozen(self.hbo))
         object.__setattr__(self, "hbr", _frozen(self.hbr))
-        if self.hbo.shape != self.hbr.shape:
-            raise ValueError(
-                f"hbo and hbr must cover identical channels and lengths, "
-                f"got {self.hbo.shape} vs {self.hbr.shape}"
-            )
-        if self.hbo.ndim != 2 or self.hbo.shape[0] != len(self.channel_ids):
-            raise ValueError(
-                f"hbo must be (n_channels, n_samples), got {self.hbo.shape} "
-                f"for {len(self.channel_ids)} channels"
-            )
-        _check_annotations(self.annotations, self.n_samples / self.sample_rate_hz)
+        _check_series(self, {"hbo": self.hbo, "hbr": self.hbr})
 
     @property
     def n_samples(self) -> int:
@@ -437,8 +428,8 @@ def _read_series_csv(
     header = ",".join(["t_s", *expect_channels]).encode("utf-8")
     if 0 <= end < len(raw) - 1 and raw[:end] == header and raw.isascii():
         # The body in one loadtxt call, read from the file's bytes. A file it
-        # does not take line for line goes to the line parser below, which
-        # names the offending line.
+        # does not take line for line, or with a value the checks refuse,
+        # goes to the line parser below, which names the offending line.
         try:
             data = np.loadtxt(
                 io.BytesIO(raw), skiprows=1, delimiter=",", dtype=float, ndmin=2,
@@ -448,7 +439,11 @@ def _read_series_csv(
             pass
         else:
             n_rows = raw.count(b"\n") - raw.endswith(b"\n")
-            if data.shape == (n_rows, n_cols) and not (positive and np.any(data[:, 1:] <= 0)):
+            if (
+                data.shape == (n_rows, n_cols)
+                and np.isfinite(data).all()
+                and not (positive and np.any(data[:, 1:] <= 0))
+            ):
                 # A fresh C-ordered copy, transposed: the same (channels,
                 # samples) layout and strides as the line parser gives.
                 return data[:, 1:].copy().T
@@ -475,9 +470,12 @@ def _parse_series_lines(
                 "(channel-length mismatch)"
             )
         try:
+            t = float(parts[0])
             data[lineno - 2] = [float(p) for p in parts[1:]]
         except ValueError as e:
             raise DatasetFormatError(f"{path}:{lineno}: {e}") from e
+        if not (np.isfinite(t) and np.isfinite(data[lineno - 2]).all()):
+            raise DatasetFormatError(f"{path}:{lineno}: non-finite value")
         if positive and np.any(data[lineno - 2] <= 0):
             raise DatasetFormatError(
                 f"{path}:{lineno}: non-positive intensity value"

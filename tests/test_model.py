@@ -171,6 +171,20 @@ def test_nonpositive_intensity_reports_line(small_montage, tmp_path):
         load_dataset(tmp_path / "ds")
 
 
+@pytest.mark.parametrize("column, value", [(2, "nan"), (3, "-inf"), (0, "inf")])
+def test_non_finite_intensity_reports_line(small_montage, tmp_path, column, value):
+    d = _dataset(small_montage)
+    save_dataset(d, tmp_path / "ds")
+    path = tmp_path / "ds" / "P01_wl850.csv"
+    lines = path.read_text().splitlines()
+    parts = lines[2].split(",")
+    parts[column] = value
+    lines[2] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"P01_wl850\.csv:3: non-finite value"):
+        load_dataset(tmp_path / "ds")
+
+
 def test_round_trip_over_randomized_datasets(small_montage, tmp_path):
     # magnitudes spanning many decades still round-trip bit-exactly
     for seed in range(5):
@@ -209,7 +223,7 @@ def _write_series_csv_loop(path, channel_ids, rows, fs):
 
 
 def _read_series_csv_lines(path, expect_channels, positive):
-    """Reference: the line-by-line parser (the container reader's earlier form)."""
+    """Reference: the container reader as a plain line-by-line parser."""
     if not path.is_file():
         raise DatasetFormatError(f"missing participant file: {path}")
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -230,9 +244,12 @@ def _read_series_csv_lines(path, expect_channels, positive):
                 "(channel-length mismatch)"
             )
         try:
+            t = float(parts[0])
             data[lineno - 2] = [float(p) for p in parts[1:]]
         except ValueError as e:
             raise DatasetFormatError(f"{path}:{lineno}: {e}") from e
+        if not (np.isfinite(t) and np.all(np.isfinite(data[lineno - 2]))):
+            raise DatasetFormatError(f"{path}:{lineno}: non-finite value")
         if positive and np.any(data[lineno - 2] <= 0):
             raise DatasetFormatError(
                 f"{path}:{lineno}: non-positive intensity value"
@@ -354,9 +371,12 @@ def _hemo_dataset(small_montage):
         ("hemo", "sample_rate_hz", None, "hemo datasets need sample_rate_hz"),
         ("hemo", "sample_rate_hz", "abc", "sample_rate_hz must be a number, got 'abc'"),
         ("intensity", "wavelengths_nm", ["760", "red"], "wavelengths_nm must be a list of numbers"),
+        ("hemo", "sample_rate_hz", "0", "sample rate must be positive and finite, got 0.0"),
+        ("hemo", "sample_rate_hz", "-3.9", "sample rate must be positive and finite, got -3.9"),
+        ("intensity", "sample_rate_hz", "nan", "sample rate must be positive and finite, got nan"),
     ],
     ids=["hemo-kind-hemoglobin", "raw-kind-raw", "hemo-rate-null", "hemo-rate-abc",
-         "raw-wavelength-red"],
+         "raw-wavelength-red", "hemo-rate-zero", "hemo-rate-negative", "raw-rate-nan"],
 )
 def test_bad_manifest_header_is_a_data_error_naming_the_manifest(
     small_montage, tmp_path, capsys, kind, key, value, message

@@ -69,6 +69,27 @@ def test_empty_inputs_rejected():
         svg_group_bars([])
 
 
+def test_caller_text_is_escaped_in_every_drawer():
+    # Titles, panel titles, curve labels, bar labels, individual names and y
+    # labels: each document parses and shows the text as given.
+    text = "x<&>y"
+    curve = np.linspace(0.0, 1.0, 8)
+    docs = [
+        (svg_bar_chart([1.0, 2.0], [text, text], title=text, y_label=text), 4),
+        (
+            svg_curve_panels(
+                [(text, [(text, curve, 0.1 * curve, "#123456")])], fs=2.0, title=text,
+                y_label=text,
+            ),
+            4,
+        ),
+        (svg_group_bars([(text, "patient", 1.0)], title=text, y_label=text), 3),
+    ]
+    for svg, n_slots in docs:
+        texts = [el.text for el in _parse(svg).iter(f"{SVG_NS}text")]
+        assert texts.count(text) == n_slots
+
+
 def test_outputs_deterministic():
     mean = np.sin(np.linspace(0, 3, 25))
     std = np.abs(np.cos(np.linspace(0, 3, 25))) * 0.2

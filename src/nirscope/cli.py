@@ -314,7 +314,7 @@ def _cmd_run(args) -> int:
     for path in result["files"]:
         print(f"wrote {path}")
     top = result["importance"].top(4)
-    print("top channels: " + ", ".join(f"{c} {h}" for c, h, _ in top))
+    print("top channels: " + (", ".join(f"{c} {h}" for c, h, _ in top) or "none"))
     return EXIT_OK
 
 

@@ -1,17 +1,17 @@
 """Shapley-value attribution and per-channel importance ranking.
 
-Provides an exact enumerating attributor for small group counts and a
-kernel-weighted least-squares approximation for larger ones. The value of a
-coalition is the mean model score over background rows with the coalition's
-feature groups replaced by the explained instance. Ranking aggregates mean
-absolute attributions per (channel, chromophore).
+Attribution is a removal game: the value of a coalition is the mean model
+score over background rows with the coalition's feature groups replaced by
+the explained instance. Its Shapley values come from exact enumeration for
+small group counts and from a kernel-weighted least-squares approximation
+for larger ones. Ranking aggregates mean absolute attributions per
+(channel, chromophore).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -75,18 +75,41 @@ class ChannelImportance:
             raise ValueError("importances must be sorted descending")
 
     def top(self, n: int) -> tuple[tuple[str, str, float], ...]:
-        return self.entries[:n]
+        """The first n entries with nonzero importance: a zero entry ranks
+        only by its name's place in a tie, so it is no finding."""
+        return tuple(e for e in self.entries[:n] if e[2] > 0)
 
 
 ScoreFn = Callable[[np.ndarray], np.ndarray]
-# The coalition values of one game: given the member matrix of its masks, a
-# function of the explained row giving v(S) for each mask, as
-# _coalition_values does. Everything that does not depend on the explained
-# row is done when the function is made.
-CoalitionValues = Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
-# The per-row attributor of one game (score function, background, groups);
-# everything that does not depend on the explained row is done when it is made.
+# The per-row attributor of one game; everything that does not depend on the
+# explained row is done when it is made.
 Explainer = Callable[[np.ndarray], Attribution]
+
+
+class _Game:
+    """The removal game of one model, background and grouping (Covert,
+    Lundberg & Lee 2021): v(S) is the mean score over the background rows
+    with the groups in S taken from the explained row.
+
+    ``values(masks)`` does the game's per-mask work once and gives a function
+    of the explained row returning v(S) for each (groups,) mask row. v(∅) is
+    the model's mean score of the background, and v(N) its score of the row
+    when every column is in a group, the full coalition's value otherwise.
+    """
+
+    def __init__(self, score: ScoreFn, background: np.ndarray, groups, values):
+        self.score, self.background, self.values = score, background, values
+        self.n = len(groups)
+        grouped = len({int(c) for g in groups for c in g}) == background.shape[1]
+        self._full_value = None if grouped else values(np.ones((1, self.n), dtype=bool))
+
+    def empty(self) -> float:
+        return float(np.mean(np.asarray(self.score(self.background), dtype=float)))
+
+    def full(self, instance: np.ndarray) -> float:
+        if self._full_value is None:
+            return float(np.mean(np.asarray(self.score(instance[None, :]), dtype=float)))
+        return float(self._full_value(instance)[0])
 
 
 def _members(groups: Sequence[Sequence[int]], n_cols: int, masks: np.ndarray) -> np.ndarray:
@@ -99,37 +122,32 @@ def _members(groups: Sequence[Sequence[int]], n_cols: int, masks: np.ndarray) ->
     return padded[:, col_group]
 
 
-def _coalition_values(
-    score_fn: ScoreFn, background: np.ndarray, instance: np.ndarray, member: np.ndarray
-) -> np.ndarray:
-    """v(S) for each mask row: mean score over background with S from instance."""
+def _composed_game(score_fn: ScoreFn, background: np.ndarray, groups) -> _Game:
+    """Any model: every composed row is scored, at most _SCORE_CHUNK rows a call."""
     n_bg, n_cols = background.shape
-    n_masks = member.shape[0]
-    values = np.empty(n_masks)
     rows_per_batch = max(1, _SCORE_CHUNK // n_bg)
-    for start in range(0, n_masks, rows_per_batch):
-        batch = member[start : start + rows_per_batch]
-        composed = np.where(
-            batch[:, None, :], instance[None, None, :], background[None, :, :]
-        )
-        flat = composed.reshape(-1, n_cols)
-        scores = np.asarray(score_fn(flat), dtype=float).reshape(batch.shape[0], n_bg)
-        values[start : start + batch.shape[0]] = scores.mean(axis=1)
-    return values
+
+    def values(masks):
+        member = _members(groups, n_cols, masks)
+
+        def of_row(instance: np.ndarray) -> np.ndarray:
+            v = np.empty(member.shape[0])
+            for start in range(0, member.shape[0], rows_per_batch):
+                batch = member[start : start + rows_per_batch]
+                composed = np.where(batch[:, None, :], instance, background)
+                scores = np.asarray(score_fn(composed.reshape(-1, n_cols)), dtype=float)
+                v[start : start + batch.shape[0]] = scores.reshape(-1, n_bg).mean(axis=1)
+            return v
+
+        return of_row
+
+    return _Game(score_fn, background, groups, values)
 
 
-def _composed_values(score_fn: ScoreFn, background: np.ndarray) -> CoalitionValues:
-    """Score every composed row: any model."""
-
-    def of_members(member):
-        return lambda instance: _coalition_values(score_fn, background, instance, member)
-
-    return of_members
-
-
-def _tree_values(model: _TreeModel, ensemble: _Ensemble, background: np.ndarray) -> CoalitionValues:
-    """_coalition_values(model.predict_score, background, ·, member), bit for
-    bit, walking each tree once per column pattern.
+def _tree_game(model: _TreeModel, background: np.ndarray, groups) -> _Game:
+    """The composed game of ``model.predict_score``, bit for bit, walking
+    each tree once per column pattern; the model's trees are packed once
+    for every score of the game.
 
     A tree reads only the columns it splits on, so masks that agree on those
     columns send a background row to the same leaf. Per game, each tree's
@@ -138,15 +156,19 @@ def _tree_values(model: _TreeModel, ensemble: _Ensemble, background: np.ndarray)
     at most _SCORE_CHUNK rows at a time; each (tree, pattern, background
     row) triple is walked once; and every mask takes its pattern's leaf
     back. The leaves are summed in tree order and finished as predict_score
-    does, so each score is the same float. ``ensemble`` is model.trees
-    packed.
+    does, so each score is the same float.
     """
+    ensemble = _Ensemble(model.trees)
     reads = [np.unique(t.feature[t.feature >= 0]) for t in model.trees]
-    background = model.leaf_input(background)
+    leaf_background = model.leaf_input(background)
     n_bg, n_cols = background.shape
     masks_per_block = max(1, _SCORE_CHUNK // n_bg)
 
-    def of_members(member):
+    def score(x: np.ndarray) -> np.ndarray:
+        return model.finish(model._leaf_total(ensemble, x))
+
+    def values(masks):
+        member = _members(groups, n_cols, masks)
         firsts, inverses = [], []
         for cols in reads:
             # Bit-packed rows of the columns the tree reads: one code per pattern.
@@ -163,7 +185,7 @@ def _tree_values(model: _TreeModel, ensemble: _Ensemble, background: np.ndarray)
             trees = np.flatnonzero(window_of == w)
             tree = np.repeat(trees, counts[trees])
             first = np.concatenate([firsts[t] for t in trees])
-            masks, rank = np.unique(first, return_inverse=True)
+            kept, rank = np.unique(first, return_inverse=True)
             block_of = rank // masks_per_block
             # Walk order, which is also the order of the window's leaf rows:
             # by block of masks, then deepest tree first.
@@ -174,32 +196,39 @@ def _tree_values(model: _TreeModel, ensemble: _Ensemble, background: np.ndarray)
             for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
                 units = order[lo:hi]
                 first_row = (rank[units] - b * masks_per_block) * n_bg
-                rows_of = masks[b * masks_per_block : (b + 1) * masks_per_block]
+                rows_of = kept[b * masks_per_block : (b + 1) * masks_per_block]
                 blocks.append((member[rows_of], tree[units], first_row, slice(lo, hi)))
             # per tree of the window, each mask's leaf row
             leaf_of = [leaf_row[inverses[t] + starts[t] - starts[trees[0]]] for t in trees]
             windows.append((first.size, blocks, leaf_of))
 
-        def values(instance: np.ndarray) -> np.ndarray:
+        def of_row(instance: np.ndarray) -> np.ndarray:
             instance = model.leaf_input(instance[None, :])[0]
             total = np.full((member.shape[0], n_bg), model.leaf_init)
             term = np.empty_like(total)
             for n_leaves, blocks, leaf_of in windows:
                 leaves = np.empty((n_leaves, n_bg))
                 for block_member, tree, first_row, rows in blocks:
-                    composed = np.where(block_member[:, None, :], instance, background)
+                    composed = np.where(block_member[:, None, :], instance, leaf_background)
                     ensemble.walk(tree, first_row, composed.reshape(-1, n_cols), leaves[rows])
                 leaves *= model.leaf_scale
                 for rows in leaf_of:
                     total += np.take(leaves, rows, axis=0, out=term)
             return model.finish(total).mean(axis=1)
 
-        return values
+        return of_row
 
-    return of_members
+    return _Game(score, background, groups, values)
 
 
-def _validate_groups(groups: Sequence[Sequence[int]], n_columns: int):
+def _checked_game(score_fn: ScoreFn, background, instance, groups) -> tuple[_Game, np.ndarray]:
+    """The composed game of a single-row call, its arguments checked, and the row."""
+    background = np.atleast_2d(np.asarray(background, dtype=float))
+    instance = np.asarray(instance, dtype=float).ravel()
+    if background.shape[0] == 0:
+        raise ValueError("background set is empty")
+    if groups is None:
+        groups = [[j] for j in range(instance.size)]
     seen: set[int] = set()
     for g in groups:
         cols = set(int(c) for c in g)
@@ -207,30 +236,18 @@ def _validate_groups(groups: Sequence[Sequence[int]], n_columns: int):
             raise ValueError("empty feature group")
         if cols & seen:
             raise ValueError("feature groups must not overlap")
-        if any(c < 0 or c >= n_columns for c in cols):
+        if any(c < 0 or c >= instance.size for c in cols):
             raise ValueError("feature group column out of range")
         seen |= cols
+    return _composed_game(score_fn, background, groups), instance
 
 
-def _prepare(background, instance, groups):
-    background = np.atleast_2d(np.asarray(background, dtype=float))
-    instance = np.asarray(instance, dtype=float).ravel()
-    if background.shape[0] == 0:
-        raise ValueError("background set is empty")
-    if groups is None:
-        groups = [[j] for j in range(instance.size)]
-    _validate_groups(groups, instance.size)
-    return background, instance, groups
-
-
-def _exact_explainer(
-    values: CoalitionValues, n_cols: int, groups: Sequence[Sequence[int]]
-) -> Explainer:
-    """Exact Shapley values of any row: masks, size weights and the
-    coalition values' per-game work made once."""
-    n = len(groups)
+def _exact_explainer(game: _Game) -> Explainer:
+    """Exact Shapley values of any row: masks, size weights and the game's
+    per-mask work made once."""
+    n = game.n
     masks = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
-    value_of = values(_members(groups, n_cols, masks))
+    value_of = game.values(masks)
     sizes = masks.sum(axis=1)
     fact = [math.factorial(i) for i in range(n + 1)]
     weight_by_size = np.array(
@@ -263,12 +280,10 @@ def exact_shapley(
     phi_g sums over all coalitions S not containing g the weighted marginal
     contribution |S|!(n-|S|-1)!/n! * (v(S+g) - v(S)). Capped at 20 groups.
     """
-    background, instance, groups = _prepare(background, instance, groups)
-    n = len(groups)
-    if n > EXACT_MAX_GROUPS:
-        raise ValueError(f"{n} groups exceeds the exact enumeration cap ({EXACT_MAX_GROUPS})")
-    values = _composed_values(score_fn, background)
-    return _exact_explainer(values, background.shape[1], groups)(instance)
+    game, instance = _checked_game(score_fn, background, instance, groups)
+    if game.n > EXACT_MAX_GROUPS:
+        raise ValueError(f"{game.n} groups exceeds the exact enumeration cap ({EXACT_MAX_GROUPS})")
+    return _exact_explainer(game)(instance)
 
 
 def _kernel_weight(n: int, size: int) -> float:
@@ -285,29 +300,17 @@ def _sample_coalitions(n: int, budget: int, rng: np.random.Generator):
     drawn and immediately paired with their complements (antithetic
     sampling), each carrying an even share of its size's kernel mass.
     """
-    masks: list[np.ndarray] = []
+    coalitions: list[tuple[int, ...]] = []
     weights: list[float] = []
-    half = (n - 1) // 2 + 1
-    paired: list[tuple[int, ...]] = []
-    for s in range(1, half + 1):
-        if s > n - s:
-            break
-        paired.append((s,) if s == n - s else (s, n - s))
     remaining = budget
-    for pair in paired:
+    for pair in [(s,) if s == n - s else (s, n - s) for s in range(1, n // 2 + 1)]:
         count = sum(math.comb(n, s) for s in pair)
         if count <= remaining:
             for s in pair:
-                w = _kernel_weight(n, s)
-                for combo in combinations(range(n), s):
-                    mask = np.zeros(n, dtype=bool)
-                    mask[list(combo)] = True
-                    masks.append(mask)
-                    weights.append(w)
+                coalitions += combinations(range(n), s)
+                weights += [_kernel_weight(n, s)] * math.comb(n, s)
             remaining -= count
             continue
-        if remaining <= 0:
-            break
         if remaining < count / 4:
             # Sparse coverage would concentrate this size's kernel mass on a
             # few heavily weighted rows; skipping the size entirely is lower
@@ -325,72 +328,53 @@ def _sample_coalitions(n: int, budget: int, rng: np.random.Generator):
             combo = tuple(sorted(rng.choice(n, size=s, replace=False).tolist()))
             chosen.add(combo)
         first = sorted(chosen)
-        w_first = _kernel_weight(n, s) * cap / max(len(first), 1)
-        for combo in first:
-            mask = np.zeros(n, dtype=bool)
-            mask[list(combo)] = True
-            masks.append(mask)
-            weights.append(w_first)
+        coalitions += first
+        weights += [_kernel_weight(n, s) * cap / max(len(first), 1)] * len(first)
         if n_second > 0:
             comp = first[:n_second]
-            w_second = _kernel_weight(n, n - s) * math.comb(n, n - s) / len(comp)
-            for combo in comp:
-                mask = np.ones(n, dtype=bool)
-                mask[list(combo)] = False
-                masks.append(mask)
-                weights.append(w_second)
+            coalitions += [tuple(j for j in range(n) if j not in combo) for combo in comp]
+            weights += [_kernel_weight(n, n - s) * math.comb(n, n - s) / len(comp)] * len(comp)
         break
-    return np.array(masks, dtype=bool), np.array(weights)
+    masks = np.zeros((len(coalitions), n), dtype=bool)
+    for mask, combo in zip(masks, coalitions):
+        mask[list(combo)] = True
+    return masks, np.array(weights)
 
 
-def _kernel_explainer(
-    score_fn: ScoreFn,
-    values: CoalitionValues,
-    background: np.ndarray,
-    groups: Sequence[Sequence[int]],
-    n_samples: int,
-    seed: int,
-) -> Explainer:
+def _kernel_explainer(game: _Game, n_samples: int, seed: int) -> Explainer:
     """Kernel Shapley estimates of any row.
 
     The coalitions, their weights, the normal matrix (with its condition
-    check), the coalition values' per-game work and the background score are
-    made once, before any row is scored; the empty and full coalitions are
-    scored by ``score_fn``.
+    check), the game's per-mask work and v(∅) are made once, before any row
+    is scored. A one-group game needs no regression: its φ is v(N) − v(∅).
     """
-    n = len(groups)
-    if n == 1:
-        base = float(np.mean(np.asarray(score_fn(background))))
-
-        def explain_one(instance: np.ndarray) -> Attribution:
-            full = float(np.mean(np.asarray(score_fn(instance[None, :]))))
-            return Attribution(phi=np.array([full - base]), base_value=base)
-
-        return explain_one
-    if n_samples < 2 * n + 2:
-        raise ValueError(f"n_samples must be at least 2*n_groups+2 = {2 * n + 2}, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    masks, weights = _sample_coalitions(n, n_samples - 2, rng)
-    # Eliminate the last coefficient with the efficiency constraint
-    # sum(phi) = delta, then solve the weighted normal equations.
-    z = masks.astype(float)
-    zc = z[:, :-1] - z[:, -1:]
-    zw = zc * weights[:, None]
-    a = zc.T @ zw
-    try:
-        cond = np.linalg.cond(a)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ValueError("insufficient coalition diversity for the kernel regression")
-    value_of = values(_members(groups, background.shape[1], masks))
-    base = float(np.mean(np.asarray(score_fn(background), dtype=float)))
+    n = game.n
+    if n > 1:
+        if n_samples < 2 * n + 2:
+            raise ValueError(
+                f"n_samples must be at least 2*n_groups+2 = {2 * n + 2}, got {n_samples}"
+            )
+        masks, weights = _sample_coalitions(n, n_samples - 2, np.random.default_rng(seed))
+        # Eliminate the last coefficient with the efficiency constraint
+        # sum(phi) = delta, then solve the weighted normal equations.
+        z = masks.astype(float)
+        zc = z[:, :-1] - z[:, -1:]
+        zw = zc * weights[:, None]
+        a = zc.T @ zw
+        try:
+            cond = np.linalg.cond(a)
+        except np.linalg.LinAlgError:
+            cond = np.inf
+        if not np.isfinite(cond) or cond > 1e12:
+            raise ValueError("insufficient coalition diversity for the kernel regression")
+        value_of = game.values(masks)
+    base = game.empty()
 
     def explain(instance: np.ndarray) -> Attribution:
-        v = value_of(instance)
-        full = float(np.mean(np.asarray(score_fn(instance[None, :]), dtype=float)))
-        delta = full - base
-        yc = (v - base) - z[:, -1] * delta
+        delta = game.full(instance) - base
+        if n == 1:
+            return Attribution(phi=np.array([delta]), base_value=base)
+        yc = (value_of(instance) - base) - z[:, -1] * delta
         phi_head = np.linalg.solve(a, zw.T @ yc)
         phi = np.append(phi_head, delta - phi_head.sum())
         return Attribution(phi=phi, base_value=base)
@@ -410,12 +394,14 @@ def kernel_shap(
 
     Coalitions are weighted by (n-1)/(C(n,|S|)*|S|*(n-|S|)); the empty and
     full coalitions are always included through an exactly enforced
-    efficiency constraint. Deterministic given the seed. When the budget
+    efficiency constraint, so phi sums to v(N) - v(∅): the score of the
+    instance less the mean score of the background, or, when some column is
+    in no group and stays at its background values, the full coalition's
+    value less that mean. Deterministic given the seed. When the budget
     covers every coalition the result equals exact enumeration.
     """
-    background, instance, groups = _prepare(background, instance, groups)
-    values = _composed_values(score_fn, background)
-    return _kernel_explainer(score_fn, values, background, groups, n_samples, seed)(instance)
+    game, instance = _checked_game(score_fn, background, instance, groups)
+    return _kernel_explainer(game, n_samples, seed)(instance)
 
 
 def channel_importance(
@@ -490,12 +476,13 @@ def attribute_cross_validation(
     pair, and the pairs of its columns: the sorted union of every fold's
     (channel, chromophore) pairs.
 
-    Uses exact enumeration for folds with at most FOLD_EXACT_MAX_GROUPS
-    groups, kernel estimation otherwise. A fold's coalitions, weights,
-    normal matrix and background score are made once and shared by its
-    trials, which get the values exact_shapley or kernel_shap would give
-    each of them. Forest and boosting folds score their coalitions by
-    column pattern (_tree_values); other models score composed rows.
+    Each fold is one game of its model, background and groups: a forest or
+    boosting fold scores its coalitions by column pattern (_tree_game), any
+    other fold by composed rows (_composed_game). Folds with at most
+    FOLD_EXACT_MAX_GROUPS groups are enumerated exactly, the others
+    estimated by the kernel regression. A fold's coalitions, weights,
+    normal matrix and v(∅) are made once and shared by its trials, which
+    get the values exact_shapley or kernel_shap would give each of them.
     Channels never selected in any fold are reported with zero importance.
     """
     fold_groups = [group_columns(cv.features.feature_index, f.selected) for f in cv.folds]
@@ -505,19 +492,14 @@ def attribute_cross_validation(
     trial = 0
     for fold, (groups, keys) in zip(cv.folds, fold_groups):
         background = build_background(fold.train_x)
-        model = fold.model
-        if isinstance(model, _TreeModel):
-            # The fold's trees packed once, for every score of the fold.
-            ensemble = _Ensemble(model.trees)
-            score_fn = partial(model.score_with, ensemble)
-            values = _tree_values(model, ensemble, background)
+        if isinstance(fold.model, _TreeModel):
+            game = _tree_game(fold.model, background, groups)
         else:
-            score_fn = model.predict_score
-            values = _composed_values(score_fn, background)
+            game = _composed_game(fold.model.predict_score, background, groups)
         if len(groups) <= FOLD_EXACT_MAX_GROUPS:
-            explain = _exact_explainer(values, background.shape[1], groups)
+            explain = _exact_explainer(game)
         else:
-            explain = _kernel_explainer(score_fn, values, background, groups, n_samples, seed)
+            explain = _kernel_explainer(game, n_samples, seed)
         columns = [key_pos[k] for k in keys]
         for row in fold.test_x:
             phi[trial, columns] = explain(row).phi

@@ -299,12 +299,9 @@ class _TreeModel:
         total = np.full(x.shape[0], self.leaf_init)
         return ensemble.sum(self.leaf_input(x), total, self.leaf_scale)
 
-    def score_with(self, ensemble: _Ensemble, x: np.ndarray) -> np.ndarray:
-        """predict_score of 2-D x, with this model's trees packed in ``ensemble``."""
-        return self.finish(self._leaf_total(ensemble, x))
-
     def predict_score(self, x: np.ndarray) -> np.ndarray:
-        return self.score_with(_Ensemble(self.trees), _check_columns(x, self.n_features))
+        x = _check_columns(x, self.n_features)
+        return self.finish(self._leaf_total(_Ensemble(self.trees), x))
 
 
 @dataclass(eq=False)

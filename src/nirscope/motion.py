@@ -194,31 +194,6 @@ def _segments(
     return out
 
 
-# The banded LDL' factors of _smoothing_spline's matrix for one weight, held
-# for the process: step k of the recursion depends only on k, so the factors
-# of a length are a prefix of those of any longer one. The lists grow to the
-# longest length fitted.
-_ldl: dict = {"lam": None}
-
-
-def _ldl_factors(lam: float, n: int) -> tuple[list[float], list[float], list[float]]:
-    """d, l1 and l2 of the first ``n`` steps: L[k, k-1] = l1[k],
-    L[k, k-2] = l2[k], D = diag(d)."""
-    if _ldl["lam"] != lam:
-        # Two leading zeros stand for the entries before step 0, which meet
-        # only zero multipliers; step k sits at index k + 2.
-        _ldl.update(lam=lam, d=[0.0, 0.0], l1=[0.0, 0.0], l2=[0.0, 0.0])
-    d, l1, l2 = _ldl["d"], _ldl["l1"], _ldl["l2"]
-    a0, a1, a2 = 2.0 / 3.0 + 6.0 * lam, 1.0 / 6.0 - 4.0 * lam, lam
-    for k in range(len(d) - 2, n):
-        m2 = a2 / d[k] if k >= 2 else 0.0
-        m1 = (a1 - m2 * d[k] * l1[k + 1]) / d[k + 1] if k >= 1 else 0.0
-        d.append(a0 - m1 * m1 * d[k + 1] - m2 * m2 * d[k])
-        l1.append(m1)
-        l2.append(m2)
-    return d[2 : n + 2], l1[2 : n + 2], l2[2 : n + 2]
-
-
 def _smoothing_spline(y: np.ndarray, lam: float) -> np.ndarray:
     """Knot values of the cubic smoothing spline of each column of ``y``.
 
@@ -233,7 +208,18 @@ def _smoothing_spline(y: np.ndarray, lam: float) -> np.ndarray:
     at once, so every column comes out exactly as it would on its own.
     """
     n = y.shape[0] - 2
-    d, l1, l2 = _ldl_factors(lam, n)
+    a0, a1, a2 = 2.0 / 3.0 + 6.0 * lam, 1.0 / 6.0 - 4.0 * lam, lam
+    # LDL': L[k, k-1] = l1[k], L[k, k-2] = l2[k], D = diag(d). For k < 2,
+    # d[k - 1] and d[k - 2] wrap to entries not yet set (0.0), which meet
+    # only zero multipliers.
+    d, l1, l2 = [0.0] * n, [0.0] * n, [0.0] * n
+    for k in range(n):
+        if k >= 2:
+            l2[k] = a2 / d[k - 2]
+        if k >= 1:
+            l1[k] = (a1 - l2[k] * d[k - 2] * l1[k - 1]) / d[k - 1]
+        d[k] = a0 - l1[k] * l1[k] * d[k - 1] - l2[k] * l2[k] * d[k - 2]
+
     g = y[2:] - 2.0 * y[1:-1] + y[:-2]  # Q'y
     for k in range(1, n):
         g[k] -= l1[k] * g[k - 1]

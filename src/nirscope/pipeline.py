@@ -396,9 +396,7 @@ def _pooled_observations(windows: np.ndarray, pool: str) -> np.ndarray:
 def _stats_report(epoch_set: EpochSet, importance, config: PipelineConfig, montage) -> str:
     by_group = [epoch_set.rows(task=config.task, group=group) for group in ("control", "patient")]
     lines = ["Group statistics", "================", ""]
-    # A pair with zero importance sits in the ranking only by its name's
-    # place in a tie; testing it would report a channel no model used.
-    tested = [(ch, chrom) for ch, chrom, v in importance.top(config.top_channels) if v > 0]
+    tested = [(ch, chrom) for ch, chrom, _ in importance.top(config.top_channels)]
     if len(tested) < config.top_channels:
         lines += [
             f"Only {len(tested)} channel/chromophore pairs have nonzero importance "
@@ -679,10 +677,12 @@ def run_pipeline(config: PipelineConfig):
         ]
         out.emit("channel_importance.csv", "\n".join(csv_lines) + "\n")
 
-        top_entries = importance.top(10)
+        # With no nonzero pair, the figures show the first pairs of the tie.
+        bars = importance.top(10) or importance.entries[:10]
+        panels = importance.top(config.top_channels) or importance.entries[: config.top_channels]
         report.emit_svg_bar(
-            [v for _, _, v in top_entries],
-            [f"{ch} {chrom}" for ch, chrom, _ in top_entries],
+            [v for _, _, v in bars],
+            [f"{ch} {chrom}" for ch, chrom, _ in bars],
             out.path("channel_importance.svg"),
             title=f"Channel importance ({config.model}, {config.task} task, "
             f"summed over {cv.mode.value} features)",
@@ -693,7 +693,7 @@ def run_pipeline(config: PipelineConfig):
             out.path("block_average_curves.svg"),
             epoch_set,
             config.task,
-            [(ch, chrom) for ch, chrom, _ in importance.top(config.top_channels)],
+            [(ch, chrom) for ch, chrom, _ in panels],
             title=f"Group mean responses, {config.task} task",
         )
         out.emit(

@@ -115,6 +115,38 @@ def test_run_writes_all_report_artifacts(tmp_path, capsys):
     assert "top channels" in stdout
 
 
+@pytest.mark.parametrize("nonzero", [2, 0])
+def test_run_shows_no_zero_importance_pair_as_top(tmp_path, capsys, monkeypatch, nonzero):
+    # The run's ranking with its first `nonzero` pairs kept and every other
+    # pair set to 0.
+    from nirscope import explain
+
+    attribute = explain.attribute_cross_validation
+
+    def ranking_with_zeros(cv, **kwargs):
+        ranking, phi, union = attribute(cv, **kwargs)
+        entries = tuple(
+            (ch, chrom, 1.0 / (i + 1) if i < nonzero else 0.0)
+            for i, (ch, chrom, _) in enumerate(ranking.entries)
+        )
+        return explain.ChannelImportance(entries), phi, union
+
+    monkeypatch.setattr(explain, "attribute_cross_validation", ranking_with_zeros)
+    out = tmp_path / "run"
+    assert main(["run", "--out", str(out)] + SMALL_RUN) == EXIT_OK
+    rows = (out / "channel_importance.csv").read_text().splitlines()[1:]
+    pairs = [" ".join(row.split(",")[:2]) for row in rows]
+    assert len(pairs) == 40  # the CSV lists every pair
+    shown = pairs[:nonzero] if nonzero else pairs[:10]
+    bars = (out / "channel_importance.svg").read_text()
+    panels = (out / "block_average_curves.svg").read_text()
+    for pair in pairs[:12]:
+        assert (f">{pair}<" in bars) == (pair in shown), pair
+        assert (f">{pair}<" in panels) == (pair in shown[:4]), pair
+    stdout = capsys.readouterr().out
+    assert f"top channels: {', '.join(pairs[:nonzero]) or 'none'}\n" in stdout
+
+
 def test_run_twice_is_byte_identical(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -156,6 +156,23 @@ def test_kernel_full_enumeration_matches_exact_with_groups():
     assert np.allclose(kernel.phi, exact.phi, atol=1e-6)
 
 
+def test_kernel_full_enumeration_matches_exact_with_ungrouped_columns():
+    # Column 3 is in no group and stays at its background values, so v(N) is
+    # the full coalition's value, not the instance's score.
+    rng = np.random.default_rng(0)
+    score = _random_model(rng, 4)
+    bg = rng.normal(size=(5, 4))
+    inst = rng.normal(size=4)
+    groups = [[0], [1], [2]]
+    exact = exact_shapley(score, bg, inst, groups=groups)
+    kernel = kernel_shap(score, bg, inst, groups=groups, n_samples=64, seed=0)
+    assert kernel.base_value == pytest.approx(exact.base_value, abs=1e-12)
+    assert np.allclose(kernel.phi, exact.phi, atol=1e-10)
+    # One group takes no regression: phi is v(N) - v(∅).
+    one = kernel_shap(score, bg, inst, groups=[[0, 1]])
+    assert one.phi == pytest.approx(exact_shapley(score, bg, inst, groups=[[0, 1]]).phi, abs=1e-12)
+
+
 def test_kernel_additive_matches_closed_form():
     rng = np.random.default_rng(5)
     w = rng.normal(size=7)
@@ -256,6 +273,16 @@ def test_importance_refuses_duplicate_keys():
 def test_importance_refuses_columns_other_than_keys():
     with pytest.raises(ValueError, match="do not match group keys"):
         channel_importance(np.ones((2, 3)), [("A", "hbo"), ("B", "hbr")])
+
+
+def test_top_returns_at_most_n_nonzero_pairs():
+    imp = ChannelImportance(
+        entries=(("B", "hbr", 1.5), ("A", "hbo", 0.5), ("A", "hbr", 0.0), ("C", "hbo", 0.0))
+    )
+    assert imp.top(3) == (("B", "hbr", 1.5), ("A", "hbo", 0.5))
+    assert imp.top(1) == (("B", "hbr", 1.5),)
+    none = ChannelImportance(entries=(("A", "hbo", 0.0), ("B", "hbr", 0.0)))
+    assert none.top(4) == ()
 
 
 def test_extra_zero_keys_appended():
@@ -496,14 +523,14 @@ def test_tree_values_equal_composed_scores(monkeypatch, kind, masks, small_block
         mask = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
     else:
         mask, _ = explain._sample_coalitions(n, 14, np.random.default_rng(2))
-    member = explain._members(GAME, x.shape[1], mask)
     background = build_background(x)
     if small_blocks:
         # walks of a few pairs, blocks of three masks, windows of two trees
         monkeypatch.setattr(learn, "_WALK_CELLS", 40)
         monkeypatch.setattr(explain, "_SCORE_CHUNK", 3 * background.shape[0])
         monkeypatch.setattr(explain, "_LEAF_CELLS", 2 * background.shape[0])
-    values = explain._tree_values(model, learn._Ensemble(model.trees), background)(member)
+    values = explain._tree_game(model, background, GAME).values(mask)
+    composed = explain._composed_game(model.predict_score, background, GAME).values(mask)
     # Every sum of leaves, before the mean or the sigmoid, is compared too.
     totals = []
     finish = model.finish
@@ -511,7 +538,7 @@ def test_tree_values_equal_composed_scores(monkeypatch, kind, masks, small_block
     for instance in np.vstack([instances, background[:1]]):
         got = values(instance)
         tree_totals = totals.pop()
-        expected = explain._coalition_values(model.predict_score, background, instance, member)
+        expected = composed(instance)
         assert np.array_equal(got, expected)
         assert np.array_equal(tree_totals, np.concatenate(totals))
         totals.clear()

@@ -426,17 +426,13 @@ def test_smoothing_spline_columns_are_independent():
         assert np.array_equal(batch[:, j], _smoothing_spline(y[:, j : j + 1], 1e-3)[:, 0])
 
 
-def test_smoothing_spline_does_not_depend_on_earlier_fits(monkeypatch):
-    # The process keeps one factor list and grows it; a fit gives the same
-    # bits whichever lengths and weights were fitted before it.
+def test_smoothing_spline_does_not_depend_on_earlier_fits():
+    # A fit gives the same bits whichever lengths and weights were fitted
+    # before it.
     cases = [(40, 1e-3), (7, 1e-3), (300, 1e-3), (50, 0.5), (41, 1e-3)]
     ys = [spiky_walks(2, length, seed=5).T.copy() for length, _ in cases]
-    fresh = []
-    for y, (_, lam) in zip(ys, cases):
-        monkeypatch.setattr(motion, "_ldl", {"lam": None})
-        fresh.append(_smoothing_spline(y, lam).tobytes())
-    monkeypatch.setattr(motion, "_ldl", {"lam": None})
-    for y, (_, lam), want in zip(ys, cases, fresh):
+    fresh = [_smoothing_spline(y, lam).tobytes() for y, (_, lam) in zip(ys, cases)]
+    for y, (_, lam), want in zip(ys[::-1], cases[::-1], fresh[::-1]):
         assert _smoothing_spline(y, lam).tobytes() == want
 
 

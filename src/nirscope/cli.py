@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, epochs as epochs_mod, stats, synth
-from .model import DatasetFormatError, load_dataset, save_dataset
+from .model import CHROMOPHORES, DatasetFormatError, load_dataset, save_dataset
 from .pipeline import (
     FEATURE_MODES,
     MODELS,
@@ -71,7 +71,7 @@ def _add_synth_flags(p: argparse.ArgumentParser):
     p.add_argument("--effect-channels", nargs="*")
     p.add_argument("--amplitude-ratio", type=float)
     p.add_argument("--peak-delay", dest="peak_delay_s", type=float)
-    p.add_argument("--effect-chromophore", choices=synth.CHROMOPHORES)
+    p.add_argument("--effect-chromophore", choices=CHROMOPHORES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +293,7 @@ def _cmd_epoch(args) -> int:
             avg = epochs_mod.block_average(epoch_set, cfg.task, group=group)
         except ValueError:
             continue
-        peak = float(np.max(np.abs(avg.hbo_mean)))
+        peak = float(np.max(np.abs(avg.mean[0])))  # hbo
         print(f"  {group}: {avg.n_trials} trials, max |hbo mean| = {peak:.3e} mol/L")
     return EXIT_OK
 

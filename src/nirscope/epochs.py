@@ -1,4 +1,9 @@
-"""Block-design segmentation, block averaging, time-to-peak, ROI averaging."""
+"""Block-design segmentation, block averaging, time-to-peak, ROI averaging.
+
+Epochs and block averages keep the chromophore pair as an axis, in
+``model.CHROMOPHORES`` order: an epoch set is one (trials, 2, channels,
+window) array, and a block average's mean and std are (2, channels, window).
+"""
 
 from __future__ import annotations
 
@@ -28,21 +33,13 @@ class BlockAverage:
     task: str
     n_trials: int
     channel_ids: tuple[str, ...]
-    hbo_mean: np.ndarray  # (n_channels, window)
-    hbo_std: np.ndarray
-    hbr_mean: np.ndarray
-    hbr_std: np.ndarray
+    mean: np.ndarray  # (2, n_channels, window), CHROMOPHORES order
+    std: np.ndarray
 
     def __post_init__(self):
-        shapes = {
-            self.hbo_mean.shape,
-            self.hbo_std.shape,
-            self.hbr_mean.shape,
-            self.hbr_std.shape,
-        }
-        if len(shapes) != 1:
+        if self.mean.shape != self.std.shape:
             raise ValueError("block-average curves must share one shape")
-        if np.any(self.hbo_std < 0) or np.any(self.hbr_std < 0):
+        if np.any(self.std < 0):
             raise ValueError("std curves must be nonnegative")
 
 
@@ -55,7 +52,8 @@ def segment(
     seconds preceding the onset is subtracted per channel (truncated at the
     recording start when fewer samples exist). Trials follow the series
     order, each series' in onset order, and are written into one
-    preallocated (trials, channels, window) array per chromophore.
+    preallocated (trials, 2, channels, window) array, both chromophores of
+    a trial at once.
     """
     if not series:
         raise ValueError("no hemoglobin series to segment")
@@ -88,20 +86,17 @@ def segment(
                 )
             counters[a.label] = counters.get(a.label, -1) + 1
             cuts.append((hemo, start, a.label, counters[a.label]))
-    hbo = np.empty((len(cuts), len(channel_ids), window))
-    hbr = np.empty_like(hbo)
+    out = np.empty((len(cuts), 2, len(channel_ids), window))
     for i, (hemo, start, _, _) in enumerate(cuts):
         b0 = max(0, start - n_base)
-        for src, out in ((hemo.hbo, hbo[i]), (hemo.hbr, hbr[i])):
-            out[...] = src[:, start : start + window]
-            if b0 < start:
-                out -= src[:, b0:start].mean(axis=1, keepdims=True)
+        out[i] = hemo.hemo[..., start : start + window]
+        if b0 < start:
+            out[i] -= hemo.hemo[..., b0:start].mean(axis=-1, keepdims=True)
     owners, _, labels, trials = zip(*cuts)
     return EpochSet(
         sample_rate_hz=fs,
         channel_ids=channel_ids,
-        hbo=hbo,
-        hbr=hbr,
+        hemo=out,
         participant_ids=tuple(h.participant_id for h in owners),
         groups=tuple(h.group for h in owners),
         tasks=labels,
@@ -116,15 +111,14 @@ def block_average(
     rows = epochs.rows(task=task, group=group)
     if not rows.size:
         raise ValueError(f"no epochs match task={task!r}, group={group!r}")
-    hbo, hbr = epochs.hbo[rows], epochs.hbr[rows]
+    # One chromophore's trials at a time: the std's temporaries are half the size.
+    pair = [epochs.hemo[rows, k] for k in range(2)]
     return BlockAverage(
         task=task,
         n_trials=rows.size,
         channel_ids=epochs.channel_ids,
-        hbo_mean=hbo.mean(axis=0),
-        hbo_std=hbo.std(axis=0),
-        hbr_mean=hbr.mean(axis=0),
-        hbr_std=hbr.std(axis=0),
+        mean=np.array([trials.mean(axis=0) for trials in pair]),
+        std=np.array([trials.std(axis=0) for trials in pair]),
     )
 
 

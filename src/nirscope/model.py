@@ -1,5 +1,11 @@
 """Core data types and the on-disk dataset container.
 
+Every record holds a wavelength or chromophore pair as the first axis of
+one array: a recording's intensities are (2, channels, samples) in
+``wavelengths_nm`` order, a hemo series is (2, long channels, samples) and
+an epoch set (trials, 2, channels, window), both in ``CHROMOPHORES`` order.
+Each array is C-contiguous and read-only, however it was made.
+
 A dataset is a directory holding one JSON manifest plus one CSV per
 participant per wavelength (raw intensity datasets) or per chromophore
 (preprocessed datasets). Numbers are serialized as decimal with 17
@@ -18,6 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 __all__ = [
+    "CHROMOPHORES",
     "DatasetFormatError",
     "Channel",
     "Montage",
@@ -33,6 +40,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 GROUPS = ("patient", "control")
+# The chromophore pair, in the order of a hemo series' or epoch set's first
+# pair axis: oxygenated, then deoxygenated haemoglobin.
+CHROMOPHORES = ("hbo", "hbr")
 
 
 class DatasetFormatError(Exception):
@@ -45,7 +55,9 @@ def _fmt(x: float) -> str:
 
 
 def _frozen(a) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
+    """``a`` as a C-contiguous, read-only float array: a reduction along its
+    last axis then sums in the same order wherever the array came from."""
+    out = np.ascontiguousarray(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -158,28 +170,21 @@ class Annotation:
             )
 
 
-def _check_series(series, arrays: Mapping[str, np.ndarray]) -> None:
+def _check_series(series, name: str, pair: np.ndarray) -> None:
     """The rules a recording and a hemo series share: a known group, a
-    positive finite sample rate, (channels, samples) ``arrays`` of one length,
+    positive finite sample rate, a (2, channels, samples) ``pair`` array,
     and annotations inside the series."""
     if series.group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}, got {series.group!r}")
     if not 0 < series.sample_rate_hz < np.inf:
         raise ValueError(f"sample rate must be positive and finite, got {series.sample_rate_hz}")
     n_channels = len(series.channel_ids)
-    for name, arr in arrays.items():
-        if arr.ndim != 2 or arr.shape[0] != n_channels:
-            raise ValueError(
-                f"{name} must be (n_channels, n_samples), got {arr.shape} "
-                f"for {n_channels} channels"
-            )
-    shapes = [arr.shape for arr in arrays.values()]
-    if len(set(shapes)) > 1:
+    if pair.shape[:2] != (2, n_channels) or pair.ndim != 3:
         raise ValueError(
-            f"series lengths differ: {' and '.join(arrays)} must cover identical channels "
-            f"and lengths, got {' vs '.join(map(str, shapes))}"
+            f"{name} must be (2, n_channels, n_samples), got {pair.shape} "
+            f"for {n_channels} channels"
         )
-    duration_s = shapes[0][1] / series.sample_rate_hz
+    duration_s = pair.shape[2] / series.sample_rate_hz
     ordered = sorted(series.annotations, key=lambda a: a.onset_s)
     for a in ordered:
         if a.onset_s + a.duration_s > duration_s + 1e-9:
@@ -204,25 +209,24 @@ class Recording:
     sample_rate_hz: float
     wavelengths_nm: tuple[float, float]
     channel_ids: tuple[str, ...]
-    intensity: dict[float, np.ndarray]  # wavelength -> (n_channels, n_samples)
+    intensity: np.ndarray  # (2, n_channels, n_samples), in wavelengths_nm order
     annotations: tuple[Annotation, ...] = ()
 
     def __post_init__(self):
-        if tuple(sorted(self.intensity)) != tuple(sorted(self.wavelengths_nm)):
-            raise ValueError("intensity wavelengths do not match wavelengths_nm")
-        for wl, arr in self.intensity.items():
-            self.intensity[wl] = _frozen(arr)
-        _check_series(self, {f"intensity at {wl} nm": a for wl, a in self.intensity.items()})
-        for arr in self.intensity.values():
-            if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-                raise ValueError(
-                    f"participant {self.participant_id}: intensities must be "
-                    "finite and strictly positive"
-                )
+        wavelengths = self.wavelengths_nm
+        if len(wavelengths) != 2 or wavelengths[0] == wavelengths[1]:
+            raise ValueError(f"a recording needs two distinct wavelengths, got {wavelengths}")
+        object.__setattr__(self, "intensity", _frozen(self.intensity))
+        _check_series(self, "intensity", self.intensity)
+        if np.any(self.intensity <= 0) or not np.all(np.isfinite(self.intensity)):
+            raise ValueError(
+                f"participant {self.participant_id}: intensities must be "
+                "finite and strictly positive"
+            )
 
     @property
     def n_samples(self) -> int:
-        return next(iter(self.intensity.values())).shape[1]
+        return self.intensity.shape[2]
 
     __eq__ = _fields_equal
 
@@ -245,52 +249,46 @@ class HemoSeries:
     group: str
     sample_rate_hz: float
     channel_ids: tuple[str, ...]
-    hbo: np.ndarray  # (n_channels, n_samples), mol/L change
-    hbr: np.ndarray
+    hemo: np.ndarray  # (2, n_channels, n_samples), CHROMOPHORES order, mol/L change
     annotations: tuple[Annotation, ...] = ()
     provenance: tuple[ProvenanceStep, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "hbo", _frozen(self.hbo))
-        object.__setattr__(self, "hbr", _frozen(self.hbr))
-        _check_series(self, {"hbo": self.hbo, "hbr": self.hbr})
+        object.__setattr__(self, "hemo", _frozen(self.hemo))
+        _check_series(self, "hemo", self.hemo)
 
     @property
     def n_samples(self) -> int:
-        return self.hbo.shape[1]
+        return self.hemo.shape[2]
 
     __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
 class EpochSet:
-    """Task-aligned fixed-length windows of many trials, one array per chromophore.
+    """Task-aligned fixed-length windows of many trials.
 
-    ``hbo`` and ``hbr`` are C-contiguous, read-only (trials, channels, window)
-    arrays. Trial ``i`` belongs to ``participant_ids[i]`` in ``groups[i]``, was
-    cut from a ``tasks[i]`` block, and is that participant's
-    ``trial_index[i]``-th trial of that task.
+    ``hemo`` is a C-contiguous, read-only (trials, 2, channels, window)
+    array, its pair axis in ``CHROMOPHORES`` order. Trial ``i`` belongs to
+    ``participant_ids[i]`` in ``groups[i]``, was cut from a ``tasks[i]``
+    block, and is that participant's ``trial_index[i]``-th trial of that task.
     """
 
     sample_rate_hz: float
     channel_ids: tuple[str, ...]
-    hbo: np.ndarray
-    hbr: np.ndarray
+    hemo: np.ndarray
     participant_ids: tuple[str, ...]
     groups: tuple[str, ...]
     tasks: tuple[str, ...]
     trial_index: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("hbo", "hbr"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        shape = (len(self.participant_ids), len(self.channel_ids))
-        if (self.hbo.ndim, self.hbo.shape[:2]) != (3, shape) or self.hbr.shape != self.hbo.shape:
+        object.__setattr__(self, "hemo", _frozen(self.hemo))
+        shape = (len(self.participant_ids), 2, len(self.channel_ids))
+        if self.hemo.ndim != 4 or self.hemo.shape[:3] != shape:
             raise ValueError(
-                f"epoch arrays {self.hbo.shape} and {self.hbr.shape} must both be "
-                f"(trials, channels, window) with (trials, channels) = {shape}"
+                f"epoch array {self.hemo.shape} must be (trials, 2, channels, window) "
+                f"with (trials, 2, channels) = {shape}"
             )
         if {len(self.groups), len(self.tasks), len(self.trial_index)} != {shape[0]}:
             raise ValueError("every trial needs one participant, group, task and index")
@@ -302,12 +300,12 @@ class EpochSet:
 
     @property
     def window_samples(self) -> int:
-        return self.hbo.shape[2]
+        return self.hemo.shape[3]
 
     def rows(self, task: str | None = None, group: str | None = None) -> np.ndarray:
         """Indices of the trials of ``task`` in ``group`` (None matches all).
 
-        ``hbo[rows]`` copies the windows: reduce first where a caller can.
+        ``hemo[rows]`` copies the windows: reduce first where a caller can.
         """
         return np.flatnonzero(
             [
@@ -403,7 +401,7 @@ def _participant_files(
             (_fmt(wl), f"wl{_fmt(wl)}.csv", montage.channel_ids, True) for wl in wavelengths
         )
     long_ids = tuple(ch.id for ch in montage.long_channels)
-    return tuple((chrom, f"{chrom}.csv", long_ids, False) for chrom in ("hbo", "hbr"))
+    return tuple((chrom, f"{chrom}.csv", long_ids, False) for chrom in CHROMOPHORES)
 
 
 def _write_series_csv(path: Path, channel_ids: Sequence[str], rows: np.ndarray, fs: float):
@@ -516,9 +514,9 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     participants = []
     files: list[tuple[Path, Sequence[str], np.ndarray]] = []
     for s in series:
-        arrays = [s.intensity[wl] for wl in wavelengths] if dataset.recordings else [s.hbo, s.hbr]
         refs = {}
-        for (key, suffix, channel_ids, _), arr in zip(table, arrays):
+        pair = s.intensity if dataset.recordings else s.hemo
+        for (key, suffix, channel_ids, _), arr in zip(table, pair):
             refs[key] = f"{s.participant_id}_{suffix}"
             files.append((root / refs[key], channel_ids, arr))
         entry = {
@@ -549,7 +547,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         newline="\n",
     )
     for fpath, ids, arr in files:
-        _write_series_csv(fpath, ids, np.asarray(arr), fs)
+        _write_series_csv(fpath, ids, arr, fs)
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -617,21 +615,17 @@ def load_dataset(path: str | Path) -> Dataset:
                     for o, d, lbl in p.get("annotations", [])
                 ),
             )
-            arrays = [
+            pair = [
                 _read_series_csv(root / p["files"][key], channel_ids, positive)
                 for key, _, channel_ids, positive in table
             ]
             if kind == "intensity":
-                intensity = dict(zip(wavelengths, arrays))
-                recordings.append(
-                    Recording(wavelengths_nm=wavelengths, intensity=intensity, **common)
-                )
+                recordings.append(Recording(wavelengths_nm=wavelengths, intensity=pair, **common))
             else:
                 provenance = tuple(
                     ProvenanceStep.make(name, **params) for name, params in p.get("provenance", [])
                 )
-                hbo, hbr = arrays
-                hemo.append(HemoSeries(hbo=hbo, hbr=hbr, provenance=provenance, **common))
+                hemo.append(HemoSeries(hemo=pair, provenance=provenance, **common))
     except KeyError as e:
         raise DatasetFormatError(f"{manifest_path}: missing manifest key {e}") from e
     except (TypeError, AttributeError) as e:

@@ -1,9 +1,10 @@
 """Optical density conversion and the modified Beer-Lambert inversion.
 
 Raw intensities become optical densities (OD) against the mean of each
-series; paired two-wavelength OD series are then inverted, per sample, into
-oxy- and deoxy-hemoglobin concentration changes (mol/L) by solving the 2x2
-extinction system. Extinction coefficients and differential pathlength
+series; a two-wavelength OD pair, one (2, ..., samples) array with the
+wavelengths on its first axis, is then inverted, per sample, into the
+(2, ..., samples) pair of oxy- and deoxy-hemoglobin concentration changes
+(mol/L) by solving the 2x2 extinction system. Extinction coefficients and differential pathlength
 factors are configuration: the shipped defaults are commonly used literature
 values for 760/850 nm, another table is an ``ExtinctionTable(entries=...,
 dpf=...)`` built directly, and correctness is established by forward/inverse
@@ -120,25 +121,35 @@ def _solve_matrix(
     return m
 
 
+def _pair(x, what: str) -> np.ndarray:
+    """``x`` as a (2, ..., samples) float array: one array or two of one shape."""
+    try:
+        pair = np.asarray(x, dtype=float)
+    except ValueError as e:  # two arrays of different shapes
+        raise ValueError(f"{what} series lengths differ: {e}") from None
+    if pair.ndim < 2 or pair.shape[0] != 2:
+        raise ValueError(f"{what} must be a (2, ..., samples) pair, got shape {pair.shape}")
+    return pair
+
+
 def mbll_invert(
-    od_pair: tuple[np.ndarray, np.ndarray],
+    od_pair,
     wavelengths_nm: tuple[float, float],
     distance_m,
     table: ExtinctionTable,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert two-wavelength OD changes into (delta_hbo, delta_hbr) in mol/L.
+) -> np.ndarray:
+    """Invert two-wavelength OD changes into the (hbo, hbr) pair in mol/L.
 
     Solves, per sample, od(wl_i) = eps_hbo(wl_i)*dHbO + eps_hbr(wl_i)*dHbR
     scaled by distance and DPF. Exact 2x2 solve; raises on a singular
-    extinction matrix. The two OD arrays are single series, or (channels,
-    samples) arrays with ``distance_m`` one distance or one per channel;
-    each channel comes out exactly as it does on its own.
+    extinction matrix. ``od_pair`` is a (2, samples) or (2, channels,
+    samples) array in ``wavelengths_nm`` order, or a tuple of the two, with
+    ``distance_m`` one distance or one per channel; the result has the same
+    shape, hbo first, and each channel comes out exactly as it does on its
+    own.
     """
-    od1 = np.asarray(od_pair[0], dtype=float)
-    od2 = np.asarray(od_pair[1], dtype=float)
-    if od1.shape != od2.shape:
-        raise ValueError(f"OD series lengths differ: {od1.shape} vs {od2.shape}")
-    distances = np.broadcast_to(np.asarray(distance_m, dtype=float), od1.shape[:-1])
+    od = _pair(od_pair, "OD")
+    distances = np.broadcast_to(np.asarray(distance_m, dtype=float), od.shape[1:-1])
     per_channel = distances.ravel().tolist()
     inverse = {
         d: np.linalg.inv(_solve_matrix(wavelengths_nm[0], wavelengths_nm[1], d, table))
@@ -146,22 +157,19 @@ def mbll_invert(
     }
     inv = np.array([inverse[d] for d in per_channel])
     # One 2x2 @ (2, samples) product per channel, as for a single series.
-    conc = np.matmul(inv.reshape(distances.shape + (2, 2)), np.stack([od1, od2], axis=-2))
-    return conc[..., 0, :], conc[..., 1, :]
+    conc = np.matmul(inv.reshape(distances.shape + (2, 2)), np.stack(od, axis=-2))
+    return np.moveaxis(conc, -2, 0)
 
 
 def mbll_forward(
-    hbo: np.ndarray,
-    hbr: np.ndarray,
+    hemo,
     wavelengths_nm: tuple[float, float],
     distance_m: float,
     table: ExtinctionTable,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-model concentration changes (mol/L) into two OD series."""
-    hbo = np.asarray(hbo, dtype=float)
-    hbr = np.asarray(hbr, dtype=float)
-    if hbo.shape != hbr.shape:
-        raise ValueError(f"hbo/hbr lengths differ: {hbo.shape} vs {hbr.shape}")
+) -> np.ndarray:
+    """Forward-model the (hbo, hbr) pair of concentration changes (mol/L),
+    a (2, ..., samples) array or a tuple of the two, into the OD pair of the
+    same shape."""
+    hemo = _pair(hemo, "hbo/hbr")
     m = _solve_matrix(wavelengths_nm[0], wavelengths_nm[1], distance_m, table)
-    od = m @ np.vstack([hbo, hbr])
-    return od[0], od[1]
+    return (m @ hemo.reshape(2, -1)).reshape(hemo.shape)

@@ -23,7 +23,9 @@ import numpy as np
 
 from . import __version__, epochs as epochs_mod, explain, learn, optics, report, stats, synth
 from .features import FeatureMode, default_select_k, feature_keys
-from .model import Dataset, EpochSet, HemoSeries, ProvenanceStep, Recording, load_dataset
+from .model import (
+    CHROMOPHORES, Dataset, EpochSet, HemoSeries, ProvenanceStep, Recording, load_dataset,
+)
 # perfbench/tracer.py wraps ``pipeline.detect_artifacts`` and reads what it
 # returns as one series' segment list. The name stays bound to the one-row
 # detector, which the pipeline no longer calls, so that the tracer finds its
@@ -78,7 +80,7 @@ MODELS = {"knn": "knn", "rf": "random_forest", "svm": "linear_svm", "gbdt": "boo
 FEATURE_MODES = tuple(mode.value for mode in FeatureMode)
 POOLS = ("sample", "trial")
 _CHOICES = {"model": MODELS, "feature_mode": FEATURE_MODES, "pool": POOLS,
-            "effect_chromophore": synth.CHROMOPHORES}
+            "effect_chromophore": CHROMOPHORES}
 # Bounds no spec checks: the least value of each field, and the value each
 # field must exceed.
 _AT_LEAST = {"patients": 1, "controls": 1, "trials_per_task": 1, "shap_samples": 1,
@@ -193,34 +195,31 @@ class PipelineConfig:
 def _hemoglobin(recording, montage, config: PipelineConfig, extinction, out) -> list:
     """Optical density, short-channel regression and Beer-Lambert inversion
     of one recording into ``out`` (2, long channels, samples): hbo, then hbr.
-    Each step is one call over the recording's (channels x samples) arrays.
-    Returns the provenance of these steps."""
+    Each step is one call over the recording's (2, channels, samples) array,
+    or over one wavelength of it. Returns the provenance of these steps."""
     wl = recording.wavelengths_nm
     index = {c: i for i, c in enumerate(recording.channel_ids)}
     longs = montage.long_channels
     long_rows = np.array([index[ch.id] for ch in longs])
     provenance = [ProvenanceStep.make("intensity_to_od", reference="series_mean")]
 
-    od = {w: optics.intensity_to_od(recording.intensity[w]) for w in wl}
+    od = optics.intensity_to_od(recording.intensity)
 
     if config.short_channel and montage.short_channels:
         short_rows = np.array([index[match_short_channel(montage, ch.id)] for ch in longs])
-        for w in wl:
-            short = od[w][short_rows]
+        for od_wl in od:
+            short = od_wl[short_rows]
             # A constant short channel has nothing to regress out.
             keep = np.ptp(short, axis=1) != 0.0
             if keep.any():
                 rows = long_rows[keep]
-                od[w][rows] = short_channel_regress(od[w][rows], short[keep])
+                od_wl[rows] = short_channel_regress(od_wl[rows], short[keep])
         provenance.append(
             ProvenanceStep.make("short_channel_regression", method="shared_source")
         )
 
-    out[0], out[1] = optics.mbll_invert(
-        (od[wl[0]][long_rows], od[wl[1]][long_rows]),
-        wl,
-        [ch.distance_m for ch in longs],
-        extinction,
+    out[...] = optics.mbll_invert(
+        od[:, long_rows], wl, [ch.distance_m for ch in longs], extinction
     )
     provenance.append(
         ProvenanceStep.make(
@@ -293,7 +292,8 @@ def _preprocess(
     done, rates = [], {}
     for recording in recordings:
         fs = recording.sample_rate_hz
-        # (chromophore, channel, sample); chromophore 0 is hbo.
+        # Made before the steps' temporaries, which it outlives, so that
+        # freeing them leaves no hole below it in the heap.
         hemo = np.empty((2, len(longs), recording.n_samples))
         provenance = _hemoglobin(recording, montage, config, extinction, hemo)
         if config.motion_correction:
@@ -310,8 +310,7 @@ def _preprocess(
             group=group,
             sample_rate_hz=fs,
             channel_ids=tuple(ch.id for ch in longs),
-            hbo=hemo[0],
-            hbr=hemo[1],
+            hemo=hemo,
             annotations=annotations,
             provenance=tuple(provenance + steps),
         )
@@ -404,10 +403,9 @@ def _stats_report(epoch_set: EpochSet, importance, config: PipelineConfig, monta
             "",
         ]
     for channel, chrom in tested:
-        ci = epoch_set.channel_ids.index(channel)
+        k, ci = CHROMOPHORES.index(chrom), epoch_set.channel_ids.index(channel)
         control, patient = (
-            _pooled_observations(getattr(epoch_set, chrom)[rows, ci], config.pool)
-            for rows in by_group
+            _pooled_observations(epoch_set.hemo[rows, k, ci], config.pool) for rows in by_group
         )
         if control.size < 2 or patient.size < 2:
             continue
@@ -435,9 +433,9 @@ def _stats_report(epoch_set: EpochSet, importance, config: PipelineConfig, monta
         members = montage.roi_map.get(roi)
         if not members:
             continue
-        for chrom in ("hbo", "hbr"):
+        for k, chrom in enumerate(CHROMOPHORES):
             trial_means = epochs_mod.roi_average(
-                getattr(epoch_set, chrom), epoch_set.channel_ids, members
+                epoch_set.hemo[:, k], epoch_set.channel_ids, members
             ).mean(axis=-1)
             groups = [trial_means[rows] for rows in by_group]
             if min(g.size for g in groups) < 2:
@@ -492,14 +490,9 @@ def _emit_block_average_curves(path: Path, epoch_set: EpochSet, task: str, pairs
             continue
     panels = []
     for channel, chrom in pairs:
-        ci = epoch_set.channel_ids.index(channel)
+        k, ci = CHROMOPHORES.index(chrom), epoch_set.channel_ids.index(channel)
         curves = [
-            (
-                group,
-                getattr(avg, f"{chrom}_mean")[ci] * _MICROMOLAR,
-                getattr(avg, f"{chrom}_std")[ci] * _MICROMOLAR,
-                color,
-            )
+            (group, avg.mean[k, ci] * _MICROMOLAR, avg.std[k, ci] * _MICROMOLAR, color)
             for group, color, avg in averages
         ]
         if curves:
@@ -519,13 +512,12 @@ def _time_to_peak_svg(epoch_set: EpochSet, task: str, roi) -> str:
     rows = epoch_set.rows(task=task)
     pids = np.array(epoch_set.participant_ids)[rows]
     fs = epoch_set.sample_rate_hz
+    # (trials of the task, 2, window)
+    curves = epochs_mod.roi_average(epoch_set.hemo, epoch_set.channel_ids, roi_members)[rows]
     sections = []
-    for chrom in ("hbo", "hbr"):
-        curves = epochs_mod.roi_average(
-            getattr(epoch_set, chrom), epoch_set.channel_ids, roi_members
-        )[rows]
+    for k, chrom in enumerate(CHROMOPHORES):
         entries = [
-            (pid, group, epochs_mod.time_to_peak(curves[pids == pid].mean(axis=0), fs, chrom))
+            (pid, group, epochs_mod.time_to_peak(curves[pids == pid, k].mean(axis=0), fs, chrom))
             for pid, group in epoch_set.participants
             if pid in pids
         ]
@@ -735,7 +727,7 @@ def descriptive_report(config: PipelineConfig) -> list[Path]:
             out.path("block_average_curves.svg"),
             epoch_set,
             config.task,
-            [(ch, chrom) for ch in roi[1] for chrom in ("hbo", "hbr")],
+            [(ch, chrom) for ch in roi[1] for chrom in CHROMOPHORES],
             title=f"Group mean responses, {config.task} task, ROI {roi[0]}",
         )
         out.emit("time_to_peak.svg", _time_to_peak_svg(epoch_set, config.task, roi))

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optics
-from .model import Annotation, Channel, Dataset, Montage, Recording
+from .model import CHROMOPHORES, Annotation, Channel, Dataset, Montage, Recording
 
 __all__ = [
-    "CHROMOPHORES",
     "EffectSpec",
     "GroundTruth",
     "canonical_hrf",
@@ -80,9 +79,6 @@ _SPIKE_OD_AMP = 0.12
 # Relative sd of each participant's response gain and of each trial's drive.
 _PARTICIPANT_GAIN_SD = 0.08
 _TRIAL_GAIN_SD = 0.05
-
-# The chromophores an effect can be expressed in.
-CHROMOPHORES = ("hbo", "hbr")
 
 
 @dataclass(frozen=True)
@@ -373,7 +369,7 @@ def _recording(
         sup_hbo[src] = sup
         sup_hbr[src] = _SUPERFICIAL_HBR_RATIO * sup
 
-    per_wl = {wl: np.empty((len(montage.channels), n)) for wl in _WAVELENGTHS_NM}
+    od = np.empty((2, len(montage.channels), n))  # in _WAVELENGTHS_NM order
     for ci, ch in enumerate(montage.channels):
         src = by_source[ch.id]
         if ch.kind == "long":
@@ -389,18 +385,14 @@ def _recording(
             hbr = np.zeros(n)
         hbo = hbo + sup_hbo[src] + _WHITE_SD * rng.standard_normal(n)
         hbr = hbr + sup_hbr[src] + _WHITE_SD * rng.standard_normal(n)
-        od1, od2 = optics.mbll_forward(
-            hbo, hbr, _WAVELENGTHS_NM, ch.distance_m, extinction
-        )
+        od[:, ci] = optics.mbll_forward((hbo, hbr), _WAVELENGTHS_NM, ch.distance_m, extinction)
         if ch.kind == "long":
             # Drift and motion spikes live on the long channels so the
             # short channels stay a clean superficial reference.
             drift = _DRIFT_OD_PER_MIN * rng.uniform(-1.0, 1.0) * (t / 60.0)
             spikes = _spike_train(rng, n, fs, _SPIKE_RATE_PER_MIN, _SPIKE_OD_AMP)
-            od1 = od1 + drift + spikes
-            od2 = od2 + 0.8 * (drift + spikes)
-        per_wl[_WAVELENGTHS_NM[0]][ci] = od1
-        per_wl[_WAVELENGTHS_NM[1]][ci] = od2
+            od[0, ci] = od[0, ci] + drift + spikes
+            od[1, ci] = od[1, ci] + 0.8 * (drift + spikes)
 
     return Recording(
         participant_id=pid,
@@ -408,7 +400,7 @@ def _recording(
         sample_rate_hz=fs,
         wavelengths_nm=_WAVELENGTHS_NM,
         channel_ids=montage.channel_ids,
-        intensity={wl: np.exp(-od) for wl, od in per_wl.items()},
+        intensity=np.exp(-od),
         annotations=tuple(annotations),
     )
 

@@ -22,10 +22,7 @@ def small_montage() -> Montage:
 def make_recording(montage, n=200, fs=3.9, seed=0, annotations=()):
     rng = np.random.default_rng(seed)
     n_ch = len(montage.channels)
-    intensity = {
-        760.0: 1.0 + 0.05 * rng.random((n_ch, n)),
-        850.0: 1.0 + 0.05 * rng.random((n_ch, n)),
-    }
+    intensity = 1.0 + 0.05 * rng.random((2, n_ch, n))  # 760 nm, then 850 nm
     return Recording(
         participant_id="P01",
         group="patient",
@@ -62,7 +59,7 @@ def make_epoch_set(
     rng = np.random.default_rng(seed)
     if channel_ids is None:
         channel_ids = tuple(f"S{i + 1}-D{i + 1}" for i in range(n_channels))
-    pids, groups, hbo, hbr = [], [], [], []
+    pids, groups, hemo = [], [], []
     for p in range(n_participants):
         pid = f"X{p:02d}"
         group = (
@@ -73,14 +70,11 @@ def make_epoch_set(
         for _ in range(trials):
             pids.append(pid)
             groups.append(group)
-            hbo.append(rng.normal(size=(len(channel_ids), window)))
-            hbr.append(rng.normal(size=(len(channel_ids), window)))
-    shape = (len(pids), len(channel_ids), window)
+            hemo.append(rng.normal(size=(2, len(channel_ids), window)))  # hbo, then hbr
     return EpochSet(
         sample_rate_hz=fs,
         channel_ids=tuple(channel_ids),
-        hbo=np.reshape(hbo, shape),
-        hbr=np.reshape(hbr, shape),
+        hemo=np.array(hemo),
         participant_ids=tuple(pids),
         groups=tuple(groups),
         tasks=(task,) * len(pids),

@@ -88,7 +88,7 @@ def test_criterion_2_mbll_round_trip():
     rng = np.random.default_rng(2024)
     hbo = rng.uniform(-5e-6, 5e-6, size=1000)
     hbr = rng.uniform(-5e-6, 5e-6, size=1000)
-    od = optics.mbll_forward(hbo, hbr, (760.0, 850.0), 0.03, table)
+    od = optics.mbll_forward((hbo, hbr), (760.0, 850.0), 0.03, table)
     rec_hbo, rec_hbr = optics.mbll_invert(od, (760.0, 850.0), 0.03, table)
     scale = np.abs(np.concatenate([hbo, hbr])).max()
     err = max(np.abs(rec_hbo - hbo).max(), np.abs(rec_hbr - hbr).max()) / scale
@@ -212,10 +212,12 @@ def test_criterion_5_cross_validation_hygiene():
     leaked = False
     for fi, fold in enumerate(plan.folds):
         in_test = np.isin(eps.participant_ids, fold.test_ids)[:, None, None]
+        hbo, hbr = eps.hemo.transpose(1, 0, 2, 3)
         perturbed = dataclasses.replace(
             eps,
-            hbo=eps.hbo + np.where(in_test, 1e3, 0.0),
-            hbr=eps.hbr * np.where(in_test, -2.0, 1.0),
+            hemo=np.stack(
+                [hbo + np.where(in_test, 1e3, 0.0), hbr * np.where(in_test, -2.0, 1.0)], axis=1
+            ),
         )
         cv2 = learn.cross_validate(perturbed, "single", spec, plan, select_k=8)
         if not (
@@ -306,7 +308,7 @@ def test_criterion_7_time_to_peak_recovery():
         eps = epochs_from_dataset(preprocess_dataset(dataset, cfg), cfg)
         fs = eps.sample_rate_hz
         per_group: dict[str, list[float]] = {"patient": [], "control": []}
-        curves = em.roi_average(eps.hbr, eps.channel_ids, roi)
+        curves = em.roi_average(eps.hemo[:, 1], eps.channel_ids, roi)
         pids = np.array(eps.participant_ids)
         for pid, group in eps.participants:
             curve = curves[pids == pid].mean(axis=0)

@@ -603,7 +603,7 @@ def golden_csvs(golden_dataset, tmp_path_factory):
     paths = []
     for rec in load_dataset(golden_dataset).recordings:
         path = out / f"{rec.participant_id}.csv"
-        samples = rec.intensity[rec.wavelengths_nm[0]][0, ::40]
+        samples = rec.intensity[0, 0, ::40]
         path.write_text("\n".join(repr(float(v)) for v in samples) + "\n")
         paths.append(str(path))
     return paths

@@ -19,8 +19,7 @@ def _hemo(n=1700, seed=0, annotations=(), channels=("S1-D1", "S2-D2")):
         group="patient",
         sample_rate_hz=FS,
         channel_ids=tuple(channels),
-        hbo=rng.normal(size=(len(channels), n)),
-        hbr=rng.normal(size=(len(channels), n)),
+        hemo=rng.normal(size=(2, len(channels), n)),
         annotations=tuple(annotations),
     )
 
@@ -36,7 +35,7 @@ def _block_annotations(n_single=5, n_dual=5, task_s=20.0, rest_s=20.0, lead=20.0
 def test_five_plus_five_annotations_give_ten_epochs():
     hemo = _hemo(annotations=_block_annotations())
     eps = segment([hemo])
-    assert eps.hbo.shape == eps.hbr.shape == (10, 2, 78)
+    assert eps.hemo.shape == (10, 2, 2, 78)
     assert eps.tasks.count("single") == 5
     assert eps.tasks.count("dual") == 5
 
@@ -50,7 +49,7 @@ def test_window_samples_is_floor_of_window_times_fs():
 def test_rest_annotations_are_ignored():
     anns = _block_annotations(2, 2) + [Annotation(5.0, 10.0, "rest")]
     eps = segment([_hemo(annotations=anns)])
-    assert eps.hbo.shape[0] == 4
+    assert eps.hemo.shape[0] == 4
     assert "rest" not in eps.tasks
 
 
@@ -67,28 +66,27 @@ def test_no_task_annotations_rejected():
 
 def test_baseline_subtracts_preonset_mean():
     n = 400
-    hbo = np.zeros((1, n))
-    hbo[0, :] = 7.0  # constant level; baseline correction should zero it
+    # constant levels; baseline correction should zero them
+    levels = np.array([7.0, -3.0])[:, None, None] * np.ones((2, 1, n))
     hemo = HemoSeries(
         participant_id="P01",
         group="control",
         sample_rate_hz=FS,
         channel_ids=("S1-D1",),
-        hbo=hbo,
-        hbr=hbo.copy(),
+        hemo=levels,
         annotations=(Annotation(30.0, 20.0, "single"),),
     )
     eps = segment([hemo], window_s=20.0, baseline_s=2.0)
-    assert np.abs(eps.hbo[0]).max() < 1e-12
+    assert np.abs(eps.hemo[0]).max() < 1e-12
 
 
 def test_segmentation_preserves_samples_exactly():
     # with baseline correction disabled, windows are literal slices
     hemo = _hemo(annotations=_block_annotations(3, 0))
     eps = segment([hemo], baseline_s=0.0)
-    for ann, trial in zip(sorted(hemo.annotations, key=lambda a: a.onset_s), eps.hbo):
+    for ann, trial in zip(sorted(hemo.annotations, key=lambda a: a.onset_s), eps.hemo):
         start = int(round(ann.onset_s * FS))
-        assert np.array_equal(trial, hemo.hbo[:, start : start + eps.window_samples])
+        assert np.array_equal(trial, hemo.hemo[..., start : start + eps.window_samples])
 
 
 # --- block averaging ---
@@ -99,16 +97,15 @@ def test_identical_trials_average_to_trial_with_zero_std():
     eps = EpochSet(
         sample_rate_hz=FS,
         channel_ids=("A", "B"),
-        hbo=np.stack([window] * 5),
-        hbr=np.stack([-window] * 5),
+        hemo=np.stack([[window, -window]] * 5),
         participant_ids=("P01",) * 5,
         groups=("patient",) * 5,
         tasks=("single",) * 5,
         trial_index=tuple(range(5)),
     )
     avg = block_average(eps, "single")
-    assert np.array_equal(avg.hbo_mean, window)
-    assert np.abs(avg.hbo_std).max() == 0.0
+    assert np.array_equal(avg.mean, [window, -window])
+    assert np.abs(avg.std).max() == 0.0
     assert avg.n_trials == 5
 
 
@@ -117,24 +114,24 @@ def test_opposite_trials_average_to_zero_with_abs_std():
     eps = EpochSet(
         sample_rate_hz=FS,
         channel_ids=("A",),
-        hbo=np.stack([x, -x]),
-        hbr=np.stack([x, -x]),
+        hemo=np.stack([[x, x], [-x, -x]]),
         participant_ids=("P01", "P01"),
         groups=("patient", "patient"),
         tasks=("single", "single"),
         trial_index=(0, 1),
     )
     avg = block_average(eps, "single")
-    assert np.abs(avg.hbo_mean).max() == 0.0
-    assert np.allclose(avg.hbo_std, np.abs(x))
+    assert np.abs(avg.mean).max() == 0.0
+    assert np.allclose(avg.std, np.abs(x))
 
 
 def test_block_average_matches_brute_force():
     eps = make_epoch_set(n_participants=2, trials=5, seed=9)
     avg = block_average(eps, "single")
-    stack = np.stack([eps.hbo[i] for i in range(len(eps.tasks))])
-    assert np.allclose(avg.hbo_mean, stack.mean(axis=0), atol=1e-12)
-    assert np.allclose(avg.hbo_std, stack.std(axis=0), atol=1e-12)
+    for k in range(2):
+        stack = np.stack([eps.hemo[i, k] for i in range(len(eps.tasks))])
+        assert np.allclose(avg.mean[k], stack.mean(axis=0), atol=1e-12)
+        assert np.allclose(avg.std[k], stack.std(axis=0), atol=1e-12)
 
 
 def test_block_average_group_filter():
@@ -221,9 +218,9 @@ def test_block_average_commutes_with_roi_average():
     eps = make_epoch_set(n_participants=3, trials=4, n_channels=4, seed=7)
     roi = eps.channel_ids[:3]
     avg = block_average(eps, "single")
-    roi_of_avg = roi_average(avg.hbo_mean, eps.channel_ids, roi)
+    roi_of_avg = roi_average(avg.mean, eps.channel_ids, roi)
     per_trial = np.stack(
-        [roi_average(trial, eps.channel_ids, roi) for trial in eps.hbo]
+        [roi_average(trial, eps.channel_ids, roi) for trial in eps.hemo]
     )
     assert np.allclose(roi_of_avg, per_trial.mean(axis=0), atol=1e-12)
 
@@ -242,7 +239,7 @@ def test_segment_stacks_every_series_in_order():
     assert eps.tasks == ("single", "single", "dual", "single", "dual", "dual")
     assert eps.trial_index == (0, 1, 0, 0, 0, 1)
     alone = segment([second])
-    assert np.array_equal(eps.hbo[3:], alone.hbo) and np.array_equal(eps.hbr[3:], alone.hbr)
+    assert np.array_equal(eps.hemo[3:], alone.hemo)
     with pytest.raises(ValueError, match="mismatched"):
         segment([first, _hemo(annotations=_block_annotations(1, 0), channels=("S1-D1",))])
 
@@ -250,8 +247,9 @@ def test_segment_stacks_every_series_in_order():
 def test_stack_reductions_equal_the_per_trial_ones():
     eps = make_epoch_set(n_participants=3, trials=4, n_channels=4, seed=11)
     roi = eps.channel_ids[1:]
-    per_trial = [roi_average(trial, eps.channel_ids, roi) for trial in eps.hbr]
-    stacked = roi_average(eps.hbr, eps.channel_ids, roi)
+    hbr = eps.hemo[:, 1]
+    per_trial = [roi_average(trial, eps.channel_ids, roi) for trial in hbr]
+    stacked = roi_average(hbr, eps.channel_ids, roi)
     assert stacked.tobytes() == np.stack(per_trial).tobytes()
     hbo_peaks, hbr_peaks = peak_index(stacked, "hbo"), peak_index(stacked, "hbr")
     for curve, hbo_peak, hbr_peak in zip(stacked, hbo_peaks, hbr_peaks):

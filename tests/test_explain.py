@@ -542,3 +542,22 @@ def test_tree_values_equal_composed_scores(monkeypatch, kind, masks, small_block
         assert np.array_equal(got, expected)
         assert np.array_equal(tree_totals, np.concatenate(totals))
         totals.clear()
+
+
+@pytest.mark.parametrize("kind", ["random_forest", "boosted_trees"])
+def test_a_tree_model_packs_its_trees_once(monkeypatch, kind):
+    # predict_score, decision_function and the tree game all walk one packing.
+    model, x, instances = _tree_model(monkeypatch, kind)
+    packed = []
+    pack = learn._Ensemble.__init__
+    monkeypatch.setattr(
+        learn._Ensemble, "__init__", lambda self, trees: packed.append(trees) or pack(self, trees)
+    )
+    scores = model.predict_score(x)
+    game = explain._tree_game(model, build_background(x), GAME)
+    game.values(np.ones((1, len(GAME)), dtype=bool))(instances[0])
+    game.empty(), game.full(instances[0])
+    if kind == "boosted_trees":
+        assert np.array_equal(learn._sigmoid(model.decision_function(x)), scores)
+    assert len(packed) == 1 and packed[0] is model.trees
+    assert np.array_equal(model.predict_score(x), scores)

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import make_epoch_set
 from nirscope import stats
+from nirscope.model import CHROMOPHORES
 from nirscope.features import (
     FeatureMode,
     anova_f_scores,
@@ -40,8 +41,8 @@ def test_column_ordering_channel_major_hbo_first():
     assert [k.slot for k in keys[:3]] == [0, 1, 2]
     # values line up with the epoch windows
     first = eps.rows(task="single")[0]
-    assert np.array_equal(feats.x[0, :3], eps.hbo[first, 0])
-    assert np.array_equal(feats.x[0, 3:6], eps.hbr[first, 0])
+    assert np.array_equal(feats.x[0, :3], eps.hemo[first, 0, 0])  # hbo
+    assert np.array_equal(feats.x[0, 3:6], eps.hemo[first, 1, 0])  # hbr
 
 
 def test_feature_index_deterministic_across_builds():
@@ -55,7 +56,7 @@ def test_feature_index_deterministic_across_builds():
 def test_summary_stats_values():
     eps = make_epoch_set(n_participants=2, trials=1, n_channels=1, window=10, seed=2)
     feats = build_features(eps, "single", FeatureMode.SUMMARY)
-    hbo = eps.hbo[0, 0]
+    hbo = eps.hemo[0, 0, 0]
     fs = eps.sample_rate_hz
     assert feats.x[0, 0] == pytest.approx(hbo.mean())
     assert feats.x[0, 1] == pytest.approx(hbo[np.argmax(hbo)])
@@ -81,8 +82,8 @@ def test_summary_features_equal_the_per_window_loop_bit_for_bit():
         [
             v
             for ci in range(len(eps.channel_ids))
-            for chrom in ("hbo", "hbr")
-            for v in _summary_row(getattr(eps, chrom)[t, ci], fs, chrom)
+            for k, chrom in enumerate(CHROMOPHORES)
+            for v in _summary_row(eps.hemo[t, k, ci], fs, chrom)
         ]
         for t in range(len(eps.tasks))
     ]

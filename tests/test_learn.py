@@ -310,8 +310,7 @@ def test_duplicated_trials_leave_metrics_unchanged(monkeypatch):
 
     doubled = dataclasses.replace(
         eps,
-        hbo=np.repeat(eps.hbo, 2, axis=0),
-        hbr=np.repeat(eps.hbr, 2, axis=0),
+        hemo=np.repeat(eps.hemo, 2, axis=0),
         participant_ids=twice(eps.participant_ids),
         groups=twice(eps.groups),
         tasks=twice(eps.tasks),
@@ -353,10 +352,9 @@ def test_selection_and_scaling_ignore_test_rows():
     plan = make_fold_plan(eps.participants, n_folds=3, seed=7)
     cv1 = cross_validate(eps, "single", ClassifierSpec(kind="knn", seed=7), plan, select_k=6)
 
-    in_test = np.isin(eps.participant_ids, plan.folds[0].test_ids)[:, None, None]
-    perturbed = dataclasses.replace(
-        eps, hbo=eps.hbo + 100.0 * in_test, hbr=eps.hbr - 50.0 * in_test
-    )
+    in_test = np.isin(eps.participant_ids, plan.folds[0].test_ids)[:, None, None, None]
+    shift = np.array([100.0, -50.0])[:, None, None]  # hbo up, hbr down
+    perturbed = dataclasses.replace(eps, hemo=eps.hemo + shift * in_test)
     cv2 = cross_validate(
         perturbed, "single", ClassifierSpec(kind="knn", seed=7), plan, select_k=6
     )
@@ -379,7 +377,7 @@ def test_cross_validation_deterministic(monkeypatch):
 
 def test_positive_feature_scaling_is_absorbed_by_standardization():
     eps = _cv_epochs(seed=9)
-    scaled = dataclasses.replace(eps, hbo=37.0 * eps.hbo, hbr=37.0 * eps.hbr)
+    scaled = dataclasses.replace(eps, hemo=37.0 * eps.hemo)
     plan = make_fold_plan(eps.participants, n_folds=3, seed=9)
     spec = ClassifierSpec(kind="knn", seed=9)
     base = cross_validate(eps, "single", spec, plan, select_k=6)

@@ -49,8 +49,7 @@ def test_save_load_round_trip_hemo(small_montage, tmp_path):
         group="control",
         sample_rate_hz=3.9,
         channel_ids=tuple(ch.id for ch in small_montage.long_channels),
-        hbo=rng.normal(size=(2, 100)) * 1e-6,
-        hbr=rng.normal(size=(2, 100)) * 1e-6,
+        hemo=rng.normal(size=(2, 2, 100)) * 1e-6,
         annotations=(Annotation(3.0, 10.0, "single"),),
         provenance=(ProvenanceStep.make("bandpass", low_cut_hz=0.05),),
     )
@@ -98,7 +97,6 @@ def test_save_refuses_mixed_wavelengths_before_writing(small_montage, tmp_path):
         rec,
         participant_id="C01",
         wavelengths_nm=(780.0, 850.0),
-        intensity={780.0: rec.intensity[760.0], 850.0: rec.intensity[850.0]},
     )
     d = Dataset(montage=small_montage, recordings=(rec, other), creator="test")
     with pytest.raises(
@@ -111,16 +109,16 @@ def test_save_refuses_mixed_wavelengths_before_writing(small_montage, tmp_path):
 
 def test_equality_compares_arrays_and_dicts_by_value(small_montage):
     rec = make_recording(small_montage)
-    reordered = dataclasses.replace(
-        rec, intensity={w: rec.intensity[w].copy() for w in reversed(rec.wavelengths_nm)}
-    )
-    assert reordered == rec
-    assert Dataset(montage=small_montage, recordings=(reordered,)) == Dataset(
+    copied = dataclasses.replace(rec, intensity=rec.intensity.copy())
+    assert copied == rec
+    assert Dataset(montage=small_montage, recordings=(copied,)) == Dataset(
         montage=small_montage, recordings=(rec,)
     )
-    changed = {w: a.copy() for w, a in rec.intensity.items()}
-    changed[850.0][0, 0] += 1e-9
+    changed = rec.intensity.copy()
+    changed[1, 0, 0] += 1e-9
     assert dataclasses.replace(rec, intensity=changed) != rec
+    reordered = dict(reversed(small_montage.roi_map.items()))
+    assert dataclasses.replace(small_montage, roi_map=reordered) == small_montage
     assert dataclasses.replace(small_montage, roi_map={"left": ("S1-D1",)}) != small_montage
     assert rec != "P01"
 
@@ -191,10 +189,7 @@ def test_round_trip_over_randomized_datasets(small_montage, tmp_path):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 120))
         scale = 10.0 ** rng.integers(-200, 200)
-        intensity = {
-            760.0: scale * (1.0 + rng.random((3, n))),
-            850.0: scale * (1.0 + rng.random((3, n))),
-        }
+        intensity = scale * (1.0 + rng.random((2, 3, n)))
         annotations = []
         t = float(rng.uniform(0, 2))
         while t + 3.0 < n / 3.9:
@@ -356,8 +351,7 @@ def _hemo_dataset(small_montage):
         group="control",
         sample_rate_hz=3.9,
         channel_ids=tuple(ch.id for ch in small_montage.long_channels),
-        hbo=rng.normal(size=(2, 100)) * 1e-6,
-        hbr=rng.normal(size=(2, 100)) * 1e-6,
+        hemo=rng.normal(size=(2, 2, 100)) * 1e-6,
         annotations=(Annotation(3.0, 10.0, "single"),),
     )
     return Dataset(montage=small_montage, hemo=(hemo,), creator="test")
@@ -485,16 +479,33 @@ def test_montage_rejects_unknown_roi_channel(small_montage):
         )
 
 
+# What a (2, channels, samples) pair refuses: numpy a ragged one, the record
+# every other shape.
+BAD_PAIR = r"inhomogeneous|must be \(2, n_channels, n_samples\)"
+
+
 def test_recording_rejects_length_mismatch(small_montage):
-    with pytest.raises(ValueError, match="lengths differ"):
-        Recording(
-            participant_id="P01",
-            group="patient",
-            sample_rate_hz=3.9,
-            wavelengths_nm=(760.0, 850.0),
-            channel_ids=small_montage.channel_ids,
-            intensity={760.0: np.ones((3, 50)), 850.0: np.ones((3, 49))},
-        )
+    # The two wavelengths are one (2, channels, samples) array, so a pair of
+    # different lengths, or any other shape, is refused when the record is made.
+    ragged = [np.ones((3, 50)), np.ones((3, 49))]
+    for intensity in (ragged, np.ones((3, 50)), np.ones((3, 3, 50)), np.ones((2, 2, 50)),
+                      np.ones((2, 3, 5, 10))):
+        with pytest.raises(ValueError, match=BAD_PAIR):
+            Recording(
+                participant_id="P01",
+                group="patient",
+                sample_rate_hz=3.9,
+                wavelengths_nm=(760.0, 850.0),
+                channel_ids=small_montage.channel_ids,
+                intensity=intensity,
+            )
+
+
+def test_recording_needs_two_distinct_wavelengths(small_montage):
+    rec = make_recording(small_montage)
+    for wavelengths in ((760.0, 760.0), (760.0,), (760.0, 850.0, 950.0)):
+        with pytest.raises(ValueError, match="two distinct wavelengths"):
+            dataclasses.replace(rec, wavelengths_nm=wavelengths)
 
 
 def test_recording_rejects_nonpositive_intensity(small_montage):
@@ -507,7 +518,7 @@ def test_recording_rejects_nonpositive_intensity(small_montage):
             sample_rate_hz=3.9,
             wavelengths_nm=(760.0, 850.0),
             channel_ids=small_montage.channel_ids,
-            intensity={760.0: np.ones((3, 50)), 850.0: bad},
+            intensity=[np.ones((3, 50)), bad],
         )
 
 
@@ -533,29 +544,31 @@ def test_recording_rejects_arbitrary_group(small_montage):
             sample_rate_hz=3.9,
             wavelengths_nm=(760.0, 850.0),
             channel_ids=small_montage.channel_ids,
-            intensity={760.0: np.ones((3, 10)), 850.0: np.ones((3, 10))},
+            intensity=np.ones((2, 3, 10)),
         )
 
 
 def test_hemo_rejects_mismatched_chromophores():
-    with pytest.raises(ValueError, match="identical channels and lengths"):
-        HemoSeries(
-            participant_id="P01",
-            group="patient",
-            sample_rate_hz=3.9,
-            channel_ids=("S1-D1",),
-            hbo=np.zeros((1, 50)),
-            hbr=np.zeros((1, 49)),
-        )
+    # hbo and hbr are one (2, channels, samples) array, so a pair of different
+    # lengths or channels, or any other shape, is refused when the record is made.
+    ragged = ([np.zeros((1, 50)), np.zeros((1, 49))], [np.zeros((1, 50)), np.zeros((2, 50))])
+    for hemo in (*ragged, np.zeros((1, 50)), np.zeros((1, 1, 50)), np.zeros((2, 2, 50))):
+        with pytest.raises(ValueError, match=BAD_PAIR):
+            HemoSeries(
+                participant_id="P01",
+                group="patient",
+                sample_rate_hz=3.9,
+                channel_ids=("S1-D1",),
+                hemo=hemo,
+            )
 
 
-def _epoch_set(hbo, hbr, trial_index=(0,)):
+def _epoch_set(hemo, trial_index=(0,)):
     n = len(trial_index)
     return EpochSet(
         sample_rate_hz=3.9,
         channel_ids=("S1-D1",),
-        hbo=hbo,
-        hbr=hbr,
+        hemo=hemo,
         participant_ids=("P01",) * n,
         groups=("patient",) * n,
         tasks=("single",) * n,
@@ -564,22 +577,24 @@ def _epoch_set(hbo, hbr, trial_index=(0,)):
 
 
 def test_epoch_set_rejects_wrong_window():
-    with pytest.raises(ValueError, match="window"):
-        _epoch_set(np.zeros((1, 1, 10)), np.zeros((1, 1, 12)))
+    # A ragged pair, no pair axis, three chromophores, two channels for one id.
+    ragged = [np.zeros((1, 1, 10)), np.zeros((1, 1, 12))]
+    for hemo in (ragged, np.zeros((1, 1, 10)), np.zeros((1, 3, 1, 10)), np.zeros((1, 2, 2, 10))):
+        with pytest.raises(ValueError, match="inhomogeneous|window"):
+            _epoch_set(hemo)
 
 
 def test_epoch_set_rejects_duplicate_trial_index():
     with pytest.raises(ValueError, match="duplicate trial"):
-        _epoch_set(np.zeros((2, 1, 10)), np.zeros((2, 1, 10)), trial_index=(0, 0))
+        _epoch_set(np.zeros((2, 2, 1, 10)), trial_index=(0, 0))
 
 
 def test_epoch_set_holds_c_contiguous_read_only_arrays():
-    # A column-major input is copied to C order; every array is frozen.
-    hbo = np.asfortranarray(np.arange(20.0).reshape(2, 1, 10))
-    eps = _epoch_set(hbo, -hbo, trial_index=(0, 1))
-    for arr in (eps.hbo, eps.hbr):
-        assert arr.flags.c_contiguous and not arr.flags.writeable
-    assert np.array_equal(eps.hbo, hbo)
+    # A column-major input is copied to C order; the array is frozen.
+    hemo = np.asfortranarray(np.arange(40.0).reshape(2, 2, 1, 10))
+    eps = _epoch_set(hemo, trial_index=(0, 1))
+    assert eps.hemo.flags.c_contiguous and not eps.hemo.flags.writeable
+    assert np.array_equal(eps.hemo, hemo)
     assert eps.window_samples == 10
     assert eps.rows(task="single", group="patient").tolist() == [0, 1]
     assert eps.rows(task="dual").size == 0
@@ -616,8 +631,7 @@ def test_dataset_rejects_mixed_payload(small_montage):
         group="control",
         sample_rate_hz=3.9,
         channel_ids=tuple(ch.id for ch in small_montage.long_channels),
-        hbo=np.zeros((2, 10)),
-        hbr=np.zeros((2, 10)),
+        hemo=np.zeros((2, 2, 10)),
     )
     with pytest.raises(ValueError, match="not both"):
         Dataset(montage=small_montage, recordings=(rec,), hemo=(hemo,))
@@ -656,7 +670,7 @@ def _containers(draw, kind: str):
     for p in range(draw(st.integers(1, 2))):
         n = draw(st.integers(1, 9))
         if kind == "intensity":
-            shape = (len(montage.channels), n)
+            shape = (2, len(montage.channels), n)
             participants.append(
                 Recording(
                     participant_id=f"P{p}",
@@ -664,22 +678,18 @@ def _containers(draw, kind: str):
                     sample_rate_hz=fs,
                     wavelengths_nm=(760.0, 850.0),
                     channel_ids=montage.channel_ids,
-                    intensity={
-                        w: draw(hnp.arrays(np.float64, shape, elements=INTENSITY_VALUES))
-                        for w in (760.0, 850.0)
-                    },
+                    intensity=draw(hnp.arrays(np.float64, shape, elements=INTENSITY_VALUES)),
                 )
             )
         else:
-            shape = (n_long, n)
+            shape = (2, n_long, n)
             participants.append(
                 HemoSeries(
                     participant_id=f"P{p}",
                     group="patient",
                     sample_rate_hz=fs,
                     channel_ids=tuple(ch.id for ch in montage.long_channels),
-                    hbo=draw(hnp.arrays(np.float64, shape, elements=HEMO_VALUES)),
-                    hbr=draw(hnp.arrays(np.float64, shape, elements=HEMO_VALUES)),
+                    hemo=draw(hnp.arrays(np.float64, shape, elements=HEMO_VALUES)),
                 )
             )
     field = "recordings" if kind == "intensity" else "hemo"
@@ -687,9 +697,7 @@ def _containers(draw, kind: str):
 
 
 def _arrays(dataset: Dataset) -> list[np.ndarray]:
-    if dataset.kind == "intensity":
-        return [rec.intensity[w] for rec in dataset.recordings for w in rec.wavelengths_nm]
-    return [a for h in dataset.hemo for a in (h.hbo, h.hbr)]
+    return [rec.intensity for rec in dataset.recordings] + [h.hemo for h in dataset.hemo]
 
 
 @pytest.mark.parametrize("kind", ["intensity", "hemo"])

@@ -64,10 +64,14 @@ def test_od_rows_reject_one_nonpositive_sample():
 @pytest.mark.parametrize("n", [1638, 1199])
 def test_mbll_rows_match_single_pairs(n):
     table = default_extinction_table()
-    od1, od2 = np.random.default_rng(n).normal(size=(2, 6, n))
+    od = np.random.default_rng(n).normal(size=(2, 6, n))
+    od1, od2 = od
     distances = [0.03, 0.025, 0.03, 0.035, 0.025, 0.03]
-    hbo, hbr = mbll_invert((od1, od2), WLS, distances, table)
-    assert hbo.shape == hbr.shape == od1.shape
+    hemo = mbll_invert(od, WLS, distances, table)
+    assert hemo.shape == od.shape
+    # The pair as one array or as a tuple of its two wavelengths.
+    assert hemo.tobytes() == mbll_invert((od1, od2), WLS, distances, table).tobytes()
+    hbo, hbr = hemo
     for i, d in enumerate(distances):
         inv = np.linalg.inv(_solve_matrix(WLS[0], WLS[1], d, table))
         want = inv @ np.vstack([od1[i], od2[i]])
@@ -101,7 +105,7 @@ def test_forward_inverse_recovers_known_concentrations():
     table = default_extinction_table()
     hbo = np.full(30, 1e-6)
     hbr = np.full(30, -3e-7)
-    od = mbll_forward(hbo, hbr, WLS, 0.03, table)
+    od = mbll_forward((hbo, hbr), WLS, 0.03, table)
     rec_hbo, rec_hbr = mbll_invert(od, WLS, 0.03, table)
     assert np.allclose(rec_hbo, hbo, rtol=1e-9)
     assert np.allclose(rec_hbr, hbr, rtol=1e-9)
@@ -112,7 +116,7 @@ def test_forward_inverse_round_trip_1000_random_pairs():
     rng = np.random.default_rng(17)
     hbo = rng.uniform(-5e-6, 5e-6, size=1000)
     hbr = rng.uniform(-5e-6, 5e-6, size=1000)
-    od = mbll_forward(hbo, hbr, WLS, 0.03, table)
+    od = mbll_forward((hbo, hbr), WLS, 0.03, table)
     rec_hbo, rec_hbr = mbll_invert(od, WLS, 0.03, table)
     scale = np.abs(np.concatenate([hbo, hbr])).max()
     assert np.abs(rec_hbo - hbo).max() <= 1e-9 * scale
@@ -159,7 +163,12 @@ def test_table_validation():
 
 def test_mismatched_series_lengths_rejected():
     table = default_extinction_table()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lengths differ"):
         mbll_invert((np.zeros(5), np.zeros(6)), WLS, 0.03, table)
+    with pytest.raises(ValueError, match="lengths differ"):
+        mbll_forward((np.zeros(5), np.zeros(6)), WLS, 0.03, table)
+    for shape in ((5,), (3, 5), (1, 5)):
+        with pytest.raises(ValueError, match=r"\(2, \.\.\., samples\) pair"):
+            mbll_invert(np.zeros(shape), WLS, 0.03, table)
     with pytest.raises(ValueError):
         mbll_invert((np.zeros(5), np.zeros(5)), WLS, 0.0, table)

@@ -15,7 +15,8 @@ from nirscope.model import Dataset, Recording, load_dataset, save_dataset
 from nirscope.signal import match_short_channel
 from nirscope.pipeline import PipelineConfig, preprocess_dataset, preprocess_recording
 
-# sha256 over hbo.tobytes() + hbr.tobytes() of every recording, in order.
+# sha256 over hbo.tobytes() + hbr.tobytes(), that is the (2, channels,
+# samples) hemo.tobytes(), of every recording, in order.
 # Recorded from the per-channel implementation, before preprocessing worked on
 # (channels x samples) arrays, with scipy's smoothing spline; with that spline
 # patched back in, the array code must reproduce it bit for bit.
@@ -39,8 +40,7 @@ def _golden_hemo():
 def _hemo_digest(hemo) -> str:
     digest = hashlib.sha256()
     for rec in hemo.hemo:
-        digest.update(rec.hbo.tobytes())
-        digest.update(rec.hbr.tobytes())
+        digest.update(rec.hemo.tobytes())
     return digest.hexdigest()
 
 
@@ -59,7 +59,7 @@ def test_numpy_spline_hemo_agrees_with_scipy_spline(monkeypatch):
     monkeypatch.setattr(motion, "_smoothing_spline", _scipy_spline)
     ref = _golden_hemo()
     for a, b in zip(ours.hemo, ref.hemo):
-        for x, y in ((a.hbo, b.hbo), (a.hbr, b.hbr)):
+        for x, y in zip(a.hemo, b.hemo):
             scale = np.abs(y).max(axis=1, keepdims=True)
             assert np.all(np.abs(x - y) <= 1e-12 * scale)
 
@@ -75,7 +75,7 @@ def _varied_dataset():
             sample_rate_hz=fs,
             wavelengths_nm=rec.wavelengths_nm,
             channel_ids=rec.channel_ids,
-            intensity={w: a[:, :n] for w, a in rec.intensity.items()},
+            intensity=rec.intensity[..., :n],
         )
         for rec, (fs, n) in zip(base.recordings, shapes)
     )
@@ -133,35 +133,31 @@ def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch):
     assert wavelet_calls == [(i + 1, len(rows)) for i, rows in enumerate(flagged) if rows]
     assert sum(map(len, flagged)) > 2 * len(recordings)
     # One band-pass call per sample rate, over one (2, 20, n) array per
-    # recording, in order; the hemo series are views of those arrays.
+    # recording, in order; the hemo series hold those arrays.
     assert [fs for fs, _ in bandpass_calls] == [3.9, 5.0]
     for fs, arrays in bandpass_calls:
         same_rate = [(rec, series) for rec, series in zip(recordings, hemo.hemo)
                      if rec.sample_rate_hz == fs]
         assert [a.shape for a in arrays] == [(2, 20, rec.n_samples) for rec, _ in same_rate]
-        assert all(series.hbo.base is a and series.hbr.base is a
-                   for a, (_, series) in zip(arrays, same_rate))
+        assert all(series.hemo is a for a, (_, series) in zip(arrays, same_rate))
 
     for rec, series in zip(recordings, hemo.hemo):
         alone = preprocess_recording(rec, dataset.montage, config)
         assert series.participant_id == rec.participant_id
         assert series.sample_rate_hz == rec.sample_rate_hz
         assert series.provenance == alone.provenance
-        assert series.hbo.tobytes() == alone.hbo.tobytes()
-        assert series.hbr.tobytes() == alone.hbr.tobytes()
+        assert series.hemo.tobytes() == alone.hemo.tobytes()
 
 
 def test_preprocess_dataset_leaves_the_callers_dataset_as_it_was():
     dataset, _ = synth.generate_dataset(n_patients=2, n_controls=2, seed=3)
     recordings = dataset.recordings
-    before = [{w: a.copy() for w, a in rec.intensity.items()} for rec in recordings]
+    before = [rec.intensity.copy() for rec in recordings]
     hemo = preprocess_dataset(dataset, PipelineConfig(seed=3))
     assert len(hemo.hemo) == len(recordings) == 4
     assert dataset.recordings is recordings
     for rec, intensity in zip(dataset.recordings, before):
-        assert rec.intensity.keys() == intensity.keys()
-        for w, a in intensity.items():
-            assert rec.intensity[w].tobytes() == a.tobytes()
+        assert rec.intensity.tobytes() == intensity.tobytes()
 
 
 def test_run_releases_each_raw_recording_once_its_hemoglobin_is_formed(monkeypatch, tmp_path):
@@ -176,7 +172,7 @@ def test_run_releases_each_raw_recording_once_its_hemoglobin_is_formed(monkeypat
             recording = next(recordings, None)
             if recording is None:
                 return
-            watched.extend(weakref.ref(a) for a in recording.intensity.values())
+            watched.append(weakref.ref(recording.intensity))
             yield recording
             del recording
 
@@ -186,7 +182,7 @@ def test_run_releases_each_raw_recording_once_its_hemoglobin_is_formed(monkeypat
         shap_samples=32, seed=2,
     )
     result = pipeline.run_pipeline(config)
-    assert len(watched) == 2 * 6
+    assert len(watched) == 6
     assert sorted(result) == ["cv", "files", "importance"]
 
 
@@ -227,7 +223,7 @@ def test_no_hemoglobin_is_held_once_the_epochs_are_cut(monkeypatch, tmp_path, co
     cross_validate = learn.cross_validate
 
     def segment_and_watch(series, **kwargs):
-        arrays = [a for s in series for a in (s.hbo, s.hbr)]
+        arrays = [s.hemo for s in series]
         watched.extend(weakref.ref(x) for a in arrays for x in (a, a.base) if x is not None)
         return segment(series, **kwargs)
 
@@ -257,11 +253,11 @@ def _hemoglobin_per_channel(recording, montage, config):
     wl = recording.wavelengths_nm
     index = {c: i for i, c in enumerate(recording.channel_ids)}
     longs = montage.long_channels
-    od = {
-        w: np.vstack([-np.log(row / float(np.mean(row))) for row in recording.intensity[w]])
-        for w in wl
-    }
-    for w in wl:
+    od = [
+        np.vstack([-np.log(row / float(np.mean(row))) for row in intensity])
+        for intensity in recording.intensity
+    ]
+    for w in range(2):
         for ch in longs:
             short = od[w][index[match_short_channel(montage, ch.id)]]
             if np.ptp(short) == 0.0:
@@ -274,13 +270,12 @@ def _hemoglobin_per_channel(recording, montage, config):
     for li, ch in enumerate(longs):
         m = optics._solve_matrix(wl[0], wl[1], ch.distance_m, table)
         i = index[ch.id]
-        out[:, li] = np.linalg.inv(m) @ np.vstack([od[wl[0]][i], od[wl[1]][i]])
+        out[:, li] = np.linalg.inv(m) @ np.vstack([od[0][i], od[1][i]])
     return out
 
 
 def test_hemoglobin_matches_per_channel_steps(tmp_path):
-    # In-memory (C-ordered) intensities of an even and an odd length, and
-    # the loader's column-major ones.
+    # In-memory intensities of an even and an odd length, and the loader's.
     dataset = _varied_dataset()
     odd = Recording(
         participant_id="P99",
@@ -288,14 +283,15 @@ def test_hemoglobin_matches_per_channel_steps(tmp_path):
         sample_rate_hz=3.9,
         wavelengths_nm=dataset.recordings[0].wavelengths_nm,
         channel_ids=dataset.recordings[0].channel_ids,
-        intensity={w: a[:, :1199] for w, a in dataset.recordings[0].intensity.items()},
+        intensity=dataset.recordings[0].intensity[..., :1199],
     )
     # The first two recordings share a sample rate, as a saved dataset must.
     save_dataset(
         Dataset(montage=dataset.montage, recordings=dataset.recordings[:2]), tmp_path / "raw"
     )
     loaded = load_dataset(tmp_path / "raw")
-    assert not loaded.recordings[0].intensity[760.0].flags.c_contiguous
+    # The loader reads each file column-major; the record holds the pair in C order.
+    assert loaded.recordings[0].intensity.flags.c_contiguous
     config = PipelineConfig()
     table = optics.default_extinction_table()
     for rec in (*dataset.recordings[:2], odd, *loaded.recordings[:2]):
@@ -360,17 +356,16 @@ def test_epochs_from_dataset_holds_each_trial_once():
         tracemalloc.stop()
     # Trials are written into the result's arrays; merging per-participant
     # arrays would hold every trial twice.
-    assert peak < 1.5 * (epochs.hbo.nbytes + epochs.hbr.nbytes)
-    for arr in (epochs.hbo, epochs.hbr):
-        assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert peak < 1.5 * epochs.hemo.nbytes
+    assert epochs.hemo.flags.c_contiguous and not epochs.hemo.flags.writeable
 
 
 def test_summary_features_of_a_loaded_container_equal_in_memory_ones(tmp_path):
-    # A loaded container is column-major; its features must not depend on that.
+    # The loader reads each file column-major; the record holds the pair in C order.
     hemo = _golden_hemo()
     save_dataset(hemo, tmp_path / "hemo")
     loaded = load_dataset(tmp_path / "hemo")
-    assert not loaded.hemo[0].hbo.flags.c_contiguous
+    assert loaded.hemo[0].hemo.flags.c_contiguous
     config = PipelineConfig(seed=1)
     in_memory, from_disk = (
         build_features(pipeline.epochs_from_dataset(d, config), "single", FeatureMode.SUMMARY)
@@ -378,6 +373,21 @@ def test_summary_features_of_a_loaded_container_equal_in_memory_ones(tmp_path):
     )
     assert from_disk.x.tobytes() == in_memory.x.tobytes()
     assert from_disk.participant_ids == in_memory.participant_ids
+
+
+def test_epochs_of_a_loaded_container_equal_in_memory_ones_for_any_baseline(tmp_path):
+    # A baseline mean sums its samples in one order for a loaded series and
+    # an in-memory one, also past the 8 samples where numpy's order along a
+    # strided axis would differ (3 s at 3.9 Hz is 11 samples).
+    raw, _ = synth.generate_dataset(3, 3, trials_per_task=2, seed=1)
+    hemo = preprocess_dataset(raw, PipelineConfig(seed=1))
+    save_dataset(hemo, tmp_path / "hemo")
+    loaded = load_dataset(tmp_path / "hemo")
+    for baseline_s in (2.0, 3.0, 5.0, 10.0):
+        in_memory, from_disk = (
+            epochs.segment(d.hemo, baseline_s=baseline_s) for d in (hemo, loaded)
+        )
+        assert from_disk.hemo.tobytes() == in_memory.hemo.tobytes(), baseline_s
 
 
 @pytest.mark.parametrize(

@@ -44,16 +44,22 @@ class BlockAverage:
 
 
 def segment(
-    series: Sequence[HemoSeries], window_s: float = 20.0, baseline_s: float = 2.0
+    series: Sequence[HemoSeries],
+    window_s: float = 20.0,
+    baseline_s: float = 2.0,
+    task: str | None = None,
 ) -> EpochSet:
-    """Cut one baseline-corrected window per task annotation of every series.
+    """Cut one baseline-corrected window per task annotation of every series,
+    or with ``task`` per annotation of that task only.
 
     window_samples = floor(window_s * fs). The mean of the ``baseline_s``
     seconds preceding the onset is subtracted per channel (truncated at the
     recording start when fewer samples exist). Trials follow the series
     order, each series' in onset order, and are written into one
     preallocated (trials, 2, channels, window) array, both chromophores of
-    a trial at once.
+    a trial at once. A trial's index counts the trials of its task in its
+    series, so it does not depend on ``task``; only the annotations cut are
+    checked against the window and the recording end.
     """
     if not series:
         raise ValueError("no hemoglobin series to segment")
@@ -74,6 +80,9 @@ def segment(
             )
         counters: dict[str, int] = {}
         for a in tasks:
+            counters[a.label] = counters.get(a.label, -1) + 1
+            if task is not None and a.label != task:
+                continue
             if window_s > a.duration_s + 1e-9:
                 raise ValueError(
                     f"window {window_s} s exceeds annotation duration {a.duration_s} s "
@@ -84,8 +93,9 @@ def segment(
                 raise ValueError(
                     f"annotation at {a.onset_s} s extends past the recording end"
                 )
-            counters[a.label] = counters.get(a.label, -1) + 1
             cuts.append((hemo, start, a.label, counters[a.label]))
+    if not cuts:
+        raise ValueError(f"no epochs match task {task!r}")
     out = np.empty((len(cuts), 2, len(channel_ids), window))
     for i, (hemo, start, _, _) in enumerate(cuts):
         b0 = max(0, start - n_base)

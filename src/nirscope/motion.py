@@ -357,12 +357,17 @@ def _dwt_synthesis(approx: np.ndarray, levels) -> np.ndarray:
             # m = 3 first. Only q < 3 wraps, and its wrapped terms (m > q)
             # have the largest indices, so they come last.
             e = [c * _DB4_LO[r + 2 * m] + detail * _DB4_HI[r + 2 * m] for m in range(4)]
-            out[:, 3:, r] = 0.0 + e[3][:, :-3] + e[2][:, 1:-2] + e[1][:, 2:-1] + e[0][:, 3:]
+            # 0.0 + e[3] + e[2] + e[1] + e[0], summed into ``out`` in place.
+            body = out[:, 3:, r]
+            body[...] = 0.0
+            for m in (3, 2, 1, 0):
+                body += e[m][:, 3 - m : half - m]
             for q in range(3):
                 total = 0.0
                 for m in (*range(q, -1, -1), *range(3, q, -1)):
                     total = total + e[m][:, q - m]
                 out[:, q, r] = total
+            del e, body  # this phase's terms go before the next phase's are made
         c = out.reshape(k, N)
     return c
 

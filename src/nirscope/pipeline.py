@@ -536,7 +536,8 @@ class _Outputs:
     whether the run preprocessed its data (``preprocessed``).
 
     Used as a context manager: an exception inside it removes every file
-    registered so far and is raised again as a PipelineError naming the stage.
+    registered so far, and each directory the run made for ``out_dir`` that
+    is left empty, and is raised again as a PipelineError naming the stage.
     ``out_dir`` is created when the first file is registered, so a run that
     writes nothing leaves no directory behind.
     """
@@ -546,10 +547,14 @@ class _Outputs:
         self.written: list[Path] = []
         self.stage = "ingest"
         self.preprocessed = False
+        self.made_dirs: list[Path] = []  # out_dir first, then the parents it needed
 
     def path(self, name: str) -> Path:
         """Register ``name`` as an output and return where to write it."""
-        self.dir.mkdir(parents=True, exist_ok=True)
+        if not self.dir.is_dir():
+            missing = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
+            self.dir.mkdir(parents=True)
+            self.made_dirs = missing
         path = self.dir / name
         self.written.append(path)
         return path
@@ -568,6 +573,11 @@ class _Outputs:
                 path.unlink()
             except OSError:
                 pass
+        for made in self.made_dirs:
+            try:
+                made.rmdir()  # refused, and it and its parents kept, if anything else is in it
+            except OSError:
+                break
         raise PipelineError(self.stage, error) from error
 
 
@@ -588,11 +598,11 @@ def _ingest(config: PipelineConfig):
 def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
     """Ingest, preprocess and epoch; with ``classify``, then features and train.
 
-    Returns (montage, the preprocessing lines of provenance.txt, epochs,
-    cross validation or None). ``out.stage`` names each stage as it starts.
-    Each array is held only while a later stage reads it: a raw recording
-    until its hemoglobin is formed, so one at a time, and the hemoglobin
-    until the epochs are cut.
+    Returns (montage, the preprocessing lines of provenance.txt, the epochs
+    of ``config.task``, cross validation or None). ``out.stage`` names each
+    stage as it starts. Each array is held only while a later stage reads
+    it: a raw recording until its hemoglobin is formed, so one at a time,
+    and the hemoglobin until the task's epochs are cut.
     """
     montage, recordings, hemo = _ingest(config)
     out.stage = "preprocess"
@@ -601,8 +611,12 @@ def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
         hemo = _preprocess(recordings, montage, config)
 
     out.stage = "epoch"
-    epoch_set = epochs_mod.segment(hemo, window_s=config.window_s, baseline_s=config.baseline_s)
+    epoch_set = epochs_mod.segment(
+        hemo, window_s=config.window_s, baseline_s=config.baseline_s, task=config.task
+    )
     preprocessing = _preprocessing_lines(hemo)
+    # Every participant, in series order, whether or not they have a trial of the task.
+    participants = [(series.participant_id, series.group) for series in hemo]
     del hemo
     if not classify:
         return montage, preprocessing, epoch_set, None
@@ -619,8 +633,7 @@ def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
         )
 
     out.stage = "train"
-    # Every series has a trial, so the epochs name every participant, in order.
-    plan = learn.make_fold_plan(epoch_set.participants, n_folds=config.folds, seed=config.seed)
+    plan = learn.make_fold_plan(participants, n_folds=config.folds, seed=config.seed)
     cv = learn.cross_validate(
         epoch_set,
         config.task,

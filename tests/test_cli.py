@@ -563,20 +563,39 @@ def test_stats_csv_repeated_equals_listed(tmp_path, capsys):
     assert lines[0].count("p = ") == 2
 
 
-def test_report_failure_removes_outputs_and_names_stage(
-    golden_dataset, tmp_path, monkeypatch, capsys
-):
+@pytest.fixture
+def broken_bars(monkeypatch):
+    """`report` fails drawing time_to_peak.svg, after it wrote block_average_curves.svg."""
     import nirscope.report
 
     def broken(*args, **kwargs):
         raise ValueError("no bars")
 
     monkeypatch.setattr(nirscope.report, "svg_group_bars", broken)
-    out = tmp_path / "figures"
+
+
+def test_report_failure_removes_outputs_and_names_stage(
+    golden_dataset, tmp_path, broken_bars, capsys
+):
+    out = tmp_path / "new" / "figures"
     code = main(["report", "--dataset", str(golden_dataset), "--out", str(out)])
     assert code == EXIT_CONFIG
     assert "stage 'report'" in capsys.readouterr().err
     assert not (out / "block_average_curves.svg").exists()
+    assert list(tmp_path.iterdir()) == []  # the run made both directories, so both go
+
+
+@pytest.mark.parametrize("kept", [(), ("notes.txt",)], ids=["empty", "with-a-file"])
+def test_a_failed_report_keeps_a_directory_it_did_not_make(
+    golden_hemo, tmp_path, broken_bars, capsys, kept
+):
+    out = tmp_path / "figures"
+    out.mkdir()
+    for name in kept:
+        (out / name).write_text("kept\n")
+    assert main(["report", "--dataset", str(golden_hemo), "--out", str(out)]) == EXIT_CONFIG
+    assert "stage 'report'" in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == list(kept)
 
 
 # Recorded on the commit before `train` ran on `run`'s stage path, the boosted
@@ -837,6 +856,86 @@ def test_epoch_stdout_matches_golden_digest(golden_hemo, capsys):
     assert _sha256(capsys.readouterr().out.encode()) == GOLDEN_EPOCH_STDOUT_SHA256
 
 
+# --- the analysed task ---
+
+
+def _analysis_argv(command, golden_dataset, golden_hemo, out) -> list[str]:
+    """``command`` on the golden data: run and train on the raw container,
+    report on the preprocessed one."""
+    if command == "report":
+        return ["report", "--dataset", str(golden_hemo), "--out", str(out)]
+    argv = [command, "--dataset", str(golden_dataset), "--folds", "2", "--seed", "1"]
+    return argv + (["--out", str(out), "--samples", "64"] if command == "run" else [])
+
+
+@pytest.mark.parametrize("command", ["run", "train", "report"])
+def test_run_train_and_report_cut_only_the_analysed_task(
+    golden_dataset, golden_hemo, tmp_path, monkeypatch, command
+):
+    import nirscope.epochs
+
+    segment, cut = nirscope.epochs.segment, []
+
+    def spy(*args, **kwargs):
+        cut.append(segment(*args, **kwargs))
+        return cut[-1]
+
+    monkeypatch.setattr(nirscope.epochs, "segment", spy)
+    argv = _analysis_argv(command, golden_dataset, golden_hemo, tmp_path / "out")
+    assert main(argv + ["--task", "dual"]) == EXIT_OK
+    [epochs] = cut
+    assert epochs.tasks == ("dual",) * 20  # 4 participants, 5 dual blocks each
+
+
+@pytest.mark.parametrize("command", ["run", "train", "report"])
+def test_a_task_with_no_trials_fails_in_the_epoch_stage(
+    golden_dataset, golden_hemo, tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    argv = _analysis_argv(command, golden_dataset, golden_hemo, out)
+    capsys.readouterr()
+    assert main(argv + ["--task", "nosuch"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "stage 'epoch'" in err and "no epochs match task 'nosuch'" in err
+    assert not out.exists()
+
+
+def test_epoch_counts_every_task_when_none_is_the_one_named(golden_hemo, capsys):
+    capsys.readouterr()
+    assert main(["epoch", "--dataset", str(golden_hemo), "--task", "nosuch"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("40 epochs total, 0 for task 'nosuch', ")
+
+
+# Recorded before the fold plan was built from the hemo series instead of
+# the epochs: P01 has no single block, but its series still takes a place in
+# the plan, as its dual trials gave it one in the epochs of every task.
+MISSING_TASK_FOLDS = [
+    "  fold 0: test = P01, C03",
+    "  fold 1: test = P02, C01",
+    "  fold 2: test = P03, C02",
+]
+MISSING_TASK_METRICS_SHA256 = "fdac3c0bff166266f192c164b1f2d9eccbea7d0cbaf2de29973f43ba05df3e40"
+
+
+def test_a_participant_without_the_task_keeps_its_place_in_the_fold_plan(tmp_path):
+    raw, hemo = tmp_path / "raw", tmp_path / "hemo"
+    synth = ["synth", "--patients", "3", "--controls", "3", "--trials", "2", "--seed", "1"]
+    assert main(synth + ["--out", str(raw)]) == EXIT_OK
+    assert main(["preprocess", "--dataset", str(raw), "--out", str(hemo)]) == EXIT_OK
+    manifest = json.loads((hemo / "manifest.json").read_text())
+    p01 = manifest["participants"][0]
+    assert p01["id"] == "P01"
+    p01["annotations"] = [a for a in p01["annotations"] if a[2] != "single"]
+    (hemo / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "report"
+    argv = ["run", "--dataset", str(hemo), "--out", str(out), "--folds", "3", "--seed", "1",
+            "--samples", "64"]
+    assert main(argv) == EXIT_OK
+    provenance = (out / "provenance.txt").read_text().splitlines()
+    assert [line for line in provenance if line.startswith("  fold ")] == MISSING_TASK_FOLDS
+    assert _sha256((out / "metrics.txt").read_bytes()) == MISSING_TASK_METRICS_SHA256
+
+
 # --- memory of a whole run ---
 
 # The benchmark's default run: knn on raw features, 12 + 12 participants
@@ -878,30 +977,44 @@ def _peak_rss_mb(code: str, cwd: Path) -> float:
     return maxrss_kb / 1024
 
 
+@pytest.fixture(scope="module")
+def default_run_beyond_the_interpreter_mb(tmp_path_factory) -> float:
+    """Peak RSS of the default run minus that of the interpreter importing nirscope.
+
+    Importing compiles every module whose bytecode cache is missing or
+    stale, and writes the cache where it can, which lifts that process's
+    peak. So a first, unmeasured child imports nirscope and leaves the cache
+    as both measured children then find it.
+    """
+    cwd = tmp_path_factory.mktemp("rss")
+    _peak_rss_mb("import nirscope.cli", cwd)
+    interpreter = _peak_rss_mb("import nirscope.cli", cwd)
+    run = _peak_rss_mb(
+        f"import sys; from nirscope.cli import main; sys.exit(main({DEFAULT_RUN!r}))", cwd
+    )
+    return run - interpreter
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kB from os.wait4")
-def test_default_run_holds_under_45_mb_beyond_the_interpreter(tmp_path):
+def test_default_run_holds_under_45_mb_beyond_the_interpreter(
+    default_run_beyond_the_interpreter_mb,
+):
     # The run's data: 17.6 MB of raw intensities and 12.6 MB of hemoglobin,
     # and the epochs cut from it. The bound admits a run that holds all the
     # raw data and all the hemoglobin at once, but not one that also
     # band-passes through a padded copy: holding the raw data to the end and
     # band-passing through a padded copy took 62 MB over the interpreter.
-    interpreter = _peak_rss_mb("import nirscope.cli", tmp_path)
-    run = _peak_rss_mb(
-        f"import sys; from nirscope.cli import main; sys.exit(main({DEFAULT_RUN!r}))", tmp_path
-    )
-    assert run - interpreter < 45.0
+    assert default_run_beyond_the_interpreter_mb < 45.0
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kB from os.wait4")
-def test_default_run_holds_under_35_mb_beyond_the_interpreter(tmp_path):
+def test_default_run_holds_under_35_mb_beyond_the_interpreter(
+    default_run_beyond_the_interpreter_mb,
+):
     # Each array is held only while a later stage reads it: one raw
     # recording (0.7 MB) at a time, generated as preprocessing reads it, and
-    # the hemoglobin only until the epochs are cut, so the peak is the
-    # hemoglobin beside the epochs. With every raw recording generated up
-    # front and the hemoglobin held to the report, the run took 39 MB over
-    # the interpreter.
-    interpreter = _peak_rss_mb("import nirscope.cli", tmp_path)
-    run = _peak_rss_mb(
-        f"import sys; from nirscope.cli import main; sys.exit(main({DEFAULT_RUN!r}))", tmp_path
-    )
-    assert run - interpreter < 35.0
+    # the hemoglobin only until the task's epochs are cut, so the peak is the
+    # hemoglobin beside the last recording's motion correction. With every
+    # raw recording generated up front and the hemoglobin held to the
+    # report, the run took 39 MB over the interpreter.
+    assert default_run_beyond_the_interpreter_mb < 35.0

@@ -64,6 +64,32 @@ def test_no_task_annotations_rejected():
         segment([_hemo(annotations=[Annotation(5.0, 10.0, "rest")])])
 
 
+def test_task_cuts_only_that_tasks_trials_as_every_task_cuts_them():
+    first = _hemo(annotations=_block_annotations(2, 3))
+    second = dataclasses.replace(
+        _hemo(seed=1, annotations=_block_annotations(3, 1)), participant_id="C01", group="control"
+    )
+    every = segment([first, second])
+    dual = segment([first, second], task="dual")
+    rows = every.rows(task="dual")
+    assert dual.tasks == ("dual",) * 4
+    assert dual.participant_ids == ("P01",) * 3 + ("C01",)
+    assert dual.trial_index == tuple(every.trial_index[i] for i in rows) == (0, 1, 2, 0)
+    assert dual.hemo.tobytes() == every.hemo[rows].tobytes()
+
+
+def test_task_checks_only_the_annotations_it_cuts():
+    short_dual = [Annotation(20.0, 20.0, "single"), Annotation(60.0, 10.0, "dual")]
+    assert segment([_hemo(annotations=short_dual)], task="single").tasks == ("single",)
+    with pytest.raises(ValueError, match="exceeds annotation duration"):
+        segment([_hemo(annotations=short_dual)])
+
+
+def test_task_with_no_trials_rejected():
+    with pytest.raises(ValueError, match="no epochs match task 'nosuch'"):
+        segment([_hemo(annotations=_block_annotations())], task="nosuch")
+
+
 def test_baseline_subtracts_preonset_mean():
     n = 400
     # constant levels; baseline correction should zero them

@@ -18,6 +18,7 @@ __all__ = [
     "BlockAverage",
     "segment",
     "block_average",
+    "participant_means",
     "peak_index",
     "time_to_peak",
     "roi_average",
@@ -54,8 +55,9 @@ def segment(
 
     window_samples = floor(window_s * fs). The mean of the ``baseline_s``
     seconds preceding the onset is subtracted per channel (truncated at the
-    recording start when fewer samples exist). Trials follow the series
-    order, each series' in onset order, and are written into one
+    recording start when fewer samples exist). The participant table holds
+    every series, in order, whether or not it has a trial cut. Trials follow
+    the series order, each series' in onset order, and are written into one
     preallocated (trials, 2, channels, window) array, both chromophores of
     a trial at once. A trial's index counts the trials of its task in its
     series, so it does not depend on ``task``; only the annotations cut are
@@ -66,8 +68,8 @@ def segment(
     fs, channel_ids = series[0].sample_rate_hz, series[0].channel_ids
     window = int(np.floor(window_s * fs))
     n_base = int(np.floor(baseline_s * fs))
-    cuts: list[tuple[HemoSeries, int, str, int]] = []  # series, onset, task, trial
-    for hemo in series:
+    cuts: list[tuple[int, int, str, int]] = []  # series row, onset, task, trial
+    for row, hemo in enumerate(series):
         if hemo.sample_rate_hz != fs or hemo.channel_ids != channel_ids:
             raise ValueError("hemo series have mismatched sample rates or channels")
         tasks = sorted(
@@ -93,12 +95,12 @@ def segment(
                 raise ValueError(
                     f"annotation at {a.onset_s} s extends past the recording end"
                 )
-            cuts.append((hemo, start, a.label, counters[a.label]))
+            cuts.append((row, start, a.label, counters[a.label]))
     if not cuts:
         raise ValueError(f"no epochs match task {task!r}")
     out = np.empty((len(cuts), 2, len(channel_ids), window))
-    for i, (hemo, start, _, _) in enumerate(cuts):
-        b0 = max(0, start - n_base)
+    for i, (row, start, _, _) in enumerate(cuts):
+        hemo, b0 = series[row], max(0, start - n_base)
         out[i] = hemo.hemo[..., start : start + window]
         if b0 < start:
             out[i] -= hemo.hemo[..., b0:start].mean(axis=-1, keepdims=True)
@@ -107,8 +109,8 @@ def segment(
         sample_rate_hz=fs,
         channel_ids=channel_ids,
         hemo=out,
-        participant_ids=tuple(h.participant_id for h in owners),
-        groups=tuple(h.group for h in owners),
+        participants=tuple((hemo.participant_id, hemo.group) for hemo in series),
+        participant_index=np.array(owners),
         tasks=labels,
         trial_index=trials,
     )
@@ -132,6 +134,29 @@ def block_average(
     )
 
 
+def participant_means(epochs: EpochSet, values, task: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """Each participant's mean of the per-trial ``values`` over their trials
+    of ``task`` (None: of every task).
+
+    ``values`` is (trials, ...). Returns the rows of ``epochs.participants``
+    with such a trial, in table order, and their (rows, ...) means.
+    ``np.add.at`` sums each participant's trials from zero in trial order,
+    as numpy sums along a non-contiguous axis, so each mean is that
+    participant's ``values[mask].mean(axis=0)`` bit for bit; entries of one
+    value are the exception, as numpy sums 8 or more of them pairwise.
+    """
+    values = np.asarray(values, dtype=float)
+    if len(values) != len(epochs.tasks):
+        raise ValueError(f"values has {len(values)} entries for {len(epochs.tasks)} trials")
+    rows = epochs.rows(task=task)
+    present, slot, counts = np.unique(
+        epochs.participant_index[rows], return_inverse=True, return_counts=True
+    )
+    total = np.zeros((present.size, *values.shape[1:]))
+    np.add.at(total, slot, values[rows])
+    return present, total / counts.reshape(-1, *(1,) * (values.ndim - 1))
+
+
 def peak_index(curves, chromophore: str) -> np.ndarray:
     """Sample index of the response extremum along the last axis.
 
@@ -148,9 +173,10 @@ def peak_index(curves, chromophore: str) -> np.ndarray:
     raise ValueError(f"chromophore must be hbo or hbr, got {chromophore!r}")
 
 
-def time_to_peak(curve, fs: float, chromophore: str) -> float:
-    """Latency of the response extremum of one curve in seconds (see peak_index)."""
-    return int(peak_index(curve, chromophore)) / fs
+def time_to_peak(curves, fs: float, chromophore: str):
+    """Latency in seconds of the response extremum along the last axis (see
+    peak_index): a float for one curve, an array for a stack of them."""
+    return peak_index(curves, chromophore) / fs
 
 
 def roi_average(values, channel_ids, roi_channels) -> np.ndarray:

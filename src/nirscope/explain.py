@@ -420,9 +420,9 @@ def channel_importance(
         raise ValueError("attribution columns do not match group keys")
     if len(set(group_keys)) != len(group_keys):
         raise ValueError("group keys must name each pair once")
-    totals = np.zeros(phi.shape[1])
-    for row in np.abs(phi):
-        totals += row
+    # A running sum down the trials: sum(axis=0) would add one column's
+    # values pairwise, out of trial order.
+    totals = np.cumsum(np.abs(phi), axis=0)[-1]
     means = {key: float(total) / len(phi) for key, total in zip(group_keys, totals)}
     for key in extra_zero_keys:
         means.setdefault(key, 0.0)

@@ -38,8 +38,9 @@ class FeatureMode(str, Enum):
     SUMMARY = "summary"  # mean, peak, time-to-peak, mean slope per channel
 
 
-def default_select_k(mode: FeatureMode) -> int:
-    return 40 if mode is FeatureMode.RAW else 20
+def default_select_k(mode: FeatureMode, n_features: int) -> int:
+    """Columns kept when no number is given: 40 raw or 20 summary, at most all."""
+    return min(40 if mode is FeatureMode.RAW else 20, n_features)
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,11 @@ def build_features(
         )
     # (trials, channels, 2, slots) -> channel-major, hbo before hbr, slots in order
     x = slots.transpose(0, 2, 1, 3).reshape(rows.size, -1)
-    y = np.array([LABELS[epochs.groups[i]] for i in rows], dtype=int)
+    labels = np.array([LABELS[group] for _, group in epochs.participants], dtype=int)
     return FeatureMatrix(
         x=x,
-        y=y,
-        participant_ids=tuple(epochs.participant_ids[i] for i in rows),
+        y=labels[epochs.participant_index[rows]],
+        participant_ids=tuple(epochs.participant_ids[rows].tolist()),
         feature_index=feature_keys(epochs, mode),
     )
 

@@ -707,7 +707,7 @@ def cross_validate(
     """
     feats = build_features(epochs, task, mode)
     if select_k is None:
-        select_k = default_select_k(mode)
+        select_k = default_select_k(mode, feats.x.shape[1])
     pids = np.array(feats.participant_ids)
     results: list[FoldResult] = []
     pooled_true: list[np.ndarray] = []

@@ -54,10 +54,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _frozen(a) -> np.ndarray:
-    """``a`` as a C-contiguous, read-only float array: a reduction along its
-    last axis then sums in the same order wherever the array came from."""
-    out = np.ascontiguousarray(a, dtype=float)
+def _frozen(a, dtype=float) -> np.ndarray:
+    """``a`` as a C-contiguous, read-only array: a reduction along its last
+    axis then sums in the same order wherever the array came from."""
+    out = np.ascontiguousarray(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -269,55 +269,68 @@ class EpochSet:
     """Task-aligned fixed-length windows of many trials.
 
     ``hemo`` is a C-contiguous, read-only (trials, 2, channels, window)
-    array, its pair axis in ``CHROMOPHORES`` order. Trial ``i`` belongs to
-    ``participant_ids[i]`` in ``groups[i]``, was cut from a ``tasks[i]``
-    block, and is that participant's ``trial_index[i]``-th trial of that task.
+    array, its pair axis in ``CHROMOPHORES`` order. ``participants`` holds
+    each participant's (id, group) once, with or without trials. Trial ``i``
+    belongs to ``participants[participant_index[i]]`` (a read-only integer
+    array), was cut from a ``tasks[i]`` block, and is that participant's
+    ``trial_index[i]``-th trial of that task.
     """
 
     sample_rate_hz: float
     channel_ids: tuple[str, ...]
     hemo: np.ndarray
-    participant_ids: tuple[str, ...]
-    groups: tuple[str, ...]
+    participants: tuple[tuple[str, str], ...]
+    participant_index: np.ndarray
     tasks: tuple[str, ...]
     trial_index: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "hemo", _frozen(self.hemo))
-        shape = (len(self.participant_ids), 2, len(self.channel_ids))
-        if self.hemo.ndim != 4 or self.hemo.shape[:3] != shape:
+        ids = [pid for pid, _ in self.participants]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"the participant table lists an id more than once: {ids}")
+        if not {group for _, group in self.participants} <= set(GROUPS):
+            raise ValueError(f"participant groups must be among {GROUPS}: {self.participants}")
+        given, index = self.participant_index, _frozen(self.participant_index, np.intp)
+        object.__setattr__(self, "participant_index", index)
+        shape = (len(index), 2, len(self.channel_ids))
+        if index.ndim != 1 or self.hemo.ndim != 4 or self.hemo.shape[:3] != shape:
             raise ValueError(
                 f"epoch array {self.hemo.shape} must be (trials, 2, channels, window) "
                 f"with (trials, 2, channels) = {shape}"
             )
-        if {len(self.groups), len(self.tasks), len(self.trial_index)} != {shape[0]}:
-            raise ValueError("every trial needs one participant, group, task and index")
-        seen = set()
-        for key in zip(self.participant_ids, self.tasks, self.trial_index):
+        if {len(self.tasks), len(self.trial_index)} != {shape[0]}:
+            raise ValueError("every trial needs one participant, task and index")
+        in_range = not index.size or 0 <= index.min() <= index.max() < len(ids)
+        if not (in_range and np.array_equal(index, given)):
+            raise ValueError(f"participant_index must hold integers in [0, {len(ids)})")
+        seen: set[tuple] = set()
+        for key in zip(index.tolist(), self.tasks, self.trial_index):
             if key in seen:
-                raise ValueError(f"duplicate trial index {key}")
+                raise ValueError(f"duplicate trial index {(ids[key[0]], *key[1:])}")
             seen.add(key)
 
     @property
     def window_samples(self) -> int:
         return self.hemo.shape[3]
 
+    @property
+    def participant_ids(self) -> np.ndarray:
+        """Each trial's participant id, read from the table."""
+        return np.array([pid for pid, _ in self.participants], dtype=str)[self.participant_index]
+
     def rows(self, task: str | None = None, group: str | None = None) -> np.ndarray:
         """Indices of the trials of ``task`` in ``group`` (None matches all).
 
         ``hemo[rows]`` copies the windows: reduce first where a caller can.
         """
-        return np.flatnonzero(
-            [
-                (task is None or t == task) and (group is None or g == group)
-                for t, g in zip(self.tasks, self.groups)
-            ]
-        )
-
-    @property
-    def participants(self) -> tuple[tuple[str, str], ...]:
-        """(participant_id, group) pairs in first-seen order."""
-        return tuple(dict(zip(self.participant_ids, self.groups)).items())
+        keep = np.ones(len(self.tasks), dtype=bool)
+        if task is not None:
+            keep &= np.array(self.tasks, dtype=str) == task
+        if group is not None:
+            in_group = np.array([g == group for _, g in self.participants], dtype=bool)
+            keep &= in_group[self.participant_index]
+        return np.flatnonzero(keep)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, epochs as epochs_mod, explain, learn, optics, report, stats, synth
-from .features import FeatureMode, default_select_k, feature_keys
+from .features import FeatureMode, feature_keys
 from .model import (
     CHROMOPHORES, Dataset, EpochSet, HemoSeries, ProvenanceStep, Recording, load_dataset,
 )
@@ -509,17 +509,15 @@ def _emit_block_average_curves(path: Path, epoch_set: EpochSet, task: str, pairs
 def _time_to_peak_svg(epoch_set: EpochSet, task: str, roi) -> str:
     """Per-participant time to peak of the ROI mean response, hbo above hbr."""
     roi_name, roi_members = roi
-    rows = epoch_set.rows(task=task)
-    pids = np.array(epoch_set.participant_ids)[rows]
-    fs = epoch_set.sample_rate_hz
-    # (trials of the task, 2, window)
-    curves = epochs_mod.roi_average(epoch_set.hemo, epoch_set.channel_ids, roi_members)[rows]
+    # (trials, 2, window), then one (2, window) mean per participant with a trial
+    curves = epochs_mod.roi_average(epoch_set.hemo, epoch_set.channel_ids, roi_members)
+    present, means = epochs_mod.participant_means(epoch_set, curves, task)
     sections = []
     for k, chrom in enumerate(CHROMOPHORES):
+        latencies = epochs_mod.time_to_peak(means[:, k], epoch_set.sample_rate_hz, chrom)
         entries = [
-            (pid, group, epochs_mod.time_to_peak(curves[pids == pid, k].mean(axis=0), fs, chrom))
-            for pid, group in epoch_set.participants
-            if pid in pids
+            (*epoch_set.participants[row], latency)
+            for row, latency in zip(present.tolist(), latencies.tolist())
         ]
         sections.append(
             report.svg_group_bars(
@@ -615,8 +613,6 @@ def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
         hemo, window_s=config.window_s, baseline_s=config.baseline_s, task=config.task
     )
     preprocessing = _preprocessing_lines(hemo)
-    # Every participant, in series order, whether or not they have a trial of the task.
-    participants = [(series.participant_id, series.group) for series in hemo]
     del hemo
     if not classify:
         return montage, preprocessing, epoch_set, None
@@ -624,23 +620,20 @@ def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
     out.stage = "features"
     mode = FeatureMode(config.feature_mode)
     n_features = len(feature_keys(epoch_set, mode))
-    select_k = config.select_k
-    if select_k is None:
-        select_k = min(default_select_k(mode), n_features)
-    if not 1 <= select_k <= n_features:
+    if config.select_k is not None and config.select_k > n_features:  # the config checks >= 1
         raise ValueError(
-            f"select_k={select_k} outside [1, {n_features}] for mode {mode.value}"
+            f"select_k={config.select_k} outside [1, {n_features}] for mode {mode.value}"
         )
 
     out.stage = "train"
-    plan = learn.make_fold_plan(participants, n_folds=config.folds, seed=config.seed)
+    plan = learn.make_fold_plan(epoch_set.participants, n_folds=config.folds, seed=config.seed)
     cv = learn.cross_validate(
         epoch_set,
         config.task,
         config.classifier_spec(),
         plan,
         mode=mode,
-        select_k=select_k,
+        select_k=config.select_k,
     )
     return montage, preprocessing, epoch_set, cv
 

@@ -59,7 +59,7 @@ def make_epoch_set(
     rng = np.random.default_rng(seed)
     if channel_ids is None:
         channel_ids = tuple(f"S{i + 1}-D{i + 1}" for i in range(n_channels))
-    pids, groups, hemo = [], [], []
+    participants, hemo = [], []
     for p in range(n_participants):
         pid = f"X{p:02d}"
         group = (
@@ -67,17 +67,16 @@ def make_epoch_set(
             if group_of
             else ("patient" if p < n_participants // 2 else "control")
         )
+        participants.append((pid, group))
         for _ in range(trials):
-            pids.append(pid)
-            groups.append(group)
             hemo.append(rng.normal(size=(2, len(channel_ids), window)))  # hbo, then hbr
     return EpochSet(
         sample_rate_hz=fs,
         channel_ids=tuple(channel_ids),
         hemo=np.array(hemo),
-        participant_ids=tuple(pids),
-        groups=tuple(groups),
-        tasks=(task,) * len(pids),
+        participants=tuple(participants),
+        participant_index=np.repeat(np.arange(n_participants), trials),
+        tasks=(task,) * len(hemo),
         trial_index=tuple(range(trials)) * n_participants,
     )
 

@@ -306,13 +306,12 @@ def test_criterion_7_time_to_peak_recovery():
     for seed in (1, 2):
         dataset, _ = generate_dataset(12, 12, effect=EFFECT, seed=seed)
         eps = epochs_from_dataset(preprocess_dataset(dataset, cfg), cfg)
-        fs = eps.sample_rate_hz
         per_group: dict[str, list[float]] = {"patient": [], "control": []}
         curves = em.roi_average(eps.hemo[:, 1], eps.channel_ids, roi)
-        pids = np.array(eps.participant_ids)
-        for pid, group in eps.participants:
-            curve = curves[pids == pid].mean(axis=0)
-            per_group[group].append(em.time_to_peak(curve, fs, "hbr"))
+        present, means = em.participant_means(eps, curves, None)
+        latencies = em.time_to_peak(means, eps.sample_rate_hz, "hbr")
+        for row, latency in zip(present.tolist(), latencies.tolist()):
+            per_group[eps.participants[row][1]].append(latency)
         diffs.append(np.mean(per_group["patient"]) - np.mean(per_group["control"]))
     mean_diff = float(np.mean(diffs))
     elapsed = time.time() - t0

@@ -20,8 +20,10 @@ from nirscope.cli import (
     build_parser,
     main,
 )
+from nirscope.epochs import segment
+from nirscope.learn import make_fold_plan
 from nirscope.model import DatasetFormatError, load_dataset
-from nirscope.pipeline import REPORT_FILES, PipelineConfig, PipelineError
+from nirscope.pipeline import REPORT_FILES, PipelineConfig, PipelineError, epochs_from_dataset
 from nirscope.synth import parse_ground_truth
 
 SMALL_RUN = [
@@ -906,9 +908,10 @@ def test_epoch_counts_every_task_when_none_is_the_one_named(golden_hemo, capsys)
     assert capsys.readouterr().out.startswith("40 epochs total, 0 for task 'nosuch', ")
 
 
-# Recorded before the fold plan was built from the hemo series instead of
-# the epochs: P01 has no single block, but its series still takes a place in
-# the plan, as its dual trials gave it one in the epochs of every task.
+# Recorded when the fold plan was built from the epochs of every task: P01
+# has no single block, but its series still takes a place in the plan, as
+# its dual trials gave it one there. The epoch set's participant table now
+# holds every series, so `run` and the library recipe deal these folds.
 MISSING_TASK_FOLDS = [
     "  fold 0: test = P01, C03",
     "  fold 1: test = P02, C01",
@@ -934,6 +937,13 @@ def test_a_participant_without_the_task_keeps_its_place_in_the_fold_plan(tmp_pat
     provenance = (out / "provenance.txt").read_text().splitlines()
     assert [line for line in provenance if line.startswith("  fold ")] == MISSING_TASK_FOLDS
     assert _sha256((out / "metrics.txt").read_bytes()) == MISSING_TASK_METRICS_SHA256
+    # README's library recipe, on the epochs of every task or of the task only.
+    loaded = load_dataset(hemo)
+    for epochs in (epochs_from_dataset(loaded, PipelineConfig()),
+                   segment(loaded.hemo, task="single")):
+        plan = make_fold_plan(epochs.participants, n_folds=3, seed=1)
+        folds = [f"  fold {i}: test = {', '.join(f.test_ids)}" for i, f in enumerate(plan.folds)]
+        assert folds == MISSING_TASK_FOLDS
 
 
 # --- memory of a whole run ---

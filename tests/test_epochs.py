@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nirscope.epochs import block_average, peak_index, roi_average, segment, time_to_peak
+from nirscope.epochs import (
+    block_average, participant_means, peak_index, roi_average, segment, time_to_peak,
+)
 from nirscope.model import Annotation, EpochSet, HemoSeries
 from nirscope.synth import canonical_hrf, default_montage
 
@@ -73,7 +75,7 @@ def test_task_cuts_only_that_tasks_trials_as_every_task_cuts_them():
     dual = segment([first, second], task="dual")
     rows = every.rows(task="dual")
     assert dual.tasks == ("dual",) * 4
-    assert dual.participant_ids == ("P01",) * 3 + ("C01",)
+    assert dual.participant_ids.tolist() == ["P01"] * 3 + ["C01"]
     assert dual.trial_index == tuple(every.trial_index[i] for i in rows) == (0, 1, 2, 0)
     assert dual.hemo.tobytes() == every.hemo[rows].tobytes()
 
@@ -124,8 +126,8 @@ def test_identical_trials_average_to_trial_with_zero_std():
         sample_rate_hz=FS,
         channel_ids=("A", "B"),
         hemo=np.stack([[window, -window]] * 5),
-        participant_ids=("P01",) * 5,
-        groups=("patient",) * 5,
+        participants=(("P01", "patient"),),
+        participant_index=[0] * 5,
         tasks=("single",) * 5,
         trial_index=tuple(range(5)),
     )
@@ -141,8 +143,8 @@ def test_opposite_trials_average_to_zero_with_abs_std():
         sample_rate_hz=FS,
         channel_ids=("A",),
         hemo=np.stack([[x, x], [-x, -x]]),
-        participant_ids=("P01", "P01"),
-        groups=("patient", "patient"),
+        participants=(("P01", "patient"),),
+        participant_index=[0, 0],
         tasks=("single", "single"),
         trial_index=(0, 1),
     )
@@ -260,14 +262,48 @@ def test_segment_stacks_every_series_in_order():
         _hemo(seed=1, annotations=_block_annotations(1, 2)), participant_id="C01", group="control"
     )
     eps = segment([first, second])
-    assert eps.participant_ids == ("P01",) * 3 + ("C01",) * 3
-    assert eps.groups == ("patient",) * 3 + ("control",) * 3
+    assert eps.participants == (("P01", "patient"), ("C01", "control"))
+    assert eps.participant_ids.tolist() == ["P01"] * 3 + ["C01"] * 3
+    assert eps.participant_index.tolist() == [0] * 3 + [1] * 3
     assert eps.tasks == ("single", "single", "dual", "single", "dual", "dual")
     assert eps.trial_index == (0, 1, 0, 0, 0, 1)
     alone = segment([second])
     assert np.array_equal(eps.hemo[3:], alone.hemo)
     with pytest.raises(ValueError, match="mismatched"):
         segment([first, _hemo(annotations=_block_annotations(1, 0), channels=("S1-D1",))])
+
+
+def test_participant_means_equal_each_participants_masked_mean():
+    # Interleaved trials of two tasks, 1 to 11 trials per participant, a
+    # participant with no trial of the task, and -0.0 entries, which a sum
+    # from zero turns to +0.0.
+    rng = np.random.default_rng(5)
+    owner = rng.permutation(np.repeat(np.arange(5), [11, 1, 6, 0, 9]))
+    owner = np.concatenate([owner, [3, 3]])  # participant 3 has only dual trials
+    n = owner.size
+    tasks = tuple(rng.choice(["single", "dual"], size=n - 2).tolist()) + ("dual", "dual")
+    eps = EpochSet(
+        sample_rate_hz=FS,
+        channel_ids=("A",),
+        hemo=np.zeros((n, 2, 1, 4)),
+        participants=tuple((f"P{i}", "patient") for i in range(4)) + (("C0", "control"),),
+        participant_index=owner,
+        tasks=tasks,
+        trial_index=tuple(range(n)),
+    )
+    for shape in ((2, 30), (7,)):
+        values = rng.normal(size=(n, *shape)) * 10.0 ** rng.integers(-6, 6, size=(n, *shape))
+        values[rng.random(values.shape) < 0.1] = -0.0
+        for task in ("single", "dual", None):
+            present, means = participant_means(eps, values, task)
+            in_task = np.isin(tasks, [task] if task else ["single", "dual"])
+            expected = [p for p in range(5) if (in_task & (owner == p)).any()]
+            assert present.tolist() == expected
+            for p, mean in zip(present, means):
+                assert mean.tobytes() == values[in_task & (owner == p)].mean(axis=0).tobytes()
+    assert 3 not in participant_means(eps, values, "single")[0]
+    with pytest.raises(ValueError, match="trials"):
+        participant_means(eps, values[1:], "single")
 
 
 def test_stack_reductions_equal_the_per_trial_ones():
@@ -278,6 +314,9 @@ def test_stack_reductions_equal_the_per_trial_ones():
     stacked = roi_average(hbr, eps.channel_ids, roi)
     assert stacked.tobytes() == np.stack(per_trial).tobytes()
     hbo_peaks, hbr_peaks = peak_index(stacked, "hbo"), peak_index(stacked, "hbr")
+    assert time_to_peak(stacked, FS, "hbr").tolist() == [
+        time_to_peak(curve, FS, "hbr") for curve in stacked
+    ]
     for curve, hbo_peak, hbr_peak in zip(stacked, hbo_peaks, hbr_peaks):
         assert hbo_peak == np.argmax(curve)
         assert hbr_peak == np.argmax(np.abs(curve - curve[0]))

@@ -311,8 +311,7 @@ def test_duplicated_trials_leave_metrics_unchanged(monkeypatch):
     doubled = dataclasses.replace(
         eps,
         hemo=np.repeat(eps.hemo, 2, axis=0),
-        participant_ids=twice(eps.participant_ids),
-        groups=twice(eps.groups),
+        participant_index=np.repeat(eps.participant_index, 2),
         tasks=twice(eps.tasks),
         trial_index=tuple(t + extra for t in eps.trial_index for extra in (0, 1000)),
     )
@@ -322,6 +321,17 @@ def test_duplicated_trials_leave_metrics_unchanged(monkeypatch):
     base = cross_validate(eps, "single", spec, plan, select_k=8)
     doubled_cv = cross_validate(doubled, "single", spec, plan, select_k=8)
     assert doubled_cv.pooled == base.pooled
+
+
+def test_default_select_k_keeps_every_column_when_there_are_fewer():
+    # Two channels in summary mode give 16 columns, fewer than the default
+    # 20 summary columns: every column is kept, as a run keeps them.
+    eps = _cv_epochs(seed=2, n_channels=2)
+    plan = make_fold_plan(eps.participants, n_folds=3, seed=2)
+    spec = ClassifierSpec(kind="knn", seed=2)
+    cv = cross_validate(eps, "single", spec, plan, mode=FeatureMode.SUMMARY)
+    assert cv.select_k == 16
+    assert [fr.selected.size for fr in cv.folds] == [16] * 3
 
 
 def test_single_class_training_fold_rejected():

@@ -569,8 +569,8 @@ def _epoch_set(hemo, trial_index=(0,)):
         sample_rate_hz=3.9,
         channel_ids=("S1-D1",),
         hemo=hemo,
-        participant_ids=("P01",) * n,
-        groups=("patient",) * n,
+        participants=(("P01", "patient"),),
+        participant_index=[0] * n,
         tasks=("single",) * n,
         trial_index=trial_index,
     )
@@ -587,6 +587,29 @@ def test_epoch_set_rejects_wrong_window():
 def test_epoch_set_rejects_duplicate_trial_index():
     with pytest.raises(ValueError, match="duplicate trial"):
         _epoch_set(np.zeros((2, 2, 1, 10)), trial_index=(0, 0))
+
+
+def test_epoch_set_stores_each_participant_once():
+    # One participant in two groups, an index outside the table or not an
+    # integer, and an unknown group are refused; a participant with no
+    # trial is kept.
+    hemo = np.zeros((2, 2, 1, 10))
+    table = (("P01", "patient"), ("C01", "control"))
+    for participants, index, match in (
+        ((("P1", "patient"), ("P1", "control")), [0, 1], "more than once"),
+        (table, [0, 2], "must hold integers in"),
+        (table, [-1, 0], "must hold integers in"),
+        (table, [0, 0.5], "must hold integers in"),
+        ((("P01", "sibling"),), [0, 0], "groups must be among"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(_epoch_set(hemo, (0, 1)), participants=participants,
+                                participant_index=index)
+    eps = dataclasses.replace(_epoch_set(hemo, (0, 1)), participants=table)
+    assert eps.participants == table
+    assert eps.participant_ids.tolist() == ["P01", "P01"]
+    assert not eps.participant_index.flags.writeable
+    assert eps.rows(group="control").size == 0
 
 
 def test_epoch_set_holds_c_contiguous_read_only_arrays():

@@ -132,6 +132,22 @@ def _pair(x, what: str) -> np.ndarray:
     return pair
 
 
+def _per_channel(pair, wavelengths_nm, distance_m, table, invert: bool) -> np.ndarray:
+    """Each channel's 2x2 extinction system, or its inverse, times that
+    channel's (2, samples) slice of the (2, ..., samples) ``pair``, with
+    ``distance_m`` one distance or one per channel. One 2x2 @ (2, samples)
+    product per channel, as for a single series, so each channel comes out
+    exactly as it does on its own."""
+    distances = np.broadcast_to(np.asarray(distance_m, dtype=float), pair.shape[1:-1])
+    per_channel = distances.ravel().tolist()
+    matrix = {}
+    for d in dict.fromkeys(per_channel):
+        m = _solve_matrix(wavelengths_nm[0], wavelengths_nm[1], d, table)
+        matrix[d] = np.linalg.inv(m) if invert else m
+    systems = np.array([matrix[d] for d in per_channel]).reshape(distances.shape + (2, 2))
+    return np.moveaxis(np.matmul(systems, np.stack(pair, axis=-2)), -2, 0)
+
+
 def mbll_invert(
     od_pair,
     wavelengths_nm: tuple[float, float],
@@ -148,28 +164,17 @@ def mbll_invert(
     shape, hbo first, and each channel comes out exactly as it does on its
     own.
     """
-    od = _pair(od_pair, "OD")
-    distances = np.broadcast_to(np.asarray(distance_m, dtype=float), od.shape[1:-1])
-    per_channel = distances.ravel().tolist()
-    inverse = {
-        d: np.linalg.inv(_solve_matrix(wavelengths_nm[0], wavelengths_nm[1], d, table))
-        for d in dict.fromkeys(per_channel)
-    }
-    inv = np.array([inverse[d] for d in per_channel])
-    # One 2x2 @ (2, samples) product per channel, as for a single series.
-    conc = np.matmul(inv.reshape(distances.shape + (2, 2)), np.stack(od, axis=-2))
-    return np.moveaxis(conc, -2, 0)
+    return _per_channel(_pair(od_pair, "OD"), wavelengths_nm, distance_m, table, invert=True)
 
 
 def mbll_forward(
     hemo,
     wavelengths_nm: tuple[float, float],
-    distance_m: float,
+    distance_m,
     table: ExtinctionTable,
 ) -> np.ndarray:
     """Forward-model the (hbo, hbr) pair of concentration changes (mol/L),
-    a (2, ..., samples) array or a tuple of the two, into the OD pair of the
-    same shape."""
-    hemo = _pair(hemo, "hbo/hbr")
-    m = _solve_matrix(wavelengths_nm[0], wavelengths_nm[1], distance_m, table)
-    return (m @ hemo.reshape(2, -1)).reshape(hemo.shape)
+    a (2, samples) or (2, channels, samples) array or a tuple of the two,
+    into the OD pair of the same shape, with ``distance_m`` one distance or
+    one per channel; each channel comes out exactly as it does on its own."""
+    return _per_channel(_pair(hemo, "hbo/hbr"), wavelengths_nm, distance_m, table, invert=False)

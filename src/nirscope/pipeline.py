@@ -195,8 +195,9 @@ class PipelineConfig:
 def _hemoglobin(recording, montage, config: PipelineConfig, extinction, out) -> list:
     """Optical density, short-channel regression and Beer-Lambert inversion
     of one recording into ``out`` (2, long channels, samples): hbo, then hbr.
-    Each step is one call over the recording's (2, channels, samples) array,
-    or over one wavelength of it. Returns the provenance of these steps."""
+    Each step is one call over the recording's (2, channels, samples) array;
+    short-channel regression takes the long rows of both wavelengths at once.
+    Returns the provenance of these steps."""
     wl = recording.wavelengths_nm
     index = {c: i for i, c in enumerate(recording.channel_ids)}
     longs = montage.long_channels
@@ -207,13 +208,12 @@ def _hemoglobin(recording, montage, config: PipelineConfig, extinction, out) -> 
 
     if config.short_channel and montage.short_channels:
         short_rows = np.array([index[match_short_channel(montage, ch.id)] for ch in longs])
-        for od_wl in od:
-            short = od_wl[short_rows]
-            # A constant short channel has nothing to regress out.
-            keep = np.ptp(short, axis=1) != 0.0
-            if keep.any():
-                rows = long_rows[keep]
-                od_wl[rows] = short_channel_regress(od_wl[rows], short[keep])
+        short = od[:, short_rows]
+        # A constant short channel has nothing to regress out.
+        wls, kept = np.nonzero(np.ptp(short, axis=-1) != 0.0)
+        if kept.size:
+            rows = long_rows[kept]
+            od[wls, rows] = short_channel_regress(od[wls, rows], short[wls, kept])
         provenance.append(
             ProvenanceStep.make("short_channel_regression", method="shared_source")
         )

@@ -103,22 +103,13 @@ class EffectSpec:
         if self.chromophore not in CHROMOPHORES:
             raise ValueError(f"unknown chromophore {self.chromophore!r}")
 
-    def weight(self, chromophore: str) -> float:
-        return 1.0 if chromophore == self.chromophore else 0.0
-
-    def ratio_for(self, chromophore: str) -> float:
+    def per_chromophore(self) -> tuple[np.ndarray, np.ndarray]:
+        """The amplitude ratio and the peak delay (s) of each chromophore, in
+        CHROMOPHORES order: ``chromophore``'s are the effect's, the other's
+        1 and 0."""
+        w = np.array([c == self.chromophore for c in CHROMOPHORES], dtype=float)
         # Kept as 1 - w * (1 - r), not r: 1 - (1 - r) != r for r = 0.1.
-        return 1.0 - self.weight(chromophore) * (1.0 - self.amplitude_ratio)
-
-    def delay_for(self, chromophore: str) -> float:
-        return self.weight(chromophore) * self.peak_delay_s
-
-    @property
-    def discriminative(self) -> tuple[tuple[str, str], ...]:
-        """(channel, chromophore) pairs the effect actually changes."""
-        if not (self.amplitude_ratio < 1.0 or self.peak_delay_s > 0):
-            return ()
-        return tuple((ch, self.chromophore) for ch in self.target_channels)
+        return 1.0 - w * (1.0 - self.amplitude_ratio), w * self.peak_delay_s
 
 
 @dataclass(frozen=True)
@@ -284,21 +275,27 @@ def _participants(n_patients: int, n_controls: int) -> list[tuple[str, str]]:
 
 def _ground_truth(montage, participants, effect: EffectSpec | None, seed: int) -> GroundTruth:
     """What the generator injects, which depends on the groups and the effect
-    only: when a target is a long channel, each patient's target-channel
-    response peaks ``effect.delay_for(chromophore)`` after the HRF peak."""
+    only. Short channels carry no evoked response, so only the long targets,
+    each once, express the effect: each patient's response there peaks
+    ``effect.per_chromophore()``'s delay after the HRF peak, and they are
+    discriminative when the effect changes the amplitude or the peak."""
     long_ids = {ch.id for ch in montage.long_channels}
-    expressed = effect is not None and any(ch in long_ids for ch in effect.target_channels)
-    true_peak = {}
-    for pid, group in participants:
-        delayed = expressed and group == "patient"
-        true_peak[pid] = {
-            chrom: _HRF_PEAK_S + (effect.delay_for(chrom) if delayed else 0.0)
-            for chrom in CHROMOPHORES
+    targets = () if effect is None else tuple(
+        dict.fromkeys(ch for ch in effect.target_channels if ch in long_ids)
+    )
+    delays = effect.per_chromophore()[1] if targets else np.zeros(len(CHROMOPHORES))
+    true_peak = {
+        pid: {
+            chrom: _HRF_PEAK_S + (float(d) if group == "patient" else 0.0)
+            for chrom, d in zip(CHROMOPHORES, delays)
         }
+        for pid, group in participants
+    }
+    changed = bool(targets) and (effect.amplitude_ratio < 1.0 or effect.peak_delay_s > 0)
     return GroundTruth(
         seed=seed,
         labels=dict(participants),
-        discriminative=() if effect is None else effect.discriminative,
+        discriminative=tuple((ch, effect.chromophore) for ch in targets) if changed else (),
         amplitude_ratio=1.0 if effect is None else effect.amplitude_ratio,
         peak_delay_s=0.0 if effect is None else effect.peak_delay_s,
         hrf_peak_s=_HRF_PEAK_S,
@@ -310,19 +307,19 @@ def _recording(
     montage: Montage, extinction, pid: str, group: str, trials_per_task: int,
     effect: EffectSpec | None, rng,
 ) -> Recording:
-    """One participant's recording, drawn from ``rng``."""
+    """One participant's recording, drawn from ``rng``: its hemodynamics are
+    one (2, channels, samples) pair in CHROMOPHORES order, forward-modeled
+    into optical density in one call."""
     fs = _SAMPLE_RATE_HZ
     n_trials = trials_per_task * len(_TASKS)
     duration_s = _LEAD_IN_S + n_trials * (_TASK_S + _REST_S)
     n = int(round(duration_s * fs))
     t = np.arange(n) / fs
     task_samples = int(round(_TASK_S * fs))
-    by_source = {ch.id: ch.source for ch in montage.channels}
-    targets = set(effect.target_channels) if effect is not None else set()
+    channels = montage.channels
+    is_long = np.array([ch.kind == "long" for ch in channels])
 
-    order = rng.permutation(
-        np.repeat(np.arange(len(_TASKS)), trials_per_task)
-    )
+    order = rng.permutation(np.repeat(np.arange(len(_TASKS)), trials_per_task))
     annotations = []
     onsets = []
     for j, task_idx in enumerate(order):
@@ -340,59 +337,56 @@ def _recording(
         u[start : start + task_samples] = envelope * (
             1.0 + _TRIAL_GAIN_SD * rng.standard_normal()
         )
-
     gain = max(0.2, 1.0 + _PARTICIPANT_GAIN_SD * rng.standard_normal())
-    is_patient = group == "patient"
-    kernels: dict[float, np.ndarray] = {}
 
     def response(delay: float) -> np.ndarray:
-        if delay not in kernels:
-            kernels[delay] = np.convolve(
-                u, _block_kernel(fs, delay, envelope)
-            )[:n]
-        return kernels[delay]
+        return np.convolve(u, _block_kernel(fs, delay, envelope))[:n]
 
-    # Superficial (scalp) signal per source, shared with short channels.
-    sup_hbo: dict[str, np.ndarray] = {}
-    sup_hbr: dict[str, np.ndarray] = {}
+    # Evoked response on the long channels; patients express the effect in
+    # its long targets. HbR is inverted at _HBR_RATIO of the HbO amplitude.
+    drive = gain * _HBO_AMPLITUDE * np.array([1.0, -_HBR_RATIO])
+    hemo = np.zeros((2, len(channels), n))
+    hemo[:, is_long] = (drive[:, None] * response(0.0))[:, None]
+    if effect is not None and group == "patient":
+        ratio, delay = effect.per_chromophore()
+        expressed = is_long & np.isin(montage.channel_ids, effect.target_channels)
+        hemo[:, expressed] = ((drive * ratio)[:, None] * [response(d) for d in delay])[:, None]
+
+    # Superficial (scalp) rhythms per source, shared with short channels.
+    rhythms = np.array(
+        [(_CARDIAC_HZ, _CARDIAC_AMP), (_RESPIRATION_HZ, _RESPIRATION_AMP), (_MAYER_HZ, _MAYER_AMP)]
+    )
+    phase0 = np.empty((len(montage.sources), len(rhythms), 1))
+    walk = np.empty((len(montage.sources), len(rhythms), n))
+    for i in np.ndindex(phase0.shape[:2]):
+        phase0[i] = rng.uniform(0, 2 * np.pi)
+        walk[i] = rng.standard_normal(n)
     step = _PHASE_JITTER_RAD_PER_SQRT_S / np.sqrt(fs)
-    for src in montage.sources:
-        sup = np.zeros(n)
-        for hz, amp in (
-            (_CARDIAC_HZ, _CARDIAC_AMP),
-            (_RESPIRATION_HZ, _RESPIRATION_AMP),
-            (_MAYER_HZ, _MAYER_AMP),
-        ):
-            phase0 = rng.uniform(0, 2 * np.pi)
-            walk = np.cumsum(step * rng.standard_normal(n))
-            sup += amp * np.sin(2 * np.pi * hz * t + phase0 + walk)
-        sup_hbo[src] = sup
-        sup_hbr[src] = _SUPERFICIAL_HBR_RATIO * sup
+    walk = np.cumsum(step * walk, axis=-1)
+    hz, amp = rhythms[:, :1], rhythms[:, 1:]
+    scalp = (amp * np.sin(2 * np.pi * hz * t + phase0 + walk)).sum(axis=1)
+    source = [montage.sources.index(ch.source) for ch in channels]
+    superficial = np.array([1.0, _SUPERFICIAL_HBR_RATIO])[:, None, None] * scalp[source]
 
-    od = np.empty((2, len(montage.channels), n))  # in _WAVELENGTHS_NM order
-    for ci, ch in enumerate(montage.channels):
-        src = by_source[ch.id]
+    # Sensor noise on every channel, drawn channel by channel in the order the
+    # golden digests fix; drift and motion spikes, in optical density, on the
+    # long channels only, so the short channels stay a clean scalp reference.
+    white = np.empty_like(hemo)
+    slopes, spikes = [], []
+    for ci, ch in enumerate(channels):
+        white[:, ci] = rng.standard_normal((2, n))
         if ch.kind == "long":
-            affected = is_patient and ch.id in targets and effect is not None
-            ratio_hbo = effect.ratio_for("hbo") if affected else 1.0
-            ratio_hbr = effect.ratio_for("hbr") if affected else 1.0
-            delay_hbo = effect.delay_for("hbo") if affected else 0.0
-            delay_hbr = effect.delay_for("hbr") if affected else 0.0
-            hbo = gain * _HBO_AMPLITUDE * ratio_hbo * response(delay_hbo)
-            hbr = -gain * _HBO_AMPLITUDE * _HBR_RATIO * ratio_hbr * response(delay_hbr)
-        else:
-            hbo = np.zeros(n)
-            hbr = np.zeros(n)
-        hbo = hbo + sup_hbo[src] + _WHITE_SD * rng.standard_normal(n)
-        hbr = hbr + sup_hbr[src] + _WHITE_SD * rng.standard_normal(n)
-        od[:, ci] = optics.mbll_forward((hbo, hbr), _WAVELENGTHS_NM, ch.distance_m, extinction)
-        if ch.kind == "long":
-            # Drift and motion spikes live on the long channels so the
-            # short channels stay a clean superficial reference.
-            drift = _DRIFT_OD_PER_MIN * rng.uniform(-1.0, 1.0) * (t / 60.0)
-            spikes = _spike_train(rng, n, fs, _SPIKE_RATE_PER_MIN, _SPIKE_OD_AMP)
-            od[0, ci] = od[0, ci] + drift + spikes
-            od[1, ci] = od[1, ci] + 0.8 * (drift + spikes)
+            slopes.append(rng.uniform(-1.0, 1.0))
+            spikes.append(_spike_train(rng, n, fs, _SPIKE_RATE_PER_MIN, _SPIKE_OD_AMP))
+    hemo = hemo + superficial + np.multiply(white, _WHITE_SD, out=white)
+
+    distances = [ch.distance_m for ch in channels]
+    od = optics.mbll_forward(hemo, _WAVELENGTHS_NM, distances, extinction)  # by wavelength
+    drift = (_DRIFT_OD_PER_MIN * np.array(slopes))[:, None] * (t / 60.0)
+    spikes = np.array(spikes)
+    od[0, is_long] += drift
+    od[0, is_long] += spikes
+    od[1, is_long] += 0.8 * (drift + spikes)
 
     return Recording(
         participant_id=pid,

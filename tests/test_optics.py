@@ -121,6 +121,16 @@ def test_forward_inverse_round_trip_1000_random_pairs():
     scale = np.abs(np.concatenate([hbo, hbr])).max()
     assert np.abs(rec_hbo - hbo).max() <= 1e-9 * scale
     assert np.abs(rec_hbr - hbr).max() <= 1e-9 * scale
+    # A (2, channels, samples) stack with one distance per channel: each
+    # channel is forward-modeled exactly as on its own.
+    distances = [0.03, 0.008, 0.025, 0.03]
+    stack = rng.uniform(-5e-6, 5e-6, size=(2, len(distances), 250))
+    od = mbll_forward(stack, WLS, distances, table)
+    assert od.shape == stack.shape
+    for i, d in enumerate(distances):
+        assert od[:, i].tobytes() == mbll_forward(stack[:, i], WLS, d, table).tobytes()
+    back = mbll_invert(od, WLS, distances, table)
+    assert np.abs(back - stack).max() <= 1e-9 * np.abs(stack).max()
 
 
 def test_proportional_extinction_rows_are_singular():

@@ -285,6 +285,20 @@ def test_hemoglobin_matches_per_channel_steps(tmp_path):
         channel_ids=dataset.recordings[0].channel_ids,
         intensity=dataset.recordings[0].intensity[..., :1199],
     )
+    # Short channels constant at one wavelength (S1-SD1 at 760 nm) and at
+    # both (S5-SD5): their long channels keep the other wavelength's rows.
+    flat = dataset.recordings[0].intensity.copy()
+    ids = list(dataset.recordings[0].channel_ids)
+    flat[0, ids.index("S1-SD1")] = 1.0
+    flat[:, ids.index("S5-SD5")] = 1.0
+    flat_short = Recording(
+        participant_id="P98",
+        group="patient",
+        sample_rate_hz=3.9,
+        wavelengths_nm=dataset.recordings[0].wavelengths_nm,
+        channel_ids=dataset.recordings[0].channel_ids,
+        intensity=flat,
+    )
     # The first two recordings share a sample rate, as a saved dataset must.
     save_dataset(
         Dataset(montage=dataset.montage, recordings=dataset.recordings[:2]), tmp_path / "raw"
@@ -294,7 +308,7 @@ def test_hemoglobin_matches_per_channel_steps(tmp_path):
     assert loaded.recordings[0].intensity.flags.c_contiguous
     config = PipelineConfig()
     table = optics.default_extinction_table()
-    for rec in (*dataset.recordings[:2], odd, *loaded.recordings[:2]):
+    for rec in (*dataset.recordings[:2], odd, flat_short, *loaded.recordings[:2]):
         got = np.empty((2, len(dataset.montage.long_channels), rec.n_samples))
         pipeline._hemoglobin(rec, dataset.montage, config, table, got)
         assert got.tobytes() == _hemoglobin_per_channel(rec, dataset.montage, config).tobytes()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from nirscope.synth import (
     canonical_hrf,
     default_montage,
     generate_dataset,
+    generate_recordings,
     ground_truth_report,
     parse_ground_truth,
 )
@@ -116,6 +118,40 @@ def test_same_seed_is_bit_identical():
     assert a != c
 
 
+# The sha256 of each participant's intensity bytes (P01, then C01; two
+# trials per task, seed 4) on the synthesis paths the golden dataset, an
+# HbR effect with both an amplitude ratio and a delay, leaves out. The
+# control's recording is the same in every case.
+_CONTROL_SHA256 = "99b5d9b6cc19023f5664c6072c06b33fa196d0aaf5e45fc45487b16c112a27e5"
+SYNTH_PATHS = {
+    "no-effect": (
+        None, "bb7ad0d18a848691f75859e14b84457d0bd23a8246c506bcd8c79f8220c2b2f4",
+    ),
+    "hbo-effect-and-short-target": (
+        EffectSpec(("S7-D6", "S5-D6", "S1-SD1"), 0.5, 1.5, "hbo"),
+        "3ff06321f15f33c8fadb0bb00e09f359e9da508e689ad43b874cef7d3fa75806",
+    ),
+    "amplitude-only": (
+        EffectSpec(("S7-D6", "S5-D6"), 0.5, 0.0, "hbr"),
+        "f7eb2964d28e35ad757283be1be2cf1b100a42f9cfc6b062b686ffee88d3059b",
+    ),
+    "delay-only": (
+        EffectSpec(("S7-D6", "S5-D6"), 1.0, 1.5, "hbr"),
+        "c8697f420cce2c2364ebe5c5406277a5a4b882530b54d134ec351221caed388b",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SYNTH_PATHS)
+def test_synthesis_paths_keep_their_bytes(case):
+    effect, patient_sha256 = SYNTH_PATHS[case]
+    got = [
+        hashlib.sha256(rec.intensity.tobytes()).hexdigest()
+        for rec in generate_recordings(1, 1, 2, effect, seed=4)
+    ]
+    assert got == [patient_sha256, _CONTROL_SHA256]
+
+
 def test_intensities_strictly_positive_even_with_heavy_noise(monkeypatch):
     heavy = {
         "_CARDIAC_AMP": 5e-6,
@@ -160,6 +196,22 @@ def test_null_effect_ground_truth_is_empty():
 def test_ground_truth_channel_list_matches_effect():
     _, gt = generate_dataset(1, 1, effect=EFFECT, seed=0)
     assert gt.discriminative == (("S7-D6", "hbr"), ("S5-D6", "hbr"))
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [("S1-SD1",), ("S7-D6", "S1-SD1", "S7-D6")],
+    ids=["short-target", "repeated-target"],
+)
+def test_ground_truth_lists_each_long_target_once(targets):
+    # Short channels carry no evoked response: a short target changes nothing.
+    effect = EffectSpec(targets, amplitude_ratio=0.5, peak_delay_s=1.5)
+    ds, gt = generate_dataset(1, 1, trials_per_task=1, effect=effect, seed=0)
+    longs = tuple(dict.fromkeys(ch for ch in targets if ch != "S1-SD1"))
+    assert gt.discriminative == tuple((ch, "hbr") for ch in longs)
+    assert gt.true_peak_s["P01"]["hbr"] == (7.5 if longs else 6.0)
+    if not longs:
+        assert ds == generate_dataset(1, 1, trials_per_task=1, seed=0)[0]
 
 
 def test_ground_truth_report_round_trip():

@@ -29,7 +29,6 @@ from .model import EpochSet
 __all__ = [
     "ClassifierSpec",
     "Metrics",
-    "Fold",
     "FoldPlan",
     "fit",
     "predict",
@@ -497,9 +496,6 @@ class BoostModel(_TreeModel):
     def finish(self, total: np.ndarray) -> np.ndarray:
         return _sigmoid(total)
 
-    def decision_function(self, x: np.ndarray) -> np.ndarray:
-        return self._leaf_total(_check_columns(x, self.n_features))
-
 
 def _fit_boost(x: np.ndarray, y: np.ndarray) -> BoostModel:
     n, n_features = x.shape
@@ -609,25 +605,18 @@ def evaluate(y_true, y_pred) -> Metrics:
 
 
 @dataclass(frozen=True)
-class Fold:
-    test_ids: tuple[str, ...]
-    train_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class FoldPlan:
-    folds: tuple[Fold, ...]
+    """The test participants of each fold; a fold trains on everyone else."""
+
+    folds: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
         tested: set[str] = set()
-        for fold in self.folds:
-            overlap = set(fold.test_ids) & set(fold.train_ids)
-            if overlap:
-                raise ValueError(f"participants in both train and test: {sorted(overlap)}")
-            dup = tested & set(fold.test_ids)
+        for test_ids in self.folds:
+            dup = tested & set(test_ids)
             if dup:
                 raise ValueError(f"participants tested more than once: {sorted(dup)}")
-            tested |= set(fold.test_ids)
+            tested |= set(test_ids)
 
 
 def make_fold_plan(participants, n_folds: int = 6, seed: int = 0) -> FoldPlan:
@@ -653,15 +642,7 @@ def make_fold_plan(participants, n_folds: int = 6, seed: int = 0) -> FoldPlan:
         shuffled = [ids[i] for i in rng.permutation(len(ids))]
         for i, pid in enumerate(shuffled):
             test_sets[i % n_folds].append(pid)
-    all_ids = [pid for pid, _ in participants]
-    folds = tuple(
-        Fold(
-            test_ids=tuple(test),
-            train_ids=tuple(pid for pid in all_ids if pid not in set(test)),
-        )
-        for test in test_sets
-    )
-    return FoldPlan(folds=folds)
+    return FoldPlan(folds=tuple(tuple(test) for test in test_sets))
 
 
 @dataclass(eq=False)
@@ -675,7 +656,6 @@ class FoldResult:
     train_x: np.ndarray  # standardized, selected columns
     test_x: np.ndarray
     test_pred: np.ndarray
-    test_trial_ids: tuple[str, ...]
     metrics: Metrics
 
 
@@ -700,11 +680,16 @@ def cross_validate(
 ) -> CrossValidation:
     """Per-fold train/evaluate with strict train-side selection and scaling.
 
-    Feature scores, selected columns, and scaler statistics are computed
-    from training rows only. Pooled metrics cover the concatenation of all
-    folds' test predictions at trial level. Each fold derives its own model
-    seed as spec.seed XOR fold index.
+    Each fold tests the trials of its participants and trains on all other
+    trials. Feature scores, selected columns, and scaler statistics are
+    computed from training rows only. Pooled metrics cover the concatenation
+    of all folds' test predictions at trial level. Each fold derives its own
+    model seed as spec.seed XOR fold index.
     """
+    known = {pid for pid, _ in epochs.participants}
+    unknown = [pid for test_ids in plan.folds for pid in test_ids if pid not in known]
+    if unknown:
+        raise ValueError(f"the fold plan names participants the epochs do not have: {unknown}")
     feats = build_features(epochs, task, mode)
     if select_k is None:
         select_k = default_select_k(mode, feats.x.shape[1])
@@ -712,11 +697,11 @@ def cross_validate(
     results: list[FoldResult] = []
     pooled_true: list[np.ndarray] = []
     pooled_pred: list[np.ndarray] = []
-    for i, fold in enumerate(plan.folds):
-        train_mask = np.isin(pids, fold.train_ids)
-        test_mask = np.isin(pids, fold.test_ids)
+    for i, test_ids in enumerate(plan.folds):
+        test_mask = np.isin(pids, test_ids)
         if not test_mask.any():
-            raise ValueError(f"fold {i}: no test trials for {fold.test_ids}")
+            raise ValueError(f"fold {i}: no test trials for {test_ids}")
+        train_mask = ~test_mask
         train_y = feats.y[train_mask]
         if np.unique(train_y).size < 2:
             raise ValueError(f"fold {i}: training data has a single class")
@@ -732,7 +717,7 @@ def cross_validate(
         results.append(
             FoldResult(
                 fold_index=i,
-                test_ids=fold.test_ids,
+                test_ids=test_ids,
                 selected=selected,
                 scaler_mean=mean,
                 scaler_std=std,
@@ -740,7 +725,6 @@ def cross_validate(
                 train_x=train_x,
                 test_x=test_x,
                 test_pred=test_pred,
-                test_trial_ids=tuple(pids[test_mask]),
                 metrics=evaluate(test_y, test_pred),
             )
         )

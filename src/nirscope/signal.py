@@ -26,7 +26,6 @@ __all__ = [
     "short_channel_regress",
     "match_short_channel",
     "bandpass_sos",
-    "bandpass_gain",
 ]
 
 
@@ -156,18 +155,6 @@ def bandpass_sos(spec: BandpassSpec, fs: float) -> np.ndarray:
     p_z = (fs2 + p_bp) / (fs2 - p_bp)
     k_z = bw**n * np.real(np.prod(fs2 - z_bp) / np.prod(fs2 - p_bp))
     return _zpk2sos(z_z, p_z, k_z)
-
-
-def bandpass_gain(spec: BandpassSpec, fs: float, freqs) -> np.ndarray:
-    """Magnitude response at ``freqs`` (Hz) of the zero-phase filter: the
-    designed filter's magnitude, squared by the forward-backward pass."""
-    sos = bandpass_sos(spec, fs)
-    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    zm1 = np.exp(-1j * (freqs * (2 * np.pi / fs)))
-    h = 1.0
-    for b0, b1, b2, a0, a1, a2 in sos:
-        h = h * ((b0 + zm1 * (b1 + zm1 * b2)) / (a0 + zm1 * (a1 + zm1 * a2)))
-    return np.abs(h) ** 2
 
 
 def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:

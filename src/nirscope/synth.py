@@ -28,7 +28,6 @@ __all__ = [
     "generate_dataset",
     "generate_recordings",
     "ground_truth_report",
-    "parse_ground_truth",
 ]
 
 _HRF_SHAPE_MAIN = 6.0  # gamma shape of the positive lobe
@@ -234,11 +233,10 @@ def generate_dataset(
     recordings = tuple(
         generate_recordings(n_patients, n_controls, trials_per_task, effect, seed)
     )
-    montage = default_montage()
     dataset = Dataset(
-        montage=montage, recordings=recordings, creator="nirscope-synth", seed=seed
+        montage=default_montage(), recordings=recordings, creator="nirscope-synth", seed=seed
     )
-    return dataset, _ground_truth(montage, _participants(n_patients, n_controls), effect, seed)
+    return dataset, _ground_truth(_participants(n_patients, n_controls), effect, seed)
 
 
 def generate_recordings(
@@ -255,10 +253,13 @@ def generate_recordings(
         raise ValueError("need at least one participant per group")
     montage = default_montage()
     if effect is not None:
-        known = set(montage.channel_ids)
         for ch in effect.target_channels:
-            if ch not in known:
+            if ch not in montage.channel_ids:
                 raise ValueError(f"effect channel {ch} absent from montage")
+        long_ids = {ch.id for ch in montage.long_channels}
+        short = [ch for ch in effect.target_channels if ch not in long_ids]
+        if short:
+            raise ValueError(f"effect channels {short} are short: they carry no evoked response")
     extinction = optics.default_extinction_table()
     return (
         _recording(montage, extinction, pid, group, trials_per_task, effect,
@@ -273,16 +274,12 @@ def _participants(n_patients: int, n_controls: int) -> list[tuple[str, str]]:
     ]
 
 
-def _ground_truth(montage, participants, effect: EffectSpec | None, seed: int) -> GroundTruth:
+def _ground_truth(participants, effect: EffectSpec | None, seed: int) -> GroundTruth:
     """What the generator injects, which depends on the groups and the effect
-    only. Short channels carry no evoked response, so only the long targets,
-    each once, express the effect: each patient's response there peaks
-    ``effect.per_chromophore()``'s delay after the HRF peak, and they are
-    discriminative when the effect changes the amplitude or the peak."""
-    long_ids = {ch.id for ch in montage.long_channels}
-    targets = () if effect is None else tuple(
-        dict.fromkeys(ch for ch in effect.target_channels if ch in long_ids)
-    )
+    only. The targets, each once, express the effect: each patient's response
+    there peaks ``effect.per_chromophore()``'s delay after the HRF peak, and
+    they are discriminative when the effect changes the amplitude or the peak."""
+    targets = () if effect is None else tuple(dict.fromkeys(effect.target_channels))
     delays = effect.per_chromophore()[1] if targets else np.zeros(len(CHROMOPHORES))
     true_peak = {
         pid: {
@@ -343,13 +340,13 @@ def _recording(
         return np.convolve(u, _block_kernel(fs, delay, envelope))[:n]
 
     # Evoked response on the long channels; patients express the effect in
-    # its long targets. HbR is inverted at _HBR_RATIO of the HbO amplitude.
+    # its targets. HbR is inverted at _HBR_RATIO of the HbO amplitude.
     drive = gain * _HBO_AMPLITUDE * np.array([1.0, -_HBR_RATIO])
     hemo = np.zeros((2, len(channels), n))
     hemo[:, is_long] = (drive[:, None] * response(0.0))[:, None]
     if effect is not None and group == "patient":
         ratio, delay = effect.per_chromophore()
-        expressed = is_long & np.isin(montage.channel_ids, effect.target_channels)
+        expressed = np.isin(montage.channel_ids, effect.target_channels)
         hemo[:, expressed] = ((drive * ratio)[:, None] * [response(d) for d in delay])[:, None]
 
     # Superficial (scalp) rhythms per source, shared with short channels.
@@ -400,7 +397,7 @@ def _recording(
 
 
 def ground_truth_report(gt: GroundTruth) -> str:
-    """Serialize the injected effect as JSON text (round-trip parseable)."""
+    """Serialize the injected effect as JSON text."""
     payload = {
         "seed": gt.seed,
         "labels": gt.labels,
@@ -411,16 +408,3 @@ def ground_truth_report(gt: GroundTruth) -> str:
         "true_peak_s": gt.true_peak_s,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def parse_ground_truth(text: str) -> GroundTruth:
-    obj = json.loads(text)
-    return GroundTruth(
-        seed=int(obj["seed"]),
-        labels=dict(obj["labels"]),
-        discriminative=tuple((c, h) for c, h in obj["discriminative"]),
-        amplitude_ratio=float(obj["amplitude_ratio"]),
-        peak_delay_s=float(obj["peak_delay_s"]),
-        hrf_peak_s=float(obj["hrf_peak_s"]),
-        true_peak_s={k: dict(v) for k, v in obj["true_peak_s"].items()},
-    )

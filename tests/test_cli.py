@@ -24,7 +24,6 @@ from nirscope.epochs import segment
 from nirscope.learn import make_fold_plan
 from nirscope.model import DatasetFormatError, load_dataset
 from nirscope.pipeline import REPORT_FILES, PipelineConfig, PipelineError, epochs_from_dataset
-from nirscope.synth import parse_ground_truth
 
 SMALL_RUN = [
     "--patients", "6", "--controls", "6", "--folds", "3",
@@ -45,8 +44,8 @@ def test_synth_writes_dataset_and_ground_truth(tmp_path):
     assert code == EXIT_OK
     ds = load_dataset(out)
     assert len(ds.recordings) == 4
-    gt = parse_ground_truth((out / "ground_truth.json").read_text())
-    assert gt.discriminative == (("S7-D6", "hbr"), ("S5-D6", "hbr"))
+    gt = json.loads((out / "ground_truth.json").read_text())
+    assert gt["discriminative"] == [["S7-D6", "hbr"], ["S5-D6", "hbr"]]
 
 
 def test_stats_ttest_summary_matches_published_value(capsys):
@@ -942,7 +941,7 @@ def test_a_participant_without_the_task_keeps_its_place_in_the_fold_plan(tmp_pat
     for epochs in (epochs_from_dataset(loaded, PipelineConfig()),
                    segment(loaded.hemo, task="single")):
         plan = make_fold_plan(epochs.participants, n_folds=3, seed=1)
-        folds = [f"  fold {i}: test = {', '.join(f.test_ids)}" for i, f in enumerate(plan.folds)]
+        folds = [f"  fold {i}: test = {', '.join(ids)}" for i, ids in enumerate(plan.folds)]
         assert folds == MISSING_TASK_FOLDS
 
 

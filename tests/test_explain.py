@@ -546,7 +546,7 @@ def test_tree_values_equal_composed_scores(monkeypatch, kind, masks, small_block
 
 @pytest.mark.parametrize("kind", ["random_forest", "boosted_trees"])
 def test_a_tree_model_packs_its_trees_once(monkeypatch, kind):
-    # predict_score, decision_function and the tree game all walk one packing.
+    # predict_score, the leaf total and the tree game all walk one packing.
     model, x, instances = _tree_model(monkeypatch, kind)
     packed = []
     pack = learn._Ensemble.__init__
@@ -558,6 +558,6 @@ def test_a_tree_model_packs_its_trees_once(monkeypatch, kind):
     game.values(np.ones((1, len(GAME)), dtype=bool))(instances[0])
     game.empty(), game.full(instances[0])
     if kind == "boosted_trees":
-        assert np.array_equal(learn._sigmoid(model.decision_function(x)), scores)
+        assert np.array_equal(learn._sigmoid(model._leaf_total(x)), scores)
     assert len(packed) == 1 and packed[0] is model.trees
     assert np.array_equal(model.predict_score(x), scores)

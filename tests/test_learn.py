@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_epoch_set
 from nirscope import learn
-from nirscope.features import FeatureMode
+from nirscope.features import FeatureMode, standardize
 from nirscope.learn import (
     ClassifierSpec,
     FoldPlan,
@@ -223,25 +223,21 @@ def _participants(n_pat, n_ctrl):
 def test_balanced_24_gives_two_plus_two_folds():
     plan = make_fold_plan(_participants(12, 12), n_folds=6, seed=0)
     assert len(plan.folds) == 6
-    for fold in plan.folds:
-        pats = [p for p in fold.test_ids if p.startswith("P")]
-        ctrls = [p for p in fold.test_ids if p.startswith("C")]
+    for test_ids in plan.folds:
+        pats = [p for p in test_ids if p.startswith("P")]
+        ctrls = [p for p in test_ids if p.startswith("C")]
         assert len(pats) == 2 and len(ctrls) == 2
-    tested = [p for fold in plan.folds for p in fold.test_ids]
+    tested = [p for test_ids in plan.folds for p in test_ids]
     assert sorted(tested) == sorted(p for p, _ in _participants(12, 12))
 
 
 def test_unbalanced_13_11_fold_sizes():
     plan = make_fold_plan(_participants(13, 11), n_folds=6, seed=1)
-    pat_sizes = sorted(
-        sum(p.startswith("P") for p in fold.test_ids) for fold in plan.folds
-    )
-    ctrl_sizes = sorted(
-        sum(p.startswith("C") for p in fold.test_ids) for fold in plan.folds
-    )
+    pat_sizes = sorted(sum(p.startswith("P") for p in test_ids) for test_ids in plan.folds)
+    ctrl_sizes = sorted(sum(p.startswith("C") for p in test_ids) for test_ids in plan.folds)
     assert set(pat_sizes) <= {2, 3} and sum(pat_sizes) == 13
     assert set(ctrl_sizes) <= {1, 2} and sum(ctrl_sizes) == 11
-    tested = [p for fold in plan.folds for p in fold.test_ids]
+    tested = [p for test_ids in plan.folds for p in test_ids]
     assert len(tested) == 24 and len(set(tested)) == 24
 
 
@@ -251,17 +247,8 @@ def test_too_few_participants_per_class_rejected():
 
 
 def test_fold_plan_rejects_overlap():
-    from nirscope.learn import Fold
-
-    with pytest.raises(ValueError, match="both train and test"):
-        FoldPlan(folds=(Fold(test_ids=("A",), train_ids=("A", "B")),))
     with pytest.raises(ValueError, match="more than once"):
-        FoldPlan(
-            folds=(
-                Fold(test_ids=("A",), train_ids=("B",)),
-                Fold(test_ids=("A",), train_ids=("B",)),
-            )
-        )
+        FoldPlan(folds=(("A",), ("B", "A")))
 
 
 def test_plan_deterministic_by_seed():
@@ -335,24 +322,30 @@ def test_default_select_k_keeps_every_column_when_there_are_fewer():
 
 
 def test_single_class_training_fold_rejected():
-    from nirscope.learn import Fold
-
     eps = _cv_epochs(seed=5, n_participants=4)
-    # leave only patients in training
-    plan = FoldPlan(
-        folds=(Fold(test_ids=("X02", "X03"), train_ids=("X00", "X01")),)
-    )
+    # test both controls, which leaves only patients in training
+    plan = FoldPlan(folds=(("X02", "X03"),))
     with pytest.raises(ValueError, match="single class"):
         cross_validate(eps, "single", ClassifierSpec(kind="knn"), plan, select_k=5)
 
 
 def test_no_participant_overlap_enforced_structurally():
+    # A fold tests exactly its participants' trials and trains on exactly
+    # everyone else's.
     eps = _cv_epochs(seed=6)
     plan = make_fold_plan(eps.participants, n_folds=3, seed=6)
     cv = cross_validate(eps, "single", ClassifierSpec(kind="knn", seed=6), plan, select_k=5)
-    for fr, fold in zip(cv.folds, plan.folds):
-        assert set(fr.test_trial_ids) <= set(fold.test_ids)
-        assert not set(fr.test_trial_ids) & set(fold.train_ids)
+    pids = np.array(cv.features.participant_ids)
+    for fr, test_ids in zip(cv.folds, plan.folds):
+        tested = np.isin(pids, test_ids)
+        assert set(pids[tested]) == set(test_ids)
+        columns = cv.features.x[:, fr.selected]
+        train_x, test_x, _, _ = standardize(columns[~tested], columns[tested])
+        assert np.array_equal(fr.train_x, train_x) and np.array_equal(fr.test_x, test_x)
+    # A plan that names a participant the epochs do not have is refused.
+    unknown = FoldPlan(folds=(plan.folds[0][:-1] + ("ZZZ",), *plan.folds[1:]))
+    with pytest.raises(ValueError, match=r"do not have: \['ZZZ'\]"):
+        cross_validate(eps, "single", ClassifierSpec(kind="knn", seed=6), unknown, select_k=5)
 
 
 def test_selection_and_scaling_ignore_test_rows():
@@ -362,7 +355,7 @@ def test_selection_and_scaling_ignore_test_rows():
     plan = make_fold_plan(eps.participants, n_folds=3, seed=7)
     cv1 = cross_validate(eps, "single", ClassifierSpec(kind="knn", seed=7), plan, select_k=6)
 
-    in_test = np.isin(eps.participant_ids, plan.folds[0].test_ids)[:, None, None, None]
+    in_test = np.isin(eps.participant_ids, plan.folds[0])[:, None, None, None]
     shift = np.array([100.0, -50.0])[:, None, None]  # hbo up, hbr down
     perturbed = dataclasses.replace(eps, hemo=eps.hemo + shift * in_test)
     cv2 = cross_validate(
@@ -589,7 +582,7 @@ def test_boosting_matches_rescanning_grower(monkeypatch, case, bins):
         reference = _reference_predict(tree, binned)
         assert np.array_equal(tree.predict(binned), reference)
         score += model.learning_rate * reference
-    assert np.array_equal(model.decision_function(np.vstack([x, queries])), score)
+    assert np.array_equal(model._leaf_total(np.vstack([x, queries])), score)
     monkeypatch.setattr(learn, "_grow_boost_tree", _reference_grow_boost_tree)
     _assert_same_trees(model.trees, fit(spec, x, y).trees)
 

@@ -10,7 +10,6 @@ from nirscope.signal import (
     BandpassSpec,
     _design,
     bandpass,
-    bandpass_gain,
     bandpass_sos,
     match_short_channel,
     short_channel_regress,
@@ -18,6 +17,12 @@ from nirscope.signal import (
 from nirscope.synth import default_montage
 
 FS = 3.9
+
+
+def _zero_phase_gain(spec, fs, freqs):
+    # scipy's response of the design, squared by the forward-backward pass
+    _, h = sps.sosfreqz(bandpass_sos(spec, fs), worN=np.atleast_1d(freqs), fs=fs)
+    return np.abs(h) ** 2
 
 
 def _steady_amplitude(out, fs, discard_s=20.0):
@@ -38,7 +43,7 @@ def test_passband_sinusoid_survives():
     x = np.sin(2 * np.pi * 0.2 * t)
     out = bandpass(x, BandpassSpec(), FS)
     amp = _steady_amplitude(out, FS, discard_s=60.0)
-    analytic = float(bandpass_gain(BandpassSpec(), FS, [0.2])[0])
+    analytic = float(_zero_phase_gain(BandpassSpec(), FS, 0.2)[0])
     assert amp >= 0.9
     assert amp == pytest.approx(analytic, abs=0.02)
 
@@ -48,7 +53,7 @@ def test_cardiac_band_attenuated_20db():
     x = np.sin(2 * np.pi * 1.1 * t)
     out = bandpass(x, BandpassSpec(), FS)
     amp = _steady_amplitude(out, FS, discard_s=60.0)
-    analytic = float(bandpass_gain(BandpassSpec(), FS, [1.1])[0])
+    analytic = float(_zero_phase_gain(BandpassSpec(), FS, 1.1)[0])
     assert amp <= 0.1
     assert amp == pytest.approx(analytic, abs=0.02)
 
@@ -67,7 +72,7 @@ def test_designed_filter_matches_closed_form_butterworth():
         return 1.0 / np.sqrt(1.0 + ratio ** (2 * half_order))
 
     for f in (0.06, 0.1, 0.2, 0.5, 0.69, 1.1, 1.5):
-        designed = float(np.sqrt(bandpass_gain(spec, FS, [f])[0]))  # single pass
+        designed = float(np.sqrt(_zero_phase_gain(spec, FS, f)[0]))  # single pass
         assert designed == pytest.approx(analytic(f), rel=1e-9)
 
 
@@ -293,9 +298,6 @@ def test_design_equals_scipy_butter(order, fs):
         sos, settle = _scipy_design(spec, fs)
         assert np.array_equal(bandpass_sos(spec, fs), sos)
         assert _design(spec, fs)[2] == settle
-        freqs = np.linspace(0.001, 0.999 * fs / 2, 97)
-        _, h = sps.sosfreqz(sos, worN=freqs * (2 * np.pi / fs))
-        assert np.abs(np.sqrt(bandpass_gain(spec, fs, freqs)) - np.abs(h)).max() <= 1e-12
         checked += 1
     assert checked >= 4
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from nirscope import epochs as em, optics, synth
+from nirscope.cli import EXIT_CONFIG, main
 from nirscope.pipeline import PipelineConfig, preprocess_dataset, epochs_from_dataset
 from nirscope.signal import bandpass
 from nirscope.synth import (
@@ -16,7 +18,6 @@ from nirscope.synth import (
     generate_dataset,
     generate_recordings,
     ground_truth_report,
-    parse_ground_truth,
 )
 
 EFFECT = EffectSpec(
@@ -127,8 +128,8 @@ SYNTH_PATHS = {
     "no-effect": (
         None, "bb7ad0d18a848691f75859e14b84457d0bd23a8246c506bcd8c79f8220c2b2f4",
     ),
-    "hbo-effect-and-short-target": (
-        EffectSpec(("S7-D6", "S5-D6", "S1-SD1"), 0.5, 1.5, "hbo"),
+    "hbo-effect": (
+        EffectSpec(("S7-D6", "S5-D6"), 0.5, 1.5, "hbo"),
         "3ff06321f15f33c8fadb0bb00e09f359e9da508e689ad43b874cef7d3fa75806",
     ),
     "amplitude-only": (
@@ -199,26 +200,39 @@ def test_ground_truth_channel_list_matches_effect():
 
 
 @pytest.mark.parametrize(
-    "targets",
-    [("S1-SD1",), ("S7-D6", "S1-SD1", "S7-D6")],
-    ids=["short-target", "repeated-target"],
+    "targets", [("S1-SD1",), ("S7-D6", "S7-D6")], ids=["short-target", "repeated-target"]
 )
-def test_ground_truth_lists_each_long_target_once(targets):
-    # Short channels carry no evoked response: a short target changes nothing.
+def test_ground_truth_lists_each_long_target_once(targets, tmp_path):
     effect = EffectSpec(targets, amplitude_ratio=0.5, peak_delay_s=1.5)
-    ds, gt = generate_dataset(1, 1, trials_per_task=1, effect=effect, seed=0)
-    longs = tuple(dict.fromkeys(ch for ch in targets if ch != "S1-SD1"))
-    assert gt.discriminative == tuple((ch, "hbr") for ch in longs)
-    assert gt.true_peak_s["P01"]["hbr"] == (7.5 if longs else 6.0)
-    if not longs:
-        assert ds == generate_dataset(1, 1, trials_per_task=1, seed=0)[0]
+    if targets == ("S1-SD1",):
+        # A short channel carries no evoked response: the effect is refused,
+        # and the CLI's synth and run exit with a config error and write nothing.
+        with pytest.raises(ValueError, match=r"\['S1-SD1'\] are short"):
+            generate_dataset(1, 1, trials_per_task=1, effect=effect, seed=0)
+        flags = ["--patients", "2", "--controls", "2", "--trials", "1",
+                 "--effect-channels", "S1-SD1", "--amplitude-ratio", "0.5"]
+        for command in (["synth"], ["run", "--folds", "2"]):
+            out = tmp_path / command[0]
+            assert main([*command, *flags, "--out", str(out)]) == EXIT_CONFIG
+            assert not out.exists()
+        return
+    _, gt = generate_dataset(1, 1, trials_per_task=1, effect=effect, seed=0)
+    assert gt.discriminative == (("S7-D6", "hbr"),)
+    assert gt.true_peak_s["P01"]["hbr"] == 7.5
 
 
 def test_ground_truth_report_round_trip():
     _, gt = generate_dataset(2, 1, effect=EFFECT, seed=11)
-    text = ground_truth_report(gt)
-    parsed = parse_ground_truth(text)
-    assert parsed == gt
+    patient, control = {"hbo": 6.0, "hbr": 7.5}, {"hbo": 6.0, "hbr": 6.0}
+    assert json.loads(ground_truth_report(gt)) == {
+        "seed": 11,
+        "labels": {"P01": "patient", "P02": "patient", "C01": "control"},
+        "discriminative": [["S7-D6", "hbr"], ["S5-D6", "hbr"]],
+        "amplitude_ratio": 0.5,
+        "peak_delay_s": 1.5,
+        "hrf_peak_s": 6.0,
+        "true_peak_s": {"P01": patient, "P02": patient, "C01": control},
+    }
 
 
 def test_true_peak_delay_exactly_injected():

@@ -13,20 +13,21 @@ platforms.
 
 Every step works on a (rows x samples) array, such as one recording's
 channels, and gives each row exactly what it gives that series alone.
-``detect_artifact_stack`` takes all rows at once (``detect_artifacts`` is
-its one-row case); ``spline_correct`` corrects the rows in place and fits
-all segments of one length at once; the inverse DWT sums each output
-sample's four contributions per tap, in the order a scatter would add them.
+``detect_artifact_stack`` takes all rows at once and returns one
+``Segments`` table (``detect_artifacts`` is its one-row case);
+``spline_correct`` corrects the rows in place and fits all segments of one
+length at once; the inverse DWT sums each output sample's four
+contributions per tap, in the order a scatter would add them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "ArtifactSegment",
+    "Segments",
     "detect_artifacts",
     "detect_artifact_stack",
     "spline_correct",
@@ -58,20 +59,15 @@ _STD_RATIO = 3.0
 _PAD_S = 0.5
 
 
-@dataclass(frozen=True)
-class ArtifactSegment:
-    """Half-open sample range [start, end) flagged on one channel."""
+class Segments(NamedTuple):
+    """Half-open segments [start, end) of the rows of a (k, n) array, one
+    per entry, sorted by row and then by start. ``amplitude`` is True where
+    a sample crosses the amplitude threshold, not only the moving std."""
 
-    start: int
-    end: int
-    channel_id: str = ""
-    trigger: str = "amplitude"  # "amplitude" | "moving_std"
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"need 0 <= start < end, got [{self.start}, {self.end})")
-        if self.trigger not in ("amplitude", "moving_std"):
-            raise ValueError(f"unknown trigger {self.trigger!r}")
+    row: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    amplitude: np.ndarray
 
 
 def _moving_std(x: np.ndarray, window: int) -> np.ndarray:
@@ -104,47 +100,33 @@ def _moving_std(x: np.ndarray, window: int) -> np.ndarray:
     return np.sqrt(np.maximum(out, 0.0))
 
 
-def detect_artifacts(
-    series,
-    fs: float,
-    amp_threshold: float = 5.0,
-    channel_id: str = "",
-) -> list[ArtifactSegment]:
+def detect_artifacts(series, fs: float, amp_threshold: float) -> Segments:
     """Flag samples by amplitude excursion or moving-std burst.
 
     A sample is flagged when |x - median| > amp_threshold * std(x) or when
     the moving std over _STD_WINDOW_S exceeds _STD_RATIO times its median.
     Adjacent flags merge into segments padded by _PAD_S on each side. A
-    segment's trigger is "amplitude" when any of its samples crosses the
-    amplitude threshold, else "moving_std". A zero-variance series yields
-    no segments. This is ``detect_artifact_stack`` of one row.
+    segment is an amplitude segment when any of its samples crosses the
+    amplitude threshold. A zero-variance series yields no segments. This is
+    ``detect_artifact_stack`` of one row, so every ``row`` is 0.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"series must be 1-D, got shape {x.shape}")
-    return detect_artifact_stack(x[None], fs, amp_threshold, [channel_id])[0]
+    return detect_artifact_stack(x[None], fs, amp_threshold)
 
 
-def detect_artifact_stack(
-    rows,
-    fs: float,
-    amp_threshold: float = 5.0,
-    channel_ids=None,
-) -> list[list[ArtifactSegment]]:
-    """``detect_artifacts`` of each row of a (k, n) array: one segment list
-    per row, each exactly as that row gives on its own.
+def detect_artifact_stack(rows, fs: float, amp_threshold: float) -> Segments:
+    """``detect_artifacts`` of each row of a (k, n) array, in one table:
+    each row's segments are exactly those the row gives on its own.
 
-    ``channel_ids`` names the channel of each row (default ""). The rows
-    are made C-contiguous, so their reductions along a row sum in the same
-    order as they do over one series.
+    The rows are made C-contiguous, so their reductions along a row sum in
+    the same order as they do over one series.
     """
     x = np.ascontiguousarray(rows, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"rows must be a (k, n) array, got shape {x.shape}")
-    k, n = x.shape
-    ids = [""] * k if channel_ids is None else list(channel_ids)
-    if len(ids) != k:
-        raise ValueError(f"need {k} channel ids, got {len(ids)}")
+    n = x.shape[1]
     window = max(2, int(round(_STD_WINDOW_S * fs)))
     if n <= window:
         raise ValueError(f"series length {n} must exceed the std window {window}")
@@ -154,20 +136,17 @@ def detect_artifact_stack(
     flags = amp_bad | (mstd > _STD_RATIO * np.median(mstd, axis=1, keepdims=True))
     # A zero-variance row yields no segments.
     flags &= std > 0
-    return _segments(flags, amp_bad, int(round(_PAD_S * fs)), ids)
+    return _segments(flags, amp_bad, int(round(_PAD_S * fs)))
 
 
-def _segments(
-    flags: np.ndarray, amp_bad: np.ndarray, pad: int, ids
-) -> list[list[ArtifactSegment]]:
+def _segments(flags: np.ndarray, amp_bad: np.ndarray, pad: int) -> Segments:
     """Padded segments of the flagged runs of each row of a (k, n) array."""
-    k, n = flags.shape
+    n = flags.shape[1]
     # Runs of consecutive flagged samples, in row-major order: each row has
     # one rising and one falling edge per run.
     row, col = np.nonzero(np.diff(flags, axis=1, prepend=False, append=False))
-    out: list[list[ArtifactSegment]] = [[] for _ in range(k)]
     if not row.size:
-        return out
+        return Segments(row, col, col, np.zeros(0, dtype=bool))
     row = row[::2]
     starts = np.maximum(col[::2] - pad, 0)
     ends = np.minimum(col[1::2] + pad, n)
@@ -178,7 +157,7 @@ def _segments(
     new[1:] = (row[1:] != row[:-1]) | (starts[1:] > ends[:-1])
     first = np.flatnonzero(new)
     last = np.append(first[1:], row.size) - 1
-    seg_row, seg_start, seg_end = row[first], starts[first], ends[last]
+    seg_row, seg_start = row[first], starts[first]
     # Segments are disjoint, sorted in row-major order and hold every
     # flagged sample, so each amp_bad sample falls in the last segment
     # starting at or before it.
@@ -187,11 +166,7 @@ def _segments(
     amplitude[
         np.searchsorted(seg_row * n + seg_start, amp_row * n + amp_col, side="right") - 1
     ] = True
-    for r, a, e, amp in zip(
-        seg_row.tolist(), seg_start.tolist(), seg_end.tolist(), amplitude.tolist()
-    ):
-        out[r].append(ArtifactSegment(a, e, ids[r], "amplitude" if amp else "moving_std"))
-    return out
+    return Segments(seg_row, seg_start, ends[last], amplitude)
 
 
 def _smoothing_spline(y: np.ndarray, lam: float) -> np.ndarray:
@@ -238,71 +213,66 @@ def _smoothing_spline(y: np.ndarray, lam: float) -> np.ndarray:
     return y - lam * qg
 
 
-def spline_correct(
-    x: np.ndarray, segments: list[list[ArtifactSegment]], fs: float = 1.0
-) -> None:
+def spline_correct(x: np.ndarray, segments: Segments, fs: float) -> None:
     """Subtract a cubic smoothing-spline artifact trend inside each segment,
     in place.
 
-    ``x`` is a (k, n) float array with one segment list per row. The
-    spline's smoothing weight is _SPLINE_LAM (1e-3). Each corrected segment
-    is re-anchored to the mean of the _SPLINE_BASELINE_S (2 s) before it
-    (after it when the segment starts the series), so no step discontinuity
-    remains at segment boundaries. Samples outside segments are never
-    modified. Segments of a row must not overlap.
+    ``x`` is a (k, n) float array and ``segments`` a table of its segments,
+    in any order. The spline's smoothing weight is _SPLINE_LAM (1e-3).
+    Each corrected segment is re-anchored to the mean of the
+    _SPLINE_BASELINE_S (2 s) before it (after it when the segment starts
+    the series), so no step discontinuity remains at segment boundaries.
+    Samples outside segments are never modified. Segments of a row must not
+    overlap.
 
     The spline abscissa is the sample index, so all segments of one length
     share it and are fitted in one call; every row comes out exactly as it
     would on its own.
     """
-    if x.dtype.kind != "f" or x.ndim != 2 or len(segments) != x.shape[0]:
-        raise ValueError(
-            f"need a (k, n) float array with k segment lists, got a {x.dtype} array "
-            f"of shape {x.shape} and {len(segments)} lists"
-        )
-    n = x.shape[1]
-    n_base = max(1, int(round(_SPLINE_BASELINE_S * fs)))
-    # (row, start) of the segments of each length.
-    by_length: dict[int, list[tuple[int, int]]] = {}
-    for r, segs in enumerate(segments):
-        prev_end = 0
-        for seg in sorted(segs, key=lambda s: s.start):
-            if seg.end > n:
-                raise ValueError(
-                    f"segment [{seg.start}, {seg.end}) outside series of length {n}"
-                )
-            if seg.start < prev_end:
-                raise ValueError(f"segments overlap at sample {seg.start}")
-            prev_end = seg.end
-            by_length.setdefault(seg.end - seg.start, []).append((r, seg.start))
+    if x.dtype.kind != "f" or x.ndim != 2:
+        raise ValueError(f"need a (k, n) float array, got a {x.dtype} array of shape {x.shape}")
+    k, n = x.shape
+    order = np.lexsort((segments.start, segments.row))
+    row, start, end = (np.asarray(a)[order] for a in segments[:3])
+    bad = np.flatnonzero((row < 0) | (row >= k))
+    if bad.size:
+        raise ValueError(f"segment row {row[bad[0]]} outside the array's {k} rows")
+    bad = np.flatnonzero((start < 0) | (start >= end) | (end > n))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"segment [{start[i]}, {end[i]}) of row {row[i]} is empty or outside "
+                         f"series of length {n}")
+    bad = np.flatnonzero((row[1:] == row[:-1]) & (start[1:] < end[:-1]))
+    if bad.size:
+        i = bad[0] + 1
+        raise ValueError(f"segments overlap at sample {start[i]} of row {row[i]}")
 
-    # Trends read only the uncorrected samples of their own segment, which no
-    # other segment of the row touches, so they can all be fitted up front.
-    trends: dict[tuple[int, int], np.ndarray] = {}
-    for length, starts in by_length.items():
-        if length < 5:
-            for r, a in starts:
-                y = x[r, a : a + length]
-                trends[r, a] = np.full(length, y.mean())
-            continue
-        y = np.stack([x[r, a : a + length] for r, a in starts], axis=1)
-        fitted = _smoothing_spline(y, _SPLINE_LAM)
-        for j, key in enumerate(starts):
-            trends[key] = fitted[:, j]
+    # Each segment's demeaned residual from its trend, at its offset in one
+    # flat array. A trend reads only its segment's uncorrected samples, so
+    # all are fitted up front; row means sum as over the segment's slice.
+    length = end - start
+    offset = np.cumsum(length) - length
+    resid = np.empty(length.sum())
+    for size in np.unique(length).tolist():
+        at = np.flatnonzero(length == size)
+        span = np.arange(size)
+        y = x[row[at, None], start[at, None] + span]  # (segments, size)
+        if size < 5:
+            part = y - y.mean(axis=1, keepdims=True)
+        else:
+            part = y - _smoothing_spline(y.T, _SPLINE_LAM).T
+        resid[offset[at, None] + span] = part - part.mean(axis=1, keepdims=True)
 
     # Anchors can read a segment corrected just before, so this stays in order.
-    for r, segs in enumerate(segments):
-        row = x[r]
-        for seg in segs:
-            a, b = seg.start, seg.end
-            resid = row[a:b] - trends[r, a]
-            if a > 0:
-                anchor = row[max(0, a - n_base) : a].mean()
-            elif b < n:
-                anchor = row[b : min(n, b + n_base)].mean()
-            else:
-                anchor = 0.0  # segment covers the whole series: leave demeaned
-            row[a:b] = resid - resid.mean() + anchor
+    n_base = max(1, int(round(_SPLINE_BASELINE_S * fs)))
+    for r, a, b, o in zip(row.tolist(), start.tolist(), end.tolist(), offset.tolist()):
+        if a > 0:
+            anchor = x[r, max(0, a - n_base) : a].mean()
+        elif b < n:
+            anchor = x[r, b : min(n, b + n_base)].mean()
+        else:
+            anchor = 0.0  # segment covers the whole series: leave demeaned
+        x[r, a:b] = resid[o : o + b - a] + anchor
 
 
 def _dwt_analysis(x: np.ndarray):

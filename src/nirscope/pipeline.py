@@ -26,11 +26,10 @@ from .features import FeatureMode, feature_keys
 from .model import (
     CHROMOPHORES, Dataset, EpochSet, HemoSeries, ProvenanceStep, Recording, load_dataset,
 )
-# perfbench/tracer.py wraps ``pipeline.detect_artifacts`` and reads what it
-# returns as one series' segment list. The name stays bound to the one-row
-# detector, which the pipeline no longer calls, so that the tracer finds its
-# target; the stack detector has a name of its own. The tracer also wraps
-# ``pipeline.bandpass``, ``pipeline.spline_correct`` and
+# perfbench/tracer.py wraps ``pipeline.detect_artifacts``, the one-row
+# detector, which no run calls; the name stays bound so that the tracer
+# finds its target, and the pipeline calls the stack detector. The tracer
+# also wraps ``pipeline.bandpass``, ``pipeline.spline_correct`` and
 # ``pipeline.wavelet_correct``, so the pipeline calls them through the names
 # bound here.
 from .motion import detect_artifact_stack, detect_artifacts  # noqa: F401
@@ -231,7 +230,7 @@ def _hemoglobin(recording, montage, config: PipelineConfig, extinction, out) -> 
     return provenance
 
 
-def _correct_motion(hemo: np.ndarray, fs: float, longs, config: PipelineConfig) -> None:
+def _correct_motion(hemo: np.ndarray, fs: float, config: PipelineConfig) -> None:
     """Spline + wavelet motion correction, in place, of the rows of one
     recording's (2, long channels, samples) hemoglobin that have detected
     artifacts.
@@ -242,14 +241,11 @@ def _correct_motion(hemo: np.ndarray, fs: float, longs, config: PipelineConfig) 
     the flagged rows.
     """
     rows = hemo.reshape(-1, hemo.shape[-1])
-    segments = detect_artifact_stack(
-        rows, fs, amp_threshold=config.motion_amp_sigma,
-        channel_ids=[ch.id for ch in longs] * len(hemo),
-    )
-    flagged = np.flatnonzero([bool(segs) for segs in segments])
+    segments = detect_artifact_stack(rows, fs, config.motion_amp_sigma)
+    flagged = np.unique(segments.row)
     if not flagged.size:
         return
-    spline_correct(rows, segments, fs=fs)
+    spline_correct(rows, segments, fs)
     rows[flagged] = wavelet_correct(rows[flagged], iqr_multiplier=config.motion_iqr)
 
 
@@ -297,7 +293,7 @@ def _preprocess(
         hemo = np.empty((2, len(longs), recording.n_samples))
         provenance = _hemoglobin(recording, montage, config, extinction, hemo)
         if config.motion_correction:
-            _correct_motion(hemo, fs, longs, config)
+            _correct_motion(hemo, fs, config)
         rates.setdefault(fs, []).append(hemo)
         done.append((recording.participant_id, recording.group, fs, recording.annotations,
                      provenance, hemo))

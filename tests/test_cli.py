@@ -956,6 +956,16 @@ DEFAULT_RUN = [
 ]
 
 
+def _child_env(**settings) -> dict:
+    """The environment of a child interpreter that imports this nirscope,
+    with ``settings`` added."""
+    env = {**os.environ, **settings}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nirscope.cli.__file__).parent.parent), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return env
+
+
 # Starts the command in argv[1:] and prints its exit code and ru_maxrss (kB).
 _LAUNCHER = """
 import os, subprocess, sys
@@ -972,13 +982,9 @@ def _peak_rss_mb(code: str, cwd: Path) -> float:
     was forked from, so the interpreter is started by a small launcher, not
     by the test process.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(nirscope.cli.__file__).parent.parent), *filter(None, [env.get("PYTHONPATH")])]
-    )
     proc = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, sys.executable, "-c", code],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        cwd=cwd, env=_child_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     exit_code, maxrss_kb = map(int, proc.stdout.split())
@@ -1027,3 +1033,31 @@ def test_default_run_holds_under_35_mb_beyond_the_interpreter(
     # raw recording generated up front and the hemoglobin held to the
     # report, the run took 39 MB over the interpreter.
     assert default_run_beyond_the_interpreter_mb < 35.0
+
+
+# --- artifacts do not depend on the environment ---
+
+ENV_RUN = [
+    "run", "--patients", "6", "--controls", "6", "--trials", "3", "--folds", "3",
+    "--seed", "3", "--effect-channels", "S7-D6", "--amplitude-ratio", "0.5",
+]
+
+
+@pytest.mark.parametrize("model, features", [("knn", "raw"), ("svm", "summary")])
+def test_run_artifacts_do_not_depend_on_the_environment(tmp_path, model, features):
+    # String hashing is salted per process unless PYTHONHASHSEED fixes it,
+    # and OpenBLAS splits a product over as many threads as there are cores
+    # unless OPENBLAS_NUM_THREADS says otherwise: neither may reach a report.
+    reports = []
+    for name, value in (("PYTHONHASHSEED", "0"), ("PYTHONHASHSEED", "12345"),
+                        ("OPENBLAS_NUM_THREADS", "1")):
+        out = tmp_path / f"{name}={value}"
+        argv = [*ENV_RUN, "--model", model, "--feature-mode", features, "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "nirscope.cli", *argv], env=_child_env(**{name: value}),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append({f: (out / f).read_bytes() for f in REPORT_FILES})
+    for name in REPORT_FILES:
+        assert reports[0][name] == reports[1][name] == reports[2][name], name

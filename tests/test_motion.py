@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import make_smoothing_spline
 
 from conftest import spiky_walks
@@ -11,7 +12,7 @@ from nirscope.motion import (
     _dwt_synthesis,
     _moving_std,
     _smoothing_spline,
-    ArtifactSegment,
+    Segments,
     detect_artifact_stack,
     detect_artifacts,
     spline_correct,
@@ -19,6 +20,19 @@ from nirscope.motion import (
 )
 
 FS = 3.9
+AMP = 5.0  # the pipeline's default amplitude threshold, in standard deviations
+
+
+def _listed(segs, row=0):
+    """(start, end, amplitude) of each segment of one row of a table."""
+    on = segs.row == row
+    return list(zip(*(a[on].tolist() for a in segs[1:])))
+
+
+def _table(*segments):
+    """A segment table of (row, start, end) triples, in the order given."""
+    row, start, end = np.array(segments, dtype=np.intp).reshape(-1, 3).T
+    return Segments(row, start, end, np.zeros(row.size, dtype=bool))
 
 
 def _threshold_oracle(x, amp=5.0, window_s=1.0, std_thr=3.0):
@@ -42,7 +56,7 @@ def test_clean_sinusoid_yields_no_segments():
     t = np.arange(int(200 * FS)) / FS
     x = np.sin(2 * np.pi * 0.1 * t)
     assert not _threshold_oracle(x).any()  # oracle agrees the signal is clean
-    assert detect_artifacts(x, FS) == []
+    assert _listed(detect_artifacts(x, FS, AMP)) == []
 
 
 def test_single_spike_yields_one_segment_containing_it():
@@ -51,13 +65,13 @@ def test_single_spike_yields_one_segment_containing_it():
     spike_at = 400
     x[spike_at] += 10 * x.std()
     assert _threshold_oracle(x)[spike_at]
-    segs = detect_artifacts(x, FS)
+    segs = _listed(detect_artifacts(x, FS, AMP))
     assert len(segs) == 1
-    assert segs[0].start <= spike_at < segs[0].end
+    assert segs[0][0] <= spike_at < segs[0][1]
 
 
 def test_constant_series_yields_no_segments():
-    assert detect_artifacts(np.full(100, 3.0), FS) == []
+    assert _listed(detect_artifacts(np.full(100, 3.0), FS, AMP)) == []
 
 
 def test_segments_are_padded_and_merged():
@@ -65,16 +79,17 @@ def test_segments_are_padded_and_merged():
     x = rng.normal(0, 0.1, size=800)
     x[300] += 50
     x[303] += 50  # within the 0.5 s padding of the first
-    segs = detect_artifacts(x, FS)
+    segs = _listed(detect_artifacts(x, FS, AMP))
     assert len(segs) == 1
     pad = int(round(0.5 * FS))
-    assert segs[0].start <= 300 - pad + 1
-    assert segs[0].end >= 303 + pad - 1
+    assert segs[0][0] <= 300 - pad + 1
+    assert segs[0][1] >= 303 + pad - 1
 
 
-def _detect_artifacts_loop(x, fs, amp_threshold=5.0, std_threshold=3.0, pad_s=0.5):
+def _detect_artifacts_loop(x, fs, amp_threshold=AMP, std_threshold=3.0, pad_s=0.5):
     """Reference: flagged samples merged one index at a time, triggers kept
-    in an object array (the detector's earlier form)."""
+    in an object array (the detector's earlier form). Returns (start, end,
+    amplitude) per segment."""
     x = np.asarray(x, dtype=float)
     window = max(2, int(round(fs)))
     flags = np.zeros(x.size, dtype=bool)
@@ -101,14 +116,11 @@ def _detect_artifacts_loop(x, fs, amp_threshold=5.0, std_threshold=3.0, pad_s=0.
         start = max(0, run_start - pad)
         end = min(x.size, prev + 1 + pad)
         run_amp = any(triggers[j] == "amplitude" for j in range(run_start, prev + 1))
-        trigger = "amplitude" if run_amp else "moving_std"
-        if segments and start <= segments[-1].end:
-            last = segments[-1]
-            if last.trigger == "amplitude":
-                trigger = "amplitude"
-            segments[-1] = ArtifactSegment(last.start, end, "c", trigger)
+        if segments and start <= segments[-1][1]:
+            last_start, _, last_amp = segments[-1]
+            segments[-1] = (last_start, end, last_amp or run_amp)
         else:
-            segments.append(ArtifactSegment(start, end, "c", trigger))
+            segments.append((start, end, run_amp))
         if i is not None:
             run_start = prev = i
     return segments
@@ -126,12 +138,12 @@ def test_detection_matches_loop_reference(monkeypatch, fs, pad_s):
     n_segments = 0
     triggers = set()
     for row in walks:
-        got = detect_artifacts(row, fs, channel_id="c")
+        got = _listed(detect_artifacts(row, fs, AMP))
         assert got == _detect_artifacts_loop(row, fs, pad_s=pad_s)
         n_segments += len(got)
-        triggers.update(seg.trigger for seg in got)
+        triggers.update(amp for _, _, amp in got)
     assert n_segments > 40
-    assert triggers == {"amplitude", "moving_std"}
+    assert triggers == {True, False}
 
 
 def test_spike_segments_are_labelled_amplitude():
@@ -140,11 +152,10 @@ def test_spike_segments_are_labelled_amplitude():
     x = np.random.default_rng(6).normal(0, 1.0, size=1200)
     spikes = [100, 300, 500, 700, 900, 1100]
     x[spikes] += 500
-    segs = detect_artifacts(x, FS, channel_id="c")
+    segs = _listed(detect_artifacts(x, FS, AMP))
     assert len(segs) == 6
-    for seg, at in zip(segs, spikes):
-        assert seg.start < at < seg.end
-    assert [seg.trigger for seg in segs] == ["amplitude"] * 6
+    for (start, end, amp), at in zip(segs, spikes):
+        assert start < at < end and amp
     assert segs == _detect_artifacts_loop(x, FS)
 
 
@@ -153,16 +164,16 @@ def test_detection_merges_overlapping_padded_runs_like_loop(monkeypatch):
     x[[100, 104, 108, 300, 320]] += 50
     x[790] += 50
     monkeypatch.setattr(motion, "_PAD_S", 0.0)
-    unpadded = detect_artifacts(x, FS, channel_id="c")
+    unpadded = _listed(detect_artifacts(x, FS, AMP))
     monkeypatch.setattr(motion, "_PAD_S", 2.0)
-    padded = detect_artifacts(x, FS, channel_id="c")
+    padded = _listed(detect_artifacts(x, FS, AMP))
     assert unpadded == _detect_artifacts_loop(x, FS, pad_s=0.0)
     assert padded == _detect_artifacts_loop(x, FS, pad_s=2.0)
     # The runs around 300 and 320 meet only once padded by 8 samples each,
     # and the last padded end is clipped to the series.
     assert len(unpadded) == 4 and len(padded) == 3
-    assert padded[1].start < 300 and padded[1].end > 320
-    assert padded[-1].end == x.size
+    assert padded[1][0] < 300 and padded[1][1] > 320
+    assert padded[-1][1] == x.size
 
 
 def _stack_walks(k, n, seed):
@@ -181,21 +192,16 @@ def _stack_walks(k, n, seed):
 @pytest.mark.parametrize("seed", [7, 64])
 def test_stack_detection_matches_rows(order, seed):
     walks = np.asarray(_stack_walks(150, 600, seed=seed), order=order)
-    ids = [f"c{i}" for i in range(len(walks))]
-    got = detect_artifact_stack(walks, FS, channel_ids=ids)
-    assert len(got) == len(walks)
-    triggers = set()
-    for i, (row, segs) in enumerate(zip(walks, got)):
-        assert segs == detect_artifacts(row, FS, channel_id=ids[i])
-        loop = _detect_artifacts_loop(row, FS)
-        assert [(s.start, s.end, s.trigger) for s in segs] == [
-            (s.start, s.end, s.trigger) for s in loop
-        ]
-        assert all(s.channel_id == ids[i] for s in segs)
-        triggers.update(s.trigger for s in segs)
-    assert got[5] == [] and got[-2] == []
-    assert triggers == {"amplitude", "moving_std"}
-    assert sum(map(len, got)) > 150
+    got = detect_artifact_stack(walks, FS, AMP)
+    # Sorted by row, then by start.
+    assert np.array_equal(np.lexsort((got.start, got.row)), np.arange(got.row.size))
+    for i, row in enumerate(walks):
+        segs = _listed(got, i)
+        assert segs == _listed(detect_artifacts(row, FS, AMP))
+        assert segs == _detect_artifacts_loop(row, FS)
+    assert not np.isin([5, len(walks) - 2], got.row).any()
+    assert set(got.amplitude.tolist()) == {True, False}
+    assert got.row.size > 150
 
 
 @pytest.mark.parametrize("pad_s", [0.0, 2.0])
@@ -204,9 +210,10 @@ def test_stack_detection_thresholds_match_rows(monkeypatch, pad_s):
     monkeypatch.setattr(motion, "_STD_WINDOW_S", 2.0)
     monkeypatch.setattr(motion, "_STD_RATIO", 2.0)
     monkeypatch.setattr(motion, "_PAD_S", pad_s)
-    got = detect_artifact_stack(walks, 10.0, amp_threshold=3.0)
-    assert got == [detect_artifacts(row, 10.0, amp_threshold=3.0) for row in walks]
-    assert detect_artifact_stack(walks[:0], 10.0) == []
+    got = detect_artifact_stack(walks, 10.0, 3.0)
+    for i, row in enumerate(walks):
+        assert _listed(got, i) == _listed(detect_artifacts(row, 10.0, 3.0))
+    assert all(a.size == 0 for a in detect_artifact_stack(walks[:0], 10.0, 3.0))
 
 
 def _moving_std_indexed(x, window):
@@ -236,19 +243,13 @@ def test_moving_std_rows_match_indexed_form():
 
 def test_detection_validation():
     with pytest.raises(ValueError, match="exceed"):
-        detect_artifacts(np.ones(3), FS)
+        detect_artifacts(np.ones(3), FS, AMP)
     with pytest.raises(ValueError, match="length 4 must exceed the std window 4"):
-        detect_artifact_stack(np.ones((5, 4)), FS)
+        detect_artifact_stack(np.ones((5, 4)), FS, AMP)
     with pytest.raises(ValueError, match="must exceed"):
-        detect_artifact_stack(np.ones((0, 4)), FS)
+        detect_artifact_stack(np.ones((0, 4)), FS, AMP)
     with pytest.raises(ValueError, match="1-D"):
-        detect_artifacts(np.ones((2, 30)), FS)
-    with pytest.raises(ValueError, match="channel ids"):
-        detect_artifact_stack(np.ones((2, 30)), FS, channel_ids=["a"])
-    with pytest.raises(ValueError):
-        ArtifactSegment(5, 5)
-    with pytest.raises(ValueError):
-        ArtifactSegment(0, 3, trigger="other")
+        detect_artifacts(np.ones((2, 30)), FS, AMP)
 
 
 # --- spline correction ---
@@ -258,21 +259,21 @@ def test_empty_segment_list_is_identity():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(1, 200))
     before = x.copy()
-    spline_correct(x, [[]], fs=FS)
+    spline_correct(x, _table(), FS)
     assert np.array_equal(x, before)
 
 
 def test_step_inside_segment_is_flattened():
     x = np.zeros((1, 400))
     x[0, 180:215] += 10.0  # boxcar artifact wholly inside the flagged segment
-    spline_correct(x, [[ArtifactSegment(150, 240)]], fs=FS)
+    spline_correct(x, _table((0, 150, 240)), FS)
     assert np.abs(x).max() < 0.5
 
 
 def test_spline_reanchors_to_presegment_baseline():
     x = np.full((1, 300), 2.0)
     x[0, 100:140] += 8.0
-    spline_correct(x, [[ArtifactSegment(90, 150)]], fs=FS)
+    spline_correct(x, _table((0, 90, 150)), FS)
     out = x[0]
     # no step discontinuity beyond the pre-segment spread at the boundaries
     assert abs(out[90] - out[89]) < 0.5
@@ -284,7 +285,7 @@ def test_segment_covering_entire_series():
     t = np.arange(200) / FS
     x = 3.0 + 0.5 * t  # pure trend
     out = x[None].copy()
-    spline_correct(out, [[ArtifactSegment(0, 200)]], fs=FS)
+    spline_correct(out, _table((0, 0, 200)), FS)
     assert abs(out.mean()) < 1e-8  # demeaned, trend removed
     assert out.std() < x.std()
 
@@ -293,7 +294,7 @@ def test_spline_never_touches_outside_segments():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 500))
     before = x.copy()
-    spline_correct(x, [[ArtifactSegment(100, 150), ArtifactSegment(300, 320)]], fs=FS)
+    spline_correct(x, _table((0, 100, 150), (0, 300, 320)), FS)
     mask = np.ones(500, dtype=bool)
     mask[100:150] = False
     mask[300:320] = False
@@ -304,13 +305,13 @@ def test_spline_never_touches_outside_segments():
 def test_segment_at_series_start_uses_post_baseline():
     x = np.full((1, 200), 5.0)
     x[0, 0:30] += 7.0
-    spline_correct(x, [[ArtifactSegment(0, 40)]], fs=FS)
+    spline_correct(x, _table((0, 0, 40)), FS)
     assert x[0, 10] == pytest.approx(5.0, abs=0.5)
 
 
 def test_segment_outside_bounds_rejected():
     with pytest.raises(ValueError, match="outside series"):
-        spline_correct(np.zeros((1, 10)), [[ArtifactSegment(5, 20)]], fs=FS)
+        spline_correct(np.zeros((1, 10)), _table((0, 5, 20)), FS)
 
 
 # --- wavelet correction ---
@@ -367,36 +368,118 @@ def test_output_length_preserved():
 # --- batched correction ---
 
 
+def _spline_correct_loop(x, segments, fs):
+    """Reference: each segment fitted, detrended and re-anchored on its own,
+    in row and start order (the spline's earlier, per-segment form)."""
+    n = x.shape[1]
+    n_base = max(1, int(round(2.0 * fs)))
+    for i in np.lexsort((segments.start, segments.row)):
+        row, a, b = x[segments.row[i]], int(segments.start[i]), int(segments.end[i])
+        y = row[a:b]
+        if b - a < 5:
+            resid = y - np.full(b - a, y.mean())
+        else:
+            resid = y - _smoothing_spline(y[:, None], 1e-3)[:, 0]
+        if a > 0:
+            anchor = row[max(0, a - n_base) : a].mean()
+        elif b < n:
+            anchor = row[b : min(n, b + n_base)].mean()
+        else:
+            anchor = 0.0
+        row[a:b] = resid - resid.mean() + anchor
+
+
+def _shuffled(segments, seed):
+    order = np.random.default_rng(seed).permutation(segments.row.size)
+    return Segments(*(a[order] for a in segments))
+
+
+@pytest.mark.parametrize("fs", [2.0, FS, 10.0])
+def test_spline_table_matches_per_segment_reference(fs):
+    x = spiky_walks(14, 600, seed=int(fs * 10))
+    found = detect_artifact_stack(x, fs, AMP)
+    keep = (found.row >= 4) & ~np.isin(found.row, [6, 7])  # rows 6 and 7 stay clean
+    table = _table(
+        # From sample 0, then segments of 1-4 samples, each anchored on the
+        # one corrected just before it.
+        (0, 0, 9), (0, 12, 13), (0, 20, 22), (0, 30, 33), (0, 40, 44),
+        # The second segment's 2 s anchor window holds the first.
+        (1, 100, 160), (1, 162, 200),
+        (2, 0, 600),  # the whole series
+        # Short at sample 0: anchored on the segment after it, uncorrected.
+        (3, 0, 3), (3, 5, 40),
+        *zip(found.row[keep], found.start[keep], found.end[keep]),
+    )
+    want = x.copy()
+    _spline_correct_loop(want, table, fs)
+    assert want[6:8].tobytes() == x[6:8].tobytes()
+    for segments in (table, _shuffled(table, seed=int(fs))):
+        got = x.copy()
+        spline_correct(got, segments, fs)
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _spline_cases(draw):
+    """A random-walk array and a table of its segments, in random order:
+    any lengths from 1 sample to the whole series, touching or apart."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(10, 120))
+    segments = []
+    for r in range(k):
+        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=10)))
+        segments += [(r, a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+    seed = draw(st.integers(0, 2**16))
+    x = np.random.default_rng(seed).normal(size=(k, n)).cumsum(axis=1)
+    return x, _shuffled(_table(*segments), seed), draw(st.sampled_from([1.0, 2.0, FS]))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_spline_cases())
+def test_spline_table_matches_reference_on_random_tables(case):
+    x, segments, fs = case
+    got, want = x.copy(), x.copy()
+    spline_correct(got, segments, fs)
+    _spline_correct_loop(want, segments, fs)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 7, 28])
 def test_spline_rows_match_single_series(k):
     x = spiky_walks(k, 800, seed=k)
-    segments = [detect_artifacts(row, FS) for row in x]
+    found = detect_artifact_stack(x, FS, AMP)
     # Edge cases the detector rarely produces: a segment at the start, one
     # shorter than a spline fit, and rows with no segments.
-    segments[0] = [ArtifactSegment(0, 30), ArtifactSegment(100, 103)] + [
-        s for s in segments[0] if s.start >= 103
-    ]
-    if k > 1:
-        segments[1] = []
+    keep = ((found.row > 0) | (found.start >= 103)) & (found.row != 1)
+    segments = _table(
+        (0, 0, 30), (0, 100, 103), *zip(found.row[keep], found.start[keep], found.end[keep])
+    )
     out = x.copy()
-    spline_correct(out, segments, fs=FS)
+    spline_correct(out, segments, FS)
     assert not np.array_equal(out, x)
     for i in range(k):
+        on = segments.row == i
         alone = x[i : i + 1].copy()
-        spline_correct(alone, segments[i : i + 1], fs=FS)
+        spline_correct(alone, Segments(0 * segments.row[on], *(a[on] for a in segments[1:])), FS)
         assert np.array_equal(out[i], alone[0])
 
 
 def test_spline_batch_validation():
     x = np.zeros((2, 50))
-    with pytest.raises(ValueError, match="segment lists"):
-        spline_correct(x, [[]], fs=FS)
-    with pytest.raises(ValueError, match="segment lists"):
-        spline_correct(x[0], [[]], fs=FS)
     with pytest.raises(ValueError, match="float array"):
-        spline_correct(np.zeros((1, 50), dtype=int), [[ArtifactSegment(5, 20)]], fs=FS)
-    with pytest.raises(ValueError, match="overlap"):
-        spline_correct(x, [[ArtifactSegment(5, 20), ArtifactSegment(10, 30)], []], fs=FS)
+        spline_correct(x[0], _table(), FS)
+    with pytest.raises(ValueError, match="float array"):
+        spline_correct(np.zeros((1, 50), dtype=int), _table((0, 5, 20)), FS)
+    for row in (2, -1):
+        with pytest.raises(ValueError, match=f"segment row {row} outside the array's 2 rows"):
+            spline_correct(x, _table((0, 5, 20), (row, 5, 20)), FS)
+    for start, end in ((5, 5), (6, 5), (-1, 5), (40, 51)):
+        with pytest.raises(ValueError, match=rf"segment \[{start}, {end}\) of row 1 is empty"):
+            spline_correct(x, _table((0, 5, 20), (1, start, end)), FS)
+    # Found once the table is sorted by row and start.
+    with pytest.raises(ValueError, match="segments overlap at sample 10 of row 0"):
+        spline_correct(x, _table((0, 10, 30), (1, 0, 20), (0, 5, 20)), FS)
+    assert not x.any()  # a refused table changes nothing
+    spline_correct(x, _table((0, 20, 30), (0, 5, 20)), FS)  # touching is not overlapping
 
 
 # --- the numpy smoothing spline against scipy's ---

@@ -100,15 +100,15 @@ def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch):
         assert all(o is a for o, a in zip(out, series))
         return bandpass(series, spec, fs, out=out)
 
-    def counted_detect(rows, fs, **kwargs):
+    def counted_detect(rows, fs, amp_threshold):
         detect_calls.append((fs, rows.shape))
-        segments = detect(rows, fs, **kwargs)
-        flagged.append([i for i, segs in enumerate(segments) if segs])
+        segments = detect(rows, fs, amp_threshold)
+        flagged.append(np.unique(segments.row))
         return segments
 
     def counted_spline(rows, segments, fs):
         spline_calls.append((len(detect_calls), rows))
-        return spline_correct(rows, segments, fs=fs)
+        return spline_correct(rows, segments, fs)
 
     def counted_wavelet(rows, **kwargs):
         # Exactly the flagged rows of the recording the spline just corrected.
@@ -128,9 +128,9 @@ def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch):
     # long channels.
     assert detect_calls == [(rec.sample_rate_hz, (40, rec.n_samples)) for rec in recordings]
     # One spline call and one wavelet call per recording with artifacts.
-    with_artifacts = [i + 1 for i, rows in enumerate(flagged) if rows]
+    with_artifacts = [i + 1 for i, rows in enumerate(flagged) if rows.size]
     assert [recording for recording, _ in spline_calls] == with_artifacts
-    assert wavelet_calls == [(i + 1, len(rows)) for i, rows in enumerate(flagged) if rows]
+    assert wavelet_calls == [(i + 1, len(rows)) for i, rows in enumerate(flagged) if rows.size]
     assert sum(map(len, flagged)) > 2 * len(recordings)
     # One band-pass call per sample rate, over one (2, 20, n) array per
     # recording, in order; the hemo series hold those arrays.

@@ -305,7 +305,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    result = run_pipeline(_config_from_args(args))
+    config = _config_from_args(args)
+    result = run_pipeline(config)
     pooled = result["cv"].pooled
     print(
         f"pooled accuracy = {pooled.accuracy:.4f} (precision {pooled.precision:.4f}, "
@@ -313,7 +314,7 @@ def _cmd_run(args) -> int:
     )
     for path in result["files"]:
         print(f"wrote {path}")
-    top = result["importance"].top(4)
+    top = result["importance"].top(config.top_channels)
     print("top channels: " + (", ".join(f"{c} {h}" for c, h, _ in top) or "none"))
     return EXIT_OK
 

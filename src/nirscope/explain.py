@@ -4,8 +4,9 @@ Attribution is a removal game: the value of a coalition is the mean model
 score over background rows with the coalition's feature groups replaced by
 the explained instance. Its Shapley values come from exact enumeration for
 small group counts and from a kernel-weighted least-squares approximation
-for larger ones. Ranking aggregates mean absolute attributions per
-(channel, chromophore).
+for larger ones. A fold's groups are the (channel, chromophore) pairs of its
+selected columns (``FeatureMatrix.pairs``), and the ranking aggregates mean
+absolute attributions per pair.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .features import FeatureKey
 from .learn import _TreeModel
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "kernel_shap",
     "channel_importance",
     "build_background",
-    "group_columns",
     "attribute_cross_validation",
 ]
 
@@ -401,17 +400,14 @@ def kernel_shap(
 
 
 def channel_importance(
-    phi: np.ndarray,
-    group_keys: Sequence[tuple[str, str]],
-    extra_zero_keys: Sequence[tuple[str, str]] = (),
+    phi: np.ndarray, group_keys: Sequence[tuple[str, str]]
 ) -> ChannelImportance:
     """Rank (channel, chromophore) pairs by mean absolute attribution.
 
     ``phi`` is (trials, pairs): column j holds every trial's attribution to
     the pair ``group_keys[j]``. The absolute values are summed row by row in
-    trial order, then divided by the number of trials. ``extra_zero_keys``
-    appends pairs that never entered the model with importance 0. Ties sort
-    by channel then chromophore label.
+    trial order, then divided by the number of trials. Ties sort by channel
+    then chromophore label.
     """
     phi = np.asarray(phi, dtype=float)
     if len(phi) == 0:
@@ -424,8 +420,6 @@ def channel_importance(
     # values pairwise, out of trial order.
     totals = np.cumsum(np.abs(phi), axis=0)[-1]
     means = {key: float(total) / len(phi) for key, total in zip(group_keys, totals)}
-    for key in extra_zero_keys:
-        means.setdefault(key, 0.0)
     ranked = sorted(means.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
     return ChannelImportance(
         entries=tuple((ch, chrom, val) for (ch, chrom), val in ranked)
@@ -444,49 +438,35 @@ def build_background(train_x: np.ndarray) -> np.ndarray:
     return np.vstack([mean_row, x[strided]])
 
 
-def group_columns(
-    feature_index: Sequence[FeatureKey], columns: Sequence[int]
-) -> tuple[list[list[int]], list[tuple[str, str]]]:
-    """Group column positions by (channel, chromophore).
-
-    ``columns`` are indices into the full feature index; returned groups
-    hold positions within ``columns`` (i.e. into the selected submatrix).
-    """
-    groups: dict[tuple[str, str], list[int]] = {}
-    for pos, col in enumerate(columns):
-        key = (feature_index[col].channel_id, feature_index[col].chromophore)
-        groups.setdefault(key, []).append(pos)
-    keys = sorted(groups)
-    return [groups[k] for k in keys], keys
-
-
 def attribute_cross_validation(
     cv,
     n_samples: int = 256,
     seed: int = 0,
-) -> tuple[ChannelImportance, np.ndarray, list[tuple[str, str]]]:
-    """Attribute every test trial against its fold's model, then rank channels.
+) -> tuple[ChannelImportance, np.ndarray]:
+    """Attribute every test trial against its fold's model, then rank pairs.
 
-    Returns the ranking, the (test trials × pairs) attribution matrix, with
-    trials in fold order and a zero where a trial's fold did not select the
-    pair, and the pairs of its columns: the sorted union of every fold's
-    (channel, chromophore) pairs.
+    Returns the ranking of every pair of ``cv.features.pairs`` and the
+    (test trials × pairs) attribution matrix, its columns in that order and
+    its trials in fold order. A trial's fold selected only some pairs; the
+    others are zero, and a pair that no fold selected ranks at 0.
 
-    Each fold is one game of its model, background and groups: a forest or
+    Each fold is one game of its model, background and groups. Its groups
+    are its selected columns split by pair, in (channel, chromophore) label
+    order, each keeping its columns in selection order. A forest or
     boosting fold scores its coalitions by column pattern (_tree_game), any
     other fold by composed rows (_composed_game). Folds with at most
     FOLD_EXACT_MAX_GROUPS groups are enumerated exactly, the others
     estimated by the kernel regression. A fold's coalitions, weights,
     normal matrix and v(∅) are made once and shared by its trials, which
     get the values exact_shapley or kernel_shap would give each of them.
-    Channels never selected in any fold are reported with zero importance.
     """
-    fold_groups = [group_columns(cv.features.feature_index, f.selected) for f in cv.folds]
-    union = sorted({k for _, keys in fold_groups for k in keys})
-    key_pos = {k: i for i, k in enumerate(union)}
-    phi = np.zeros((sum(len(f.test_x) for f in cv.folds), len(union)))
+    pairs = cv.features.pairs
+    phi = np.zeros((sum(len(f.test_x) for f in cv.folds), len(pairs)))
     trial = 0
-    for fold, (groups, keys) in zip(cv.folds, fold_groups):
+    for fold in cv.folds:
+        block = np.asarray(fold.selected) // cv.features.block_width
+        players = sorted(set(block.tolist()), key=pairs.__getitem__)
+        groups = [np.flatnonzero(block == p) for p in players]
         background = build_background(fold.train_x)
         if isinstance(fold.model, _TreeModel):
             game = _tree_game(fold.model, background, groups)
@@ -496,12 +476,7 @@ def attribute_cross_validation(
             explain = _exact_explainer(game)
         else:
             explain = _kernel_explainer(game, n_samples, seed)
-        columns = [key_pos[k] for k in keys]
         for row in fold.test_x:
-            phi[trial, columns] = explain(row).phi
+            phi[trial, players] = explain(row).phi
             trial += 1
-    montage_keys = sorted(
-        {(fk.channel_id, fk.chromophore) for fk in cv.features.feature_index}
-    )
-    ranking = channel_importance(phi, union, extra_zero_keys=montage_keys)
-    return ranking, phi, union
+    return channel_importance(phi, pairs), phi

@@ -1,16 +1,19 @@
 """Trial feature matrices, ANOVA-F scoring, k-best selection, standardization.
 
 Features are built from an EpochSet's (trials x 2 x channels x window) array
-in whole-array expressions. Column ordering is deterministic and defined once,
-by ``feature_keys``: channels in montage order, hbo before hbr, slots
-(sample indices or summary statistics) in order. Labels are 0 for controls
-and 1 for patients.
+in whole-array expressions. The column layout is defined once, in
+``build_features``: one block of columns per (channel, chromophore) pair,
+channels in montage order and hbo before hbr, each block holding its slots
+(sample indices or summary statistics) in order. ``FeatureMatrix.pairs``
+names the blocks, so column j belongs to ``pairs[j // block_width]``. Labels
+are 0 for controls and 1 for patients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
 import numpy as np
 
@@ -19,10 +22,9 @@ from .model import CHROMOPHORES, EpochSet
 
 __all__ = [
     "FeatureMode",
-    "FeatureKey",
     "FeatureMatrix",
-    "feature_keys",
     "build_features",
+    "column_count",
     "anova_f_scores",
     "select_k_best",
     "standardize",
@@ -43,40 +45,31 @@ def default_select_k(mode: FeatureMode, n_features: int) -> int:
     return min(40 if mode is FeatureMode.RAW else 20, n_features)
 
 
-@dataclass(frozen=True)
-class FeatureKey:
-    """Descriptor of one column: channel, chromophore, and slot."""
-
-    channel_id: str
-    chromophore: str  # "hbo" | "hbr"
-    slot: int | str  # sample index (raw) or statistic name (summary)
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     x: np.ndarray  # (n_trials, n_features)
     y: np.ndarray  # (n_trials,) int labels
     participant_ids: tuple[str, ...]
-    feature_index: tuple[FeatureKey, ...]
+    pairs: tuple[tuple[str, str], ...]  # (channel, chromophore) of each column block
 
     def __post_init__(self):
         if not (self.x.shape[0] == self.y.shape[0] == len(self.participant_ids)):
             raise ValueError("x, y, and participant_ids row counts differ")
-        if self.x.shape[1] != len(self.feature_index):
-            raise ValueError("feature_index length does not match column count")
+        if not self.pairs or not self.x.shape[1] or self.x.shape[1] % len(self.pairs):
+            raise ValueError("columns do not split into one equal block per pair")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("feature matrix contains NaN or Inf")
 
+    @property
+    def block_width(self) -> int:
+        """Columns per pair: column j belongs to ``pairs[j // block_width]``."""
+        return self.x.shape[1] // len(self.pairs)
 
-def feature_keys(epochs: EpochSet, mode: FeatureMode) -> tuple[FeatureKey, ...]:
-    """The columns ``build_features`` gives ``epochs``: channel > chromophore > slot."""
-    slots = range(epochs.window_samples) if mode is FeatureMode.RAW else SUMMARY_STATS
-    return tuple(
-        FeatureKey(ch, chrom, slot)
-        for ch in epochs.channel_ids
-        for chrom in CHROMOPHORES
-        for slot in slots
-    )
+
+def column_count(epochs: EpochSet, mode: FeatureMode) -> int:
+    """The number of columns ``build_features`` gives ``epochs``."""
+    slots = epochs.window_samples if mode is FeatureMode.RAW else len(SUMMARY_STATS)
+    return len(epochs.channel_ids) * len(CHROMOPHORES) * slots
 
 
 def _summary(stack: np.ndarray, fs: float, chromophore: str) -> np.ndarray:
@@ -114,7 +107,7 @@ def build_features(
         x=x,
         y=labels[epochs.participant_index[rows]],
         participant_ids=tuple(epochs.participant_ids[rows].tolist()),
-        feature_index=feature_keys(epochs, mode),
+        pairs=tuple(product(epochs.channel_ids, CHROMOPHORES)),
     )
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, epochs as epochs_mod, explain, learn, optics, report, stats, synth
-from .features import FeatureMode, feature_keys
+from .features import FeatureMode, column_count
 from .model import (
     CHROMOPHORES, Dataset, EpochSet, HemoSeries, ProvenanceStep, Recording, load_dataset,
 )
@@ -615,7 +615,7 @@ def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
 
     out.stage = "features"
     mode = FeatureMode(config.feature_mode)
-    n_features = len(feature_keys(epoch_set, mode))
+    n_features = column_count(epoch_set, mode)
     if config.select_k is not None and config.select_k > n_features:  # the config checks >= 1
         raise ValueError(
             f"select_k={config.select_k} outside [1, {n_features}] for mode {mode.value}"

@@ -251,7 +251,7 @@ def test_criterion_6_end_to_end_biomarker_recovery():
             select_k=40,
         )
         accuracies.append(cv.pooled.accuracy)
-        importance, _, _ = explain.attribute_cross_validation(cv, n_samples=256, seed=seed)
+        importance, _ = explain.attribute_cross_validation(cv, n_samples=256, seed=seed)
         for ch, chrom, value in importance.entries:
             importance_sums[(ch, chrom)] = importance_sums.get((ch, chrom), 0.0) + value
 

@@ -125,12 +125,12 @@ def test_run_shows_no_zero_importance_pair_as_top(tmp_path, capsys, monkeypatch,
     attribute = explain.attribute_cross_validation
 
     def ranking_with_zeros(cv, **kwargs):
-        ranking, phi, union = attribute(cv, **kwargs)
+        ranking, phi = attribute(cv, **kwargs)
         entries = tuple(
             (ch, chrom, 1.0 / (i + 1) if i < nonzero else 0.0)
             for i, (ch, chrom, _) in enumerate(ranking.entries)
         )
-        return explain.ChannelImportance(entries), phi, union
+        return explain.ChannelImportance(entries), phi
 
     monkeypatch.setattr(explain, "attribute_cross_validation", ranking_with_zeros)
     out = tmp_path / "run"
@@ -146,6 +146,17 @@ def test_run_shows_no_zero_importance_pair_as_top(tmp_path, capsys, monkeypatch,
         assert (f">{pair}<" in panels) == (pair in shown[:4]), pair
     stdout = capsys.readouterr().out
     assert f"top channels: {', '.join(pairs[:nonzero]) or 'none'}\n" in stdout
+
+
+def test_run_prints_as_many_top_channels_as_it_tests(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"top_channels": 2}))
+    out = tmp_path / "run"
+    assert main(["run", "--out", str(out), "--config", str(cfg)] + SMALL_RUN) == EXIT_OK
+    rows = (out / "channel_importance.csv").read_text().splitlines()[1:3]
+    top = ", ".join(" ".join(row.split(",")[:2]) for row in rows)
+    assert f"top channels: {top}\n" in capsys.readouterr().out
+    assert '"top_channels": 2' in (out / "provenance.txt").read_text()
 
 
 def test_run_twice_is_byte_identical(tmp_path):

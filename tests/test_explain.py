@@ -9,10 +9,9 @@ from nirscope.explain import (
     build_background,
     channel_importance,
     exact_shapley,
-    group_columns,
     kernel_shap,
 )
-from nirscope.features import FeatureKey, FeatureMode
+from nirscope.features import FeatureMode
 from nirscope.learn import ClassifierSpec, cross_validate, make_fold_plan
 
 
@@ -285,11 +284,6 @@ def test_top_returns_at_most_n_nonzero_pairs():
     assert none.top(4) == ()
 
 
-def test_extra_zero_keys_appended():
-    imp = channel_importance(np.array([[2.0]]), [("A", "hbo")], extra_zero_keys=[("Z", "hbr")])
-    assert imp.entries[-1] == ("Z", "hbr", 0.0)
-
-
 def test_ranking_invariant_under_positive_score_scaling():
     rng = np.random.default_rng(10)
     score = _random_model(rng, 6)
@@ -336,26 +330,27 @@ def test_background_deterministic():
     assert np.array_equal(build_background(x), build_background(x))
 
 
-def test_group_columns_by_channel_chromophore():
-    index = (
-        FeatureKey("S1-D1", "hbo", 0),
-        FeatureKey("S1-D1", "hbr", 0),
-        FeatureKey("S2-D2", "hbo", 0),
-        FeatureKey("S1-D1", "hbo", 1),
-    )
-    groups, keys = group_columns(index, [0, 1, 2, 3])
-    assert keys == [("S1-D1", "hbo"), ("S1-D1", "hbr"), ("S2-D2", "hbo")]
-    assert groups[keys.index(("S1-D1", "hbo"))] == [0, 3]
-
-
 # --- per-fold attribution against the per-row functions ---
 
 KINDS = ("knn", "random_forest", "linear_svm", "boosted_trees")
 
 
-def _small_cv(monkeypatch, kind, select_k):
-    """Six participants, 8 channels: 16 (channel, chromophore) groups."""
-    eps = make_epoch_set(n_participants=6, trials=3, n_channels=8, seed=3)
+# Channel ids whose montage order is not their label order: "S10-D1" sorts
+# before "S2-D1".
+LABEL_ORDER_IDS = tuple(f"{s}-D1" for s in ("S3", "S12", "S1", "S10", "S2", "S11", "S9"))
+# (select_k, channel ids): at most 6 groups take the exact path; at least 15
+# of 8 channels' 16 pairs, or all 14 of 7 channels', take the kernel path.
+CV_CASES = [
+    pytest.param(6, None, id="6"),
+    pytest.param(60, None, id="60"),
+    pytest.param(6, LABEL_ORDER_IDS, id="6-label-order"),
+    pytest.param(56, LABEL_ORDER_IDS, id="56-label-order"),
+]
+
+
+def _small_cv(monkeypatch, kind, select_k, channel_ids=None):
+    """Six participants, 8 channels by default: 16 (channel, chromophore) groups."""
+    eps = make_epoch_set(n_participants=6, trials=3, n_channels=8, channel_ids=channel_ids, seed=3)
     plan = make_fold_plan(eps.participants, n_folds=3, seed=1)
     monkeypatch.setattr(learn, "_RF_TREES", 10)
     monkeypatch.setattr(learn, "_SVM_EPOCHS", 20)
@@ -364,14 +359,24 @@ def _small_cv(monkeypatch, kind, select_k):
     return cross_validate(eps, "single", spec, plan, mode=FeatureMode.SUMMARY, select_k=select_k)
 
 
-def _per_row_attributions(cv, select_k, union):
-    """The (test trials × ``union``) matrix of every test row's phi, from
+def _groups_by_pair(features, selected):
+    """Positions within ``selected`` grouped by their column's pair, and the
+    pairs, in (channel, chromophore) label order."""
+    groups = {}
+    for pos, col in enumerate(selected):
+        groups.setdefault(features.pairs[col // features.block_width], []).append(pos)
+    keys = sorted(groups)
+    return [groups[k] for k in keys], keys
+
+
+def _per_row_attributions(cv, select_k):
+    """The (test trials × pairs) matrix of every test row's phi, from
     exact_shapley or kernel_shap called on it: composed rows scored by
     predict_score."""
-    key_pos = {k: i for i, k in enumerate(union)}
+    pairs = cv.features.pairs
     expected = []
     for fold in cv.folds:
-        groups, keys = group_columns(cv.features.feature_index, fold.selected)
+        groups, keys = _groups_by_pair(cv.features, fold.selected)
         assert (len(groups) <= explain.FOLD_EXACT_MAX_GROUPS) == (select_k == 6)
         background = build_background(fold.train_x)
         for row in fold.test_x:
@@ -381,22 +386,39 @@ def _per_row_attributions(cv, select_k, union):
                 att = kernel_shap(
                     fold.model.predict_score, background, row, groups, n_samples=128, seed=4
                 )
-            phi = np.zeros(len(union))
-            phi[[key_pos[k] for k in keys]] = att.phi
+            phi = np.zeros(len(pairs))
+            phi[[pairs.index(k) for k in keys]] = att.phi
             expected.append(phi)
     return np.array(expected)
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("select_k", [6, 60])  # at most 6 groups: exact; at least 15: kernel
-def test_fold_attribution_equals_per_row_calls(monkeypatch, kind, select_k):
-    cv = _small_cv(monkeypatch, kind, select_k)
+@pytest.mark.parametrize("select_k, channel_ids", CV_CASES)
+def test_fold_attribution_equals_per_row_calls(monkeypatch, kind, select_k, channel_ids):
+    cv = _small_cv(monkeypatch, kind, select_k, channel_ids)
     # 128 samples leave the kernel sampler a random partial size pair
-    _, phi, union = attribute_cross_validation(cv, n_samples=128, seed=4)
-    expected = _per_row_attributions(cv, select_k, union)
-    assert phi.shape == expected.shape == (sum(len(f.test_x) for f in cv.folds), len(union))
+    _, phi = attribute_cross_validation(cv, n_samples=128, seed=4)
+    expected = _per_row_attributions(cv, select_k)
+    n_trials = sum(len(f.test_x) for f in cv.folds)
+    assert phi.shape == expected.shape == (n_trials, len(cv.features.pairs))
     for got, want in zip(phi, expected):
         assert np.array_equal(got, want)
+
+
+def test_unselected_pair_has_zero_column_and_ranks_after_every_nonzero_pair(monkeypatch):
+    cv = _small_cv(monkeypatch, "knn", 6)
+    ranking, phi = attribute_cross_validation(cv, n_samples=128, seed=4)
+    pairs = cv.features.pairs
+    selected = {pairs[c // cv.features.block_width] for f in cv.folds for c in f.selected}
+    unselected = [j for j, pair in enumerate(pairs) if pair not in selected]
+    assert unselected
+    assert not phi[:, unselected].any()
+    # The ranking lists every pair, and its values descend, so a pair at 0
+    # comes after every nonzero pair.
+    values = {(ch, chrom): v for ch, chrom, v in ranking.entries}
+    assert sorted(values) == sorted(pairs)
+    assert all(values[pairs[j]] == 0.0 for j in unselected)
+    assert any(v > 0 for v in values.values())
 
 
 def _counting(score):
@@ -440,14 +462,13 @@ def test_singular_kernel_regression_fails_before_scoring(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("select_k", [6, 60])
+@pytest.mark.parametrize("select_k, channel_ids", CV_CASES)
 @pytest.mark.parametrize("masks_per_call", [1, 3])
 def test_row_cap_bounds_every_score_call_and_leaves_phi_unchanged(
-    monkeypatch, kind, select_k, masks_per_call
+    monkeypatch, kind, select_k, channel_ids, masks_per_call
 ):
-    cv = _small_cv(monkeypatch, kind, select_k)
-    _, _, union = attribute_cross_validation(cv, n_samples=128, seed=4)
-    expected = _per_row_attributions(cv, select_k, union)
+    cv = _small_cv(monkeypatch, kind, select_k, channel_ids)
+    expected = _per_row_attributions(cv, select_k)
     n_bg = build_background(cv.folds[0].train_x).shape[0]
     cap = masks_per_call * n_bg
     monkeypatch.setattr(explain, "_SCORE_CHUNK", cap)
@@ -462,7 +483,7 @@ def test_row_cap_bounds_every_score_call_and_leaves_phi_unchanged(
         "walk",
         lambda self, tree, first_row, x, out: rows.append(len(x)) or walk(self, tree, first_row, x, out),
     )
-    _, phi, _ = attribute_cross_validation(cv, n_samples=128, seed=4)
+    _, phi = attribute_cross_validation(cv, n_samples=128, seed=4)
     assert rows and max(rows) <= cap
     assert phi.shape == expected.shape
     # The tree path gives the same floats by construction. knn and svm score

@@ -5,9 +5,11 @@ from conftest import make_epoch_set
 from nirscope import stats
 from nirscope.model import CHROMOPHORES
 from nirscope.features import (
+    FeatureMatrix,
     FeatureMode,
     anova_f_scores,
     build_features,
+    column_count,
     select_k_best,
     standardize,
 )
@@ -17,7 +19,8 @@ def test_raw_mode_column_count():
     eps = make_epoch_set(n_participants=2, trials=2, n_channels=20, window=78)
     feats = build_features(eps, "single", FeatureMode.RAW)
     assert feats.x.shape[1] == 20 * 2 * 78 == 3120
-    assert len(feats.feature_index) == 3120
+    assert len(feats.pairs) * feats.block_width == 3120
+    assert feats.block_width == 78
 
 
 def test_summary_mode_column_count():
@@ -35,22 +38,35 @@ def test_empty_task_filter_rejected():
 def test_column_ordering_channel_major_hbo_first():
     eps = make_epoch_set(n_participants=2, trials=1, n_channels=2, window=3)
     feats = build_features(eps, "single", FeatureMode.RAW)
-    keys = feats.feature_index
-    assert [k.channel_id for k in keys[:6]] == [keys[0].channel_id] * 6
-    assert [k.chromophore for k in keys[:6]] == ["hbo"] * 3 + ["hbr"] * 3
-    assert [k.slot for k in keys[:3]] == [0, 1, 2]
+    ch = eps.channel_ids
+    assert feats.pairs == ((ch[0], "hbo"), (ch[0], "hbr"), (ch[1], "hbo"), (ch[1], "hbr"))
+    assert feats.block_width == 3
     # values line up with the epoch windows
     first = eps.rows(task="single")[0]
     assert np.array_equal(feats.x[0, :3], eps.hemo[first, 0, 0])  # hbo
     assert np.array_equal(feats.x[0, 3:6], eps.hemo[first, 1, 0])  # hbr
 
 
-def test_feature_index_deterministic_across_builds():
+def test_pairs_deterministic_across_builds():
     eps = make_epoch_set(seed=12)
     a = build_features(eps, "single", FeatureMode.SUMMARY)
     b = build_features(eps, "single", FeatureMode.SUMMARY)
-    assert a.feature_index == b.feature_index
+    assert a.pairs == b.pairs
     assert np.array_equal(a.x, b.x)
+
+
+@pytest.mark.parametrize("mode", list(FeatureMode))
+def test_columns_keep_montage_order_not_label_order(mode):
+    # Sorted by label, "S10-D1" would come before "S2-D1" and "S3-D1".
+    ids = tuple(f"{s}-D1" for s in ("S3", "S12", "S1", "S10", "S2", "S11", "S9"))
+    eps = make_epoch_set(n_participants=2, trials=1, channel_ids=ids, window=5, seed=4)
+    feats = build_features(eps, "single", mode)
+    assert feats.pairs == tuple((ch, chrom) for ch in ids for chrom in CHROMOPHORES)
+    assert feats.x.shape[1] == column_count(eps, mode) == len(feats.pairs) * feats.block_width
+    # The same draws under the ids S1-D1 ... S7-D1 give the same columns: a
+    # column's place follows its channel's montage position, not its label.
+    plain = make_epoch_set(n_participants=2, trials=1, n_channels=7, window=5, seed=4)
+    assert np.array_equal(feats.x, build_features(plain, "single", mode).x)
 
 
 def test_summary_stats_values():
@@ -175,16 +191,20 @@ def test_constant_column_maps_to_zero_without_nan():
 
 
 def test_feature_matrix_rejects_nonfinite_entries():
-    from nirscope.features import FeatureKey, FeatureMatrix
-
     x = np.ones((2, 1))
     x[0, 0] = np.nan
     with pytest.raises(ValueError, match="NaN or Inf"):
         FeatureMatrix(
-            x=x,
-            y=np.array([0, 1]),
-            participant_ids=("a", "b"),
-            feature_index=(FeatureKey("S1-D1", "hbo", 0),),
+            x=x, y=np.array([0, 1]), participant_ids=("a", "b"), pairs=(("S1-D1", "hbo"),)
+        )
+
+
+@pytest.mark.parametrize("n_columns, n_pairs", [(3, 2), (0, 2), (2, 0)])
+def test_feature_matrix_rejects_columns_without_one_equal_block_per_pair(n_columns, n_pairs):
+    pairs = (("S1-D1", "hbo"), ("S1-D1", "hbr"))[:n_pairs]
+    with pytest.raises(ValueError, match="one equal block per pair"):
+        FeatureMatrix(
+            x=np.ones((2, n_columns)), y=np.array([0, 1]), participant_ids=("a", "b"), pairs=pairs
         )
 
 

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, epochs as epochs_mod, stats, synth
+from .features import FEATURE_MODES
 from .model import CHROMOPHORES, DatasetFormatError, load_dataset, save_dataset
 from .pipeline import (
-    FEATURE_MODES,
     MODELS,
     POOLS,
     PipelineConfig,

@@ -31,9 +31,7 @@ REST_LABEL = "rest"
 class BlockAverage:
     """Pointwise mean and population std across matching trials."""
 
-    task: str
     n_trials: int
-    channel_ids: tuple[str, ...]
     mean: np.ndarray  # (2, n_channels, window), CHROMOPHORES order
     std: np.ndarray
 
@@ -59,16 +57,15 @@ def segment(
     every series, in order, whether or not it has a trial cut. Trials follow
     the series order, each series' in onset order, and are written into one
     preallocated (trials, 2, channels, window) array, both chromophores of
-    a trial at once. A trial's index counts the trials of its task in its
-    series, so it does not depend on ``task``; only the annotations cut are
-    checked against the window and the recording end.
+    a trial at once. Only the annotations cut are checked against the window
+    and the recording end.
     """
     if not series:
         raise ValueError("no hemoglobin series to segment")
     fs, channel_ids = series[0].sample_rate_hz, series[0].channel_ids
     window = int(np.floor(window_s * fs))
     n_base = int(np.floor(baseline_s * fs))
-    cuts: list[tuple[int, int, str, int]] = []  # series row, onset, task, trial
+    cuts: list[tuple[int, int, str]] = []  # series row, onset sample, task
     for row, hemo in enumerate(series):
         if hemo.sample_rate_hz != fs or hemo.channel_ids != channel_ids:
             raise ValueError("hemo series have mismatched sample rates or channels")
@@ -80,9 +77,7 @@ def segment(
                 f"participant {hemo.participant_id}: recording has no task "
                 "annotations to segment"
             )
-        counters: dict[str, int] = {}
         for a in tasks:
-            counters[a.label] = counters.get(a.label, -1) + 1
             if task is not None and a.label != task:
                 continue
             if window_s > a.duration_s + 1e-9:
@@ -95,16 +90,16 @@ def segment(
                 raise ValueError(
                     f"annotation at {a.onset_s} s extends past the recording end"
                 )
-            cuts.append((row, start, a.label, counters[a.label]))
+            cuts.append((row, start, a.label))
     if not cuts:
         raise ValueError(f"no epochs match task {task!r}")
     out = np.empty((len(cuts), 2, len(channel_ids), window))
-    for i, (row, start, _, _) in enumerate(cuts):
+    for i, (row, start, _) in enumerate(cuts):
         hemo, b0 = series[row], max(0, start - n_base)
         out[i] = hemo.hemo[..., start : start + window]
         if b0 < start:
             out[i] -= hemo.hemo[..., b0:start].mean(axis=-1, keepdims=True)
-    owners, _, labels, trials = zip(*cuts)
+    owners, _, labels = zip(*cuts)
     return EpochSet(
         sample_rate_hz=fs,
         channel_ids=channel_ids,
@@ -112,7 +107,6 @@ def segment(
         participants=tuple((hemo.participant_id, hemo.group) for hemo in series),
         participant_index=np.array(owners),
         tasks=labels,
-        trial_index=trials,
     )
 
 
@@ -126,9 +120,7 @@ def block_average(
     # One chromophore's trials at a time: the std's temporaries are half the size.
     pair = [epochs.hemo[rows, k] for k in range(2)]
     return BlockAverage(
-        task=task,
         n_trials=rows.size,
-        channel_ids=epochs.channel_ids,
         mean=np.array([trials.mean(axis=0) for trials in pair]),
         std=np.array([trials.std(axis=0) for trials in pair]),
     )

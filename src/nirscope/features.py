@@ -12,7 +12,6 @@ are 0 for controls and 1 for patients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product
 
 import numpy as np
@@ -21,7 +20,7 @@ from .epochs import peak_index
 from .model import CHROMOPHORES, EpochSet
 
 __all__ = [
-    "FeatureMode",
+    "FEATURE_MODES",
     "FeatureMatrix",
     "build_features",
     "column_count",
@@ -35,14 +34,14 @@ LABELS = {"control": 0, "patient": 1}
 SUMMARY_STATS = ("mean", "peak", "time_to_peak", "mean_slope")
 
 
-class FeatureMode(str, Enum):
-    RAW = "raw"  # every sample of every channel/chromophore
-    SUMMARY = "summary"  # mean, peak, time-to-peak, mean slope per channel
+# "raw": every sample of every channel/chromophore; "summary": the
+# SUMMARY_STATS of each channel/chromophore window.
+FEATURE_MODES = ("raw", "summary")
 
 
-def default_select_k(mode: FeatureMode, n_features: int) -> int:
+def default_select_k(mode: str, n_features: int) -> int:
     """Columns kept when no number is given: 40 raw or 20 summary, at most all."""
-    return min(40 if mode is FeatureMode.RAW else 20, n_features)
+    return min(40 if mode == "raw" else 20, n_features)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +65,9 @@ class FeatureMatrix:
         return self.x.shape[1] // len(self.pairs)
 
 
-def column_count(epochs: EpochSet, mode: FeatureMode) -> int:
+def column_count(epochs: EpochSet, mode: str) -> int:
     """The number of columns ``build_features`` gives ``epochs``."""
-    slots = epochs.window_samples if mode is FeatureMode.RAW else len(SUMMARY_STATS)
+    slots = epochs.window_samples if mode == "raw" else len(SUMMARY_STATS)
     return len(epochs.channel_ids) * len(CHROMOPHORES) * slots
 
 
@@ -81,18 +80,19 @@ def _summary(stack: np.ndarray, fs: float, chromophore: str) -> np.ndarray:
     return np.stack([stack.mean(axis=-1), peak, peak_idx / fs, slope], axis=-1)
 
 
-def build_features(
-    epochs: EpochSet, task: str, mode: FeatureMode = FeatureMode.RAW
-) -> FeatureMatrix:
+def build_features(epochs: EpochSet, task: str, mode: str = "raw") -> FeatureMatrix:
     """One row per matching trial; columns ordered channel > chromophore > slot.
 
-    Raw rows hold every sample of the window; summary rows hold the
-    SUMMARY_STATS of each window, computed over the whole trial stack.
+    ``mode`` is one of FEATURE_MODES. Raw rows hold every sample of the
+    window; summary rows hold the SUMMARY_STATS of each window, computed over
+    the whole trial stack.
     """
+    if mode not in FEATURE_MODES:
+        raise ValueError(f"feature mode must be one of {list(FEATURE_MODES)}, got {mode!r}")
     rows = epochs.rows(task=task)
     if not rows.size:
         raise ValueError(f"no epochs match task {task!r}")
-    if mode is FeatureMode.RAW:
+    if mode == "raw":
         slots = epochs.hemo[rows]  # (trials, 2, channels, window)
     else:  # one chromophore's windows at a time
         fs = epochs.sample_rate_hz

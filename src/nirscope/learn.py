@@ -17,7 +17,6 @@ import numpy as np
 
 from .features import (
     FeatureMatrix,
-    FeatureMode,
     anova_f_scores,
     build_features,
     default_select_k,
@@ -32,7 +31,6 @@ __all__ = [
     "FoldPlan",
     "fit",
     "predict",
-    "predict_score",
     "evaluate",
     "make_fold_plan",
     "cross_validate",
@@ -559,14 +557,9 @@ def fit(spec: ClassifierSpec, x, y):
     return _fit_boost(x, y)
 
 
-def predict_score(model, x) -> np.ndarray:
-    """Class-1 scores in [0, 1]."""
-    return model.predict_score(np.asarray(x, dtype=float))
-
-
 def predict(model, x) -> np.ndarray:
     """Hard labels from thresholding the score at 0.5."""
-    return (predict_score(model, x) >= 0.5).astype(int)
+    return (model.predict_score(x) >= 0.5).astype(int)
 
 
 def evaluate(y_true, y_pred) -> Metrics:
@@ -647,7 +640,6 @@ def make_fold_plan(participants, n_folds: int = 6, seed: int = 0) -> FoldPlan:
 
 @dataclass(eq=False)
 class FoldResult:
-    fold_index: int
     test_ids: tuple[str, ...]
     selected: np.ndarray  # column indices into the full feature matrix
     scaler_mean: np.ndarray
@@ -661,8 +653,7 @@ class FoldResult:
 
 @dataclass(eq=False)
 class CrossValidation:
-    task: str
-    mode: FeatureMode
+    mode: str  # one of features.FEATURE_MODES
     select_k: int
     spec: ClassifierSpec
     features: FeatureMatrix
@@ -675,7 +666,7 @@ def cross_validate(
     task: str,
     spec: ClassifierSpec,
     plan: FoldPlan,
-    mode: FeatureMode = FeatureMode.RAW,
+    mode: str = "raw",
     select_k: int | None = None,
 ) -> CrossValidation:
     """Per-fold train/evaluate with strict train-side selection and scaling.
@@ -716,7 +707,6 @@ def cross_validate(
         test_y = feats.y[test_mask]
         results.append(
             FoldResult(
-                fold_index=i,
                 test_ids=test_ids,
                 selected=selected,
                 scaler_mean=mean,
@@ -732,7 +722,6 @@ def cross_validate(
         pooled_pred.append(test_pred)
     pooled = evaluate(np.concatenate(pooled_true), np.concatenate(pooled_pred))
     return CrossValidation(
-        task=task,
         mode=mode,
         select_k=select_k,
         spec=spec,

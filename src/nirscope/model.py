@@ -272,8 +272,7 @@ class EpochSet:
     array, its pair axis in ``CHROMOPHORES`` order. ``participants`` holds
     each participant's (id, group) once, with or without trials. Trial ``i``
     belongs to ``participants[participant_index[i]]`` (a read-only integer
-    array), was cut from a ``tasks[i]`` block, and is that participant's
-    ``trial_index[i]``-th trial of that task.
+    array) and was cut from a ``tasks[i]`` block.
     """
 
     sample_rate_hz: float
@@ -282,7 +281,6 @@ class EpochSet:
     participants: tuple[tuple[str, str], ...]
     participant_index: np.ndarray
     tasks: tuple[str, ...]
-    trial_index: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "hemo", _frozen(self.hemo))
@@ -299,16 +297,11 @@ class EpochSet:
                 f"epoch array {self.hemo.shape} must be (trials, 2, channels, window) "
                 f"with (trials, 2, channels) = {shape}"
             )
-        if {len(self.tasks), len(self.trial_index)} != {shape[0]}:
-            raise ValueError("every trial needs one participant, task and index")
+        if len(self.tasks) != shape[0]:
+            raise ValueError("every trial needs one participant and task")
         in_range = not index.size or 0 <= index.min() <= index.max() < len(ids)
         if not (in_range and np.array_equal(index, given)):
             raise ValueError(f"participant_index must hold integers in [0, {len(ids)})")
-        seen: set[tuple] = set()
-        for key in zip(index.tolist(), self.tasks, self.trial_index):
-            if key in seen:
-                raise ValueError(f"duplicate trial index {(ids[key[0]], *key[1:])}")
-            seen.add(key)
 
     @property
     def window_samples(self) -> int:

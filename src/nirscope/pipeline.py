@@ -12,6 +12,7 @@ remove partial outputs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import types
 import typing
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, epochs as epochs_mod, explain, learn, optics, report, stats, synth
-from .features import FeatureMode, column_count
+from .features import FEATURE_MODES, column_count
 from .model import (
     CHROMOPHORES, Dataset, EpochSet, HemoSeries, ProvenanceStep, Recording, load_dataset,
 )
@@ -40,7 +41,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineError",
     "MODELS",
-    "FEATURE_MODES",
     "POOLS",
     "preprocess_recording",
     "preprocess_dataset",
@@ -76,7 +76,6 @@ class PipelineError(Exception):
 # The values of each choice field; the CLI offers the same. A model name
 # maps to its learn.ClassifierSpec kind.
 MODELS = {"knn": "knn", "rf": "random_forest", "svm": "linear_svm", "gbdt": "boosted_trees"}
-FEATURE_MODES = tuple(mode.value for mode in FeatureMode)
 POOLS = ("sample", "trial")
 _CHOICES = {"model": MODELS, "feature_mode": FEATURE_MODES, "pool": POOLS,
             "effect_chromophore": CHROMOPHORES}
@@ -86,6 +85,9 @@ _AT_LEAST = {"patients": 1, "controls": 1, "trials_per_task": 1, "shap_samples":
              "top_channels": 1, "select_k": 1, "folds": 2, "seed": 0, "baseline_s": 0,
              "motion_iqr": 0}
 _ABOVE = {"window_s": 0, "motion_amp_sigma": 0}
+# Float fields where +inf switches a motion trigger off; every other float
+# field must be finite.
+_INF_OFF = ("motion_amp_sigma", "motion_iqr")
 
 
 def _has_type(value, hint) -> bool:
@@ -150,6 +152,11 @@ class PipelineConfig:
             if not _has_type(value, hint):
                 shown = hint.__name__ if isinstance(hint, type) else hint
                 raise ValueError(f"{name}: must be {shown}, got {type(value).__name__} {value!r}")
+            if isinstance(value, float) and not (
+                math.isfinite(value) or name in _INF_OFF and value == math.inf
+            ):
+                allowed = "finite or inf" if name in _INF_OFF else "finite"
+                raise ValueError(f"{name}: must be {allowed}, got {value!r}")
             if name in _AT_LEAST and value is not None and not value >= _AT_LEAST[name]:
                 raise ValueError(f"{name}: must be >= {_AT_LEAST[name]}, got {value!r}")
             if name in _ABOVE and not value > _ABOVE[name]:
@@ -373,7 +380,7 @@ def _synthetic_args(config: PipelineConfig) -> tuple:
 
 def metrics_text(config: PipelineConfig, cv) -> str:
     """The metrics.txt report: the run settings, then per-fold and pooled metrics."""
-    rows = [(f"fold {fr.fold_index}", fr.metrics) for fr in cv.folds]
+    rows = [(f"fold {i}", fr.metrics) for i, fr in enumerate(cv.folds)]
     rows.append(("pooled", cv.pooled))
     return (
         f"model = {config.model}, task = {config.task}, "
@@ -614,11 +621,11 @@ def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
         return montage, preprocessing, epoch_set, None
 
     out.stage = "features"
-    mode = FeatureMode(config.feature_mode)
-    n_features = column_count(epoch_set, mode)
+    n_features = column_count(epoch_set, config.feature_mode)
     if config.select_k is not None and config.select_k > n_features:  # the config checks >= 1
         raise ValueError(
-            f"select_k={config.select_k} outside [1, {n_features}] for mode {mode.value}"
+            f"select_k={config.select_k} outside [1, {n_features}] "
+            f"for mode {config.feature_mode}"
         )
 
     out.stage = "train"
@@ -628,7 +635,7 @@ def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
         config.task,
         config.classifier_spec(),
         plan,
-        mode=mode,
+        mode=config.feature_mode,
         select_k=config.select_k,
     )
     return montage, preprocessing, epoch_set, cv
@@ -679,7 +686,7 @@ def run_pipeline(config: PipelineConfig):
             [f"{ch} {chrom}" for ch, chrom, _ in bars],
             out.path("channel_importance.svg"),
             title=f"Channel importance ({config.model}, {config.task} task, "
-            f"summed over {cv.mode.value} features)",
+            f"summed over {cv.mode} features)",
             y_label="mean |attribution|",
         )
 
@@ -704,7 +711,7 @@ def run_pipeline(config: PipelineConfig):
             "",
             *preprocessing,
             f"fold plan seed: {config.seed}",
-            *(f"  fold {fr.fold_index}: test = {', '.join(fr.test_ids)}" for fr in cv.folds),
+            *(f"  fold {i}: test = {', '.join(fr.test_ids)}" for i, fr in enumerate(cv.folds)),
         ]
         out.emit("provenance.txt", "\n".join(provenance_lines) + "\n")
 

@@ -77,7 +77,6 @@ def make_epoch_set(
         participants=tuple(participants),
         participant_index=np.repeat(np.arange(n_participants), trials),
         tasks=(task,) * len(hemo),
-        trial_index=tuple(range(trials)) * n_participants,
     )
 
 

@@ -14,7 +14,6 @@ from scipy import signal as sps
 
 from nirscope import epochs as em, explain, learn, optics, stats
 from nirscope.cli import EXIT_OK, main
-from nirscope.features import FeatureMode
 from nirscope.pipeline import (
     REPORT_FILES,
     PipelineConfig,
@@ -247,7 +246,7 @@ def test_criterion_6_end_to_end_biomarker_recovery():
             "single",
             learn.ClassifierSpec(kind="knn", seed=seed),
             plan,
-            mode=FeatureMode.RAW,
+            mode="raw",
             select_k=40,
         )
         accuracies.append(cv.pooled.accuracy)
@@ -262,7 +261,7 @@ def test_criterion_6_end_to_end_biomarker_recovery():
             "single",
             learn.ClassifierSpec(kind="knn", seed=seed),
             plan,
-            mode=FeatureMode.RAW,
+            mode="raw",
             select_k=40,
         )
         null_accuracies.append(null_cv.pooled.accuracy)

@@ -327,6 +327,34 @@ def test_bad_config_value_exits_2_before_any_work(tmp_path, capsys, flags, confi
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, config, field",
+    [
+        (["--low-cut", "nan"], None, "low_cut_hz"),
+        (["--high-cut", "nan"], None, "high_cut_hz"),
+        (["--window", "inf"], None, "window_s"),
+        (["--peak-delay", "nan", "--effect-channels", "S7-D6"], None, "peak_delay_s"),
+        (["--peak-delay", "inf", "--effect-channels", "S7-D6"], None, "peak_delay_s"),
+        ([], '{"baseline_s": NaN}', "baseline_s"),
+    ],
+    ids=["low_cut_nan", "high_cut_nan", "window_inf", "peak_delay_nan", "peak_delay_inf",
+         "config_nan"],
+)
+def test_non_finite_config_value_exits_2_before_any_work(tmp_path, capsys, flags, config, field):
+    out = tmp_path / "r"
+    argv = ["run", "--out", str(out), "--patients", "3", "--controls", "3", *flags]
+    prefix = "error: "
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+        prefix += f"{cfg}: "
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix}{field}: must be finite, got ")
+    assert not out.exists()
+
+
 def test_config_file_list_becomes_a_tuple(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"effect_channels": ["S7-D6"]}))

@@ -76,7 +76,6 @@ def test_task_cuts_only_that_tasks_trials_as_every_task_cuts_them():
     rows = every.rows(task="dual")
     assert dual.tasks == ("dual",) * 4
     assert dual.participant_ids.tolist() == ["P01"] * 3 + ["C01"]
-    assert dual.trial_index == tuple(every.trial_index[i] for i in rows) == (0, 1, 2, 0)
     assert dual.hemo.tobytes() == every.hemo[rows].tobytes()
 
 
@@ -129,7 +128,6 @@ def test_identical_trials_average_to_trial_with_zero_std():
         participants=(("P01", "patient"),),
         participant_index=[0] * 5,
         tasks=("single",) * 5,
-        trial_index=tuple(range(5)),
     )
     avg = block_average(eps, "single")
     assert np.array_equal(avg.mean, [window, -window])
@@ -146,7 +144,6 @@ def test_opposite_trials_average_to_zero_with_abs_std():
         participants=(("P01", "patient"),),
         participant_index=[0, 0],
         tasks=("single", "single"),
-        trial_index=(0, 1),
     )
     avg = block_average(eps, "single")
     assert np.abs(avg.mean).max() == 0.0
@@ -266,7 +263,6 @@ def test_segment_stacks_every_series_in_order():
     assert eps.participant_ids.tolist() == ["P01"] * 3 + ["C01"] * 3
     assert eps.participant_index.tolist() == [0] * 3 + [1] * 3
     assert eps.tasks == ("single", "single", "dual", "single", "dual", "dual")
-    assert eps.trial_index == (0, 1, 0, 0, 0, 1)
     alone = segment([second])
     assert np.array_equal(eps.hemo[3:], alone.hemo)
     with pytest.raises(ValueError, match="mismatched"):
@@ -289,7 +285,6 @@ def test_participant_means_equal_each_participants_masked_mean():
         participants=tuple((f"P{i}", "patient") for i in range(4)) + (("C0", "control"),),
         participant_index=owner,
         tasks=tasks,
-        trial_index=tuple(range(n)),
     )
     for shape in ((2, 30), (7,)):
         values = rng.normal(size=(n, *shape)) * 10.0 ** rng.integers(-6, 6, size=(n, *shape))

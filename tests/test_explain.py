@@ -11,7 +11,6 @@ from nirscope.explain import (
     exact_shapley,
     kernel_shap,
 )
-from nirscope.features import FeatureMode
 from nirscope.learn import ClassifierSpec, cross_validate, make_fold_plan
 
 
@@ -356,7 +355,7 @@ def _small_cv(monkeypatch, kind, select_k, channel_ids=None):
     monkeypatch.setattr(learn, "_SVM_EPOCHS", 20)
     monkeypatch.setattr(learn, "_GBDT_ROUNDS", 10)
     spec = ClassifierSpec(kind=kind, seed=2)
-    return cross_validate(eps, "single", spec, plan, mode=FeatureMode.SUMMARY, select_k=select_k)
+    return cross_validate(eps, "single", spec, plan, mode="summary", select_k=select_k)
 
 
 def _groups_by_pair(features, selected):

@@ -5,8 +5,8 @@ from conftest import make_epoch_set
 from nirscope import stats
 from nirscope.model import CHROMOPHORES
 from nirscope.features import (
+    FEATURE_MODES,
     FeatureMatrix,
-    FeatureMode,
     anova_f_scores,
     build_features,
     column_count,
@@ -17,7 +17,7 @@ from nirscope.features import (
 
 def test_raw_mode_column_count():
     eps = make_epoch_set(n_participants=2, trials=2, n_channels=20, window=78)
-    feats = build_features(eps, "single", FeatureMode.RAW)
+    feats = build_features(eps, "single", "raw")
     assert feats.x.shape[1] == 20 * 2 * 78 == 3120
     assert len(feats.pairs) * feats.block_width == 3120
     assert feats.block_width == 78
@@ -25,7 +25,7 @@ def test_raw_mode_column_count():
 
 def test_summary_mode_column_count():
     eps = make_epoch_set(n_participants=2, trials=2, n_channels=20, window=78)
-    feats = build_features(eps, "single", FeatureMode.SUMMARY)
+    feats = build_features(eps, "single", "summary")
     assert feats.x.shape[1] == 20 * 2 * 4 == 160
 
 
@@ -35,9 +35,15 @@ def test_empty_task_filter_rejected():
         build_features(eps, "dual")
 
 
+@pytest.mark.parametrize("mode", ["RAW", "mean", ""])
+def test_unknown_mode_rejected(mode):
+    with pytest.raises(ValueError, match=r"one of \['raw', 'summary'\]"):
+        build_features(make_epoch_set(), "single", mode)
+
+
 def test_column_ordering_channel_major_hbo_first():
     eps = make_epoch_set(n_participants=2, trials=1, n_channels=2, window=3)
-    feats = build_features(eps, "single", FeatureMode.RAW)
+    feats = build_features(eps, "single", "raw")
     ch = eps.channel_ids
     assert feats.pairs == ((ch[0], "hbo"), (ch[0], "hbr"), (ch[1], "hbo"), (ch[1], "hbr"))
     assert feats.block_width == 3
@@ -49,13 +55,13 @@ def test_column_ordering_channel_major_hbo_first():
 
 def test_pairs_deterministic_across_builds():
     eps = make_epoch_set(seed=12)
-    a = build_features(eps, "single", FeatureMode.SUMMARY)
-    b = build_features(eps, "single", FeatureMode.SUMMARY)
+    a = build_features(eps, "single", "summary")
+    b = build_features(eps, "single", "summary")
     assert a.pairs == b.pairs
     assert np.array_equal(a.x, b.x)
 
 
-@pytest.mark.parametrize("mode", list(FeatureMode))
+@pytest.mark.parametrize("mode", FEATURE_MODES)
 def test_columns_keep_montage_order_not_label_order(mode):
     # Sorted by label, "S10-D1" would come before "S2-D1" and "S3-D1".
     ids = tuple(f"{s}-D1" for s in ("S3", "S12", "S1", "S10", "S2", "S11", "S9"))
@@ -71,7 +77,7 @@ def test_columns_keep_montage_order_not_label_order(mode):
 
 def test_summary_stats_values():
     eps = make_epoch_set(n_participants=2, trials=1, n_channels=1, window=10, seed=2)
-    feats = build_features(eps, "single", FeatureMode.SUMMARY)
+    feats = build_features(eps, "single", "summary")
     hbo = eps.hemo[0, 0, 0]
     fs = eps.sample_rate_hz
     assert feats.x[0, 0] == pytest.approx(hbo.mean())
@@ -92,7 +98,7 @@ def _summary_row(window, fs, chromophore):
 
 def test_summary_features_equal_the_per_window_loop_bit_for_bit():
     eps = make_epoch_set(n_participants=4, trials=3, n_channels=5, window=17, seed=4)
-    feats = build_features(eps, "single", FeatureMode.SUMMARY)
+    feats = build_features(eps, "single", "summary")
     fs = eps.sample_rate_hz
     expected = [
         [

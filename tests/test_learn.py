@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_epoch_set
 from nirscope import learn
-from nirscope.features import FeatureMode, standardize
+from nirscope.features import default_select_k, standardize
 from nirscope.learn import (
     ClassifierSpec,
     FoldPlan,
@@ -14,7 +14,6 @@ from nirscope.learn import (
     fit,
     make_fold_plan,
     predict,
-    predict_score,
 )
 
 
@@ -43,7 +42,7 @@ def test_knn_scores_are_neighbor_fractions(monkeypatch):
     y = np.array([1, 1, 0, 0, 0])
     monkeypatch.setattr(learn, "_KNN_K", 3)
     model = fit(ClassifierSpec(kind="knn"), x, y)
-    assert predict_score(model, np.array([[0.05]]))[0] == pytest.approx(2 / 3)
+    assert model.predict_score(np.array([[0.05]]))[0] == pytest.approx(2 / 3)
 
 
 def test_knn_distance_ties_break_by_training_row_index(monkeypatch):
@@ -78,9 +77,9 @@ def test_knn_invariant_to_training_row_permutation():
     rng = np.random.default_rng(4)
     x, y = _separable(n=30, gap=1.0, seed=4)
     test = rng.normal(size=(20, 2))
-    base = predict_score(fit(ClassifierSpec(kind="knn"), x, y), test)
+    base = fit(ClassifierSpec(kind="knn"), x, y).predict_score(test)
     perm = rng.permutation(len(y))
-    permuted = predict_score(fit(ClassifierSpec(kind="knn"), x[perm], y[perm]), test)
+    permuted = fit(ClassifierSpec(kind="knn"), x[perm], y[perm]).predict_score(test)
     assert np.allclose(base, permuted)
 
 
@@ -117,7 +116,7 @@ def test_gbdt_fits_and_scores_in_range(monkeypatch):
     monkeypatch.setattr(learn, "_GBDT_ROUNDS", 30)
     model = fit(ClassifierSpec(kind="boosted_trees"), x, y)
     assert (predict(model, x) == y).mean() >= 0.95
-    scores = predict_score(model, x)
+    scores = model.predict_score(x)
     assert scores.min() >= 0.0 and scores.max() <= 1.0
 
 
@@ -131,7 +130,7 @@ def test_scores_bounded_for_all_models_fuzz(monkeypatch):
     monkeypatch.setattr(learn, "_GBDT_ROUNDS", 10)
     for kind in ("knn", "random_forest", "linear_svm", "boosted_trees"):
         model = fit(ClassifierSpec(kind=kind), x, y)
-        s = predict_score(model, queries)
+        s = model.predict_score(queries)
         assert np.all((s >= 0.0) & (s <= 1.0))
 
 
@@ -283,7 +282,7 @@ def test_null_labels_give_chance_accuracy():
             "single",
             ClassifierSpec(kind="knn", seed=seed),
             plan,
-            mode=FeatureMode.RAW,
+            mode="raw",
             select_k=10,
         )
         accs.append(cv.pooled.accuracy)
@@ -300,7 +299,6 @@ def test_duplicated_trials_leave_metrics_unchanged(monkeypatch):
         hemo=np.repeat(eps.hemo, 2, axis=0),
         participant_index=np.repeat(eps.participant_index, 2),
         tasks=twice(eps.tasks),
-        trial_index=tuple(t + extra for t in eps.trial_index for extra in (0, 1000)),
     )
     plan = make_fold_plan(eps.participants, n_folds=3, seed=3)
     monkeypatch.setattr(learn, "_GBDT_ROUNDS", 15)
@@ -316,9 +314,23 @@ def test_default_select_k_keeps_every_column_when_there_are_fewer():
     eps = _cv_epochs(seed=2, n_channels=2)
     plan = make_fold_plan(eps.participants, n_folds=3, seed=2)
     spec = ClassifierSpec(kind="knn", seed=2)
-    cv = cross_validate(eps, "single", spec, plan, mode=FeatureMode.SUMMARY)
+    cv = cross_validate(eps, "single", spec, plan, mode="summary")
     assert cv.select_k == 16
     assert [fr.selected.size for fr in cv.folds] == [16] * 3
+
+
+def test_raw_mode_trains_on_the_window_samples():
+    # Two channels with 12-sample windows give 48 raw columns, of which the
+    # default keeps 40; the mode is the string, and any other is refused.
+    eps = _cv_epochs(seed=2, n_channels=2)
+    plan = make_fold_plan(eps.participants, n_folds=3, seed=2)
+    spec = ClassifierSpec(kind="knn", seed=2)
+    cv = cross_validate(eps, "single", spec, plan, mode="raw")
+    assert cv.mode == "raw" and cv.features.x.shape[1] == 48
+    assert cv.select_k == default_select_k("raw", 48) == 40
+    assert [fr.selected.size for fr in cv.folds] == [40] * 3
+    with pytest.raises(ValueError, match=r"one of \['raw', 'summary'\], got 'Raw'"):
+        cross_validate(eps, "single", spec, plan, mode="Raw")
 
 
 def test_single_class_training_fold_rejected():

@@ -563,8 +563,7 @@ def test_hemo_rejects_mismatched_chromophores():
             )
 
 
-def _epoch_set(hemo, trial_index=(0,)):
-    n = len(trial_index)
+def _epoch_set(hemo, n=1):
     return EpochSet(
         sample_rate_hz=3.9,
         channel_ids=("S1-D1",),
@@ -572,7 +571,6 @@ def _epoch_set(hemo, trial_index=(0,)):
         participants=(("P01", "patient"),),
         participant_index=[0] * n,
         tasks=("single",) * n,
-        trial_index=trial_index,
     )
 
 
@@ -584,9 +582,11 @@ def test_epoch_set_rejects_wrong_window():
             _epoch_set(hemo)
 
 
-def test_epoch_set_rejects_duplicate_trial_index():
-    with pytest.raises(ValueError, match="duplicate trial"):
-        _epoch_set(np.zeros((2, 2, 1, 10)), trial_index=(0, 0))
+def test_epoch_set_rejects_a_task_count_off_the_trials():
+    eps = _epoch_set(np.zeros((2, 2, 1, 10)), n=2)
+    for tasks in (("single",), ("single",) * 3):
+        with pytest.raises(ValueError, match="one participant and task"):
+            dataclasses.replace(eps, tasks=tasks)
 
 
 def test_epoch_set_stores_each_participant_once():
@@ -603,9 +603,9 @@ def test_epoch_set_stores_each_participant_once():
         ((("P01", "sibling"),), [0, 0], "groups must be among"),
     ):
         with pytest.raises(ValueError, match=match):
-            dataclasses.replace(_epoch_set(hemo, (0, 1)), participants=participants,
+            dataclasses.replace(_epoch_set(hemo, n=2), participants=participants,
                                 participant_index=index)
-    eps = dataclasses.replace(_epoch_set(hemo, (0, 1)), participants=table)
+    eps = dataclasses.replace(_epoch_set(hemo, n=2), participants=table)
     assert eps.participants == table
     assert eps.participant_ids.tolist() == ["P01", "P01"]
     assert not eps.participant_index.flags.writeable
@@ -615,7 +615,7 @@ def test_epoch_set_stores_each_participant_once():
 def test_epoch_set_holds_c_contiguous_read_only_arrays():
     # A column-major input is copied to C order; the array is frozen.
     hemo = np.asfortranarray(np.arange(40.0).reshape(2, 2, 1, 10))
-    eps = _epoch_set(hemo, trial_index=(0, 1))
+    eps = _epoch_set(hemo, n=2)
     assert eps.hemo.flags.c_contiguous and not eps.hemo.flags.writeable
     assert np.array_equal(eps.hemo, hemo)
     assert eps.window_samples == 10

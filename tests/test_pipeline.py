@@ -10,7 +10,7 @@ from scipy.interpolate import make_smoothing_spline
 from conftest import make_epoch_set
 from nirscope import epochs, learn, motion, optics, pipeline, synth
 from nirscope.explain import ChannelImportance
-from nirscope.features import FeatureMode, build_features
+from nirscope.features import build_features
 from nirscope.model import Dataset, Recording, load_dataset, save_dataset
 from nirscope.signal import match_short_channel
 from nirscope.pipeline import PipelineConfig, preprocess_dataset, preprocess_recording
@@ -382,7 +382,7 @@ def test_summary_features_of_a_loaded_container_equal_in_memory_ones(tmp_path):
     assert loaded.hemo[0].hemo.flags.c_contiguous
     config = PipelineConfig(seed=1)
     in_memory, from_disk = (
-        build_features(pipeline.epochs_from_dataset(d, config), "single", FeatureMode.SUMMARY)
+        build_features(pipeline.epochs_from_dataset(d, config), "single", "summary")
         for d in (hemo, loaded)
     )
     assert from_disk.x.tobytes() == in_memory.x.tobytes()
@@ -434,6 +434,11 @@ def test_epochs_of_a_loaded_container_equal_in_memory_ones_for_any_baseline(tmp_
             {"effect_channels": ("S7-D6",), "amplitude_ratio": 0.0},
             ("effect_channels", "amplitude_ratio", "peak_delay_s"),
         ),
+        # NaN nowhere, and inf only where it switches a motion trigger off.
+        ({"motion_iqr": float("nan")}, ("motion_iqr",)),
+        ({"motion_amp_sigma": float("-inf")}, ("motion_amp_sigma",)),
+        ({"high_cut_hz": float("inf")}, ("high_cut_hz",)),
+        ({"amplitude_ratio": float("nan")}, ("amplitude_ratio",)),
     ],
 )
 def test_config_refuses_values_no_run_accepts(settings, fields):
@@ -445,3 +450,8 @@ def test_config_refuses_values_no_run_accepts(settings, fields):
 def test_config_takes_an_int_for_a_float_and_none_for_select_k():
     config = PipelineConfig(window_s=15, amplitude_ratio=1, select_k=None)
     assert config.window_s == 15.0 and config.select_k is None
+
+
+def test_config_takes_inf_to_switch_the_motion_triggers_off():
+    config = PipelineConfig(motion_iqr=float("inf"), motion_amp_sigma=float("inf"))
+    assert config.motion_iqr == config.motion_amp_sigma == float("inf")

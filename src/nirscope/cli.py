@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, epochs as epochs_mod, stats, synth
 from .features import FEATURE_MODES
-from .model import CHROMOPHORES, DatasetFormatError, load_dataset, save_dataset
+from .model import CHROMOPHORES, GROUPS, DatasetFormatError, load_dataset, save_dataset
 from .pipeline import (
     MODELS,
     POOLS,
@@ -215,6 +215,8 @@ def _load_sample_csvs(paths: list[str]) -> list[np.ndarray]:
             if not np.isfinite(value):
                 raise DatasetFormatError(f"{path}:{lineno}: not a finite number: {line.strip()!r}")
             values.append(value)
+        if len(values) < 2:
+            raise DatasetFormatError(f"{path}: a group needs at least 2 values, got {len(values)}")
         groups.append(np.asarray(values))
     return groups
 
@@ -288,7 +290,7 @@ def _cmd_epoch(args) -> int:
         f"{cfg.task!r}, window {epoch_set.window_samples} samples "
         f"@ {epoch_set.sample_rate_hz} Hz"
     )
-    for group in ("control", "patient"):
+    for group in GROUPS:
         try:
             avg = epochs_mod.block_average(epoch_set, cfg.task, group=group)
         except ValueError:

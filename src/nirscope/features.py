@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .epochs import peak_index
-from .model import CHROMOPHORES, EpochSet
+from .model import CHROMOPHORES, GROUPS, EpochSet
 
 __all__ = [
     "FEATURE_MODES",
@@ -30,7 +30,6 @@ __all__ = [
     "default_select_k",
 ]
 
-LABELS = {"control": 0, "patient": 1}
 SUMMARY_STATS = ("mean", "peak", "time_to_peak", "mean_slope")
 
 
@@ -102,7 +101,7 @@ def build_features(epochs: EpochSet, task: str, mode: str = "raw") -> FeatureMat
         )
     # (trials, channels, 2, slots) -> channel-major, hbo before hbr, slots in order
     x = slots.transpose(0, 2, 1, 3).reshape(rows.size, -1)
-    labels = np.array([LABELS[group] for _, group in epochs.participants], dtype=int)
+    labels = np.array([GROUPS.index(group) for _, group in epochs.participants], dtype=int)
     return FeatureMatrix(
         x=x,
         y=labels[epochs.participant_index[rows]],

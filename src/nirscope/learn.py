@@ -23,7 +23,7 @@ from .features import (
     select_k_best,
     standardize,
 )
-from .model import EpochSet
+from .model import GROUPS, EpochSet
 
 __all__ = [
     "ClassifierSpec",
@@ -619,14 +619,16 @@ def make_fold_plan(participants, n_folds: int = 6, seed: int = 0) -> FoldPlan:
     and dealt round-robin into the test sets, so per-class fold sizes differ
     by at most one. Each fold trains on everyone else.
     """
-    by_group: dict[str, list[str]] = {"patient": [], "control": []}
+    if n_folds < 2:
+        raise ValueError(f"n_folds must be >= 2, got {n_folds}")
+    by_group: dict[str, list[str]] = {group: [] for group in GROUPS}
     for pid, group in participants:
         if group not in by_group:
             raise ValueError(f"unknown group {group!r} for participant {pid}")
         by_group[group].append(pid)
     rng = np.random.default_rng(seed)
     test_sets: list[list[str]] = [[] for _ in range(n_folds)]
-    for group in ("patient", "control"):
+    for group in reversed(GROUPS):  # patients first: the order fixes the plans
         ids = sorted(by_group[group])
         if len(ids) < n_folds:
             raise ValueError(

@@ -39,7 +39,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-GROUPS = ("patient", "control")
+# The two groups; a group's class label is its index here.
+GROUPS = ("control", "patient")
 # The chromophore pair, in the order of a hemo series' or epoch set's first
 # pair axis: oxygenated, then deoxygenated haemoglobin.
 CHROMOPHORES = ("hbo", "hbr")

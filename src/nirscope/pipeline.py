@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__, epochs as epochs_mod, explain, learn, optics, report, stats, synth
 from .features import FEATURE_MODES, column_count
 from .model import (
-    CHROMOPHORES, Dataset, EpochSet, HemoSeries, ProvenanceStep, Recording, load_dataset,
+    CHROMOPHORES, GROUPS, Dataset, EpochSet, HemoSeries, ProvenanceStep, Recording,
+    load_dataset,
 )
 # perfbench/tracer.py wraps ``pipeline.detect_artifacts``, the one-row
 # detector, which no run calls; the name stays bound so that the tracer
@@ -396,7 +397,7 @@ def _pooled_observations(windows: np.ndarray, pool: str) -> np.ndarray:
 
 
 def _stats_report(epoch_set: EpochSet, importance, config: PipelineConfig, montage) -> str:
-    by_group = [epoch_set.rows(task=config.task, group=group) for group in ("control", "patient")]
+    by_group = [epoch_set.rows(task=config.task, group=group) for group in GROUPS]
     lines = ["Group statistics", "================", ""]
     tested = [(ch, chrom) for ch, chrom, _ in importance.top(config.top_channels)]
     if len(tested) < config.top_channels:

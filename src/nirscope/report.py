@@ -12,6 +12,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .model import GROUPS
+
 __all__ = [
     "GROUP_COLORS",
     "Svg",
@@ -53,7 +55,7 @@ _GEOMETRY = {
     "panel": _Geometry((320, 220), (52, 12, 24, 34), 14, 8, 8, 9, heading=11),
 }
 _PANEL_COLUMNS = 2
-GROUP_COLORS = {"control": "#4472c4", "patient": "#c0504d"}
+GROUP_COLORS = dict(zip(GROUPS, ("#4472c4", "#c0504d")))
 _BAR_COLOR = "#4472c4"
 
 

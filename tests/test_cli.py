@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -94,6 +95,18 @@ def test_stats_csv_with_a_non_number_is_a_data_error_naming_file_and_line(
     assert main(["stats", "ttest", "--csv", str(a), str(b)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{b}:4: not a finite number: '{bad}'" in err
+
+
+@pytest.mark.parametrize("text, count", [("# one value\n1.5\n", 1), ("", 0)], ids=["one", "empty"])
+def test_stats_csv_with_fewer_than_two_values_is_a_data_error_naming_the_file(
+    tmp_path, capsys, text, count
+):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(text)
+    b.write_text("1.0\n2.0\n3.0\n")
+    assert main(["stats", "ttest", "--csv", str(a), str(b)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{a}: a group needs at least 2 values, got {count}" in err
 
 
 def test_stats_rejects_mixed_inputs(tmp_path):
@@ -812,7 +825,7 @@ _GOLDEN_RUN_FIGURES = {
 }
 GOLDEN_RUN_FIGURES_SHA256 = {
     "sample": {
-        "stats_tests.txt": "eae4ecea79b9a13609546165cbc0880c54be5899fdf08b787176b23f00f308e1",
+        "stats_tests.txt": "95c88ea20422d2edc9c5ebb3281efcea6ffc635ff9a7abb0b06306b7126808d9",
         **_GOLDEN_RUN_FIGURES,
     },
     "trial": {
@@ -858,6 +871,9 @@ def test_run_stats_and_figures_match_golden_digests(golden_dataset, tmp_path, po
     assert main(argv) == EXIT_OK
     expected = GOLDEN_RUN_FIGURES_SHA256[pool]
     assert {name: _sha256((out / name).read_bytes()) for name in expected} == expected
+    # Each p is its own tail, so none underflows to a printed 0.
+    ps = re.findall(r"\bp = ([^,\s]+)", (out / "stats_tests.txt").read_text())
+    assert ps and all(float(p) > 0.0 for p in ps)
 
 
 # A non-finite value anywhere in a hemo file, time stamps included, stops the

@@ -245,6 +245,12 @@ def test_too_few_participants_per_class_rejected():
         make_fold_plan(_participants(5, 12), n_folds=6)
 
 
+@pytest.mark.parametrize("n_folds", [1, 0, -1])
+def test_fewer_than_two_folds_rejected(n_folds):
+    with pytest.raises(ValueError, match=f"n_folds must be >= 2, got {n_folds}"):
+        make_fold_plan(_participants(6, 6), n_folds=n_folds)
+
+
 def test_fold_plan_rejects_overlap():
     with pytest.raises(ValueError, match="more than once"):
         FoldPlan(folds=(("A",), ("B", "A")))

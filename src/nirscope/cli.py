@@ -226,39 +226,29 @@ def _cmd_stats(args) -> int:
     groups = _load_sample_csvs(args.csv)
     if summaries and groups:
         raise ValueError("give either --summary or --csv, not both")
-    if args.test == "ttest":
-        if summaries:
-            if len(summaries) != 2:
-                raise ValueError("ttest needs exactly 2 groups")
-            res = stats.t_test_from_summary(
-                summaries[0], summaries[1], equal_variance=not args.welch
-            )
-        elif len(groups) == 2:
-            res = stats.t_test(groups[0], groups[1], equal_variance=not args.welch)
-        else:
-            raise ValueError("ttest needs exactly 2 groups")
-        print(
-            f"t = {res.statistic:.6g}, df = {res.df:.6g}, "
-            f"p = {res.p_two_sided:.6g}, mean difference = {res.mean_difference:.6g}"
-        )
-    elif args.test == "anova":
-        res = (
-            stats.one_way_anova_from_summary(summaries)
-            if summaries
-            else stats.one_way_anova(groups)
-        )
-        print(
-            f"F = {res.statistic:.6g}, df = ({res.df[0]:.6g}, {res.df[1]:.6g}), "
-            f"p = {res.p_two_sided:.6g}"
-        )
-    else:
+    if args.test == "levene":
         if not groups:
             raise ValueError("levene needs raw sample CSVs")
         res = stats.levene(groups, center=args.center)
-        print(
-            f"F = {res.statistic:.6g}, df = ({res.df[0]:.6g}, {res.df[1]:.6g}), "
-            f"p = {res.p_two_sided:.6g}"
-        )
+    else:
+        # A sample group is tested through its summary, as stats.t_test and
+        # stats.one_way_anova test it.
+        summaries = summaries or [stats.summarize(g) for g in groups]
+        if args.test == "anova":
+            res = stats.one_way_anova_from_summary(summaries)
+        elif len(summaries) != 2:
+            raise ValueError("ttest needs exactly 2 groups")
+        else:
+            res = stats.t_test_from_summary(*summaries, equal_variance=not args.welch)
+            print(
+                f"t = {res.statistic:.6g}, df = {res.df:.6g}, "
+                f"p = {res.p_two_sided:.6g}, mean difference = {res.mean_difference:.6g}"
+            )
+            return EXIT_OK
+    print(
+        f"F = {res.statistic:.6g}, df = ({res.df[0]:.6g}, {res.df[1]:.6g}), "
+        f"p = {res.p_two_sided:.6g}"
+    )
     return EXIT_OK
 
 

@@ -51,19 +51,21 @@ def segment(
     """Cut one baseline-corrected window per task annotation of every series,
     or with ``task`` per annotation of that task only.
 
-    window_samples = floor(window_s * fs). The mean of the ``baseline_s``
-    seconds preceding the onset is subtracted per channel (truncated at the
-    recording start when fewer samples exist). The participant table holds
-    every series, in order, whether or not it has a trial cut. Trials follow
-    the series order, each series' in onset order, and are written into one
-    preallocated (trials, 2, channels, window) array, both chromophores of
-    a trial at once. Only the annotations cut are checked against the window
-    and the recording end.
+    window_samples = floor(window_s * fs) must be at least 1. The mean of
+    the ``baseline_s`` seconds preceding the onset is subtracted per channel
+    (truncated at the recording start when fewer samples exist). The
+    participant table holds every series, in order, whether or not it has a
+    trial cut. Trials follow the series order, each series' in onset order,
+    and are written into one preallocated (trials, 2, channels, window)
+    array, both chromophores of a trial at once. Only the annotations cut
+    are checked against the window and the recording end.
     """
     if not series:
         raise ValueError("no hemoglobin series to segment")
     fs, channel_ids = series[0].sample_rate_hz, series[0].channel_ids
     window = int(np.floor(window_s * fs))
+    if window < 1:
+        raise ValueError(f"window_s {window_s} s holds no sample at {fs} Hz")
     n_base = int(np.floor(baseline_s * fs))
     cuts: list[tuple[int, int, str]] = []  # series row, onset sample, task
     for row, hemo in enumerate(series):

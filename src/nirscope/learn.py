@@ -38,14 +38,15 @@ __all__ = [
     "FoldResult",
 ]
 
-KINDS = ("knn", "random_forest", "linear_svm", "boosted_trees")
-# Hyperparameters of the four learners.
+# The learners: each CLI model name and its ClassifierSpec kind.
+MODELS = {"knn": "knn", "rf": "random_forest", "svm": "linear_svm", "gbdt": "boosted_trees"}
+KINDS = tuple(MODELS.values())
+# Hyperparameters of the four learners; BoostModel.leaf_scale is the learning rate.
 _KNN_K = 5  # neighbours
 _RF_TREES = 100
 _SVM_C = 1.0  # hinge-loss weight; the L2 weight is 1 / (C * n)
 _SVM_EPOCHS = 200
 _GBDT_ROUNDS = 100
-_GBDT_LEARNING_RATE = 0.1
 _GBDT_MAX_LEAVES = 31
 _GBDT_BINS = 64  # histogram bins per feature
 
@@ -468,20 +469,12 @@ def _grow_boost_tree(cells, g, h, n_bins, max_leaves) -> tuple[_Tree, list]:
 class BoostModel(_TreeModel):
     bin_edges: list[np.ndarray]
     trees: list[_Tree]  # thresholds are bin indices
-    base_score: float
-    learning_rate: float
+    leaf_init: float  # prior log-odds
+    leaf_scale = 0.1  # learning rate
 
     @property
     def n_features(self) -> int:
         return len(self.bin_edges)
-
-    @property
-    def leaf_init(self) -> float:
-        return self.base_score
-
-    @property
-    def leaf_scale(self) -> float:
-        return self.learning_rate
 
     def leaf_input(self, x: np.ndarray) -> np.ndarray:
         """Bin indices; binning is per element, so the bins of a composed
@@ -509,11 +502,10 @@ def _fit_boost(x: np.ndarray, y: np.ndarray) -> BoostModel:
     model = BoostModel(
         bin_edges=edges,
         trees=[],
-        base_score=float(np.log((y.mean() + 1e-12) / (1 - y.mean() + 1e-12))),
-        learning_rate=_GBDT_LEARNING_RATE,
+        leaf_init=float(np.log((y.mean() + 1e-12) / (1 - y.mean() + 1e-12))),
     )
     cells = model.leaf_input(x) + np.arange(n_features) * n_bins
-    score = np.full(n, model.base_score)
+    score = np.full(n, model.leaf_init)
     for _ in range(_GBDT_ROUNDS):
         p = _sigmoid(score)
         g = p - y
@@ -524,7 +516,7 @@ def _fit_boost(x: np.ndarray, y: np.ndarray) -> BoostModel:
         model.trees.append(tree)
         # Each training row's leaf is known from the growth: no walk.
         for node, rows in leaves:
-            score[rows] += _GBDT_LEARNING_RATE * tree.value[node]
+            score[rows] += model.leaf_scale * tree.value[node]
     return model
 
 

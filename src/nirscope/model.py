@@ -172,9 +172,11 @@ class Annotation:
 
 
 def _check_series(series, name: str, pair: np.ndarray) -> None:
-    """The rules a recording and a hemo series share: a known group, a
-    positive finite sample rate, a (2, channels, samples) ``pair`` array,
-    and annotations inside the series."""
+    """The rules a recording and a hemo series share: a nonempty string id,
+    a known group, a positive finite sample rate, a (2, channels, samples)
+    ``pair`` array, and annotations inside the series."""
+    if not isinstance(series.participant_id, str) or not series.participant_id:
+        raise ValueError(f"participant id must be a nonempty string, got {series.participant_id!r}")
     if series.group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}, got {series.group!r}")
     if not 0 < series.sample_rate_hz < np.inf:

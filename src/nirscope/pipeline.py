@@ -74,9 +74,8 @@ class PipelineError(Exception):
         self.cause = cause
 
 
-# The values of each choice field; the CLI offers the same. A model name
-# maps to its learn.ClassifierSpec kind.
-MODELS = {"knn": "knn", "rf": "random_forest", "svm": "linear_svm", "gbdt": "boosted_trees"}
+# The values of each choice field; the CLI offers the same.
+MODELS = learn.MODELS
 POOLS = ("sample", "trial")
 _CHOICES = {"model": MODELS, "feature_mode": FEATURE_MODES, "pool": POOLS,
             "effect_chromophore": CHROMOPHORES}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -397,14 +397,5 @@ def _recording(
 
 
 def ground_truth_report(gt: GroundTruth) -> str:
-    """Serialize the injected effect as JSON text."""
-    payload = {
-        "seed": gt.seed,
-        "labels": gt.labels,
-        "discriminative": [list(p) for p in gt.discriminative],
-        "amplitude_ratio": gt.amplitude_ratio,
-        "peak_delay_s": gt.peak_delay_s,
-        "hrf_peak_s": gt.hrf_peak_s,
-        "true_peak_s": gt.true_peak_s,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Serialize the injected effect, one key per GroundTruth field, as JSON text."""
+    return json.dumps(asdict(gt), indent=2, sort_keys=True) + "\n"

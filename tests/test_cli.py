@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import nirscope.cli
+from nirscope import stats
 from nirscope.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -699,6 +700,20 @@ def test_stats_stdout_matches_golden_digest(golden_csvs, capsys, test):
     assert _sha256(capsys.readouterr().out.encode()) == GOLDEN_STATS_STDOUT_SHA256[test]
 
 
+@pytest.mark.parametrize("test", [("ttest",), ("ttest", "--welch"), ("anova",)])
+def test_stats_of_csv_groups_equal_stats_of_their_summaries(golden_csvs, capsys, test):
+    csvs = golden_csvs[:2] if test[0] == "ttest" else golden_csvs
+    summaries = []
+    for path in csvs:
+        s = stats.summarize([float(v) for v in Path(path).read_text().split()])
+        summaries += ["--summary", f"{s.n},{s.mean!r},{s.sd!r}"]
+    capsys.readouterr()
+    assert main(["stats", *test, "--csv", *csvs]) == EXIT_OK
+    from_csv = capsys.readouterr().out
+    assert main(["stats", *test, *summaries]) == EXIT_OK
+    assert capsys.readouterr().out == from_csv
+
+
 def test_train_with_excessive_k_names_features_stage(golden_dataset, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argv = ["train", "--dataset", str(golden_dataset), "--folds", "2", "--select-k", "999999"]
@@ -960,6 +975,42 @@ def test_epoch_counts_every_task_when_none_is_the_one_named(golden_hemo, capsys)
     capsys.readouterr()
     assert main(["epoch", "--dataset", str(golden_hemo), "--task", "nosuch"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("40 epochs total, 0 for task 'nosuch', ")
+
+
+@pytest.mark.parametrize("command", ["run", "report", "epoch"])
+def test_a_window_shorter_than_one_sample_fails_in_the_epoch_stage(
+    golden_dataset, golden_hemo, tmp_path, capsys, command
+):
+    # floor(0.1 s * 3.9 Hz) is 0 samples.
+    if command == "epoch":
+        argv = ["epoch", "--dataset", str(golden_hemo)]
+    else:
+        argv = _analysis_argv(command, golden_dataset, golden_hemo, tmp_path / "out")
+    capsys.readouterr()
+    assert main(argv + ["--window", "0.1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "window_s 0.1 s holds no sample at 3.9 Hz" in err
+    assert command == "epoch" or "stage 'epoch'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("pid", [7, ""], ids=["int", "empty"])
+def test_a_participant_id_that_is_not_a_nonempty_string_is_a_data_error(
+    golden_hemo, tmp_path, capsys, pid
+):
+    dataset = tmp_path / "hemo"
+    shutil.copytree(golden_hemo, dataset)
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    manifest["participants"][0]["id"] = pid
+    (dataset / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "report"
+    capsys.readouterr()
+    argv = ["run", "--dataset", str(dataset), "--out", str(out), "--folds", "2", "--seed", "1"]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "stage 'ingest'" in err
+    assert f"{dataset / 'manifest.json'}: participant id must be a nonempty string, got {pid!r}" in err
+    assert not out.exists()
 
 
 # Recorded when the fold plan was built from the epochs of every task: P01

@@ -331,8 +331,6 @@ def test_background_deterministic():
 
 # --- per-fold attribution against the per-row functions ---
 
-KINDS = ("knn", "random_forest", "linear_svm", "boosted_trees")
-
 
 # Channel ids whose montage order is not their label order: "S10-D1" sorts
 # before "S2-D1".
@@ -391,7 +389,7 @@ def _per_row_attributions(cv, select_k):
     return np.array(expected)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", learn.KINDS)
 @pytest.mark.parametrize("select_k, channel_ids", CV_CASES)
 def test_fold_attribution_equals_per_row_calls(monkeypatch, kind, select_k, channel_ids):
     cv = _small_cv(monkeypatch, kind, select_k, channel_ids)
@@ -460,7 +458,7 @@ def test_singular_kernel_regression_fails_before_scoring(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", learn.KINDS)
 @pytest.mark.parametrize("select_k, channel_ids", CV_CASES)
 @pytest.mark.parametrize("masks_per_call", [1, 3])
 def test_row_cap_bounds_every_score_call_and_leaves_phi_unchanged(

@@ -595,11 +595,11 @@ def test_boosting_matches_rescanning_grower(monkeypatch, case, bins):
     spec = ClassifierSpec(kind="boosted_trees", seed=2)
     model = fit(spec, x, y)
     binned = model.leaf_input(np.vstack([x, queries]))
-    score = np.full(binned.shape[0], model.base_score)
+    score = np.full(binned.shape[0], model.leaf_init)
     for tree in model.trees:
         reference = _reference_predict(tree, binned)
         assert np.array_equal(tree.predict(binned), reference)
-        score += model.learning_rate * reference
+        score += model.leaf_scale * reference
     assert np.array_equal(model._leaf_total(np.vstack([x, queries])), score)
     monkeypatch.setattr(learn, "_grow_boost_tree", _reference_grow_boost_tree)
     _assert_same_trees(model.trees, fit(spec, x, y).trees)

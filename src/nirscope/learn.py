@@ -469,12 +469,9 @@ def _grow_boost_tree(cells, g, h, n_bins, max_leaves) -> tuple[_Tree, list]:
 class BoostModel(_TreeModel):
     bin_edges: list[np.ndarray]
     trees: list[_Tree]  # thresholds are bin indices
+    n_features: int
     leaf_init: float  # prior log-odds
     leaf_scale = 0.1  # learning rate
-
-    @property
-    def n_features(self) -> int:
-        return len(self.bin_edges)
 
     def leaf_input(self, x: np.ndarray) -> np.ndarray:
         """Bin indices; binning is per element, so the bins of a composed
@@ -502,6 +499,7 @@ def _fit_boost(x: np.ndarray, y: np.ndarray) -> BoostModel:
     model = BoostModel(
         bin_edges=edges,
         trees=[],
+        n_features=n_features,
         leaf_init=float(np.log((y.mean() + 1e-12) / (1 - y.mean() + 1e-12))),
     )
     cells = model.leaf_input(x) + np.arange(n_features) * n_bins

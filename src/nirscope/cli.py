@@ -194,9 +194,15 @@ def _parse_summaries(raw: list[str]) -> list[stats.GroupSummary]:
         parts = triple.split(",")
         if len(parts) != 3:
             raise ValueError(f"--summary expects N,MEAN,SD, got {triple!r}")
-        out.append(
-            stats.GroupSummary(n=int(parts[0]), mean=float(parts[1]), sd=float(parts[2]))
-        )
+        try:
+            n, mean, sd = int(parts[0]), float(parts[1]), float(parts[2])
+            # As a --csv value must be; a summary made from samples keeps a
+            # NaN, which then gives a NaN p.
+            if not (np.isfinite(mean) and np.isfinite(sd)):
+                raise ValueError(f"mean and sd must be finite, got mean={mean}, sd={sd}")
+            out.append(stats.GroupSummary(n=n, mean=mean, sd=sd))
+        except ValueError as e:
+            raise ValueError(f"--summary {triple!r}: {e}") from e
     return out
 
 

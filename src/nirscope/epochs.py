@@ -17,6 +17,7 @@ from .model import EpochSet, HemoSeries
 __all__ = [
     "BlockAverage",
     "segment",
+    "join",
     "block_average",
     "participant_means",
     "peak_index",
@@ -47,22 +48,29 @@ def segment(
     window_s: float = 20.0,
     baseline_s: float = 2.0,
     task: str | None = None,
+    *,
+    empty_ok: bool = False,
 ) -> EpochSet:
     """Cut one baseline-corrected window per task annotation of every series,
     or with ``task`` per annotation of that task only.
 
-    window_samples = floor(window_s * fs) must be at least 1. The mean of
+    window_samples = floor(window_s * fs) must be a finite count of at
+    least 1. The mean of
     the ``baseline_s`` seconds preceding the onset is subtracted per channel
     (truncated at the recording start when fewer samples exist). The
     participant table holds every series, in order, whether or not it has a
     trial cut. Trials follow the series order, each series' in onset order,
     and are written into one preallocated (trials, 2, channels, window)
     array, both chromophores of a trial at once. Only the annotations cut
-    are checked against the window and the recording end.
+    are checked against the window and the recording end. A cut of no
+    trial is refused unless ``empty_ok``, as for one batch of a dataset
+    that ``join`` puts together.
     """
     if not series:
         raise ValueError("no hemoglobin series to segment")
     fs, channel_ids = series[0].sample_rate_hz, series[0].channel_ids
+    if not np.isfinite(window_s * fs):
+        raise ValueError(f"window_s {window_s} s holds no finite sample count at {fs} Hz")
     window = int(np.floor(window_s * fs))
     if window < 1:
         raise ValueError(f"window_s {window_s} s holds no sample at {fs} Hz")
@@ -93,7 +101,7 @@ def segment(
                     f"annotation at {a.onset_s} s extends past the recording end"
                 )
             cuts.append((row, start, a.label))
-    if not cuts:
+    if not cuts and not empty_ok:
         raise ValueError(f"no epochs match task {task!r}")
     out = np.empty((len(cuts), 2, len(channel_ids), window))
     for i, (row, start, _) in enumerate(cuts):
@@ -101,14 +109,41 @@ def segment(
         out[i] = hemo.hemo[..., start : start + window]
         if b0 < start:
             out[i] -= hemo.hemo[..., b0:start].mean(axis=-1, keepdims=True)
-    owners, _, labels = zip(*cuts)
     return EpochSet(
         sample_rate_hz=fs,
         channel_ids=channel_ids,
         hemo=out,
         participants=tuple((hemo.participant_id, hemo.group) for hemo in series),
-        participant_index=np.array(owners),
-        tasks=labels,
+        participant_index=np.array([row for row, _, _ in cuts], dtype=np.intp),
+        tasks=tuple(label for _, _, label in cuts),
+    )
+
+
+def join(parts: Sequence[EpochSet], task: str | None = None) -> EpochSet:
+    """The epoch sets that ``segment`` cut from consecutive batches of a
+    dataset's series, with ``task``, as one: equal to ``segment`` of all the
+    series in one call. Several parts are copied into one array once; one
+    part is returned as it is.
+    """
+    first = parts[0]
+    for part in parts[1:]:
+        if (part.sample_rate_hz, part.channel_ids) != (first.sample_rate_hz, first.channel_ids):
+            raise ValueError("hemo series have mismatched sample rates or channels")
+    tasks = tuple(label for part in parts for label in part.tasks)
+    if not tasks:
+        raise ValueError(f"no epochs match task {task!r}")
+    if len(parts) == 1:
+        return first
+    offsets = np.cumsum([0] + [len(part.participants) for part in parts[:-1]])
+    return EpochSet(
+        sample_rate_hz=first.sample_rate_hz,
+        channel_ids=first.channel_ids,
+        hemo=np.concatenate([part.hemo for part in parts]),
+        participants=tuple(p for part in parts for p in part.participants),
+        participant_index=np.concatenate(
+            [part.participant_index + offset for part, offset in zip(parts, offsets)]
+        ),
+        tasks=tasks,
     )
 
 

@@ -256,19 +256,25 @@ def _correct_motion(hemo: np.ndarray, fs: float, config: PipelineConfig) -> None
     rows[flagged] = wavelet_correct(rows[flagged], iqr_multiplier=config.motion_iqr)
 
 
+# The hemoglobin bytes of one batch of recordings: 13 default recordings,
+# (2, 20 long channels, 1638 samples) of float64, 524,160 B each.
+_BATCH_BYTES = int(6.5 * 2**20)
+
+
 def _preprocess(
     recordings: Iterable[Recording], montage, config: PipelineConfig
-) -> list[HemoSeries]:
-    """Preprocess recordings, in the order given, into hemo series.
+) -> Iterator[list[HemoSeries]]:
+    """Preprocess recordings, in the order given, into batches of hemo series.
 
-    Each recording's hemoglobin is formed from its intensities into an
-    array of its own and motion-corrected there before the next recording
-    is taken, and nothing here keeps the recording, so one that only
-    ``recordings`` held is released before the next is read. After the
-    last, one band-pass call per sample rate filters every array in place,
-    whatever their lengths. Every row comes out exactly as it would on its
-    own, so a recording's result does not depend on which others share the
-    call.
+    Each recording's hemoglobin is formed from its intensities into the next
+    slice of one block of ``_BATCH_BYTES`` and motion-corrected there before
+    the next recording is taken, and nothing here keeps the recording, so
+    one that only ``recordings`` held is released before the next is read.
+    When the next recording would not fit, the block is band-passed in place
+    and its series are yielded; a recording larger than the budget gets a
+    block of its own size. Every row comes out exactly as it would on its
+    own, so a recording's result does not depend on which others share its
+    batch.
     """
     extinction = optics.default_extinction_table()
     spec = config.bandpass_spec()
@@ -292,33 +298,60 @@ def _preprocess(
             zero_phase=True,  # bandpass is always zero-phase; the record keeps saying so
         )
     )
-    done, rates = [], {}
+    channel_ids = tuple(ch.id for ch in longs)
+
+    def batch_series(batch: list, block: np.ndarray) -> list[HemoSeries]:
+        # Consecutive recordings of one rate and length lie side by side in
+        # the block, so each such run is one (rows, samples) view of it, and
+        # each rate's runs take one band-pass call.
+        runs, end = [], 0  # [rate, length, first, end] in the block
+        for _, _, fs, _, _, hemo in batch:
+            if runs and runs[-1][:2] == [fs, hemo.shape[-1]]:
+                runs[-1][3] += hemo.size
+            else:
+                runs.append([fs, hemo.shape[-1], end, end + hemo.size])
+            end += hemo.size
+        for rate in dict.fromkeys(fs for fs, *_ in runs):
+            views = [block[a:b].reshape(-1, n) for fs, n, a, b in runs if fs == rate]
+            bandpass(views, spec, rate, out=views)
+        return [
+            HemoSeries(
+                participant_id=pid,
+                group=group,
+                sample_rate_hz=fs,
+                channel_ids=channel_ids,
+                hemo=hemo,
+                annotations=annotations,
+                provenance=tuple(provenance + steps),
+            )
+            for pid, group, fs, annotations, provenance, hemo in batch
+        ]
+
+    batch, block, used = [], np.empty(0), 0
     for recording in recordings:
         fs = recording.sample_rate_hz
-        # Made before the steps' temporaries, which it outlives, so that
-        # freeing them leaves no hole below it in the heap.
-        hemo = np.empty((2, len(longs), recording.n_samples))
+        shape = (2, len(longs), recording.n_samples)
+        size = math.prod(shape)
+        if used + size > block.size:
+            if batch:
+                yield batch_series(batch, block)
+            batch = block = None  # the last batch is the consumer's alone
+            # A block of the budget's size is larger than any array freed
+            # before it (the wavelet gather frees 2.6 MB), so glibc maps it
+            # apart from the heap and unmaps it whole when its batch goes:
+            # one array per recording would leave holes that later arrays
+            # fragment.
+            block, batch, used = np.empty(max(_BATCH_BYTES // 8, size)), [], 0
+        hemo = block[used : used + size].reshape(shape)
+        used += size
         provenance = _hemoglobin(recording, montage, config, extinction, hemo)
         if config.motion_correction:
             _correct_motion(hemo, fs, config)
-        rates.setdefault(fs, []).append(hemo)
-        done.append((recording.participant_id, recording.group, fs, recording.annotations,
-                     provenance, hemo))
-        del recording  # not held while the next one is read
-    for fs, same_rate in rates.items():
-        bandpass(same_rate, spec, fs, out=same_rate)
-    return [
-        HemoSeries(
-            participant_id=pid,
-            group=group,
-            sample_rate_hz=fs,
-            channel_ids=tuple(ch.id for ch in longs),
-            hemo=hemo,
-            annotations=annotations,
-            provenance=tuple(provenance + steps),
-        )
-        for pid, group, fs, annotations, provenance, hemo in done
-    ]
+        batch.append((recording.participant_id, recording.group, fs, recording.annotations,
+                      provenance, hemo))
+        del recording, hemo  # not held while the next one is read
+    if batch:
+        yield batch_series(batch, block)
 
 
 def preprocess_recording(recording, montage, config: PipelineConfig) -> HemoSeries:
@@ -326,16 +359,17 @@ def preprocess_recording(recording, montage, config: PipelineConfig) -> HemoSeri
 
     Order: optical density, short-channel regression (per wavelength, on
     OD), Beer-Lambert inversion, spline + wavelet motion correction, then
-    the band-pass. Every step is recorded in the provenance.
+    the band-pass. Every step is recorded in the provenance. The recording
+    is one batch of ``_preprocess``, and this is its one series.
     """
-    return _preprocess([recording], montage, config)[0]
+    return next(_preprocess([recording], montage, config))[0]
 
 
 def preprocess_dataset(dataset: Dataset, config: PipelineConfig) -> Dataset:
     """Preprocess every recording into a hemo-series dataset.
 
-    Each recording is motion-corrected on its own, and one band-pass call
-    per sample rate filters them all. Each recording comes out exactly as
+    The recordings are preprocessed in batches, and the dataset holds the
+    series of every batch. Each recording comes out exactly as
     ``preprocess_recording`` gives it.
 
     The dataset is never changed. A recording that nothing but ``dataset``
@@ -348,8 +382,9 @@ def preprocess_dataset(dataset: Dataset, config: PipelineConfig) -> Dataset:
     montage, creator, seed = dataset.montage, dataset.creator, dataset.seed
     recordings = list(dataset.recordings)
     del dataset  # the caller's reference, if any, is now the only other one
-    hemo = _preprocess(_released(recordings), montage, config)
-    return Dataset(montage=montage, hemo=tuple(hemo), creator=creator, seed=seed)
+    batches = _preprocess(_released(recordings), montage, config)
+    hemo = tuple(series for batch in batches for series in batch)
+    return Dataset(montage=montage, hemo=hemo, creator=creator, seed=seed)
 
 
 def _released(recordings: list) -> Iterator[Recording]:
@@ -451,21 +486,21 @@ def _stats_report(epoch_set: EpochSet, importance, config: PipelineConfig, monta
     return "\n".join(lines) + "\n"
 
 
-def _preprocessing_lines(hemo) -> list[str]:
-    """The preprocessing steps of every participant for provenance.txt: one
-    block per distinct step sequence, naming its participants unless all of
-    them share it."""
+def _preprocessing_lines(provenances: list[tuple[str, tuple[ProvenanceStep, ...]]]) -> list[str]:
+    """The preprocessing steps of every participant for provenance.txt, from
+    each series' (participant id, provenance): one block per distinct step
+    sequence, naming its participants unless all of them share it."""
     sequences: dict[tuple[str, ...], list[str]] = {}
-    for series in hemo:
-        steps = tuple(f"  {step.name}: {dict(step.params)}" for step in series.provenance)
-        sequences.setdefault(steps, []).append(series.participant_id)
+    for pid, provenance in provenances:
+        steps = tuple(f"  {step.name}: {dict(step.params)}" for step in provenance)
+        sequences.setdefault(steps, []).append(pid)
     lines = []
     for steps, ids in sequences.items():
         if len(sequences) == 1:
             lines.append(f"preprocessing steps (all {len(ids)} participants):")
         else:
             lines.append(
-                f"preprocessing steps ({len(ids)} of {len(hemo)} participants: "
+                f"preprocessing steps ({len(ids)} of {len(provenances)} participants: "
                 f"{', '.join(ids)}):"
             )
         lines += [*steps, ""]
@@ -583,17 +618,20 @@ class _Outputs:
 
 
 def _ingest(config: PipelineConfig):
-    """The montage of the run's data, and its raw recordings or, for a
-    preprocessed container, None and its hemo series. The recordings come
-    as an iterator that keeps none it has given: synthetic ones are
-    generated as it reaches them."""
+    """The montage of the run's data, its hemo series in batches, and
+    whether the run preprocesses them. Raw recordings are preprocessed as
+    the batches are pulled, each kept by nothing once its hemoglobin is
+    formed: synthetic ones are generated as preprocessing reaches them. A
+    preprocessed container's series are one batch."""
     if config.dataset_path is None:
+        montage = synth.default_montage()
         recordings = synth.generate_recordings(*_synthetic_args(config))
-        return synth.default_montage(), recordings, ()
+        return montage, _preprocess(recordings, montage, config), True
     dataset = load_dataset(config.dataset_path)
     if dataset.kind == "hemo":
-        return dataset.montage, None, dataset.hemo
-    return dataset.montage, _released(list(dataset.recordings)), ()
+        return dataset.montage, iter([list(dataset.hemo)]), False
+    recordings = _released(list(dataset.recordings))
+    return dataset.montage, _preprocess(recordings, dataset.montage, config), True
 
 
 def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
@@ -601,22 +639,27 @@ def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
 
     Returns (montage, the preprocessing lines of provenance.txt, the epochs
     of ``config.task``, cross validation or None). ``out.stage`` names each
-    stage as it starts. Each array is held only while a later stage reads
-    it: a raw recording until its hemoglobin is formed, so one at a time,
-    and the hemoglobin until the task's epochs are cut.
+    stage as it starts: each batch is preprocessed, then cut. Each array is
+    held only while a later stage reads it: a raw recording until its
+    hemoglobin is formed, so one at a time, and a batch's hemoglobin until
+    its epochs are cut; the batches' epochs are joined after the last
+    batch is released.
     """
-    montage, recordings, hemo = _ingest(config)
+    montage, batches, out.preprocessed = _ingest(config)
+    parts, provenances = [], []
     out.stage = "preprocess"
-    out.preprocessed = recordings is not None
-    if out.preprocessed:
-        hemo = _preprocess(recordings, montage, config)
-
+    for batch in batches:
+        out.stage = "epoch"
+        parts.append(epochs_mod.segment(batch, window_s=config.window_s,
+                                        baseline_s=config.baseline_s, task=config.task,
+                                        empty_ok=True))
+        provenances += [(series.participant_id, series.provenance) for series in batch]
+        del batch  # released before the next batch is preprocessed
+        out.stage = "preprocess"
     out.stage = "epoch"
-    epoch_set = epochs_mod.segment(
-        hemo, window_s=config.window_s, baseline_s=config.baseline_s, task=config.task
-    )
-    preprocessing = _preprocessing_lines(hemo)
-    del hemo
+    epoch_set = epochs_mod.join(parts, config.task)
+    del parts
+    preprocessing = _preprocessing_lines(provenances)
     if not classify:
         return montage, preprocessing, epoch_set, None
 

@@ -119,6 +119,24 @@ def test_stats_rejects_mixed_inputs(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "triple, cause",
+    [("3,inf,1", "mean and sd must be finite, got mean=inf, sd=1.0"),
+     ("3,1,nan", "mean and sd must be finite, got mean=1.0, sd=nan"),
+     ("2.5,1,1", "invalid literal for int() with base 10: '2.5'")],
+    ids=["inf-mean", "nan-sd", "fractional-n"],
+)
+def test_stats_refuses_a_summary_with_a_non_finite_value_or_a_fractional_n(
+    capsys, triple, cause
+):
+    # A non-finite mean printed p = 0 or p = nan; a fractional N named no triple.
+    for test in ("ttest", "anova"):
+        assert main(["stats", test, "--summary", triple, "--summary", "3,2,1"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"--summary {triple!r}: {cause}" in captured.err
+        assert captured.out == ""
+
+
 def test_run_writes_all_report_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["run", "--out", str(out)] + SMALL_RUN)
@@ -981,16 +999,31 @@ def test_epoch_counts_every_task_when_none_is_the_one_named(golden_hemo, capsys)
 def test_a_window_shorter_than_one_sample_fails_in_the_epoch_stage(
     golden_dataset, golden_hemo, tmp_path, capsys, command
 ):
-    # floor(0.1 s * 3.9 Hz) is 0 samples.
+    # floor(0.1 s * 3.9 Hz) is 0 samples, and 1e308 s * 3.9 Hz overflows to inf.
     if command == "epoch":
         argv = ["epoch", "--dataset", str(golden_hemo)]
     else:
         argv = _analysis_argv(command, golden_dataset, golden_hemo, tmp_path / "out")
+    for window, cause in (("0.1", "window_s 0.1 s holds no sample at 3.9 Hz"),
+                          ("1e308", "window_s 1e+308 s holds no finite sample count at 3.9 Hz")):
+        capsys.readouterr()
+        assert main(argv + ["--window", window]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert cause in err
+        assert command == "epoch" or "stage 'epoch'" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_a_band_pass_above_nyquist_fails_in_the_preprocess_stage(
+    golden_dataset, golden_hemo, tmp_path, capsys
+):
+    # The design is first needed when a batch has been preprocessed.
+    argv = _analysis_argv("run", golden_dataset, golden_hemo, tmp_path / "out")
     capsys.readouterr()
-    assert main(argv + ["--window", "0.1"]) == EXIT_CONFIG
+    assert main(argv + ["--high-cut", "1.96"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "window_s 0.1 s holds no sample at 3.9 Hz" in err
-    assert command == "epoch" or "stage 'epoch'" in err
+    assert "stage 'preprocess'" in err
+    assert "high cutoff 1.96 Hz is at or above Nyquist (1.95 Hz)" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1099,21 +1132,30 @@ def _peak_rss_mb(code: str, cwd: Path) -> float:
 
 
 @pytest.fixture(scope="module")
-def default_run_beyond_the_interpreter_mb(tmp_path_factory) -> float:
-    """Peak RSS of the default run minus that of the interpreter importing nirscope.
+def interpreter_mb(tmp_path_factory) -> tuple[Path, float]:
+    """A directory to run in, and the peak RSS of an interpreter there that
+    imports nirscope.
 
     Importing compiles every module whose bytecode cache is missing or
     stale, and writes the cache where it can, which lifts that process's
     peak. So a first, unmeasured child imports nirscope and leaves the cache
-    as both measured children then find it.
+    as every measured child then finds it.
     """
     cwd = tmp_path_factory.mktemp("rss")
     _peak_rss_mb("import nirscope.cli", cwd)
-    interpreter = _peak_rss_mb("import nirscope.cli", cwd)
-    run = _peak_rss_mb(
-        f"import sys; from nirscope.cli import main; sys.exit(main({DEFAULT_RUN!r}))", cwd
-    )
+    return cwd, _peak_rss_mb("import nirscope.cli", cwd)
+
+
+def _beyond_the_interpreter_mb(argv: list[str], interpreter_mb) -> float:
+    """Peak RSS of ``nirscope argv`` minus that of the interpreter importing nirscope."""
+    cwd, interpreter = interpreter_mb
+    run = _peak_rss_mb(f"import sys; from nirscope.cli import main; sys.exit(main({argv!r}))", cwd)
     return run - interpreter
+
+
+@pytest.fixture(scope="module")
+def default_run_beyond_the_interpreter_mb(interpreter_mb) -> float:
+    return _beyond_the_interpreter_mb(DEFAULT_RUN, interpreter_mb)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kB from os.wait4")
@@ -1134,11 +1176,23 @@ def test_default_run_holds_under_35_mb_beyond_the_interpreter(
 ):
     # Each array is held only while a later stage reads it: one raw
     # recording (0.7 MB) at a time, generated as preprocessing reads it, and
-    # the hemoglobin only until the task's epochs are cut, so the peak is the
-    # hemoglobin beside the last recording's motion correction. With every
-    # raw recording generated up front and the hemoglobin held to the
-    # report, the run took 39 MB over the interpreter.
+    # one batch of at most 13 recordings' hemoglobin (6.8 MB), until its
+    # epochs are cut. The run took 25.2 MB over the interpreter, its peak in
+    # training; when every recording's hemoglobin (12.6 MB) was held until
+    # one band-pass, it took 27.6 MB, its peak beside the last recording's
+    # motion correction, and with every raw recording generated up front and
+    # the hemoglobin held to the report, 39 MB.
     assert default_run_beyond_the_interpreter_mb < 35.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kB from os.wait4")
+def test_low_cut_run_holds_under_35_mb_beyond_the_interpreter(interpreter_mb):
+    # A 0.01 Hz low cut settles over 1,361 samples, not 305, and the
+    # band-pass holds that many samples of every row of its call beside its
+    # output. Band-passing every recording in one call took 39.1 MB over the
+    # interpreter; one batch at a time, 27.3 MB.
+    argv = DEFAULT_RUN + ["--low-cut", "0.01"]
+    assert _beyond_the_interpreter_mb(argv, interpreter_mb) < 35.0
 
 
 # --- artifacts do not depend on the environment ---

@@ -82,6 +82,32 @@ def _varied_dataset():
     return Dataset(montage=base.montage, recordings=recordings)
 
 
+# The default run's data: 12 + 12 participants, seed 1, with the effect.
+EFFECT_CONFIG = PipelineConfig(seed=1, effect_channels=("S7-D6", "S5-D6"),
+                               amplitude_ratio=0.5, peak_delay_s=1.5)
+RECORDING_BYTES = 2 * 20 * 1638 * 8  # one default recording's hemoglobin
+
+
+def _batched_run(config):
+    """The batch sizes of the default run's dataset, the sha256 of its
+    hemoglobin and the metrics text of training on it."""
+    dataset, _ = pipeline.synthesize(config)
+    sizes = [len(batch) for batch in
+             pipeline._preprocess(dataset.recordings, dataset.montage, config)]
+    digest = _hemo_digest(preprocess_dataset(dataset, config))
+    return sizes, digest, pipeline.metrics_text(config, pipeline.train(config))
+
+
+@pytest.mark.parametrize("recordings", [1, 24], ids=["one-recording", "whole-cohort"])
+def test_batch_boundaries_change_no_hemoglobin_and_no_metrics(monkeypatch, recordings):
+    default = _batched_run(EFFECT_CONFIG)
+    monkeypatch.setattr(pipeline, "_BATCH_BYTES", recordings * RECORDING_BYTES)
+    batched = _batched_run(EFFECT_CONFIG)
+    assert default[0] == [13, 11]
+    assert batched[0] == [recordings] * (24 // recordings)
+    assert batched[1:] == default[1:]
+
+
 def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch):
     dataset = _varied_dataset()
     recordings = dataset.recordings
@@ -132,14 +158,17 @@ def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch):
     assert [recording for recording, _ in spline_calls] == with_artifacts
     assert wavelet_calls == [(i + 1, len(rows)) for i, rows in enumerate(flagged) if rows.size]
     assert sum(map(len, flagged)) > 2 * len(recordings)
-    # One band-pass call per sample rate, over one (2, 20, n) array per
-    # recording, in order; the hemo series hold those arrays.
+    # The six recordings are one batch: one band-pass call per sample rate,
+    # over one (rows, n) view of the batch's block per run of consecutive
+    # recordings of one rate and length, in order. Here each run is one
+    # recording, and each hemo series holds its run's memory.
     assert [fs for fs, _ in bandpass_calls] == [3.9, 5.0]
     for fs, arrays in bandpass_calls:
         same_rate = [(rec, series) for rec, series in zip(recordings, hemo.hemo)
                      if rec.sample_rate_hz == fs]
-        assert [a.shape for a in arrays] == [(2, 20, rec.n_samples) for rec, _ in same_rate]
-        assert all(series.hemo is a for a, (_, series) in zip(arrays, same_rate))
+        assert [a.shape for a in arrays] == [(40, rec.n_samples) for rec, _ in same_rate]
+        assert all(np.shares_memory(series.hemo, a) and series.hemo.tobytes() == a.tobytes()
+                   for a, (_, series) in zip(arrays, same_rate))
 
     for rec, series in zip(recordings, hemo.hemo):
         alone = preprocess_recording(rec, dataset.montage, config)

@@ -55,9 +55,9 @@ def segment(
     or with ``task`` per annotation of that task only.
 
     window_samples = floor(window_s * fs) must be a finite count of at
-    least 1. The mean of
-    the ``baseline_s`` seconds preceding the onset is subtracted per channel
-    (truncated at the recording start when fewer samples exist). The
+    least 1. The mean of the ``baseline_s`` seconds preceding the onset is
+    subtracted per channel (truncated at the recording start when fewer
+    samples exist). The
     participant table holds every series, in order, whether or not it has a
     trial cut. Trials follow the series order, each series' in onset order,
     and are written into one preallocated (trials, 2, channels, window)

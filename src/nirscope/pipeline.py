@@ -335,7 +335,7 @@ def _preprocess(
         if used + size > block.size:
             if batch:
                 yield batch_series(batch, block)
-            batch = block = None  # the last batch is the consumer's alone
+            batch = block = None  # released before the next block is made
             # A block of the budget's size is larger than any array freed
             # before it (the wavelet gather frees 2.6 MB), so glibc maps it
             # apart from the heap and unmaps it whole when its batch goes:

@@ -1058,23 +1058,30 @@ MISSING_TASK_FOLDS = [
 MISSING_TASK_METRICS_SHA256 = "fdac3c0bff166266f192c164b1f2d9eccbea7d0cbaf2de29973f43ba05df3e40"
 
 
-def test_a_participant_without_the_task_keeps_its_place_in_the_fold_plan(tmp_path):
+def test_a_participant_without_the_task_keeps_its_place_in_the_fold_plan(
+    tmp_path, monkeypatch
+):
     raw, hemo = tmp_path / "raw", tmp_path / "hemo"
     synth = ["synth", "--patients", "3", "--controls", "3", "--trials", "2", "--seed", "1"]
     assert main(synth + ["--out", str(raw)]) == EXIT_OK
     assert main(["preprocess", "--dataset", str(raw), "--out", str(hemo)]) == EXIT_OK
-    manifest = json.loads((hemo / "manifest.json").read_text())
-    p01 = manifest["participants"][0]
-    assert p01["id"] == "P01"
-    p01["annotations"] = [a for a in p01["annotations"] if a[2] != "single"]
-    (hemo / "manifest.json").write_text(json.dumps(manifest))
-    out = tmp_path / "report"
-    argv = ["run", "--dataset", str(hemo), "--out", str(out), "--folds", "3", "--seed", "1",
-            "--samples", "64"]
-    assert main(argv) == EXIT_OK
-    provenance = (out / "provenance.txt").read_text().splitlines()
-    assert [line for line in provenance if line.startswith("  fold ")] == MISSING_TASK_FOLDS
-    assert _sha256((out / "metrics.txt").read_bytes()) == MISSING_TASK_METRICS_SHA256
+    for dataset in (raw, hemo):
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        p01 = manifest["participants"][0]
+        assert p01["id"] == "P01"
+        p01["annotations"] = [a for a in p01["annotations"] if a[2] != "single"]
+        (dataset / "manifest.json").write_text(json.dumps(manifest))
+    # The raw container is preprocessed one recording per batch, so P01's
+    # batch has no trial of the task.
+    monkeypatch.setattr(nirscope.pipeline, "_BATCH_BYTES", 1)
+    for dataset in (hemo, raw):
+        out = tmp_path / f"report-{dataset.name}"
+        argv = ["run", "--dataset", str(dataset), "--out", str(out), "--folds", "3",
+                "--seed", "1", "--samples", "64"]
+        assert main(argv) == EXIT_OK
+        provenance = (out / "provenance.txt").read_text().splitlines()
+        assert [line for line in provenance if line.startswith("  fold ")] == MISSING_TASK_FOLDS
+        assert _sha256((out / "metrics.txt").read_bytes()) == MISSING_TASK_METRICS_SHA256
     # README's library recipe, on the epochs of every task or of the task only.
     loaded = load_dataset(hemo)
     for epochs in (epochs_from_dataset(loaded, PipelineConfig()),

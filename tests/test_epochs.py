@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nirscope.epochs import (
-    block_average, participant_means, peak_index, roi_average, segment, time_to_peak,
+    block_average, join, participant_means, peak_index, roi_average, segment, time_to_peak,
 )
 from nirscope.model import Annotation, EpochSet, HemoSeries
 from nirscope.synth import canonical_hrf, default_montage
@@ -89,6 +89,28 @@ def test_task_checks_only_the_annotations_it_cuts():
 def test_task_with_no_trials_rejected():
     with pytest.raises(ValueError, match="no epochs match task 'nosuch'"):
         segment([_hemo(annotations=_block_annotations())], task="nosuch")
+
+
+def test_joined_batches_equal_one_cut_of_every_series():
+    # The second series has no single trial, so a batch of it alone cuts none.
+    series = [
+        dataclasses.replace(_hemo(seed=i, annotations=_block_annotations(*counts)),
+                            participant_id=f"P0{i}")
+        for i, counts in enumerate([(2, 3), (0, 2), (3, 1)])
+    ]
+    whole = segment(series, task="single")
+    for batches in ([series], [series[:1], series[1:]], [[s] for s in series]):
+        parts = [segment(b, task="single", empty_ok=True) for b in batches]
+        joined = join(parts, "single")
+        assert joined.hemo.tobytes() == whole.hemo.tobytes()
+        assert joined.participants == whole.participants
+        assert joined.participant_index.tolist() == whole.participant_index.tolist()
+        assert joined.tasks == whole.tasks
+    with pytest.raises(ValueError, match="no epochs match task 'single'"):
+        join([segment(series[1:2], task="single", empty_ok=True)], "single")
+    other_rate = dataclasses.replace(series[2], sample_rate_hz=5.0)
+    with pytest.raises(ValueError, match="mismatched sample rates"):
+        join([segment(series[:1]), segment([other_rate])])
 
 
 def test_baseline_subtracts_preonset_mean():

@@ -252,6 +252,8 @@ def test_no_hemoglobin_is_held_once_the_epochs_are_cut(monkeypatch, tmp_path, co
     cross_validate = learn.cross_validate
 
     def segment_and_watch(series, **kwargs):
+        # The batch cut before this one is released, block and all.
+        assert all(ref() is None for ref in watched)
         arrays = [s.hemo for s in series]
         watched.extend(weakref.ref(x) for a in arrays for x in (a, a.base) if x is not None)
         return segment(series, **kwargs)
@@ -270,6 +272,7 @@ def test_no_hemoglobin_is_held_once_the_epochs_are_cut(monkeypatch, tmp_path, co
         save_dataset(data, dataset_path)
     monkeypatch.setattr(epochs, "segment", segment_and_watch)
     monkeypatch.setattr(learn, "cross_validate", cross_validate_released)
+    monkeypatch.setattr(pipeline, "_BATCH_BYTES", 1)  # one recording per batch
     pipeline.train(PipelineConfig(out_dir=str(tmp_path / "out"), dataset_path=dataset_path,
                                   **settings))
     assert watched[-1] == "trained"

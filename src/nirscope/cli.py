@@ -210,7 +210,10 @@ def _load_sample_csvs(paths: list[str]) -> list[np.ndarray]:
     groups = []
     for path in paths:
         values = []
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as e:
+            raise DatasetFormatError(f"{path}: cannot read: {e}") from e
         for lineno, line in enumerate(lines, start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue

@@ -48,8 +48,6 @@ def segment(
     window_s: float = 20.0,
     baseline_s: float = 2.0,
     task: str | None = None,
-    *,
-    empty_ok: bool = False,
 ) -> EpochSet:
     """Cut one baseline-corrected window per task annotation of every series,
     or with ``task`` per annotation of that task only.
@@ -63,8 +61,8 @@ def segment(
     and are written into one preallocated (trials, 2, channels, window)
     array, both chromophores of a trial at once. Only the annotations cut
     are checked against the window and the recording end. A cut of no
-    trial is refused unless ``empty_ok``, as for one batch of a dataset
-    that ``join`` puts together.
+    trial is a set of no trials, as for one batch of a dataset that
+    ``join`` puts together; ``join`` refuses a whole run with none.
     """
     if not series:
         raise ValueError("no hemoglobin series to segment")
@@ -101,8 +99,6 @@ def segment(
                     f"annotation at {a.onset_s} s extends past the recording end"
                 )
             cuts.append((row, start, a.label))
-    if not cuts and not empty_ok:
-        raise ValueError(f"no epochs match task {task!r}")
     out = np.empty((len(cuts), 2, len(channel_ids), window))
     for i, (row, start, _) in enumerate(cuts):
         hemo, b0 = series[row], max(0, start - n_base)
@@ -122,8 +118,8 @@ def segment(
 def join(parts: Sequence[EpochSet], task: str | None = None) -> EpochSet:
     """The epoch sets that ``segment`` cut from consecutive batches of a
     dataset's series, with ``task``, as one: equal to ``segment`` of all the
-    series in one call. Several parts are copied into one array once; one
-    part is returned as it is.
+    series in one call, and refused when no part holds a trial. Several
+    parts are copied into one array once; one part is returned as it is.
     """
     first = parts[0]
     for part in parts[1:]:

@@ -93,8 +93,8 @@ class Channel:
             raise ValueError(f"channel kind must be long or short, got {self.kind!r}")
         if self.hemisphere not in ("left", "right"):
             raise ValueError(f"hemisphere must be left or right, got {self.hemisphere!r}")
-        if self.distance_m <= 0:
-            raise ValueError(f"channel distance must be positive, got {self.distance_m}")
+        if not 0 < self.distance_m < np.inf:
+            raise ValueError(f"channel distance must be positive and finite, got {self.distance_m}")
 
     @property
     def id(self) -> str:
@@ -164,10 +164,10 @@ class Annotation:
     label: str
 
     def __post_init__(self):
-        if self.onset_s < 0 or self.duration_s <= 0:
+        if not (0 <= self.onset_s < np.inf and 0 < self.duration_s < np.inf):
             raise ValueError(
-                f"annotation needs onset >= 0 and duration > 0, got "
-                f"({self.onset_s}, {self.duration_s})"
+                "annotation onset must be nonnegative and finite and duration positive "
+                f"and finite, got ({self.onset_s}, {self.duration_s})"
             )
 
 
@@ -331,7 +331,9 @@ class EpochSet:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A montage plus per-participant recordings or hemoglobin series."""
+    """A montage plus the recordings or hemo series of at least one participant,
+    all at one sample rate and, for recordings, one wavelength pair: the
+    manifest holds each once, and every file is read back at it."""
 
     montage: Montage
     recordings: tuple[Recording, ...] = ()
@@ -342,10 +344,26 @@ class Dataset:
     def __post_init__(self):
         if self.recordings and self.hemo:
             raise ValueError("dataset holds either recordings or hemo series, not both")
-        ids = [r.participant_id for r in self.recordings] + [
-            h.participant_id for h in self.hemo
-        ]
-        if len(set(ids)) != len(ids):
+        series = self.recordings or self.hemo
+        if not series:
+            raise ValueError(
+                "the dataset has no participants: a dataset directory holds at least one"
+            )
+        first = series[0]
+        for s in series[1:]:
+            if s.sample_rate_hz != first.sample_rate_hz:
+                raise ValueError(
+                    f"participant {s.participant_id} is sampled at {s.sample_rate_hz} Hz, "
+                    f"participant {first.participant_id} at {first.sample_rate_hz} Hz: "
+                    "a dataset directory holds one sample rate"
+                )
+            if self.recordings and s.wavelengths_nm != first.wavelengths_nm:
+                raise ValueError(
+                    f"participant {s.participant_id} is recorded at {s.wavelengths_nm} nm, "
+                    f"participant {first.participant_id} at {first.wavelengths_nm} nm: "
+                    "a dataset directory holds one wavelength pair"
+                )
+        if len({s.participant_id for s in series}) != len(series):
             raise ValueError("participant ids must be unique")
         long_ids = tuple(ch.id for ch in self.montage.long_channels)
         for r in self.recordings:
@@ -493,29 +511,12 @@ def _parse_series_lines(
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset directory: manifest.json plus per-participant CSVs.
 
-    Validation errors refuse the write before any file is touched; output is
-    byte-deterministic for a given dataset.
+    ``Dataset`` holds the rules the manifest needs (at least one
+    participant, one sample rate, one wavelength pair), so a dataset that
+    exists can be written; output is byte-deterministic for a given dataset.
     """
     series = dataset.recordings or dataset.hemo
-    if not series:
-        # load_dataset refuses a container that lists no participants.
-        raise ValueError("the dataset has no participants: a dataset directory holds at least one")
     first = series[0]
-    for s in series[1:]:
-        # The manifest holds one sample rate and one wavelength pair, which
-        # every file is read back at.
-        if s.sample_rate_hz != first.sample_rate_hz:
-            raise ValueError(
-                f"participant {s.participant_id} is sampled at {s.sample_rate_hz} Hz, "
-                f"participant {first.participant_id} at {first.sample_rate_hz} Hz: "
-                "a dataset directory holds one sample rate"
-            )
-        if dataset.recordings and s.wavelengths_nm != first.wavelengths_nm:
-            raise ValueError(
-                f"participant {s.participant_id} is recorded at {s.wavelengths_nm} nm, "
-                f"participant {first.participant_id} at {first.wavelengths_nm} nm: "
-                "a dataset directory holds one wavelength pair"
-            )
     wavelengths = first.wavelengths_nm if dataset.recordings else None
     table = _participant_files(dataset.kind, dataset.montage, wavelengths)
     root = Path(path)

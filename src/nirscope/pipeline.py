@@ -264,17 +264,18 @@ _BATCH_BYTES = int(6.5 * 2**20)
 def _preprocess(
     recordings: Iterable[Recording], montage, config: PipelineConfig
 ) -> Iterator[list[HemoSeries]]:
-    """Preprocess recordings, in the order given, into batches of hemo series.
+    """Preprocess recordings of one sample rate, as a ``Dataset``'s are, in
+    the order given, into batches of hemo series.
 
     Each recording's hemoglobin is formed from its intensities into the next
     slice of one block of ``_BATCH_BYTES`` and motion-corrected there before
     the next recording is taken, and nothing here keeps the recording, so
     one that only ``recordings`` held is released before the next is read.
     When the next recording would not fit, the block is band-passed in place
-    and its series are yielded; a recording larger than the budget gets a
-    block of its own size. Every row comes out exactly as it would on its
-    own, so a recording's result does not depend on which others share its
-    batch.
+    in one call and its series are yielded; a recording larger than the
+    budget gets a block of its own size. Every row comes out exactly as it
+    would on its own, so a recording's result does not depend on which
+    others share its batch.
     """
     extinction = optics.default_extinction_table()
     spec = config.bandpass_spec()
@@ -301,19 +302,18 @@ def _preprocess(
     channel_ids = tuple(ch.id for ch in longs)
 
     def batch_series(batch: list, block: np.ndarray) -> list[HemoSeries]:
-        # Consecutive recordings of one rate and length lie side by side in
-        # the block, so each such run is one (rows, samples) view of it, and
-        # each rate's runs take one band-pass call.
-        runs, end = [], 0  # [rate, length, first, end] in the block
-        for _, _, fs, _, _, hemo in batch:
-            if runs and runs[-1][:2] == [fs, hemo.shape[-1]]:
-                runs[-1][3] += hemo.size
+        # Consecutive recordings of one length lie side by side in the block,
+        # so each such run is one (rows, samples) view of it, and the batch's
+        # runs take one band-pass call at its one rate.
+        runs, end = [], 0  # [length, first, end] in the block
+        for *_, hemo in batch:
+            if runs and runs[-1][0] == hemo.shape[-1]:
+                runs[-1][2] += hemo.size
             else:
-                runs.append([fs, hemo.shape[-1], end, end + hemo.size])
+                runs.append([hemo.shape[-1], end, end + hemo.size])
             end += hemo.size
-        for rate in dict.fromkeys(fs for fs, *_ in runs):
-            views = [block[a:b].reshape(-1, n) for fs, n, a, b in runs if fs == rate]
-            bandpass(views, spec, rate, out=views)
+        views = [block[a:b].reshape(-1, n) for n, a, b in runs]
+        bandpass(views, spec, batch[0][2], out=views)
         return [
             HemoSeries(
                 participant_id=pid,
@@ -651,8 +651,7 @@ def _shared_stages(out: _Outputs, config: PipelineConfig, classify: bool):
     for batch in batches:
         out.stage = "epoch"
         parts.append(epochs_mod.segment(batch, window_s=config.window_s,
-                                        baseline_s=config.baseline_s, task=config.task,
-                                        empty_ok=True))
+                                        baseline_s=config.baseline_s, task=config.task))
         provenances += [(series.participant_id, series.provenance) for series in batch]
         del batch  # released before the next batch is preprocessed
         out.stage = "preprocess"

@@ -110,6 +110,17 @@ def test_stats_csv_with_fewer_than_two_values_is_a_data_error_naming_the_file(
     assert f"{a}: a group needs at least 2 values, got {count}" in err
 
 
+# An unreadable file exited 2 with the OSError's bare text.
+@pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()],
+                         ids=["missing", "directory"])
+def test_stats_csv_it_cannot_read_is_a_data_error_naming_the_file(tmp_path, capsys, make):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    make(a)
+    b.write_text("1.0\n2.0\n3.0\n")
+    assert main(["stats", "ttest", "--csv", str(a), str(b)]) == EXIT_DATA
+    assert f"data error: {a}: cannot read: " in capsys.readouterr().err
+
+
 def test_stats_rejects_mixed_inputs(tmp_path):
     f = tmp_path / "x.csv"
     f.write_text("1\n2\n")

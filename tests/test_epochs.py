@@ -87,8 +87,14 @@ def test_task_checks_only_the_annotations_it_cuts():
 
 
 def test_task_with_no_trials_rejected():
+    # segment cuts a set of no trials that keeps its participant table, as
+    # for one batch of a run; join refuses a run that has no trial at all.
+    empty = segment([_hemo(annotations=_block_annotations())], task="nosuch")
+    assert empty.hemo.shape == (0, 2, 2, 78)
+    assert empty.participants == (("P01", "patient"),)
+    assert empty.participant_index.size == 0 and empty.tasks == ()
     with pytest.raises(ValueError, match="no epochs match task 'nosuch'"):
-        segment([_hemo(annotations=_block_annotations())], task="nosuch")
+        join([empty], "nosuch")
 
 
 def test_joined_batches_equal_one_cut_of_every_series():
@@ -100,14 +106,14 @@ def test_joined_batches_equal_one_cut_of_every_series():
     ]
     whole = segment(series, task="single")
     for batches in ([series], [series[:1], series[1:]], [[s] for s in series]):
-        parts = [segment(b, task="single", empty_ok=True) for b in batches]
+        parts = [segment(b, task="single") for b in batches]
         joined = join(parts, "single")
         assert joined.hemo.tobytes() == whole.hemo.tobytes()
         assert joined.participants == whole.participants
         assert joined.participant_index.tolist() == whole.participant_index.tolist()
         assert joined.tasks == whole.tasks
     with pytest.raises(ValueError, match="no epochs match task 'single'"):
-        join([segment(series[1:2], task="single", empty_ok=True)], "single")
+        join([segment(series[1:2], task="single")], "single")
     other_rate = dataclasses.replace(series[2], sample_rate_hz=5.0)
     with pytest.raises(ValueError, match="mismatched sample rates"):
         join([segment(series[:1]), segment([other_rate])])

@@ -69,27 +69,23 @@ def test_second_save_is_byte_identical(small_montage, tmp_path):
     assert first == second
 
 
-def test_save_refuses_an_empty_dataset_before_writing(small_montage, tmp_path):
-    # load_dataset refuses a container that lists no participants, so none
-    # is written.
-    d = Dataset(montage=small_montage, creator="test")
+def test_save_refuses_an_empty_dataset_before_writing(small_montage):
+    # load_dataset refuses a container that lists no participants, so no
+    # dataset without one is made, and none is written.
     with pytest.raises(ValueError, match="the dataset has no participants"):
-        save_dataset(d, tmp_path / "empty")
-    assert not (tmp_path / "empty").exists()
+        Dataset(montage=small_montage, creator="test")
 
 
-def test_save_refuses_mixed_sample_rates_before_writing(small_montage, tmp_path):
+def test_save_refuses_mixed_sample_rates_before_writing(small_montage):
     # The manifest holds one sample rate; a second rate would load back as
-    # the first.
+    # the first, so the dataset is refused where it is made.
     slow = make_recording(small_montage, fs=3.9)
     fast = dataclasses.replace(make_recording(small_montage, fs=7.8), participant_id="C01")
-    d = Dataset(montage=small_montage, recordings=(slow, fast), creator="test")
     with pytest.raises(ValueError, match=r"C01 is sampled at 7\.8 Hz, participant P01 at 3\.9 Hz"):
-        save_dataset(d, tmp_path / "ds")
-    assert not (tmp_path / "ds").exists()
+        Dataset(montage=small_montage, recordings=(slow, fast), creator="test")
 
 
-def test_save_refuses_mixed_wavelengths_before_writing(small_montage, tmp_path):
+def test_save_refuses_mixed_wavelengths_before_writing(small_montage):
     # The manifest holds one wavelength pair; a second pair would fail to load
     # with a missing manifest key that names neither participant nor cause.
     rec = make_recording(small_montage)
@@ -98,13 +94,11 @@ def test_save_refuses_mixed_wavelengths_before_writing(small_montage, tmp_path):
         participant_id="C01",
         wavelengths_nm=(780.0, 850.0),
     )
-    d = Dataset(montage=small_montage, recordings=(rec, other), creator="test")
     with pytest.raises(
         ValueError,
         match=r"C01 is recorded at \(780\.0, 850\.0\) nm, participant P01 at \(760\.0, 850\.0\) nm",
     ):
-        save_dataset(d, tmp_path / "ds")
-    assert not (tmp_path / "ds").exists()
+        Dataset(montage=small_montage, recordings=(rec, other), creator="test")
 
 
 def test_equality_compares_arrays_and_dicts_by_value(small_montage):
@@ -386,6 +380,50 @@ def test_bad_manifest_header_is_a_data_error_naming_the_manifest(
     assert str(error.value).startswith(f"{manifest}: ")
     assert main(["epoch", "--dataset", str(tmp_path / "ds")]) == EXIT_DATA
     assert f"data error: {manifest}: " in capsys.readouterr().err
+
+
+_ANNOTATION_RULE = (
+    "annotation onset must be nonnegative and finite and duration positive and finite"
+)
+_DISTANCE_RULE = "bad montage block: channel distance must be positive and finite"
+
+
+# Each of these loaded: a NaN duration was cut as a full window, a NaN onset
+# failed in stage epoch in int(), and a raw container with a NaN or infinite
+# distance failed in stage train on NaN features.
+@pytest.mark.parametrize("kind", ["intensity", "hemo"])
+@pytest.mark.parametrize(
+    "key_path, value, message",
+    [
+        (("participants", 0, "annotations", 0, 0), "nan", f"{_ANNOTATION_RULE}, got (nan, 10.0)"),
+        (("participants", 0, "annotations", 0, 1), "nan", f"{_ANNOTATION_RULE}, got (3.0, nan)"),
+        (("montage", "channels", 0, 2), "nan", f"{_DISTANCE_RULE}, got nan"),
+        (("montage", "channels", 0, 2), "inf", f"{_DISTANCE_RULE}, got inf"),
+    ],
+    ids=["onset-nan", "duration-nan", "distance-nan", "distance-inf"],
+)
+def test_a_non_finite_onset_duration_or_distance_is_a_data_error_naming_the_manifest(
+    small_montage, tmp_path, capsys, kind, key_path, value, message
+):
+    # Both kinds hold one annotation, (3.0 s, 10.0 s).
+    if kind == "intensity":
+        dataset = _dataset(small_montage, annotations=[Annotation(3.0, 10.0, "single")])
+    else:
+        dataset = _hemo_dataset(small_montage)
+    save_dataset(dataset, tmp_path / "ds")
+    manifest = tmp_path / "ds" / "manifest.json"
+    obj = json.loads(manifest.read_text())
+    *parents, last = key_path
+    owner = obj
+    for key in parents:
+        owner = owner[key]
+    owner[last] = value
+    manifest.write_text(json.dumps(obj))
+    with pytest.raises(DatasetFormatError) as error:
+        load_dataset(tmp_path / "ds")
+    assert str(error.value) == f"{manifest}: {message}"
+    assert main(["epoch", "--dataset", str(tmp_path / "ds")]) == EXIT_DATA
+    assert f"data error: {manifest}: {message}" in capsys.readouterr().err
 
 
 # Manifests of the wrong JSON shape below the header: the value at each key
@@ -687,7 +725,7 @@ def _containers(draw, kind: str):
     counts, lengths (one-sample files included) and sample rate."""
     n_long = draw(st.integers(1, 4))
     montage = _montage(n_long, draw(st.integers(0, 2)) if kind == "intensity" else 0)
-    # One rate for the whole dataset: save_dataset refuses mixed rates.
+    # One rate for the whole dataset: a Dataset refuses mixed rates.
     fs = draw(st.sampled_from([3.9, 10.0, 7.8125])) if kind == "intensity" else 3.9
     participants = []
     for p in range(draw(st.integers(1, 2))):

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,19 +67,18 @@ def test_numpy_spline_hemo_agrees_with_scipy_spline(monkeypatch):
 
 
 def _varied_dataset():
-    """Six recordings in four (sample rate, length) groups, no annotations."""
+    """Six recordings at 3.9 Hz of three lengths, no annotations."""
     base, _ = synth.generate_dataset(n_patients=3, n_controls=3, seed=2)
-    shapes = [(3.9, 1638), (3.9, 1200), (3.9, 1638), (5.0, 1638), (3.9, 1200), (5.0, 1000)]
     recordings = tuple(
         Recording(
             participant_id=rec.participant_id,
             group=rec.group,
-            sample_rate_hz=fs,
+            sample_rate_hz=3.9,
             wavelengths_nm=rec.wavelengths_nm,
             channel_ids=rec.channel_ids,
             intensity=rec.intensity[..., :n],
         )
-        for rec, (fs, n) in zip(base.recordings, shapes)
+        for rec, n in zip(base.recordings, (1638, 1200, 1638, 1638, 1200, 1000))
     )
     return Dataset(montage=base.montage, recordings=recordings)
 
@@ -158,17 +159,16 @@ def test_dataset_preprocessing_is_per_recording_preprocessing(monkeypatch):
     assert [recording for recording, _ in spline_calls] == with_artifacts
     assert wavelet_calls == [(i + 1, len(rows)) for i, rows in enumerate(flagged) if rows.size]
     assert sum(map(len, flagged)) > 2 * len(recordings)
-    # The six recordings are one batch: one band-pass call per sample rate,
-    # over one (rows, n) view of the batch's block per run of consecutive
-    # recordings of one rate and length, in order. Here each run is one
-    # recording, and each hemo series holds its run's memory.
-    assert [fs for fs, _ in bandpass_calls] == [3.9, 5.0]
-    for fs, arrays in bandpass_calls:
-        same_rate = [(rec, series) for rec, series in zip(recordings, hemo.hemo)
-                     if rec.sample_rate_hz == fs]
-        assert [a.shape for a in arrays] == [(40, rec.n_samples) for rec, _ in same_rate]
-        assert all(np.shares_memory(series.hemo, a) and series.hemo.tobytes() == a.tobytes()
-                   for a, (_, series) in zip(arrays, same_rate))
+    # The six recordings are one batch: one band-pass call, over one
+    # (rows, n) view of the batch's block per run of consecutive recordings
+    # of one length, in order. Each hemo series holds its run's memory.
+    [(fs, views)] = bandpass_calls
+    assert fs == 3.9
+    assert [v.shape for v in views] == [(40, 1638), (40, 1200), (80, 1638), (40, 1200),
+                                        (40, 1000)]
+    for series, run in zip(hemo.hemo, [0, 1, 2, 2, 3, 4]):
+        assert np.shares_memory(series.hemo, views[run])
+    assert b"".join(v.tobytes() for v in views) == b"".join(h.hemo.tobytes() for h in hemo.hemo)
 
     for rec, series in zip(recordings, hemo.hemo):
         alone = preprocess_recording(rec, dataset.montage, config)
@@ -331,7 +331,6 @@ def test_hemoglobin_matches_per_channel_steps(tmp_path):
         channel_ids=dataset.recordings[0].channel_ids,
         intensity=flat,
     )
-    # The first two recordings share a sample rate, as a saved dataset must.
     save_dataset(
         Dataset(montage=dataset.montage, recordings=dataset.recordings[:2]), tmp_path / "raw"
     )
@@ -344,6 +343,23 @@ def test_hemoglobin_matches_per_channel_steps(tmp_path):
         got = np.empty((2, len(dataset.montage.long_channels), rec.n_samples))
         pipeline._hemoglobin(rec, dataset.montage, config, table, got)
         assert got.tobytes() == _hemoglobin_per_channel(rec, dataset.montage, config).tobytes()
+
+
+def test_readme_library_recipe_equals_the_run(tmp_path, capsys):
+    # README's "Library use" recipe builds the fold plan, the classifier and
+    # the attribution of `nirscope run` at seed 1 with the effect: the same
+    # metrics and the same ranking.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    library_use = readme[readme.index("## Library use"):]
+    recipe = re.search(r"```python\n(.*?)```", library_use, re.DOTALL).group(1)
+    scope = {}
+    exec(recipe, scope)
+    capsys.readouterr()
+    config = dataclasses.replace(EFFECT_CONFIG, out_dir=str(tmp_path))
+    result = pipeline.run_pipeline(config)
+    assert pipeline.metrics_text(config, scope["cv"]) == pipeline.metrics_text(config, result["cv"])
+    assert scope["ranking"].entries == result["importance"].entries
+    assert scope["ranking"].entries[0][:2] == ("S5-D6", "hbr")
 
 
 def test_container_preprocessing_matches_in_memory(tmp_path):
